@@ -6,7 +6,6 @@ stay inside the constraints while covering them as closely as possible, and
 independently certifies the result.
 """
 
-from ._accel import USING_NUMBA
 from .encoder import SynthProblem, VariableLayout, assemble, h_preset
 from .rpi_params import (
     ConstantsAccumulator,
@@ -56,7 +55,6 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "Box",
     "BoxHullSet",
     "Certificate",

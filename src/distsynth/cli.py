@@ -31,7 +31,6 @@ from .setgeom import (
     simulate,
     spectral_radius,
     stacked_identity,
-    support_argmax_hull,
     vertices_hpoly,
 )
 from .synthesizer import SynthesisError
@@ -392,20 +391,21 @@ def reachable_outline(
         raise GeometryError("outline is defined for two outputs only")
     ang = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
     P = np.column_stack([np.cos(ang), np.sin(ang)])
+
+    def argmax_points(U):
+        # row d: the point support_argmax_hull(I, U[d], W) returns, first maximum on ties
+        j = np.argmax(U @ W.centers.T + np.abs(U) @ W.halfwidths.T, axis=1)
+        return W.centers[j] + np.sign(U) * W.halfwidths[j]
+
     scale = 1.0 / (1.0 - params.alpha)
     pts = np.zeros((n_dirs, 2))
     CA = sys.C.copy()
     for _ in range(params.s):
         Q = P @ CA  # state-space directions
-        U = Q @ sys.B
-        for d in range(n_dirs):
-            w_star = support_argmax_hull(np.eye(sys.n_w), U[d], W)
-            v_star = params.lam * np.sign(Q[d])
-            pts[d] += scale * (CA @ (sys.B @ w_star + v_star))
+        drive = argmax_points(Q @ sys.B) @ sys.B.T + params.lam * np.sign(Q)
+        pts += scale * (drive @ CA.T)
         CA = CA @ sys.A
-    UD = P @ sys.D
-    for d in range(n_dirs):
-        pts[d] += sys.D @ support_argmax_hull(np.eye(sys.n_w), UD[d], W)
+    pts += argmax_points(P @ sys.D) @ sys.D.T
     return pts
 
 

@@ -19,7 +19,6 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import _accel
 from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 import scipy.sparse as sp
 
@@ -322,6 +321,22 @@ def sample_batch(W: BoxHullSet, count: int, rng: np.random.Generator) -> np.ndar
     return np.einsum("tn,tnd->td", beta, pts)
 
 
+def rollout(sys: LtiSystem, x0: np.ndarray, w_seq: np.ndarray):
+    """Step x+ = A x + B w, y = C x + D w for a batch of runs together.
+
+    x0 holds one initial state per run, (runs, n_x); w_seq holds each run's
+    disturbance sequence, (runs, T, n_w).  Yields (x(t), y(t)) as
+    (runs, n_x) and (runs, n_y) arrays for t = 0..T-1, one step at a time,
+    so callers can fold long trajectories without storing them.
+    """
+    At, Bt, Ct, Dt = sys.A.T, sys.B.T, sys.C.T, sys.D.T
+    x = np.array(x0, dtype=float)
+    for t in range(w_seq.shape[1]):
+        w = w_seq[:, t]
+        yield x, x @ Ct + w @ Dt
+        x = x @ At + w @ Bt
+
+
 def simulate(sys: LtiSystem, W: BoxHullSet, x0, T: int, rng: np.random.Generator):
     """Simulate T steps driven by independent draws from W.
 
@@ -336,7 +351,11 @@ def simulate(sys: LtiSystem, W: BoxHullSet, x0, T: int, rng: np.random.Generator
     if W.dim != sys.n_w:
         raise GeometryError("disturbance dimension mismatch")
     w_seq = sample_batch(W, T, rng)
-    X, Y = _accel.state_recursion(sys.A, sys.B, sys.C, sys.D, x0, w_seq)
+    X = np.empty((T, sys.n_x))
+    Y = np.empty((T, sys.n_y))
+    for t, (x, y) in enumerate(rollout(sys, x0[None], w_seq[None])):
+        X[t] = x[0]
+        Y[t] = y[0]
     return X, Y, w_seq
 
 

@@ -14,12 +14,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lp_solver import LpProblem, solve_lp
-from .rpi_params import RpiParams, compute_constants
+from .rpi_params import RpiConstants, RpiParams
 from .setgeom import (
     BoxHullSet,
+    GeometryError,
     HPolytope,
     LtiSystem,
-    simulate,
+    rollout,
+    sample_batch,
+    simulate,  # noqa: F401  kept in this namespace; callers look it up as verifier.simulate
     stacked_identity,
     support_rows,
 )
@@ -59,9 +62,22 @@ class Certificate:
         return "\n".join(lines)
 
 
+def _horizon_constants(sys: LtiSystem, Y: HPolytope, s: int) -> RpiConstants:
+    """The constants of rpi_params at horizon s, by a route that shares no code
+    with its incremental accumulator: every power A^t is taken afresh by
+    repeated squaring and the horizon sums are formed over the whole stack."""
+    powers = np.stack([np.linalg.matrix_power(sys.A, t) for t in range(s)])
+    L = np.abs(Y.G @ sys.C @ powers).sum(axis=(0, 2))
+    active = L > 0
+    theta = float(np.min(Y.g[active] / L[active])) if active.any() else np.inf
+    M = float(np.abs(powers).sum(axis=(0, 2)).max())
+    zeta = float(np.abs(np.linalg.matrix_power(sys.A, s)).sum(axis=1).max())
+    return RpiConstants(s=s, L_s=L, theta_s=theta, M_s=M, zeta_s=zeta)
+
+
 def verify_params(sys: LtiSystem, Y: HPolytope, params: RpiParams, tol: float = 1e-9) -> Certificate:
     """Re-derive the horizon constants and check the three scalar inequalities."""
-    consts = compute_constants(sys, Y, params.s)
+    consts = _horizon_constants(sys, Y, params.s)
     a, lam, g, mu = params.alpha, params.lam, params.gamma, params.mu
     checks = (
         CheckResult("alpha-range", 0.0 <= a < 1.0, min(a, 1.0 - a)),
@@ -332,13 +348,22 @@ def monte_carlo(
     rng: np.random.Generator,
     tol: float = 1e-8,
 ) -> MonteCarloReport:
-    """Count constraint violations along simulated trajectories from the origin."""
-    x0 = np.zeros(sys.n_x)
+    """Count constraint violations along simulated trajectories from the origin.
+
+    Each run draws its own T-step sequence in turn, so the samples are those
+    of ``runs`` successive ``simulate`` calls; all runs then step together
+    and each step's excess is folded into the totals at once, so no
+    trajectory is stored.
+    """
+    if T < 1:
+        raise ValueError("T must be at least 1")
+    if W.dim != sys.n_w:
+        raise GeometryError("disturbance dimension mismatch")
+    w_seq = np.stack([sample_batch(W, T, rng) for _ in range(runs)])
     violations = 0
     worst = 0.0
-    for _ in range(runs):
-        _, Yt, _ = simulate(sys, W, x0, T, rng)
-        excess = Yt @ Y.G.T - Y.g
+    for _, y in rollout(sys, np.zeros((runs, sys.n_x)), w_seq):
+        excess = (y @ Y.G.T - Y.g).max(axis=1)
         worst = max(worst, float(excess.max()))
-        violations += int(np.count_nonzero(np.any(excess > tol, axis=1)))
+        violations += int(np.count_nonzero(excess > tol))
     return MonteCarloReport(violations, max(0.0, worst), T * runs)

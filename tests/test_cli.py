@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from distsynth import Box, BoxHullSet, sample
+from distsynth import Box, BoxHullSet, RpiParams, sample
 from distsynth.cli import (
     Options,
     ProblemSpec,
@@ -15,7 +15,9 @@ from distsynth.cli import (
     cmd_verify,
     main,
     parse_spec,
+    reachable_outline,
 )
+from distsynth.setgeom import support_argmax_hull
 
 PENTAGON_SPEC = {
     "system": {
@@ -314,6 +316,28 @@ class TestCmdPlot:
             edge = b - a
             cross = edge[0] * (traj[:, 1] - a[1]) - edge[1] * (traj[:, 0] - a[0])
             assert np.all(cross >= -1e-3 * scale)
+
+    def test_outline_matches_per_direction_support_points(self):
+        spec = parse_spec(PENTAGON_SPEC)
+        sys = spec.sys
+        params = RpiParams(s=60, alpha=6.781843723995092e-4, lam=6.796195472333852e-5, gamma=0.2, mu=1e-3)
+        rng = np.random.default_rng(40)
+        W = BoxHullSet(tuple(Box(rng.uniform(-0.05, 0.05, 2), rng.uniform(0.0, 0.03, 2)) for _ in range(4)))
+        n_dirs = 48
+        ang = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+        P = np.column_stack([np.cos(ang), np.sin(ang)])
+        I = np.eye(sys.n_w)
+        ref = np.zeros((n_dirs, 2))
+        CA = sys.C.copy()
+        for _ in range(params.s):
+            Q = P @ CA
+            for d in range(n_dirs):
+                w_star = support_argmax_hull(I, Q[d] @ sys.B, W)
+                ref[d] += CA @ (sys.B @ w_star + params.lam * np.sign(Q[d])) / (1.0 - params.alpha)
+            CA = CA @ sys.A
+        for d in range(n_dirs):
+            ref[d] += sys.D @ support_argmax_hull(I, P[d] @ sys.D, W)
+        assert np.max(np.abs(reachable_outline(sys, params, W, n_dirs) - ref)) <= 1e-12
 
     def test_cli_plot_roundtrip(self, tmp_path, small_spec_doc):
         spec_path = write_json(tmp_path / "spec.json", small_spec_doc)

@@ -16,9 +16,9 @@ from distsynth import (
     support_rows,
     vertices_hpoly,
 )
-from distsynth.setgeom import LtiSystem, sample_batch, support_argmax_hull
+from distsynth.setgeom import LtiSystem, rollout, sample_batch, support_argmax_hull
 
-from conftest import brute_force_hull_vertices, random_hull
+from conftest import brute_force_hull_vertices, random_hull, random_stable_system
 
 
 class TestSupportBox:
@@ -287,6 +287,38 @@ class TestSimulate:
         assert verify_output_inclusion(plant, pentagon, params, W).passed
         _, Y, _ = simulate(plant, W, np.zeros(3), 10_000, np.random.default_rng(2))
         assert np.all(Y @ pentagon.G.T <= pentagon.g + 1e-9)
+
+
+class TestRollout:
+    def test_recursion_matches_manual_rollout(self):
+        rng = np.random.default_rng(71)
+        sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
+        w_seq = rng.uniform(-1, 1, (20, 2))
+        x0 = rng.standard_normal(2)
+        steps = list(rollout(sys, x0[None], w_seq[None]))
+        assert len(steps) == 20
+        x = x0.copy()
+        for t, (xt, yt) in enumerate(steps):
+            assert np.allclose(xt[0], x)
+            assert np.allclose(yt[0], sys.C @ x + sys.D @ w_seq[t])
+            x = sys.A @ x + sys.B @ w_seq[t]
+
+    def test_batched_matches_per_run_rollout(self):
+        rng = np.random.default_rng(70)
+        sys = random_stable_system(rng, n_x=3, n_w=2, n_y=2, rho=0.6)
+        runs, T = 5, 500
+        w_seq = np.stack([sample_batch(random_hull(rng), T, rng) for _ in range(runs)])
+        x0 = rng.standard_normal((runs, 3))
+        steps = list(rollout(sys, x0, w_seq))
+        X = np.stack([x for x, _ in steps], axis=1)
+        Y = np.stack([y for _, y in steps], axis=1)
+        assert X.shape == (runs, T, 3) and Y.shape == (runs, T, 2)
+        for r in range(runs):
+            x = x0[r]
+            for t in range(T):
+                assert np.max(np.abs(X[r, t] - x)) <= 1e-12
+                assert np.max(np.abs(Y[r, t] - (sys.C @ x + sys.D @ w_seq[r, t]))) <= 1e-12
+                x = sys.A @ x + sys.B @ w_seq[r, t]
 
 
 class TestSupportProperties:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -6,11 +8,13 @@ from scipy.spatial import ConvexHull
 from distsynth import (
     Box,
     BoxHullSet,
+    ConstantsAccumulator,
     HPolytope,
     LtiSystem,
     RpiParams,
     alternate,
     assemble,
+    compute_constants,
     distance_dY,
     h_preset,
     monte_carlo,
@@ -22,7 +26,7 @@ from distsynth import (
     verify_params,
     vertices_hpoly,
 )
-from distsynth.setgeom import stacked_identity
+from distsynth.setgeom import sample_batch, stacked_identity
 from distsynth.verifier import _reach_coefficients
 
 from conftest import random_hull, random_stable_system
@@ -33,6 +37,14 @@ def unit_box_constraints(n):
 
 
 ORIGIN2 = BoxHullSet((Box([0.0, 0.0], [0.0, 0.0]),))
+
+# certified for the conftest plant and pentagon (gamma=0.2, mu=1e-3, s=60)
+CERTIFIED_W = BoxHullSet(
+    (
+        Box([-0.0429, -0.032], [0.0457, 0.032]),
+        Box([0.0451, -0.0525], [0.0, 0.0135]),
+    )
+)
 
 
 class TestVerifyParams:
@@ -57,6 +69,38 @@ class TestVerifyParams:
             Y = unit_box_constraints(2)
             params = select_params(sys, Y, gamma=1.0, mu=1e-2)
             assert verify_params(sys, Y, params).passed
+
+    def test_margins_match_the_search_constants(self, plant, pentagon):
+        rng = np.random.default_rng(61)
+        cases = [(plant, pentagon, 0.2, 1e-3)]
+        cases += [(random_stable_system(rng, rho=0.8), unit_box_constraints(2), 1.0, 1e-2) for _ in range(3)]
+        for sys, Y, g, mu in cases:
+            p = select_params(sys, Y, gamma=g, mu=mu)
+            k = compute_constants(sys, Y, p.s)
+            expected = {
+                "constraint-margin": (1.0 - p.alpha) * k.theta_s - p.lam,
+                "contraction": p.alpha * p.lam - (g + p.lam) * k.zeta_s,
+                "approximation-error": (1.0 - p.alpha) * mu - (p.alpha * g + p.lam) * k.M_s,
+            }
+            margins = {c.name: c.margin for c in verify_params(sys, Y, p).checks}
+            for name, value in expected.items():
+                assert abs(margins[name] - value) <= 1e-12, name
+
+    def test_catches_an_off_by_one_in_the_search_constants(self, plant, pentagon, monkeypatch):
+        step = ConstantsAccumulator.step
+
+        def zeta_one_power_late(acc):
+            # zeta on A^{s+1} instead of A^s, which drops the A^s B W term
+            consts = step(acc)
+            late = float(np.abs(acc._A_pow @ acc._A).sum(axis=1).max())
+            return dataclasses.replace(consts, zeta_s=late)
+
+        monkeypatch.setattr(ConstantsAccumulator, "step", zeta_one_power_late)
+        params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
+        assert params.s == 59
+        cert = verify_params(plant, pentagon, params)
+        failing = {c.name for c in cert.checks if not c.passed}
+        assert "contraction" in failing
 
 
 class TestVerifyOutputInclusion:
@@ -310,7 +354,30 @@ class TestVerifyCoverage:
         assert cert.passed
 
 
+def per_run_monte_carlo(sys, W, Y, T, runs, rng, tol=1e-8):
+    """Reference for monte_carlo: one run after another, one step at a time."""
+    violations, worst = 0, 0.0
+    for _ in range(runs):
+        x = np.zeros(sys.n_x)
+        for w in sample_batch(W, T, rng):
+            excess = Y.G @ (sys.C @ x + sys.D @ w) - Y.g
+            worst = max(worst, float(excess.max()))
+            violations += int(np.any(excess > tol))
+            x = sys.A @ x + sys.B @ w
+    return violations, max(0.0, worst)
+
+
 class TestMonteCarlo:
+    def test_matches_per_run_reference(self, plant, pentagon):
+        for W in (CERTIFIED_W, CERTIFIED_W.scaled(10.0)):
+            rep = monte_carlo(plant, W, pentagon, T=2000, runs=4, rng=np.random.default_rng(3))
+            violations, worst = per_run_monte_carlo(plant, W, pentagon, 2000, 4, np.random.default_rng(3))
+            assert rep.violations == violations
+            assert rep.max_excursion == pytest.approx(worst, rel=0.0, abs=1e-12)
+            assert rep.steps == 8000
+        # the inflated set exercises the counter, not only 0 == 0
+        assert violations > 0
+
     def test_zero_set_zero_violations(self, plant, pentagon):
         rep = monte_carlo(plant, ORIGIN2, pentagon, T=500, runs=3, rng=np.random.default_rng(0))
         assert rep.violations == 0
