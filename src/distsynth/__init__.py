@@ -40,6 +40,7 @@ from .synthesizer import (
     p_step,
     q_step,
     refine,
+    spread_beta,
     uniform_beta,
 )
 from .verifier import (
@@ -86,6 +87,7 @@ __all__ = [
     "select_params",
     "simulate",
     "solve_Hs",
+    "spread_beta",
     "support_box",
     "support_hull",
     "support_rows",

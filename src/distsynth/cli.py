@@ -277,7 +277,7 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
     t0 = time.perf_counter()
     result = synthesizer.alternate(
         problem,
-        synthesizer.uniform_beta(problem.layout),
+        synthesizer.spread_beta(problem.layout),
         zeta=spec.options.zeta,
         max_iters=spec.options.max_iters,
     )

@@ -27,8 +27,9 @@ _STATUS_MAP = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: F
 _MAX_ITER = 1_000_000
 
 # tight feasibility keeps certificate margins within the 1e-8 contract
+PRIMAL_TOL = 1e-9
 _TOLERANCES = {
-    "primal_feasibility_tolerance": 1e-9,
+    "primal_feasibility_tolerance": PRIMAL_TOL,
     "dual_feasibility_tolerance": 1e-9,
 }
 _OPTIONS_PRESOLVE = {"maxiter": _MAX_ITER, "presolve": True, **_TOLERANCES}

@@ -1,12 +1,16 @@
 """Alternating LP minimization of the bilinear synthesis program.
 
 The bilinear coupling w = sum_j beta_j wbar_j is linear once either factor is
-frozen: the P step fixes the convex weights and optimizes the boxes together
-with the driving points, the Q step fixes the per-group points and reweights
-them.  Each step's optimum is feasible for the next, so the objective is
-nonincreasing and the loop terminates for any positive tolerance.  A
-multi-start refinement around the incumbent weights replaces nonlinear
-polishing.
+frozen.  The P step fixes the convex weights; sum_j beta_j box_j is then the
+box with center sum_j beta_j c_j and halfwidth sum_j beta_j e_j, so the LP
+optimizes the boxes and the driving points under w in sum_j beta_j box_j
+alone, and the per-group points are recovered in closed form.  The Q step
+fixes those points and reweights them; when every group's points coincide,
+all weights tie and the spread weights (vertex i on box i mod N) are
+returned in place of the solver's pick.  Each step's optimum is feasible for
+the next, so the objective is nonincreasing and the loop terminates for any
+positive tolerance.  A multi-start refinement around the incumbent weights
+replaces nonlinear polishing; a restart whose LP fails is dropped.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .encoder import SynthProblem, VariableLayout
-from .lp_solver import LpProblem, solve_lp
+from .lp_solver import PRIMAL_TOL, LpProblem, solve_lp
 from .setgeom import Box, BoxHullSet
 
 
@@ -44,15 +48,19 @@ def uniform_beta(layout: VariableLayout) -> np.ndarray:
     return np.full(layout.dim_beta, 1.0 / layout.n_boxes)
 
 
+def spread_beta(layout: VariableLayout) -> np.ndarray:
+    """One-hot weights tying every slot of vertex i to box i mod N."""
+    beta = np.zeros((layout.n_vertices, layout.n_slots, layout.n_boxes))
+    vertex = np.arange(layout.n_vertices)
+    beta[vertex, :, vertex % layout.n_boxes] = 1.0
+    return beta.ravel()
+
+
 def heuristic_beta(layout: VariableLayout) -> np.ndarray:
     """One-hot weights tying vertex i to box i; needs as many boxes as vertices."""
     if layout.n_boxes != layout.n_vertices:
         raise ValueError("one-hot weights need n_boxes == n_vertices")
-    beta = np.zeros(layout.dim_beta)
-    for i in range(layout.n_vertices):
-        for slot in range(layout.n_slots):
-            beta[layout.beta_entry(i, slot, i)] = 1.0
-    return beta
+    return spread_beta(layout)
 
 
 def pad_beta(old: VariableLayout, new: VariableLayout, beta: np.ndarray) -> np.ndarray:
@@ -78,25 +86,6 @@ def boxes_from_x(problem: SynthProblem, x: np.ndarray) -> BoxHullSet:
     return BoxHullSet(tuple(boxes))
 
 
-def _bilinear_rows_fixed_beta(problem: SynthProblem, beta, w_off, wbar_off, width):
-    bil = problem.bilinear
-    n_w = problem.layout.n_w
-    rows_w = np.arange(bil.n_groups)[:, None] * n_w + np.arange(n_w)[None, :]
-    # +1 on each w component
-    r1 = rows_w.ravel()
-    c1 = (w_off + bil.w_cols).ravel()
-    d1 = np.ones(r1.size)
-    # -beta_j on each wbar component
-    r2 = np.repeat(rows_w[:, None, :], problem.layout.n_boxes, axis=1).ravel()
-    c2 = (wbar_off + bil.wbar_cols).ravel()
-    d2 = (-beta[bil.beta_cols])[:, :, None] * np.ones((1, 1, n_w))
-    mat = sp.csr_matrix(
-        (np.concatenate([d1, d2.ravel()]), (np.concatenate([r1, r2]), np.concatenate([c1, c2]))),
-        shape=(bil.n_groups * n_w, width),
-    )
-    return mat
-
-
 def _bilinear_rows_fixed_wbar(problem: SynthProblem, wbar, w_off, beta_off, width):
     bil = problem.bilinear
     n_w = problem.layout.n_w
@@ -114,45 +103,76 @@ def _bilinear_rows_fixed_wbar(problem: SynthProblem, wbar, w_off, beta_off, widt
     return mat
 
 
-def p_step(problem: SynthProblem, beta: np.ndarray):
-    """Fix the weights; solve for boxes, budgets, group points and slacks.
+def _box_cols(layout: VariableLayout):
+    """(N, n_w) column indices of the box centers and of the halfwidths in x."""
+    boxes = range(layout.n_boxes)
+    centers = np.array([np.r_[layout.x_center(j)] for j in boxes])
+    halfwidths = np.array([np.r_[layout.x_halfwidth(j)] for j in boxes])
+    return centers, halfwidths
 
+
+def _membership_rows_fixed_beta(problem: SynthProblem, beta, w_off, width):
+    """Rows +-(w_g - sum_j beta_gj c_j) - sum_j beta_gj e_j <= 0 by (group,
+    coordinate, sign): w_g in the blended box.  Zero weights add no entries."""
+    bil = problem.bilinear
+    center_cols, half_cols = _box_cols(problem.layout)
+    rows = np.arange(bil.w_cols.size * 2).reshape(*bil.w_cols.shape, 2)
+    sign = np.array([1.0, -1.0])
+    g, j = np.nonzero(beta[bil.beta_cols])
+    weight = beta[bil.beta_cols[g, j]][:, None, None]
+    parts = [
+        np.broadcast_arrays(rows, (w_off + bil.w_cols)[:, :, None], sign),
+        np.broadcast_arrays(rows[g], center_cols[j][:, :, None], -sign * weight),
+        np.broadcast_arrays(rows[g], half_cols[j][:, :, None], -weight),
+    ]
+    r, c, d = (np.concatenate([part[k].ravel() for part in parts]) for k in range(3))
+    return sp.csr_matrix((d, (r, c)), shape=(rows.size, width))
+
+
+def _closed_form_wbar(problem: SynthProblem, x, w, beta) -> np.ndarray:
+    """Group points wbar_gj = c_j + e_j * t_g with sum_j beta_gj wbar_gj = w_g.
+
+    t_g = clip((w_g - sum beta c) / sum beta e, -1, 1), and 0 where the
+    blended halfwidth vanishes, so every point lies in its own box.
+    """
+    bil = problem.bilinear
+    center_cols, half_cols = _box_cols(problem.layout)
+    centers, halfwidths = x[center_cols], np.clip(x[half_cols], 0.0, None)
+    weights = beta[bil.beta_cols]
+    center_g, half_g = weights @ centers, weights @ halfwidths
+    offset = w[bil.w_cols] - center_g
+    t = np.divide(offset, half_g, out=np.zeros_like(offset), where=half_g > 0.0)
+    t = np.clip(t, -1.0, 1.0)
+    wbar = np.empty(problem.layout.dim_wbar)
+    wbar[bil.wbar_cols] = centers + halfwidths * t[:, None, :]
+    return wbar
+
+
+def p_step(problem: SynthProblem, beta: np.ndarray):
+    """Fix the weights; solve for boxes, budgets, driving points and slacks.
+
+    The group points are recovered in closed form from the optimum.
     Returns (x, w, wbar, z, objective).
     """
     lay = problem.layout
-    nx, nw, nwb, nz = lay.dim_x, lay.dim_w, lay.dim_wbar, lay.dim_z
-    width = nx + nw + nwb + nz
-    w_off, wbar_off, z_off = nx, nx + nw, nx + nw + nwb
+    nx, nw, nz = lay.dim_x, lay.dim_w, lay.dim_z
+    width = nx + nw + nz
+    w_off, z_off = nx, nx + nw
 
     def empty(rows, cols):
         return sp.csr_matrix((rows, cols))
 
+    member = _membership_rows_fixed_beta(problem, beta, w_off, width)
     a_ub = sp.vstack(
         [
-            sp.hstack([problem.a_x, empty(problem.a_x.shape[0], nw + nwb + nz)]),
-            sp.hstack(
-                [
-                    problem.d_x,
-                    empty(problem.d_x.shape[0], nw),
-                    problem.d_wbar,
-                    empty(problem.d_x.shape[0], nz),
-                ]
-            ),
-            sp.hstack([empty(problem.e_z.shape[0], nx + nw + nwb), problem.e_z]),
+            sp.hstack([problem.a_x, empty(problem.a_x.shape[0], nw + nz)]),
+            member,
+            sp.hstack([empty(problem.e_z.shape[0], nx + nw), problem.e_z]),
         ],
         format="csr",
     )
-    b_ub = np.concatenate([problem.b, np.zeros(problem.d_x.shape[0]), np.zeros(problem.e_z.shape[0])])
-    a_eq = sp.vstack(
-        [
-            sp.hstack(
-                [empty(problem.c_w.shape[0], nx), problem.c_w, empty(problem.c_w.shape[0], nwb), problem.c_z]
-            ),
-            _bilinear_rows_fixed_beta(problem, beta, w_off, wbar_off, width),
-        ],
-        format="csr",
-    )
-    b_eq = np.concatenate([problem.h, np.zeros(problem.bilinear.n_groups * lay.n_w)])
+    b_ub = np.concatenate([problem.b, np.zeros(member.shape[0]), np.zeros(problem.e_z.shape[0])])
+    a_eq = sp.hstack([empty(problem.c_w.shape[0], nx), problem.c_w, problem.c_z], format="csr")
 
     c = np.zeros(width)
     c[z_off:] = problem.cost_z
@@ -161,18 +181,13 @@ def p_step(problem: SynthProblem, beta: np.ndarray):
         lb[lay.x_halfwidth(j)] = 0.0
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
 
-    lp = LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
+    lp = LpProblem(c, a_ub, b_ub, a_eq, problem.h, lb=lb)
     out = solve_lp(lp)
     if not out.optimal:
         raise SynthesisError(f"box-fitting LP ended with status {out.status}", lp)
     sol = out.x
-    return (
-        sol[:nx],
-        sol[w_off : w_off + nw],
-        sol[wbar_off : wbar_off + nwb],
-        sol[z_off:],
-        float(out.objective),
-    )
+    x, w = sol[:nx], sol[w_off:z_off]
+    return x, w, _closed_form_wbar(problem, x, w, beta), sol[z_off:], float(out.objective)
 
 
 def q_step(problem: SynthProblem, wbar: np.ndarray):
@@ -214,7 +229,13 @@ def q_step(problem: SynthProblem, wbar: np.ndarray):
     if not out.optimal:
         raise SynthesisError(f"reweighting LP ended with status {out.status}", lp)
     sol = out.x
-    return sol[:nw], sol[z_off:], sol[beta_off:z_off], float(out.objective)
+    beta = sol[beta_off:z_off]
+    points = wbar[problem.bilinear.wbar_cols]
+    if np.all(np.ptp(points, axis=1) <= PRIMAL_TOL):
+        # every group's points coincide, so every weight is optimal: replace
+        # the solver's arbitrary pick by a fixed one
+        beta = spread_beta(lay)
+    return sol[:nw], sol[z_off:], beta, float(out.objective)
 
 
 def alternate(
@@ -297,6 +318,7 @@ def refine(
 ) -> SynthResult:
     """Multi-start alternation from weight jitter; never worse than the input.
 
+    A restart whose LP fails is dropped and the best of the rest is kept.
     Restart weights are drawn up front from independent spawned streams, so
     the outcome does not depend on the worker-thread count
     (``DISTSYNTH_THREADS``, default 1).
@@ -310,7 +332,10 @@ def refine(
     workers = int(os.environ.get("DISTSYNTH_THREADS", "1") or "1")
 
     def run(beta0):
-        return alternate(problem, beta0, zeta=zeta, max_iters=max_iters)
+        try:
+            return alternate(problem, beta0, zeta=zeta, max_iters=max_iters)
+        except SynthesisError:
+            return None
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -319,6 +344,6 @@ def refine(
         candidates = [run(b0) for b0 in starts]
     best = result
     for cand in candidates:
-        if cand.objective < best.objective:
+        if cand is not None and cand.objective < best.objective:
             best = cand
     return best

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from distsynth import (
     HPolytope,
+    SynthesisError,
     alternate,
     assemble,
     h_preset,
@@ -11,11 +13,14 @@ from distsynth import (
     q_step,
     refine,
     select_params,
+    spread_beta,
     uniform_beta,
     vertices_hpoly,
 )
+from distsynth import synthesizer
+from distsynth.lp_solver import LpProblem, solve_lp
 from distsynth.setgeom import stacked_identity
-from distsynth.synthesizer import boxes_from_x, pad_beta, witness_residual
+from distsynth.synthesizer import _jittered_beta, boxes_from_x, pad_beta, witness_residual
 
 from conftest import random_stable_system
 
@@ -46,6 +51,107 @@ def vertex_count_setup():
         sys, Y, vertices, params, n_boxes=len(vertices), horizon=2, H=h_preset("box", 2)
     )
     return problem
+
+
+@pytest.fixture(scope="module")
+def illustrative_problem(plant, pentagon):
+    params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
+    return assemble(
+        plant, pentagon, vertices_hpoly(pentagon), params, 4, 59, h_preset("uniform:6", 2)
+    )
+
+
+def wbar_p_step_optimum(problem, beta):
+    """Optimum of the P step stated over (x, w, wbar, z): the audited
+    membership blocks d_x/d_wbar plus the coupling w = sum_j beta_j wbar_j
+    written out from the bilinear descriptor."""
+    lay = problem.layout
+    nx, nw, nwb, nz = lay.dim_x, lay.dim_w, lay.dim_wbar, lay.dim_z
+    width = nx + nw + nwb + nz
+    w_off, wbar_off, z_off = nx, nx + nw, nx + nw + nwb
+    bil = problem.bilinear
+    n_rows = bil.n_groups * lay.n_w
+    coupling = sp.lil_matrix((n_rows, width))
+    for g in range(bil.n_groups):
+        for k in range(lay.n_w):
+            row = g * lay.n_w + k
+            coupling[row, w_off + bil.w_cols[g, k]] = 1.0
+            for j in range(lay.n_boxes):
+                coupling[row, wbar_off + bil.wbar_cols[g, j, k]] = -beta[bil.beta_cols[g, j]]
+
+    def blocks(rows, *parts):
+        # (matrix or column count of zeros) per column group, left to right
+        return sp.hstack([sp.csr_matrix((rows, p)) if isinstance(p, int) else p for p in parts])
+
+    a_ub = sp.vstack(
+        [
+            blocks(problem.a_x.shape[0], problem.a_x, nw + nwb + nz),
+            blocks(problem.d_x.shape[0], problem.d_x, nw, problem.d_wbar, nz),
+            blocks(problem.e_z.shape[0], nx + nw + nwb, problem.e_z),
+        ]
+    )
+    b_ub = np.concatenate([problem.b, np.zeros(problem.d_x.shape[0] + problem.e_z.shape[0])])
+    a_eq = sp.vstack(
+        [blocks(problem.c_w.shape[0], nx, problem.c_w, nwb, problem.c_z), coupling.tocsr()]
+    )
+    b_eq = np.concatenate([problem.h, np.zeros(n_rows)])
+    c = np.zeros(width)
+    c[z_off:] = problem.cost_z
+    lb = np.full(width, -np.inf)
+    for j in range(lay.n_boxes):
+        lb[lay.x_halfwidth(j)] = 0.0
+    lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
+    out = solve_lp(LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb))
+    assert out.optimal
+    return out.objective
+
+
+def dirichlet_beta(layout, rng):
+    beta = np.empty(layout.dim_beta)
+    for i in range(layout.n_vertices):
+        for slot in range(layout.n_slots):
+            beta[layout.beta_group(i, slot)] = rng.dirichlet(np.ones(layout.n_boxes))
+    return beta
+
+
+def weight_draws(layout, seed):
+    rng = np.random.default_rng(seed)
+    draws = {"uniform": uniform_beta(layout), "spread": spread_beta(layout)}
+    for k in range(3):
+        draws[f"dirichlet-{k}"] = dirichlet_beta(layout, rng)
+    return draws
+
+
+class TestPStepMatchesWbarOracle:
+    """The P step over (x, w, z) has the optimum of the P step over
+    (x, w, wbar, z), and its closed-form group points satisfy every block."""
+
+    def check(self, problem, seed):
+        for name, beta in weight_draws(problem.layout, seed).items():
+            x, w, wbar, z, obj = p_step(problem, beta)
+            assert obj == pytest.approx(wbar_p_step_optimum(problem, beta), abs=1e-9), name
+            witness = {"x": x, "w": w, "wbar": wbar, "beta": beta, "z": z}
+            assert witness_residual(problem, witness) <= 1e-8, name
+
+    def test_small_fixture(self, small_setup):
+        self.check(small_setup[4], 60)
+
+    def test_vertex_count_fixture(self, vertex_count_setup):
+        self.check(vertex_count_setup, 61)
+
+    def test_illustrative(self, illustrative_problem):
+        self.check(illustrative_problem, 62)
+
+    def test_zero_weights_add_no_entries(self, illustrative_problem):
+        problem = illustrative_problem
+        lay = problem.layout
+        width = lay.dim_x + lay.dim_w + lay.dim_z
+        dense = synthesizer._membership_rows_fixed_beta(problem, uniform_beta(lay), lay.dim_x, width)
+        onehot = synthesizer._membership_rows_fixed_beta(problem, spread_beta(lay), lay.dim_x, width)
+        assert dense.shape == onehot.shape == (2 * lay.dim_w, width)
+        # per row: the w entry plus a center and a halfwidth entry per weighted box
+        assert dense.nnz == dense.shape[0] * (1 + 2 * lay.n_boxes)
+        assert onehot.nnz == onehot.shape[0] * 3
 
 
 class TestPStep:
@@ -97,6 +203,37 @@ class TestQStep:
         _, _, beta_out, q_obj = q_step(problem, wbar)
         assert np.allclose(beta_out, 1.0)
         assert q_obj == pytest.approx(p_obj, abs=1e-8)
+
+    def capture_lp_solutions(self, monkeypatch):
+        solutions = []
+
+        def recording(lp):
+            out = solve_lp(lp)
+            solutions.append(out.x)
+            return out
+
+        monkeypatch.setattr(synthesizer, "solve_lp", recording)
+        return solutions
+
+    def test_coincident_points_give_spread_weights(self, small_setup):
+        problem = small_setup[4]
+        lay, bil = problem.layout, problem.bilinear
+        _, w, _, _, _ = p_step(problem, uniform_beta(lay))
+        wbar = np.empty(lay.dim_wbar)
+        wbar[bil.wbar_cols] = w[bil.w_cols][:, None, :]
+        _, _, beta, _ = q_step(problem, wbar)
+        np.testing.assert_array_equal(beta, spread_beta(lay))
+
+    def test_distinct_points_keep_the_solver_weights(self, small_setup, monkeypatch):
+        problem = small_setup[4]
+        lay, bil = problem.layout, problem.bilinear
+        _, w, wbar, _, _ = p_step(problem, spread_beta(lay))
+        # one group's points coincide, the others do not: no tie-break
+        wbar[bil.wbar_cols[0]] = w[bil.w_cols[0]]
+        assert np.ptp(wbar[bil.wbar_cols], axis=1).max() > 1e-6
+        solutions = self.capture_lp_solutions(monkeypatch)
+        _, _, beta, _ = q_step(problem, wbar)
+        np.testing.assert_array_equal(beta, solutions[-1][lay.dim_w : lay.dim_w + lay.dim_beta])
 
     def test_matches_simplex_grid_oracle(self):
         """With the group points frozen, the driving points are exactly the
@@ -180,12 +317,60 @@ class TestAlternate:
             assert verify_output_inclusion(sys, Y, params, res.W).passed
             assert contains_point(res.W, np.zeros(sys.n_w), tol=1e-7)
 
+    def test_uniform_start_ties_to_spread_weights_under_any_row_order(
+        self, illustrative_problem, monkeypatch
+    ):
+        # from uniform weights the first P step returns coincident boxes, so
+        # every weight ties in the Q step; the tie-break, not the solver's
+        # pivoting, picks the weights the alternation continues from
+        problem = illustrative_problem
+        lay = problem.layout
+        p_width = lay.dim_x + lay.dim_w + lay.dim_z
+        ends = []
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+
+            def permuted(lp, rng=rng):
+                if lp.n_vars == p_width:
+                    perm = rng.permutation(lp.a_ub.shape[0])
+                    lp = LpProblem(lp.c, lp.a_ub[perm], lp.b_ub[perm], lp.a_eq, lp.b_eq, lp.lb, lp.ub)
+                return solve_lp(lp)
+
+            monkeypatch.setattr(synthesizer, "solve_lp", permuted)
+            res = alternate(problem, uniform_beta(lay), zeta=1e-4, max_iters=1)
+            np.testing.assert_array_equal(res.witness["beta"], spread_beta(lay))
+            ends.append(res.objective)
+        assert ends[1] == pytest.approx(ends[0], abs=1e-9)
+
+    def test_uniform_start_continues_as_the_spread_start(self, illustrative_problem):
+        problem = illustrative_problem
+        lay = problem.layout
+        from_uniform = alternate(problem, uniform_beta(lay), zeta=1e-4, max_iters=3)
+        from_spread = alternate(problem, spread_beta(lay), zeta=1e-4, max_iters=2)
+        np.testing.assert_allclose(from_uniform.history[2:], from_spread.history, atol=1e-9)
+        np.testing.assert_array_equal(from_uniform.witness["beta"], from_spread.witness["beta"])
+
     def test_extracted_boxes_match_witness(self, small_setup):
         _, _, _, _, problem = small_setup
         res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=20)
         W2 = boxes_from_x(problem, res.witness["x"])
         assert np.allclose(W2.centers, res.W.centers)
         assert np.allclose(W2.halfwidths, res.W.halfwidths)
+
+
+class TestSpreadBeta:
+    def test_vertex_i_takes_box_i_mod_n(self, illustrative_problem):
+        lay = illustrative_problem.layout
+        beta = spread_beta(lay)
+        for i in range(lay.n_vertices):
+            for slot in range(lay.n_slots):
+                expected = np.zeros(lay.n_boxes)
+                expected[i % lay.n_boxes] = 1.0
+                np.testing.assert_array_equal(beta[lay.beta_group(i, slot)], expected)
+
+    def test_is_the_heuristic_when_counts_match(self, vertex_count_setup):
+        lay = vertex_count_setup.layout
+        np.testing.assert_array_equal(heuristic_beta(lay), spread_beta(lay))
 
 
 class TestHeuristicBeta:
@@ -243,3 +428,37 @@ class TestRefine:
         out2 = refine(problem, res, 3, np.random.default_rng(7))
         assert out1.objective <= res.objective
         assert out1.objective == out2.objective
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failing_restart_is_dropped(self, small_setup, monkeypatch, threads):
+        problem = small_setup[4]
+        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        # the restart weights refine draws, and each restart's own result
+        starts = [
+            _jittered_beta(problem.layout, res.witness["beta"], stream)
+            for stream in np.random.default_rng(7).spawn(3)
+        ]
+        ends = [alternate(problem, b0, zeta=1e-4, max_iters=30).objective for b0 in starts]
+        failing = int(np.argmin(ends))
+        real = synthesizer.alternate
+
+        def alternate_failing_one(problem, beta0, **kwargs):
+            if np.array_equal(beta0, starts[failing]):
+                raise SynthesisError("iteration 1: box-fitting LP ended with status failed")
+            return real(problem, beta0, **kwargs)
+
+        monkeypatch.setattr(synthesizer, "alternate", alternate_failing_one)
+        monkeypatch.setenv("DISTSYNTH_THREADS", threads)
+        out = refine(problem, res, 3, np.random.default_rng(7))
+        rest = [e for k, e in enumerate(ends) if k != failing]
+        assert out.objective == min([res.objective, *rest])
+
+    def test_all_restarts_failing_keeps_the_incumbent(self, small_setup, monkeypatch):
+        problem = small_setup[4]
+        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+
+        def failing(*args, **kwargs):
+            raise SynthesisError("iteration 1: box-fitting LP ended with status failed")
+
+        monkeypatch.setattr(synthesizer, "alternate", failing)
+        assert refine(problem, res, 2, np.random.default_rng(7)) is res
