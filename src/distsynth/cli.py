@@ -4,7 +4,8 @@ parameters, synthesize a disturbance set, certify it, and emit plot data.
 Problem and result documents are JSON files; the worked examples live in
 specs/ and the schema is described in the README.  Exit codes: 0 on success
 (all certificates pass for ``verify``), 2 for malformed documents, 3 for
-assumption violations or infeasibility, 4 for solver failures.
+assumption violations or infeasibility, 4 for solver failures; a failing
+synthesis LP is written to ``failed_lp.lp`` beside the ``--out`` target.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder, synthesizer, verifier
+from .lp_solver import write_lp
 from .rpi_params import ParamSearchError, RpiParams, select_params
 from .setgeom import (
     Box,
@@ -605,7 +607,16 @@ def main(argv=None) -> int:
     except (AssumptionError, ParamSearchError, GeometryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
-    except (SynthesisError, RuntimeError) as exc:
+    except SynthesisError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        if exc.lp is not None:
+            # the failing program, beside where result.json would have gone
+            path = Path(_out_path(args.out, "result.json") or "result.json").parent / "failed_lp.lp"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_lp(exc.lp, path)
+            print(f"failing LP written to {path}", file=_sys.stderr)
+        return 4
+    except RuntimeError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 4
     return 0

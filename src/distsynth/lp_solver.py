@@ -1,11 +1,15 @@
 """Deterministic linear-program interface used by the synthesizer and verifier.
 
 Problems are carried as a cost vector, sparse inequality/equality blocks and
-per-variable bounds.  Solving is delegated to scipy's HiGHS backend, which is
-deterministic for a fixed input; outcomes carry the status, primal solution,
-scaled feasibility residual and a dual objective for weak-duality checks.
-A line-oriented textual dump (LP interchange format) is provided for
-cross-checking individual programs with external tools.
+per-variable bounds.  Solving goes straight to the HiGHS bindings that scipy
+bundles, with the options ``scipy.optimize.linprog(method="highs")`` would
+pass, so a cold solve returns what ``linprog`` returns, bit for bit, without
+its front end.  HiGHS is deterministic for a fixed input; outcomes carry the
+status, primal solution, scaled feasibility residual, a dual objective for
+weak-duality checks and the final basis, from which a related program (same
+matrix, other bounds) can start.  A line-oriented textual dump (LP
+interchange format) is provided for cross-checking individual programs with
+external tools.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  kept in this namespace; perfbench/tracer.py wraps lp_solver.linprog
+from scipy.optimize._highspy import _core as _highs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -22,18 +27,34 @@ UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration-limit"
 FAILED = "failed"
 
-_STATUS_MAP = {0: OPTIMAL, 1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED, 4: FAILED}
+_MS = _highs.HighsModelStatus
+# linprog's reading of the HiGHS model status; every other status is a failure
+_STATUS_MAP = {
+    _MS.kOptimal: OPTIMAL,
+    _MS.kTimeLimit: ITERATION_LIMIT,
+    _MS.kIterationLimit: ITERATION_LIMIT,
+    _MS.kInfeasible: INFEASIBLE,
+    _MS.kModelError: INFEASIBLE,
+    _MS.kUnbounded: UNBOUNDED,
+}
 
 _MAX_ITER = 1_000_000
 
 # tight feasibility keeps certificate margins within the 1e-8 contract
 PRIMAL_TOL = 1e-9
-_TOLERANCES = {
+# the verifier's residual contract; a warm start must meet it or is redone cold
+RESIDUAL_TOL = 1e-8
+# linprog's check of an "optimal" answer: sqrt(1e-9) * 10, unscaled
+_LINPROG_FEAS_TOL = float(np.sqrt(1e-9) * 10)
+_OPTIONS = {
+    "output_flag": False,
+    "log_to_console": False,
+    "simplex_strategy": _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+    "simplex_iteration_limit": _MAX_ITER,
+    "ipm_iteration_limit": _MAX_ITER,
     "primal_feasibility_tolerance": PRIMAL_TOL,
     "dual_feasibility_tolerance": 1e-9,
 }
-_OPTIONS_PRESOLVE = {"maxiter": _MAX_ITER, "presolve": True, **_TOLERANCES}
-_OPTIONS_DIRECT = {"maxiter": _MAX_ITER, "presolve": False, **_TOLERANCES}
 
 
 @dataclass(frozen=True)
@@ -92,6 +113,9 @@ class LpOutcome:
     ineq_marginals: np.ndarray | None
     eq_marginals: np.ndarray | None
     message: str = ""
+    # HiGHS's final basis; pass it as ``solve_lp(..., basis=)`` to start a
+    # program with the same matrix from it
+    basis: _highs.HighsBasis | None = None
 
     @property
     def optimal(self) -> bool:
@@ -113,62 +137,123 @@ def _scaled_residual(p: LpProblem, x: np.ndarray) -> float:
     return worst
 
 
-def _dual_objective(p: LpProblem, res) -> float:
-    total = 0.0
-    if p.b_ub is not None:
-        total += float(p.b_ub @ res.ineqlin.marginals)
-    if p.b_eq is not None:
-        total += float(p.b_eq @ res.eqlin.marginals)
-    finite_lb = np.isfinite(p.lb)
-    finite_ub = np.isfinite(p.ub)
-    total += float(p.lb[finite_lb] @ res.lower.marginals[finite_lb])
-    total += float(p.ub[finite_ub] @ res.upper.marginals[finite_ub])
-    return total
+def _rhs(p: LpProblem) -> tuple[np.ndarray, np.ndarray]:
+    b_ub = p.b_ub if p.b_ub is not None else np.zeros(0)
+    b_eq = p.b_eq if p.b_eq is not None else np.zeros(0)
+    return b_ub, b_eq
 
 
-def solve_lp(problem: LpProblem) -> LpOutcome:
-    """Solve an LP; all failure modes are reported via the status field.
+def _highs_lp(p: LpProblem) -> _highs.HighsLp:
+    """The program as HiGHS's ``lhs <= A x <= rhs`` with A stacked [a_ub; a_eq]
+    column-wise, exactly as linprog hands it over (HiGHS's infinity is inf)."""
+    n = p.n_vars
+    b_ub, b_eq = _rhs(p)
+    blocks = [m if m is not None else sp.csr_matrix((0, n)) for m in (p.a_ub, p.a_eq)]
+    a = sp.csc_array(sp.vstack(blocks))
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_ = p.c
+    lp.col_lower_ = p.lb
+    lp.col_upper_ = p.ub
+    lp.row_lower_ = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
+    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    return lp
 
-    The occasional presolve misreport of the HiGHS backend is retried once
-    without presolve; the retry is triggered by the first result alone, so
-    outcomes stay deterministic.
-    """
-    bounds = list(zip(problem.lb, problem.ub))
-    res = linprog(
-        problem.c,
-        A_ub=problem.a_ub,
-        b_ub=problem.b_ub,
-        A_eq=problem.a_eq,
-        b_eq=problem.b_eq,
-        bounds=bounds,
-        method="highs",
-        options=_OPTIONS_PRESOLVE,
+
+def _run(lp: _highs.HighsLp, presolve: bool, basis: _highs.HighsBasis | None = None) -> _highs._Highs | None:
+    """One HiGHS solve; None when the basis does not fit the program."""
+    highs = _highs._Highs()
+    for key, value in _OPTIONS.items():
+        highs.setOptionValue(key, value)
+    highs.setOptionValue("presolve", "on" if presolve else "off")
+    highs.passModel(lp)
+    if basis is not None and highs.setBasis(basis) != _highs.HighsStatus.kOk:
+        return None
+    highs.run()
+    return highs
+
+
+def _linprog_accepts(p: LpProblem, x: np.ndarray, rows: np.ndarray, objective: float) -> bool:
+    """linprog's acceptance of an optimal answer: nothing NaN, and bounds,
+    inequality rows and equality rows met to its unscaled tolerance."""
+    tol = _LINPROG_FEAS_TOL
+    b_ub, b_eq = _rhs(p)
+    if np.isnan(objective) or np.isnan(x).any() or np.isnan(rows).any():
+        return False
+    return bool(
+        np.all((x >= p.lb - tol) & (x <= p.ub + tol))
+        and np.all(rows[: b_ub.size] - b_ub <= tol)
+        and np.all(np.abs(rows[b_ub.size :] - b_eq) <= tol)
     )
-    if res.status == 4:
-        res = linprog(
-            problem.c,
-            A_ub=problem.a_ub,
-            b_ub=problem.b_ub,
-            A_eq=problem.a_eq,
-            b_eq=problem.b_eq,
-            bounds=bounds,
-            method="highs",
-            options=_OPTIONS_DIRECT,
-        )
-    status = _STATUS_MAP.get(res.status, FAILED)
+
+
+def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
+    model_status = highs.getModelStatus()
+    status = _STATUS_MAP.get(model_status, FAILED)
+    message = highs.modelStatusToString(model_status)
     if status != OPTIMAL:
-        return LpOutcome(status, None, None, None, None, None, None, res.message)
-    x = np.asarray(res.x, dtype=float)
+        return LpOutcome(status, None, None, None, None, None, None, message)
+    sol = highs.getSolution()
+    x = np.array(sol.col_value)
+    objective = float(highs.getInfo().objective_function_value)
+    if not _linprog_accepts(p, x, np.array(sol.row_value), objective):
+        return LpOutcome(FAILED, None, None, None, None, None, None, "optimal answer violates the constraints")
+    # bound marginals are the column duals of columns nonbasic at that bound
+    basis = highs.getBasis()
+    col_status = np.fromiter(map(int, basis.col_status), np.int8, p.n_vars)
+    col_dual = np.array(sol.col_dual)
+    lower = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
+    upper = np.where(col_status == int(_highs.HighsBasisStatus.kUpper), col_dual, 0.0)
+    b_ub, b_eq = _rhs(p)
+    row_dual = np.array(sol.row_dual)
+    ineq, eq = row_dual[: b_ub.size], row_dual[b_ub.size :]
+    finite_lb, finite_ub = np.isfinite(p.lb), np.isfinite(p.ub)
+    dual = (
+        float(b_ub @ ineq)
+        + float(b_eq @ eq)
+        + float(p.lb[finite_lb] @ lower[finite_lb])
+        + float(p.ub[finite_ub] @ upper[finite_ub])
+    )
     return LpOutcome(
         status=OPTIMAL,
         x=x,
-        objective=float(res.fun),
-        dual_objective=_dual_objective(problem, res),
-        residual=_scaled_residual(problem, x),
-        ineq_marginals=None if problem.a_ub is None else np.asarray(res.ineqlin.marginals),
-        eq_marginals=None if problem.a_eq is None else np.asarray(res.eqlin.marginals),
-        message=res.message,
+        objective=objective,
+        dual_objective=dual,
+        residual=_scaled_residual(p, x),
+        ineq_marginals=None if p.a_ub is None else ineq,
+        eq_marginals=None if p.a_eq is None else eq,
+        message=message,
+        basis=basis,
     )
+
+
+def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None) -> LpOutcome:
+    """Solve an LP; all failure modes are reported via the status field.
+
+    A cold solve runs HiGHS with presolve and, on a failure, once more
+    without; the retry is triggered by the first result alone, so outcomes
+    stay deterministic.  With ``basis`` (an earlier outcome's, for a program
+    with the same matrix) HiGHS starts from it; a warm solve that does not end
+    optimal with a scaled residual of at most ``RESIDUAL_TOL`` is discarded
+    and the program solved cold, so a warm start never returns an answer the
+    cold solve would not meet.
+    """
+    lp = _highs_lp(problem)
+    if basis is not None:
+        highs = _run(lp, presolve=False, basis=basis)
+        if highs is not None:
+            out = _outcome(problem, highs)
+            if out.optimal and out.residual <= RESIDUAL_TOL:
+                return out
+    out = _outcome(problem, _run(lp, presolve=True))
+    if out.status == FAILED:
+        out = _outcome(problem, _run(lp, presolve=False))
+    return out
 
 
 def _term(coef: float, j: int) -> str:

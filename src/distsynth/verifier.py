@@ -257,7 +257,9 @@ def verify_coverage(
 
     For each vertex the LP minimizes the uniform inflation t needed on top
     of the claimed widths; the vertex passes when t <= tol and the margin
-    reported is -t.
+    reported is -t.  The vertex LPs differ only in the right-hand side of
+    the output rows, so the program is built once and each vertex's solve
+    starts from the previous vertex's optimal basis.
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -266,63 +268,65 @@ def verify_coverage(
     n_w, N = W.dim, W.n_boxes
     slots = horizon + 1
     coeff = _reach_coefficients(sys, horizon)
-    checks = []
-    for i in range(v):
-        dim_q = slots * N * n_w
-        dim_beta = slots * N
-        b_off = dim_q + dim_beta
-        t_col = b_off + n_y
-        width = t_col + 1
+    dim_q = slots * N * n_w
+    dim_beta = slots * N
+    b_off = dim_q + dim_beta
+    t_col = b_off + n_y
+    width = t_col + 1
 
-        er, ec, ed, b_eq = [], [], [], []
-        row = 0
-        for out_row in range(n_y):
-            for slot in range(slots):
-                for j in range(N):
-                    for k in range(n_w):
-                        c = float(coeff[slot][out_row, k])
-                        if c != 0.0:
-                            er.append(row)
-                            ec.append((slot * N + j) * n_w + k)
-                            ed.append(c)
-            er.append(row)
-            ec.append(b_off + out_row)
-            ed.append(1.0)
-            b_eq.append(float(vertices[i, out_row]))
-            row += 1
+    er, ec, ed = [], [], []
+    row = 0
+    for out_row in range(n_y):
         for slot in range(slots):
             for j in range(N):
-                er.append(row)
-                ec.append(dim_q + slot * N + j)
-                ed.append(1.0)
-            b_eq.append(1.0)
-            row += 1
-        a_eq = sp.csr_matrix((ed, (er, ec)), shape=(row, width))
+                for k in range(n_w):
+                    c = float(coeff[slot][out_row, k])
+                    if c != 0.0:
+                        er.append(row)
+                        ec.append((slot * N + j) * n_w + k)
+                        ed.append(c)
+        er.append(row)
+        ec.append(b_off + out_row)
+        ed.append(1.0)
+        row += 1
+    for slot in range(slots):
+        for j in range(N):
+            er.append(row)
+            ec.append(dim_q + slot * N + j)
+            ed.append(1.0)
+        row += 1
+    a_eq = sp.csr_matrix((ed, (er, ec)), shape=(row, width))
 
-        ur, uc, ud, b_ub = [], [], [], []
-        row = 0
-        for slot in range(slots):
-            row = _perspective_rows(ur, uc, ud, b_ub, row, (slot * N) * n_w, dim_q + slot * N, W, n_w)
-        for hrow in range(H.shape[0]):
-            for col in range(n_y):
-                if H[hrow, col] != 0.0:
-                    ur.append(row)
-                    uc.append(b_off + col)
-                    ud.append(float(H[hrow, col]))
-            ur.append(row)
-            uc.append(t_col)
-            ud.append(-1.0)
-            b_ub.append(float(epsilon[hrow]))
-            row += 1
-        a_ub = sp.csr_matrix((ud, (ur, uc)), shape=(row, width))
+    ur, uc, ud, b_ub = [], [], [], []
+    row = 0
+    for slot in range(slots):
+        row = _perspective_rows(ur, uc, ud, b_ub, row, (slot * N) * n_w, dim_q + slot * N, W, n_w)
+    for hrow in range(H.shape[0]):
+        for col in range(n_y):
+            if H[hrow, col] != 0.0:
+                ur.append(row)
+                uc.append(b_off + col)
+                ud.append(float(H[hrow, col]))
+        ur.append(row)
+        uc.append(t_col)
+        ud.append(-1.0)
+        b_ub.append(float(epsilon[hrow]))
+        row += 1
+    a_ub = sp.csr_matrix((ud, (ur, uc)), shape=(row, width))
+    b_ub = np.array(b_ub)
 
-        c = np.zeros(width)
-        c[t_col] = 1.0
-        lb = np.full(width, -np.inf)
-        lb[dim_q:b_off] = 0.0
-        out = solve_lp(LpProblem(c, a_ub, np.array(b_ub), a_eq, np.array(b_eq), lb=lb))
+    c = np.zeros(width)
+    c[t_col] = 1.0
+    lb = np.full(width, -np.inf)
+    lb[dim_q:b_off] = 0.0
+    checks = []
+    basis = None
+    for i in range(v):
+        b_eq = np.concatenate((vertices[i], np.ones(slots)))
+        out = solve_lp(LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb), basis=basis)
         if not out.optimal:
             raise RuntimeError(f"vertex {i} coverage LP ended with status {out.status}")
+        basis = out.basis
         t_star = float(out.objective)
         checks.append(CheckResult(f"vertex-{i}", t_star <= tol, -t_star, f"vertex {i}"))
     return Certificate(tuple(checks))

@@ -147,6 +147,22 @@ class TestExitCodes:
         frag = json.loads((tmp_path / "p.json").read_text())
         assert frag["params"]["s"] == 60
 
+    def test_failed_synthesis_lp_is_written_and_exit_is_4(self, tmp_path, monkeypatch, capsys, small_spec_doc):
+        from distsynth import synthesizer
+        from distsynth.lp_solver import FAILED, LpOutcome
+
+        def failing(lp, basis=None):
+            return LpOutcome(FAILED, None, None, None, None, None, None, "forced failure")
+
+        monkeypatch.setattr(synthesizer, "solve_lp", failing)
+        spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+        out_dir = tmp_path / "out"
+        assert main(["synth", spec_path, "--out", str(out_dir)]) == 4
+        dump = out_dir / "failed_lp.lp"
+        assert dump.read_text().startswith("Minimize")
+        assert str(dump) in capsys.readouterr().err
+        assert not (out_dir / "result.json").exists()
+
 
 class TestCmdParams:
     def test_reports_margins(self):

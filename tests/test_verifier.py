@@ -26,6 +26,8 @@ from distsynth import (
     verify_params,
     vertices_hpoly,
 )
+from distsynth import verifier
+from distsynth.lp_solver import solve_lp
 from distsynth.setgeom import sample_batch, stacked_identity
 from distsynth.verifier import _reach_coefficients
 
@@ -345,6 +347,31 @@ class TestVerifyCoverage:
         assert obj > 0.1
         cert = verify_coverage(sys, V, ORIGIN2, 3, H, eps / 2.0)
         assert not cert.passed
+
+    @pytest.mark.parametrize("halve", [False, True])
+    def test_warm_started_margins_match_cold_solves_in_both_orders(self, plant, pentagon, halve, monkeypatch):
+        V = vertices_hpoly(pentagon)
+        H = h_preset("uniform:6", 2)
+        eps, _ = distance_dY(plant, V, CERTIFIED_W, 59, H)
+        if halve:
+            eps = eps / 2.0
+        warm_starts = []
+
+        def counting(lp, basis=None):
+            warm_starts.append(basis is not None)
+            return solve_lp(lp, basis)
+
+        monkeypatch.setattr(verifier, "solve_lp", counting)
+        for order in (slice(None), slice(None, None, -1)):
+            warm_starts.clear()
+            warm = verify_coverage(plant, V[order], CERTIFIED_W, 59, H, eps)
+            assert warm_starts == [False] + [True] * (len(V) - 1)
+            cold = [
+                verify_coverage(plant, V[order][i : i + 1], CERTIFIED_W, 59, H, eps).checks[0].margin
+                for i in range(len(V))
+            ]
+            assert np.allclose([c.margin for c in warm.checks], cold, rtol=0.0, atol=1e-12)
+            assert warm.passed is not halve
 
     def test_origin_vertex_with_zero_widths(self):
         rng = np.random.default_rng(68)
