@@ -45,6 +45,7 @@ from .synthesizer import (
 )
 from .verifier import (
     Certificate,
+    certify,
     distance_dY,
     monte_carlo,
     verify_coverage,
@@ -72,6 +73,7 @@ __all__ = [
     "VariableLayout",
     "alternate",
     "assemble",
+    "certify",
     "compute_constants",
     "contains_point",
     "distance_dY",

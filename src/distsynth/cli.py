@@ -3,8 +3,9 @@ parameters, synthesize a disturbance set, certify it, and emit plot data.
 
 Problem and result documents are JSON files; the worked examples live in
 specs/ and the schema is described in the README.  Exit codes: 0 on success
-(all certificates pass for ``verify``), 2 for malformed documents, 3 for
-assumption violations or infeasibility, 4 for solver failures; a failing
+(all certificates pass for ``verify``), 2 for malformed documents (and for
+``verify``, a result that does not fit its spec), 3 for assumption
+violations or infeasibility, 4 for solver failures; a failing
 synthesis LP is written to ``failed_lp.lp`` beside the ``--out`` target.
 """
 
@@ -294,12 +295,8 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
     )
     t_synth = time.perf_counter() - t0
     t0 = time.perf_counter()
-    certs = {}
-    certs.update(verifier.verify_params(spec.sys, spec.Y, params).as_dict())
-    certs.update(verifier.verify_gamma(spec.sys, result.W, params.gamma).as_dict())
-    certs.update(verifier.verify_output_inclusion(spec.sys, spec.Y, params, result.W).as_dict())
-    certs.update(
-        verifier.verify_coverage(spec.sys, vertices, result.W, horizon, H, result.epsilon).as_dict()
+    cert = verifier.certify(
+        spec.sys, spec.Y, params, result.W, vertices, horizon, H, result.epsilon, result.objective
     )
     t_verify = time.perf_counter() - t0
     return ResultDoc(
@@ -309,7 +306,7 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
         objective=result.objective,
         horizon=horizon,
         H=H,
-        certificates=certs,
+        certificates=cert.as_dict(),
         history=result.history,
         iterations=result.iterations,
         termination=result.termination,
@@ -318,15 +315,18 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
 
 
 def cmd_verify(spec: ProblemSpec, doc: ResultDoc) -> verifier.Certificate:
-    vertices = spec.resolve_vertices()
-    checks = []
-    checks += verifier.verify_params(spec.sys, spec.Y, doc.params).checks
-    checks += verifier.verify_gamma(spec.sys, doc.W, doc.params.gamma).checks
-    checks += verifier.verify_output_inclusion(spec.sys, spec.Y, doc.params, doc.W).checks
-    checks += verifier.verify_coverage(
-        spec.sys, vertices, doc.W, doc.horizon, doc.H, doc.epsilon
-    ).checks
-    return verifier.Certificate(tuple(checks))
+    n_y, n_w = spec.sys.n_y, spec.sys.n_w
+    if doc.horizon < 1:
+        raise SpecError(f"coverage horizon l must be at least 1, not {doc.horizon}")
+    if doc.H.ndim != 2 or doc.H.shape[1] != n_y:
+        raise SpecError(f"H must be a matrix with {n_y} columns, one per output")
+    if doc.epsilon.shape != (doc.H.shape[0],):
+        raise SpecError(f"epsilon must have one entry per row of H ({doc.H.shape[0]})")
+    if doc.W.dim != n_w:
+        raise SpecError(f"boxes of W must have dimension {n_w}, one per disturbance input")
+    return verifier.certify(
+        spec.sys, spec.Y, doc.params, doc.W, spec.resolve_vertices(), doc.horizon, doc.H, doc.epsilon, doc.objective
+    )
 
 
 def cmd_reduce(doc: dict) -> ProblemSpec:

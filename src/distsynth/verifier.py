@@ -1,14 +1,19 @@
 """Independent certification of synthesized disturbance sets.
 
-Checks are closed-form support-function evaluations wherever possible; the
-coverage distance is recomputed by a single linear program that encodes
-membership in the fixed hull of boxes through the scaled-point change of
-variables, a route disjoint from the synthesizer's bilinear encoding.
+Checks are closed-form support-function evaluations wherever possible.
+Coverage is checked one vertex of Y at a time by a linear program that
+encodes membership in the fixed hull of boxes through the scaled-point
+change of variables, a route disjoint from the synthesizer's bilinear
+encoding (the reach coefficients are formed here, not taken from the
+encoder, so a fault there cannot certify itself).  Passing vertex checks
+bound the exact coverage distance by sum(epsilon), and the objective-bound
+check carries that bound to the stored objective.  ``certify`` runs every
+check; ``distance_dY`` solves the joint program for the exact distance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,22 +144,52 @@ def _reach_coefficients(sys: LtiSystem, horizon: int) -> list[np.ndarray]:
     return [sys.C @ powers[horizon - 1 - t] @ sys.B for t in range(horizon)] + [sys.D]
 
 
-def _perspective_rows(tri_rows, tri_cols, tri_data, b_ub, row0, q0, beta0, W, n_w):
-    """Box-membership rows |q_j - beta_j c_j| <= beta_j h_j for one group."""
-    r = row0
-    for j in range(W.n_boxes):
-        for k in range(n_w):
-            tri_rows += [r, r]
-            tri_cols += [q0 + j * n_w + k, beta0 + j]
-            tri_data += [1.0, -(W.centers[j, k] + W.halfwidths[j, k])]
-            b_ub.append(0.0)
-            r += 1
-            tri_rows += [r, r]
-            tri_cols += [q0 + j * n_w + k, beta0 + j]
-            tri_data += [-1.0, W.centers[j, k] - W.halfwidths[j, k]]
-            b_ub.append(0.0)
-            r += 1
-    return r
+def _coverage_lp(
+    sys: LtiSystem, vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray, slack, slack_lb, h_rhs
+) -> LpProblem:
+    """Coverage program for every row of ``vertices`` at once, at the cost of
+    the caller's slack columns.
+
+    Each vertex copy has the scaled points q (slot, box, component), the box
+    weights beta >= 0 (slot, box) and the output deviation b.  Its rows are
+    the reach equalities sum_t coeff_t q_t + b = y, one simplex row
+    sum_j beta_j = 1 per slot, the perspective rows
+    |q_j - beta_j c_j| <= beta_j h_j of box membership, and H b + slack <= h_rhs,
+    where ``slack`` has one row per (vertex, row of H) and its columns are
+    bounded below by ``slack_lb``.
+    """
+    n, n_y = vertices.shape
+    N, n_w = W.n_boxes, W.dim
+    groups = n * (horizon + 1)
+    n_q, n_beta, n_b = groups * N * n_w, groups * N, n * n_y
+    coeff = np.stack(_reach_coefficients(sys, horizon)).transpose(1, 0, 2)
+    reach = np.broadcast_to(coeff[:, :, None, :], (n_y, horizon + 1, N, n_w)).reshape(n_y, -1)
+    # rows 2m and 2m + 1 of a slot bound its q[j, k] from above and from below
+    rows = np.arange(2 * N * n_w)
+    offsets = np.stack((-(W.centers + W.halfwidths), W.centers - W.halfwidths), axis=-1)
+    weights = sp.coo_matrix((offsets.ravel(), (rows, rows // (2 * n_w))), shape=(rows.size, N))
+    slack = sp.coo_matrix(slack)
+    m = slack.shape[1]
+    # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
+    a_eq = sp.bmat(
+        [
+            [sp.kron(sp.eye(n), reach, "coo"), None, sp.eye(n_b, format="coo"), sp.coo_matrix((n_b, m))],
+            [None, sp.kron(sp.eye(groups), np.ones((1, N)), "coo"), None, None],
+        ],
+        format="csr",
+    )
+    a_ub = sp.bmat(
+        [
+            [sp.kron(sp.eye(n_q), [[1.0], [-1.0]], "coo"), sp.kron(sp.eye(groups), weights, "coo"), None, None],
+            [None, None, sp.kron(sp.eye(n), H, "coo"), slack],
+        ],
+        format="csr",
+    )
+    c = np.concatenate((np.zeros(n_q + n_beta + n_b), np.ones(m)))
+    lb = np.concatenate((np.full(n_q, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
+    b_ub = np.concatenate((np.zeros(2 * n_q), h_rhs))
+    b_eq = np.concatenate((vertices.ravel(), np.ones(groups)))
+    return LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
 
 
 def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray):
@@ -162,86 +197,17 @@ def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: 
 
     One LP drives the output to a deviation-neighborhood of every vertex,
     with each disturbance point encoded exactly as a scaled-point convex
-    combination over the member boxes.  Returns (epsilon, objective).
+    combination over the member boxes; the widths eps >= 0 are shared by all
+    vertices.  Returns (epsilon, objective).
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    v, n_y = vertices.shape
-    n_w, N = W.dim, W.n_boxes
     n_b = H.shape[0]
-    slots = horizon + 1
-    coeff = _reach_coefficients(sys, horizon)
-
-    dim_q = v * slots * N * n_w
-    dim_beta = v * slots * N
-    q_off, beta_off = 0, dim_q
-    b_off = dim_q + dim_beta
-    eps_off = b_off + v * n_y
-    width = eps_off + n_b
-
-    def q_group(i, slot):
-        return q_off + (i * slots + slot) * N * n_w
-
-    def beta_group(i, slot):
-        return beta_off + (i * slots + slot) * N
-
-    er, ec, ed, b_eq = [], [], [], []
-    row = 0
-    for i in range(v):
-        for out_row in range(n_y):
-            for slot in range(slots):
-                base = q_group(i, slot)
-                for j in range(N):
-                    for k in range(n_w):
-                        c = float(coeff[slot][out_row, k])
-                        if c != 0.0:
-                            er.append(row)
-                            ec.append(base + j * n_w + k)
-                            ed.append(c)
-            er.append(row)
-            ec.append(b_off + i * n_y + out_row)
-            ed.append(1.0)
-            b_eq.append(float(vertices[i, out_row]))
-            row += 1
-    for i in range(v):
-        for slot in range(slots):
-            base = beta_group(i, slot)
-            for j in range(N):
-                er.append(row)
-                ec.append(base + j)
-                ed.append(1.0)
-            b_eq.append(1.0)
-            row += 1
-    a_eq = sp.csr_matrix((ed, (er, ec)), shape=(row, width))
-
-    ur, uc, ud, b_ub = [], [], [], []
-    row = 0
-    for i in range(v):
-        for slot in range(slots):
-            row = _perspective_rows(ur, uc, ud, b_ub, row, q_group(i, slot), beta_group(i, slot), W, n_w)
-    for i in range(v):
-        for hrow in range(n_b):
-            for col in range(n_y):
-                if H[hrow, col] != 0.0:
-                    ur.append(row)
-                    uc.append(b_off + i * n_y + col)
-                    ud.append(float(H[hrow, col]))
-            ur.append(row)
-            uc.append(eps_off + hrow)
-            ud.append(-1.0)
-            b_ub.append(0.0)
-            row += 1
-    a_ub = sp.csr_matrix((ud, (ur, uc)), shape=(row, width))
-
-    c = np.zeros(width)
-    c[eps_off:] = 1.0
-    lb = np.full(width, -np.inf)
-    lb[beta_off:b_off] = 0.0
-    lb[eps_off:] = 0.0
-    out = solve_lp(LpProblem(c, a_ub, np.array(b_ub), a_eq, np.array(b_eq), lb=lb))
+    slack = -sp.kron(np.ones((len(vertices), 1)), sp.eye(n_b))
+    out = solve_lp(_coverage_lp(sys, vertices, W, horizon, H, slack, 0.0, np.zeros(slack.shape[0])))
     if not out.optimal:
         raise RuntimeError(f"coverage LP ended with status {out.status}")
-    return out.x[eps_off:].copy(), float(out.objective)
+    return out.x[-n_b:].copy(), float(out.objective)
 
 
 def verify_coverage(
@@ -263,73 +229,38 @@ def verify_coverage(
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    epsilon = np.asarray(epsilon, dtype=float)
-    v, n_y = vertices.shape
-    n_w, N = W.dim, W.n_boxes
-    slots = horizon + 1
-    coeff = _reach_coefficients(sys, horizon)
-    dim_q = slots * N * n_w
-    dim_beta = slots * N
-    b_off = dim_q + dim_beta
-    t_col = b_off + n_y
-    width = t_col + 1
-
-    er, ec, ed = [], [], []
-    row = 0
-    for out_row in range(n_y):
-        for slot in range(slots):
-            for j in range(N):
-                for k in range(n_w):
-                    c = float(coeff[slot][out_row, k])
-                    if c != 0.0:
-                        er.append(row)
-                        ec.append((slot * N + j) * n_w + k)
-                        ed.append(c)
-        er.append(row)
-        ec.append(b_off + out_row)
-        ed.append(1.0)
-        row += 1
-    for slot in range(slots):
-        for j in range(N):
-            er.append(row)
-            ec.append(dim_q + slot * N + j)
-            ed.append(1.0)
-        row += 1
-    a_eq = sp.csr_matrix((ed, (er, ec)), shape=(row, width))
-
-    ur, uc, ud, b_ub = [], [], [], []
-    row = 0
-    for slot in range(slots):
-        row = _perspective_rows(ur, uc, ud, b_ub, row, (slot * N) * n_w, dim_q + slot * N, W, n_w)
-    for hrow in range(H.shape[0]):
-        for col in range(n_y):
-            if H[hrow, col] != 0.0:
-                ur.append(row)
-                uc.append(b_off + col)
-                ud.append(float(H[hrow, col]))
-        ur.append(row)
-        uc.append(t_col)
-        ud.append(-1.0)
-        b_ub.append(float(epsilon[hrow]))
-        row += 1
-    a_ub = sp.csr_matrix((ud, (ur, uc)), shape=(row, width))
-    b_ub = np.array(b_ub)
-
-    c = np.zeros(width)
-    c[t_col] = 1.0
-    lb = np.full(width, -np.inf)
-    lb[dim_q:b_off] = 0.0
+    lp = _coverage_lp(sys, vertices[:1], W, horizon, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon)
     checks = []
     basis = None
-    for i in range(v):
-        b_eq = np.concatenate((vertices[i], np.ones(slots)))
-        out = solve_lp(LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb), basis=basis)
+    for i, y in enumerate(vertices):
+        out = solve_lp(replace(lp, b_eq=np.concatenate((y, lp.b_eq[y.size :]))), basis=basis)
         if not out.optimal:
             raise RuntimeError(f"vertex {i} coverage LP ended with status {out.status}")
         basis = out.basis
         t_star = float(out.objective)
         checks.append(CheckResult(f"vertex-{i}", t_star <= tol, -t_star, f"vertex {i}"))
     return Certificate(tuple(checks))
+
+
+def certify(
+    sys: LtiSystem, Y: HPolytope, params: RpiParams, W: BoxHullSet, vertices: np.ndarray, horizon: int,
+    H: np.ndarray, epsilon: np.ndarray, objective: float, tol: float = 1e-8
+) -> Certificate:
+    """Every certificate of a synthesized set, as ``synth`` stores them and
+    ``verify`` re-proves them.
+
+    Passing vertex checks bound the exact coverage distance by sum(epsilon),
+    so ``objective-bound`` (objective >= sum(epsilon)) bounds it by the
+    claimed objective without solving the joint program.
+    """
+    checks = (
+        verify_params(sys, Y, params).checks
+        + verify_gamma(sys, W, params.gamma).checks
+        + verify_output_inclusion(sys, Y, params, W).checks
+        + verify_coverage(sys, vertices, W, horizon, H, epsilon).checks
+    )
+    margin = float(objective - np.sum(epsilon))
+    return Certificate(checks + (CheckResult("objective-bound", margin >= -tol, margin),))
 
 
 @dataclass(frozen=True)

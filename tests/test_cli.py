@@ -211,6 +211,49 @@ class TestSynthVerifyRoundtrip:
         assert any(k.startswith("vertex-") for k in doc.certificates)
         assert all(c["passed"] for c in doc.certificates.values())
 
+    def test_verify_recomputes_the_stored_certificates(self, small_spec_doc):
+        spec = parse_spec(small_spec_doc)
+        doc = cmd_synth(spec)
+        stored = ResultDoc.from_dict(json.loads(json.dumps(doc.to_dict())))
+        assert cmd_verify(spec, stored).as_dict() == doc.certificates
+
+
+@pytest.fixture(scope="module")
+def small_result_doc(small_spec_doc):
+    return json.loads(json.dumps(cmd_synth(parse_spec(small_spec_doc)).to_dict()))
+
+
+# result documents that do not fit the problem they are verified against
+MISFITS = {
+    "epsilon-shorter-than-H": lambda d: d.update(epsilon=d["epsilon"][:-1]),
+    "epsilon-longer-than-H": lambda d: d.update(epsilon=d["epsilon"] + [0.0]),
+    "H-column-per-output": lambda d: d.update(H=[row + [0.0] for row in d["H"]]),
+    "negative-horizon": lambda d: d.update(l=-3),
+    "zero-horizon": lambda d: d.update(l=0),
+    "box-dimension": lambda d: [
+        b.update(center=b["center"] + [0.0], halfwidth=b["halfwidth"] + [0.0]) for b in d["W"]["boxes"]
+    ],
+}
+
+
+class TestVerifyRejects:
+    @pytest.mark.parametrize("misfit", sorted(MISFITS))
+    def test_result_that_does_not_fit_the_spec_is_2(self, tmp_path, small_spec_doc, small_result_doc, misfit, capsys):
+        bad = json.loads(json.dumps(small_result_doc))
+        MISFITS[misfit](bad)
+        spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+        assert main(["verify", spec_path, write_json(tmp_path / "result.json", bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_lowered_objective_fails_objective_bound(self, tmp_path, small_spec_doc, small_result_doc):
+        bad = json.loads(json.dumps(small_result_doc))
+        bad["objective"] -= 1e-3
+        spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+        assert main(["verify", spec_path, write_json(tmp_path / "result.json", bad)]) == 3
+        cert = cmd_verify(parse_spec(small_spec_doc), ResultDoc.from_dict(bad))
+        assert {c.name for c in cert.checks if not c.passed} == {"objective-bound"}
+        assert cert.worst().margin == pytest.approx(-1e-3, abs=1e-12)
+
 
 class TestCmdReduce:
     def test_mapping(self):

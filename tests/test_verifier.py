@@ -373,6 +373,26 @@ class TestVerifyCoverage:
             assert np.allclose([c.margin for c in warm.checks], cold, rtol=0.0, atol=1e-12)
             assert warm.passed is not halve
 
+    @pytest.mark.parametrize("case", ["certified-pentagon", "random-69", "random-70"])
+    def test_joint_optimum_is_tight_for_the_vertex_checks(self, plant, pentagon, case):
+        """A width vector is jointly feasible exactly when every vertex is, so
+        the joint optimum passes every vertex check and lowering any positive
+        width by 1e-5 fails one."""
+        if case == "certified-pentagon":
+            sys, V, W, horizon, H = plant, vertices_hpoly(pentagon), CERTIFIED_W, 59, h_preset("uniform:6", 2)
+        else:
+            rng = np.random.default_rng(int(case.split("-")[1]))
+            sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
+            V, W, horizon, H = vertices_hpoly(unit_box_constraints(2)), random_hull(rng, 2, 2, 0.2), 3, h_preset("box", 2)
+        eps, _ = distance_dY(sys, V, W, horizon, H)
+        assert verify_coverage(sys, V, W, horizon, H, eps).passed
+        active = np.flatnonzero(eps > 1e-6)
+        assert active.size > 0
+        for k in active:
+            lowered = eps.copy()
+            lowered[k] -= 1e-5
+            assert not verify_coverage(sys, V, W, horizon, H, lowered).passed, k
+
     def test_origin_vertex_with_zero_widths(self):
         rng = np.random.default_rng(68)
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
