@@ -203,7 +203,7 @@ def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: 
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     n_b = H.shape[0]
-    slack = -sp.kron(np.ones((len(vertices), 1)), sp.eye(n_b))
+    slack = -sp.kron(np.ones((len(vertices), 1)), sp.eye(n_b), "coo")
     out = solve_lp(_coverage_lp(sys, vertices, W, horizon, H, slack, 0.0, np.zeros(slack.shape[0])))
     if not out.optimal:
         raise RuntimeError(f"coverage LP ended with status {out.status}")
@@ -244,7 +244,7 @@ def verify_coverage(
 
 def certify(
     sys: LtiSystem, Y: HPolytope, params: RpiParams, W: BoxHullSet, vertices: np.ndarray, horizon: int,
-    H: np.ndarray, epsilon: np.ndarray, objective: float, tol: float = 1e-8
+    H: np.ndarray, epsilon: np.ndarray, objective: float
 ) -> Certificate:
     """Every certificate of a synthesized set, as ``synth`` stores them and
     ``verify`` re-proves them.
@@ -260,7 +260,7 @@ def certify(
         + verify_coverage(sys, vertices, W, horizon, H, epsilon).checks
     )
     margin = float(objective - np.sum(epsilon))
-    return Certificate(checks + (CheckResult("objective-bound", margin >= -tol, margin),))
+    return Certificate(checks + (CheckResult("objective-bound", margin >= -1e-8, margin),))
 
 
 @dataclass(frozen=True)
