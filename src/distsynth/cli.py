@@ -4,7 +4,7 @@ parameters, synthesize a disturbance set, certify it, and emit plot data.
 Problem and result documents are JSON files; the worked examples live in
 specs/ and the schema is described in the README.  Exit codes: 0 on success
 (all certificates pass for ``verify``), 2 for malformed documents (and for
-``verify``, a result that does not fit its spec), 3 for assumption
+``verify`` and ``plot``, a result that does not fit its spec), 3 for assumption
 violations or infeasibility, 4 for solver failures; a failing
 synthesis LP is written to ``failed_lp.lp`` beside the ``--out`` target.
 """
@@ -83,18 +83,7 @@ class Options:
         return opts
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "gamma": self.gamma,
-            "N": self.n_boxes,
-            "l": self.horizon,
-            "H": self.H,
-            "zeta": self.zeta,
-            "max_iters": self.max_iters,
-            "seed": self.seed,
-            "s_max": self.s_max,
-            "restarts": self.restarts,
-        }
+        return {key: getattr(self, attr) for key, attr in self._KEYS.items()}
 
 
 @dataclass
@@ -171,6 +160,10 @@ def parse_spec(doc: dict) -> ProblemSpec:
     return ProblemSpec(sys_, Y, vertices, options)
 
 
+def _params_dict(params: RpiParams) -> dict:
+    return {"s": params.s, "alpha": params.alpha, "lambda": params.lam, "gamma": params.gamma, "mu": params.mu}
+
+
 @dataclass
 class ResultDoc:
     params: RpiParams
@@ -187,13 +180,7 @@ class ResultDoc:
 
     def to_dict(self) -> dict:
         return {
-            "params": {
-                "s": self.params.s,
-                "alpha": self.params.alpha,
-                "lambda": self.params.lam,
-                "gamma": self.params.gamma,
-                "mu": self.params.mu,
-            },
+            "params": _params_dict(self.params),
             "W": {
                 "boxes": [
                     {"center": b.center.tolist(), "halfwidth": b.halfwidth.tolist()}
@@ -255,13 +242,7 @@ def cmd_params(spec: ProblemSpec) -> dict:
     elapsed = time.perf_counter() - t0
     cert = verifier.verify_params(spec.sys, spec.Y, params)
     return {
-        "params": {
-            "s": params.s,
-            "alpha": params.alpha,
-            "lambda": params.lam,
-            "gamma": params.gamma,
-            "mu": params.mu,
-        },
+        "params": _params_dict(params),
         "margins": cert.as_dict(),
         "timing": {"params_s": elapsed},
     }
@@ -314,7 +295,8 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
     )
 
 
-def cmd_verify(spec: ProblemSpec, doc: ResultDoc) -> verifier.Certificate:
+def _check_fit(spec: ProblemSpec, doc: ResultDoc) -> None:
+    """Raise SpecError unless the result's horizon, H, epsilon and boxes fit the spec."""
     n_y, n_w = spec.sys.n_y, spec.sys.n_w
     if doc.horizon < 1:
         raise SpecError(f"coverage horizon l must be at least 1, not {doc.horizon}")
@@ -324,6 +306,10 @@ def cmd_verify(spec: ProblemSpec, doc: ResultDoc) -> verifier.Certificate:
         raise SpecError(f"epsilon must have one entry per row of H ({doc.H.shape[0]})")
     if doc.W.dim != n_w:
         raise SpecError(f"boxes of W must have dimension {n_w}, one per disturbance input")
+
+
+def cmd_verify(spec: ProblemSpec, doc: ResultDoc) -> verifier.Certificate:
+    _check_fit(spec, doc)
     return verifier.certify(
         spec.sys, spec.Y, doc.params, doc.W, spec.resolve_vertices(), doc.horizon, doc.H, doc.epsilon, doc.objective
     )
@@ -412,6 +398,7 @@ def reachable_outline(
 
 
 def cmd_plot(doc: ResultDoc, spec: ProblemSpec, out_dir) -> list:
+    _check_fit(spec, doc)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -472,30 +459,14 @@ def _load_json(path: str) -> dict:
 
 
 def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
-    opts = spec.options
-    if args.mu is not None:
-        opts.mu = args.mu
-    if args.gamma is not None:
-        opts.gamma = args.gamma
-    if getattr(args, "N", None) is not None:
-        opts.n_boxes = args.N
-    if getattr(args, "l", None) is not None:
-        opts.horizon = args.l
-    if getattr(args, "H", None) is not None:
-        if args.H in ("box",) or args.H.startswith("uniform:"):
-            opts.H = args.H
-        else:
-            opts.H = _load_json(args.H)
-    if getattr(args, "zeta", None) is not None:
-        opts.zeta = args.zeta
-    if getattr(args, "max_iters", None) is not None:
-        opts.max_iters = args.max_iters
-    if getattr(args, "restarts", None) is not None:
-        opts.restarts = args.restarts
-    if args.seed is not None:
-        opts.seed = args.seed
-    if getattr(args, "s_max", None) is not None:
-        opts.s_max = args.s_max
+    """Set the option of every given flag; each flag's dest is its document key."""
+    for key, attr in Options._KEYS.items():
+        val = getattr(args, key, None)
+        if val is None:
+            continue
+        if key == "H" and val != "box" and not val.startswith("uniform:"):
+            val = _load_json(val)  # a path to a JSON row matrix
+        setattr(spec.options, attr, val)
     return spec
 
 

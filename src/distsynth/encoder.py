@@ -9,9 +9,15 @@ The decision variables split into five groups:
     z    : the coverage slack widths (eps) and per-vertex deviations b
 
 All blocks are linear except the coupling w = sum_j beta_j wbar_j, which is
-kept as an index descriptor so the two alternating LPs can substitute either
-factor.  Row and column orders are fixed functions of the dimensions, so two
-assemblies of the same input are bit-identical.
+kept as the index descriptor ``bilinear``.  The P step never sees the
+per-box points: with the weights fixed it keeps each w in its blended box
+sum_j beta_j box_j.  The membership rows ``d_x``/``d_wbar`` and ``bilinear``
+serve the Q step's coupling rows, ``witness_residual``, the dimension audit
+of acceptance criterion 5 and the literal P-step oracle of the tests.
+
+A group is one (vertex, slot) pair.  Every block is a Kronecker expression
+over a group-major layout, so row and column orders are fixed functions of
+the dimensions and two assemblies of the same input are bit-identical.
 """
 
 from __future__ import annotations
@@ -141,29 +147,6 @@ class BilinearMap:
         return self.w_cols.shape[0]
 
 
-class _Triples:
-    def __init__(self):
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.data: list[float] = []
-        self.n_rows = 0
-
-    def add(self, row: int, col: int, val: float) -> None:
-        if val != 0.0:
-            self.rows.append(row)
-            self.cols.append(col)
-            self.data.append(val)
-
-    def add_block(self, row0: int, cols: slice, mat_row: np.ndarray) -> None:
-        for k, v in enumerate(mat_row):
-            self.add(row0, cols.start + k, float(v))
-
-    def matrix(self, n_cols: int) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.data, (self.rows, self.cols)), shape=(self.n_rows, n_cols)
-        )
-
-
 def build_gbar(sys: LtiSystem, Y: HPolytope, params: RpiParams) -> list[np.ndarray]:
     """Per-term output maps (1-alpha)^-1 G C A^t for t = 0..s-1."""
     scale = 1.0 / (1.0 - params.alpha)
@@ -179,6 +162,18 @@ def output_rhs(gbar: list[np.ndarray], Y: HPolytope, params: RpiParams) -> np.nd
     """Right-hand side g - lambda * sum_t |Gbar_t| 1 of the budget rows."""
     tail = sum(np.abs(G).sum(axis=1) for G in gbar)
     return Y.g - params.lam * tail
+
+
+def _box_rows(T: np.ndarray, N: int) -> sp.coo_matrix:
+    """kron(I_N, [T, |T|]): row block j is the support T c_j + |T| e_j of box j
+    in the directions T, over the box columns [c_0, e_0, c_1, e_1, ...] of x."""
+    # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
+    return sp.kron(sp.eye(N), np.hstack([T, np.abs(T)]), "coo")
+
+
+def _pad_x(block, layout: VariableLayout) -> sp.csr_matrix:
+    """Extend a block over the box columns of x with the empty budget columns."""
+    return sp.hstack([block, sp.coo_matrix((block.shape[0], layout.dim_x - block.shape[1]))], format="csr")
 
 
 def encode_output_inclusion(
@@ -201,66 +196,30 @@ def encode_output_inclusion(
             "the synthesis problem is infeasible for these parameters",
             RuntimeWarning,
         )
-    tri = _Triples()
-    b: list[float] = []
-    GD = Y.G @ sys.D
-    for j in range(layout.n_boxes):
-        c_cols = layout.x_center(j)
-        e_cols = layout.x_halfwidth(j)
-        for t in range(layout.s):
-            GB = gbar[t] @ sys.B
-            for i in range(layout.m_y):
-                tri.add_block(tri.n_rows, c_cols, GB[i])
-                tri.add_block(tri.n_rows, e_cols, np.abs(GB[i]))
-                tri.add(tri.n_rows, layout.x_q(t).start + i, -1.0)
-                b.append(0.0)
-                tri.n_rows += 1
-    for j in range(layout.n_boxes):
-        c_cols = layout.x_center(j)
-        e_cols = layout.x_halfwidth(j)
-        for i in range(layout.m_y):
-            tri.add_block(tri.n_rows, c_cols, GD[i])
-            tri.add_block(tri.n_rows, e_cols, np.abs(GD[i]))
-            tri.add(tri.n_rows, layout.x_r().start + i, -1.0)
-            b.append(0.0)
-            tri.n_rows += 1
-    for i in range(layout.m_y):
-        for t in range(layout.s):
-            tri.add(tri.n_rows, layout.x_q(t).start + i, 1.0)
-        tri.add(tri.n_rows, layout.x_r().start + i, 1.0)
-        b.append(float(rhs[i]))
-        tri.n_rows += 1
-    return tri.matrix(layout.dim_x), np.array(b)
+    N, m_y, n_q = layout.n_boxes, layout.m_y, layout.s * layout.m_y
+    terms = np.vstack([G @ sys.B for G in gbar])  # row t * m_y + i
+    per_box = np.ones((N, 1))  # every box's row block charges the same budgets
+    a = sp.bmat(
+        [
+            [_box_rows(terms, N), -sp.kron(per_box, sp.eye(n_q), "coo"), None],
+            [_box_rows(Y.G @ sys.D, N), None, -sp.kron(per_box, sp.eye(m_y), "coo")],
+            [None, sp.kron(np.ones((1, layout.s)), sp.eye(m_y), "coo"), sp.eye(m_y, format="coo")],
+        ],
+        format="csr",
+    )
+    return a, np.concatenate([np.zeros(N * (n_q + m_y)), rhs])
 
 
 def encode_gamma_bound(sys: LtiSystem, gamma: float, layout: VariableLayout):
     """Rows keeping every box image B*box inside the gamma cube."""
     IB = stacked_identity(sys.n_x) @ sys.B
-    tri = _Triples()
-    b: list[float] = []
-    for j in range(layout.n_boxes):
-        c_cols = layout.x_center(j)
-        e_cols = layout.x_halfwidth(j)
-        for i in range(2 * sys.n_x):
-            tri.add_block(tri.n_rows, c_cols, IB[i])
-            tri.add_block(tri.n_rows, e_cols, np.abs(IB[i]))
-            b.append(gamma)
-            tri.n_rows += 1
-    return tri.matrix(layout.dim_x), np.array(b)
+    return _pad_x(_box_rows(IB, layout.n_boxes), layout), np.full(layout.n_boxes * IB.shape[0], gamma)
 
 
 def encode_origin(layout: VariableLayout):
     """Rows forcing the origin into the first box: |c_1| <= e_1."""
-    tri = _Triples()
-    b = [0.0] * (2 * layout.n_w)
-    c_cols = layout.x_center(0)
-    e_cols = layout.x_halfwidth(0)
-    for sgn in (1.0, -1.0):
-        for k in range(layout.n_w):
-            tri.add(tri.n_rows, c_cols.start + k, sgn)
-            tri.add(tri.n_rows, e_cols.start + k, -1.0)
-            tri.n_rows += 1
-    return tri.matrix(layout.dim_x), np.array(b)
+    block = np.kron([[1.0, -1.0], [-1.0, -1.0]], np.eye(layout.n_w))
+    return _pad_x(sp.coo_matrix(block), layout), np.zeros(2 * layout.n_w)
 
 
 def encode_vertex_reach(
@@ -269,7 +228,10 @@ def encode_vertex_reach(
     """Vertex-coverage blocks: reach equalities, box membership of the
     per-group points, deviation rows H b_i <= eps, and the simplex rows.
 
-    Returns (c_w, c_z, h, d_x, d_wbar, e_z, t_beta, bilinear).
+    A group is one (vertex, slot) pair, and every group-indexed block is
+    group-major: w by (group, coordinate), beta by (group, box) and wbar by
+    (group, box, coordinate).  Returns (c_w, c_z, h, d_x, d_wbar, e_z,
+    t_beta, bilinear).
     """
     l = layout.horizon
     if l < 1:
@@ -280,74 +242,25 @@ def encode_vertex_reach(
         powers.append(powers[-1] @ sys.A)
     coeff = [sys.C @ powers[l - 1 - t] @ sys.B for t in range(l)] + [sys.D]
 
-    c_tri, h_vals = _Triples(), []
-    cz_tri = _Triples()
-    for i in range(layout.n_vertices):
-        b_cols = layout.z_b(i)
-        for row in range(layout.n_y):
-            for slot in range(layout.n_slots):
-                c_tri.add_block(c_tri.n_rows, layout.w_slot(i, slot), coeff[slot][row])
-            cz_tri.add(c_tri.n_rows, b_cols.start + row, 1.0)
-            h_vals.append(float(vertices[i, row]))
-            c_tri.n_rows += 1
-    cz_tri.n_rows = c_tri.n_rows
-
-    dx_tri, dw_tri = _Triples(), _Triples()
-    for i in range(layout.n_vertices):
-        for slot in range(layout.n_slots):
-            for j in range(layout.n_boxes):
-                wb = layout.wbar_slot(i, slot, j)
-                cj = layout.x_center(j)
-                ej = layout.x_halfwidth(j)
-                for sgn in (1.0, -1.0):
-                    for k in range(layout.n_w):
-                        row = dx_tri.n_rows
-                        dw_tri.add(row, wb.start + k, sgn)
-                        dx_tri.add(row, cj.start + k, -sgn)
-                        dx_tri.add(row, ej.start + k, -1.0)
-                        dx_tri.n_rows += 1
-                        dw_tri.n_rows = dx_tri.n_rows
-
-    ez_tri = _Triples()
-    for i in range(layout.n_vertices):
-        b_cols = layout.z_b(i)
-        for row in range(layout.n_b):
-            ez_tri.add_block(ez_tri.n_rows, b_cols, H[row])
-            ez_tri.add(ez_tri.n_rows, row, -1.0)
-            ez_tri.n_rows += 1
-
-    tb_tri = _Triples()
-    for i in range(layout.n_vertices):
-        for slot in range(layout.n_slots):
-            grp = layout.beta_group(i, slot)
-            for j in range(layout.n_boxes):
-                tb_tri.add(tb_tri.n_rows, grp.start + j, 1.0)
-            tb_tri.n_rows += 1
-
-    groups = layout.n_vertices * layout.n_slots
-    w_cols = np.empty((groups, layout.n_w), dtype=int)
-    beta_cols = np.empty((groups, layout.n_boxes), dtype=int)
-    wbar_cols = np.empty((groups, layout.n_boxes, layout.n_w), dtype=int)
-    gidx = 0
-    for i in range(layout.n_vertices):
-        for slot in range(layout.n_slots):
-            w_cols[gidx] = np.arange(layout.w_slot(i, slot).start, layout.w_slot(i, slot).stop)
-            for j in range(layout.n_boxes):
-                beta_cols[gidx, j] = layout.beta_entry(i, slot, j)
-                wb = layout.wbar_slot(i, slot, j)
-                wbar_cols[gidx, j] = np.arange(wb.start, wb.stop)
-            gidx += 1
-
-    return (
-        c_tri.matrix(layout.dim_w),
-        cz_tri.matrix(layout.dim_z),
-        np.array(h_vals),
-        dx_tri.matrix(layout.dim_x),
-        dw_tri.matrix(layout.dim_wbar),
-        ez_tri.matrix(layout.dim_z),
-        tb_tri.matrix(layout.dim_beta),
-        BilinearMap(w_cols, beta_cols, wbar_cols),
+    v, N, n_w = layout.n_vertices, layout.n_boxes, layout.n_w
+    groups, n_out = v * layout.n_slots, v * layout.n_y
+    # row (i, k): sum_t coeff_t[k] w_(i, t) + b_i[k] = vertex_i[k]
+    c_w = sp.kron(sp.eye(v), np.hstack(coeff), "csr")
+    c_z = sp.hstack([sp.coo_matrix((n_out, layout.n_b)), sp.eye(n_out, format="coo")], format="csr")
+    h = np.asarray(vertices, dtype=float).ravel()
+    # wbar_gj in box j:  S wbar_gj <= S c_j + |S| e_j, by (group, box, sign, coordinate)
+    S = stacked_identity(n_w)
+    d_x = -_pad_x(sp.kron(np.ones((groups, 1)), _box_rows(S, N), "coo"), layout)
+    d_wbar = sp.kron(sp.eye(groups * N), S, "csr")
+    # row (i, k): H[k] b_i - eps[k] <= 0
+    e_z = sp.hstack([-sp.kron(np.ones((v, 1)), sp.eye(layout.n_b), "coo"), sp.kron(sp.eye(v), H, "coo")], format="csr")
+    t_beta = sp.kron(sp.eye(groups), np.ones((1, N)), "csr")
+    bilinear = BilinearMap(
+        np.arange(layout.dim_w).reshape(groups, n_w),
+        np.arange(layout.dim_beta).reshape(groups, N),
+        np.arange(layout.dim_wbar).reshape(groups, N, n_w),
     )
+    return c_w, c_z, h, d_x, d_wbar, e_z, t_beta, bilinear
 
 
 @dataclass(frozen=True)

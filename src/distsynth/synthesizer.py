@@ -69,21 +69,21 @@ def pad_beta(old: VariableLayout, new: VariableLayout, beta: np.ndarray) -> np.n
         raise ValueError("layouts must share vertices and horizon")
     if new.n_boxes < old.n_boxes:
         raise ValueError("target layout must not have fewer boxes")
-    out = np.zeros(new.dim_beta)
-    for i in range(old.n_vertices):
-        for slot in range(old.n_slots):
-            out[new.beta_group(i, slot)][: old.n_boxes] = beta[old.beta_group(i, slot)]
-    return out
+    out = np.zeros((new.n_vertices * new.n_slots, new.n_boxes))
+    out[:, : old.n_boxes] = beta.reshape(-1, old.n_boxes)
+    return out.ravel()
+
+
+def _box_cols(layout: VariableLayout):
+    """(N, n_w) column indices of the box centers and of the halfwidths in x."""
+    cols = np.arange(2 * layout.n_boxes * layout.n_w).reshape(layout.n_boxes, 2, layout.n_w)
+    return cols[:, 0], cols[:, 1]
 
 
 def boxes_from_x(problem: SynthProblem, x: np.ndarray) -> BoxHullSet:
-    lay = problem.layout
-    boxes = []
-    for j in range(lay.n_boxes):
-        center = x[lay.x_center(j)]
-        halfwidth = np.clip(x[lay.x_halfwidth(j)], 0.0, None)
-        boxes.append(Box(center, halfwidth))
-    return BoxHullSet(tuple(boxes))
+    center_cols, half_cols = _box_cols(problem.layout)
+    halfwidths = np.clip(x[half_cols], 0.0, None)
+    return BoxHullSet(tuple(Box(c, e) for c, e in zip(x[center_cols], halfwidths)))
 
 
 def _bilinear_rows_fixed_wbar(problem: SynthProblem, wbar, w_off, beta_off, width):
@@ -101,14 +101,6 @@ def _bilinear_rows_fixed_wbar(problem: SynthProblem, wbar, w_off, beta_off, widt
         shape=(bil.n_groups * n_w, width),
     )
     return mat
-
-
-def _box_cols(layout: VariableLayout):
-    """(N, n_w) column indices of the box centers and of the halfwidths in x."""
-    boxes = range(layout.n_boxes)
-    centers = np.array([np.r_[layout.x_center(j)] for j in boxes])
-    halfwidths = np.array([np.r_[layout.x_halfwidth(j)] for j in boxes])
-    return centers, halfwidths
 
 
 def _membership_rows_fixed_beta(problem: SynthProblem, beta, w_off, width):
@@ -177,8 +169,7 @@ def p_step(problem: SynthProblem, beta: np.ndarray):
     c = np.zeros(width)
     c[z_off:] = problem.cost_z
     lb = np.full(width, -np.inf)
-    for j in range(lay.n_boxes):
-        lb[lay.x_halfwidth(j)] = 0.0
+    lb[_box_cols(lay)[1]] = 0.0
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
 
     lp = LpProblem(c, a_ub, b_ub, a_eq, problem.h, lb=lb)
@@ -300,12 +291,9 @@ def witness_residual(problem: SynthProblem, witness: dict) -> float:
 
 
 def _jittered_beta(layout: VariableLayout, beta, rng, concentration: float = 50.0):
-    out = np.empty_like(beta)
-    for i in range(layout.n_vertices):
-        for slot in range(layout.n_slots):
-            grp = layout.beta_group(i, slot)
-            out[grp] = rng.dirichlet(concentration * beta[grp] + 1e-3)
-    return out
+    # one draw per group, in group order
+    groups = beta.reshape(-1, layout.n_boxes)
+    return np.concatenate([rng.dirichlet(concentration * g + 1e-3) for g in groups])
 
 
 def refine(

@@ -440,3 +440,62 @@ class TestOptionOverrides:
     def test_options_from_dict_defaults(self):
         opts = Options.from_dict({})
         assert opts.n_boxes == 4 and opts.horizon is None
+
+
+class TestPlotRejects:
+    def test_illustrative_result_with_a_third_box_coordinate_is_2(self, tmp_path, capsys):
+        from distsynth import h_preset
+
+        params = RpiParams(s=60, alpha=6.781843723995092e-4, lam=6.796195472333852e-5, gamma=0.2, mu=1e-3)
+        rng = np.random.default_rng(41)
+        W = BoxHullSet(tuple(Box(rng.uniform(-0.05, 0.05, 3), rng.uniform(0.0, 0.03, 3)) for _ in range(4)))
+        H = h_preset("uniform:6", 2)
+        doc = ResultDoc(params, W, np.full(6, 0.2), 1.2, 59, H, {}, [], 0, "converged")
+        spec_path = write_json(tmp_path / "spec.json", PENTAGON_SPEC)
+        result_path = write_json(tmp_path / "result.json", doc.to_dict())
+        assert main(["plot", spec_path, result_path, "--out", str(tmp_path / "p")]) == 2
+        assert capsys.readouterr().err.startswith("error: boxes of W must have dimension 2")
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("misfit", sorted(MISFITS))
+    def test_result_that_does_not_fit_the_spec_is_2(self, tmp_path, small_spec_doc, small_result_doc, misfit, capsys):
+        bad = json.loads(json.dumps(small_result_doc))
+        MISFITS[misfit](bad)
+        spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+        result_path = write_json(tmp_path / "result.json", bad)
+        assert main(["plot", spec_path, result_path, "--out", str(tmp_path / "p")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestEveryOverrideFlag:
+    def test_each_synth_flag_lands_on_its_option(self, tmp_path):
+        from distsynth.cli import _apply_overrides, _build_parser
+
+        rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+        flags = {
+            "--mu": ("0.02", "mu", 0.02),
+            "--gamma": ("0.5", "gamma", 0.5),
+            "--seed": ("7", "seed", 7),
+            "--s-max": ("321", "s_max", 321),
+            "--N": ("3", "n_boxes", 3),
+            "--l": ("11", "horizon", 11),
+            "--H": (write_json(tmp_path / "rows.json", rows), "H", rows),
+            "--zeta": ("0.003", "zeta", 0.003),
+            "--max-iters": ("17", "max_iters", 17),
+            "--restarts": ("2", "restarts", 2),
+        }
+        assert {attr for _, attr, _ in flags.values()} == set(Options._KEYS.values())
+        argv = ["synth", "spec.json"] + [tok for flag, (val, _, _) in flags.items() for tok in (flag, val)]
+        spec = _apply_overrides(parse_spec(PENTAGON_SPEC), _build_parser().parse_args(argv))
+        for flag, (_, attr, expected) in flags.items():
+            assert getattr(spec.options, attr) == expected, flag
+        for preset in ("box", "uniform:5"):
+            args = _build_parser().parse_args(["synth", "spec.json", "--H", preset])
+            assert _apply_overrides(parse_spec(PENTAGON_SPEC), args).options.H == preset
+
+    def test_params_flags_leave_synth_options_alone(self):
+        from distsynth.cli import _apply_overrides, _build_parser
+
+        args = _build_parser().parse_args(["params", "spec.json", "--mu", "0.02"])
+        opts = _apply_overrides(parse_spec(PENTAGON_SPEC), args).options
+        assert opts == Options.from_dict({**PENTAGON_SPEC["options"], "mu": 0.02})

@@ -398,3 +398,61 @@ class TestAssemble:
             assemble(sys, Y, vertices[:, :1], params, 2, 3, H)
         with pytest.raises(EncodingError):
             assemble(sys, Y, vertices, params, 2, 3, np.ones((4, 3)))
+
+
+@pytest.fixture(scope="module")
+def illustrative_problem(plant, pentagon):
+    params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
+    return assemble(plant, pentagon, vertices_hpoly(pentagon), params, 4, 59, h_preset("uniform:6", 2))
+
+
+BLOCKS = ("a_x", "d_x", "d_wbar", "c_w", "c_z", "e_z", "t_beta")
+
+
+class TestSparseBlocks:
+    @pytest.mark.parametrize("which", ["small", "illustrative"])
+    def test_no_stored_zeros_and_closed_form_nnz(self, which, small_problem, illustrative_problem):
+        problem = small_problem[-1] if which == "small" else illustrative_problem
+        lay = problem.layout
+        for name in BLOCKS:
+            assert np.all(getattr(problem, name).data != 0.0), name
+        groups = lay.n_vertices * lay.n_slots
+        rows = groups * lay.n_boxes * 2 * lay.n_w  # one per (group, box, sign, coordinate)
+        assert problem.d_x.nnz == 2 * rows  # a center and a halfwidth entry
+        assert problem.d_wbar.nnz == rows
+        assert problem.t_beta.nnz == groups * lay.n_boxes
+        assert problem.c_z.nnz == lay.n_vertices * lay.n_y
+
+    def test_membership_rows_hold_exactly_when_every_point_is_in_its_box(self):
+        rng = np.random.default_rng(49)
+        sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
+        lay = small_layout(n_boxes=3, n_vertices=2, horizon=2)
+        _, _, _, d_x, d_wbar, _, _, _ = encode_vertex_reach(
+            rng.uniform(-1, 1, (2, 2)), sys, lay, h_preset("box", 2)
+        )
+        outcomes = set()
+        for _ in range(200):
+            x = np.zeros(lay.dim_x)
+            wbar = np.zeros(lay.dim_wbar)
+            inside = True
+            for j in range(lay.n_boxes):
+                x[lay.x_center(j)] = rng.uniform(-1, 1, lay.n_w)
+                x[lay.x_halfwidth(j)] = rng.uniform(0.1, 1, lay.n_w)
+            for i in range(lay.n_vertices):
+                for slot in range(lay.n_slots):
+                    for j in range(lay.n_boxes):
+                        c, e = x[lay.x_center(j)], x[lay.x_halfwidth(j)]
+                        kind = rng.choice(["in", "upper", "lower", "out"], size=lay.n_w, p=[0.8, 0.07, 0.07, 0.06])
+                        u = rng.uniform(-1, 1, lay.n_w)
+                        point = c + e * u
+                        point[kind == "upper"] = (c + e)[kind == "upper"]
+                        point[kind == "lower"] = (c - e)[kind == "lower"]
+                        out = kind == "out"
+                        side = np.where(u[out] < 0.0, -1.0, 1.0)
+                        point[out] = c[out] + e[out] * side * rng.uniform(1.01, 3.0, out.sum())
+                        inside &= not out.any()
+                        wbar[lay.wbar_slot(i, slot, j)] = point
+            rows_hold = bool(np.all(d_x @ x + d_wbar @ wbar <= 0.0))
+            assert rows_hold == inside
+            outcomes.add(inside)
+        assert outcomes == {True, False}
