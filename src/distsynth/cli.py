@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys as _sys
 import time
 from dataclasses import dataclass, field
@@ -73,13 +74,31 @@ class Options:
         "restarts": "restarts",
     }
 
+    # attribute -> (integer?, least value); a real option must exceed its least
+    # value and be finite, an integer option may equal it; H is ProblemSpec's
+    _RANGES = {
+        "mu": (False, 0), "gamma": (False, 0), "zeta": (False, 0), "n_boxes": (True, 1), "horizon": (True, 1),
+        "max_iters": (True, 1), "seed": (True, 0), "s_max": (True, 1), "restarts": (True, 0),
+    }
+
     @classmethod
     def from_dict(cls, d: dict) -> "Options":
+        """Options from document keys; SpecError on an unknown key or a value of
+        the wrong type or out of range."""
         opts = cls()
         for key, val in d.items():
             if key not in cls._KEYS:
                 raise SpecError(f"unknown option {key!r}")
-            setattr(opts, cls._KEYS[key], val)
+            attr = cls._KEYS[key]
+            if attr in cls._RANGES and not (attr == "horizon" and val is None):
+                integer, least = cls._RANGES[attr]
+                kind = numbers.Integral if integer else numbers.Real
+                if isinstance(val, bool) or not isinstance(val, kind) or not (
+                    val >= least if integer else np.isfinite(val) and val > least
+                ):
+                    want = f"an integer >= {least}" if integer else f"a finite number > {least}"
+                    raise SpecError(f"option {key} must be {want}, not {val!r}")
+            setattr(opts, attr, val)
         return opts
 
     def to_dict(self) -> dict:
@@ -94,9 +113,18 @@ class ProblemSpec:
     options: Options
 
     def resolve_h(self) -> np.ndarray:
-        if isinstance(self.options.H, str):
-            return encoder.h_preset(self.options.H, self.sys.n_y)
-        return np.atleast_2d(np.asarray(self.options.H, dtype=float))
+        """The H option as a matrix; SpecError unless it is a finite one with a
+        column per output."""
+        try:
+            if isinstance(self.options.H, str):
+                H = encoder.h_preset(self.options.H, self.sys.n_y)
+            else:
+                H = np.atleast_2d(np.asarray(self.options.H, dtype=float))
+        except (TypeError, ValueError) as exc:  # EncodingError is a ValueError
+            raise SpecError(f"bad option H: {exc}") from exc
+        if H.ndim != 2 or H.shape[1] != self.sys.n_y or not np.all(np.isfinite(H)):
+            raise SpecError(f"option H must be a finite matrix with {self.sys.n_y} columns, one per output")
+        return H
 
     def resolve_vertices(self) -> np.ndarray:
         if self.vertices is not None:
@@ -119,13 +147,25 @@ class ProblemSpec:
         return doc
 
 
-def _matrix(d: dict, key: str, ctx: str) -> np.ndarray:
+def _matrix(d: dict, key: str, ctx: str, ndmin: int = 2) -> np.ndarray:
     if key not in d:
-        raise SpecError(f"missing {ctx} matrix {key!r}")
+        raise SpecError(f"missing {ctx} entry {key!r}")
     try:
-        return np.atleast_2d(np.asarray(d[key], dtype=float))
+        a = np.array(d[key], dtype=float, ndmin=ndmin)
     except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad {ctx} matrix {key!r}: {exc}") from exc
+        raise SpecError(f"bad {ctx} entry {key!r}: {exc}") from exc
+    if not np.all(np.isfinite(a)):
+        raise SpecError(f"{ctx} entry {key!r} must be finite")
+    return a
+
+
+def _stable_matrix(d: dict, key: str, ctx: str, what: str) -> np.ndarray:
+    A = _matrix(d, key, ctx)
+    if A.shape[0] != A.shape[1]:
+        raise SpecError(f"{what} must be square")
+    if spectral_radius(A) >= 1.0:
+        raise AssumptionError(f"{what} must be strictly stable (spectral radius {spectral_radius(A):.6g})")
+    return A
 
 
 def parse_spec(doc: dict) -> ProblemSpec:
@@ -133,19 +173,15 @@ def parse_spec(doc: dict) -> ProblemSpec:
     if not isinstance(doc, dict) or "system" not in doc or "constraints" not in doc:
         raise SpecError("document needs 'system' and 'constraints' sections")
     sd = doc["system"]
-    A = _matrix(sd, "A", "system")
-    if spectral_radius(A) >= 1.0:
-        raise AssumptionError(
-            f"system matrix A must be strictly stable (spectral radius {spectral_radius(A):.6g})"
-        )
+    A = _stable_matrix(sd, "A", "system", "system matrix A")
     try:
         sys_ = LtiSystem(A, _matrix(sd, "B", "system"), _matrix(sd, "C", "system"), _matrix(sd, "D", "system"))
     except GeometryError as exc:
         raise SpecError(str(exc)) from exc
     cd = doc["constraints"]
     try:
-        Y = HPolytope(_matrix(cd, "G", "constraint"), np.asarray(cd.get("g"), dtype=float))
-    except (GeometryError, TypeError, ValueError) as exc:
+        Y = HPolytope(_matrix(cd, "G", "constraint"), _matrix(cd, "g", "constraint", ndmin=1))
+    except GeometryError as exc:
         raise SpecError(f"bad constraint set: {exc}") from exc
     if Y.dim != sys_.n_y:
         raise SpecError("constraint set dimension does not match the output dimension")
@@ -153,11 +189,12 @@ def parse_spec(doc: dict) -> ProblemSpec:
         raise AssumptionError("constraint offsets must be strictly positive")
     vertices = None
     if "vertices" in cd:
-        vertices = np.atleast_2d(np.asarray(cd["vertices"], dtype=float))
+        vertices = _matrix(cd, "vertices", "constraint")
         if vertices.shape[1] != sys_.n_y:
             raise SpecError("vertex dimension does not match the output dimension")
-    options = Options.from_dict(doc.get("options", {}))
-    return ProblemSpec(sys_, Y, vertices, options)
+    spec = ProblemSpec(sys_, Y, vertices, Options.from_dict(doc.get("options", {})))
+    spec.resolve_h()
+    return spec
 
 
 def _params_dict(params: RpiParams) -> dict:
@@ -327,11 +364,7 @@ def cmd_reduce(doc: dict) -> ProblemSpec:
     sd = doc["system"]
     for key in ("A11", "A12", "A21", "A22", "B1", "C1", "C2"):
         _matrix(sd, key, "partitioned system")
-    A22 = _matrix(sd, "A22", "partitioned system")
-    if spectral_radius(A22) >= 1.0:
-        raise AssumptionError(
-            f"hidden block A22 must be strictly stable (spectral radius {spectral_radius(A22):.6g})"
-        )
+    A22 = _stable_matrix(sd, "A22", "partitioned system", "hidden block A22")
     mapped = {
         "system": {
             "A": A22.tolist(),
@@ -459,14 +492,13 @@ def _load_json(path: str) -> dict:
 
 
 def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
-    """Set the option of every given flag; each flag's dest is its document key."""
-    for key, attr in Options._KEYS.items():
-        val = getattr(args, key, None)
-        if val is None:
-            continue
-        if key == "H" and val != "box" and not val.startswith("uniform:"):
-            val = _load_json(val)  # a path to a JSON row matrix
-        setattr(spec.options, attr, val)
+    """Set the option of every given flag, with parse_spec's checks; each
+    flag's dest is its document key."""
+    given = {key: getattr(args, key) for key in Options._KEYS if getattr(args, key, None) is not None}
+    if "H" in given and given["H"] != "box" and not given["H"].startswith("uniform:"):
+        given["H"] = _load_json(given["H"])  # a path to a JSON row matrix
+    spec.options = Options.from_dict({**spec.options.to_dict(), **given})
+    spec.resolve_h()
     return spec
 
 

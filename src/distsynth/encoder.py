@@ -287,11 +287,14 @@ class SynthProblem:
     bilinear: BilinearMap
 
 
-def dedupe_vertices(vertices: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+_DEDUPE_TOL = 1e-9  # vertices closer than this are one vertex
+
+
+def dedupe_vertices(vertices: np.ndarray) -> np.ndarray:
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     keep: list[np.ndarray] = []
     for v in vertices:
-        if all(np.linalg.norm(v - u) > tol for u in keep):
+        if all(np.linalg.norm(v - u) > _DEDUPE_TOL for u in keep):
             keep.append(v)
     return np.array(keep)
 

@@ -8,7 +8,9 @@ axis-aligned boxes.  Support functions over such hulls have the closed form
 over the member boxes (c_j, e_j), so inclusion certificates never need an
 explicit halfspace description of the hull.  Membership in the hull is an
 exact linear program through the scaled-point (perspective) change of
-variables q_j = beta_j p_j.
+variables q_j = beta_j p_j.  ``perspective_lp`` is the one builder of that
+program: ``contains_point`` calls it with the identity map, and the
+verifier's coverage checks with the reach coefficients of a system.
 """
 
 from __future__ import annotations
@@ -117,9 +119,6 @@ class HPolytope:
     @property
     def n_rows(self) -> int:
         return self.G.shape[0]
-
-    def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.G @ np.asarray(y, dtype=float) <= self.g + tol))
 
 
 @dataclass(frozen=True)
@@ -238,6 +237,54 @@ class Membership:
         return self.inside
 
 
+def perspective_lp(
+    coeff: np.ndarray, vertices: np.ndarray, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs
+) -> LpProblem:
+    """Reach program for every row of ``vertices`` at once, at the cost of the
+    caller's slack columns.
+
+    ``coeff`` stacks one (n_y, n_w) map per slot.  Each vertex copy has the
+    scaled points q (slot, box, component), the box weights beta >= 0
+    (slot, box) and the output deviation b.  Its rows are the reach
+    equalities sum_t coeff_t q_t + b = y, one simplex row sum_j beta_j = 1 per
+    slot, the perspective rows |q_j - beta_j c_j| <= beta_j h_j of box
+    membership, and H b + slack <= h_rhs, where ``slack`` has one row per
+    (vertex, row of H) and its columns are bounded below by ``slack_lb``.
+    """
+    n, n_y = vertices.shape
+    slots = coeff.shape[0]
+    N, n_w = W.n_boxes, W.dim
+    groups = n * slots
+    n_q, n_beta, n_b = groups * N * n_w, groups * N, n * n_y
+    reach = np.broadcast_to(coeff.transpose(1, 0, 2)[:, :, None, :], (n_y, slots, N, n_w)).reshape(n_y, -1)
+    # rows 2m and 2m + 1 of a slot bound its q[j, k] from above and from below
+    rows = np.arange(2 * N * n_w)
+    offsets = np.stack((-(W.centers + W.halfwidths), W.centers - W.halfwidths), axis=-1)
+    weights = sp.coo_matrix((offsets.ravel(), (rows, rows // (2 * n_w))), shape=(rows.size, N))
+    slack = sp.coo_matrix(slack)
+    m = slack.shape[1]
+    # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
+    a_eq = sp.bmat(
+        [
+            [sp.kron(sp.eye(n), reach, "coo"), None, sp.eye(n_b, format="coo"), sp.coo_matrix((n_b, m))],
+            [None, sp.kron(sp.eye(groups), np.ones((1, N)), "coo"), None, None],
+        ],
+        format="csr",
+    )
+    a_ub = sp.bmat(
+        [
+            [sp.kron(sp.eye(n_q), [[1.0], [-1.0]], "coo"), sp.kron(sp.eye(groups), weights, "coo"), None, None],
+            [None, None, sp.kron(sp.eye(n), H, "coo"), slack],
+        ],
+        format="csr",
+    )
+    c = np.concatenate((np.zeros(n_q + n_beta + n_b), np.ones(m)))
+    lb = np.concatenate((np.full(n_q, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
+    b_ub = np.concatenate((np.zeros(2 * n_q), h_rhs))
+    b_eq = np.concatenate((vertices.ravel(), np.ones(groups)))
+    return LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
+
+
 def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
     """Exact hull membership via the perspective LP.
 
@@ -252,45 +299,8 @@ def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
     n, N = W.dim, W.n_boxes
     if w.size != n:
         raise GeometryError("point dimension mismatch")
-    # variables: q (N*n), beta (N), t (1)
-    nv = N * n + N + 1
-    rows, cols, data, b_ub = [], [], [], []
-    r = 0
-    for j in range(N):
-        for k in range(n):
-            # q_jk - beta_j (c_jk + h_jk) <= 0
-            rows += [r, r]
-            cols += [j * n + k, N * n + j]
-            data += [1.0, -(W.centers[j, k] + W.halfwidths[j, k])]
-            b_ub.append(0.0)
-            r += 1
-            # -q_jk + beta_j (c_jk - h_jk) <= 0
-            rows += [r, r]
-            cols += [j * n + k, N * n + j]
-            data += [-1.0, W.centers[j, k] - W.halfwidths[j, k]]
-            b_ub.append(0.0)
-            r += 1
-    for k in range(n):
-        # sum_j q_jk - t <= w_k   and   -sum_j q_jk - t <= -w_k
-        for sgn in (1.0, -1.0):
-            for j in range(N):
-                rows.append(r)
-                cols.append(j * n + k)
-                data.append(sgn)
-            rows.append(r)
-            cols.append(nv - 1)
-            data.append(-1.0)
-            b_ub.append(sgn * w[k])
-            r += 1
-    a_ub = sp.csr_matrix((data, (rows, cols)), shape=(r, nv))
-    a_eq = sp.csr_matrix(
-        ([1.0] * N, ([0] * N, list(range(N * n, N * n + N)))), shape=(1, nv)
-    )
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    lb = np.full(nv, -np.inf)
-    lb[N * n :] = 0.0
-    out = solve_lp(LpProblem(c, a_ub, np.array(b_ub), a_eq, np.array([1.0]), lb=lb))
+    lp = perspective_lp(np.eye(n)[None], w[None], W, stacked_identity(n), -np.ones((2 * n, 1)), 0.0, np.zeros(2 * n))
+    out = solve_lp(lp)
     if not out.optimal:
         raise RuntimeError(f"membership LP failed with status {out.status}")
     residual = float(out.objective)
@@ -364,6 +374,8 @@ def simulate(sys: LtiSystem, W: BoxHullSet, x0, T: int, rng: np.random.Generator
 
 _MAX_ROWS = 30
 _MAX_DIM = 4
+_VERTEX_TOL = 1e-9  # slack a candidate intersection may have on G y <= g
+_VERTEX_MERGE_TOL = 1e-7  # candidates closer than this are one vertex
 
 
 def _extent_lp(P: HPolytope, direction: np.ndarray) -> None:
@@ -377,14 +389,14 @@ def _extent_lp(P: HPolytope, direction: np.ndarray) -> None:
         raise RuntimeError(f"extent LP failed with status {out.status}")
 
 
-def vertices_hpoly(P: HPolytope, tol: float = 1e-9, dedup_tol: float | None = None) -> np.ndarray:
+def vertices_hpoly(P: HPolytope) -> np.ndarray:
     """Enumerate vertices of a bounded polytope by row-subset intersection.
 
     Practical for small descriptions only (up to 30 rows in dimension 4);
     larger instances should supply their vertex lists directly.  Candidate
-    intersections are kept when they satisfy G y <= g + tol, and merged when
-    closer than dedup_tol (default max(10 tol, 1e-7)).  Rows are returned in
-    lexicographic order.
+    intersections are kept when they satisfy G y <= g + _VERTEX_TOL, and merged
+    when closer than _VERTEX_MERGE_TOL.  Rows are returned in lexicographic
+    order.
     """
     m, n = P.G.shape
     if m > _MAX_ROWS or n > _MAX_DIM:
@@ -393,8 +405,6 @@ def vertices_hpoly(P: HPolytope, tol: float = 1e-9, dedup_tol: float | None = No
         )
     if m < n + 1:
         raise GeometryError("a bounded nonempty polytope needs at least n+1 rows")
-    if dedup_tol is None:
-        dedup_tol = max(10.0 * tol, 1e-7)
     for k in range(n):
         e = np.zeros(n)
         e[k] = 1.0
@@ -406,8 +416,8 @@ def vertices_hpoly(P: HPolytope, tol: float = 1e-9, dedup_tol: float | None = No
         if np.linalg.matrix_rank(sub, tol=1e-10) < n:
             continue
         y = np.linalg.solve(sub, P.g[list(idx)])
-        if np.all(P.G @ y <= P.g + tol):
-            if all(np.linalg.norm(y - v) > dedup_tol for v in found):
+        if np.all(P.G @ y <= P.g + _VERTEX_TOL):
+            if all(np.linalg.norm(y - v) > _VERTEX_MERGE_TOL for v in found):
                 found.append(y)
     if not found:
         raise GeometryError("no vertices found; polytope may be empty or degenerate")

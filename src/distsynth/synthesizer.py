@@ -10,13 +10,12 @@ all weights tie and the spread weights (vertex i on box i mod N) are
 returned in place of the solver's pick.  Each step's optimum is feasible for
 the next, so the objective is nonincreasing and the loop terminates for any
 positive tolerance.  A multi-start refinement around the incumbent weights
-replaces nonlinear polishing; a restart whose LP fails is dropped.
+replaces nonlinear polishing; its restarts run one after another on the
+calling thread, and a restart whose LP fails is dropped.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,24 +237,19 @@ def alternate(
     """Alternate the two LPs until the objective improves by less than zeta."""
     if zeta <= 0:
         raise ValueError("zeta must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     beta = np.asarray(beta0, dtype=float)
     history: list[float] = []
     prev_obj = None
     termination = "max-iterations"
-    iterations = 0
-    current = None
     for it in range(1, max_iters + 1):
-        iterations = it
         try:
             x, w_p, wbar, z_p, p_obj = p_step(problem, beta)
-        except SynthesisError as exc:
-            raise SynthesisError(f"iteration {it}: {exc}", exc.lp) from exc
-        history.append(p_obj)
-        try:
             w, z, beta_new, q_obj = q_step(problem, wbar)
         except SynthesisError as exc:
             raise SynthesisError(f"iteration {it}: {exc}", exc.lp) from exc
-        history.append(q_obj)
+        history += [p_obj, q_obj]
         current = (x, w, wbar, beta_new, z, q_obj)
         if prev_obj is not None and q_obj >= prev_obj - zeta:
             termination = "converged"
@@ -269,7 +263,7 @@ def alternate(
         objective=obj,
         history=history,
         termination=termination,
-        iterations=iterations,
+        iterations=it,
         witness={"x": x, "w": w, "wbar": wbar, "beta": beta_fin, "z": z},
     )
 
@@ -290,10 +284,13 @@ def witness_residual(problem: SynthProblem, witness: dict) -> float:
     return worst
 
 
-def _jittered_beta(layout: VariableLayout, beta, rng, concentration: float = 50.0):
+_JITTER_CONCENTRATION = 50.0  # Dirichlet concentration of restart weights around the incumbent
+
+
+def _jittered_beta(layout: VariableLayout, beta, rng):
     # one draw per group, in group order
     groups = beta.reshape(-1, layout.n_boxes)
-    return np.concatenate([rng.dirichlet(concentration * g + 1e-3) for g in groups])
+    return np.concatenate([rng.dirichlet(_JITTER_CONCENTRATION * g + 1e-3) for g in groups])
 
 
 def refine(
@@ -306,32 +303,19 @@ def refine(
 ) -> SynthResult:
     """Multi-start alternation from weight jitter; never worse than the input.
 
-    A restart whose LP fails is dropped and the best of the rest is kept.
-    Restart weights are drawn up front from independent spawned streams, so
-    the outcome does not depend on the worker-thread count
-    (``DISTSYNTH_THREADS``, default 1).
+    Every restart's weights are drawn up front, one independent spawned
+    stream each; the restarts then run in order on the calling thread.  A
+    restart whose LP fails is dropped and the best of the rest is kept.
     """
     if restarts <= 0:
         return result
-    streams = rng.spawn(restarts)
-    starts = [
-        _jittered_beta(problem.layout, result.witness["beta"], stream) for stream in streams
-    ]
-    workers = int(os.environ.get("DISTSYNTH_THREADS", "1") or "1")
-
-    def run(beta0):
-        try:
-            return alternate(problem, beta0, zeta=zeta, max_iters=max_iters)
-        except SynthesisError:
-            return None
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            candidates = list(pool.map(run, starts))
-    else:
-        candidates = [run(b0) for b0 in starts]
+    starts = [_jittered_beta(problem.layout, result.witness["beta"], stream) for stream in rng.spawn(restarts)]
     best = result
-    for cand in candidates:
-        if cand is not None and cand.objective < best.objective:
+    for beta0 in starts:
+        try:
+            cand = alternate(problem, beta0, zeta=zeta, max_iters=max_iters)
+        except SynthesisError:
+            continue
+        if cand.objective < best.objective:
             best = cand
     return best

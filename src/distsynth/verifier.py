@@ -3,9 +3,10 @@
 Checks are closed-form support-function evaluations wherever possible.
 Coverage is checked one vertex of Y at a time by a linear program that
 encodes membership in the fixed hull of boxes through the scaled-point
-change of variables, a route disjoint from the synthesizer's bilinear
-encoding (the reach coefficients are formed here, not taken from the
-encoder, so a fault there cannot certify itself).  Passing vertex checks
+change of variables (``setgeom.perspective_lp``, the builder
+``contains_point`` uses too), a route disjoint from the synthesizer's
+bilinear encoding (the reach coefficients are formed here, not taken from
+the encoder, so a fault there cannot certify itself).  Passing vertex checks
 bound the exact coverage distance by sum(epsilon), and the objective-bound
 check carries that bound to the stored objective.  ``certify`` runs every
 check; ``distance_dY`` solves the joint program for the exact distance.
@@ -25,12 +26,20 @@ from .setgeom import (
     GeometryError,
     HPolytope,
     LtiSystem,
+    perspective_lp,
     rollout,
     sample_batch,
     simulate,  # noqa: F401  kept in this namespace; callers look it up as verifier.simulate
     stacked_identity,
     support_rows,
 )
+
+
+# a scalar parameter inequality passes within PARAM_TOL; every other check
+# (support slacks, vertex inflation, objective bound, Monte-Carlo excess)
+# within CHECK_TOL
+PARAM_TOL = 1e-9
+CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,7 +89,7 @@ def _horizon_constants(sys: LtiSystem, Y: HPolytope, s: int) -> RpiConstants:
     return RpiConstants(s=s, L_s=L, theta_s=theta, M_s=M, zeta_s=zeta)
 
 
-def verify_params(sys: LtiSystem, Y: HPolytope, params: RpiParams, tol: float = 1e-9) -> Certificate:
+def verify_params(sys: LtiSystem, Y: HPolytope, params: RpiParams) -> Certificate:
     """Re-derive the horizon constants and check the three scalar inequalities."""
     consts = _horizon_constants(sys, Y, params.s)
     a, lam, g, mu = params.alpha, params.lam, params.gamma, params.mu
@@ -89,19 +98,19 @@ def verify_params(sys: LtiSystem, Y: HPolytope, params: RpiParams, tol: float = 
         CheckResult("lambda-range", 0.0 <= lam <= 1.0, min(lam, 1.0 - lam)),
         CheckResult(
             "constraint-margin",
-            bool((1.0 - a) * consts.theta_s - lam >= -tol),
+            bool((1.0 - a) * consts.theta_s - lam >= -PARAM_TOL),
             float((1.0 - a) * consts.theta_s - lam),
             f"s={params.s}",
         ),
         CheckResult(
             "contraction",
-            bool(a * lam - (g + lam) * consts.zeta_s >= -tol),
+            bool(a * lam - (g + lam) * consts.zeta_s >= -PARAM_TOL),
             float(a * lam - (g + lam) * consts.zeta_s),
             f"zeta={consts.zeta_s:.3e}",
         ),
         CheckResult(
             "approximation-error",
-            bool((1.0 - a) * mu - (a * g + lam) * consts.M_s >= -tol),
+            bool((1.0 - a) * mu - (a * g + lam) * consts.M_s >= -PARAM_TOL),
             float((1.0 - a) * mu - (a * g + lam) * consts.M_s),
             f"M={consts.M_s:.6g}",
         ),
@@ -109,9 +118,7 @@ def verify_params(sys: LtiSystem, Y: HPolytope, params: RpiParams, tol: float = 
     return Certificate(checks)
 
 
-def verify_output_inclusion(
-    sys: LtiSystem, Y: HPolytope, params: RpiParams, W: BoxHullSet, tol: float = 1e-8
-) -> Certificate:
+def verify_output_inclusion(sys: LtiSystem, Y: HPolytope, params: RpiParams, W: BoxHullSet) -> Certificate:
     """Row-wise support check that the reachable-output bound stays in Y."""
     scale = 1.0 / (1.0 - params.alpha)
     lhs = np.zeros(Y.n_rows)
@@ -124,72 +131,25 @@ def verify_output_inclusion(
     lhs += support_rows(sys.D, Y.G, W)
     slack = Y.g - params.lam * tail - lhs
     i = int(np.argmin(slack))
-    check = CheckResult("output-inclusion", bool(slack[i] >= -tol), float(slack[i]), f"row {i}")
+    check = CheckResult("output-inclusion", bool(slack[i] >= -CHECK_TOL), float(slack[i]), f"row {i}")
     return Certificate((check,))
 
 
-def verify_gamma(sys: LtiSystem, W: BoxHullSet, gamma: float, tol: float = 1e-8) -> Certificate:
+def verify_gamma(sys: LtiSystem, W: BoxHullSet, gamma: float) -> Certificate:
     """Support check that B W fits in the gamma cube."""
     vals = support_rows(sys.B, stacked_identity(sys.n_x), W)
     slack = gamma - vals
     i = int(np.argmin(slack))
-    check = CheckResult("input-bound", bool(slack[i] >= -tol), float(slack[i]), f"row {i}")
+    check = CheckResult("input-bound", bool(slack[i] >= -CHECK_TOL), float(slack[i]), f"row {i}")
     return Certificate((check,))
 
 
-def _reach_coefficients(sys: LtiSystem, horizon: int) -> list[np.ndarray]:
+def _reach_coefficients(sys: LtiSystem, horizon: int) -> np.ndarray:
+    """(horizon + 1, n_y, n_w) maps of the slots: C A^(horizon-1-t) B, then D."""
     powers = [np.eye(sys.n_x)]
     for _ in range(horizon - 1):
         powers.append(powers[-1] @ sys.A)
-    return [sys.C @ powers[horizon - 1 - t] @ sys.B for t in range(horizon)] + [sys.D]
-
-
-def _coverage_lp(
-    sys: LtiSystem, vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray, slack, slack_lb, h_rhs
-) -> LpProblem:
-    """Coverage program for every row of ``vertices`` at once, at the cost of
-    the caller's slack columns.
-
-    Each vertex copy has the scaled points q (slot, box, component), the box
-    weights beta >= 0 (slot, box) and the output deviation b.  Its rows are
-    the reach equalities sum_t coeff_t q_t + b = y, one simplex row
-    sum_j beta_j = 1 per slot, the perspective rows
-    |q_j - beta_j c_j| <= beta_j h_j of box membership, and H b + slack <= h_rhs,
-    where ``slack`` has one row per (vertex, row of H) and its columns are
-    bounded below by ``slack_lb``.
-    """
-    n, n_y = vertices.shape
-    N, n_w = W.n_boxes, W.dim
-    groups = n * (horizon + 1)
-    n_q, n_beta, n_b = groups * N * n_w, groups * N, n * n_y
-    coeff = np.stack(_reach_coefficients(sys, horizon)).transpose(1, 0, 2)
-    reach = np.broadcast_to(coeff[:, :, None, :], (n_y, horizon + 1, N, n_w)).reshape(n_y, -1)
-    # rows 2m and 2m + 1 of a slot bound its q[j, k] from above and from below
-    rows = np.arange(2 * N * n_w)
-    offsets = np.stack((-(W.centers + W.halfwidths), W.centers - W.halfwidths), axis=-1)
-    weights = sp.coo_matrix((offsets.ravel(), (rows, rows // (2 * n_w))), shape=(rows.size, N))
-    slack = sp.coo_matrix(slack)
-    m = slack.shape[1]
-    # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
-    a_eq = sp.bmat(
-        [
-            [sp.kron(sp.eye(n), reach, "coo"), None, sp.eye(n_b, format="coo"), sp.coo_matrix((n_b, m))],
-            [None, sp.kron(sp.eye(groups), np.ones((1, N)), "coo"), None, None],
-        ],
-        format="csr",
-    )
-    a_ub = sp.bmat(
-        [
-            [sp.kron(sp.eye(n_q), [[1.0], [-1.0]], "coo"), sp.kron(sp.eye(groups), weights, "coo"), None, None],
-            [None, None, sp.kron(sp.eye(n), H, "coo"), slack],
-        ],
-        format="csr",
-    )
-    c = np.concatenate((np.zeros(n_q + n_beta + n_b), np.ones(m)))
-    lb = np.concatenate((np.full(n_q, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
-    b_ub = np.concatenate((np.zeros(2 * n_q), h_rhs))
-    b_eq = np.concatenate((vertices.ravel(), np.ones(groups)))
-    return LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
+    return np.stack([sys.C @ powers[horizon - 1 - t] @ sys.B for t in range(horizon)] + [sys.D])
 
 
 def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray):
@@ -204,7 +164,8 @@ def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: 
     H = np.atleast_2d(np.asarray(H, dtype=float))
     n_b = H.shape[0]
     slack = -sp.kron(np.ones((len(vertices), 1)), sp.eye(n_b), "coo")
-    out = solve_lp(_coverage_lp(sys, vertices, W, horizon, H, slack, 0.0, np.zeros(slack.shape[0])))
+    coeff = _reach_coefficients(sys, horizon)
+    out = solve_lp(perspective_lp(coeff, vertices, W, H, slack, 0.0, np.zeros(slack.shape[0])))
     if not out.optimal:
         raise RuntimeError(f"coverage LP ended with status {out.status}")
     return out.x[-n_b:].copy(), float(out.objective)
@@ -217,19 +178,19 @@ def verify_coverage(
     horizon: int,
     H: np.ndarray,
     epsilon: np.ndarray,
-    tol: float = 1e-8,
 ) -> Certificate:
     """Per-vertex reachability within the claimed deviation widths.
 
     For each vertex the LP minimizes the uniform inflation t needed on top
-    of the claimed widths; the vertex passes when t <= tol and the margin
+    of the claimed widths; the vertex passes when t <= CHECK_TOL and the margin
     reported is -t.  The vertex LPs differ only in the right-hand side of
     the output rows, so the program is built once and each vertex's solve
     starts from the previous vertex's optimal basis.
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    lp = _coverage_lp(sys, vertices[:1], W, horizon, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon)
+    coeff = _reach_coefficients(sys, horizon)
+    lp = perspective_lp(coeff, vertices[:1], W, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon)
     checks = []
     basis = None
     for i, y in enumerate(vertices):
@@ -238,7 +199,7 @@ def verify_coverage(
             raise RuntimeError(f"vertex {i} coverage LP ended with status {out.status}")
         basis = out.basis
         t_star = float(out.objective)
-        checks.append(CheckResult(f"vertex-{i}", t_star <= tol, -t_star, f"vertex {i}"))
+        checks.append(CheckResult(f"vertex-{i}", t_star <= CHECK_TOL, -t_star, f"vertex {i}"))
     return Certificate(tuple(checks))
 
 
@@ -260,7 +221,7 @@ def certify(
         + verify_coverage(sys, vertices, W, horizon, H, epsilon).checks
     )
     margin = float(objective - np.sum(epsilon))
-    return Certificate(checks + (CheckResult("objective-bound", margin >= -1e-8, margin),))
+    return Certificate(checks + (CheckResult("objective-bound", margin >= -CHECK_TOL, margin),))
 
 
 @dataclass(frozen=True)
@@ -281,7 +242,6 @@ def monte_carlo(
     T: int,
     runs: int,
     rng: np.random.Generator,
-    tol: float = 1e-8,
 ) -> MonteCarloReport:
     """Count constraint violations along simulated trajectories from the origin.
 
@@ -300,5 +260,5 @@ def monte_carlo(
     for _, y in rollout(sys, np.zeros((runs, sys.n_x)), w_seq):
         excess = (y @ Y.G.T - Y.g).max(axis=1)
         worst = max(worst, float(excess.max()))
-        violations += int(np.count_nonzero(excess > tol))
+        violations += int(np.count_nonzero(excess > CHECK_TOL))
     return MonteCarloReport(violations, max(0.0, worst), T * runs)

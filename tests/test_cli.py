@@ -123,6 +123,46 @@ class TestParseSpec:
             parse_spec(doc)
 
 
+def _set_option(key, val):
+    return lambda d: d["options"].update({key: val})
+
+
+# one malformed field each; every edit of PENTAGON_SPEC must exit 2 before any LP runs
+MALFORMED = {
+    "A-not-square": lambda d: d["system"].update(A=d["system"]["A"][:2]),
+    "A-nan": lambda d: d["system"]["A"][0].__setitem__(0, float("nan")),
+    "g-nan": lambda d: d["constraints"]["g"].__setitem__(0, float("nan")),
+    "ragged-vertices": lambda d: d["constraints"].update(vertices=[[0.0, 0.0], [0.1]]),
+    "N-zero": _set_option("N", 0),
+    "l-zero": _set_option("l", 0),
+    "H-unknown-preset": _set_option("H", "hexagon"),
+    "H-three-columns": _set_option("H", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]),
+    "N-string": _set_option("N", "four"),
+    "seed-string": _set_option("seed", "x"),
+    "mu-negative": _set_option("mu", -1),
+    "gamma-zero": _set_option("gamma", 0),
+    "zeta-zero": _set_option("zeta", 0),
+    "s_max-zero": _set_option("s_max", 0),
+    "max_iters-zero": _set_option("max_iters", 0),
+    "restarts-negative": _set_option("restarts", -1),
+}
+
+
+class TestMalformedSpec:
+    @pytest.mark.parametrize("field", sorted(MALFORMED))
+    def test_synth_exits_2(self, tmp_path, field, capsys):
+        doc = json.loads(json.dumps(PENTAGON_SPEC))
+        MALFORMED[field](doc)
+        assert main(["synth", write_json(tmp_path / "spec.json", doc), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "result.json").exists()
+
+    def test_malformed_flag_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "spec.json", PENTAGON_SPEC)
+        assert main(["synth", path, "--restarts", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: option restarts must be an integer >= 0")
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.json"

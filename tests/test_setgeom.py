@@ -122,6 +122,17 @@ class TestContainsPoint:
             rebuilt = res.weights @ res.points
             assert np.linalg.norm(rebuilt - w, np.inf) <= 1e-8
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_residual_is_the_distance_to_a_single_box(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            c, h = rng.normal(size=dim), rng.uniform(0.0, 1.0, dim)
+            w = c + rng.normal(scale=1.5, size=dim)
+            res = contains_point(BoxHullSet((Box(c, h),)), w)
+            expected = max(0.0, float(np.max(np.abs(w - c) - h)))
+            assert res.residual == pytest.approx(expected, abs=1e-12)
+            assert res.inside == (expected <= 1e-9)
+
     def test_rejects_nonpositive_tol(self):
         W = BoxHullSet((Box([0.0], [1.0]),))
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -350,6 +352,23 @@ class TestAlternate:
         np.testing.assert_allclose(from_uniform.history[2:], from_spread.history, atol=1e-9)
         np.testing.assert_array_equal(from_uniform.witness["beta"], from_spread.witness["beta"])
 
+    def test_rejects_an_empty_iteration_budget(self, small_setup):
+        problem = small_setup[4]
+        with pytest.raises(ValueError, match="max_iters"):
+            alternate(problem, uniform_beta(problem.layout), max_iters=0)
+
+    def test_failing_q_step_names_its_iteration_and_keeps_the_lp(self, small_setup, monkeypatch):
+        problem = small_setup[4]
+        lp = LpProblem(np.zeros(1))
+
+        def failing(problem, wbar):
+            raise SynthesisError("reweighting LP ended with status failed", lp)
+
+        monkeypatch.setattr(synthesizer, "q_step", failing)
+        with pytest.raises(SynthesisError, match="^iteration 1: reweighting LP") as info:
+            alternate(problem, uniform_beta(problem.layout))
+        assert info.value.lp is lp
+
     def test_extracted_boxes_match_witness(self, small_setup):
         _, _, _, _, problem = small_setup
         res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=20)
@@ -429,8 +448,7 @@ class TestRefine:
         assert out1.objective <= res.objective
         assert out1.objective == out2.objective
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_failing_restart_is_dropped(self, small_setup, monkeypatch, threads):
+    def test_failing_restart_is_dropped(self, small_setup, monkeypatch):
         problem = small_setup[4]
         res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
         # the restart weights refine draws, and each restart's own result
@@ -448,10 +466,30 @@ class TestRefine:
             return real(problem, beta0, **kwargs)
 
         monkeypatch.setattr(synthesizer, "alternate", alternate_failing_one)
-        monkeypatch.setenv("DISTSYNTH_THREADS", threads)
         out = refine(problem, res, 3, np.random.default_rng(7))
         rest = [e for k, e in enumerate(ends) if k != failing]
         assert out.objective == min([res.objective, *rest])
+
+    def test_restarts_run_in_order_on_the_calling_thread(self, small_setup, monkeypatch):
+        problem = small_setup[4]
+        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        starts = [
+            _jittered_beta(problem.layout, res.witness["beta"], stream)
+            for stream in np.random.default_rng(7).spawn(3)
+        ]
+        seen = []
+        real = synthesizer.alternate
+
+        def recording(problem, beta0, **kwargs):
+            seen.append((threading.get_ident(), beta0))
+            return real(problem, beta0, **kwargs)
+
+        monkeypatch.setattr(synthesizer, "alternate", recording)
+        # a worker count in the environment does not start a pool
+        monkeypatch.setenv("DISTSYNTH_THREADS", "2")
+        refine(problem, res, 3, np.random.default_rng(7))
+        assert [ident for ident, _ in seen] == [threading.get_ident()] * 3
+        assert all(np.array_equal(b0, start) for (_, b0), start in zip(seen, starts))
 
     def test_all_restarts_failing_keeps_the_incumbent(self, small_setup, monkeypatch):
         problem = small_setup[4]
