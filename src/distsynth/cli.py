@@ -214,6 +214,7 @@ class ResultDoc:
     iterations: int
     termination: str
     timing: dict = field(default_factory=dict)
+    p_nit: list = field(default_factory=list)  # simplex iterations per P-step
 
     def to_dict(self) -> dict:
         return {
@@ -230,6 +231,7 @@ class ResultDoc:
             "H": self.H.tolist(),
             "certificates": self.certificates,
             "history": list(self.history),
+            "p_nit": list(self.p_nit),
             "iterations": self.iterations,
             "termination": self.termination,
             "timing": self.timing,
@@ -262,6 +264,7 @@ class ResultDoc:
                 iterations=int(doc.get("iterations", 0)),
                 termination=str(doc.get("termination", "")),
                 timing=dict(doc.get("timing", {})),
+                p_nit=[int(n) for n in doc.get("p_nit", [])],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad result document: {exc}") from exc
@@ -329,6 +332,7 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
         iterations=result.iterations,
         termination=result.termination,
         timing={"params_s": t_params, "synth_s": t_synth, "verify_s": t_verify},
+        p_nit=result.p_nit,
     )
 
 

@@ -6,15 +6,19 @@ bundles, with the options ``scipy.optimize.linprog(method="highs")`` would
 pass, so a cold solve returns what ``linprog`` returns, bit for bit, without
 its front end.  HiGHS is deterministic for a fixed input; outcomes carry the
 status, primal solution, scaled feasibility residual, a dual objective for
-weak-duality checks and the final basis, from which a related program (same
-matrix, other bounds) can start.  A line-oriented textual dump (LP
-interchange format) is provided for cross-checking individual programs with
-external tools.
+weak-duality checks, the simplex iteration count and the final basis, from
+which a program of the same shape (same numbers of rows and columns, other
+coefficients or bounds) can start.  A warm answer must meet the residual
+contract; one that ends optimal but misses it is solved once more from its
+own final basis in a fresh instance, and only when that answer misses it too
+is the program solved cold.  A line-oriented textual dump (LP interchange
+format) is provided for cross-checking individual programs with external
+tools.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +59,10 @@ _OPTIONS = {
     "primal_feasibility_tolerance": PRIMAL_TOL,
     "dual_feasibility_tolerance": 1e-9,
 }
+# dual pricing that starts from unit edge weights; steepest edge (HiGHS's
+# choice otherwise) computes exact weights for a given basis, which can cost
+# more than the few iterations a warm start then needs
+_DEVEX = _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
 
 
 @dataclass(frozen=True)
@@ -114,8 +122,10 @@ class LpOutcome:
     eq_marginals: np.ndarray | None
     message: str = ""
     # HiGHS's final basis; pass it as ``solve_lp(..., basis=)`` to start a
-    # program with the same matrix from it
+    # program of the same shape from it
     basis: _highs.HighsBasis | None = None
+    # simplex iterations of every HiGHS run that led to this outcome
+    nit: int = 0
 
     @property
     def optimal(self) -> bool:
@@ -165,12 +175,16 @@ def _highs_lp(p: LpProblem) -> _highs.HighsLp:
     return lp
 
 
-def _run(lp: _highs.HighsLp, presolve: bool, basis: _highs.HighsBasis | None = None) -> _highs._Highs | None:
+def _run(
+    lp: _highs.HighsLp, presolve: bool, basis: _highs.HighsBasis | None = None, devex: bool = False
+) -> _highs._Highs | None:
     """One HiGHS solve; None when the basis does not fit the program."""
     highs = _highs._Highs()
     for key, value in _OPTIONS.items():
         highs.setOptionValue(key, value)
     highs.setOptionValue("presolve", "on" if presolve else "off")
+    if devex:
+        highs.setOptionValue("simplex_dual_edge_weight_strategy", _DEVEX)
     highs.passModel(lp)
     if basis is not None and highs.setBasis(basis) != _highs.HighsStatus.kOk:
         return None
@@ -196,13 +210,15 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     model_status = highs.getModelStatus()
     status = _STATUS_MAP.get(model_status, FAILED)
     message = highs.modelStatusToString(model_status)
+    nit = int(highs.getInfo().simplex_iteration_count)
     if status != OPTIMAL:
-        return LpOutcome(status, None, None, None, None, None, None, message)
+        return LpOutcome(status, None, None, None, None, None, None, message, nit=nit)
     sol = highs.getSolution()
     x = np.array(sol.col_value)
     objective = float(highs.getInfo().objective_function_value)
     if not _linprog_accepts(p, x, np.array(sol.row_value), objective):
-        return LpOutcome(FAILED, None, None, None, None, None, None, "optimal answer violates the constraints")
+        message = "optimal answer violates the constraints"
+        return LpOutcome(FAILED, None, None, None, None, None, None, message, nit=nit)
     # bound marginals are the column duals of columns nonbasic at that bound
     basis = highs.getBasis()
     col_status = np.fromiter(map(int, basis.col_status), np.int8, p.n_vars)
@@ -229,31 +245,46 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
         eq_marginals=None if p.a_eq is None else eq,
         message=message,
         basis=basis,
+        nit=nit,
     )
 
 
-def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None) -> LpOutcome:
+def _solve(p: LpProblem, lp: _highs.HighsLp, presolve: bool, basis=None, devex=False) -> LpOutcome:
+    """One HiGHS run read into an outcome; the instance is freed on return."""
+    highs = _run(lp, presolve, basis, devex)
+    if highs is None:
+        return LpOutcome(FAILED, None, None, None, None, None, None, "basis does not fit the program")
+    return _outcome(p, highs)
+
+
+def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None, devex: bool = False) -> LpOutcome:
     """Solve an LP; all failure modes are reported via the status field.
 
     A cold solve runs HiGHS with presolve and, on a failure, once more
     without; the retry is triggered by the first result alone, so outcomes
     stay deterministic.  With ``basis`` (an earlier outcome's, for a program
-    with the same matrix) HiGHS starts from it; a warm solve that does not end
-    optimal with a scaled residual of at most ``RESIDUAL_TOL`` is discarded
+    of the same shape) HiGHS starts from it without presolve, pricing with
+    Devex when ``devex`` is set.  A warm answer that ends optimal with a
+    scaled residual above ``RESIDUAL_TOL`` is solved once more from its own
+    final basis in a fresh instance (no presolve, usually no pivot); if that
+    answer, or the first warm one, still misses the contract, it is discarded
     and the program solved cold, so a warm start never returns an answer the
-    cold solve would not meet.
+    cold solve would not meet.  ``nit`` counts the iterations of every run.
     """
     lp = _highs_lp(problem)
+    spent = 0
     if basis is not None:
-        highs = _run(lp, presolve=False, basis=basis)
-        if highs is not None:
-            out = _outcome(problem, highs)
-            if out.optimal and out.residual <= RESIDUAL_TOL:
-                return out
-    out = _outcome(problem, _run(lp, presolve=True))
+        out = _solve(problem, lp, False, basis, devex)
+        if out.optimal and out.residual > RESIDUAL_TOL:
+            spent, out = out.nit, _solve(problem, lp, False, out.basis, devex)
+        if out.optimal and out.residual <= RESIDUAL_TOL:
+            return replace(out, nit=spent + out.nit)
+        spent += out.nit
+    out = _solve(problem, lp, True)
     if out.status == FAILED:
-        out = _outcome(problem, _run(lp, presolve=False))
-    return out
+        spent += out.nit
+        out = _solve(problem, lp, False)
+    return replace(out, nit=spent + out.nit)
 
 
 def _term(coef: float, j: int) -> str:

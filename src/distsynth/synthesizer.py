@@ -9,9 +9,11 @@ fixes those points and reweights them; when every group's points coincide,
 all weights tie and the spread weights (vertex i on box i mod N) are
 returned in place of the solver's pick.  Each step's optimum is feasible for
 the next, so the objective is nonincreasing and the loop terminates for any
-positive tolerance.  A multi-start refinement around the incumbent weights
-replaces nonlinear polishing; its restarts run one after another on the
-calling thread, and a restart whose LP fails is dropped.
+positive tolerance.  The P-steps of one run share their shape, so each after
+the first starts from the previous one's final basis.  A multi-start
+refinement around the incumbent weights replaces nonlinear polishing; its
+restarts run one after another on the calling thread, and a restart whose LP
+fails is dropped.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class SynthResult:
     termination: str
     iterations: int
     witness: dict
+    p_nit: list[int]  # simplex iterations of each P-step
 
 
 def uniform_beta(layout: VariableLayout) -> np.ndarray:
@@ -139,11 +142,14 @@ def _closed_form_wbar(problem: SynthProblem, x, w, beta) -> np.ndarray:
     return wbar
 
 
-def p_step(problem: SynthProblem, beta: np.ndarray):
+def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     """Fix the weights; solve for boxes, budgets, driving points and slacks.
 
-    The group points are recovered in closed form from the optimum.
-    Returns (x, w, wbar, z, objective).
+    The group points are recovered in closed form from the optimum.  With
+    ``basis`` (an earlier P-step's, whose program differs only in the weight
+    coefficients) the solve starts from it, pricing with Devex.
+    Returns (x, w, wbar, z, objective, outcome); the LP outcome carries the
+    basis for the next P-step and the iteration count.
     """
     lay = problem.layout
     nx, nw, nz = lay.dim_x, lay.dim_w, lay.dim_z
@@ -172,12 +178,12 @@ def p_step(problem: SynthProblem, beta: np.ndarray):
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
 
     lp = LpProblem(c, a_ub, b_ub, a_eq, problem.h, lb=lb)
-    out = solve_lp(lp)
+    out = solve_lp(lp, basis=basis, devex=True)
     if not out.optimal:
         raise SynthesisError(f"box-fitting LP ended with status {out.status}", lp)
     sol = out.x
     x, w = sol[:nx], sol[w_off:z_off]
-    return x, w, _closed_form_wbar(problem, x, w, beta), sol[z_off:], float(out.objective)
+    return x, w, _closed_form_wbar(problem, x, w, beta), sol[z_off:], float(out.objective), out
 
 
 def q_step(problem: SynthProblem, wbar: np.ndarray):
@@ -234,28 +240,39 @@ def alternate(
     zeta: float = 1e-4,
     max_iters: int = 100,
 ) -> SynthResult:
-    """Alternate the two LPs until the objective improves by less than zeta."""
+    """Alternate the two LPs until the objective improves by less than zeta.
+
+    The P-steps of one run differ only in their weight coefficients, so each
+    starts from the previous one's final basis.  The first is solved cold, and
+    so is a later one at the spread weights, which a Q-step tie-break returns:
+    the run then continues as a fresh one started from them would.
+    """
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     beta = np.asarray(beta0, dtype=float)
+    spread = spread_beta(problem.layout)
     history: list[float] = []
+    p_nit: list[int] = []
+    basis = None
     prev_obj = None
     termination = "max-iterations"
     for it in range(1, max_iters + 1):
         try:
-            x, w_p, wbar, z_p, p_obj = p_step(problem, beta)
+            x, w_p, wbar, z_p, p_obj, p_out = p_step(problem, beta, basis)
             w, z, beta_new, q_obj = q_step(problem, wbar)
         except SynthesisError as exc:
             raise SynthesisError(f"iteration {it}: {exc}", exc.lp) from exc
         history += [p_obj, q_obj]
+        p_nit.append(p_out.nit)
         current = (x, w, wbar, beta_new, z, q_obj)
         if prev_obj is not None and q_obj >= prev_obj - zeta:
             termination = "converged"
             break
         prev_obj = q_obj
         beta = beta_new
+        basis = None if np.array_equal(beta, spread) else p_out.basis
     x, w, wbar, beta_fin, z, obj = current
     return SynthResult(
         W=boxes_from_x(problem, x),
@@ -265,6 +282,7 @@ def alternate(
         termination=termination,
         iterations=it,
         witness={"x": x, "w": w, "wbar": wbar, "beta": beta_fin, "z": z},
+        p_nit=p_nit,
     )
 
 

@@ -191,7 +191,7 @@ class TestExitCodes:
         from distsynth import synthesizer
         from distsynth.lp_solver import FAILED, LpOutcome
 
-        def failing(lp, basis=None):
+        def failing(lp, **kwargs):
             return LpOutcome(FAILED, None, None, None, None, None, None, "forced failure")
 
         monkeypatch.setattr(synthesizer, "solve_lp", failing)
@@ -225,6 +225,16 @@ class TestSynthVerifyRoundtrip:
         dumped = doc.to_dict()
         again = ResultDoc.from_dict(json.loads(json.dumps(dumped)))
         assert again.to_dict() == dumped
+
+    def test_result_records_p_step_iterations(self, small_spec_doc):
+        doc = cmd_synth(parse_spec(small_spec_doc))
+        dumped = doc.to_dict()
+        assert len(dumped["p_nit"]) == doc.iterations
+        assert all(isinstance(n, int) and n >= 0 for n in dumped["p_nit"])
+        # documents written before the field existed still load
+        del dumped["p_nit"]
+        older = ResultDoc.from_dict(json.loads(json.dumps(dumped)))
+        assert older.p_nit == [] and older.objective == doc.objective
 
     def test_tampered_widths_fail_verification(self, tmp_path, small_spec_doc):
         spec = parse_spec(small_spec_doc)

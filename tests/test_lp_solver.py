@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from itertools import combinations
 
@@ -198,14 +199,14 @@ def illustrative_lps(plant, pentagon):
     problem = assemble(plant, pentagon, vertices, params, 4, 59, H)
     lps = []
 
-    def recording(lp, basis=None):
+    def recording(lp, **kwargs):
         lps.append(lp)
-        return solve_lp(lp, basis)
+        return solve_lp(lp, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthesizer, "solve_lp", recording)
         mp.setattr(verifier, "solve_lp", recording)
-        x, _, wbar, z, _ = p_step(problem, spread_beta(problem.layout))
+        x, _, wbar, z, _, _ = p_step(problem, spread_beta(problem.layout))
         q_step(problem, wbar)
         W = boxes_from_x(problem, x)
         verify_coverage(plant, vertices, W, 59, H, z[problem.layout.z_eps()])
@@ -270,3 +271,59 @@ def test_warm_solve_failing_the_residual_check_is_the_cold_outcome(illustrative_
     # every warm answer now fails the residual contract
     monkeypatch.setattr(lp_solver, "RESIDUAL_TOL", -1.0)
     assert _same_outcome(solve_lp(second, basis=basis), cold)
+
+
+def _recording_runs(monkeypatch):
+    """Spy on every HiGHS run: (presolve, basis, devex, simplex iterations)."""
+    runs = []
+    real = lp_solver._run
+
+    def spy(lp, presolve, basis=None, devex=False):
+        highs = real(lp, presolve, basis, devex)
+        nit = None if highs is None else int(highs.getInfo().simplex_iteration_count)
+        runs.append((presolve, basis, devex, nit))
+        return highs
+
+    monkeypatch.setattr(lp_solver, "_run", spy)
+    return runs
+
+
+@pytest.mark.parametrize("devex", [False, True])
+def test_warm_answer_missing_the_residual_check_is_solved_from_its_own_basis(
+    illustrative_lps, monkeypatch, devex
+):
+    first, second = illustrative_lps[2], illustrative_lps[3]
+    basis = solve_lp(first).basis
+    cold = solve_lp(second)
+    real = lp_solver._outcome
+    answers = []
+
+    def first_fails(p, highs):
+        out = real(p, highs)
+        answers.append(out)
+        # the first warm answer is optimal but misses the residual contract
+        return dataclasses.replace(out, residual=1.0) if len(answers) == 1 else out
+
+    monkeypatch.setattr(lp_solver, "_outcome", first_fails)
+    runs = _recording_runs(monkeypatch)
+    out = solve_lp(second, basis=basis, devex=devex)
+    # two runs without presolve: the warm one, then one from its final basis
+    assert [(presolve, b is not None, d) for presolve, b, d, _ in runs] == [(False, True, devex)] * 2
+    assert runs[0][1] is basis and runs[1][1] is answers[0].basis
+    assert out.optimal and out.residual <= lp_solver.RESIDUAL_TOL
+    assert np.array_equal(out.x, answers[1].x)
+    assert out.nit == runs[0][3] + runs[1][3]
+    assert out.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+
+
+def test_cold_solve_counts_its_simplex_iterations(illustrative_lps, monkeypatch):
+    runs = _recording_runs(monkeypatch)
+    out = solve_lp(illustrative_lps[0])
+    assert [presolve for presolve, *_ in runs] == [True]
+    assert out.nit == runs[0][3] > 0
+
+
+def test_devex_leaves_the_cold_path_alone(illustrative_lps, monkeypatch):
+    runs = _recording_runs(monkeypatch)
+    assert _same_outcome(solve_lp(illustrative_lps[0], devex=True), solve_lp(illustrative_lps[0]))
+    assert [d for _, _, d, _ in runs] == [False, False]

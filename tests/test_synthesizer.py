@@ -20,7 +20,7 @@ from distsynth import (
     vertices_hpoly,
 )
 from distsynth import synthesizer
-from distsynth.lp_solver import LpProblem, solve_lp
+from distsynth.lp_solver import RESIDUAL_TOL, LpProblem, solve_lp
 from distsynth.setgeom import stacked_identity
 from distsynth.synthesizer import _jittered_beta, boxes_from_x, pad_beta, witness_residual
 
@@ -130,7 +130,7 @@ class TestPStepMatchesWbarOracle:
 
     def check(self, problem, seed):
         for name, beta in weight_draws(problem.layout, seed).items():
-            x, w, wbar, z, obj = p_step(problem, beta)
+            x, w, wbar, z, obj, _ = p_step(problem, beta)
             assert obj == pytest.approx(wbar_p_step_optimum(problem, beta), abs=1e-9), name
             witness = {"x": x, "w": w, "wbar": wbar, "beta": beta, "z": z}
             assert witness_residual(problem, witness) <= 1e-8, name
@@ -159,7 +159,7 @@ class TestPStepMatchesWbarOracle:
 class TestPStep:
     def test_objective_bounded_by_zero_disturbance_value(self, small_setup):
         _, _, _, vertices, problem = small_setup
-        _, _, _, _, obj = p_step(problem, uniform_beta(problem.layout))
+        _, _, _, _, obj, _ = p_step(problem, uniform_beta(problem.layout))
         anchor = float(np.sum(np.max(np.clip(vertices @ problem.H.T, 0.0, None), axis=0)))
         assert obj <= anchor + 1e-9
 
@@ -169,13 +169,13 @@ class TestPStep:
         Y = unit_box_constraints(2)
         params = select_params(sys, Y, gamma=1.0, mu=1e-2)
         problem = assemble(sys, Y, np.zeros((1, 2)), params, 2, 2, h_preset("box", 2))
-        _, _, _, _, obj = p_step(problem, uniform_beta(problem.layout))
+        _, _, _, _, obj, _ = p_step(problem, uniform_beta(problem.layout))
         assert obj == pytest.approx(0.0, abs=1e-10)
 
     def test_heuristic_weights_reproduce_per_vertex_boxes(self, vertex_count_setup):
         problem = vertex_count_setup
         beta = heuristic_beta(problem.layout)
-        x, w, wbar, z, obj = p_step(problem, beta)
+        x, w, wbar, z, obj, _ = p_step(problem, beta)
         # with one-hot weights each driving point equals its own box point
         lay = problem.layout
         for i in range(lay.n_vertices):
@@ -190,7 +190,7 @@ class TestQStep:
     def test_improves_on_p_step(self, small_setup):
         _, _, _, _, problem = small_setup
         beta = uniform_beta(problem.layout)
-        _, _, wbar, _, p_obj = p_step(problem, beta)
+        _, _, wbar, _, p_obj, _ = p_step(problem, beta)
         _, _, _, q_obj = q_step(problem, wbar)
         assert q_obj <= p_obj + 1e-8
 
@@ -201,7 +201,7 @@ class TestQStep:
         params = select_params(sys, Y, gamma=1.0, mu=1e-2)
         problem = assemble(sys, Y, vertices_hpoly(Y), params, 1, 2, h_preset("box", 2))
         beta = uniform_beta(problem.layout)
-        _, _, wbar, _, p_obj = p_step(problem, beta)
+        _, _, wbar, _, p_obj, _ = p_step(problem, beta)
         _, _, beta_out, q_obj = q_step(problem, wbar)
         assert np.allclose(beta_out, 1.0)
         assert q_obj == pytest.approx(p_obj, abs=1e-8)
@@ -220,7 +220,7 @@ class TestQStep:
     def test_coincident_points_give_spread_weights(self, small_setup):
         problem = small_setup[4]
         lay, bil = problem.layout, problem.bilinear
-        _, w, _, _, _ = p_step(problem, uniform_beta(lay))
+        _, w, _, _, _, _ = p_step(problem, uniform_beta(lay))
         wbar = np.empty(lay.dim_wbar)
         wbar[bil.wbar_cols] = w[bil.w_cols][:, None, :]
         _, _, beta, _ = q_step(problem, wbar)
@@ -229,7 +229,7 @@ class TestQStep:
     def test_distinct_points_keep_the_solver_weights(self, small_setup, monkeypatch):
         problem = small_setup[4]
         lay, bil = problem.layout, problem.bilinear
-        _, w, wbar, _, _ = p_step(problem, spread_beta(lay))
+        _, w, wbar, _, _, _ = p_step(problem, spread_beta(lay))
         # one group's points coincide, the others do not: no tie-break
         wbar[bil.wbar_cols[0]] = w[bil.w_cols[0]]
         assert np.ptp(wbar[bil.wbar_cols], axis=1).max() > 1e-6
@@ -249,7 +249,7 @@ class TestQStep:
         H = h_preset("box", 2)
         problem = assemble(sys, Y, vertices, params, n_boxes=2, horizon=1, H=H)
         lay = problem.layout
-        _, _, wbar, _, _ = p_step(problem, uniform_beta(lay))
+        _, _, wbar, _, _, _ = p_step(problem, uniform_beta(lay))
         _, _, _, q_obj = q_step(problem, wbar)
 
         coeff = [sys.C @ sys.B, sys.D]  # slot maps at horizon 1
@@ -332,11 +332,11 @@ class TestAlternate:
         for seed in (1, 2):
             rng = np.random.default_rng(seed)
 
-            def permuted(lp, rng=rng):
+            def permuted(lp, rng=rng, **kwargs):
                 if lp.n_vars == p_width:
                     perm = rng.permutation(lp.a_ub.shape[0])
                     lp = LpProblem(lp.c, lp.a_ub[perm], lp.b_ub[perm], lp.a_eq, lp.b_eq, lp.lb, lp.ub)
-                return solve_lp(lp)
+                return solve_lp(lp, **kwargs)
 
             monkeypatch.setattr(synthesizer, "solve_lp", permuted)
             res = alternate(problem, uniform_beta(lay), zeta=1e-4, max_iters=1)
@@ -351,6 +351,56 @@ class TestAlternate:
         from_spread = alternate(problem, spread_beta(lay), zeta=1e-4, max_iters=2)
         np.testing.assert_allclose(from_uniform.history[2:], from_spread.history, atol=1e-9)
         np.testing.assert_array_equal(from_uniform.witness["beta"], from_spread.witness["beta"])
+
+    def test_each_p_step_after_the_first_starts_from_the_previous_basis(self, small_setup, monkeypatch):
+        problem = small_setup[4]
+        res = alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
+        runs = []
+        real_alternate, real_p_step = synthesizer.alternate, synthesizer.p_step
+
+        def recording_alternate(problem, beta0, **kwargs):
+            runs.append([])
+            return real_alternate(problem, beta0, **kwargs)
+
+        def recording_p_step(problem, beta, basis=None):
+            out = real_p_step(problem, beta, basis)
+            runs[-1].append((basis, out[-1].basis, beta))
+            return out
+
+        monkeypatch.setattr(synthesizer, "alternate", recording_alternate)
+        monkeypatch.setattr(synthesizer, "p_step", recording_p_step)
+        synthesizer.alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
+        refine(problem, res, 2, np.random.default_rng(7), zeta=1e-6, max_iters=30)
+        assert len(runs) == 3
+        for run in runs:
+            assert len(run) >= 2
+            # the first P-step of the run and of each restart is cold
+            assert run[0][0] is None
+            for (basis, _, beta), (_, previous, _) in zip(run[1:], run[:-1]):
+                assert not np.array_equal(beta, spread_beta(problem.layout))
+                assert basis is previous is not None
+
+    def test_p_step_answers_meet_the_residual_contract(self, illustrative_problem, monkeypatch):
+        problem = illustrative_problem
+        lay = problem.layout
+        p_width = lay.dim_x + lay.dim_w + lay.dim_z
+        answers = []
+
+        def recording(lp, **kwargs):
+            out = solve_lp(lp, **kwargs)
+            if lp.n_vars == p_width:
+                answers.append((kwargs, out))
+            return out
+
+        monkeypatch.setattr(synthesizer, "solve_lp", recording)
+        res = alternate(problem, spread_beta(lay), zeta=1e-4, max_iters=100)
+        assert len(answers) == res.iterations >= 2
+        warm = [kwargs.get("basis") is not None for kwargs, _ in answers]
+        assert warm == [False] + [True] * (res.iterations - 1)
+        # a warm P-step prices with Devex
+        assert all(kwargs.get("devex") for kwargs, _ in answers)
+        assert all(out.optimal and out.residual <= RESIDUAL_TOL for _, out in answers)
+        assert res.p_nit == [out.nit for _, out in answers]
 
     def test_rejects_an_empty_iteration_budget(self, small_setup):
         problem = small_setup[4]
@@ -416,7 +466,7 @@ class TestHeuristicBeta:
         # the first half-step of the alternation from one-hot weights is the
         # per-vertex-box LP itself, so the loop can only improve on it
         problem = vertex_count_setup
-        _, _, _, _, obj_heuristic = p_step(problem, heuristic_beta(problem.layout))
+        _, _, _, _, obj_heuristic, _ = p_step(problem, heuristic_beta(problem.layout))
         res = alternate(problem, heuristic_beta(problem.layout), zeta=1e-6, max_iters=50)
         assert obj_heuristic >= res.objective - 1e-8
         assert res.history[0] == pytest.approx(obj_heuristic, abs=1e-9)

@@ -26,7 +26,7 @@ from distsynth import (
     verify_params,
     vertices_hpoly,
 )
-from distsynth import verifier
+from distsynth import lp_solver, verifier
 from distsynth.lp_solver import solve_lp
 from distsynth.setgeom import sample_batch, stacked_identity
 from distsynth.verifier import _reach_coefficients
@@ -357,9 +357,9 @@ class TestVerifyCoverage:
             eps = eps / 2.0
         warm_starts = []
 
-        def counting(lp, basis=None):
+        def counting(lp, basis=None, **kwargs):
             warm_starts.append(basis is not None)
-            return solve_lp(lp, basis)
+            return solve_lp(lp, basis, **kwargs)
 
         monkeypatch.setattr(verifier, "solve_lp", counting)
         for order in (slice(None), slice(None, None, -1)):
@@ -372,6 +372,22 @@ class TestVerifyCoverage:
             ]
             assert np.allclose([c.margin for c in warm.checks], cold, rtol=0.0, atol=1e-12)
             assert warm.passed is not halve
+
+    def test_warm_solves_keep_steepest_edge_pricing(self, plant, pentagon, monkeypatch):
+        V = vertices_hpoly(pentagon)
+        H = h_preset("uniform:6", 2)
+        eps, _ = distance_dY(plant, V, CERTIFIED_W, 59, H)
+        runs = []
+        real = lp_solver._run
+
+        def spy(lp, presolve, basis=None, devex=False):
+            runs.append((basis is not None, devex))
+            return real(lp, presolve, basis, devex)
+
+        monkeypatch.setattr(lp_solver, "_run", spy)
+        assert verify_coverage(plant, V, CERTIFIED_W, 59, H, eps).passed
+        assert sum(warm for warm, _ in runs) >= len(V) - 1
+        assert not any(devex for _, devex in runs)
 
     @pytest.mark.parametrize("case", ["certified-pentagon", "random-69", "random-70"])
     def test_joint_optimum_is_tight_for_the_vertex_checks(self, plant, pentagon, case):
