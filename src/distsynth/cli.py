@@ -31,7 +31,6 @@ from .setgeom import (
     HPolytope,
     LtiSystem,
     hull_outline,
-    sample_batch,
     simulate,
     spectral_radius,
     stacked_identity,
@@ -197,6 +196,13 @@ def parse_spec(doc: dict) -> ProblemSpec:
     return spec
 
 
+def _finite(value, what: str):
+    """``value`` unchanged; ValueError if any number in it is not finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{what} must be finite")
+    return value
+
+
 def _params_dict(params: RpiParams) -> dict:
     return {"s": params.s, "alpha": params.alpha, "lambda": params.lam, "gamma": params.gamma, "mu": params.mu}
 
@@ -239,26 +245,28 @@ class ResultDoc:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ResultDoc":
+        """The stored result; SpecError on a missing or malformed entry or on a
+        non-finite number in params, the boxes, epsilon, objective or H."""
         try:
             p = doc["params"]
             params = RpiParams(
                 s=int(p["s"]),
-                alpha=float(p["alpha"]),
-                lam=float(p["lambda"]),
-                gamma=float(p["gamma"]),
-                mu=float(p["mu"]),
+                alpha=_finite(float(p["alpha"]), "alpha"),
+                lam=_finite(float(p["lambda"]), "lambda"),
+                gamma=_finite(float(p["gamma"]), "gamma"),
+                mu=_finite(float(p["mu"]), "mu"),
             )
             boxes = tuple(
-                Box(np.asarray(b["center"], dtype=float), np.asarray(b["halfwidth"], dtype=float))
+                Box(*(_finite(np.asarray(b[key], dtype=float), f"box {key}") for key in ("center", "halfwidth")))
                 for b in doc["W"]["boxes"]
             )
             return cls(
                 params=params,
                 W=BoxHullSet(boxes),
-                epsilon=np.asarray(doc["epsilon"], dtype=float),
-                objective=float(doc["objective"]),
+                epsilon=_finite(np.asarray(doc["epsilon"], dtype=float), "epsilon"),
+                objective=_finite(float(doc["objective"]), "objective"),
                 horizon=int(doc["l"]),
-                H=np.asarray(doc["H"], dtype=float),
+                H=_finite(np.asarray(doc["H"], dtype=float), "H"),
                 certificates=dict(doc.get("certificates", {})),
                 history=list(doc.get("history", [])),
                 iterations=int(doc.get("iterations", 0)),

@@ -8,12 +8,12 @@ The decision variables split into five groups:
     beta : convex weights tying each w to its wbar block
     z    : the coverage slack widths (eps) and per-vertex deviations b
 
-All blocks are linear except the coupling w = sum_j beta_j wbar_j, which is
-kept as the index descriptor ``bilinear``.  The P step never sees the
-per-box points: with the weights fixed it keeps each w in its blended box
-sum_j beta_j box_j.  The membership rows ``d_x``/``d_wbar`` and ``bilinear``
-serve the Q step's coupling rows, ``witness_residual``, the dimension audit
-of acceptance criterion 5 and the literal P-step oracle of the tests.
+All blocks are linear except the coupling w = sum_j beta_j wbar_j, which the
+synthesizer linearizes step by step.  The P step never sees the per-box
+points: with the weights fixed it keeps each w in its blended box
+sum_j beta_j box_j.  The membership rows ``d_x``/``d_wbar`` serve
+``witness_residual``, the dimension audit of acceptance criterion 5 and the
+literal P-step oracle of the tests.
 
 A group is one (vertex, slot) pair.  Every block is a Kronecker expression
 over a group-major layout, so row and column orders are fixed functions of
@@ -90,6 +90,10 @@ class VariableLayout:
         # slots 0..horizon-1 drive the state; slot `horizon` is the feedthrough point
         return self.horizon + 1
 
+    @property
+    def n_groups(self) -> int:
+        return self.n_vertices * self.n_slots
+
     def x_center(self, j: int) -> slice:
         base = 2 * j * self.n_w
         return slice(base, base + self.n_w)
@@ -127,24 +131,6 @@ class VariableLayout:
     def z_b(self, i: int) -> slice:
         base = self.n_b + i * self.n_y
         return slice(base, base + self.n_y)
-
-
-@dataclass(frozen=True)
-class BilinearMap:
-    """Descriptor of w[group] = sum_j beta[group, j] * wbar[group, j].
-
-    w_cols:    (n_groups, n_w) column indices into the w block
-    beta_cols: (n_groups, N) column indices into the beta block
-    wbar_cols: (n_groups, N, n_w) column indices into the wbar block
-    """
-
-    w_cols: np.ndarray
-    beta_cols: np.ndarray
-    wbar_cols: np.ndarray
-
-    @property
-    def n_groups(self) -> int:
-        return self.w_cols.shape[0]
 
 
 def build_gbar(sys: LtiSystem, Y: HPolytope, params: RpiParams) -> list[np.ndarray]:
@@ -231,7 +217,7 @@ def encode_vertex_reach(
     A group is one (vertex, slot) pair, and every group-indexed block is
     group-major: w by (group, coordinate), beta by (group, box) and wbar by
     (group, box, coordinate).  Returns (c_w, c_z, h, d_x, d_wbar, e_z,
-    t_beta, bilinear).
+    t_beta).
     """
     l = layout.horizon
     if l < 1:
@@ -243,7 +229,7 @@ def encode_vertex_reach(
     coeff = [sys.C @ powers[l - 1 - t] @ sys.B for t in range(l)] + [sys.D]
 
     v, N, n_w = layout.n_vertices, layout.n_boxes, layout.n_w
-    groups, n_out = v * layout.n_slots, v * layout.n_y
+    groups, n_out = layout.n_groups, v * layout.n_y
     # row (i, k): sum_t coeff_t[k] w_(i, t) + b_i[k] = vertex_i[k]
     c_w = sp.kron(sp.eye(v), np.hstack(coeff), "csr")
     c_z = sp.hstack([sp.coo_matrix((n_out, layout.n_b)), sp.eye(n_out, format="coo")], format="csr")
@@ -255,12 +241,7 @@ def encode_vertex_reach(
     # row (i, k): H[k] b_i - eps[k] <= 0
     e_z = sp.hstack([-sp.kron(np.ones((v, 1)), sp.eye(layout.n_b), "coo"), sp.kron(sp.eye(v), H, "coo")], format="csr")
     t_beta = sp.kron(sp.eye(groups), np.ones((1, N)), "csr")
-    bilinear = BilinearMap(
-        np.arange(layout.dim_w).reshape(groups, n_w),
-        np.arange(layout.dim_beta).reshape(groups, N),
-        np.arange(layout.dim_wbar).reshape(groups, N, n_w),
-    )
-    return c_w, c_z, h, d_x, d_wbar, e_z, t_beta, bilinear
+    return c_w, c_z, h, d_x, d_wbar, e_z, t_beta
 
 
 @dataclass(frozen=True)
@@ -284,7 +265,6 @@ class SynthProblem:
     h: np.ndarray
     e_z: sp.csr_matrix
     t_beta: sp.csr_matrix
-    bilinear: BilinearMap
 
 
 _DEDUPE_TOL = 1e-9  # vertices closer than this are one vertex
@@ -332,9 +312,7 @@ def assemble(
     a1, b1 = encode_output_inclusion(gbar, sys, Y, params, layout)
     a2, b2 = encode_gamma_bound(sys, params.gamma, layout)
     a3, b3 = encode_origin(layout)
-    c_w, c_z, h, d_x, d_wbar, e_z, t_beta, bilinear = encode_vertex_reach(
-        vertices, sys, layout, H
-    )
+    c_w, c_z, h, d_x, d_wbar, e_z, t_beta = encode_vertex_reach(vertices, sys, layout, H)
     cost_z = np.zeros(layout.dim_z)
     cost_z[layout.z_eps()] = 1.0
     return SynthProblem(
@@ -355,5 +333,4 @@ def assemble(
         h=h,
         e_z=e_z,
         t_beta=t_beta,
-        bilinear=bilinear,
     )

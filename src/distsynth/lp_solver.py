@@ -89,6 +89,8 @@ class LpProblem:
                 mat = sp.csr_matrix(mat)
                 if mat.shape[1] != n:
                     raise ValueError(f"{name} has {mat.shape[1]} columns, expected {n}")
+                if not np.all(np.isfinite(mat.data)):
+                    raise ValueError(f"{name} must be finite")
                 object.__setattr__(self, name, mat)
         for mname, vname in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
             mat, vec = getattr(self, mname), getattr(self, vname)
@@ -98,11 +100,16 @@ class LpProblem:
                 vec = np.asarray(vec, dtype=float)
                 if vec.size != mat.shape[0]:
                     raise ValueError(f"{vname} length mismatch")
+                # b_ub may be infinite, as bounds may; NaN and an infinite b_eq may not
+                if np.isnan(vec).any() or (vname == "b_eq" and np.isinf(vec).any()):
+                    raise ValueError(f"{vname} holds NaN or an infinite equality")
                 object.__setattr__(self, vname, vec)
         lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
         ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if lb.size != n or ub.size != n:
             raise ValueError("bound length mismatch")
+        if np.isnan(lb).any() or np.isnan(ub).any():
+            raise ValueError("bounds must not be NaN")
         object.__setattr__(self, "lb", lb)
         object.__setattr__(self, "ub", ub)
 

@@ -7,13 +7,16 @@ optimizes the boxes and the driving points under w in sum_j beta_j box_j
 alone, and the per-group points are recovered in closed form.  The Q step
 fixes those points and reweights them; when every group's points coincide,
 all weights tie and the spread weights (vertex i on box i mod N) are
-returned in place of the solver's pick.  Each step's optimum is feasible for
-the next, so the objective is nonincreasing and the loop terminates for any
-positive tolerance.  The P-steps of one run share their shape, so each after
-the first starts from the previous one's final basis.  A multi-start
-refinement around the incumbent weights replaces nonlinear polishing; its
-restarts run one after another on the calling thread, and a restart whose LP
-fails is dropped.
+returned in place of the solver's pick.  Both steps read w, beta and wbar
+from the group-major layout by reshape; their per-step rows are Kronecker and
+block-diagonal blocks in a fixed order, which matters: a box no group weights
+is free in the P step, and where the solver puts it steers later steps.  Each
+step's optimum is feasible for the next, so the objective is nonincreasing
+and the loop terminates for any positive tolerance.  The P-steps of one run
+share their shape, so each after the first starts from the previous one's
+final basis.  A multi-start refinement around the incumbent weights replaces
+nonlinear polishing; its restarts run one after another on the calling
+thread, and a restart whose LP fails is dropped.
 """
 
 from __future__ import annotations
@@ -76,51 +79,37 @@ def pad_beta(old: VariableLayout, new: VariableLayout, beta: np.ndarray) -> np.n
     return out.ravel()
 
 
-def _box_cols(layout: VariableLayout):
-    """(N, n_w) column indices of the box centers and of the halfwidths in x."""
-    cols = np.arange(2 * layout.n_boxes * layout.n_w).reshape(layout.n_boxes, 2, layout.n_w)
-    return cols[:, 0], cols[:, 1]
+def _boxes(layout: VariableLayout, x: np.ndarray) -> np.ndarray:
+    """(N, 2, n_w) view of the box centers and halfwidths that lead x."""
+    return x[: 2 * layout.n_boxes * layout.n_w].reshape(layout.n_boxes, 2, layout.n_w)
 
 
 def boxes_from_x(problem: SynthProblem, x: np.ndarray) -> BoxHullSet:
-    center_cols, half_cols = _box_cols(problem.layout)
-    halfwidths = np.clip(x[half_cols], 0.0, None)
-    return BoxHullSet(tuple(Box(c, e) for c, e in zip(x[center_cols], halfwidths)))
+    return BoxHullSet(tuple(Box(c, np.clip(e, 0.0, None)) for c, e in _boxes(problem.layout, x)))
 
 
-def _bilinear_rows_fixed_wbar(problem: SynthProblem, wbar, w_off, beta_off, width):
-    bil = problem.bilinear
-    n_w = problem.layout.n_w
-    rows_w = np.arange(bil.n_groups)[:, None] * n_w + np.arange(n_w)[None, :]
-    r1 = rows_w.ravel()
-    c1 = (w_off + bil.w_cols).ravel()
-    d1 = np.ones(r1.size)
-    r2 = np.repeat(rows_w[:, None, :], problem.layout.n_boxes, axis=1).ravel()
-    c2 = np.repeat((beta_off + bil.beta_cols)[:, :, None], n_w, axis=2).ravel()
-    d2 = -wbar[bil.wbar_cols].ravel()
-    mat = sp.csr_matrix(
-        (np.concatenate([d1, d2]), (np.concatenate([r1, r2]), np.concatenate([c1, c2]))),
-        shape=(bil.n_groups * n_w, width),
-    )
-    return mat
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _membership_rows_fixed_beta(problem: SynthProblem, beta, w_off, width):
+def _block_diag(blocks: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal matrix of a (count, rows, cols) stack, built as BSR so
+    that the zeros of every block stay stored."""
+    count, rows, cols = blocks.shape
+    diag = np.arange(count + 1)
+    return sp.bsr_matrix((blocks, diag[:-1], diag), shape=(count * rows, count * cols)).tocsr()
+
+
+def _membership_rows_fixed_beta(problem: SynthProblem, beta):
     """Rows +-(w_g - sum_j beta_gj c_j) - sum_j beta_gj e_j <= 0 by (group,
-    coordinate, sign): w_g in the blended box.  Zero weights add no entries."""
-    bil = problem.bilinear
-    center_cols, half_cols = _box_cols(problem.layout)
-    rows = np.arange(bil.w_cols.size * 2).reshape(*bil.w_cols.shape, 2)
-    sign = np.array([1.0, -1.0])
-    g, j = np.nonzero(beta[bil.beta_cols])
-    weight = beta[bil.beta_cols[g, j]][:, None, None]
-    parts = [
-        np.broadcast_arrays(rows, (w_off + bil.w_cols)[:, :, None], sign),
-        np.broadcast_arrays(rows[g], center_cols[j][:, :, None], -sign * weight),
-        np.broadcast_arrays(rows[g], half_cols[j][:, :, None], -weight),
-    ]
-    r, c, d = (np.concatenate([part[k].ravel() for part in parts]) for k in range(3))
-    return sp.csr_matrix((d, (r, c)), shape=(rows.size, width))
+    coordinate, sign): w_g in the blended box.  Returns the x block
+    -kron(beta, [S, |S|]) with S = kron(I, [1; -1]), where zero weights add no
+    entries, and the w block kron(I, [1; -1])."""
+    lay = problem.layout
+    S = np.kron(np.eye(lay.n_w), _SIGNS)
+    # "coo" keeps kron off its BSR path, which would store the zeros of S
+    blended = sp.kron(-beta.reshape(lay.n_groups, lay.n_boxes), np.hstack([S, np.abs(S)]), "coo")
+    blended.resize(blended.shape[0], lay.dim_x)  # the budget columns of x stay empty
+    return blended, _block_diag(np.tile(_SIGNS, (lay.dim_w, 1, 1)))
 
 
 def _closed_form_wbar(problem: SynthProblem, x, w, beta) -> np.ndarray:
@@ -129,17 +118,15 @@ def _closed_form_wbar(problem: SynthProblem, x, w, beta) -> np.ndarray:
     t_g = clip((w_g - sum beta c) / sum beta e, -1, 1), and 0 where the
     blended halfwidth vanishes, so every point lies in its own box.
     """
-    bil = problem.bilinear
-    center_cols, half_cols = _box_cols(problem.layout)
-    centers, halfwidths = x[center_cols], np.clip(x[half_cols], 0.0, None)
-    weights = beta[bil.beta_cols]
+    lay = problem.layout
+    boxes = _boxes(lay, x)
+    centers, halfwidths = boxes[:, 0], np.clip(boxes[:, 1], 0.0, None)
+    weights = beta.reshape(lay.n_groups, lay.n_boxes)
     center_g, half_g = weights @ centers, weights @ halfwidths
-    offset = w[bil.w_cols] - center_g
+    offset = w.reshape(lay.n_groups, lay.n_w) - center_g
     t = np.divide(offset, half_g, out=np.zeros_like(offset), where=half_g > 0.0)
     t = np.clip(t, -1.0, 1.0)
-    wbar = np.empty(problem.layout.dim_wbar)
-    wbar[bil.wbar_cols] = centers + halfwidths * t[:, None, :]
-    return wbar
+    return (centers + halfwidths * t[:, None, :]).ravel()
 
 
 def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
@@ -152,29 +139,17 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     basis for the next P-step and the iteration count.
     """
     lay = problem.layout
-    nx, nw, nz = lay.dim_x, lay.dim_w, lay.dim_z
-    width = nx + nw + nz
-    w_off, z_off = nx, nx + nw
-
-    def empty(rows, cols):
-        return sp.csr_matrix((rows, cols))
-
-    member = _membership_rows_fixed_beta(problem, beta, w_off, width)
-    a_ub = sp.vstack(
-        [
-            sp.hstack([problem.a_x, empty(problem.a_x.shape[0], nw + nz)]),
-            member,
-            sp.hstack([empty(problem.e_z.shape[0], nx + nw), problem.e_z]),
-        ],
-        format="csr",
+    nx, z_off = lay.dim_x, lay.dim_x + lay.dim_w  # columns (x, w, z)
+    member_x, member_w = _membership_rows_fixed_beta(problem, beta)
+    a_ub = sp.bmat(
+        [[problem.a_x, None, None], [member_x, member_w, None], [None, None, problem.e_z]], format="csr"
     )
-    b_ub = np.concatenate([problem.b, np.zeros(member.shape[0]), np.zeros(problem.e_z.shape[0])])
-    a_eq = sp.hstack([empty(problem.c_w.shape[0], nx), problem.c_w, problem.c_z], format="csr")
+    b_ub = np.concatenate([problem.b, np.zeros(2 * lay.dim_w + problem.e_z.shape[0])])
+    a_eq = sp.hstack([sp.csr_matrix((problem.c_w.shape[0], nx)), problem.c_w, problem.c_z], format="csr")
 
-    c = np.zeros(width)
-    c[z_off:] = problem.cost_z
-    lb = np.full(width, -np.inf)
-    lb[_box_cols(lay)[1]] = 0.0
+    c = np.concatenate([np.zeros(z_off), problem.cost_z])
+    lb = np.full(c.size, -np.inf)
+    _boxes(lay, lb)[:, 1] = 0.0  # the halfwidths, written through the view
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
 
     lp = LpProblem(c, a_ub, b_ub, a_eq, problem.h, lb=lb)
@@ -182,7 +157,7 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     if not out.optimal:
         raise SynthesisError(f"box-fitting LP ended with status {out.status}", lp)
     sol = out.x
-    x, w = sol[:nx], sol[w_off:z_off]
+    x, w = sol[:nx], sol[nx:z_off]
     return x, w, _closed_form_wbar(problem, x, w, beta), sol[z_off:], float(out.objective), out
 
 
@@ -192,32 +167,20 @@ def q_step(problem: SynthProblem, wbar: np.ndarray):
     Returns (w, z, beta, objective).
     """
     lay = problem.layout
-    nw, nb, nz = lay.dim_w, lay.dim_beta, lay.dim_z
-    width = nw + nb + nz
-    beta_off, z_off = nw, nw + nb
-
-    def empty(rows, cols):
-        return sp.csr_matrix((rows, cols))
-
-    a_ub = sp.hstack([empty(problem.e_z.shape[0], nw + nb), problem.e_z], format="csr")
-    b_ub = np.zeros(problem.e_z.shape[0])
-    a_eq = sp.vstack(
-        [
-            sp.hstack([problem.c_w, empty(problem.c_w.shape[0], nb), problem.c_z]),
-            sp.hstack(
-                [empty(problem.t_beta.shape[0], nw), problem.t_beta, empty(problem.t_beta.shape[0], nz)]
-            ),
-            _bilinear_rows_fixed_wbar(problem, wbar, 0, beta_off, width),
-        ],
+    nw, z_off = lay.dim_w, lay.dim_w + lay.dim_beta  # columns (w, beta, z)
+    points = wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w)
+    # coupling rows w_g - sum_j beta_gj wbar_gj = 0, zero points included
+    coupling = _block_diag(-points.transpose(0, 2, 1))
+    a_eq = sp.bmat(
+        [[problem.c_w, None, problem.c_z], [None, problem.t_beta, None], [sp.eye(nw, format="csr"), coupling, None]],
         format="csr",
     )
-    b_eq = np.concatenate(
-        [problem.h, np.ones(problem.t_beta.shape[0]), np.zeros(problem.bilinear.n_groups * lay.n_w)]
-    )
-    c = np.zeros(width)
-    c[z_off:] = problem.cost_z
-    lb = np.full(width, -np.inf)
-    lb[beta_off:z_off] = 0.0
+    b_eq = np.concatenate([problem.h, np.ones(problem.t_beta.shape[0]), np.zeros(nw)])
+    a_ub = sp.hstack([sp.csr_matrix((problem.e_z.shape[0], z_off)), problem.e_z], format="csr")
+    b_ub = np.zeros(problem.e_z.shape[0])
+    c = np.concatenate([np.zeros(z_off), problem.cost_z])
+    lb = np.full(c.size, -np.inf)
+    lb[nw:z_off] = 0.0
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
 
     lp = LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
@@ -225,8 +188,7 @@ def q_step(problem: SynthProblem, wbar: np.ndarray):
     if not out.optimal:
         raise SynthesisError(f"reweighting LP ended with status {out.status}", lp)
     sol = out.x
-    beta = sol[beta_off:z_off]
-    points = wbar[problem.bilinear.wbar_cols]
+    beta = sol[nw:z_off]
     if np.all(np.ptp(points, axis=1) <= PRIMAL_TOL):
         # every group's points coincide, so every weight is optimal: replace
         # the solver's arbitrary pick by a fixed one
@@ -296,9 +258,10 @@ def witness_residual(problem: SynthProblem, witness: dict) -> float:
     worst = max(worst, float(np.max(problem.e_z @ z, initial=-np.inf)))
     worst = max(worst, float(np.max(np.abs(problem.t_beta @ beta - 1.0), initial=-np.inf)))
     worst = max(worst, float(np.max(-beta, initial=-np.inf)))
-    bil = problem.bilinear
-    recon = np.einsum("gj,gjk->gk", beta[bil.beta_cols], wbar[bil.wbar_cols])
-    worst = max(worst, float(np.max(np.abs(w[bil.w_cols] - recon))))
+    lay = problem.layout
+    weights = beta.reshape(lay.n_groups, lay.n_boxes)
+    recon = np.einsum("gj,gjk->gk", weights, wbar.reshape(*weights.shape, lay.n_w))
+    worst = max(worst, float(np.max(np.abs(w.reshape(lay.n_groups, lay.n_w) - recon))))
     return worst
 
 

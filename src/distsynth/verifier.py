@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .lp_solver import LpProblem, solve_lp
+from .lp_solver import solve_lp
 from .rpi_params import RpiConstants, RpiParams
 from .setgeom import (
     BoxHullSet,

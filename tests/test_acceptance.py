@@ -190,7 +190,7 @@ def test_criterion_5_dimension_audit(illustrative_synthesis):
             N * (s + 1) * m_y + m_y + 2 * n_x * N + 2 * n_w,
         ),
         "rows_reach_eq": (problem.c_w.shape[0], v * n_y),
-        "rows_bilinear": (problem.bilinear.n_groups * n_w, v * (l + 1) * n_w),
+        "rows_bilinear": (lay.n_groups * n_w, v * (l + 1) * n_w),
         "rows_membership": (problem.d_x.shape[0], v * 2 * N * (l + 1) * n_w),
         "rows_simplex_eq": (problem.t_beta.shape[0], v * (l + 1)),
         "rows_deviation": (problem.e_z.shape[0], v * n_b),

@@ -286,6 +286,30 @@ MISFITS = {
 }
 
 
+# result documents with a number that is not finite
+NON_FINITE = {
+    "H-nan": lambda d: d["H"][0].__setitem__(0, float("nan")),
+    "epsilon-nan": lambda d: d["epsilon"].__setitem__(0, float("nan")),
+    "objective-nan": lambda d: d.update(objective=float("nan")),
+    "center-nan": lambda d: d["W"]["boxes"][0]["center"].__setitem__(0, float("nan")),
+    "halfwidth-inf": lambda d: d["W"]["boxes"][0]["halfwidth"].__setitem__(0, float("inf")),
+    "gamma-nan": lambda d: d["params"].update(gamma=float("nan")),
+    "mu-inf": lambda d: d["params"].update(mu=float("inf")),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(NON_FINITE))
+def test_non_finite_result_is_2(tmp_path, small_spec_doc, small_result_doc, edit, capsys):
+    bad = json.loads(json.dumps(small_result_doc))
+    NON_FINITE[edit](bad)
+    spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+    result_path = write_json(tmp_path / "result.json", bad)
+    assert main(["verify", spec_path, result_path]) == 2
+    assert main(["plot", spec_path, result_path, "--out", str(tmp_path / "p")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
 class TestVerifyRejects:
     @pytest.mark.parametrize("misfit", sorted(MISFITS))
     def test_result_that_does_not_fit_the_spec_is_2(self, tmp_path, small_spec_doc, small_result_doc, misfit, capsys):

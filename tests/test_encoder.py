@@ -298,7 +298,7 @@ class TestVertexReach:
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         lay = small_layout(horizon=1)
         vertices = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        c_w, _, _, _, _, _, _, _ = encode_vertex_reach(vertices, sys, lay, h_preset("box", 2))
+        c_w, _, _, _, _, _, _ = encode_vertex_reach(vertices, sys, lay, h_preset("box", 2))
         block = c_w[:2, :2].toarray()
         assert np.allclose(block, sys.C @ sys.B)
 
@@ -307,7 +307,7 @@ class TestVertexReach:
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         lay = small_layout(n_vertices=1, horizon=2)
         vertices = np.zeros((1, 2))
-        c_w, c_z, h, d_x, d_wbar, e_z, t_beta, bil = encode_vertex_reach(
+        c_w, c_z, h, d_x, d_wbar, e_z, t_beta = encode_vertex_reach(
             vertices, sys, lay, h_preset("box", 2)
         )
         w = np.zeros(lay.dim_w)
@@ -333,7 +333,7 @@ class TestVertexReach:
         assert problem.d_x.shape[0] == v * 2 * N * (l + 1) * n_w
         assert problem.e_z.shape == (v * n_b, lay.dim_z)
         assert problem.t_beta.shape == (v * (l + 1), lay.dim_beta)
-        assert problem.bilinear.n_groups == v * (l + 1)
+        assert lay.n_groups == v * (l + 1)
 
 
 class TestAssemble:
@@ -427,7 +427,7 @@ class TestSparseBlocks:
         rng = np.random.default_rng(49)
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         lay = small_layout(n_boxes=3, n_vertices=2, horizon=2)
-        _, _, _, d_x, d_wbar, _, _, _ = encode_vertex_reach(
+        _, _, _, d_x, d_wbar, _, _ = encode_vertex_reach(
             rng.uniform(-1, 1, (2, 2)), sys, lay, h_preset("box", 2)
         )
         outcomes = set()

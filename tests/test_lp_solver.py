@@ -131,6 +131,22 @@ def test_rejects_inconsistent_dimensions():
         LpProblem(c=[1.0, 2.0], a_ub=sp.csr_matrix(np.eye(3)), b_ub=np.ones(3))
     with pytest.raises(ValueError):
         LpProblem(c=[np.inf])
+    # a coefficient or bound HiGHS would ignore or misread
+    nan, inf = np.nan, np.inf
+    for bad in (
+        {"a_ub": [[nan]], "b_ub": [1.0]},
+        {"a_ub": [[inf]], "b_ub": [1.0]},
+        {"a_eq": [[nan]], "b_eq": [1.0]},
+        {"a_eq": [[-inf]], "b_eq": [1.0]},
+        {"a_eq": [[1.0]], "b_eq": [inf]},
+        {"a_eq": [[1.0]], "b_eq": [nan]},
+        {"a_ub": [[1.0]], "b_ub": [nan]},
+        {"lb": [nan]},
+        {"ub": [nan]},
+    ):
+        with pytest.raises(ValueError):
+            LpProblem(c=[-1.0], **bad)
+    LpProblem(c=[-1.0], a_ub=[[1.0]], b_ub=[inf], lb=[-inf], ub=[inf])  # infinite bounds stay allowed
 
 
 def test_lp_dump_is_deterministic_and_readable():

@@ -66,20 +66,20 @@ def illustrative_problem(plant, pentagon):
 def wbar_p_step_optimum(problem, beta):
     """Optimum of the P step stated over (x, w, wbar, z): the audited
     membership blocks d_x/d_wbar plus the coupling w = sum_j beta_j wbar_j
-    written out from the bilinear descriptor."""
+    written out from the layout's accessors."""
     lay = problem.layout
     nx, nw, nwb, nz = lay.dim_x, lay.dim_w, lay.dim_wbar, lay.dim_z
     width = nx + nw + nwb + nz
     w_off, wbar_off, z_off = nx, nx + nw, nx + nw + nwb
-    bil = problem.bilinear
-    n_rows = bil.n_groups * lay.n_w
+    n_rows = lay.dim_w
     coupling = sp.lil_matrix((n_rows, width))
-    for g in range(bil.n_groups):
-        for k in range(lay.n_w):
-            row = g * lay.n_w + k
-            coupling[row, w_off + bil.w_cols[g, k]] = 1.0
-            for j in range(lay.n_boxes):
-                coupling[row, wbar_off + bil.wbar_cols[g, j, k]] = -beta[bil.beta_cols[g, j]]
+    for i in range(lay.n_vertices):
+        for slot in range(lay.n_slots):
+            for k in range(lay.n_w):
+                row = lay.w_slot(i, slot).start + k
+                coupling[row, w_off + row] = 1.0
+                for j in range(lay.n_boxes):
+                    coupling[row, wbar_off + lay.wbar_slot(i, slot, j).start + k] = -beta[lay.beta_entry(i, slot, j)]
 
     def blocks(rows, *parts):
         # (matrix or column count of zeros) per column group, left to right
@@ -147,13 +147,96 @@ class TestPStepMatchesWbarOracle:
     def test_zero_weights_add_no_entries(self, illustrative_problem):
         problem = illustrative_problem
         lay = problem.layout
-        width = lay.dim_x + lay.dim_w + lay.dim_z
-        dense = synthesizer._membership_rows_fixed_beta(problem, uniform_beta(lay), lay.dim_x, width)
-        onehot = synthesizer._membership_rows_fixed_beta(problem, spread_beta(lay), lay.dim_x, width)
+        width = lay.dim_x + lay.dim_w
+        dense = sp.hstack(synthesizer._membership_rows_fixed_beta(problem, uniform_beta(lay)))
+        onehot = sp.hstack(synthesizer._membership_rows_fixed_beta(problem, spread_beta(lay)))
         assert dense.shape == onehot.shape == (2 * lay.dim_w, width)
         # per row: the w entry plus a center and a halfwidth entry per weighted box
         assert dense.nnz == dense.shape[0] * (1 + 2 * lay.n_boxes)
         assert onehot.nnz == onehot.shape[0] * 3
+
+
+def captured_lp(monkeypatch, step, *args):
+    """The program that ``step`` hands to solve_lp; it is not solved."""
+
+    class Captured(Exception):
+        pass
+
+    def capture(lp, **kwargs):
+        raise Captured(lp)
+
+    monkeypatch.setattr(synthesizer, "solve_lp", capture)
+    with pytest.raises(Captured) as info:
+        step(*args)
+    return info.value.args[0]
+
+
+def assert_entries(block, rows):
+    """``block`` stores exactly the entries of ``rows`` (one {column: value}
+    dict per row), row by row in column order, values bit for bit."""
+    cols = [sorted(row) for row in rows]
+    np.testing.assert_array_equal(block.indptr, np.cumsum([0] + [len(c) for c in cols]))
+    np.testing.assert_array_equal(block.indices, [j for c in cols for j in c])
+    expected = np.array([row[j] for row, c in zip(rows, cols) for j in c], dtype=float)
+    assert block.data.tobytes() == expected.tobytes()
+
+
+class TestStepBlocks:
+    """Entry by entry, the P-step's membership rows and the Q-step's coupling
+    rows are the ones written out from the layout's accessors."""
+
+    @pytest.fixture(params=["small", "illustrative"])
+    def problem(self, request):
+        if request.param == "small":
+            return request.getfixturevalue("small_setup")[4]
+        return request.getfixturevalue("illustrative_problem")
+
+    @pytest.mark.parametrize("weights", ["uniform", "spread", "dirichlet-0"])
+    def test_membership_rows(self, problem, weights, monkeypatch):
+        lay = problem.layout
+        beta = weight_draws(lay, 63)[weights]
+        lp = captured_lp(monkeypatch, p_step, problem, beta)
+        # by (group, coordinate, sign): +-(w_g - sum_j beta_gj c_j) - sum_j beta_gj e_j
+        rows = []
+        for i in range(lay.n_vertices):
+            for slot in range(lay.n_slots):
+                for k in range(lay.n_w):
+                    for sign in (1.0, -1.0):
+                        row = {lay.dim_x + lay.w_slot(i, slot).start + k: sign}
+                        for j in range(lay.n_boxes):
+                            b = beta[lay.beta_entry(i, slot, j)]
+                            if b != 0.0:
+                                row[lay.x_center(j).start + k] = -sign * b
+                                row[lay.x_halfwidth(j).start + k] = -b
+                        rows.append(row)
+        start = problem.a_x.shape[0]
+        assert lp.a_ub.shape == (start + 2 * lay.dim_w + problem.e_z.shape[0], lay.dim_x + lay.dim_w + lay.dim_z)
+        assert_entries(lp.a_ub[start : start + 2 * lay.dim_w], rows)
+        if weights == "spread":
+            # zero weights add no entries: the w entry, one center, one halfwidth
+            assert lp.a_ub[start : start + 2 * lay.dim_w].nnz == 3 * 2 * lay.dim_w
+
+    def test_coupling_rows(self, problem, monkeypatch):
+        lay = problem.layout
+        rng = np.random.default_rng(64)
+        wbar = rng.normal(size=lay.dim_wbar)
+        wbar[rng.random(lay.dim_wbar) < 0.3] = 0.0
+        lp = captured_lp(monkeypatch, q_step, problem, wbar)
+        # by (group, coordinate): w_g - sum_j beta_gj wbar_gj = 0
+        rows = []
+        for i in range(lay.n_vertices):
+            for slot in range(lay.n_slots):
+                for k in range(lay.n_w):
+                    row = {lay.w_slot(i, slot).start + k: 1.0}
+                    for j in range(lay.n_boxes):
+                        row[lay.dim_w + lay.beta_entry(i, slot, j)] = -wbar[lay.wbar_slot(i, slot, j).start + k]
+                    rows.append(row)
+        start = problem.c_w.shape[0] + problem.t_beta.shape[0]
+        assert lp.a_eq.shape == (start + lay.dim_w, lay.dim_w + lay.dim_beta + lay.dim_z)
+        coupling = lp.a_eq[start:]
+        assert_entries(coupling, rows)
+        # every zero point coordinate stays an explicit entry
+        assert np.count_nonzero(coupling.data == 0.0) == np.count_nonzero(wbar == 0.0) > 0
 
 
 class TestPStep:
@@ -219,20 +302,24 @@ class TestQStep:
 
     def test_coincident_points_give_spread_weights(self, small_setup):
         problem = small_setup[4]
-        lay, bil = problem.layout, problem.bilinear
+        lay = problem.layout
         _, w, _, _, _, _ = p_step(problem, uniform_beta(lay))
         wbar = np.empty(lay.dim_wbar)
-        wbar[bil.wbar_cols] = w[bil.w_cols][:, None, :]
+        for i in range(lay.n_vertices):
+            for slot in range(lay.n_slots):
+                for j in range(lay.n_boxes):
+                    wbar[lay.wbar_slot(i, slot, j)] = w[lay.w_slot(i, slot)]
         _, _, beta, _ = q_step(problem, wbar)
         np.testing.assert_array_equal(beta, spread_beta(lay))
 
     def test_distinct_points_keep_the_solver_weights(self, small_setup, monkeypatch):
         problem = small_setup[4]
-        lay, bil = problem.layout, problem.bilinear
+        lay = problem.layout
         _, w, wbar, _, _, _ = p_step(problem, spread_beta(lay))
         # one group's points coincide, the others do not: no tie-break
-        wbar[bil.wbar_cols[0]] = w[bil.w_cols[0]]
-        assert np.ptp(wbar[bil.wbar_cols], axis=1).max() > 1e-6
+        for j in range(lay.n_boxes):
+            wbar[lay.wbar_slot(0, 0, j)] = w[lay.w_slot(0, 0)]
+        assert np.ptp(wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w), axis=1).max() > 1e-6
         solutions = self.capture_lp_solutions(monkeypatch)
         _, _, beta, _ = q_step(problem, wbar)
         np.testing.assert_array_equal(beta, solutions[-1][lay.dim_w : lay.dim_w + lay.dim_beta])
