@@ -36,7 +36,6 @@ from .synthesizer import (
     SynthResult,
     SynthesisError,
     alternate,
-    heuristic_beta,
     p_step,
     q_step,
     refine,
@@ -78,7 +77,6 @@ __all__ = [
     "contains_point",
     "distance_dY",
     "h_preset",
-    "heuristic_beta",
     "hull_outline",
     "matrix_power_inf_norm",
     "monte_carlo",

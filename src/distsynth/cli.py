@@ -203,6 +203,13 @@ def _finite(value, what: str):
     return value
 
 
+def _integer(value, what: str):
+    """``value`` unchanged; ValueError unless it is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def _params_dict(params: RpiParams) -> dict:
     return {"s": params.s, "alpha": params.alpha, "lambda": params.lam, "gamma": params.gamma, "mu": params.mu}
 
@@ -246,11 +253,12 @@ class ResultDoc:
     @classmethod
     def from_dict(cls, doc: dict) -> "ResultDoc":
         """The stored result; SpecError on a missing or malformed entry or on a
-        non-finite number in params, the boxes, epsilon, objective or H."""
+        non-finite number in params, the boxes, epsilon, objective or H, or on
+        a non-integer s, l, iterations or p_nit entry."""
         try:
             p = doc["params"]
             params = RpiParams(
-                s=int(p["s"]),
+                s=_integer(p["s"], "s"),
                 alpha=_finite(float(p["alpha"]), "alpha"),
                 lam=_finite(float(p["lambda"]), "lambda"),
                 gamma=_finite(float(p["gamma"]), "gamma"),
@@ -265,14 +273,14 @@ class ResultDoc:
                 W=BoxHullSet(boxes),
                 epsilon=_finite(np.asarray(doc["epsilon"], dtype=float), "epsilon"),
                 objective=_finite(float(doc["objective"]), "objective"),
-                horizon=int(doc["l"]),
+                horizon=_integer(doc["l"], "l"),
                 H=_finite(np.asarray(doc["H"], dtype=float), "H"),
                 certificates=dict(doc.get("certificates", {})),
                 history=list(doc.get("history", [])),
-                iterations=int(doc.get("iterations", 0)),
+                iterations=_integer(doc.get("iterations", 0), "iterations"),
                 termination=str(doc.get("termination", "")),
                 timing=dict(doc.get("timing", {})),
-                p_nit=[int(n) for n in doc.get("p_nit", [])],
+                p_nit=[_integer(n, "p_nit entry") for n in doc.get("p_nit", [])],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad result document: {exc}") from exc

@@ -14,9 +14,10 @@ in (alpha, lambda):
     (b) (gamma + lambda) zeta_s <= alpha lambda
     (c) (alpha gamma + lambda) M[s] <= (1 - alpha) mu
 
-For fixed alpha > zeta_s the feasible lambda form a closed interval whose
-endpoints are explicit, so the two-variable maximization of alpha + lambda
-collapses to a one-dimensional concave search over alpha.
+(a), (c) and lambda <= 1 cap lambda by lines in alpha and (b) floors it, so
+the feasible alpha lie between roots of quadratics and the maximum of
+alpha + lambda sits at an end of that interval or at a kink where two caps
+cross; solve_Hs computes it in closed form, ties going to the smallest alpha.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .setgeom import HPolytope, LtiSystem
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class ParamSearchError(RuntimeError):
@@ -105,90 +104,60 @@ def compute_constants(sys: LtiSystem, Y: HPolytope, s: int) -> RpiConstants:
     return acc.step()
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 200) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _bisect(pred, lo: float, hi: float, iters: int = 200) -> float:
-    """Smallest x in [lo, hi] with pred(x) true; pred(hi) must hold."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def solve_Hs(consts: RpiConstants, gamma: float, mu: float):
     """Maximize alpha + lambda subject to (a)-(c); None when infeasible.
 
-    The feasible-slack function U(alpha) - L(alpha) is concave (a minimum of
-    affine functions minus a convex hyperbola), so feasibility, the feasible
-    alpha-interval and the concave objective alpha + U(alpha) are all
-    resolved by golden-section and bisection; ties are broken toward the
-    smallest maximizing alpha.
+    (a), (c) and lambda <= 1 are caps lambda <= p - q alpha.  For alpha > zeta_s
+    inequality (b) floors lambda at gamma zeta_s / (alpha - zeta_s), so a cap
+    leaves room for lambda exactly between the roots of
+    (p - q alpha)(alpha - zeta_s) = gamma zeta_s, and the feasible alpha are
+    the intersection [lo, hi] of those intervals.  On it the objective
+    alpha + min_k (p_k - q_k alpha) is concave and piecewise linear, so its
+    maximum f* lies at lo, at hi or at a kink where two caps cross.  Ties go
+    to the smallest alpha with alpha + lambda >= f* - 1e-12 max(1, |f*|); the
+    caps that rise with alpha place that alpha.  lambda is the lowest cap
+    there, or the floor of (b) where rounding puts that cap below it.
     """
     if gamma <= 0 or mu <= 0:
         raise ValueError("gamma and mu must be positive")
     theta, M, zeta = consts.theta_s, consts.M_s, consts.zeta_s
     if zeta >= 1.0:
         return None
+    k = mu / M
+    caps = [(k, k + gamma), (1.0, 0.0)]
+    if np.isfinite(theta):
+        caps.append((theta, theta))
 
-    def lam_hi(a: float) -> float:
-        cap = ((1.0 - a) * mu - a * gamma * M) / M
-        if np.isfinite(theta):
-            cap = min(cap, (1.0 - a) * theta)
-        return min(cap, 1.0)
-
-    def lam_lo(a: float) -> float:
-        if zeta == 0.0:
-            return 0.0
-        return gamma * zeta / (a - zeta) if a > zeta else np.inf
-
-    def slack(a: float) -> float:
-        return lam_hi(a) - lam_lo(a)
-
-    lo = 0.0 if zeta == 0.0 else zeta * (1.0 + 1e-14) + 1e-300
-    hi = 1.0 - 1e-14
-    a_peak = _golden_max(slack, lo, hi)
-    if slack(lo) > slack(a_peak):
-        a_peak = lo
-    if slack(a_peak) < 0.0:
+    lo, hi = 0.0, np.inf
+    for p, q in caps:
+        # roots of q alpha^2 - b alpha + c; the small one as c / (q big),
+        # which is c / b for q = 0 and does not cancel
+        b, c = p + q * zeta, (p + gamma) * zeta
+        disc = b * b - 4.0 * q * c
+        if disc < 0.0:
+            return None
+        root = b + np.sqrt(disc)
+        lo = max(lo, 2.0 * c / root)
+        if q > 0.0:
+            hi = min(hi, root / (2.0 * q))
+    if lo > hi:
         return None
 
-    a_left = a_peak if slack(lo) >= 0.0 else _bisect(lambda a: slack(a) >= 0.0, lo, a_peak)
-    if slack(hi) >= 0.0:
-        a_right = hi
-    else:
-        # mirrored bisection: largest feasible alpha in [a_peak, hi]
-        a_right = -_bisect(lambda a: slack(-a) >= 0.0, -hi, -a_peak)
+    def lam_hi(a: float) -> float:
+        # (a) and (c) as the verifier evaluates them, rather than as p - q alpha
+        return min(((1.0 - a) * mu - a * gamma * M) / M, (1.0 - a) * theta, 1.0)
 
-    def objective(a: float) -> float:
-        return a + lam_hi(a) if slack(a) >= 0.0 else -np.inf
-
-    a_star = _golden_max(objective, a_left, a_right)
-    best = max((a_left, a_right, a_star), key=objective)
-    f_best = objective(best)
-    # smallest alpha attaining the maximum (concave => sublevel interval)
-    tie = 1e-12 * max(1.0, abs(f_best))
-    a_min = _bisect(lambda a: objective(a) >= f_best - tie, a_left, best)
-    if objective(a_left) >= f_best - tie:
-        a_min = a_left
-    return float(a_min), float(max(lam_hi(a_min), lam_lo(a_min)))
+    kinks = [
+        (p1 - p2) / (q1 - q2)
+        for i, (p1, q1) in enumerate(caps)
+        for p2, q2 in caps[i + 1 :]
+        if q1 != q2
+    ]
+    f_best = max(a + lam_hi(a) for a in [lo, hi, *kinks] if lo <= a <= hi)
+    floor = f_best - 1e-12 * max(1.0, abs(f_best))
+    a_min = max([lo] + [(floor - p) / (1.0 - q) for p, q in caps if q < 1.0])
+    lam_lo = gamma * zeta / (a_min - zeta) if zeta > 0.0 else 0.0
+    return float(a_min), float(max(lam_hi(a_min), lam_lo))
 
 
 def select_params(

@@ -61,13 +61,6 @@ def spread_beta(layout: VariableLayout) -> np.ndarray:
     return beta.ravel()
 
 
-def heuristic_beta(layout: VariableLayout) -> np.ndarray:
-    """One-hot weights tying vertex i to box i; needs as many boxes as vertices."""
-    if layout.n_boxes != layout.n_vertices:
-        raise ValueError("one-hot weights need n_boxes == n_vertices")
-    return spread_beta(layout)
-
-
 def pad_beta(old: VariableLayout, new: VariableLayout, beta: np.ndarray) -> np.ndarray:
     """Re-embed weights into a layout with more boxes (zero on the new ones)."""
     if (old.n_vertices, old.horizon) != (new.n_vertices, new.horizon):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from distsynth.cli import (
     reachable_outline,
 )
 from distsynth.setgeom import support_argmax_hull
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PENTAGON_SPEC = {
     "system": {
@@ -307,6 +310,31 @@ def test_non_finite_result_is_2(tmp_path, small_spec_doc, small_result_doc, edit
     assert main(["verify", spec_path, result_path]) == 2
     assert main(["plot", spec_path, result_path, "--out", str(tmp_path / "p")]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+# edits of the stored illustrative result that put a non-integer where a
+# count belongs; int() used to truncate 60.5 to 60 and read true as 1
+NON_INTEGER = {
+    "s-fraction": lambda d: d["params"].update(s=60.5),
+    "s-true": lambda d: d["params"].update(s=True),
+    "s-string": lambda d: d["params"].update(s="60"),
+    "l-fraction": lambda d: d.update(l=58.9),
+    "l-false": lambda d: d.update(l=False),
+    "iterations-fraction": lambda d: d.update(iterations=10.5),
+    "p_nit-fraction": lambda d: d.update(p_nit=[3.5]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(NON_INTEGER))
+def test_non_integer_result_is_2(tmp_path, edit, capsys):
+    bad = json.loads((ROOT / "perfbench" / "data" / "illustrative_result.json").read_text())
+    NON_INTEGER[edit](bad)
+    spec_path = str(ROOT / "specs" / "illustrative.json")
+    result_path = write_json(tmp_path / "result.json", bad)
+    assert main(["verify", spec_path, result_path]) == 2
+    assert main(["plot", spec_path, result_path, "--out", str(tmp_path / "p")]) == 2
+    assert "must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
 
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from distsynth import (
     solve_Hs,
     support_rows,
 )
+from distsynth.cli import cmd_gen, cmd_reduce, parse_spec
 from distsynth.setgeom import stacked_identity
 
 from conftest import random_stable_system
@@ -171,6 +175,114 @@ class TestSolveHs:
         consts = compute_constants(plant, pentagon, 60)
         alpha, lam = solve_Hs(consts, gamma=0.2, mu=1e-3)
         assert alpha + lam == pytest.approx(7.467e-4, rel=0.01)
+
+
+def meets_inequalities(consts, gamma, mu, alpha, lam, tol=1e-12):
+    return (
+        0.0 <= alpha < 1.0
+        and 0.0 <= lam <= 1.0
+        and lam - (1 - alpha) * consts.theta_s <= tol
+        and (gamma + lam) * consts.zeta_s - alpha * lam <= tol
+        and (alpha * gamma + lam) * consts.M_s - (1 - alpha) * mu <= tol
+    )
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _spec(name):
+    return parse_spec(json.loads((ROOT / "specs" / name).read_text()))
+
+
+def _reduced():
+    return cmd_reduce(json.loads((ROOT / "specs" / "reduced_order_plant.json").read_text()))
+
+
+# select_params on the benchmark's six problems, as the earlier golden-section
+# and bisection search returned them: (problem, s, alpha, lambda)
+SEARCH_PARAMS = [
+    (lambda: _spec("illustrative.json"), 60, 0.0006781843723995092, 6.796195472333852e-05),
+    (_reduced, 151, 0.0005180409093950474, 2.9450294565440563e-05),
+    (lambda: cmd_gen(3, 2, 2, 0.7, 0), 39, 0.000655778357346651, 0.0017943761810082334),
+    (lambda: cmd_gen(3, 2, 2, 0.7, 1), 39, 0.0006650769536252272, 0.0018027020994338052),
+    (lambda: cmd_gen(6, 2, 2, 0.7, 0), 40, 0.0007874326813968831, 0.0012678992490330757),
+    (lambda: cmd_gen(6, 2, 2, 0.7, 1), 39, 0.0006906043496100917, 0.0016291646657015202),
+]
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize(
+        "problem, s, alpha, lam",
+        SEARCH_PARAMS,
+        ids=["illustrative", "long-horizon", "gen3-0", "gen3-1", "gen6-0", "gen6-1"],
+    )
+    def test_reproduces_the_search_on_benchmark_problems(self, problem, s, alpha, lam):
+        spec = problem()
+        p = select_params(spec.sys, spec.Y, gamma=spec.options.gamma, mu=spec.options.mu)
+        assert p.s == s
+        assert p.alpha == pytest.approx(alpha, abs=1e-15, rel=0)
+        assert p.lam == pytest.approx(lam, abs=1e-15, rel=0)
+
+    def test_flat_piece_takes_the_smallest_maximizer(self):
+        # theta = 1 makes cap (a) lambda <= 1 - alpha flat in alpha + lambda,
+        # and it is the lowest cap from the left end of the feasible interval
+        # on, so every feasible alpha up to the (c) kink maximizes; the left
+        # end is the small root of (1 - alpha)(alpha - zeta) = gamma zeta
+        zeta, gamma, mu = 0.01, 0.1, 10.0
+        consts = RpiConstants(s=1, L_s=np.ones(2), theta_s=1.0, M_s=1.0, zeta_s=zeta)
+        alpha, lam = solve_Hs(consts, gamma, mu)
+        b, c = 1.0 + zeta, (1.0 + gamma) * zeta
+        left = 2.0 * c / (b + np.sqrt(b * b - 4.0 * c))
+        assert alpha == pytest.approx(left, rel=1e-12)
+        assert alpha + lam == pytest.approx(1.0, abs=1e-12)
+        assert meets_inequalities(consts, gamma, mu, alpha, lam)
+        # a little further left even the largest cap is below the floor of (b)
+        a = alpha * (1 - 1e-9)
+        assert gamma * zeta / (a - zeta) > 1.0 - a
+
+    def test_zero_output_map_matches_grid_oracle(self):
+        # C = D = 0 leaves no output row with L_i > 0, so theta = inf and (a)
+        # drops out
+        rng = np.random.default_rng(34)
+        checked = 0
+        while checked < 10:
+            sys = random_stable_system(rng, rho=rng.uniform(0.3, 0.8))
+            sys = LtiSystem(sys.A, sys.B, np.zeros_like(sys.C), np.zeros_like(sys.D))
+            consts = compute_constants(sys, unit_box_constraints(2), int(rng.integers(3, 25)))
+            assert consts.theta_s == np.inf
+            gamma = float(rng.uniform(0.5, 1.2))
+            mu = float(10.0 ** rng.uniform(-3, 0))
+            sol = solve_Hs(consts, gamma, mu)
+            oracle = grid_maximum(consts, gamma, mu)
+            if sol is None:
+                assert oracle == -np.inf
+                continue
+            assert meets_inequalities(consts, gamma, mu, *sol)
+            assert sol[0] + sol[1] >= oracle - 1e-9
+            assert sol[0] + sol[1] == pytest.approx(oracle, abs=1e-4)
+            checked += 1
+
+    def test_random_constants(self):
+        rng = np.random.default_rng(35)
+        feasible = 0
+        for _ in range(2000):
+            zeta = 0.0 if rng.random() < 0.1 else float(10.0 ** rng.uniform(-12, np.log10(0.98)))
+            theta = np.inf if rng.random() < 0.25 else float(10.0 ** rng.uniform(-3, 1))
+            consts = RpiConstants(
+                s=1, L_s=np.ones(1), theta_s=theta, M_s=float(10.0 ** rng.uniform(0, 2)), zeta_s=zeta
+            )
+            gamma = float(10.0 ** rng.uniform(-2, 0.3))
+            mu = float(10.0 ** rng.uniform(-4, 2))
+            sol = solve_Hs(consts, gamma, mu)
+            if closed_form_margin(consts, gamma, mu) < 0:
+                assert sol is None
+            if sol is None:
+                assert grid_maximum(consts, gamma, mu) == -np.inf
+                continue
+            feasible += 1
+            assert meets_inequalities(consts, gamma, mu, *sol)
+            assert sol[0] + sol[1] >= grid_maximum(consts, gamma, mu) - 1e-9
+        assert feasible > 500
 
 
 def mu_ref():

@@ -10,7 +10,6 @@ from distsynth import (
     alternate,
     assemble,
     h_preset,
-    heuristic_beta,
     p_step,
     q_step,
     refine,
@@ -257,7 +256,7 @@ class TestPStep:
 
     def test_heuristic_weights_reproduce_per_vertex_boxes(self, vertex_count_setup):
         problem = vertex_count_setup
-        beta = heuristic_beta(problem.layout)
+        beta = spread_beta(problem.layout)
         x, w, wbar, z, obj, _ = p_step(problem, beta)
         # with one-hot weights each driving point equals its own box point
         lay = problem.layout
@@ -524,15 +523,13 @@ class TestSpreadBeta:
                 expected[i % lay.n_boxes] = 1.0
                 np.testing.assert_array_equal(beta[lay.beta_group(i, slot)], expected)
 
-    def test_is_the_heuristic_when_counts_match(self, vertex_count_setup):
-        lay = vertex_count_setup.layout
-        np.testing.assert_array_equal(heuristic_beta(lay), spread_beta(lay))
-
 
 class TestHeuristicBeta:
+    """Spread weights with one box per vertex: the per-vertex one-hot start."""
+
     def test_one_hot_structure(self, vertex_count_setup):
         lay = vertex_count_setup.layout
-        beta = heuristic_beta(lay)
+        beta = spread_beta(lay)
         for i in range(lay.n_vertices):
             for slot in range(lay.n_slots):
                 grp = beta[lay.beta_group(i, slot)]
@@ -540,21 +537,16 @@ class TestHeuristicBeta:
 
     def test_simplex_feasibility(self, vertex_count_setup):
         problem = vertex_count_setup
-        beta = heuristic_beta(problem.layout)
+        beta = spread_beta(problem.layout)
         assert np.allclose(problem.t_beta @ beta, 1.0)
         assert np.all(beta >= 0)
-
-    def test_requires_matching_counts(self, small_setup):
-        _, _, _, _, problem = small_setup
-        with pytest.raises(ValueError):
-            heuristic_beta(problem.layout)  # 2 boxes vs 4 vertices
 
     def test_alternation_improves_on_heuristic_start(self, vertex_count_setup):
         # the first half-step of the alternation from one-hot weights is the
         # per-vertex-box LP itself, so the loop can only improve on it
         problem = vertex_count_setup
-        _, _, _, _, obj_heuristic, _ = p_step(problem, heuristic_beta(problem.layout))
-        res = alternate(problem, heuristic_beta(problem.layout), zeta=1e-6, max_iters=50)
+        _, _, _, _, obj_heuristic, _ = p_step(problem, spread_beta(problem.layout))
+        res = alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=50)
         assert obj_heuristic >= res.objective - 1e-8
         assert res.history[0] == pytest.approx(obj_heuristic, abs=1e-9)
 
