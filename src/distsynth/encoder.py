@@ -253,8 +253,6 @@ class SynthProblem:
     params: RpiParams
     vertices: np.ndarray
     H: np.ndarray
-    gbar: tuple
-    rhs_output: np.ndarray
     cost_z: np.ndarray
     a_x: sp.csr_matrix
     b: np.ndarray
@@ -308,8 +306,7 @@ def assemble(
         m_y=Y.n_rows,
         n_b=H.shape[0],
     )
-    gbar = build_gbar(sys, Y, params)
-    a1, b1 = encode_output_inclusion(gbar, sys, Y, params, layout)
+    a1, b1 = encode_output_inclusion(build_gbar(sys, Y, params), sys, Y, params, layout)
     a2, b2 = encode_gamma_bound(sys, params.gamma, layout)
     a3, b3 = encode_origin(layout)
     c_w, c_z, h, d_x, d_wbar, e_z, t_beta = encode_vertex_reach(vertices, sys, layout, H)
@@ -321,8 +318,6 @@ def assemble(
         params=params,
         vertices=vertices,
         H=H,
-        gbar=tuple(gbar),
-        rhs_output=output_rhs(gbar, Y, params),
         cost_z=cost_z,
         a_x=sp.vstack([a1, a2, a3], format="csr"),
         b=np.concatenate([b1, b2, b3]),

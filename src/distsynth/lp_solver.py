@@ -8,12 +8,12 @@ its front end.  HiGHS is deterministic for a fixed input; outcomes carry the
 status, primal solution, scaled feasibility residual, a dual objective for
 weak-duality checks, the simplex iteration count and the final basis, from
 which a program of the same shape (same numbers of rows and columns, other
-coefficients or bounds) can start.  A warm answer must meet the residual
-contract; one that ends optimal but misses it is solved once more from its
-own final basis in a fresh instance, and only when that answer misses it too
-is the program solved cold.  A line-oriented textual dump (LP interchange
-format) is provided for cross-checking individual programs with external
-tools.
+coefficients or bounds) can start, without presolve and priced with Devex.
+A warm answer must meet the residual contract; one that ends optimal but
+misses it is solved once more from its own final basis in a fresh instance,
+and only when that answer misses it too is the program solved cold.  A
+line-oriented textual dump (LP interchange format) is provided for
+cross-checking individual programs with external tools.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ _OPTIONS = {
     "primal_feasibility_tolerance": PRIMAL_TOL,
     "dual_feasibility_tolerance": 1e-9,
 }
-# dual pricing that starts from unit edge weights; steepest edge (HiGHS's
-# choice otherwise) computes exact weights for a given basis, which can cost
-# more than the few iterations a warm start then needs
+# warm starts price with Devex, which starts from unit edge weights; steepest
+# edge (HiGHS's choice otherwise) computes exact weights for the given basis,
+# which can cost more than the few iterations that follow
 _DEVEX = _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
 
 
@@ -182,15 +182,13 @@ def _highs_lp(p: LpProblem) -> _highs.HighsLp:
     return lp
 
 
-def _run(
-    lp: _highs.HighsLp, presolve: bool, basis: _highs.HighsBasis | None = None, devex: bool = False
-) -> _highs._Highs | None:
-    """One HiGHS solve; None when the basis does not fit the program."""
+def _run(lp: _highs.HighsLp, presolve: bool, basis: _highs.HighsBasis | None = None) -> _highs._Highs | None:
+    """One HiGHS solve, Devex-priced when warm from ``basis``; None if that does not fit."""
     highs = _highs._Highs()
     for key, value in _OPTIONS.items():
         highs.setOptionValue(key, value)
     highs.setOptionValue("presolve", "on" if presolve else "off")
-    if devex:
+    if basis is not None:
         highs.setOptionValue("simplex_dual_edge_weight_strategy", _DEVEX)
     highs.passModel(lp)
     if basis is not None and highs.setBasis(basis) != _highs.HighsStatus.kOk:
@@ -256,34 +254,34 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     )
 
 
-def _solve(p: LpProblem, lp: _highs.HighsLp, presolve: bool, basis=None, devex=False) -> LpOutcome:
+def _solve(p: LpProblem, lp: _highs.HighsLp, presolve: bool, basis=None) -> LpOutcome:
     """One HiGHS run read into an outcome; the instance is freed on return."""
-    highs = _run(lp, presolve, basis, devex)
+    highs = _run(lp, presolve, basis)
     if highs is None:
         return LpOutcome(FAILED, None, None, None, None, None, None, "basis does not fit the program")
     return _outcome(p, highs)
 
 
-def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None, devex: bool = False) -> LpOutcome:
+def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None) -> LpOutcome:
     """Solve an LP; all failure modes are reported via the status field.
 
     A cold solve runs HiGHS with presolve and, on a failure, once more
     without; the retry is triggered by the first result alone, so outcomes
     stay deterministic.  With ``basis`` (an earlier outcome's, for a program
     of the same shape) HiGHS starts from it without presolve, pricing with
-    Devex when ``devex`` is set.  A warm answer that ends optimal with a
-    scaled residual above ``RESIDUAL_TOL`` is solved once more from its own
-    final basis in a fresh instance (no presolve, usually no pivot); if that
-    answer, or the first warm one, still misses the contract, it is discarded
-    and the program solved cold, so a warm start never returns an answer the
-    cold solve would not meet.  ``nit`` counts the iterations of every run.
+    Devex.  A warm answer that ends optimal with a scaled residual above
+    ``RESIDUAL_TOL`` is solved once more from its own final basis in a fresh
+    instance (no presolve, usually no pivot); if that answer, or the first
+    warm one, still misses the contract, it is discarded and the program
+    solved cold, so a warm start never returns an answer the cold solve would
+    not meet.  ``nit`` counts the iterations of every run.
     """
     lp = _highs_lp(problem)
     spent = 0
     if basis is not None:
-        out = _solve(problem, lp, False, basis, devex)
+        out = _solve(problem, lp, False, basis)
         if out.optimal and out.residual > RESIDUAL_TOL:
-            spent, out = out.nit, _solve(problem, lp, False, out.basis, devex)
+            spent, out = out.nit, _solve(problem, lp, False, out.basis)
         if out.optimal and out.residual <= RESIDUAL_TOL:
             return replace(out, nit=spent + out.nit)
         spent += out.nit

@@ -5,18 +5,19 @@ frozen.  The P step fixes the convex weights; sum_j beta_j box_j is then the
 box with center sum_j beta_j c_j and halfwidth sum_j beta_j e_j, so the LP
 optimizes the boxes and the driving points under w in sum_j beta_j box_j
 alone, and the per-group points are recovered in closed form.  The Q step
-fixes those points and reweights them; when every group's points coincide,
-all weights tie and the spread weights (vertex i on box i mod N) are
-returned in place of the solver's pick.  Both steps read w, beta and wbar
-from the group-major layout by reshape; their per-step rows are Kronecker and
-block-diagonal blocks in a fixed order, which matters: a box no group weights
-is free in the P step, and where the solver puts it steers later steps.  Each
-step's optimum is feasible for the next, so the objective is nonincreasing
-and the loop terminates for any positive tolerance.  The P-steps of one run
-share their shape, so each after the first starts from the previous one's
-final basis.  A multi-start refinement around the incumbent weights replaces
-nonlinear polishing; its restarts run one after another on the calling
-thread, and a restart whose LP fails is dropped.
+fixes those points and reweights them over (beta, z) alone, with w =
+blockdiag(wbar_g^T) beta substituted into the reach rows; when every group's
+points coincide, all weights tie and the spread weights (vertex i on box
+i mod N) are returned in place of the solver's pick.  Both steps read w, beta
+and wbar from the group-major layout by reshape; their per-step rows are
+Kronecker and block-diagonal blocks in a fixed order, which matters: a box no
+group weights is free in the P step, and where the solver puts it steers
+later steps.  Each step's optimum is feasible for the next, so the objective
+is nonincreasing and the loop terminates for any positive tolerance.  Each
+step after the first starts from the previous same-kind step's final basis.
+A multi-start refinement around the incumbent weights replaces nonlinear
+polishing; its restarts run one after another on the calling thread, and a
+restart whose LP fails is dropped.
 """
 
 from __future__ import annotations
@@ -85,8 +86,7 @@ _SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _block_diag(blocks: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal matrix of a (count, rows, cols) stack, built as BSR so
-    that the zeros of every block stay stored."""
+    """Block-diagonal matrix of a (count, rows, cols) stack, built as BSR."""
     count, rows, cols = blocks.shape
     diag = np.arange(count + 1)
     return sp.bsr_matrix((blocks, diag[:-1], diag), shape=(count * rows, count * cols)).tocsr()
@@ -127,9 +127,8 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
 
     The group points are recovered in closed form from the optimum.  With
     ``basis`` (an earlier P-step's, whose program differs only in the weight
-    coefficients) the solve starts from it, pricing with Devex.
-    Returns (x, w, wbar, z, objective, outcome); the LP outcome carries the
-    basis for the next P-step and the iteration count.
+    coefficients) the solve starts from it.  Returns (x, w, wbar, z,
+    objective, outcome); the outcome carries the basis for the next P-step.
     """
     lay = problem.layout
     nx, z_off = lay.dim_x, lay.dim_x + lay.dim_w  # columns (x, w, z)
@@ -146,7 +145,7 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
 
     lp = LpProblem(c, a_ub, b_ub, a_eq, problem.h, lb=lb)
-    out = solve_lp(lp, basis=basis, devex=True)
+    out = solve_lp(lp, basis=basis)
     if not out.optimal:
         raise SynthesisError(f"box-fitting LP ended with status {out.status}", lp)
     sol = out.x
@@ -154,39 +153,36 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     return x, w, _closed_form_wbar(problem, x, w, beta), sol[z_off:], float(out.objective), out
 
 
-def q_step(problem: SynthProblem, wbar: np.ndarray):
+def q_step(problem: SynthProblem, wbar: np.ndarray, basis=None):
     """Fix the group points; reweight them and refit the slacks.
 
-    Returns (w, z, beta, objective).
+    w = blockdiag(wbar_g^T) beta is substituted into the reach rows, so the LP
+    runs over (beta, z); ``basis`` is an earlier Q-step's, as in ``p_step``.
+    Returns (w, z, beta, objective, outcome).
     """
     lay = problem.layout
-    nw, z_off = lay.dim_w, lay.dim_w + lay.dim_beta  # columns (w, beta, z)
+    nb = lay.dim_beta  # columns (beta, z)
     points = wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w)
-    # coupling rows w_g - sum_j beta_gj wbar_gj = 0, zero points included
-    coupling = _block_diag(-points.transpose(0, 2, 1))
-    a_eq = sp.bmat(
-        [[problem.c_w, None, problem.c_z], [None, problem.t_beta, None], [sp.eye(nw, format="csr"), coupling, None]],
-        format="csr",
-    )
-    b_eq = np.concatenate([problem.h, np.ones(problem.t_beta.shape[0]), np.zeros(nw)])
-    a_ub = sp.hstack([sp.csr_matrix((problem.e_z.shape[0], z_off)), problem.e_z], format="csr")
+    blend = _block_diag(points.transpose(0, 2, 1))
+    a_eq = sp.bmat([[problem.c_w @ blend, problem.c_z], [problem.t_beta, None]], format="csr")
+    b_eq = np.concatenate([problem.h, np.ones(problem.t_beta.shape[0])])
+    a_ub = sp.hstack([sp.csr_matrix((problem.e_z.shape[0], nb)), problem.e_z], format="csr")
     b_ub = np.zeros(problem.e_z.shape[0])
-    c = np.concatenate([np.zeros(z_off), problem.cost_z])
+    c = np.concatenate([np.zeros(nb), problem.cost_z])
     lb = np.full(c.size, -np.inf)
-    lb[nw:z_off] = 0.0
-    lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
+    lb[:nb] = 0.0
+    lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
 
     lp = LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
-    out = solve_lp(lp)
+    out = solve_lp(lp, basis=basis)
     if not out.optimal:
         raise SynthesisError(f"reweighting LP ended with status {out.status}", lp)
-    sol = out.x
-    beta = sol[nw:z_off]
+    beta = out.x[:nb]
     if np.all(np.ptp(points, axis=1) <= PRIMAL_TOL):
         # every group's points coincide, so every weight is optimal: replace
         # the solver's arbitrary pick by a fixed one
         beta = spread_beta(lay)
-    return sol[:nw], sol[z_off:], beta, float(out.objective)
+    return blend @ beta, out.x[nb:], beta, float(out.objective), out
 
 
 def alternate(
@@ -197,10 +193,11 @@ def alternate(
 ) -> SynthResult:
     """Alternate the two LPs until the objective improves by less than zeta.
 
-    The P-steps of one run differ only in their weight coefficients, so each
-    starts from the previous one's final basis.  The first is solved cold, and
-    so is a later one at the spread weights, which a Q-step tie-break returns:
-    the run then continues as a fresh one started from them would.
+    The P-steps of one run differ only in their weight coefficients and the
+    Q-steps only in their point coefficients, so each step starts from the
+    previous same-kind step's final basis.  The first steps are solved cold,
+    and so are both after the spread weights, which a Q-step tie-break
+    returns: the run then continues as a fresh one started from them would.
     """
     if zeta <= 0:
         raise ValueError("zeta must be positive")
@@ -210,13 +207,13 @@ def alternate(
     spread = spread_beta(problem.layout)
     history: list[float] = []
     p_nit: list[int] = []
-    basis = None
+    p_basis = q_basis = None
     prev_obj = None
     termination = "max-iterations"
     for it in range(1, max_iters + 1):
         try:
-            x, w_p, wbar, z_p, p_obj, p_out = p_step(problem, beta, basis)
-            w, z, beta_new, q_obj = q_step(problem, wbar)
+            x, w_p, wbar, z_p, p_obj, p_out = p_step(problem, beta, p_basis)
+            w, z, beta_new, q_obj, q_out = q_step(problem, wbar, q_basis)
         except SynthesisError as exc:
             raise SynthesisError(f"iteration {it}: {exc}", exc.lp) from exc
         history += [p_obj, q_obj]
@@ -227,7 +224,7 @@ def alternate(
             break
         prev_obj = q_obj
         beta = beta_new
-        basis = None if np.array_equal(beta, spread) else p_out.basis
+        p_basis, q_basis = (None, None) if np.array_equal(beta, spread) else (p_out.basis, q_out.basis)
     x, w, wbar, beta_fin, z, obj = current
     return SynthResult(
         W=boxes_from_x(problem, x),

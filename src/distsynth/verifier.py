@@ -6,10 +6,11 @@ encodes membership in the fixed hull of boxes through the scaled-point
 change of variables (``setgeom.perspective_lp``, the builder
 ``contains_point`` uses too), a route disjoint from the synthesizer's
 bilinear encoding (the reach coefficients are formed here, not taken from
-the encoder, so a fault there cannot certify itself).  Passing vertex checks
-bound the exact coverage distance by sum(epsilon), and the objective-bound
-check carries that bound to the stored objective.  ``certify`` runs every
-check; ``distance_dY`` solves the joint program for the exact distance.
+the encoder, so a fault there cannot certify itself), each vertex warm from
+the last (Devex-priced).  Passing vertex checks bound the exact coverage
+distance by sum(epsilon), and the objective-bound check carries that bound
+to the stored objective.  ``certify`` runs every check; ``distance_dY``
+solves the joint program for the exact distance.
 """
 
 from __future__ import annotations

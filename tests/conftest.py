@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from distsynth import Box, BoxHullSet, HPolytope, LtiSystem
+from distsynth import Box, BoxHullSet, HPolytope, LtiSystem, lp_solver
 
 
 @pytest.fixture(scope="session")
@@ -74,3 +74,9 @@ def random_hull(rng, n_w=2, n_boxes=3, scale=1.0) -> BoxHullSet:
 def brute_force_hull_vertices(W: BoxHullSet) -> np.ndarray:
     """All member-box corners; the hull's extreme points are among them."""
     return np.vstack([b.corners() for b in W.boxes])
+
+
+def prices_with_devex(highs) -> bool:
+    """Whether a HiGHS instance prices its dual simplex with Devex."""
+    _, strategy = highs.getOptionValue("simplex_dual_edge_weight_strategy")
+    return strategy == int(lp_solver._DEVEX)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +339,22 @@ def test_non_integer_result_is_2(tmp_path, edit, capsys):
     assert main(["plot", spec_path, result_path, "--out", str(tmp_path / "p")]) == 2
     assert "must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("module", ["distsynth", "distsynth.cli"])
+def test_module_entry_points_run_the_command(tmp_path, module):
+    spec_path = str(ROOT / "specs" / "illustrative.json")
+    good = ROOT / "perfbench" / "data" / "illustrative_result.json"
+    bad = json.loads(good.read_text())
+    bad["params"]["s"] = 60.5
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def run(result_path):
+        cmd = [sys.executable, "-m", module, "verify", spec_path, str(result_path)]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True).returncode
+
+    assert run(write_json(tmp_path / "result.json", bad)) == 2
+    assert run(good) == 0
 
 
 class TestVerifyRejects:

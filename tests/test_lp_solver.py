@@ -21,6 +21,8 @@ from distsynth.lp_solver import (
 from distsynth.synthesizer import boxes_from_x, p_step, q_step, spread_beta
 from distsynth.verifier import verify_coverage
 
+from conftest import prices_with_devex
+
 
 def test_min_with_lower_bound():
     out = solve_lp(LpProblem(c=[1.0], lb=[1.0]))
@@ -290,24 +292,23 @@ def test_warm_solve_failing_the_residual_check_is_the_cold_outcome(illustrative_
 
 
 def _recording_runs(monkeypatch):
-    """Spy on every HiGHS run: (presolve, basis, devex, simplex iterations)."""
+    """Spy on every HiGHS run: (presolve, basis, Devex pricing, simplex iterations)."""
     runs = []
     real = lp_solver._run
 
-    def spy(lp, presolve, basis=None, devex=False):
-        highs = real(lp, presolve, basis, devex)
-        nit = None if highs is None else int(highs.getInfo().simplex_iteration_count)
-        runs.append((presolve, basis, devex, nit))
+    def spy(lp, presolve, basis=None):
+        highs = real(lp, presolve, basis)
+        if highs is None:
+            runs.append((presolve, basis, None, None))
+        else:
+            runs.append((presolve, basis, prices_with_devex(highs), int(highs.getInfo().simplex_iteration_count)))
         return highs
 
     monkeypatch.setattr(lp_solver, "_run", spy)
     return runs
 
 
-@pytest.mark.parametrize("devex", [False, True])
-def test_warm_answer_missing_the_residual_check_is_solved_from_its_own_basis(
-    illustrative_lps, monkeypatch, devex
-):
+def test_warm_answer_missing_the_residual_check_is_solved_from_its_own_basis(illustrative_lps, monkeypatch):
     first, second = illustrative_lps[2], illustrative_lps[3]
     basis = solve_lp(first).basis
     cold = solve_lp(second)
@@ -322,9 +323,9 @@ def test_warm_answer_missing_the_residual_check_is_solved_from_its_own_basis(
 
     monkeypatch.setattr(lp_solver, "_outcome", first_fails)
     runs = _recording_runs(monkeypatch)
-    out = solve_lp(second, basis=basis, devex=devex)
-    # two runs without presolve: the warm one, then one from its final basis
-    assert [(presolve, b is not None, d) for presolve, b, d, _ in runs] == [(False, True, devex)] * 2
+    out = solve_lp(second, basis=basis)
+    # two runs without presolve, both priced with Devex: the warm one, then one from its final basis
+    assert [(presolve, b is not None, d) for presolve, b, d, _ in runs] == [(False, True, True)] * 2
     assert runs[0][1] is basis and runs[1][1] is answers[0].basis
     assert out.optimal and out.residual <= lp_solver.RESIDUAL_TOL
     assert np.array_equal(out.x, answers[1].x)
@@ -340,6 +341,25 @@ def test_cold_solve_counts_its_simplex_iterations(illustrative_lps, monkeypatch)
 
 
 def test_devex_leaves_the_cold_path_alone(illustrative_lps, monkeypatch):
+    first, second = illustrative_lps[2], illustrative_lps[3]
+    basis = solve_lp(first).basis
     runs = _recording_runs(monkeypatch)
-    assert _same_outcome(solve_lp(illustrative_lps[0], devex=True), solve_lp(illustrative_lps[0]))
-    assert [d for _, _, d, _ in runs] == [False, False]
+    real = lp_solver._outcome
+
+    def fourth_run_fails(p, highs):
+        out = real(p, highs)
+        return dataclasses.replace(out, status=lp_solver.FAILED) if len(runs) == 4 else out
+
+    # every warm answer misses the residual contract, so the warm start ends
+    # cold; the first cold run of the next solve fails and is retried
+    monkeypatch.setattr(lp_solver, "RESIDUAL_TOL", -1.0)
+    monkeypatch.setattr(lp_solver, "_outcome", fourth_run_fails)
+    solve_lp(second, basis=basis)
+    solve_lp(first)
+    assert [(presolve, b is not None, d) for presolve, b, d, _ in runs] == [
+        (False, True, True),  # warm
+        (False, True, True),  # from the warm answer's basis
+        (True, False, False),  # cold
+        (True, False, False),  # cold, failed
+        (False, False, False),  # retried without presolve
+    ]

@@ -181,8 +181,9 @@ def assert_entries(block, rows):
 
 
 class TestStepBlocks:
-    """Entry by entry, the P-step's membership rows and the Q-step's coupling
-    rows are the ones written out from the layout's accessors."""
+    """Entry by entry, the P-step's membership rows and the Q-step's reach
+    rows with the coupling substituted are the ones written out from the
+    layout's accessors."""
 
     @pytest.fixture(params=["small", "illustrative"])
     def problem(self, request):
@@ -221,21 +222,26 @@ class TestStepBlocks:
         wbar = rng.normal(size=lay.dim_wbar)
         wbar[rng.random(lay.dim_wbar) < 0.3] = 0.0
         lp = captured_lp(monkeypatch, q_step, problem, wbar)
-        # by (group, coordinate): w_g - sum_j beta_gj wbar_gj = 0
-        rows = []
-        for i in range(lay.n_vertices):
-            for slot in range(lay.n_slots):
-                for k in range(lay.n_w):
-                    row = {lay.w_slot(i, slot).start + k: 1.0}
+        n_reach, nb = problem.c_w.shape[0], lay.dim_beta
+        assert lp.a_eq.shape == (n_reach + lay.n_groups, nb + lay.dim_z)
+        # by (vertex, output): c_w @ blockdiag(wbar_g^T), i.e. w_g = sum_j beta_gj wbar_gj
+        # substituted, so beta_gj carries the reach coefficients of w_g times wbar_gj
+        c_w = problem.c_w.toarray()
+        reach = lp.a_eq[:n_reach, :nb].toarray()
+        for row in range(n_reach):
+            expected = np.zeros(nb)
+            for i in range(lay.n_vertices):
+                for slot in range(lay.n_slots):
                     for j in range(lay.n_boxes):
-                        row[lay.dim_w + lay.beta_entry(i, slot, j)] = -wbar[lay.wbar_slot(i, slot, j).start + k]
-                    rows.append(row)
-        start = problem.c_w.shape[0] + problem.t_beta.shape[0]
-        assert lp.a_eq.shape == (start + lay.dim_w, lay.dim_w + lay.dim_beta + lay.dim_z)
-        coupling = lp.a_eq[start:]
-        assert_entries(coupling, rows)
-        # every zero point coordinate stays an explicit entry
-        assert np.count_nonzero(coupling.data == 0.0) == np.count_nonzero(wbar == 0.0) > 0
+                        point = wbar[lay.wbar_slot(i, slot, j)]
+                        expected[lay.beta_entry(i, slot, j)] = c_w[row, lay.w_slot(i, slot)] @ point
+            np.testing.assert_allclose(reach[row], expected, rtol=1e-13, atol=1e-15)
+        assert (lp.a_eq[:n_reach, nb:] != problem.c_z).nnz == 0
+        assert (lp.a_eq[n_reach:, :nb] != problem.t_beta).nnz == 0 and lp.a_eq[n_reach:, nb:].nnz == 0
+        np.testing.assert_array_equal(lp.b_eq, np.concatenate([problem.h, np.ones(lay.n_groups)]))
+        # no w column and no inequality row beyond e_z
+        assert lp.a_ub.shape == (problem.e_z.shape[0], nb + lay.dim_z)
+        assert lp.a_ub[:, :nb].nnz == 0 and (lp.a_ub[:, nb:] != problem.e_z).nnz == 0
 
 
 class TestPStep:
@@ -273,7 +279,7 @@ class TestQStep:
         _, _, _, _, problem = small_setup
         beta = uniform_beta(problem.layout)
         _, _, wbar, _, p_obj, _ = p_step(problem, beta)
-        _, _, _, q_obj = q_step(problem, wbar)
+        _, _, _, q_obj, _ = q_step(problem, wbar)
         assert q_obj <= p_obj + 1e-8
 
     def test_single_box_forces_unit_weights(self):
@@ -284,15 +290,15 @@ class TestQStep:
         problem = assemble(sys, Y, vertices_hpoly(Y), params, 1, 2, h_preset("box", 2))
         beta = uniform_beta(problem.layout)
         _, _, wbar, _, p_obj, _ = p_step(problem, beta)
-        _, _, beta_out, q_obj = q_step(problem, wbar)
+        _, _, beta_out, q_obj, _ = q_step(problem, wbar)
         assert np.allclose(beta_out, 1.0)
         assert q_obj == pytest.approx(p_obj, abs=1e-8)
 
     def capture_lp_solutions(self, monkeypatch):
         solutions = []
 
-        def recording(lp):
-            out = solve_lp(lp)
+        def recording(lp, **kwargs):
+            out = solve_lp(lp, **kwargs)
             solutions.append(out.x)
             return out
 
@@ -308,7 +314,7 @@ class TestQStep:
             for slot in range(lay.n_slots):
                 for j in range(lay.n_boxes):
                     wbar[lay.wbar_slot(i, slot, j)] = w[lay.w_slot(i, slot)]
-        _, _, beta, _ = q_step(problem, wbar)
+        _, _, beta, _, _ = q_step(problem, wbar)
         np.testing.assert_array_equal(beta, spread_beta(lay))
 
     def test_distinct_points_keep_the_solver_weights(self, small_setup, monkeypatch):
@@ -320,8 +326,8 @@ class TestQStep:
             wbar[lay.wbar_slot(0, 0, j)] = w[lay.w_slot(0, 0)]
         assert np.ptp(wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w), axis=1).max() > 1e-6
         solutions = self.capture_lp_solutions(monkeypatch)
-        _, _, beta, _ = q_step(problem, wbar)
-        np.testing.assert_array_equal(beta, solutions[-1][lay.dim_w : lay.dim_w + lay.dim_beta])
+        _, _, beta, _, _ = q_step(problem, wbar)
+        np.testing.assert_array_equal(beta, solutions[-1][: lay.dim_beta])
 
     def test_matches_simplex_grid_oracle(self):
         """With the group points frozen, the driving points are exactly the
@@ -336,7 +342,7 @@ class TestQStep:
         problem = assemble(sys, Y, vertices, params, n_boxes=2, horizon=1, H=H)
         lay = problem.layout
         _, _, wbar, _, _, _ = p_step(problem, uniform_beta(lay))
-        _, _, _, q_obj = q_step(problem, wbar)
+        _, _, _, q_obj, _ = q_step(problem, wbar)
 
         coeff = [sys.C @ sys.B, sys.D]  # slot maps at horizon 1
         grid = np.linspace(0.0, 1.0, 101)
@@ -466,27 +472,55 @@ class TestAlternate:
                 assert not np.array_equal(beta, spread_beta(problem.layout))
                 assert basis is previous is not None
 
+    def test_each_q_step_after_the_first_starts_from_the_previous_basis(self, small_setup, monkeypatch):
+        problem = small_setup[4]
+        res = alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
+        runs = []
+        real_alternate, real_q_step = synthesizer.alternate, synthesizer.q_step
+
+        def recording_alternate(problem, beta0, **kwargs):
+            runs.append([])
+            return real_alternate(problem, beta0, **kwargs)
+
+        def recording_q_step(problem, wbar, basis=None):
+            out = real_q_step(problem, wbar, basis)
+            runs[-1].append((basis, out[-1].basis, out[2]))
+            return out
+
+        monkeypatch.setattr(synthesizer, "alternate", recording_alternate)
+        monkeypatch.setattr(synthesizer, "q_step", recording_q_step)
+        synthesizer.alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
+        refine(problem, res, 2, np.random.default_rng(7), zeta=1e-6, max_iters=30)
+        assert len(runs) == 3
+        for run in runs:
+            assert len(run) >= 2
+            # the first Q-step of the run and of each restart is cold
+            assert run[0][0] is None
+            for (basis, _, _), (_, previous, beta) in zip(run[1:], run[:-1]):
+                # the previous Q-step returned no spread tie-break
+                assert not np.array_equal(beta, spread_beta(problem.layout))
+                assert basis is previous is not None
+
     def test_p_step_answers_meet_the_residual_contract(self, illustrative_problem, monkeypatch):
+        # and so do the Q-step answers
         problem = illustrative_problem
         lay = problem.layout
-        p_width = lay.dim_x + lay.dim_w + lay.dim_z
-        answers = []
+        p_width, q_width = lay.dim_x + lay.dim_w + lay.dim_z, lay.dim_beta + lay.dim_z
+        answers = {p_width: [], q_width: []}
 
         def recording(lp, **kwargs):
             out = solve_lp(lp, **kwargs)
-            if lp.n_vars == p_width:
-                answers.append((kwargs, out))
+            answers[lp.n_vars].append((kwargs, out))
             return out
 
         monkeypatch.setattr(synthesizer, "solve_lp", recording)
         res = alternate(problem, spread_beta(lay), zeta=1e-4, max_iters=100)
-        assert len(answers) == res.iterations >= 2
-        warm = [kwargs.get("basis") is not None for kwargs, _ in answers]
-        assert warm == [False] + [True] * (res.iterations - 1)
-        # a warm P-step prices with Devex
-        assert all(kwargs.get("devex") for kwargs, _ in answers)
-        assert all(out.optimal and out.residual <= RESIDUAL_TOL for _, out in answers)
-        assert res.p_nit == [out.nit for _, out in answers]
+        for steps in answers.values():
+            assert len(steps) == res.iterations >= 2
+            warm = [kwargs.get("basis") is not None for kwargs, _ in steps]
+            assert warm == [False] + [True] * (res.iterations - 1)
+            assert all(out.optimal and out.residual <= RESIDUAL_TOL for _, out in steps)
+        assert res.p_nit == [out.nit for _, out in answers[p_width]]
 
     def test_rejects_an_empty_iteration_budget(self, small_setup):
         problem = small_setup[4]
@@ -497,7 +531,7 @@ class TestAlternate:
         problem = small_setup[4]
         lp = LpProblem(np.zeros(1))
 
-        def failing(problem, wbar):
+        def failing(problem, wbar, basis=None):
             raise SynthesisError("reweighting LP ended with status failed", lp)
 
         monkeypatch.setattr(synthesizer, "q_step", failing)

@@ -31,7 +31,7 @@ from distsynth.lp_solver import solve_lp
 from distsynth.setgeom import sample_batch, stacked_identity
 from distsynth.verifier import _reach_coefficients
 
-from conftest import random_hull, random_stable_system
+from conftest import prices_with_devex, random_hull, random_stable_system
 
 
 def unit_box_constraints(n):
@@ -373,21 +373,22 @@ class TestVerifyCoverage:
             assert np.allclose([c.margin for c in warm.checks], cold, rtol=0.0, atol=1e-12)
             assert warm.passed is not halve
 
-    def test_warm_solves_keep_steepest_edge_pricing(self, plant, pentagon, monkeypatch):
+    def test_warm_solves_price_with_devex(self, plant, pentagon, monkeypatch):
         V = vertices_hpoly(pentagon)
         H = h_preset("uniform:6", 2)
         eps, _ = distance_dY(plant, V, CERTIFIED_W, 59, H)
         runs = []
         real = lp_solver._run
 
-        def spy(lp, presolve, basis=None, devex=False):
-            runs.append((basis is not None, devex))
-            return real(lp, presolve, basis, devex)
+        def spy(lp, presolve, basis=None):
+            highs = real(lp, presolve, basis)
+            runs.append((basis is not None, prices_with_devex(highs)))
+            return highs
 
         monkeypatch.setattr(lp_solver, "_run", spy)
         assert verify_coverage(plant, V, CERTIFIED_W, 59, H, eps).passed
         assert sum(warm for warm, _ in runs) >= len(V) - 1
-        assert not any(devex for _, devex in runs)
+        assert all(devex is warm for warm, devex in runs)
 
     @pytest.mark.parametrize("case", ["certified-pentagon", "random-69", "random-70"])
     def test_joint_optimum_is_tight_for_the_vertex_checks(self, plant, pentagon, case):
