@@ -308,9 +308,13 @@ def _recording_runs(monkeypatch):
     return runs
 
 
-def test_warm_answer_missing_the_residual_check_is_solved_from_its_own_basis(illustrative_lps, monkeypatch):
+@pytest.mark.parametrize("own_optimum", [False, True])
+def test_warm_answer_missing_the_residual_check_is_solved_from_its_own_basis(
+    illustrative_lps, monkeypatch, own_optimum
+):
+    # the warm basis is a related program's, or the program's own optimal one
     first, second = illustrative_lps[2], illustrative_lps[3]
-    basis = solve_lp(first).basis
+    basis = solve_lp(second if own_optimum else first).basis
     cold = solve_lp(second)
     real = lp_solver._outcome
     answers = []
