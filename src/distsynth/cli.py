@@ -400,6 +400,8 @@ def cmd_reduce(doc: dict) -> ProblemSpec:
 
 def cmd_gen(n_x: int, n_w: int, n_y: int, rho_target: float, seed: int) -> ProblemSpec:
     """Random stable test system with a unit-box constraint set."""
+    if min(n_x, n_w, n_y) < 1:
+        raise SpecError("nx, nw and ny must be at least 1")
     if not (0.0 < rho_target < 1.0):
         raise SpecError("rho must lie in (0, 1)")
     rng = np.random.default_rng(seed)

@@ -3,17 +3,14 @@
 Problems are carried as a cost vector, sparse inequality/equality blocks and
 per-variable bounds.  Solving goes straight to the HiGHS bindings that scipy
 bundles, with the options ``scipy.optimize.linprog(method="highs")`` would
-pass, so a cold solve returns what ``linprog`` returns, bit for bit, without
-its front end.  HiGHS is deterministic for a fixed input; outcomes carry the
-status, primal solution, scaled feasibility residual, a dual objective for
-weak-duality checks, the simplex iteration count and the final basis, from
-which a program of the same shape (same numbers of rows and columns, other
-coefficients or bounds) can start, without presolve and priced with Devex.
-A warm answer must meet the residual contract; one that ends optimal but
-misses it is solved once more from its own final basis in a fresh instance,
-and only when that answer misses it too is the program solved cold.  A
-line-oriented textual dump (LP interchange format) is provided for
-cross-checking individual programs with external tools.
+pass, so an accepted cold answer is what ``linprog`` returns, bit for bit,
+without its front end.  HiGHS is deterministic for a fixed input; outcomes
+carry the status, primal solution, scaled feasibility residual, a dual
+objective for weak-duality checks, the simplex iteration count and the final
+basis, from which a program of the same shape can start warm.  ``solve_lp``
+checks every answer, warm or cold, by one rule and walks one fallback ladder
+until an answer meets it.  A line-oriented textual dump (LP interchange
+format) is provided for cross-checking individual programs with external tools.
 """
 
 from __future__ import annotations
@@ -46,10 +43,11 @@ _MAX_ITER = 1_000_000
 
 # tight feasibility keeps certificate margins within the 1e-8 contract
 PRIMAL_TOL = 1e-9
-# the verifier's residual contract; a warm start must meet it or is redone cold
+# the verifier's residual contract; every accepted answer meets it
 RESIDUAL_TOL = 1e-8
-# linprog's check of an "optimal" answer: sqrt(1e-9) * 10, unscaled
-_LINPROG_FEAS_TOL = float(np.sqrt(1e-9) * 10)
+# a cold rung ending in one of these ends the ladder; as with linprog, only a
+# failed or rejected answer goes on to the next rung
+_FINAL = (INFEASIBLE, UNBOUNDED, ITERATION_LIMIT)
 _OPTIONS = {
     "output_flag": False,
     "log_to_console": False,
@@ -139,19 +137,19 @@ class LpOutcome:
         return self.status == OPTIMAL
 
 
+def _row_scale(mat: sp.csr_matrix) -> np.ndarray:
+    return np.maximum(1.0, np.abs(mat).max(axis=1).toarray().ravel())
+
+
 def _scaled_residual(p: LpProblem, x: np.ndarray) -> float:
-    worst = 0.0
+    """Worst bound or row violation, each row scaled by its largest coefficient
+    (at least 1); NaN or inf when ``x`` holds either, so it meets no tolerance."""
+    parts = [p.lb - x, x - p.ub]
     if p.a_ub is not None:
-        viol = p.a_ub @ x - p.b_ub
-        scale = np.maximum(1.0, np.abs(p.a_ub).max(axis=1).toarray().ravel())
-        worst = max(worst, float(np.max(viol / scale, initial=0.0)))
+        parts.append((p.a_ub @ x - p.b_ub) / _row_scale(p.a_ub))
     if p.a_eq is not None:
-        viol = np.abs(p.a_eq @ x - p.b_eq)
-        scale = np.maximum(1.0, np.abs(p.a_eq).max(axis=1).toarray().ravel())
-        worst = max(worst, float(np.max(viol / scale, initial=0.0)))
-    worst = max(worst, float(np.max(p.lb - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - p.ub, initial=0.0)))
-    return worst
+        parts.append(np.abs(p.a_eq @ x - p.b_eq) / _row_scale(p.a_eq))
+    return float(np.max(np.concatenate(parts), initial=0.0))
 
 
 def _rhs(p: LpProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -197,20 +195,6 @@ def _run(lp: _highs.HighsLp, presolve: bool, basis: _highs.HighsBasis | None = N
     return highs
 
 
-def _linprog_accepts(p: LpProblem, x: np.ndarray, rows: np.ndarray, objective: float) -> bool:
-    """linprog's acceptance of an optimal answer: nothing NaN, and bounds,
-    inequality rows and equality rows met to its unscaled tolerance."""
-    tol = _LINPROG_FEAS_TOL
-    b_ub, b_eq = _rhs(p)
-    if np.isnan(objective) or np.isnan(x).any() or np.isnan(rows).any():
-        return False
-    return bool(
-        np.all((x >= p.lb - tol) & (x <= p.ub + tol))
-        and np.all(rows[: b_ub.size] - b_ub <= tol)
-        and np.all(np.abs(rows[b_ub.size :] - b_eq) <= tol)
-    )
-
-
 def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     model_status = highs.getModelStatus()
     status = _STATUS_MAP.get(model_status, FAILED)
@@ -221,9 +205,6 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     sol = highs.getSolution()
     x = np.array(sol.col_value)
     objective = float(highs.getInfo().objective_function_value)
-    if not _linprog_accepts(p, x, np.array(sol.row_value), objective):
-        message = "optimal answer violates the constraints"
-        return LpOutcome(FAILED, None, None, None, None, None, None, message, nit=nit)
     # bound marginals are the column duals of columns nonbasic at that bound
     basis = highs.getBasis()
     col_status = np.fromiter(map(int, basis.col_status), np.int8, p.n_vars)
@@ -262,34 +243,43 @@ def _solve(p: LpProblem, lp: _highs.HighsLp, presolve: bool, basis=None) -> LpOu
     return _outcome(p, highs)
 
 
+def _accepted(out: LpOutcome) -> bool:
+    """The one acceptance rule: optimal, finite and within the residual
+    contract (the residual is not finite when ``x`` is not)."""
+    return out.optimal and np.isfinite(out.objective) and out.residual <= RESIDUAL_TOL
+
+
 def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None) -> LpOutcome:
     """Solve an LP; all failure modes are reported via the status field.
 
-    A cold solve runs HiGHS with presolve and, on a failure, once more
-    without; the retry is triggered by the first result alone, so outcomes
-    stay deterministic.  With ``basis`` (an earlier outcome's, for a program
-    of the same shape) HiGHS starts from it without presolve, pricing with
-    Devex.  A warm answer that ends optimal with a scaled residual above
-    ``RESIDUAL_TOL`` is solved once more from its own final basis in a fresh
-    instance (no presolve, usually no pivot); if that answer, or the first
-    warm one, still misses the contract, it is discarded and the program
-    solved cold, so a warm start never returns an answer the cold solve would
-    not meet.  ``nit`` counts the iterations of every run.
+    The program goes down one ladder of rungs until an answer is accepted:
+    from ``basis`` when one is given (an earlier outcome's, for a program of
+    the same shape; no presolve, Devex pricing), then cold with presolve,
+    then cold without.  An answer is accepted when HiGHS reports it optimal,
+    every number in it is finite and its scaled residual is at most
+    ``RESIDUAL_TOL``.  An optimal answer that misses that is solved once more
+    from its own final basis in a fresh instance (no presolve, usually no
+    pivot) before the ladder moves on.  A cold rung that ends infeasible,
+    unbounded or at the iteration limit ends the ladder with that status; an
+    answer the last rung cannot accept either is ``FAILED``.  Which rung runs
+    depends on the answers alone, so outcomes stay deterministic, and
+    ``nit`` counts the iterations of every run.
     """
     lp = _highs_lp(problem)
+    rungs = [(False, basis)] if basis is not None else []
+    rungs += [(True, None), (False, None)]
     spent = 0
-    if basis is not None:
-        out = _solve(problem, lp, False, basis)
-        if out.optimal and out.residual > RESIDUAL_TOL:
-            spent, out = out.nit, _solve(problem, lp, False, out.basis)
-        if out.optimal and out.residual <= RESIDUAL_TOL:
-            return replace(out, nit=spent + out.nit)
+    for presolve, start in rungs:
+        out = _solve(problem, lp, presolve, start)
+        if out.optimal and not _accepted(out):
+            spent += out.nit
+            out = _solve(problem, lp, False, out.basis)
         spent += out.nit
-    out = _solve(problem, lp, True)
-    if out.status == FAILED:
-        spent += out.nit
-        out = _solve(problem, lp, False)
-    return replace(out, nit=spent + out.nit)
+        if _accepted(out) or (start is None and out.status in _FINAL):
+            return replace(out, nit=spent)
+    if out.optimal:
+        out = LpOutcome(FAILED, None, None, None, None, None, None, "no rung met the residual contract")
+    return replace(out, nit=spent)
 
 
 def _term(coef: float, j: int) -> str:

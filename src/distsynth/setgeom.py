@@ -144,6 +144,8 @@ class LtiSystem:
             raise GeometryError("C column count must match A")
         if D.shape != (C.shape[0], B.shape[1]):
             raise GeometryError("D must be n_y x n_w")
+        if 0 in D.shape or n_x == 0:
+            raise GeometryError("the system needs at least one state, one input and one output")
         rho = spectral_radius(A)
         if rho >= 1.0:
             raise GeometryError(f"A must be strictly stable, got spectral radius {rho:.6g}")

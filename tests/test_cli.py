@@ -137,6 +137,7 @@ def _set_option(key, val):
 MALFORMED = {
     "A-not-square": lambda d: d["system"].update(A=d["system"]["A"][:2]),
     "A-nan": lambda d: d["system"]["A"][0].__setitem__(0, float("nan")),
+    "no-inputs": lambda d: d["system"].update(B=[[]] * 3, D=[[]] * 2),
     "g-nan": lambda d: d["constraints"]["g"].__setitem__(0, float("nan")),
     "ragged-vertices": lambda d: d["constraints"].update(vertices=[[0.0, 0.0], [0.1]]),
     "N-zero": _set_option("N", 0),
@@ -395,6 +396,14 @@ class TestCmdReduce:
         frag = cmd_params(spec)
         assert frag["params"]["s"] == 151
 
+    def test_no_accessible_substate_is_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(PARTITIONED_SPEC))
+        doc["system"].update(A21=[[]] * 4, C1=[[]] * 2)
+        path = write_json(tmp_path / "partitioned.json", doc)
+        assert main(["reduce", path, "--out", str(tmp_path / "spec.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "spec.json").exists()
+
     def test_unstable_hidden_block_rejected(self):
         from distsynth.cli import AssumptionError
 
@@ -446,6 +455,14 @@ class TestCmdGen:
 
         with pytest.raises(SpecError):
             cmd_gen(3, 2, 2, 1.1, seed=0)
+
+    @pytest.mark.parametrize("dims", [("0", "2", "2"), ("-1", "2", "2"), ("3", "0", "2"), ("3", "2", "0")])
+    def test_empty_dimension_is_2(self, tmp_path, dims, capsys):
+        nx, nw, ny = dims
+        out = tmp_path / "spec.json"
+        assert main(["gen", "--nx", nx, "--nw", nw, "--ny", ny, "--rho", "0.7", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: nx, nw and ny must be at least 1")
+        assert not out.exists()
 
     def test_params_terminate_on_batch(self):
         for seed in range(10):

@@ -282,12 +282,22 @@ def _same_outcome(a, b):
     )
 
 
+def _warm_answers_miss_the_contract(monkeypatch):
+    """Every answer of a run started from a basis misses the residual contract."""
+    real = lp_solver._solve
+
+    def solve(p, lp, presolve, basis=None):
+        out = real(p, lp, presolve, basis)
+        return dataclasses.replace(out, residual=1.0) if basis is not None and out.optimal else out
+
+    monkeypatch.setattr(lp_solver, "_solve", solve)
+
+
 def test_warm_solve_failing_the_residual_check_is_the_cold_outcome(illustrative_lps, monkeypatch):
     first, second = illustrative_lps[2], illustrative_lps[3]
     basis = solve_lp(first).basis
     cold = solve_lp(second)
-    # every warm answer now fails the residual contract
-    monkeypatch.setattr(lp_solver, "RESIDUAL_TOL", -1.0)
+    _warm_answers_miss_the_contract(monkeypatch)
     assert _same_outcome(solve_lp(second, basis=basis), cold)
 
 
@@ -356,7 +366,7 @@ def test_devex_leaves_the_cold_path_alone(illustrative_lps, monkeypatch):
 
     # every warm answer misses the residual contract, so the warm start ends
     # cold; the first cold run of the next solve fails and is retried
-    monkeypatch.setattr(lp_solver, "RESIDUAL_TOL", -1.0)
+    _warm_answers_miss_the_contract(monkeypatch)
     monkeypatch.setattr(lp_solver, "_outcome", fourth_run_fails)
     solve_lp(second, basis=basis)
     solve_lp(first)
@@ -367,3 +377,77 @@ def test_devex_leaves_the_cold_path_alone(illustrative_lps, monkeypatch):
         (True, False, False),  # cold, failed
         (False, False, False),  # retried without presolve
     ]
+
+
+# every run of the ladder when no answer meets the contract
+COLD_LADDER = [
+    (True, False, False),  # cold
+    (False, True, True),  # from the cold answer's basis
+    (False, False, False),  # cold without presolve
+    (False, True, True),  # from that answer's basis
+]
+
+
+@pytest.mark.parametrize("misses", [2, 4])
+def test_cold_answer_missing_the_residual_check_is_solved_from_its_basis_then_without_presolve(
+    illustrative_lps, monkeypatch, misses
+):
+    p = illustrative_lps[0]
+    real = lp_solver._outcome
+    answers = []
+
+    def first_answers_miss(p, highs):
+        out = real(p, highs)
+        answers.append(out)
+        return dataclasses.replace(out, residual=1.0) if len(answers) <= misses else out
+
+    monkeypatch.setattr(lp_solver, "_outcome", first_answers_miss)
+    runs = _recording_runs(monkeypatch)
+    out = solve_lp(p)
+    assert [(presolve, b is not None, d) for presolve, b, d, _ in runs] == COLD_LADDER[: misses + 1]
+    assert runs[1][1] is answers[0].basis
+    assert out.nit == sum(nit for *_, nit in runs)
+    if misses < len(COLD_LADDER):
+        assert out.optimal and np.array_equal(out.x, answers[misses].x)
+    else:
+        assert runs[3][1] is answers[2].basis
+        assert out.status == lp_solver.FAILED and out.x is None
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("b_ub, status", [((-1.0, 1.0), INFEASIBLE), ((np.inf, 1.0), UNBOUNDED)])
+def test_infeasible_or_unbounded_cold_answer_ends_the_ladder(monkeypatch, warm, b_ub, status):
+    basis = solve_lp(_two_row_lp()).basis if warm else None
+    runs = _recording_runs(monkeypatch)
+    out = solve_lp(_two_row_lp(b_ub=b_ub), basis=basis)
+    assert out.status == status
+    # one cold run, after the warm one if a basis was given
+    assert [(presolve, b is not None) for presolve, b, *_ in runs] == [(False, True)] * warm + [(True, False)]
+
+
+def test_non_finite_answer_meets_no_tolerance(illustrative_lps, monkeypatch):
+    p = illustrative_lps[3]
+    x = solve_lp(p).x
+    for bad in (np.nan, np.inf, -np.inf):
+        x_bad = x.copy()
+        x_bad[0] = bad
+        with np.errstate(invalid="ignore"):
+            assert not _scaled_residual(p, x_bad) <= lp_solver.RESIDUAL_TOL
+    # a warm answer holding NaN is not accepted, but solved from its basis
+    basis = solve_lp(illustrative_lps[2]).basis
+    real = lp_solver._outcome
+    answers = []
+
+    def first_answer_nan(p, highs):
+        out = real(p, highs)
+        answers.append(out)
+        if len(answers) > 1:
+            return out
+        x_nan = out.x.copy()
+        x_nan[0] = np.nan
+        return dataclasses.replace(out, x=x_nan, residual=_scaled_residual(p, x_nan))
+
+    monkeypatch.setattr(lp_solver, "_outcome", first_answer_nan)
+    out = solve_lp(p, basis=basis)
+    assert len(answers) == 2 and np.isfinite(out.x).all()
+    assert np.array_equal(out.x, answers[1].x)
