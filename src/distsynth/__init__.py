@@ -6,7 +6,8 @@ stay inside the constraints while covering them as closely as possible, and
 independently certifies the result.
 """
 
-from .encoder import SynthProblem, VariableLayout, assemble, h_preset
+from .encoder import SynthProblem, VariableLayout, assemble, h_preset, short_horizon
+from .lp_solver import LpFailure
 from .rpi_params import (
     ConstantsAccumulator,
     ParamSearchError,
@@ -62,6 +63,7 @@ __all__ = [
     "ConstantsAccumulator",
     "GeometryError",
     "HPolytope",
+    "LpFailure",
     "LtiSystem",
     "ParamSearchError",
     "RpiConstants",
@@ -85,6 +87,7 @@ __all__ = [
     "refine",
     "sample",
     "select_params",
+    "short_horizon",
     "simulate",
     "solve_Hs",
     "spread_beta",

@@ -5,8 +5,9 @@ Problem and result documents are JSON files; the worked examples live in
 specs/ and the schema is described in the README.  Exit codes: 0 on success
 (all certificates pass for ``verify``), 2 for malformed documents (and for
 ``verify`` and ``plot``, a result that does not fit its spec), 3 for assumption
-violations or infeasibility, 4 for solver failures; a failing
-synthesis LP is written to ``failed_lp.lp`` beside the ``--out`` target.
+violations or infeasibility, 4 for solver failures; a failing LP
+(synthesis, exact distance or coverage check) is written to ``failed_lp.lp``
+beside the ``--out`` target, or to the current directory without one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoder, synthesizer, verifier
-from .lp_solver import write_lp
+from .lp_solver import LpFailure, write_lp
 from .rpi_params import ParamSearchError, RpiParams, select_params
 from .setgeom import (
     Box,
@@ -36,7 +37,6 @@ from .setgeom import (
     stacked_identity,
     vertices_hpoly,
 )
-from .synthesizer import SynthesisError
 
 
 class SpecError(ValueError):
@@ -228,6 +228,11 @@ class ResultDoc:
     termination: str
     timing: dict = field(default_factory=dict)
     p_nit: list = field(default_factory=list)  # simplex iterations per P-step
+    l0: int | None = None  # coverage horizon of the alternation (and history); None means l
+
+    def __post_init__(self):
+        if self.l0 is None:
+            self.l0 = self.horizon
 
     def to_dict(self) -> dict:
         return {
@@ -241,6 +246,7 @@ class ResultDoc:
             "epsilon": self.epsilon.tolist(),
             "objective": self.objective,
             "l": self.horizon,
+            "l0": self.l0,
             "H": self.H.tolist(),
             "certificates": self.certificates,
             "history": list(self.history),
@@ -254,7 +260,8 @@ class ResultDoc:
     def from_dict(cls, doc: dict) -> "ResultDoc":
         """The stored result; SpecError on a missing or malformed entry or on a
         non-finite number in params, the boxes, epsilon, objective or H, or on
-        a non-integer s, l, iterations or p_nit entry."""
+        a non-integer s, l, l0, iterations or p_nit entry.  A document without
+        l0 (written before it existed) alternated at l."""
         try:
             p = doc["params"]
             params = RpiParams(
@@ -281,6 +288,7 @@ class ResultDoc:
                 termination=str(doc.get("termination", "")),
                 timing=dict(doc.get("timing", {})),
                 p_nit=[_integer(n, "p_nit entry") for n in doc.get("p_nit", [])],
+                l0=_integer(doc.get("l0", doc["l"]), "l0"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad result document: {exc}") from exc
@@ -305,6 +313,9 @@ def cmd_params(spec: ProblemSpec) -> dict:
 
 
 def cmd_synth(spec: ProblemSpec) -> ResultDoc:
+    """Alternate at the short horizon ``encoder.short_horizon`` gives, then
+    state the exact distance of the emitted W at the coverage horizon l and
+    certify it there; W stays certified at l because it holds the origin."""
     t0 = time.perf_counter()
     params = select_params(
         spec.sys, spec.Y, gamma=spec.options.gamma, mu=spec.options.mu, s_max=spec.options.s_max
@@ -313,7 +324,8 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
     vertices = spec.resolve_vertices()
     horizon = spec.options.horizon if spec.options.horizon is not None else params.s
     H = spec.resolve_h()
-    problem = encoder.assemble(spec.sys, spec.Y, vertices, params, spec.options.n_boxes, horizon, H)
+    l0 = encoder.short_horizon(spec.sys, horizon)
+    problem = encoder.assemble(spec.sys, spec.Y, vertices, params, spec.options.n_boxes, l0, H)
     t0 = time.perf_counter()
     result = synthesizer.alternate(
         problem,
@@ -332,31 +344,35 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
     )
     t_synth = time.perf_counter() - t0
     t0 = time.perf_counter()
-    cert = verifier.certify(
-        spec.sys, spec.Y, params, result.W, vertices, horizon, H, result.epsilon, result.objective
-    )
+    epsilon, objective = verifier.distance_dY(spec.sys, vertices, result.W, horizon, H)
+    t_distance = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    cert = verifier.certify(spec.sys, spec.Y, params, result.W, vertices, horizon, H, epsilon, objective)
     t_verify = time.perf_counter() - t0
     return ResultDoc(
         params=params,
         W=result.W,
-        epsilon=result.epsilon,
-        objective=result.objective,
+        epsilon=epsilon,
+        objective=objective,
         horizon=horizon,
         H=H,
         certificates=cert.as_dict(),
         history=result.history,
         iterations=result.iterations,
         termination=result.termination,
-        timing={"params_s": t_params, "synth_s": t_synth, "verify_s": t_verify},
+        timing={"params_s": t_params, "synth_s": t_synth, "distance_s": t_distance, "verify_s": t_verify},
         p_nit=result.p_nit,
+        l0=l0,
     )
 
 
 def _check_fit(spec: ProblemSpec, doc: ResultDoc) -> None:
-    """Raise SpecError unless the result's horizon, H, epsilon and boxes fit the spec."""
+    """Raise SpecError unless the result's horizons, H, epsilon and boxes fit the spec."""
     n_y, n_w = spec.sys.n_y, spec.sys.n_w
     if doc.horizon < 1:
         raise SpecError(f"coverage horizon l must be at least 1, not {doc.horizon}")
+    if not 1 <= doc.l0 <= doc.horizon:
+        raise SpecError(f"alternation horizon l0 must lie in 1..l = {doc.horizon}, not {doc.l0}")
     if doc.H.ndim != 2 or doc.H.shape[1] != n_y:
         raise SpecError(f"H must be a matrix with {n_y} columns, one per output")
     if doc.epsilon.shape != (doc.H.shape[0],):
@@ -632,17 +648,14 @@ def main(argv=None) -> int:
     except (AssumptionError, ParamSearchError, GeometryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
-    except SynthesisError as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        if exc.lp is not None:
+        if isinstance(exc, LpFailure) and exc.lp is not None:
             # the failing program, beside where result.json would have gone
-            path = Path(_out_path(args.out, "result.json") or "result.json").parent / "failed_lp.lp"
+            path = Path(_out_path(getattr(args, "out", None), "result.json") or "result.json").parent / "failed_lp.lp"
             path.parent.mkdir(parents=True, exist_ok=True)
             write_lp(exc.lp, path)
             print(f"failing LP written to {path}", file=_sys.stderr)
-        return 4
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
         return 4
     return 0
 

@@ -265,6 +265,30 @@ class SynthProblem:
     t_beta: sp.csr_matrix
 
 
+# the alternation's coverage horizon leaves out the reach terms whose
+# coefficients sum to at most this fraction of the sum over the full horizon
+SHORT_HORIZON_TAIL = 0.03
+
+
+def short_horizon(sys: LtiSystem, horizon: int) -> int:
+    """The smallest t in 1..horizon-1 whose tail sum_{t <= k < horizon}
+    |C A^k B| (entrywise sum) is at most SHORT_HORIZON_TAIL of the sum over
+    every k < horizon, or ``horizon`` when no t is.
+
+    The origin lies in every synthesized W (``encode_origin``), so a W whose
+    outputs reach within the widths at horizon t reaches within them at any
+    longer horizon: the missing terms can take the disturbance 0.
+    """
+    mass = np.empty(horizon)
+    M = sys.C
+    for k in range(horizon):
+        mass[k] = np.abs(M @ sys.B).sum()
+        M = M @ sys.A
+    tail = np.cumsum(mass[::-1])[::-1]  # tail[t] = sum over k >= t
+    short = np.flatnonzero(tail[1:] <= SHORT_HORIZON_TAIL * tail[0])
+    return int(short[0]) + 1 if short.size else horizon
+
+
 _DEDUPE_TOL = 1e-9  # vertices closer than this are one vertex
 
 

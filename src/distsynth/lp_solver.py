@@ -63,6 +63,15 @@ _OPTIONS = {
 _DEVEX = _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
 
 
+class LpFailure(RuntimeError):
+    """A program without an accepted answer; ``lp`` is that program, when known,
+    so it can be written out (``write_lp``) and solved elsewhere."""
+
+    def __init__(self, message: str, lp: "LpProblem | None" = None):
+        super().__init__(message)
+        self.lp = lp
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """min c@x  s.t.  a_ub@x <= b_ub,  a_eq@x = b_eq,  lb <= x <= ub."""
@@ -214,9 +223,10 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     b_ub, b_eq = _rhs(p)
     row_dual = np.array(sol.row_dual)
     ineq, eq = row_dual[: b_ub.size], row_dual[b_ub.size :]
-    finite_lb, finite_ub = np.isfinite(p.lb), np.isfinite(p.ub)
+    # an infinite right-hand side or bound has a zero dual and adds nothing
+    finite_row, finite_lb, finite_ub = np.isfinite(b_ub), np.isfinite(p.lb), np.isfinite(p.ub)
     dual = (
-        float(b_ub @ ineq)
+        float(b_ub[finite_row] @ ineq[finite_row])
         + float(b_eq @ eq)
         + float(p.lb[finite_lb] @ lower[finite_lb])
         + float(p.ub[finite_ub] @ upper[finite_ub])

@@ -28,14 +28,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .encoder import SynthProblem, VariableLayout
-from .lp_solver import PRIMAL_TOL, LpProblem, solve_lp
+from .lp_solver import PRIMAL_TOL, LpFailure, LpProblem, solve_lp
 from .setgeom import Box, BoxHullSet
 
 
-class SynthesisError(RuntimeError):
-    def __init__(self, message: str, lp: LpProblem | None = None):
-        super().__init__(message)
-        self.lp = lp
+class SynthesisError(LpFailure):
+    pass
 
 
 @dataclass

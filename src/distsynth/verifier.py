@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .lp_solver import solve_lp
+from .lp_solver import LpFailure, solve_lp
 from .rpi_params import RpiConstants, RpiParams
 from .setgeom import (
     BoxHullSet,
@@ -159,16 +159,18 @@ def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: 
     One LP drives the output to a deviation-neighborhood of every vertex,
     with each disturbance point encoded exactly as a scaled-point convex
     combination over the member boxes; the widths eps >= 0 are shared by all
-    vertices.  Returns (epsilon, objective).
+    vertices.  Returns (epsilon, objective); raises LpFailure, which carries
+    the program, when the LP has no accepted answer.
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     n_b = H.shape[0]
     slack = -sp.kron(np.ones((len(vertices), 1)), sp.eye(n_b), "coo")
     coeff = _reach_coefficients(sys, horizon)
-    out = solve_lp(perspective_lp(coeff, vertices, W, H, slack, 0.0, np.zeros(slack.shape[0])))
+    lp = perspective_lp(coeff, vertices, W, H, slack, 0.0, np.zeros(slack.shape[0]))
+    out = solve_lp(lp)
     if not out.optimal:
-        raise RuntimeError(f"coverage LP ended with status {out.status}")
+        raise LpFailure(f"coverage LP ended with status {out.status}", lp)
     return out.x[-n_b:].copy(), float(out.objective)
 
 
@@ -186,7 +188,8 @@ def verify_coverage(
     of the claimed widths; the vertex passes when t <= CHECK_TOL and the margin
     reported is -t.  The vertex LPs differ only in the right-hand side of
     the output rows, so the program is built once and each vertex's solve
-    starts from the previous vertex's optimal basis.
+    starts from the previous vertex's optimal basis.  A vertex LP without an
+    accepted answer raises LpFailure, which carries that vertex's program.
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -195,9 +198,10 @@ def verify_coverage(
     checks = []
     basis = None
     for i, y in enumerate(vertices):
-        out = solve_lp(replace(lp, b_eq=np.concatenate((y, lp.b_eq[y.size :]))), basis=basis)
+        vertex_lp = replace(lp, b_eq=np.concatenate((y, lp.b_eq[y.size :])))
+        out = solve_lp(vertex_lp, basis=basis)
         if not out.optimal:
-            raise RuntimeError(f"vertex {i} coverage LP ended with status {out.status}")
+            raise LpFailure(f"vertex {i} coverage LP ended with status {out.status}", vertex_lp)
         basis = out.basis
         t_star = float(out.objective)
         checks.append(CheckResult(f"vertex-{i}", t_star <= CHECK_TOL, -t_star, f"vertex {i}"))

@@ -81,6 +81,14 @@ def small_spec_doc():
     return doc
 
 
+@pytest.fixture(scope="module")
+def long_spec_doc(small_spec_doc):
+    """The small problem at a coverage horizon long enough to have a short one."""
+    doc = json.loads(json.dumps(small_spec_doc))
+    doc["options"]["l"] = 20
+    return doc
+
+
 class TestParseSpec:
     def test_roundtrip(self):
         spec = parse_spec(PENTAGON_SPEC)
@@ -210,6 +218,41 @@ class TestExitCodes:
         assert str(dump) in capsys.readouterr().err
         assert not (out_dir / "result.json").exists()
 
+    def test_failed_distance_lp_is_written_and_exit_is_4(self, tmp_path, monkeypatch, capsys, small_spec_doc):
+        from distsynth import verifier
+        from distsynth.lp_solver import FAILED, LpOutcome
+
+        def failing(lp, **kwargs):
+            return LpOutcome(FAILED, None, None, None, None, None, None, "forced failure")
+
+        # synthesis solves as usual; the exact distance at l is the first verifier LP
+        monkeypatch.setattr(verifier, "solve_lp", failing)
+        spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+        out_dir = tmp_path / "out"
+        assert main(["synth", spec_path, "--out", str(out_dir)]) == 4
+        dump = out_dir / "failed_lp.lp"
+        assert dump.read_text().startswith("Minimize")
+        err = capsys.readouterr().err
+        assert "error: coverage LP ended with status failed" in err and str(dump) in err
+        assert not (out_dir / "result.json").exists()
+
+    def test_failed_coverage_lp_of_verify_is_written_and_exit_is_4(
+        self, tmp_path, monkeypatch, capsys, small_spec_doc, small_result_doc
+    ):
+        from distsynth import verifier
+        from distsynth.lp_solver import FAILED, LpOutcome
+
+        def failing(lp, **kwargs):
+            return LpOutcome(FAILED, None, None, None, None, None, None, "forced failure")
+
+        spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+        result_path = write_json(tmp_path / "result.json", small_result_doc)
+        monkeypatch.setattr(verifier, "solve_lp", failing)
+        monkeypatch.chdir(tmp_path)  # verify has no --out: the program goes to the current directory
+        assert main(["verify", spec_path, result_path]) == 4
+        assert (tmp_path / "failed_lp.lp").read_text().startswith("Minimize")
+        assert "vertex 0 coverage LP ended with status failed" in capsys.readouterr().err
+
 
 class TestCmdParams:
     def test_reports_margins(self):
@@ -232,6 +275,30 @@ class TestSynthVerifyRoundtrip:
         dumped = doc.to_dict()
         again = ResultDoc.from_dict(json.loads(json.dumps(dumped)))
         assert again.to_dict() == dumped
+
+    def test_result_records_the_short_horizon(self, small_spec_doc):
+        doc = cmd_synth(parse_spec(small_spec_doc))
+        dumped = json.loads(json.dumps(doc.to_dict()))
+        assert dumped["l0"] == doc.l0 <= dumped["l"]
+        assert ResultDoc.from_dict(dumped).to_dict() == dumped
+        # documents written before the field existed alternated at l
+        del dumped["l0"]
+        older = ResultDoc.from_dict(dumped)
+        assert older.l0 == older.horizon == doc.horizon
+        assert older.to_dict()["l0"] == doc.horizon
+
+    def test_objective_is_the_exact_distance_at_l(self, long_spec_doc):
+        from distsynth import verifier
+
+        spec = parse_spec(long_spec_doc)
+        doc = cmd_synth(spec)
+        assert doc.l0 < doc.horizon == long_spec_doc["options"]["l"]
+        epsilon, distance = verifier.distance_dY(spec.sys, spec.resolve_vertices(), doc.W, doc.horizon, doc.H)
+        assert doc.objective == distance and np.array_equal(doc.epsilon, epsilon)
+        # history is at l0, whose reachable outputs are a subset of those at l
+        assert doc.history[-1] >= doc.objective - 1e-9
+        assert abs(doc.objective - doc.epsilon.sum()) <= 1e-9 * max(1.0, doc.objective)
+        assert all(c["passed"] for c in doc.certificates.values())
 
     def test_result_records_p_step_iterations(self, small_spec_doc):
         doc = cmd_synth(parse_spec(small_spec_doc))
@@ -287,6 +354,8 @@ MISFITS = {
     "H-column-per-output": lambda d: d.update(H=[row + [0.0] for row in d["H"]]),
     "negative-horizon": lambda d: d.update(l=-3),
     "zero-horizon": lambda d: d.update(l=0),
+    "l0-above-l": lambda d: d.update(l0=d["l"] + 1),
+    "zero-l0": lambda d: d.update(l0=0),
     "box-dimension": lambda d: [
         b.update(center=b["center"] + [0.0], halfwidth=b["halfwidth"] + [0.0]) for b in d["W"]["boxes"]
     ],
@@ -327,6 +396,7 @@ NON_INTEGER = {
     "l-false": lambda d: d.update(l=False),
     "iterations-fraction": lambda d: d.update(iterations=10.5),
     "p_nit-fraction": lambda d: d.update(p_nit=[3.5]),
+    "l0-fraction": lambda d: d.update(l0=12.5),
 }
 
 

@@ -11,10 +11,12 @@ from distsynth import (
     contains_point,
     h_preset,
     select_params,
+    short_horizon,
     support_rows,
     vertices_hpoly,
 )
 from distsynth.encoder import (
+    SHORT_HORIZON_TAIL,
     EncodingError,
     VariableLayout,
     build_gbar,
@@ -456,3 +458,35 @@ class TestSparseBlocks:
             assert rows_hold == inside
             outcomes.add(inside)
         assert outcomes == {True, False}
+
+
+class TestShortHorizon:
+    @pytest.mark.parametrize("rho, horizon", [(0.5, 30), (0.8, 40), (-0.8, 40), (0.95, 40), (0.99, 40), (0.9, 3)])
+    def test_scalar_system_matches_the_closed_form(self, rho, horizon):
+        # |C A^k B| = |rho|^k, so the tail from t is (|rho|^t - |rho|^l) / (1 - |rho|) and the
+        # rule asks |rho|^t <= |rho|^l + f (1 - |rho|^l)
+        sys = LtiSystem([[rho]], [[-0.5]], [[2.0]], [[0.3]])
+        r, f = abs(rho), SHORT_HORIZON_TAIL
+        t = max(1, int(np.ceil(np.log(r**horizon + f * (1.0 - r**horizon)) / np.log(r))))
+        assert short_horizon(sys, horizon) == (t if t < horizon else horizon)
+
+    def test_tail_rule_on_a_known_case(self):
+        # 0.8^16 = 0.028 <= 0.03 + 0.8^40 < 0.8^15 = 0.035
+        assert short_horizon(LtiSystem([[0.8]], [[1.0]], [[1.0]], [[0.0]]), 40) == 16
+
+    def test_never_longer_than_the_horizon(self):
+        rng = np.random.default_rng(47)
+        for horizon in (1, 2, 5, 17, 60):
+            sys = random_stable_system(rng, n_x=3, n_w=2, n_y=2, rho=0.9)
+            assert 1 <= short_horizon(sys, horizon) <= horizon
+
+    def test_horizon_one_stays_one(self, plant):
+        assert short_horizon(plant, 1) == 1
+
+    def test_zero_input_map_gives_one(self):
+        sys = LtiSystem(0.5 * np.eye(2), np.zeros((2, 1)), np.eye(2), np.zeros((2, 1)))
+        assert short_horizon(sys, 10) == 1
+
+    def test_bundled_specs(self, plant):
+        # the illustrative spec's plant at its coverage horizon l = 59
+        assert short_horizon(plant, 59) == 13

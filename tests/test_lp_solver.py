@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -114,6 +115,16 @@ def test_weak_duality_and_residual():
         assert out.objective >= out.dual_objective - 1e-6
         assert abs(out.objective - out.dual_objective) <= 1e-6
         assert out.residual <= 1e-8
+
+
+def test_dual_objective_skips_infinite_right_hand_sides():
+    # an infinite row bound has a zero dual; inf * 0 must not make the dual objective NaN
+    p = LpProblem([1.0, 1.0], sp.csr_matrix([[1.0, 1.0], [1.0, -1.0]]), [np.inf, 1.0], lb=[0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = solve_lp(p)
+    assert out.status == OPTIMAL
+    assert out.objective == 0.0 and out.dual_objective == 0.0
 
 
 def test_equality_constraints():
