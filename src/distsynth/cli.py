@@ -32,6 +32,7 @@ from .setgeom import (
     HPolytope,
     LtiSystem,
     hull_outline,
+    merge_vertices,
     simulate,
     spectral_radius,
     stacked_identity,
@@ -47,6 +48,24 @@ class AssumptionError(ValueError):
     pass
 
 
+# one row per option: document key, attribute, least value, and whether
+# ``params`` takes its flag.  An int least value makes an integer option, which
+# may equal it; a float one a finite real option, which must exceed it.  H has
+# none: ProblemSpec.resolve_h checks it.
+_OPTION_TABLE = (
+    ("mu", "mu", 0.0, True),
+    ("gamma", "gamma", 0.0, True),
+    ("seed", "seed", 0, True),
+    ("s_max", "s_max", 1, True),
+    ("N", "n_boxes", 1, False),
+    ("l", "horizon", 1, False),  # or None, the certified s
+    ("H", "H", None, False),
+    ("zeta", "zeta", 0.0, False),
+    ("max_iters", "max_iters", 1, False),
+    ("restarts", "restarts", 0, False),
+)
+
+
 @dataclass
 class Options:
     mu: float = 1e-3
@@ -60,48 +79,29 @@ class Options:
     s_max: int = 1000
     restarts: int = 0
 
-    _KEYS = {
-        "mu": "mu",
-        "gamma": "gamma",
-        "N": "n_boxes",
-        "l": "horizon",
-        "H": "H",
-        "zeta": "zeta",
-        "max_iters": "max_iters",
-        "seed": "seed",
-        "s_max": "s_max",
-        "restarts": "restarts",
-    }
-
-    # attribute -> (integer?, least value); a real option must exceed its least
-    # value and be finite, an integer option may equal it; H is ProblemSpec's
-    _RANGES = {
-        "mu": (False, 0), "gamma": (False, 0), "zeta": (False, 0), "n_boxes": (True, 1), "horizon": (True, 1),
-        "max_iters": (True, 1), "seed": (True, 0), "s_max": (True, 1), "restarts": (True, 0),
-    }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Options":
         """Options from document keys; SpecError on an unknown key or a value of
         the wrong type or out of range."""
         opts = cls()
+        rows = {key: (attr, least) for key, attr, least, _ in _OPTION_TABLE}
         for key, val in d.items():
-            if key not in cls._KEYS:
+            if key not in rows:
                 raise SpecError(f"unknown option {key!r}")
-            attr = cls._KEYS[key]
-            if attr in cls._RANGES and not (attr == "horizon" and val is None):
-                integer, least = cls._RANGES[attr]
+            attr, least = rows[key]
+            if least is not None and not (attr == "horizon" and val is None):
+                integer = isinstance(least, int)
                 kind = numbers.Integral if integer else numbers.Real
                 if isinstance(val, bool) or not isinstance(val, kind) or not (
                     val >= least if integer else np.isfinite(val) and val > least
                 ):
-                    want = f"an integer >= {least}" if integer else f"a finite number > {least}"
+                    want = f"an integer >= {least}" if integer else f"a finite number > {least:g}"
                     raise SpecError(f"option {key} must be {want}, not {val!r}")
             setattr(opts, attr, val)
         return opts
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, attr) for key, attr in self._KEYS.items()}
+        return {key: getattr(self, attr) for key, attr, _, _ in _OPTION_TABLE}
 
 
 @dataclass
@@ -126,9 +126,9 @@ class ProblemSpec:
         return H
 
     def resolve_vertices(self) -> np.ndarray:
-        if self.vertices is not None:
-            return self.vertices
-        return vertices_hpoly(self.Y)
+        """The supplied vertex list less repeats (``merge_vertices``), or the
+        enumerated vertices of Y."""
+        return vertices_hpoly(self.Y) if self.vertices is None else merge_vertices(self.vertices)
 
     def to_dict(self) -> dict:
         doc = {
@@ -532,7 +532,7 @@ def _load_json(path: str) -> dict:
 def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
     """Set the option of every given flag, with parse_spec's checks; each
     flag's dest is its document key."""
-    given = {key: getattr(args, key) for key in Options._KEYS if getattr(args, key, None) is not None}
+    given = {key: getattr(args, key) for key, *_ in _OPTION_TABLE if getattr(args, key, None) is not None}
     if "H" in given and given["H"] != "box" and not given["H"].startswith("uniform:"):
         given["H"] = _load_json(given["H"])  # a path to a JSON row matrix
     spec.options = Options.from_dict({**spec.options.to_dict(), **given})
@@ -549,17 +549,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_synth=True):
         p.add_argument("spec", help="problem document (JSON)")
-        p.add_argument("--mu", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--s-max", dest="s_max", type=int)
-        if with_synth:
-            p.add_argument("--N", type=int)
-            p.add_argument("--l", type=int)
-            p.add_argument("--H", help="box | uniform:k | path to a JSON row matrix")
-            p.add_argument("--zeta", type=float)
-            p.add_argument("--max-iters", dest="max_iters", type=int)
-            p.add_argument("--restarts", type=int)
+        for key, _, least, in_params in _OPTION_TABLE:
+            if with_synth or in_params:
+                flag = "--" + key.replace("_", "-")
+                if least is None:
+                    p.add_argument(flag, help="box | uniform:k | path to a JSON row matrix")
+                else:
+                    p.add_argument(flag, dest=key, type=type(least))
         p.add_argument("--out", help="output file or directory")
 
     common(sub.add_parser("params", help="select certification parameters"), with_synth=False)

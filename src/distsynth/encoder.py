@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .rpi_params import RpiParams
-from .setgeom import HPolytope, LtiSystem, stacked_identity
+from .setgeom import HPolytope, LtiSystem, merge_vertices, stacked_identity
 
 
 class EncodingError(ValueError):
@@ -208,6 +208,15 @@ def encode_origin(layout: VariableLayout):
     return _pad_x(sp.coo_matrix(block), layout), np.zeros(2 * layout.n_w)
 
 
+def reach_terms(sys: LtiSystem, horizon: int) -> np.ndarray:
+    """(horizon, n_y, n_w) stack of C A^k B for k = 0..horizon-1, each formed
+    as (C @ A^k) @ B."""
+    powers = [np.eye(sys.n_x)]
+    for _ in range(horizon - 1):
+        powers.append(powers[-1] @ sys.A)
+    return np.stack([sys.C @ P @ sys.B for P in powers])
+
+
 def encode_vertex_reach(
     vertices: np.ndarray, sys: LtiSystem, layout: VariableLayout, H: np.ndarray
 ):
@@ -223,10 +232,7 @@ def encode_vertex_reach(
     if l < 1:
         raise EncodingError("horizon must be at least 1")
     # reach coefficients: slot t carries C A^(l-1-t) B, slot l carries D
-    powers = [np.eye(sys.n_x)]
-    for _ in range(l - 1):
-        powers.append(powers[-1] @ sys.A)
-    coeff = [sys.C @ powers[l - 1 - t] @ sys.B for t in range(l)] + [sys.D]
+    coeff = [*reach_terms(sys, l)[::-1], sys.D]
 
     v, N, n_w = layout.n_vertices, layout.n_boxes, layout.n_w
     groups, n_out = layout.n_groups, v * layout.n_y
@@ -279,26 +285,10 @@ def short_horizon(sys: LtiSystem, horizon: int) -> int:
     outputs reach within the widths at horizon t reaches within them at any
     longer horizon: the missing terms can take the disturbance 0.
     """
-    mass = np.empty(horizon)
-    M = sys.C
-    for k in range(horizon):
-        mass[k] = np.abs(M @ sys.B).sum()
-        M = M @ sys.A
+    mass = np.abs(reach_terms(sys, horizon)).sum(axis=(1, 2))
     tail = np.cumsum(mass[::-1])[::-1]  # tail[t] = sum over k >= t
     short = np.flatnonzero(tail[1:] <= SHORT_HORIZON_TAIL * tail[0])
     return int(short[0]) + 1 if short.size else horizon
-
-
-_DEDUPE_TOL = 1e-9  # vertices closer than this are one vertex
-
-
-def dedupe_vertices(vertices: np.ndarray) -> np.ndarray:
-    vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
-    keep: list[np.ndarray] = []
-    for v in vertices:
-        if all(np.linalg.norm(v - u) > _DEDUPE_TOL for u in keep):
-            keep.append(v)
-    return np.array(keep)
 
 
 def assemble(
@@ -310,10 +300,10 @@ def assemble(
     horizon: int,
     H: np.ndarray,
 ) -> SynthProblem:
-    """Build the full problem for a vertex list of the constraint set."""
+    """Build the full problem for a vertex list of Y, repeats merged (``merge_vertices``)."""
     if n_boxes < 1:
         raise EncodingError("need at least one box")
-    vertices = dedupe_vertices(Y_vertices)
+    vertices = merge_vertices(Y_vertices)
     if vertices.shape[1] != sys.n_y:
         raise EncodingError("vertex dimension mismatch")
     H = np.atleast_2d(np.asarray(H, dtype=float))

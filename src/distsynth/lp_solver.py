@@ -74,7 +74,8 @@ class LpFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min c@x  s.t.  a_ub@x <= b_ub,  a_eq@x = b_eq,  lb <= x <= ub."""
+    """min c@x  s.t.  a_ub@x <= b_ub,  a_eq@x = b_eq,  lb <= x <= ub; an absent
+    block is stored as an empty 0 x n matrix with an empty right-hand side."""
 
     c: np.ndarray
     a_ub: sp.csr_matrix | None = None
@@ -90,27 +91,23 @@ class LpProblem:
             raise ValueError("cost vector must be finite")
         object.__setattr__(self, "c", c)
         n = c.size
-        for name in ("a_ub", "a_eq"):
-            mat = getattr(self, name)
-            if mat is not None:
-                mat = sp.csr_matrix(mat)
-                if mat.shape[1] != n:
-                    raise ValueError(f"{name} has {mat.shape[1]} columns, expected {n}")
-                if not np.all(np.isfinite(mat.data)):
-                    raise ValueError(f"{name} must be finite")
-                object.__setattr__(self, name, mat)
         for mname, vname in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
             mat, vec = getattr(self, mname), getattr(self, vname)
             if (mat is None) != (vec is None):
                 raise ValueError(f"{mname} and {vname} must be given together")
-            if vec is not None:
-                vec = np.asarray(vec, dtype=float)
-                if vec.size != mat.shape[0]:
-                    raise ValueError(f"{vname} length mismatch")
-                # b_ub may be infinite, as bounds may; NaN and an infinite b_eq may not
-                if np.isnan(vec).any() or (vname == "b_eq" and np.isinf(vec).any()):
-                    raise ValueError(f"{vname} holds NaN or an infinite equality")
-                object.__setattr__(self, vname, vec)
+            mat = sp.csr_matrix((0, n)) if mat is None else sp.csr_matrix(mat)
+            vec = np.zeros(0) if vec is None else np.asarray(vec, dtype=float)
+            if mat.shape[1] != n:
+                raise ValueError(f"{mname} has {mat.shape[1]} columns, expected {n}")
+            if not np.all(np.isfinite(mat.data)):
+                raise ValueError(f"{mname} must be finite")
+            if vec.size != mat.shape[0]:
+                raise ValueError(f"{vname} length mismatch")
+            # b_ub may be infinite, as bounds may; NaN and an infinite b_eq may not
+            if np.isnan(vec).any() or (vname == "b_eq" and np.isinf(vec).any()):
+                raise ValueError(f"{vname} holds NaN or an infinite equality")
+            object.__setattr__(self, mname, mat)
+            object.__setattr__(self, vname, vec)
         lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
         ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
         if lb.size != n or ub.size != n:
@@ -128,12 +125,10 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpOutcome:
     status: str
-    x: np.ndarray | None
-    objective: float | None
-    dual_objective: float | None
-    residual: float | None
-    ineq_marginals: np.ndarray | None
-    eq_marginals: np.ndarray | None
+    x: np.ndarray | None = None
+    objective: float | None = None
+    dual_objective: float | None = None
+    residual: float | None = None
     message: str = ""
     # HiGHS's final basis; pass it as ``solve_lp(..., basis=)`` to start a
     # program of the same shape from it
@@ -153,29 +148,17 @@ def _row_scale(mat: sp.csr_matrix) -> np.ndarray:
 def _scaled_residual(p: LpProblem, x: np.ndarray) -> float:
     """Worst bound or row violation, each row scaled by its largest coefficient
     (at least 1); NaN or inf when ``x`` holds either, so it meets no tolerance."""
-    parts = [p.lb - x, x - p.ub]
-    if p.a_ub is not None:
-        parts.append((p.a_ub @ x - p.b_ub) / _row_scale(p.a_ub))
-    if p.a_eq is not None:
-        parts.append(np.abs(p.a_eq @ x - p.b_eq) / _row_scale(p.a_eq))
-    return float(np.max(np.concatenate(parts), initial=0.0))
-
-
-def _rhs(p: LpProblem) -> tuple[np.ndarray, np.ndarray]:
-    b_ub = p.b_ub if p.b_ub is not None else np.zeros(0)
-    b_eq = p.b_eq if p.b_eq is not None else np.zeros(0)
-    return b_ub, b_eq
+    ub = (p.a_ub @ x - p.b_ub) / _row_scale(p.a_ub)
+    eq = np.abs(p.a_eq @ x - p.b_eq) / _row_scale(p.a_eq)
+    return float(np.max(np.concatenate((p.lb - x, x - p.ub, ub, eq)), initial=0.0))
 
 
 def _highs_lp(p: LpProblem) -> _highs.HighsLp:
     """The program as HiGHS's ``lhs <= A x <= rhs`` with A stacked [a_ub; a_eq]
     column-wise, exactly as linprog hands it over (HiGHS's infinity is inf)."""
-    n = p.n_vars
-    b_ub, b_eq = _rhs(p)
-    blocks = [m if m is not None else sp.csr_matrix((0, n)) for m in (p.a_ub, p.a_eq)]
-    a = sp.csc_array(sp.vstack(blocks))
+    a = sp.csc_array(sp.vstack((p.a_ub, p.a_eq)))
     lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_col_ = lp.a_matrix_.num_col_ = p.n_vars
     lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
     lp.a_matrix_.start_ = a.indptr
@@ -184,8 +167,8 @@ def _highs_lp(p: LpProblem) -> _highs.HighsLp:
     lp.col_cost_ = p.c
     lp.col_lower_ = p.lb
     lp.col_upper_ = p.ub
-    lp.row_lower_ = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
-    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    lp.row_lower_ = np.concatenate((np.full(p.b_ub.size, -np.inf), p.b_eq))
+    lp.row_upper_ = np.concatenate((p.b_ub, p.b_eq))
     return lp
 
 
@@ -210,7 +193,7 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     message = highs.modelStatusToString(model_status)
     nit = int(highs.getInfo().simplex_iteration_count)
     if status != OPTIMAL:
-        return LpOutcome(status, None, None, None, None, None, None, message, nit=nit)
+        return LpOutcome(status, message=message, nit=nit)
     sol = highs.getSolution()
     x = np.array(sol.col_value)
     objective = float(highs.getInfo().objective_function_value)
@@ -220,14 +203,13 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     col_dual = np.array(sol.col_dual)
     lower = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
     upper = np.where(col_status == int(_highs.HighsBasisStatus.kUpper), col_dual, 0.0)
-    b_ub, b_eq = _rhs(p)
     row_dual = np.array(sol.row_dual)
-    ineq, eq = row_dual[: b_ub.size], row_dual[b_ub.size :]
+    ineq, eq = row_dual[: p.b_ub.size], row_dual[p.b_ub.size :]
     # an infinite right-hand side or bound has a zero dual and adds nothing
-    finite_row, finite_lb, finite_ub = np.isfinite(b_ub), np.isfinite(p.lb), np.isfinite(p.ub)
+    finite_row, finite_lb, finite_ub = np.isfinite(p.b_ub), np.isfinite(p.lb), np.isfinite(p.ub)
     dual = (
-        float(b_ub[finite_row] @ ineq[finite_row])
-        + float(b_eq @ eq)
+        float(p.b_ub[finite_row] @ ineq[finite_row])
+        + float(p.b_eq @ eq)
         + float(p.lb[finite_lb] @ lower[finite_lb])
         + float(p.ub[finite_ub] @ upper[finite_ub])
     )
@@ -237,8 +219,6 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
         objective=objective,
         dual_objective=dual,
         residual=_scaled_residual(p, x),
-        ineq_marginals=None if p.a_ub is None else ineq,
-        eq_marginals=None if p.a_eq is None else eq,
         message=message,
         basis=basis,
         nit=nit,
@@ -249,7 +229,7 @@ def _solve(p: LpProblem, lp: _highs.HighsLp, presolve: bool, basis=None) -> LpOu
     """One HiGHS run read into an outcome; the instance is freed on return."""
     highs = _run(lp, presolve, basis)
     if highs is None:
-        return LpOutcome(FAILED, None, None, None, None, None, None, "basis does not fit the program")
+        return LpOutcome(FAILED, message="basis does not fit the program")
     return _outcome(p, highs)
 
 
@@ -288,7 +268,7 @@ def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None) -> LpOu
         if _accepted(out) or (start is None and out.status in _FINAL):
             return replace(out, nit=spent)
     if out.optimal:
-        out = LpOutcome(FAILED, None, None, None, None, None, None, "no rung met the residual contract")
+        out = LpOutcome(FAILED, message="no rung met the residual contract")
     return replace(out, nit=spent)
 
 
@@ -311,12 +291,8 @@ def write_lp(problem: LpProblem, path) -> None:
     if lines[1] == " obj: ":
         lines[1] = " obj: + 0 x0 "
     lines.append("Subject To")
-    if problem.a_ub is not None:
-        for i in range(problem.a_ub.shape[0]):
-            lines.append(f" r{i}: {_row_text(problem.a_ub, i)}<= {float(problem.b_ub[i])!r}")
-    if problem.a_eq is not None:
-        for i in range(problem.a_eq.shape[0]):
-            lines.append(f" e{i}: {_row_text(problem.a_eq, i)}= {float(problem.b_eq[i])!r}")
+    for tag, sense, mat, rhs in (("r", "<=", problem.a_ub, problem.b_ub), ("e", "=", problem.a_eq, problem.b_eq)):
+        lines += [f" {tag}{i}: {_row_text(mat, i)}{sense} {float(rhs[i])!r}" for i in range(mat.shape[0])]
     lines.append("Bounds")
     for j in range(problem.n_vars):
         lo, hi = float(problem.lb[j]), float(problem.ub[j])

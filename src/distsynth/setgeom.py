@@ -196,9 +196,7 @@ def support_box(T, p, box: Box) -> float:
 
 def support_hull(T, p, W: BoxHullSet) -> float:
     """Support of T*W in direction p: the maximum over member boxes."""
-    r = _image_direction(T, p, W.dim)
-    vals = W.centers @ r + W.halfwidths @ np.abs(r)
-    return float(vals.max())
+    return float(support_rows(T, np.ravel(p), W)[0])
 
 
 def support_rows(T, M, W: BoxHullSet) -> np.ndarray:
@@ -317,15 +315,13 @@ def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
 
 
 def sample(W: BoxHullSet, rng: np.random.Generator) -> np.ndarray:
-    """Draw a point of W: simplex-uniform box weights, uniform box points."""
-    e = rng.exponential(size=W.n_boxes)
-    beta = e / e.sum()
-    u = rng.uniform(-1.0, 1.0, size=(W.n_boxes, W.dim))
-    return beta @ (W.centers + u * W.halfwidths)
+    """Draw a point of W: the one-point case of ``sample_batch``."""
+    return sample_batch(W, 1, rng)[0]
 
 
 def sample_batch(W: BoxHullSet, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` points of W at once; same per-point model as sample()."""
+    """Draw ``count`` points of W at once: simplex-uniform box weights and
+    uniform points of the boxes, per point."""
     e = rng.exponential(size=(count, W.n_boxes))
     beta = e / e.sum(axis=1, keepdims=True)
     u = rng.uniform(-1.0, 1.0, size=(count, W.n_boxes, W.dim))
@@ -377,7 +373,7 @@ def simulate(sys: LtiSystem, W: BoxHullSet, x0, T: int, rng: np.random.Generator
 _MAX_ROWS = 30
 _MAX_DIM = 4
 _VERTEX_TOL = 1e-9  # slack a candidate intersection may have on G y <= g
-_VERTEX_MERGE_TOL = 1e-7  # candidates closer than this are one vertex
+_VERTEX_MERGE_TOL = 1e-7  # points closer than this are one vertex
 
 
 def _extent_lp(P: HPolytope, direction: np.ndarray) -> None:
@@ -391,14 +387,23 @@ def _extent_lp(P: HPolytope, direction: np.ndarray) -> None:
         raise RuntimeError(f"extent LP failed with status {out.status}")
 
 
+def merge_vertices(points) -> np.ndarray:
+    """The rows of ``points`` in order, less each row within _VERTEX_MERGE_TOL
+    of a row kept before it: the one rule for when two vertices are one."""
+    keep: list[np.ndarray] = []
+    for y in np.atleast_2d(np.asarray(points, dtype=float)):
+        if all(np.linalg.norm(y - v) > _VERTEX_MERGE_TOL for v in keep):
+            keep.append(y)
+    return np.array(keep)
+
+
 def vertices_hpoly(P: HPolytope) -> np.ndarray:
     """Enumerate vertices of a bounded polytope by row-subset intersection.
 
     Practical for small descriptions only (up to 30 rows in dimension 4);
     larger instances should supply their vertex lists directly.  Candidate
     intersections are kept when they satisfy G y <= g + _VERTEX_TOL, and merged
-    when closer than _VERTEX_MERGE_TOL.  Rows are returned in lexicographic
-    order.
+    by ``merge_vertices``.  Rows are returned in lexicographic order.
     """
     m, n = P.G.shape
     if m > _MAX_ROWS or n > _MAX_DIM:
@@ -419,12 +424,11 @@ def vertices_hpoly(P: HPolytope) -> np.ndarray:
             continue
         y = np.linalg.solve(sub, P.g[list(idx)])
         if np.all(P.G @ y <= P.g + _VERTEX_TOL):
-            if all(np.linalg.norm(y - v) > _VERTEX_MERGE_TOL for v in found):
-                found.append(y)
+            found.append(y)
     if not found:
         raise GeometryError("no vertices found; polytope may be empty or degenerate")
-    order = np.lexsort(np.array(found).T[::-1])
-    return np.array(found)[order]
+    V = merge_vertices(found)
+    return V[np.lexsort(V.T[::-1])]
 
 
 def _monotone_chain(points: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsynth import Box, BoxHullSet, RpiParams, sample
+from distsynth import Box, BoxHullSet, RpiParams, sample, vertices_hpoly
 from distsynth.cli import (
     Options,
     ProblemSpec,
@@ -207,7 +207,7 @@ class TestExitCodes:
         from distsynth.lp_solver import FAILED, LpOutcome
 
         def failing(lp, **kwargs):
-            return LpOutcome(FAILED, None, None, None, None, None, None, "forced failure")
+            return LpOutcome(FAILED, message="forced failure")
 
         monkeypatch.setattr(synthesizer, "solve_lp", failing)
         spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
@@ -223,7 +223,7 @@ class TestExitCodes:
         from distsynth.lp_solver import FAILED, LpOutcome
 
         def failing(lp, **kwargs):
-            return LpOutcome(FAILED, None, None, None, None, None, None, "forced failure")
+            return LpOutcome(FAILED, message="forced failure")
 
         # synthesis solves as usual; the exact distance at l is the first verifier LP
         monkeypatch.setattr(verifier, "solve_lp", failing)
@@ -243,7 +243,7 @@ class TestExitCodes:
         from distsynth.lp_solver import FAILED, LpOutcome
 
         def failing(lp, **kwargs):
-            return LpOutcome(FAILED, None, None, None, None, None, None, "forced failure")
+            return LpOutcome(FAILED, message="forced failure")
 
         spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
         result_path = write_json(tmp_path / "result.json", small_result_doc)
@@ -252,6 +252,26 @@ class TestExitCodes:
         assert main(["verify", spec_path, result_path]) == 4
         assert (tmp_path / "failed_lp.lp").read_text().startswith("Minimize")
         assert "vertex 0 coverage LP ended with status failed" in capsys.readouterr().err
+
+
+class TestRepeatedVertex:
+    def test_a_vertex_listed_twice_is_one_vertex(self, tmp_path, capsys):
+        vertices = vertices_hpoly(parse_spec(PENTAGON_SPEC).Y).tolist()
+        runs = {}
+        for name, listed in (("once", vertices), ("twice", vertices + [vertices[2]])):
+            doc = json.loads(json.dumps(PENTAGON_SPEC))
+            doc["constraints"]["vertices"] = listed
+            doc["options"]["l"] = 20
+            spec_path = write_json(tmp_path / f"{name}.json", doc)
+            result_path = tmp_path / name / "result.json"
+            assert main(["synth", spec_path, "--out", str(tmp_path / name)]) == 0
+            result = json.loads(result_path.read_text())
+            capsys.readouterr()
+            assert main(["verify", spec_path, str(result_path)]) == 0
+            checked = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+            runs[name] = (list(result["certificates"]), checked, result["objective"])
+        assert "[pass] vertex-4" in runs["once"][1]
+        assert runs["twice"] == runs["once"]
 
 
 class TestCmdParams:
@@ -677,7 +697,7 @@ class TestPlotRejects:
 
 class TestEveryOverrideFlag:
     def test_each_synth_flag_lands_on_its_option(self, tmp_path):
-        from distsynth.cli import _apply_overrides, _build_parser
+        from distsynth.cli import _OPTION_TABLE, _apply_overrides, _build_parser
 
         rows = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
         flags = {
@@ -692,7 +712,7 @@ class TestEveryOverrideFlag:
             "--max-iters": ("17", "max_iters", 17),
             "--restarts": ("2", "restarts", 2),
         }
-        assert {attr for _, attr, _ in flags.values()} == set(Options._KEYS.values())
+        assert {attr for _, attr, _ in flags.values()} == {attr for _, attr, _, _ in _OPTION_TABLE}
         argv = ["synth", "spec.json"] + [tok for flag, (val, _, _) in flags.items() for tok in (flag, val)]
         spec = _apply_overrides(parse_spec(PENTAGON_SPEC), _build_parser().parse_args(argv))
         for flag, (_, attr, expected) in flags.items():

@@ -20,7 +20,6 @@ from distsynth.encoder import (
     EncodingError,
     VariableLayout,
     build_gbar,
-    dedupe_vertices,
     encode_gamma_bound,
     encode_origin,
     encode_output_inclusion,
@@ -368,10 +367,6 @@ class TestAssemble:
         doubled = np.vstack([vertices, vertices])
         p = assemble(sys, Y, doubled, params, 2, 3, H)
         assert p.layout.n_vertices == problem.layout.n_vertices
-
-    def test_dedupe_vertices(self):
-        V = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        assert dedupe_vertices(V).shape == (2, 2)
 
     def test_zero_disturbance_feasible_at_max_deviation(self, small_problem):
         """The all-zero set with deviations covering every vertex satisfies

@@ -16,7 +16,7 @@ from distsynth import (
     support_rows,
     vertices_hpoly,
 )
-from distsynth.setgeom import LtiSystem, rollout, sample_batch, support_argmax_hull
+from distsynth.setgeom import LtiSystem, merge_vertices, rollout, sample_batch, support_argmax_hull
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
 
@@ -199,6 +199,11 @@ class TestVerticesHpoly:
         )
         with pytest.raises(GeometryError):
             vertices_hpoly(P)
+
+    def test_merge_vertices(self):
+        # a row within 1e-7 of a kept row is that vertex again; one farther off is its own
+        V = np.array([[0.0, 0.0], [5e-8, 0.0], [1.0, 0.0], [1.0, 5e-7]])
+        np.testing.assert_array_equal(merge_vertices(V), V[[0, 2, 3]])
 
     def test_roundtrip_from_known_vertices(self):
         # hand H-reps of a box and a simplex recover their vertex sets
