@@ -7,10 +7,9 @@ axis-aligned boxes.  Support functions over such hulls have the closed form
 
 over the member boxes (c_j, e_j), so inclusion certificates never need an
 explicit halfspace description of the hull.  Membership in the hull is an
-exact linear program through the scaled-point (perspective) change of
-variables q_j = beta_j p_j.  ``perspective_lp`` is the one builder of that
-program: ``contains_point`` calls it with the identity map, and the
-verifier's coverage checks with the reach coefficients of a system.
+exact linear program over one point and the box weights; ``hull_reach_lp``
+is its one builder: ``contains_point`` calls it with the identity map, and
+the verifier's coverage checks with the reach coefficients of a system.
 """
 
 from __future__ import annotations
@@ -237,61 +236,71 @@ class Membership:
         return self.inside
 
 
-def perspective_lp(
+def hull_reach_lp(
     coeff: np.ndarray, vertices: np.ndarray, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs
 ) -> LpProblem:
     """Reach program for every row of ``vertices`` at once, at the cost of the
     caller's slack columns.
 
-    ``coeff`` stacks one (n_y, n_w) map per slot.  Each vertex copy has the
-    scaled points q (slot, box, component), the box weights beta >= 0
-    (slot, box) and the output deviation b.  Its rows are the reach
-    equalities sum_t coeff_t q_t + b = y, one simplex row sum_j beta_j = 1 per
-    slot, the perspective rows |q_j - beta_j c_j| <= beta_j h_j of box
-    membership, and H b + slack <= h_rhs, where ``slack`` has one row per
-    (vertex, row of H) and its columns are bounded below by ``slack_lb``.
+    ``coeff`` stacks one (n_y, n_w) map per slot.  Each vertex copy has one
+    point p per slot, the box weights beta >= 0 (slot, box) and the output
+    deviation b.  Its rows are the reach equalities sum_t coeff_t p_t + b = y,
+    one simplex row sum_j beta_j = 1 per slot, the membership rows
+    S p - (S C' + |S| E') beta <= 0 per slot (S = [I; -I], box centers C and
+    halfwidths E by row), and H b + slack <= h_rhs, where ``slack`` has one
+    row per (vertex, row of H) and its columns are bounded below by ``slack_lb``.
+    It is exact: sum_j beta_j box(c_j, e_j) is the box (sum beta c, sum beta e),
+    and W is the union of these blended boxes over the simplex.
     """
     n, n_y = vertices.shape
-    slots = coeff.shape[0]
     N, n_w = W.n_boxes, W.dim
-    groups = n * slots
-    n_q, n_beta, n_b = groups * N * n_w, groups * N, n * n_y
-    reach = np.broadcast_to(coeff.transpose(1, 0, 2)[:, :, None, :], (n_y, slots, N, n_w)).reshape(n_y, -1)
-    # rows 2m and 2m + 1 of a slot bound its q[j, k] from above and from below
-    rows = np.arange(2 * N * n_w)
-    offsets = np.stack((-(W.centers + W.halfwidths), W.centers - W.halfwidths), axis=-1)
-    weights = sp.coo_matrix((offsets.ravel(), (rows, rows // (2 * n_w))), shape=(rows.size, N))
+    groups = n * coeff.shape[0]
+    n_p, n_beta, n_b = groups * n_w, groups * N, n * n_y
+    S = stacked_identity(n_w)
+    blended = -(S @ W.centers.T + np.abs(S) @ W.halfwidths.T)
     slack = sp.coo_matrix(slack)
     m = slack.shape[1]
     # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
     a_eq = sp.bmat(
         [
-            [sp.kron(sp.eye(n), reach, "coo"), None, sp.eye(n_b, format="coo"), sp.coo_matrix((n_b, m))],
+            [sp.kron(sp.eye(n), np.hstack(coeff), "coo"), None, sp.eye(n_b, format="coo"), sp.coo_matrix((n_b, m))],
             [None, sp.kron(sp.eye(groups), np.ones((1, N)), "coo"), None, None],
         ],
         format="csr",
     )
     a_ub = sp.bmat(
         [
-            [sp.kron(sp.eye(n_q), [[1.0], [-1.0]], "coo"), sp.kron(sp.eye(groups), weights, "coo"), None, None],
+            [sp.kron(sp.eye(groups), S, "coo"), sp.kron(sp.eye(groups), blended, "coo"), None, None],
             [None, None, sp.kron(sp.eye(n), H, "coo"), slack],
         ],
         format="csr",
     )
-    c = np.concatenate((np.zeros(n_q + n_beta + n_b), np.ones(m)))
-    lb = np.concatenate((np.full(n_q, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
-    b_ub = np.concatenate((np.zeros(2 * n_q), h_rhs))
+    c = np.concatenate((np.zeros(n_p + n_beta + n_b), np.ones(m)))
+    lb = np.concatenate((np.full(n_p, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
+    b_ub = np.concatenate((np.zeros(2 * n_p), h_rhs))
     b_eq = np.concatenate((vertices.ravel(), np.ones(groups)))
     return LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
 
 
-def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
-    """Exact hull membership via the perspective LP.
+def box_points(centers, halfwidths, weights, w) -> np.ndarray:
+    """Points wbar_gj = c_j + e_j t_g, (groups, N, n_w), with sum_j beta_gj
+    wbar_gj = w_g for one row beta_g of ``weights`` and w_g of ``w`` per group:
+    t_g = clip((w_g - sum beta c) / sum beta e, -1, 1), 0 where sum beta e
+    vanishes, so every point lies in its own box."""
+    center_g, half_g = weights @ centers, weights @ halfwidths
+    offset = w - center_g
+    t = np.divide(offset, half_g, out=np.zeros_like(offset), where=half_g > 0.0)
+    t = np.clip(t, -1.0, 1.0)
+    return centers + halfwidths * t[:, None, :]
 
-    Minimizes the infinity-norm residual of reconstructing w as
-    sum_j q_j with q_j in beta_j-scaled boxes and sum_j beta_j = 1; the
-    point is inside iff the optimal residual is at most tol.  On success
-    the per-box weights and points of the decomposition are returned.
+
+def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
+    """Exact hull membership via the reach program with the identity map.
+
+    Minimizes the infinity-norm residual of reconstructing w as a point p of
+    the blended box sum_j beta_j box_j with sum_j beta_j = 1; the point is
+    inside iff the optimal residual is at most tol.  Returns the weights and
+    the per-box points of p by ``box_points``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -299,14 +308,13 @@ def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
     n, N = W.dim, W.n_boxes
     if w.size != n:
         raise GeometryError("point dimension mismatch")
-    lp = perspective_lp(np.eye(n)[None], w[None], W, stacked_identity(n), -np.ones((2 * n, 1)), 0.0, np.zeros(2 * n))
+    lp = hull_reach_lp(np.eye(n)[None], w[None], W, stacked_identity(n), -np.ones((2 * n, 1)), 0.0, np.zeros(2 * n))
     out = solve_lp(lp)
     if not out.optimal:
         raise RuntimeError(f"membership LP failed with status {out.status}")
     residual = float(out.objective)
-    q = out.x[: N * n].reshape(N, n)
-    beta = out.x[N * n : N * n + N]
-    points = np.where(beta[:, None] > 1e-12, q / np.maximum(beta[:, None], 1e-12), W.centers)
+    beta = out.x[n : n + N]
+    points = box_points(W.centers, W.halfwidths, beta[None], out.x[None, :n])[0]
     return Membership(residual <= tol, residual, beta, points)
 
 

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from .encoder import SynthProblem, VariableLayout
 from .lp_solver import PRIMAL_TOL, LpFailure, LpProblem, solve_lp
-from .setgeom import Box, BoxHullSet
+from .setgeom import Box, BoxHullSet, box_points
 
 
 class SynthesisError(LpFailure):
@@ -104,20 +104,12 @@ def _membership_rows_fixed_beta(problem: SynthProblem, beta):
 
 
 def _closed_form_wbar(problem: SynthProblem, x, w, beta) -> np.ndarray:
-    """Group points wbar_gj = c_j + e_j * t_g with sum_j beta_gj wbar_gj = w_g.
-
-    t_g = clip((w_g - sum beta c) / sum beta e, -1, 1), and 0 where the
-    blended halfwidth vanishes, so every point lies in its own box.
-    """
+    """Group points wbar_gj in their own boxes with sum_j beta_gj wbar_gj = w_g."""
     lay = problem.layout
     boxes = _boxes(lay, x)
-    centers, halfwidths = boxes[:, 0], np.clip(boxes[:, 1], 0.0, None)
     weights = beta.reshape(lay.n_groups, lay.n_boxes)
-    center_g, half_g = weights @ centers, weights @ halfwidths
-    offset = w.reshape(lay.n_groups, lay.n_w) - center_g
-    t = np.divide(offset, half_g, out=np.zeros_like(offset), where=half_g > 0.0)
-    t = np.clip(t, -1.0, 1.0)
-    return (centers + halfwidths * t[:, None, :]).ravel()
+    points = box_points(boxes[:, 0], np.clip(boxes[:, 1], 0.0, None), weights, w.reshape(lay.n_groups, lay.n_w))
+    return points.ravel()
 
 
 def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):

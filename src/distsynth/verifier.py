@@ -2,15 +2,15 @@
 
 Checks are closed-form support-function evaluations wherever possible.
 Coverage is checked one vertex of Y at a time by a linear program that
-encodes membership in the fixed hull of boxes through the scaled-point
-change of variables (``setgeom.perspective_lp``, the builder
-``contains_point`` uses too), a route disjoint from the synthesizer's
-bilinear encoding (the reach coefficients are formed here, not taken from
-the encoder, so a fault there cannot certify itself), each vertex warm from
-the last (Devex-priced).  Passing vertex checks bound the exact coverage
-distance by sum(epsilon), and the objective-bound check carries that bound
-to the stored objective.  ``certify`` runs every check; ``distance_dY``
-solves the joint program for the exact distance.
+places one point per slot in the blended box sum_j beta_j box_j of the
+fixed hull (``setgeom.hull_reach_lp``, the builder ``contains_point`` uses
+too), a route disjoint from the synthesizer's bilinear encoding (the reach
+coefficients are formed here, not taken from the encoder, so a fault there
+cannot certify itself), each vertex warm from the last (Devex-priced).
+Passing vertex checks bound the exact coverage distance by sum(epsilon), and
+the objective-bound check carries that bound to the stored objective.
+``certify`` runs every check; ``distance_dY`` solves the joint program for
+the exact distance.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .setgeom import (
     GeometryError,
     HPolytope,
     LtiSystem,
-    perspective_lp,
+    hull_reach_lp,
     rollout,
     sample_batch,
     simulate,  # noqa: F401  kept in this namespace; callers look it up as verifier.simulate
@@ -157,9 +157,9 @@ def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: 
     """Exact coverage distance of the horizon-reachable output set for a fixed W.
 
     One LP drives the output to a deviation-neighborhood of every vertex,
-    with each disturbance point encoded exactly as a scaled-point convex
-    combination over the member boxes; the widths eps >= 0 are shared by all
-    vertices.  Returns (epsilon, objective); raises LpFailure, which carries
+    with each disturbance point encoded exactly as a point of the blended
+    box of its convex weights over the member boxes; the widths eps >= 0 are
+    shared by all vertices.  Returns (epsilon, objective); raises LpFailure, which carries
     the program, when the LP has no accepted answer.
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
@@ -167,7 +167,7 @@ def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: 
     n_b = H.shape[0]
     slack = -sp.kron(np.ones((len(vertices), 1)), sp.eye(n_b), "coo")
     coeff = _reach_coefficients(sys, horizon)
-    lp = perspective_lp(coeff, vertices, W, H, slack, 0.0, np.zeros(slack.shape[0]))
+    lp = hull_reach_lp(coeff, vertices, W, H, slack, 0.0, np.zeros(slack.shape[0]))
     out = solve_lp(lp)
     if not out.optimal:
         raise LpFailure(f"coverage LP ended with status {out.status}", lp)
@@ -194,7 +194,7 @@ def verify_coverage(
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     coeff = _reach_coefficients(sys, horizon)
-    lp = perspective_lp(coeff, vertices[:1], W, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon)
+    lp = hull_reach_lp(coeff, vertices[:1], W, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon)
     checks = []
     basis = None
     for i, y in enumerate(vertices):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.spatial import ConvexHull
 
 from distsynth import (
     Box,
@@ -132,6 +134,32 @@ class TestContainsPoint:
             expected = max(0.0, float(np.max(np.abs(w - c) - h)))
             assert res.residual == pytest.approx(expected, abs=1e-12)
             assert res.inside == (expected <= 1e-9)
+
+    @staticmethod
+    def _corner_hull_distance(W, w):
+        """Infinity-norm distance from w to the hull of every box corner: min t
+        with |x - w| <= t and x inside each facet of scipy's ConvexHull."""
+        facets = ConvexHull(brute_force_hull_vertices(W)).equations
+        n = W.dim
+        near = np.hstack([np.vstack([np.eye(n), -np.eye(n)]), -np.ones((2 * n, 1))])
+        a_ub = np.vstack([near, np.hstack([facets[:, :-1], np.zeros((len(facets), 1))])])
+        b_ub = np.concatenate([w, -w, -facets[:, -1]])
+        res = scipy.optimize.linprog(np.eye(n + 1)[n], a_ub, b_ub, bounds=[(None, None)] * n + [(0, None)])
+        assert res.status == 0
+        return res.fun
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n_boxes", [2, 3, 4])
+    def test_residual_is_the_distance_to_a_hull_of_boxes(self, dim, n_boxes):
+        rng = np.random.default_rng(10 * dim + n_boxes)
+        for _ in range(10):
+            W = random_hull(rng, n_w=dim, n_boxes=n_boxes)
+            w = rng.normal(scale=1.5, size=dim)
+            expected = self._corner_hull_distance(W, w)
+            res = contains_point(W, w)
+            assert res.residual == pytest.approx(expected, abs=1e-9)
+            assert res.inside == (res.residual <= 1e-9)
+            assert np.all(np.abs(res.points - W.centers) <= W.halfwidths + 1e-12)
 
     def test_rejects_nonpositive_tol(self):
         W = BoxHullSet((Box([0.0], [1.0]),))

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from distsynth import (
     vertices_hpoly,
 )
 from distsynth import lp_solver, verifier
+from distsynth.cli import ResultDoc, parse_spec
 from distsynth.lp_solver import solve_lp
 from distsynth.setgeom import sample_batch, stacked_identity
 from distsynth.verifier import _reach_coefficients
@@ -37,6 +40,8 @@ from conftest import prices_with_devex, random_hull, random_stable_system
 def unit_box_constraints(n):
     return HPolytope(stacked_identity(n), np.ones(2 * n))
 
+
+ROOT = Path(__file__).resolve().parents[1]
 
 ORIGIN2 = BoxHullSet((Box([0.0, 0.0], [0.0, 0.0]),))
 
@@ -325,6 +330,42 @@ class TestCrossEncoding:
         )
         assert lp_val <= best + 1e-7
         assert best <= lp_val + 2 * step * lipschitz + 1e-7
+
+
+class TestReachProgramShape:
+    """One point of n_w coordinates and N weights per group (vertex, slot):
+    n n_y + g + 2 g n_w + n n_b rows and g (n_w + N) + n n_y + m columns for
+    n vertices, g = n (l + 1) groups and m slack columns."""
+
+    @staticmethod
+    def expected(n, n_y, n_w, N, horizon, n_b, m):
+        g = n * (horizon + 1)
+        return n * n_y + g + 2 * g * n_w + n * n_b, g * (n_w + N) + n * n_y + m
+
+    @pytest.mark.parametrize("case", ["illustrative", "random-71"])
+    def test_distance_and_vertex_programs(self, case, monkeypatch):
+        if case == "illustrative":
+            spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
+            doc = ResultDoc.from_dict(json.loads((ROOT / "perfbench" / "data" / "illustrative_result.json").read_text()))
+            sys, V, W, horizon, H, eps = spec.sys, spec.resolve_vertices(), doc.W, doc.horizon, doc.H, doc.epsilon
+        else:
+            rng = np.random.default_rng(71)
+            sys = random_stable_system(rng, n_x=3, n_w=3, n_y=2, rho=0.5)
+            V, W, horizon, H = vertices_hpoly(unit_box_constraints(2)), random_hull(rng, 3, 2, 0.2), 4, h_preset("box", 2)
+            eps = np.ones(H.shape[0])
+        shapes = []
+
+        def spy(lp, basis=None):
+            shapes.append((lp.a_ub.shape[0] + lp.a_eq.shape[0], lp.n_vars))
+            return solve_lp(lp, basis)
+
+        monkeypatch.setattr(verifier, "solve_lp", spy)
+        distance_dY(sys, V, W, horizon, H)
+        verify_coverage(sys, V[:1], W, horizon, H, eps)
+        dims = (sys.n_y, sys.n_w, W.n_boxes, horizon, H.shape[0])
+        assert shapes == [self.expected(len(V), *dims, H.shape[0]), self.expected(1, *dims, 1)]
+        if case == "illustrative":
+            assert shapes[0] == (1540, 1816)
 
 
 class TestVerifyCoverage:
