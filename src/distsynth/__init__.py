@@ -18,17 +18,14 @@ from .rpi_params import (
     solve_Hs,
 )
 from .setgeom import (
-    Box,
     BoxHullSet,
     GeometryError,
     HPolytope,
     LtiSystem,
     contains_point,
     hull_outline,
-    matrix_power_inf_norm,
     sample,
     simulate,
-    support_box,
     support_hull,
     support_rows,
     vertices_hpoly,
@@ -57,7 +54,6 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
     "BoxHullSet",
     "Certificate",
     "ConstantsAccumulator",
@@ -80,7 +76,6 @@ __all__ = [
     "distance_dY",
     "h_preset",
     "hull_outline",
-    "matrix_power_inf_norm",
     "monte_carlo",
     "p_step",
     "q_step",
@@ -91,7 +86,6 @@ __all__ = [
     "simulate",
     "solve_Hs",
     "spread_beta",
-    "support_box",
     "support_hull",
     "support_rows",
     "uniform_beta",

@@ -5,9 +5,10 @@ Problem and result documents are JSON files; the worked examples live in
 specs/ and the schema is described in the README.  Exit codes: 0 on success
 (all certificates pass for ``verify``), 2 for malformed documents (and for
 ``verify`` and ``plot``, a result that does not fit its spec), 3 for assumption
-violations or infeasibility, 4 for solver failures; a failing LP
-(synthesis, exact distance or coverage check) is written to ``failed_lp.lp``
-beside the ``--out`` target, or to the current directory without one.
+violations or infeasibility, 4 for solver failures; a failing LP (vertex
+enumeration, synthesis, exact distance or coverage check) is written to
+``failed_lp.lp`` beside the ``--out`` target, or to the current directory
+without one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from . import encoder, synthesizer, verifier
 from .lp_solver import LpFailure, write_lp
 from .rpi_params import ParamSearchError, RpiParams, select_params
 from .setgeom import (
-    Box,
     BoxHullSet,
     GeometryError,
     HPolytope,
@@ -36,6 +36,7 @@ from .setgeom import (
     simulate,
     spectral_radius,
     stacked_identity,
+    support_argmax_rows,
     vertices_hpoly,
 )
 
@@ -55,7 +56,7 @@ class AssumptionError(ValueError):
 _OPTION_TABLE = (
     ("mu", "mu", 0.0, True),
     ("gamma", "gamma", 0.0, True),
-    ("seed", "seed", 0, True),
+    ("seed", "seed", 0, False),
     ("s_max", "s_max", 1, True),
     ("N", "n_boxes", 1, False),
     ("l", "horizon", 1, False),  # or None, the certified s
@@ -239,8 +240,7 @@ class ResultDoc:
             "params": _params_dict(self.params),
             "W": {
                 "boxes": [
-                    {"center": b.center.tolist(), "halfwidth": b.halfwidth.tolist()}
-                    for b in self.W.boxes
+                    {"center": c, "halfwidth": e} for c, e in zip(self.W.centers.tolist(), self.W.halfwidths.tolist())
                 ]
             },
             "epsilon": self.epsilon.tolist(),
@@ -271,13 +271,13 @@ class ResultDoc:
                 gamma=_finite(float(p["gamma"]), "gamma"),
                 mu=_finite(float(p["mu"]), "mu"),
             )
-            boxes = tuple(
-                Box(*(_finite(np.asarray(b[key], dtype=float), f"box {key}") for key in ("center", "halfwidth")))
-                for b in doc["W"]["boxes"]
+            boxes = doc["W"]["boxes"]
+            centers, halfwidths = (
+                _finite(np.array([b[key] for b in boxes], dtype=float), f"box {key}") for key in ("center", "halfwidth")
             )
             return cls(
                 params=params,
-                W=BoxHullSet(boxes),
+                W=BoxHullSet(centers, halfwidths),
                 epsilon=_finite(np.asarray(doc["epsilon"], dtype=float), "epsilon"),
                 objective=_finite(float(doc["objective"]), "objective"),
                 horizon=_integer(doc["l"], "l"),
@@ -451,20 +451,15 @@ def reachable_outline(
     ang = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
     P = np.column_stack([np.cos(ang), np.sin(ang)])
 
-    def argmax_points(U):
-        # row d: the point support_argmax_hull(I, U[d], W) returns, first maximum on ties
-        j = np.argmax(U @ W.centers.T + np.abs(U) @ W.halfwidths.T, axis=1)
-        return W.centers[j] + np.sign(U) * W.halfwidths[j]
-
     scale = 1.0 / (1.0 - params.alpha)
     pts = np.zeros((n_dirs, 2))
     CA = sys.C.copy()
     for _ in range(params.s):
         Q = P @ CA  # state-space directions
-        drive = argmax_points(Q @ sys.B) @ sys.B.T + params.lam * np.sign(Q)
+        drive = support_argmax_rows(sys.B, Q, W) @ sys.B.T + params.lam * np.sign(Q)
         pts += scale * (drive @ CA.T)
         CA = CA @ sys.A
-    pts += argmax_points(P @ sys.D) @ sys.D.T
+    pts += support_argmax_rows(sys.D, P, W) @ sys.D.T
     return pts
 
 

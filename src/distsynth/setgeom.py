@@ -15,12 +15,11 @@ the verifier's coverage checks with the reach coefficients of a system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
 
-from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
+from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LpFailure, LpProblem, solve_lp
 import scipy.sparse as sp
 
 
@@ -35,65 +34,40 @@ class GeometryError(ValueError):
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned box {center + d : -halfwidth <= d <= halfwidth}."""
-
-    center: np.ndarray
-    halfwidth: np.ndarray
-
-    def __post_init__(self):
-        c = _freeze(self.center)
-        h = _freeze(self.halfwidth)
-        if c.ndim != 1 or c.shape != h.shape:
-            raise GeometryError("center and halfwidth must be 1-D with equal length")
-        if np.any(h < 0):
-            raise GeometryError("halfwidth must be nonnegative")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "halfwidth", h)
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
-    def corners(self) -> np.ndarray:
-        """All 2^dim corner points, one per row."""
-        signs = np.array(list(product((-1.0, 1.0), repeat=self.dim)))
-        return self.center + signs * self.halfwidth
-
-
-@dataclass(frozen=True)
 class BoxHullSet:
-    """Convex hull of boxes of a common dimension; the disturbance set."""
+    """Convex hull of N axis-aligned boxes {c_j + d : -e_j <= d <= e_j} of a
+    common dimension, the disturbance set: centers c_j and halfwidths e_j are
+    the rows of two (N, dim) arrays."""
 
-    boxes: tuple[Box, ...]
+    centers: np.ndarray
+    halfwidths: np.ndarray
 
     def __post_init__(self):
-        boxes = tuple(self.boxes)
-        if len(boxes) == 0:
-            raise GeometryError("at least one box is required")
-        dim = boxes[0].dim
-        if any(b.dim != dim for b in boxes):
-            raise GeometryError("all boxes must share one dimension")
-        object.__setattr__(self, "boxes", boxes)
+        c, e = _freeze(self.centers), _freeze(self.halfwidths)
+        if c.ndim != 2 or c.shape != e.shape:
+            raise GeometryError("centers and halfwidths must be (boxes, dimension) arrays of one shape")
+        if 0 in c.shape:
+            raise GeometryError("at least one box of dimension at least 1 is required")
+        if np.any(e < 0):
+            raise GeometryError("halfwidth must be nonnegative")
+        object.__setattr__(self, "centers", c)
+        object.__setattr__(self, "halfwidths", e)
 
     @property
     def dim(self) -> int:
-        return self.boxes[0].dim
+        return self.centers.shape[1]
 
     @property
     def n_boxes(self) -> int:
-        return len(self.boxes)
+        return self.centers.shape[0]
 
-    @cached_property
-    def centers(self) -> np.ndarray:
-        return _freeze(np.stack([b.center for b in self.boxes]))
-
-    @cached_property
-    def halfwidths(self) -> np.ndarray:
-        return _freeze(np.stack([b.halfwidth for b in self.boxes]))
+    def corners(self) -> np.ndarray:
+        """All 2^dim corners of every box, box by box, one per row."""
+        signs = np.array(list(product((-1.0, 1.0), repeat=self.dim)))
+        return (self.centers[:, None] + signs * self.halfwidths[:, None]).reshape(-1, self.dim)
 
     def scaled(self, factor: float) -> "BoxHullSet":
-        return BoxHullSet(tuple(Box(factor * b.center, abs(factor) * b.halfwidth) for b in self.boxes))
+        return BoxHullSet(factor * self.centers, abs(factor) * self.halfwidths)
 
 
 @dataclass(frozen=True)
@@ -177,29 +151,8 @@ def stacked_identity(n: int) -> np.ndarray:
 # support functions
 
 
-def _image_direction(T, p, dim) -> np.ndarray:
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    p = np.asarray(p, dtype=float).ravel()
-    if T.shape[0] != p.size:
-        raise GeometryError(f"direction length {p.size} does not match {T.shape[0]} rows of T")
-    if T.shape[1] != dim:
-        raise GeometryError(f"T has {T.shape[1]} columns, set dimension is {dim}")
-    return T.T @ p
-
-
-def support_box(T, p, box: Box) -> float:
-    """Support of the linear image T*box in direction p."""
-    r = _image_direction(T, p, box.dim)
-    return float(r @ box.center + np.abs(r) @ box.halfwidth)
-
-
-def support_hull(T, p, W: BoxHullSet) -> float:
-    """Support of T*W in direction p: the maximum over member boxes."""
-    return float(support_rows(T, np.ravel(p), W)[0])
-
-
-def support_rows(T, M, W: BoxHullSet) -> np.ndarray:
-    """Stack support_hull(T, row, W) over the rows of M."""
+def _box_supports(T, M, W: BoxHullSet):
+    """(R, V): the directions R = M T and V[k, j], the support of box j along row k of R."""
     T = np.atleast_2d(np.asarray(T, dtype=float))
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[1] != T.shape[0]:
@@ -207,16 +160,31 @@ def support_rows(T, M, W: BoxHullSet) -> np.ndarray:
     if T.shape[1] != W.dim:
         raise GeometryError("T columns must match set dimension")
     R = M @ T
-    vals = R @ W.centers.T + np.abs(R) @ W.halfwidths.T
-    return vals.max(axis=1)
+    return R, R @ W.centers.T + np.abs(R) @ W.halfwidths.T
+
+
+def support_rows(T, M, W: BoxHullSet) -> np.ndarray:
+    """Support of T*W along each row of M: the maximum over member boxes."""
+    return _box_supports(T, M, W)[1].max(axis=1)
+
+
+def support_argmax_rows(T, M, W: BoxHullSet) -> np.ndarray:
+    """Row k: a point of W whose image under T attains support_rows(T, M, W)[k],
+    in the first box that attains it."""
+    R, V = _box_supports(T, M, W)
+    j = np.argmax(V, axis=1)
+    return W.centers[j] + np.sign(R) * W.halfwidths[j]
+
+
+def support_hull(T, p, W: BoxHullSet) -> float:
+    """Support of T*W in direction p: the one-row case of ``support_rows``."""
+    return float(support_rows(T, np.ravel(p), W)[0])
 
 
 def support_argmax_hull(T, p, W: BoxHullSet) -> np.ndarray:
-    """A point of W attaining support_hull(T, p, W)."""
-    r = _image_direction(T, p, W.dim)
-    vals = W.centers @ r + W.halfwidths @ np.abs(r)
-    j = int(np.argmax(vals))
-    return W.centers[j] + np.sign(r) * W.halfwidths[j]
+    """A point of W attaining support_hull(T, p, W): the one-row case of
+    ``support_argmax_rows``."""
+    return support_argmax_rows(T, np.ravel(p), W)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +279,7 @@ def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
     lp = hull_reach_lp(np.eye(n)[None], w[None], W, stacked_identity(n), -np.ones((2 * n, 1)), 0.0, np.zeros(2 * n))
     out = solve_lp(lp)
     if not out.optimal:
-        raise RuntimeError(f"membership LP failed with status {out.status}")
+        raise LpFailure(f"membership LP failed with status {out.status}", lp)
     residual = float(out.objective)
     beta = out.x[n : n + N]
     points = box_points(W.centers, W.halfwidths, beta[None], out.x[None, :n])[0]
@@ -385,14 +353,14 @@ _VERTEX_MERGE_TOL = 1e-7  # points closer than this are one vertex
 
 
 def _extent_lp(P: HPolytope, direction: np.ndarray) -> None:
-    c = -direction
-    out = solve_lp(LpProblem(c, a_ub=sp.csr_matrix(P.G), b_ub=P.g))
+    lp = LpProblem(-direction, a_ub=sp.csr_matrix(P.G), b_ub=P.g)
+    out = solve_lp(lp)
     if out.status == UNBOUNDED:
         raise GeometryError("polytope is unbounded")
     if out.status == INFEASIBLE:
         raise GeometryError("polytope is empty")
     if out.status != OPTIMAL:
-        raise RuntimeError(f"extent LP failed with status {out.status}")
+        raise LpFailure(f"extent LP failed with status {out.status}", lp)
 
 
 def merge_vertices(points) -> np.ndarray:
@@ -465,16 +433,4 @@ def hull_outline(W: BoxHullSet) -> np.ndarray:
     """Counterclockwise boundary vertices of a planar hull of boxes."""
     if W.dim != 2:
         raise GeometryError("outline is defined for dimension 2 only")
-    corners = np.vstack([b.corners() for b in W.boxes])
-    return _monotone_chain(corners)
-
-
-def matrix_power_inf_norm(A, s: int) -> float:
-    """Infinity norm (max absolute row sum) of A^s by repeated multiplication."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if s < 0:
-        raise ValueError("power must be nonnegative")
-    P = np.eye(A.shape[0])
-    for _ in range(s):
-        P = P @ A
-    return float(np.abs(P).sum(axis=1).max())
+    return _monotone_chain(W.corners())

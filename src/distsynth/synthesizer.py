@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from .encoder import SynthProblem, VariableLayout
 from .lp_solver import PRIMAL_TOL, LpFailure, LpProblem, solve_lp
-from .setgeom import Box, BoxHullSet, box_points
+from .setgeom import BoxHullSet, box_points
 
 
 class SynthesisError(LpFailure):
@@ -77,7 +77,8 @@ def _boxes(layout: VariableLayout, x: np.ndarray) -> np.ndarray:
 
 
 def boxes_from_x(problem: SynthProblem, x: np.ndarray) -> BoxHullSet:
-    return BoxHullSet(tuple(Box(c, np.clip(e, 0.0, None)) for c, e in _boxes(problem.layout, x)))
+    boxes = _boxes(problem.layout, x)
+    return BoxHullSet(boxes[:, 0], np.clip(boxes[:, 1], 0.0, None))
 
 
 _SIGNS = np.array([[1.0], [-1.0]])

@@ -1,7 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from distsynth import Box, BoxHullSet, HPolytope, LtiSystem, lp_solver
+from distsynth import BoxHullSet, HPolytope, LtiSystem, lp_solver
 
 
 @pytest.fixture(scope="session")
@@ -62,18 +64,22 @@ def random_stable_system(rng, n_x=3, n_w=2, n_y=2, rho=0.7, symmetric=True):
     return LtiSystem(A, B, C, D)
 
 
+def hull_of(boxes) -> BoxHullSet:
+    """The hull of (center, halfwidth) pairs, in order."""
+    centers, halfwidths = zip(*boxes)
+    return BoxHullSet(np.array(centers), np.array(halfwidths))
+
+
 def random_hull(rng, n_w=2, n_boxes=3, scale=1.0) -> BoxHullSet:
-    boxes = []
-    for _ in range(n_boxes):
-        center = scale * rng.uniform(-1.0, 1.0, n_w)
-        halfwidth = scale * rng.uniform(0.0, 1.0, n_w)
-        boxes.append(Box(center, halfwidth))
-    return BoxHullSet(tuple(boxes))
+    return hull_of(
+        (scale * rng.uniform(-1.0, 1.0, n_w), scale * rng.uniform(0.0, 1.0, n_w)) for _ in range(n_boxes)
+    )
 
 
 def brute_force_hull_vertices(W: BoxHullSet) -> np.ndarray:
-    """All member-box corners; the hull's extreme points are among them."""
-    return np.vstack([b.corners() for b in W.boxes])
+    """All member-box corners, box by box; the hull's extreme points are among them."""
+    signs = list(product((-1.0, 1.0), repeat=W.dim))
+    return np.array([c + np.array(s) * e for c, e in zip(W.centers, W.halfwidths) for s in signs])
 
 
 def prices_with_devex(highs) -> bool:

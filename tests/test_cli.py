@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsynth import Box, BoxHullSet, RpiParams, sample, vertices_hpoly
+from distsynth import BoxHullSet, RpiParams, sample, vertices_hpoly
 from distsynth.cli import (
     Options,
     ProblemSpec,
@@ -22,6 +22,8 @@ from distsynth.cli import (
     reachable_outline,
 )
 from distsynth.setgeom import support_argmax_hull
+
+from conftest import hull_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -217,6 +219,34 @@ class TestExitCodes:
         assert dump.read_text().startswith("Minimize")
         assert str(dump) in capsys.readouterr().err
         assert not (out_dir / "result.json").exists()
+
+    def test_failed_vertex_enumeration_lp_is_written_and_exit_is_4(
+        self, tmp_path, monkeypatch, capsys, small_spec_doc
+    ):
+        from distsynth import setgeom
+        from distsynth.lp_solver import FAILED, LpOutcome
+
+        def failing(lp, **kwargs):
+            return LpOutcome(FAILED, message="forced failure")
+
+        # the spec lists no vertices, so synth enumerates those of Y, and its first extent LP fails
+        assert "vertices" not in small_spec_doc["constraints"]
+        monkeypatch.setattr(setgeom, "solve_lp", failing)
+        spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+        out_dir = tmp_path / "out"
+        assert main(["synth", spec_path, "--out", str(out_dir)]) == 4
+        dump = out_dir / "failed_lp.lp"
+        assert dump.read_text().startswith("Minimize")
+        err = capsys.readouterr().err
+        assert "error: extent LP failed with status failed" in err and str(dump) in err
+        assert not (out_dir / "result.json").exists()
+
+    def test_params_takes_no_seed_flag(self, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json", PENTAGON_SPEC)
+        with pytest.raises(SystemExit) as exc:
+            main(["params", path, "--seed", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
     def test_failed_distance_lp_is_written_and_exit_is_4(self, tmp_path, monkeypatch, capsys, small_spec_doc):
         from distsynth import verifier
@@ -432,6 +462,27 @@ def test_non_integer_result_is_2(tmp_path, edit, capsys):
     assert not (tmp_path / "p").exists()
 
 
+# result documents whose box list does not make one (N, n_w) pair of arrays
+BAD_BOXES = {
+    "empty": lambda d: d["W"].update(boxes=[]),
+    "ragged": lambda d: d["W"]["boxes"][0].update(center=[0.0], halfwidth=[0.0]),
+    "ragged-within-a-box": lambda d: d["W"]["boxes"][0].update(halfwidth=[0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BAD_BOXES))
+def test_empty_or_ragged_box_list_is_2(tmp_path, small_spec_doc, small_result_doc, edit, capsys):
+    bad = json.loads(json.dumps(small_result_doc))
+    BAD_BOXES[edit](bad)
+    spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+    result_path = write_json(tmp_path / "result.json", bad)
+    assert main(["verify", spec_path, result_path]) == 2
+    assert main(["plot", spec_path, result_path, "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: bad result document: ") for line in err)
+    assert not (tmp_path / "p").exists()
+
+
 @pytest.mark.parametrize("module", ["distsynth", "distsynth.cli"])
 def test_module_entry_points_run_the_command(tmp_path, module):
     spec_path = str(ROOT / "specs" / "illustrative.json")
@@ -567,7 +618,7 @@ class TestCmdPlot:
         doc = cmd_synth(spec)
         boxed = ResultDoc(
             params=doc.params,
-            W=BoxHullSet((Box([0.0, 0.0], [1.0, 1.0]),)),
+            W=BoxHullSet([[0.0, 0.0]], [[1.0, 1.0]]),
             epsilon=doc.epsilon,
             objective=doc.objective,
             horizon=doc.horizon,
@@ -609,7 +660,7 @@ class TestCmdPlot:
         sys = spec.sys
         params = RpiParams(s=60, alpha=6.781843723995092e-4, lam=6.796195472333852e-5, gamma=0.2, mu=1e-3)
         rng = np.random.default_rng(40)
-        W = BoxHullSet(tuple(Box(rng.uniform(-0.05, 0.05, 2), rng.uniform(0.0, 0.03, 2)) for _ in range(4)))
+        W = hull_of((rng.uniform(-0.05, 0.05, 2), rng.uniform(0.0, 0.03, 2)) for _ in range(4))
         n_dirs = 48
         ang = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
         P = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -641,7 +692,7 @@ class TestTinyConstraints:
         doc["constraints"].pop("vertices", None)
         result = cmd_synth(parse_spec(doc))
         assert all(c["passed"] for c in result.certificates.values())
-        widest = max(float(np.max(np.abs(b.center) + b.halfwidth)) for b in result.W.boxes)
+        widest = float(np.max(np.abs(result.W.centers) + result.W.halfwidths))
         assert widest <= 1e-2
 
 
@@ -676,7 +727,7 @@ class TestPlotRejects:
 
         params = RpiParams(s=60, alpha=6.781843723995092e-4, lam=6.796195472333852e-5, gamma=0.2, mu=1e-3)
         rng = np.random.default_rng(41)
-        W = BoxHullSet(tuple(Box(rng.uniform(-0.05, 0.05, 3), rng.uniform(0.0, 0.03, 3)) for _ in range(4)))
+        W = hull_of((rng.uniform(-0.05, 0.05, 3), rng.uniform(0.0, 0.03, 3)) for _ in range(4))
         H = h_preset("uniform:6", 2)
         doc = ResultDoc(params, W, np.full(6, 0.2), 1.2, 59, H, {}, [], 0, "converged")
         spec_path = write_json(tmp_path / "spec.json", PENTAGON_SPEC)

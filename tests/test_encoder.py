@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from distsynth import (
-    Box,
     BoxHullSet,
     HPolytope,
     LtiSystem,
@@ -28,7 +27,7 @@ from distsynth.encoder import (
 )
 from distsynth.setgeom import stacked_identity
 
-from conftest import random_stable_system
+from conftest import hull_of, random_stable_system
 
 
 def small_layout(n_boxes=2, n_vertices=3, horizon=2, s=3, n_w=2, n_y=2, n_x=2, m_y=4, n_b=4):
@@ -185,16 +184,13 @@ class TestOutputInclusion:
         A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
         checked = 0
         while checked < 10:
-            boxes = tuple(
-                Box(rng.uniform(-0.02, 0.02, 2), rng.uniform(0, 0.02, 2)) for _ in range(2)
-            )
-            W = BoxHullSet(boxes)
+            W = hull_of((rng.uniform(-0.02, 0.02, 2), rng.uniform(0, 0.02, 2)) for _ in range(2))
             if not verify_output_inclusion(plant, pentagon, params, W).passed:
                 continue
             x = np.zeros(lay.dim_x)
-            for j, box in enumerate(boxes):
-                x[lay.x_center(j)] = box.center
-                x[lay.x_halfwidth(j)] = box.halfwidth
+            for j in range(W.n_boxes):
+                x[lay.x_center(j)] = W.centers[j]
+                x[lay.x_halfwidth(j)] = W.halfwidths[j]
             for t in range(lay.s):
                 GB = gbar[t] @ plant.B
                 x[lay.x_q(t)] = np.max(GB @ W.centers.T + np.abs(GB) @ W.halfwidths.T, axis=1)
@@ -210,11 +206,7 @@ class TestOutputInclusion:
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         gbar = build_gbar(plant, pentagon, params)
         for _ in range(20):
-            W = BoxHullSet(
-                tuple(
-                    Box(rng.uniform(-0.01, 0.01, 2), rng.uniform(0, 0.01, 2)) for _ in range(3)
-                )
-            )
+            W = hull_of((rng.uniform(-0.01, 0.01, 2), rng.uniform(0, 0.01, 2)) for _ in range(3))
             elim = np.zeros(pentagon.n_rows)
             for t in range(params.s):
                 elim += support_rows(plant.B, gbar[t], W)
@@ -241,10 +233,10 @@ class TestGammaBound:
         gamma = 0.3
         A, b = encode_gamma_bound(plant, gamma, lay)
         for _ in range(100):
-            box = Box(rng.uniform(-0.3, 0.3, 2), rng.uniform(0, 0.3, 2))
+            box = BoxHullSet([rng.uniform(-0.3, 0.3, 2)], [rng.uniform(0, 0.3, 2)])
             x = np.zeros(lay.dim_x)
-            x[lay.x_center(0)] = box.center
-            x[lay.x_halfwidth(0)] = box.halfwidth
+            x[lay.x_center(0)] = box.centers[0]
+            x[lay.x_halfwidth(0)] = box.halfwidths[0]
             rows_ok = np.all(A @ x <= b + 1e-12)
             corners_ok = all(
                 np.linalg.norm(plant.B @ v, np.inf) <= gamma + 1e-12 for v in box.corners()
@@ -289,7 +281,7 @@ class TestOriginRows:
             x[lay.x_center(0)] = center
             x[lay.x_halfwidth(0)] = halfwidth
             if np.all(A @ x <= b + 1e-12):
-                W = BoxHullSet((Box(center, halfwidth), Box([5.0, 5.0], [0.1, 0.1])))
+                W = BoxHullSet([center, [5.0, 5.0]], [halfwidth, [0.1, 0.1]])
                 assert contains_point(W, np.zeros(2), tol=1e-9)
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from distsynth import (
-    Box,
     BoxHullSet,
     ConstantsAccumulator,
     HPolytope,
@@ -352,7 +351,7 @@ class TestInclusionCertificate:
         """The three scalar checks coincide with the support-function forms
         of the inclusions they encode, evaluated on the unit cube."""
         p = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
-        cube = BoxHullSet((Box(np.zeros(3), np.ones(3)),))
+        cube = BoxHullSet(np.zeros((1, 3)), np.ones((1, 3)))
         Itil = stacked_identity(3)
         scale = 1.0 / (1.0 - p.alpha)
 

@@ -4,60 +4,105 @@ import scipy.optimize
 from scipy.spatial import ConvexHull
 
 from distsynth import (
-    Box,
     BoxHullSet,
     GeometryError,
     HPolytope,
+    LpFailure,
     contains_point,
     hull_outline,
-    matrix_power_inf_norm,
     sample,
     simulate,
-    support_box,
     support_hull,
     support_rows,
     vertices_hpoly,
 )
-from distsynth.setgeom import LtiSystem, merge_vertices, rollout, sample_batch, support_argmax_hull
+from distsynth import setgeom
+from distsynth.lp_solver import FAILED, LpOutcome
+from distsynth.setgeom import (
+    LtiSystem,
+    merge_vertices,
+    rollout,
+    sample_batch,
+    support_argmax_hull,
+    support_argmax_rows,
+)
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
 
 
+def one_box(center, halfwidth) -> BoxHullSet:
+    return BoxHullSet([center], [halfwidth])
+
+
+class TestBoxHullSet:
+    @pytest.mark.parametrize(
+        "centers, halfwidths",
+        [
+            ([], []),  # no box
+            ([0.0, 0.0], [1.0, 1.0]),  # 1-D
+            ([[0.0, 0.0]], [[1.0, 1.0, 1.0]]),  # shapes differ
+            ([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0]]),  # box counts differ
+            ([[], []], [[], []]),  # dimension 0
+            ([[0.0, 0.0]], [[1.0, -1e-12]]),  # negative halfwidth
+        ],
+        ids=["empty", "1-D", "shape-mismatch", "count-mismatch", "dimension-0", "negative-halfwidth"],
+    )
+    def test_rejects(self, centers, halfwidths):
+        with pytest.raises(GeometryError):
+            BoxHullSet(centers, halfwidths)
+
+    def test_arrays_are_frozen_copies(self):
+        centers = np.array([[0.0, 1.0], [2.0, 3.0]])
+        W = BoxHullSet(centers, np.zeros((2, 2)))
+        centers[0, 0] = 9.0
+        assert W.centers[0, 0] == 0.0 and (W.n_boxes, W.dim) == (2, 2)
+        with pytest.raises(ValueError):
+            W.halfwidths[0, 0] = 1.0
+
+    def test_corners_box_by_box(self):
+        rng = np.random.default_rng(19)
+        for dim in (1, 2, 3):
+            W = random_hull(rng, n_w=dim, n_boxes=3)
+            corners = W.corners()
+            assert corners.shape == (3 * 2**dim, dim)
+            np.testing.assert_array_equal(corners, brute_force_hull_vertices(W))
+
+
 class TestSupportBox:
+    """The support of a single box, through one-box support_hull."""
+
     def test_unit_box_identity(self):
-        box = Box([0.0, 0.0], [1.0, 1.0])
-        assert support_box(np.eye(2), [1.0, 0.0], box) == pytest.approx(1.0)
+        W = one_box([0.0, 0.0], [1.0, 1.0])
+        assert support_hull(np.eye(2), [1.0, 0.0], W) == pytest.approx(1.0)
 
     def test_singleton(self):
-        box = Box([2.0, 3.0], [0.0, 0.0])
-        assert support_box(np.eye(2), [1.0, 1.0], box) == pytest.approx(5.0)
+        W = one_box([2.0, 3.0], [0.0, 0.0])
+        assert support_hull(np.eye(2), [1.0, 1.0], W) == pytest.approx(5.0)
 
     def test_matches_corner_maximum(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             T = rng.standard_normal((2, 2))
             p = rng.standard_normal(2)
-            box = Box(rng.uniform(-1, 1, 2), rng.uniform(0, 1, 2))
-            expected = max(p @ T @ v for v in box.corners())
-            assert support_box(T, p, box) == pytest.approx(expected, abs=1e-12)
+            W = one_box(rng.uniform(-1, 1, 2), rng.uniform(0, 1, 2))
+            expected = max(p @ T @ v for v in brute_force_hull_vertices(W))
+            assert support_hull(T, p, W) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(GeometryError):
-            support_box(np.eye(3), [1.0, 0.0], Box([0.0, 0.0], [1.0, 1.0]))
+            support_hull(np.eye(3), [1.0, 0.0], one_box([0.0, 0.0], [1.0, 1.0]))
 
 
 class TestSupportHull:
     def test_single_box_degenerate(self):
         rng = np.random.default_rng(0)
-        box = Box(rng.uniform(-1, 1, 2), rng.uniform(0, 1, 2))
-        W = BoxHullSet((box,))
+        c, e = rng.uniform(-1, 1, 2), rng.uniform(0, 1, 2)
         p = rng.standard_normal(2)
-        assert support_hull(np.eye(2), p, W) == pytest.approx(support_box(np.eye(2), p, box))
+        assert support_hull(np.eye(2), p, one_box(c, e)) == pytest.approx(p @ c + np.abs(p) @ e)
 
     def test_duplicate_boxes_idempotent(self):
-        box = Box([0.5, -0.2], [0.3, 0.1])
-        one = BoxHullSet((box,))
-        two = BoxHullSet((box, box))
+        one = one_box([0.5, -0.2], [0.3, 0.1])
+        two = BoxHullSet([[0.5, -0.2]] * 2, [[0.3, 0.1]] * 2)
         p = np.array([0.3, -1.2])
         assert support_hull(np.eye(2), p, two) == pytest.approx(support_hull(np.eye(2), p, one))
 
@@ -79,6 +124,44 @@ class TestSupportHull:
             assert p @ point == pytest.approx(support_hull(np.eye(2), p, W), abs=1e-12)
 
 
+class TestSupportArgmaxRows:
+    def test_rows_attain_support_rows_in_their_box(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            W = random_hull(rng, n_w=3, n_boxes=4)
+            T = rng.standard_normal((2, 3))
+            M = rng.standard_normal((6, 2))
+            points = support_argmax_rows(T, M, W)
+            assert points.shape == (6, 3)
+            np.testing.assert_allclose(np.sum((M @ T) * points, axis=1), support_rows(T, M, W), atol=1e-12)
+            inside = np.all(np.abs(points[:, None] - W.centers) <= W.halfwidths + 1e-15, axis=2)
+            assert np.all(inside.any(axis=1))
+
+    def test_ties_take_the_first_box(self):
+        # both singletons attain the support 1 along (0, 1); along (1, 1) only the second does
+        W = BoxHullSet([[0.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]])
+        swapped = BoxHullSet(W.centers[::-1], W.halfwidths)
+        M = np.array([[0.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(support_argmax_rows(np.eye(2), M, W), [[0.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(support_argmax_rows(np.eye(2), M, swapped), [[1.0, 1.0], [1.0, 1.0]])
+
+    def test_one_row_is_support_argmax_hull(self):
+        rng = np.random.default_rng(21)
+        W = random_hull(rng, n_boxes=4)
+        T = rng.standard_normal((3, 2))
+        M = rng.standard_normal((5, 3))
+        rows = support_argmax_rows(T, M, W)
+        for k in range(5):
+            np.testing.assert_array_equal(rows[k], support_argmax_hull(T, M[k], W))
+
+    def test_shape_checks_match_support_rows(self):
+        W = one_box([0.0, 0.0], [1.0, 1.0])
+        for T, M in ((np.eye(2), np.ones((1, 3))), (np.eye(3), np.ones((1, 3)))):
+            for kernel in (support_rows, support_argmax_rows):
+                with pytest.raises(GeometryError):
+                    kernel(T, M, W)
+
+
 class TestSupportRows:
     def test_single_row(self):
         rng = np.random.default_rng(1)
@@ -96,7 +179,7 @@ class TestSupportRows:
         assert vals[0] == vals[1]
 
     def test_unit_box_two_sided(self):
-        W = BoxHullSet((Box([0.0, 0.0], [1.0, 1.0]),))
+        W = one_box([0.0, 0.0], [1.0, 1.0])
         M = np.vstack([np.eye(2), -np.eye(2)])
         assert np.allclose(support_rows(np.eye(2), M, W), 1.0)
 
@@ -105,10 +188,10 @@ class TestContainsPoint:
     def test_box_center_inside(self):
         rng = np.random.default_rng(3)
         W = random_hull(rng)
-        assert contains_point(W, W.boxes[0].center)
+        assert contains_point(W, W.centers[0])
 
     def test_point_outside_bounding_box(self):
-        W = BoxHullSet((Box([0.0, 0.0], [1.0, 1.0]), Box([0.5, 0.5], [0.2, 0.2])))
+        W = BoxHullSet([[0.0, 0.0], [0.5, 0.5]], [[1.0, 1.0], [0.2, 0.2]])
         assert not contains_point(W, [5.0, 0.0])
 
     def test_convex_combination_inside_with_witness(self):
@@ -130,7 +213,7 @@ class TestContainsPoint:
         for _ in range(20):
             c, h = rng.normal(size=dim), rng.uniform(0.0, 1.0, dim)
             w = c + rng.normal(scale=1.5, size=dim)
-            res = contains_point(BoxHullSet((Box(c, h),)), w)
+            res = contains_point(one_box(c, h), w)
             expected = max(0.0, float(np.max(np.abs(w - c) - h)))
             assert res.residual == pytest.approx(expected, abs=1e-12)
             assert res.inside == (expected <= 1e-9)
@@ -162,14 +245,20 @@ class TestContainsPoint:
             assert np.all(np.abs(res.points - W.centers) <= W.halfwidths + 1e-12)
 
     def test_rejects_nonpositive_tol(self):
-        W = BoxHullSet((Box([0.0], [1.0]),))
+        W = one_box([0.0], [1.0])
         with pytest.raises(ValueError):
             contains_point(W, [0.0], tol=0.0)
+
+    def test_failed_lp_carries_its_program(self, monkeypatch):
+        monkeypatch.setattr(setgeom, "solve_lp", lambda lp, **kw: LpOutcome(FAILED, message="forced failure"))
+        with pytest.raises(LpFailure, match="membership LP failed") as info:
+            contains_point(one_box([0.0, 0.0], [1.0, 1.0]), [0.5, 0.5])
+        assert info.value.lp.a_eq.shape[1] == info.value.lp.c.size
 
 
 class TestSample:
     def test_singleton_returns_center(self):
-        W = BoxHullSet((Box([0.4, -0.7], [0.0, 0.0]),))
+        W = one_box([0.4, -0.7], [0.0, 0.0])
         rng = np.random.default_rng(5)
         for _ in range(10):
             assert np.allclose(sample(W, rng), [0.4, -0.7])
@@ -189,7 +278,7 @@ class TestSample:
         assert np.all(pts @ normals.T <= offsets + 1e-9)
 
     def test_deterministic_for_fixed_seed(self):
-        W = BoxHullSet((Box([0.0, 0.0], [1.0, 1.0]),))
+        W = one_box([0.0, 0.0], [1.0, 1.0])
         a = [sample(W, np.random.default_rng(42)).tolist() for _ in range(5)]
         b = [sample(W, np.random.default_rng(42)).tolist() for _ in range(5)]
         assert a == b
@@ -228,6 +317,13 @@ class TestVerticesHpoly:
         with pytest.raises(GeometryError):
             vertices_hpoly(P)
 
+    def test_failed_extent_lp_carries_its_program(self, monkeypatch):
+        monkeypatch.setattr(setgeom, "solve_lp", lambda lp, **kw: LpOutcome(FAILED, message="forced failure"))
+        P = HPolytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+        with pytest.raises(LpFailure, match="extent LP failed") as info:
+            vertices_hpoly(P)
+        np.testing.assert_array_equal(info.value.lp.a_ub.toarray(), P.G)
+
     def test_merge_vertices(self):
         # a row within 1e-7 of a kept row is that vertex again; one farther off is its own
         V = np.array([[0.0, 0.0], [5e-8, 0.0], [1.0, 0.0], [1.0, 5e-7]])
@@ -243,7 +339,7 @@ class TestVerticesHpoly:
 
 class TestHullOutline:
     def test_single_box_ccw(self):
-        W = BoxHullSet((Box([1.0, 2.0], [0.5, 0.25]),))
+        W = one_box([1.0, 2.0], [0.5, 0.25])
         out = hull_outline(W)
         assert out.shape == (4, 2)
         area2 = 0.0
@@ -253,13 +349,7 @@ class TestHullOutline:
         assert area2 > 0  # counterclockwise
 
     def test_two_singletons_and_origin_box(self):
-        W = BoxHullSet(
-            (
-                Box([0.0, 0.0], [0.5, 0.5]),
-                Box([2.0, 0.0], [0.0, 0.0]),
-                Box([0.0, 2.0], [0.0, 0.0]),
-            )
-        )
+        W = BoxHullSet([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], [[0.5, 0.5], [0.0, 0.0], [0.0, 0.0]])
         out = hull_outline(W)
         candidates = {tuple(v) for v in brute_force_hull_vertices(W)}
         assert all(tuple(v) in candidates for v in out)
@@ -278,32 +368,14 @@ class TestHullOutline:
             assert np.all(verts @ normals.T <= offsets + 1e-9)
 
     def test_requires_planar(self):
-        W = BoxHullSet((Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),))
+        W = one_box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
         with pytest.raises(GeometryError):
             hull_outline(W)
 
 
-class TestMatrixPowerInfNorm:
-    def test_power_zero_is_identity(self):
-        assert matrix_power_inf_norm(np.random.default_rng(0).standard_normal((3, 3)), 0) == 1.0
-
-    def test_scaled_identity(self):
-        assert matrix_power_inf_norm(0.5 * np.eye(2), 2) == pytest.approx(0.25)
-
-    def test_matches_direct_products(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((3, 3))
-        P = A @ A @ A @ A @ A
-        assert matrix_power_inf_norm(A, 5) == pytest.approx(np.abs(P).sum(axis=1).max(), rel=1e-12)
-
-    def test_rejects_negative_power(self):
-        with pytest.raises(ValueError):
-            matrix_power_inf_norm(np.eye(2), -1)
-
-
 class TestSimulate:
     def test_zero_disturbance_stays_at_origin(self, plant):
-        W = BoxHullSet((Box([0.0, 0.0], [0.0, 0.0]),))
+        W = one_box([0.0, 0.0], [0.0, 0.0])
         X, Y, _ = simulate(plant, W, np.zeros(3), 50, np.random.default_rng(0))
         assert np.allclose(X, 0.0)
         assert np.allclose(Y, 0.0)
@@ -322,12 +394,7 @@ class TestSimulate:
         from distsynth import RpiParams, verify_output_inclusion
 
         params = RpiParams(s=60, alpha=6.781843723995092e-4, lam=6.796195472333852e-5, gamma=0.2, mu=1e-3)
-        W = BoxHullSet(
-            (
-                Box([-0.0429, -0.032], [0.0457, 0.032]),
-                Box([0.0451, -0.0525], [0.0, 0.0135]),
-            )
-        )
+        W = BoxHullSet([[-0.0429, -0.032], [0.0451, -0.0525]], [[0.0457, 0.032], [0.0, 0.0135]])
         assert verify_output_inclusion(plant, pentagon, params, W).passed
         _, Y, _ = simulate(plant, W, np.zeros(3), 10_000, np.random.default_rng(2))
         assert np.all(Y @ pentagon.G.T <= pentagon.g + 1e-9)
@@ -369,13 +436,13 @@ class TestSupportProperties:
     def test_minkowski_additivity(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            b1 = Box(rng.uniform(-1, 1, 2), rng.uniform(0, 1, 2))
-            b2 = Box(rng.uniform(-1, 1, 2), rng.uniform(0, 1, 2))
-            merged = Box(b1.center + b2.center, b1.halfwidth + b2.halfwidth)
+            c1, e1 = rng.uniform(-1, 1, 2), rng.uniform(0, 1, 2)
+            c2, e2 = rng.uniform(-1, 1, 2), rng.uniform(0, 1, 2)
+            merged = one_box(c1 + c2, e1 + e2)
             p = rng.standard_normal(2)
             T = rng.standard_normal((2, 2))
-            assert support_box(T, p, merged) == pytest.approx(
-                support_box(T, p, b1) + support_box(T, p, b2), abs=1e-12
+            assert support_hull(T, p, merged) == pytest.approx(
+                support_hull(T, p, one_box(c1, e1)) + support_hull(T, p, one_box(c2, e2)), abs=1e-12
             )
 
     def test_positive_homogeneity(self):
@@ -393,18 +460,18 @@ class TestSupportProperties:
         for _ in range(50):
             p = rng.standard_normal(2)
             h = support_hull(np.eye(2), p, W)
-            for box in W.boxes:
-                assert h >= support_box(np.eye(2), p, box) - 1e-12
+            for c, e in zip(W.centers, W.halfwidths):
+                assert h >= support_hull(np.eye(2), p, one_box(c, e)) - 1e-12
 
     def test_inclusion_characterization(self):
         rng = np.random.default_rng(16)
         W1 = random_hull(rng, n_boxes=3)
         verts = brute_force_hull_vertices(W1)
         lo, hi = verts.min(axis=0), verts.max(axis=0)
-        bounding = Box((lo + hi) / 2, (hi - lo) / 2)
+        bounding = one_box((lo + hi) / 2, (hi - lo) / 2)
         for _ in range(100):
             p = rng.standard_normal(2)
-            assert support_hull(np.eye(2), p, W1) <= support_box(np.eye(2), p, bounding) + 1e-10
+            assert support_hull(np.eye(2), p, W1) <= support_hull(np.eye(2), p, bounding) + 1e-10
 
     def test_linear_image(self):
         rng = np.random.default_rng(17)

@@ -8,7 +8,6 @@ import scipy.optimize
 from scipy.spatial import ConvexHull
 
 from distsynth import (
-    Box,
     BoxHullSet,
     ConstantsAccumulator,
     HPolytope,
@@ -34,7 +33,7 @@ from distsynth.lp_solver import solve_lp
 from distsynth.setgeom import sample_batch, stacked_identity
 from distsynth.verifier import _reach_coefficients
 
-from conftest import prices_with_devex, random_hull, random_stable_system
+from conftest import brute_force_hull_vertices, prices_with_devex, random_hull, random_stable_system
 
 
 def unit_box_constraints(n):
@@ -43,15 +42,10 @@ def unit_box_constraints(n):
 
 ROOT = Path(__file__).resolve().parents[1]
 
-ORIGIN2 = BoxHullSet((Box([0.0, 0.0], [0.0, 0.0]),))
+ORIGIN2 = BoxHullSet([[0.0, 0.0]], [[0.0, 0.0]])
 
 # certified for the conftest plant and pentagon (gamma=0.2, mu=1e-3, s=60)
-CERTIFIED_W = BoxHullSet(
-    (
-        Box([-0.0429, -0.032], [0.0457, 0.032]),
-        Box([0.0451, -0.0525], [0.0, 0.0135]),
-    )
-)
+CERTIFIED_W = BoxHullSet([[-0.0429, -0.032], [0.0451, -0.0525]], [[0.0457, 0.032], [0.0, 0.0135]])
 
 
 class TestVerifyParams:
@@ -118,7 +112,7 @@ class TestVerifyOutputInclusion:
 
     def test_inflated_set_fails(self, plant, pentagon):
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
-        W = BoxHullSet((Box([0.0, 0.0], [0.05, 0.05]),))
+        W = BoxHullSet([[0.0, 0.0]], [[0.05, 0.05]])
         assert verify_output_inclusion(plant, pentagon, params, W.scaled(1000.0)).passed is False
 
     def test_synthesized_set_passes(self, plant, pentagon):
@@ -137,7 +131,7 @@ class TestVerifyGamma:
 
     def test_tight_cube_margin_zero(self):
         sys = LtiSystem(0.5 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
-        W = BoxHullSet((Box([0.0, 0.0], [0.3, 0.3]),))
+        W = BoxHullSet([[0.0, 0.0]], [[0.3, 0.3]])
         cert = verify_gamma(sys, W, 0.3)
         assert cert.passed
         assert cert.checks[0].margin == pytest.approx(0.0, abs=1e-15)
@@ -146,11 +140,7 @@ class TestVerifyGamma:
         rng = np.random.default_rng(61)
         for _ in range(50):
             W = random_hull(rng, n_boxes=2, scale=0.3)
-            worst = max(
-                np.linalg.norm(plant.B @ v, np.inf)
-                for box in W.boxes
-                for v in box.corners()
-            )
+            worst = max(np.linalg.norm(plant.B @ v, np.inf) for v in brute_force_hull_vertices(W))
             gamma = 0.5
             cert = verify_gamma(plant, W, gamma)
             assert cert.checks[0].margin == pytest.approx(gamma - worst, abs=1e-10)
@@ -161,7 +151,7 @@ class TestDistanceDY:
     def test_large_set_reaches_all_vertices(self):
         sys = LtiSystem(np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)))
         V = vertices_hpoly(unit_box_constraints(2))
-        W = BoxHullSet((Box([0.0, 0.0], [5.0, 5.0]),))
+        W = BoxHullSet([[0.0, 0.0]], [[5.0, 5.0]])
         eps, obj = distance_dY(sys, V, W, 1, h_preset("box", 2))
         assert obj == pytest.approx(0.0, abs=1e-9)
         assert np.allclose(eps, 0.0, atol=1e-9)
@@ -190,7 +180,7 @@ class TestDistanceDY:
         H = h_preset("box", 2)
         for _ in range(10):
             W1 = random_hull(rng, n_boxes=2, scale=0.2)
-            W2 = BoxHullSet(tuple(Box(b.center, 1.5 * b.halfwidth) for b in W1.boxes))
+            W2 = BoxHullSet(W1.centers, 1.5 * W1.halfwidths)
             _, d1 = distance_dY(sys, V, W1, 3, H)
             _, d2 = distance_dY(sys, V, W2, 3, H)
             assert d2 <= d1 + 1e-9
@@ -212,7 +202,7 @@ def _minkowski_polygons(polys):
 def _geometric_distance(sys, vertices, W, horizon, H):
     """Exact coverage distance via explicit planar Minkowski geometry."""
     coeff = _reach_coefficients(sys, horizon)
-    corners = np.vstack([b.corners() for b in W.boxes])
+    corners = brute_force_hull_vertices(W)
     polys = []
     for Mmap in coeff:
         pts = corners @ Mmap.T
@@ -454,7 +444,7 @@ class TestVerifyCoverage:
     def test_origin_vertex_with_zero_widths(self):
         rng = np.random.default_rng(68)
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
-        W = BoxHullSet((Box([0.0, 0.0], [0.1, 0.1]),))
+        W = BoxHullSet([[0.0, 0.0]], [[0.1, 0.1]])
         cert = verify_coverage(sys, np.zeros((1, 2)), W, 2, h_preset("box", 2), np.zeros(4))
         assert cert.passed
 
