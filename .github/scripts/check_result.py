@@ -3,11 +3,15 @@
 usage: python .github/scripts/check_result.py <result.json>
 
 The objective is the exact distance at l, which is sum(epsilon), and the
-alternation's last value at l0 <= l bounds it from above.
+alternation's last value at l0 <= l bounds it from above.  The witness holds
+box weights (vertices, l + 1, N), each group's summing to 1, and blended
+points (vertices, l + 1, n_w); the vertices are those with a certificate.
 """
 
 import json
 import sys
+
+import numpy as np
 
 with open(sys.argv[1]) as fh:
     d = json.load(fh)
@@ -15,3 +19,10 @@ o = d["objective"]
 assert d["l0"] <= d["l"], "l0 > l"
 assert abs(o - sum(d["epsilon"])) <= 1e-9 * max(1.0, o), "objective != sum(epsilon)"
 assert d["history"][-1] >= o - 1e-9, "history below objective"
+n_v = sum(name.startswith("vertex-") for name in d["certificates"])
+boxes = d["W"]["boxes"]
+weights, points = np.array(d["witness"]["weights"]), np.array(d["witness"]["points"])
+groups = (n_v, d["l"] + 1)
+assert weights.shape == groups + (len(boxes),), f"witness weights {weights.shape} != {groups + (len(boxes),)}"
+assert points.shape == groups + (len(boxes[0]["center"]),), f"witness points {points.shape}"
+assert np.all(np.abs(weights.sum(axis=2) - 1.0) <= 1e-9), "witness weights do not sum to 1"

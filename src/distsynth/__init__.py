@@ -42,8 +42,10 @@ from .synthesizer import (
 )
 from .verifier import (
     Certificate,
+    CoverageWitness,
     certify,
     distance_dY,
+    distance_witness,
     monte_carlo,
     verify_coverage,
     verify_gamma,
@@ -57,6 +59,7 @@ __all__ = [
     "BoxHullSet",
     "Certificate",
     "ConstantsAccumulator",
+    "CoverageWitness",
     "GeometryError",
     "HPolytope",
     "LpFailure",
@@ -74,6 +77,7 @@ __all__ = [
     "compute_constants",
     "contains_point",
     "distance_dY",
+    "distance_witness",
     "h_preset",
     "hull_outline",
     "monte_carlo",

@@ -215,7 +215,7 @@ def _params_dict(params: RpiParams) -> dict:
     return {"s": params.s, "alpha": params.alpha, "lambda": params.lam, "gamma": params.gamma, "mu": params.mu}
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultDoc:
     params: RpiParams
     W: BoxHullSet
@@ -230,13 +230,14 @@ class ResultDoc:
     timing: dict = field(default_factory=dict)
     p_nit: list = field(default_factory=list)  # simplex iterations per P-step
     l0: int | None = None  # coverage horizon of the alternation (and history); None means l
+    witness: verifier.CoverageWitness | None = None  # None in documents written before results stored it
 
     def __post_init__(self):
         if self.l0 is None:
             self.l0 = self.horizon
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "params": _params_dict(self.params),
             "W": {
                 "boxes": [
@@ -255,13 +256,18 @@ class ResultDoc:
             "termination": self.termination,
             "timing": self.timing,
         }
+        if self.witness is not None:
+            doc["witness"] = {"weights": self.witness.weights.tolist(), "points": self.witness.points.tolist()}
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ResultDoc":
         """The stored result; SpecError on a missing or malformed entry or on a
-        non-finite number in params, the boxes, epsilon, objective or H, or on
-        a non-integer s, l, l0, iterations or p_nit entry.  A document without
-        l0 (written before it existed) alternated at l."""
+        non-finite number in params, the boxes, epsilon, objective, H or the
+        witness, on a non-integer s, l, l0, iterations or p_nit entry, or on
+        witness arrays that are ragged or not 3-D over the same (vertex, slot)
+        pairs.  A document without l0 (written before it existed) alternated
+        at l; one without a witness is verified by vertex LPs."""
         try:
             p = doc["params"]
             params = RpiParams(
@@ -271,6 +277,11 @@ class ResultDoc:
                 gamma=_finite(float(p["gamma"]), "gamma"),
                 mu=_finite(float(p["mu"]), "mu"),
             )
+            witness = doc.get("witness")
+            if witness is not None:
+                witness = verifier.CoverageWitness(
+                    *(_finite(np.array(witness[key], dtype=float), f"witness {key}") for key in ("weights", "points"))
+                )
             boxes = doc["W"]["boxes"]
             centers, halfwidths = (
                 _finite(np.array([b[key] for b in boxes], dtype=float), f"box {key}") for key in ("center", "halfwidth")
@@ -289,6 +300,7 @@ class ResultDoc:
                 timing=dict(doc.get("timing", {})),
                 p_nit=[_integer(n, "p_nit entry") for n in doc.get("p_nit", [])],
                 l0=_integer(doc.get("l0", doc["l"]), "l0"),
+                witness=witness,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad result document: {exc}") from exc
@@ -315,7 +327,9 @@ def cmd_params(spec: ProblemSpec) -> dict:
 def cmd_synth(spec: ProblemSpec) -> ResultDoc:
     """Alternate at the short horizon ``encoder.short_horizon`` gives, then
     state the exact distance of the emitted W at the coverage horizon l and
-    certify it there; W stays certified at l because it holds the origin."""
+    certify it there, coverage on the distance program's optimal point, which
+    the result stores as its witness; W stays certified at l because it holds
+    the origin."""
     t0 = time.perf_counter()
     params = select_params(
         spec.sys, spec.Y, gamma=spec.options.gamma, mu=spec.options.mu, s_max=spec.options.s_max
@@ -344,10 +358,10 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
     )
     t_synth = time.perf_counter() - t0
     t0 = time.perf_counter()
-    epsilon, objective = verifier.distance_dY(spec.sys, vertices, result.W, horizon, H)
+    epsilon, objective, witness = verifier.distance_witness(spec.sys, vertices, result.W, horizon, H)
     t_distance = time.perf_counter() - t0
     t0 = time.perf_counter()
-    cert = verifier.certify(spec.sys, spec.Y, params, result.W, vertices, horizon, H, epsilon, objective)
+    cert = verifier.certify(spec.sys, spec.Y, params, result.W, vertices, horizon, H, epsilon, objective, witness)
     t_verify = time.perf_counter() - t0
     return ResultDoc(
         params=params,
@@ -363,11 +377,13 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
         timing={"params_s": t_params, "synth_s": t_synth, "distance_s": t_distance, "verify_s": t_verify},
         p_nit=result.p_nit,
         l0=l0,
+        witness=witness,
     )
 
 
-def _check_fit(spec: ProblemSpec, doc: ResultDoc) -> None:
-    """Raise SpecError unless the result's horizons, H, epsilon and boxes fit the spec."""
+def _check_fit(spec: ProblemSpec, doc: ResultDoc, vertices: np.ndarray) -> None:
+    """Raise SpecError unless the result's horizons, H, epsilon, boxes and
+    witness fit the spec and the vertices of its Y."""
     n_y, n_w = spec.sys.n_y, spec.sys.n_w
     if doc.horizon < 1:
         raise SpecError(f"coverage horizon l must be at least 1, not {doc.horizon}")
@@ -379,12 +395,20 @@ def _check_fit(spec: ProblemSpec, doc: ResultDoc) -> None:
         raise SpecError(f"epsilon must have one entry per row of H ({doc.H.shape[0]})")
     if doc.W.dim != n_w:
         raise SpecError(f"boxes of W must have dimension {n_w}, one per disturbance input")
+    if doc.witness is not None:
+        groups = (len(vertices), doc.horizon + 1)
+        if doc.witness.weights.shape != groups + (doc.W.n_boxes,) or doc.witness.points.shape != groups + (n_w,):
+            raise SpecError(
+                f"witness must hold weights {groups + (doc.W.n_boxes,)} and points {groups + (n_w,)}: "
+                "(vertices of Y, l + 1, boxes or disturbance inputs)"
+            )
 
 
 def cmd_verify(spec: ProblemSpec, doc: ResultDoc) -> verifier.Certificate:
-    _check_fit(spec, doc)
+    vertices = spec.resolve_vertices()
+    _check_fit(spec, doc, vertices)
     return verifier.certify(
-        spec.sys, spec.Y, doc.params, doc.W, spec.resolve_vertices(), doc.horizon, doc.H, doc.epsilon, doc.objective
+        spec.sys, spec.Y, doc.params, doc.W, vertices, doc.horizon, doc.H, doc.epsilon, doc.objective, doc.witness
     )
 
 
@@ -464,7 +488,8 @@ def reachable_outline(
 
 
 def cmd_plot(doc: ResultDoc, spec: ProblemSpec, out_dir) -> list:
-    _check_fit(spec, doc)
+    vertices = spec.resolve_vertices()
+    _check_fit(spec, doc, vertices)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -479,7 +504,7 @@ def cmd_plot(doc: ResultDoc, spec: ProblemSpec, out_dir) -> list:
     if spec.sys.n_w == 2:
         emit("w_set.csv", hull_outline(doc.W))
     if spec.sys.n_y == 2:
-        emit("y_set.csv", _ring_sort(spec.resolve_vertices()))
+        emit("y_set.csv", _ring_sort(vertices))
         emit("reach_set.csv", reachable_outline(spec.sys, doc.params, doc.W))
         rng = np.random.default_rng(spec.options.seed)
         _, Yt, _ = simulate(spec.sys, doc.W, np.zeros(spec.sys.n_x), 2000, rng)

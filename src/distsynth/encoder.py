@@ -11,9 +11,9 @@ The decision variables split into five groups:
 All blocks are linear except the coupling w = sum_j beta_j wbar_j, which the
 synthesizer linearizes step by step.  The P step never sees the per-box
 points: with the weights fixed it keeps each w in its blended box
-sum_j beta_j box_j.  The membership rows ``d_x``/``d_wbar`` serve
-``witness_residual``, the dimension audit of acceptance criterion 5 and the
-literal P-step oracle of the tests.
+sum_j beta_j box_j.  The membership rows ``d_x``/``d_wbar`` serve the
+tests: their residual of a program point, the dimension audit of acceptance
+criterion 5 and the literal P-step oracle.
 
 A group is one (vertex, slot) pair.  Every block is a Kronecker expression
 over a group-major layout, so row and column orders are fixed functions of

@@ -33,7 +33,7 @@ class GeometryError(ValueError):
     """Raised for empty/unbounded polytopes and dimension mismatches."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxHullSet:
     """Convex hull of N axis-aligned boxes {c_j + d : -e_j <= d <= e_j} of a
     common dimension, the disturbance set: centers c_j and halfwidths e_j are
@@ -66,8 +66,10 @@ class BoxHullSet:
         signs = np.array(list(product((-1.0, 1.0), repeat=self.dim)))
         return (self.centers[:, None] + signs * self.halfwidths[:, None]).reshape(-1, self.dim)
 
-    def scaled(self, factor: float) -> "BoxHullSet":
-        return BoxHullSet(factor * self.centers, abs(factor) * self.halfwidths)
+    def __eq__(self, other):
+        if not isinstance(other, BoxHullSet):
+            return NotImplemented
+        return np.array_equal(self.centers, other.centers) and np.array_equal(self.halfwidths, other.halfwidths)
 
 
 @dataclass(frozen=True)

@@ -229,23 +229,6 @@ def alternate(
     )
 
 
-def witness_residual(problem: SynthProblem, witness: dict) -> float:
-    """Largest violation of any block by a (x, w, wbar, beta, z) witness."""
-    x, w, wbar = witness["x"], witness["w"], witness["wbar"]
-    beta, z = witness["beta"], witness["z"]
-    worst = float(np.max(problem.a_x @ x - problem.b, initial=-np.inf))
-    worst = max(worst, float(np.max(problem.d_x @ x + problem.d_wbar @ wbar, initial=-np.inf)))
-    worst = max(worst, float(np.max(np.abs(problem.c_w @ w + problem.c_z @ z - problem.h), initial=-np.inf)))
-    worst = max(worst, float(np.max(problem.e_z @ z, initial=-np.inf)))
-    worst = max(worst, float(np.max(np.abs(problem.t_beta @ beta - 1.0), initial=-np.inf)))
-    worst = max(worst, float(np.max(-beta, initial=-np.inf)))
-    lay = problem.layout
-    weights = beta.reshape(lay.n_groups, lay.n_boxes)
-    recon = np.einsum("gj,gjk->gk", weights, wbar.reshape(*weights.shape, lay.n_w))
-    worst = max(worst, float(np.max(np.abs(w.reshape(lay.n_groups, lay.n_w) - recon))))
-    return worst
-
-
 _JITTER_CONCENTRATION = 50.0  # Dirichlet concentration of restart weights around the incumbent
 
 

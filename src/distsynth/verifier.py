@@ -1,16 +1,22 @@
 """Independent certification of synthesized disturbance sets.
 
-Checks are closed-form support-function evaluations wherever possible.
-Coverage is checked one vertex of Y at a time by a linear program that
-places one point per slot in the blended box sum_j beta_j box_j of the
-fixed hull (``setgeom.hull_reach_lp``, the builder ``contains_point`` uses
-too), a route disjoint from the synthesizer's bilinear encoding (the reach
-coefficients are formed here, not taken from the encoder, so a fault there
-cannot certify itself), each vertex warm from the last (Devex-priced).
-Passing vertex checks bound the exact coverage distance by sum(epsilon), and
-the objective-bound check carries that bound to the stored objective.
-``certify`` runs every check; ``distance_dY`` solves the joint program for
-the exact distance.
+Checks are closed-form support-function evaluations, and coverage is checked
+by arithmetic on a witness: per vertex of Y and slot, box weights beta and a
+blended point p of the box sum_j beta_j box_j (``CoverageWitness``).  The
+weights are clipped to >= 0 and normalized, p is split into one point per box
+by ``setgeom.box_points`` (which clips each into its own box), so every slot's
+point w_t = sum_j beta_j p_j lies in W whatever the witness holds; the
+deviation b = y - sum_t coeff_t w_t is then formed with reach coefficients
+taken here, not from the encoder, so a fault there cannot certify itself, and
+the vertex passes when min(eps - H b) >= -CHECK_TOL.  ``distance_witness``
+solves the joint program for the exact distance and returns its optimal point
+as the witness, so ``synth`` certifies without a coverage LP and ``verify``
+re-proves a stored witness without any.  A document without a witness gets
+one from a per-vertex program (``setgeom.hull_reach_lp``, the builder
+``contains_point`` uses too), each vertex warm from the last, and each answer
+is checked by the same arithmetic.  Passing vertex checks bound the exact
+coverage distance by sum(epsilon), and the objective-bound check carries that
+bound to the stored objective.  ``certify`` runs every check.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .setgeom import (
     GeometryError,
     HPolytope,
     LtiSystem,
+    box_points,
     hull_reach_lp,
     rollout,
     sample_batch,
@@ -153,14 +160,66 @@ def _reach_coefficients(sys: LtiSystem, horizon: int) -> np.ndarray:
     return np.stack([sys.C @ powers[horizon - 1 - t] @ sys.B for t in range(horizon)] + [sys.D])
 
 
-def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray):
-    """Exact coverage distance of the horizon-reachable output set for a fixed W.
+@dataclass(frozen=True, eq=False)
+class CoverageWitness:
+    """A point of the coverage program for every vertex of Y and slot: the box
+    weights ``weights`` (n_v, l + 1, N) and the blended point ``points``
+    (n_v, l + 1, n_w), slots ordered as ``_reach_coefficients`` orders them."""
+
+    weights: np.ndarray
+    points: np.ndarray
+
+    def __post_init__(self):
+        weights, points = np.array(self.weights, dtype=float), np.array(self.points, dtype=float)
+        if weights.ndim != 3 or points.ndim != 3 or weights.shape[:2] != points.shape[:2]:
+            raise ValueError("witness weights and points must be 3-D arrays over the same (vertex, slot) pairs")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "points", points)
+
+    def __eq__(self, other):
+        if not isinstance(other, CoverageWitness):
+            return NotImplemented
+        return np.array_equal(self.weights, other.weights) and np.array_equal(self.points, other.points)
+
+
+def _witness_of(x: np.ndarray, n: int, slots: int, W: BoxHullSet) -> CoverageWitness:
+    """The points and weights that lead a ``hull_reach_lp`` answer over n vertices."""
+    n_p, n_beta = n * slots * W.dim, n * slots * W.n_boxes
+    return CoverageWitness(x[n_p : n_p + n_beta].reshape(n, slots, W.n_boxes), x[:n_p].reshape(n, slots, W.dim))
+
+
+def _coverage_margins(coeff, vertices, W: BoxHullSet, H: np.ndarray, epsilon, witness: CoverageWitness) -> np.ndarray:
+    """min(eps - H b) per vertex, at the points of W the witness names.
+
+    Each group's weights are clipped to >= 0 and normalized (a group whose
+    clipped weights sum to 0 makes its vertex -inf), its blended point is split
+    into one point per box by ``box_points``, which clips each into its box,
+    and the slot's point is their weighted sum; b is the vertex less the reach
+    of the slots' points under ``coeff``.
+    """
+    n, slots, N = witness.weights.shape
+    if (n, slots, N) != (len(vertices), len(coeff), W.n_boxes) or witness.points.shape[2] != W.dim:
+        raise GeometryError("witness does not fit the vertices, the horizon and W")
+    beta = np.clip(witness.weights, 0.0, None).reshape(-1, N)
+    total = beta.sum(axis=1, keepdims=True)
+    beta = np.divide(beta, total, out=np.zeros_like(beta), where=total > 0.0)
+    points = box_points(W.centers, W.halfwidths, beta, witness.points.reshape(-1, W.dim))
+    w = np.einsum("gj,gjk->gk", beta, points).reshape(n, slots, W.dim)
+    b = vertices - np.einsum("tyk,vtk->vy", coeff, w)
+    margins = (epsilon - b @ H.T).min(axis=1)
+    margins[(total.reshape(n, slots) <= 0.0).any(axis=1)] = -np.inf
+    return margins
+
+
+def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray):
+    """Exact coverage distance of the horizon-reachable output set for a fixed
+    W, with the optimal point that proves it.
 
     One LP drives the output to a deviation-neighborhood of every vertex,
     with each disturbance point encoded exactly as a point of the blended
     box of its convex weights over the member boxes; the widths eps >= 0 are
-    shared by all vertices.  Returns (epsilon, objective); raises LpFailure, which carries
-    the program, when the LP has no accepted answer.
+    shared by all vertices.  Returns (epsilon, objective, witness); raises
+    LpFailure, which carries the program, when the LP has no accepted answer.
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -171,7 +230,35 @@ def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: 
     out = solve_lp(lp)
     if not out.optimal:
         raise LpFailure(f"coverage LP ended with status {out.status}", lp)
-    return out.x[-n_b:].copy(), float(out.objective)
+    return out.x[-n_b:].copy(), float(out.objective), _witness_of(out.x, len(vertices), len(coeff), W)
+
+
+def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray):
+    """(epsilon, objective) of ``distance_witness``."""
+    epsilon, objective, _ = distance_witness(sys, Y_vertices, W, horizon, H)
+    return epsilon, objective
+
+
+def _vertex_witness(coeff, vertices, W: BoxHullSet, H: np.ndarray, epsilon) -> CoverageWitness:
+    """A witness from one LP per vertex that minimizes the uniform inflation t
+    needed on top of the claimed widths.  The vertex LPs differ only in the
+    right-hand side of the output rows, so the program is built once and each
+    vertex's solve starts from the previous vertex's optimal basis.  A vertex
+    LP without an accepted answer raises LpFailure, which carries that
+    vertex's program."""
+    lp = hull_reach_lp(coeff, vertices[:1], W, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon)
+    weights, points = [], []
+    basis = None
+    for i, y in enumerate(vertices):
+        vertex_lp = replace(lp, b_eq=np.concatenate((y, lp.b_eq[y.size :])))
+        out = solve_lp(vertex_lp, basis=basis)
+        if not out.optimal:
+            raise LpFailure(f"vertex {i} coverage LP ended with status {out.status}", vertex_lp)
+        basis = out.basis
+        answer = _witness_of(out.x, 1, len(coeff), W)
+        weights.append(answer.weights[0])
+        points.append(answer.points[0])
+    return CoverageWitness(weights, points)
 
 
 def verify_coverage(
@@ -181,39 +268,34 @@ def verify_coverage(
     horizon: int,
     H: np.ndarray,
     epsilon: np.ndarray,
+    witness: CoverageWitness | None = None,
 ) -> Certificate:
-    """Per-vertex reachability within the claimed deviation widths.
+    """Per-vertex reachability within the claimed deviation widths, checked by
+    ``_coverage_margins`` on ``witness``; a vertex passes when its margin is at
+    least -CHECK_TOL.
 
-    For each vertex the LP minimizes the uniform inflation t needed on top
-    of the claimed widths; the vertex passes when t <= CHECK_TOL and the margin
-    reported is -t.  The vertex LPs differ only in the right-hand side of
-    the output rows, so the program is built once and each vertex's solve
-    starts from the previous vertex's optimal basis.  A vertex LP without an
-    accepted answer raises LpFailure, which carries that vertex's program.
+    With no witness (a document written before results stored one), one is
+    found by a warm-started LP per vertex that minimizes the inflation t of
+    the widths, whose margin is then -t up to the LP's tolerances.
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     coeff = _reach_coefficients(sys, horizon)
-    lp = hull_reach_lp(coeff, vertices[:1], W, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon)
-    checks = []
-    basis = None
-    for i, y in enumerate(vertices):
-        vertex_lp = replace(lp, b_eq=np.concatenate((y, lp.b_eq[y.size :])))
-        out = solve_lp(vertex_lp, basis=basis)
-        if not out.optimal:
-            raise LpFailure(f"vertex {i} coverage LP ended with status {out.status}", vertex_lp)
-        basis = out.basis
-        t_star = float(out.objective)
-        checks.append(CheckResult(f"vertex-{i}", t_star <= CHECK_TOL, -t_star, f"vertex {i}"))
-    return Certificate(tuple(checks))
+    if witness is None:
+        witness = _vertex_witness(coeff, vertices, W, H, epsilon)
+    margins = _coverage_margins(coeff, vertices, W, H, epsilon, witness)
+    return Certificate(
+        tuple(CheckResult(f"vertex-{i}", bool(m >= -CHECK_TOL), float(m), f"vertex {i}") for i, m in enumerate(margins))
+    )
 
 
 def certify(
     sys: LtiSystem, Y: HPolytope, params: RpiParams, W: BoxHullSet, vertices: np.ndarray, horizon: int,
-    H: np.ndarray, epsilon: np.ndarray, objective: float
+    H: np.ndarray, epsilon: np.ndarray, objective: float, witness: CoverageWitness | None = None
 ) -> Certificate:
     """Every certificate of a synthesized set, as ``synth`` stores them and
-    ``verify`` re-proves them.
+    ``verify`` re-proves them; coverage is checked on ``witness``, and only
+    without one does ``verify_coverage`` solve its vertex LPs.
 
     Passing vertex checks bound the exact coverage distance by sum(epsilon),
     so ``objective-bound`` (objective >= sum(epsilon)) bounds it by the
@@ -223,7 +305,7 @@ def certify(
         verify_params(sys, Y, params).checks
         + verify_gamma(sys, W, params.gamma).checks
         + verify_output_inclusion(sys, Y, params, W).checks
-        + verify_coverage(sys, vertices, W, horizon, H, epsilon).checks
+        + verify_coverage(sys, vertices, W, horizon, H, epsilon, witness).checks
     )
     margin = float(objective - np.sum(epsilon))
     return Certificate(checks + (CheckResult("objective-bound", margin >= -CHECK_TOL, margin),))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsynth import BoxHullSet, RpiParams, sample, vertices_hpoly
+from distsynth import BoxHullSet, RpiParams, lp_solver, sample, verifier, vertices_hpoly
 from distsynth.cli import (
     Options,
     ProblemSpec,
@@ -24,6 +24,7 @@ from distsynth.cli import (
 from distsynth.setgeom import support_argmax_hull
 
 from conftest import hull_of
+from reference import inflation_margins
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -275,8 +276,10 @@ class TestExitCodes:
         def failing(lp, **kwargs):
             return LpOutcome(FAILED, message="forced failure")
 
+        # a document without a witness, so verify solves the vertex LPs
+        older = {key: val for key, val in small_result_doc.items() if key != "witness"}
         spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
-        result_path = write_json(tmp_path / "result.json", small_result_doc)
+        result_path = write_json(tmp_path / "result.json", older)
         monkeypatch.setattr(verifier, "solve_lp", failing)
         monkeypatch.chdir(tmp_path)  # verify has no --out: the program goes to the current directory
         assert main(["verify", spec_path, result_path]) == 4
@@ -409,6 +412,14 @@ MISFITS = {
     "box-dimension": lambda d: [
         b.update(center=b["center"] + [0.0], halfwidth=b["halfwidth"] + [0.0]) for b in d["W"]["boxes"]
     ],
+    "witness-vertex-count": lambda d: d["witness"].update(
+        weights=d["witness"]["weights"][:-1], points=d["witness"]["points"][:-1]
+    ),
+    "witness-slots": lambda d: d["witness"].update(
+        weights=[v[:-1] for v in d["witness"]["weights"]], points=[v[:-1] for v in d["witness"]["points"]]
+    ),
+    "witness-boxes": lambda d: d["witness"].update(weights=[[g + [0.0] for g in v] for v in d["witness"]["weights"]]),
+    "witness-inputs": lambda d: d["witness"].update(points=[[g + [0.0] for g in v] for v in d["witness"]["points"]]),
 }
 
 
@@ -421,6 +432,8 @@ NON_FINITE = {
     "halfwidth-inf": lambda d: d["W"]["boxes"][0]["halfwidth"].__setitem__(0, float("inf")),
     "gamma-nan": lambda d: d["params"].update(gamma=float("nan")),
     "mu-inf": lambda d: d["params"].update(mu=float("inf")),
+    "witness-weight-nan": lambda d: d["witness"]["weights"][0][0].__setitem__(0, float("nan")),
+    "witness-point-inf": lambda d: d["witness"]["points"][-1][-1].__setitem__(0, float("-inf")),
 }
 
 
@@ -481,6 +494,122 @@ def test_empty_or_ragged_box_list_is_2(tmp_path, small_spec_doc, small_result_do
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: bad result document: ") for line in err)
     assert not (tmp_path / "p").exists()
+
+
+# result documents whose witness does not make two 3-D arrays over the same (vertex, slot) pairs
+BAD_WITNESS = {
+    "ragged": lambda d: d["witness"]["points"][0].__setitem__(0, [0.0]),
+    "flat": lambda d: d["witness"].update(weights=d["witness"]["weights"][0]),
+    "groups-differ": lambda d: d["witness"].update(points=d["witness"]["points"][:-1]),
+    "no-points": lambda d: d["witness"].pop("points"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BAD_WITNESS))
+def test_malformed_witness_is_2(tmp_path, small_spec_doc, small_result_doc, edit, capsys):
+    bad = json.loads(json.dumps(small_result_doc))
+    BAD_WITNESS[edit](bad)
+    spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+    assert main(["verify", spec_path, write_json(tmp_path / "result.json", bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad result document: ")
+
+
+class TestWitness:
+    """synth certifies coverage on the distance program's optimal point and
+    stores it; verify checks a stored witness by arithmetic, and a document
+    without one on the answers of per-vertex LPs."""
+
+    def test_stored_and_read_back(self, small_spec_doc, small_result_doc):
+        doc = ResultDoc.from_dict(small_result_doc)
+        groups = (len(parse_spec(small_spec_doc).resolve_vertices()), doc.horizon + 1)
+        assert doc.witness.weights.shape == groups + (doc.W.n_boxes,)
+        assert doc.witness.points.shape == groups + (doc.W.dim,)
+        np.testing.assert_allclose(doc.witness.weights.sum(axis=2), 1.0, rtol=0.0, atol=1e-9)
+        again = ResultDoc.from_dict(doc.to_dict())
+        assert again.witness == doc.witness and again.W == doc.W
+        assert (again == doc) is False and (doc == doc) is True
+
+    def test_synth_solves_no_vertex_lp(self, small_spec_doc, monkeypatch):
+        solved = []
+
+        def spy(lp, **kwargs):
+            solved.append(lp)
+            return lp_solver.solve_lp(lp, **kwargs)
+
+        monkeypatch.setattr(verifier, "solve_lp", spy)
+        spec = parse_spec(small_spec_doc)
+        doc = cmd_synth(spec)
+        assert len(solved) == 1  # the distance program, whose optimal point is the witness
+        assert all(c["passed"] for c in doc.certificates.values())
+        margins = [c["margin"] for name, c in doc.certificates.items() if name.startswith("vertex-")]
+        best = inflation_margins(spec.sys, spec.resolve_vertices(), doc.W, doc.horizon, doc.H, doc.epsilon)
+        # a witness margin is that of one point, at most the best one; the binding vertex has both 0
+        assert np.all(np.array(margins) <= best + 1e-9)
+        assert min(margins) == pytest.approx(min(best), abs=1e-9)
+
+    def test_verify_of_a_witnessed_result_solves_no_lp(self, small_spec_doc, small_result_doc, monkeypatch):
+        spec = parse_spec(small_spec_doc)
+        listed = json.loads(json.dumps(small_spec_doc))
+        listed["constraints"]["vertices"] = spec.resolve_vertices().tolist()
+        listed = parse_spec(listed)
+        doc = ResultDoc.from_dict(small_result_doc)
+        runs = []
+        real = lp_solver._run
+
+        def spy(*args, **kwargs):
+            runs.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lp_solver, "_run", spy)
+        assert cmd_verify(listed, doc).as_dict() == doc.certificates
+        assert runs == []
+        # a spec that lists no vertices has those of Y enumerated, by extent LPs only
+        monkeypatch.setattr(verifier, "solve_lp", None)
+        assert cmd_verify(spec, doc).as_dict() == doc.certificates
+
+    def test_lowered_epsilon_entry_fails(self, small_spec_doc, small_result_doc):
+        spec = parse_spec(small_spec_doc)
+        active = [k for k, e in enumerate(small_result_doc["epsilon"]) if e > 1e-6]
+        assert active
+        for k in active:
+            bad = json.loads(json.dumps(small_result_doc))
+            bad["epsilon"][k] -= 1e-5
+            failing = {c.name for c in cmd_verify(spec, ResultDoc.from_dict(bad)).checks if not c.passed}
+            assert failing and all(name.startswith("vertex-") for name in failing), k
+
+    def test_perturbed_reach_coefficients_fail(self, small_spec_doc, small_result_doc, monkeypatch):
+        real = verifier._reach_coefficients
+        monkeypatch.setattr(verifier, "_reach_coefficients", lambda sys, horizon: 0.99 * real(sys, horizon))
+        cert = cmd_verify(parse_spec(small_spec_doc), ResultDoc.from_dict(small_result_doc))
+        failing = {c.name for c in cert.checks if not c.passed}
+        assert failing and all(name.startswith("vertex-") for name in failing)
+
+    @pytest.mark.parametrize("source", ["small", "frozen-illustrative"])
+    def test_result_without_a_witness_is_checked_on_vertex_lp_answers(
+        self, source, small_spec_doc, small_result_doc, monkeypatch
+    ):
+        if source == "small":
+            spec, stored = parse_spec(small_spec_doc), json.loads(json.dumps(small_result_doc))
+            del stored["witness"]
+        else:
+            spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
+            stored = json.loads((ROOT / "perfbench" / "data" / "illustrative_result.json").read_text())
+            assert "witness" not in stored
+        doc = ResultDoc.from_dict(stored)
+        assert doc.witness is None and "witness" not in doc.to_dict()
+        vertices = spec.resolve_vertices()
+        solved = []
+
+        def spy(lp, **kwargs):
+            solved.append(lp)
+            return lp_solver.solve_lp(lp, **kwargs)
+
+        monkeypatch.setattr(verifier, "solve_lp", spy)
+        cert = cmd_verify(spec, doc)
+        assert cert.passed and len(solved) == len(vertices)
+        margins = [c.margin for c in cert.checks if c.name.startswith("vertex-")]
+        reference = inflation_margins(spec.sys, vertices, doc.W, doc.horizon, doc.H, doc.epsilon)
+        np.testing.assert_allclose(margins, reference, rtol=0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("module", ["distsynth", "distsynth.cli"])

@@ -28,6 +28,7 @@ from distsynth.encoder import (
 from distsynth.setgeom import stacked_identity
 
 from conftest import hull_of, random_stable_system
+from reference import program_residual
 
 
 def small_layout(n_boxes=2, n_vertices=3, horizon=2, s=3, n_w=2, n_y=2, n_x=2, m_y=4, n_b=4):
@@ -363,8 +364,6 @@ class TestAssemble:
     def test_zero_disturbance_feasible_at_max_deviation(self, small_problem):
         """The all-zero set with deviations covering every vertex satisfies
         every block, which is the guaranteed-feasibility anchor."""
-        from distsynth.synthesizer import witness_residual
-
         sys, Y, params, vertices, H, problem = small_problem
         lay = problem.layout
         x = np.zeros(lay.dim_x)
@@ -376,7 +375,7 @@ class TestAssemble:
         z[lay.z_eps()] = eps
         for i in range(lay.n_vertices):
             z[lay.z_b(i)] = vertices[i]
-        residual = witness_residual(problem, {"x": x, "w": w, "wbar": wbar, "beta": beta, "z": z})
+        residual = program_residual(problem, {"x": x, "w": w, "wbar": wbar, "beta": beta, "z": z})
         assert residual <= 1e-9
 
     def test_rejects_bad_inputs(self, small_problem):

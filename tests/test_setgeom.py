@@ -67,6 +67,15 @@ class TestBoxHullSet:
             assert corners.shape == (3 * 2**dim, dim)
             np.testing.assert_array_equal(corners, brute_force_hull_vertices(W))
 
+    def test_equality_compares_both_arrays_by_value(self):
+        W = BoxHullSet([[0.0, 1.0], [2.0, 3.0]], [[0.5, 0.0], [1.0, 1.0]])
+        assert W == BoxHullSet(W.centers.tolist(), W.halfwidths.tolist())
+        assert W != BoxHullSet(W.centers, 2.0 * W.halfwidths)  # value
+        assert W != BoxHullSet(W.centers[::-1], W.halfwidths)  # box order
+        assert W != BoxHullSet(W.centers[:1], W.halfwidths[:1])  # shape: fewer boxes
+        assert W != BoxHullSet(np.zeros((2, 3)), np.ones((2, 3)))  # shape: dimension
+        assert W != (W.centers, W.halfwidths)
+
 
 class TestSupportBox:
     """The support of a single box, through one-box support_hull."""

@@ -21,9 +21,10 @@ from distsynth import (
 from distsynth import synthesizer
 from distsynth.lp_solver import RESIDUAL_TOL, LpProblem, solve_lp
 from distsynth.setgeom import stacked_identity
-from distsynth.synthesizer import _jittered_beta, boxes_from_x, pad_beta, witness_residual
+from distsynth.synthesizer import _jittered_beta, boxes_from_x, pad_beta
 
 from conftest import random_stable_system
+from reference import program_residual
 
 
 def unit_box_constraints(n):
@@ -132,7 +133,7 @@ class TestPStepMatchesWbarOracle:
             x, w, wbar, z, obj, _ = p_step(problem, beta)
             assert obj == pytest.approx(wbar_p_step_optimum(problem, beta), abs=1e-9), name
             witness = {"x": x, "w": w, "wbar": wbar, "beta": beta, "z": z}
-            assert witness_residual(problem, witness) <= 1e-8, name
+            assert program_residual(problem, witness) <= 1e-8, name
 
     def test_small_fixture(self, small_setup):
         self.check(small_setup[4], 60)
@@ -399,7 +400,7 @@ class TestAlternate:
     def test_final_witness_is_feasible(self, small_setup):
         _, _, _, _, problem = small_setup
         res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=50)
-        assert witness_residual(problem, res.witness) <= 1e-6
+        assert program_residual(problem, res.witness) <= 1e-6
 
     def test_intermediate_sets_are_certified(self, small_setup):
         from distsynth import contains_point, verify_gamma, verify_output_inclusion

@@ -10,6 +10,7 @@ from scipy.spatial import ConvexHull
 from distsynth import (
     BoxHullSet,
     ConstantsAccumulator,
+    GeometryError,
     HPolytope,
     LtiSystem,
     RpiParams,
@@ -34,6 +35,7 @@ from distsynth.setgeom import sample_batch, stacked_identity
 from distsynth.verifier import _reach_coefficients
 
 from conftest import brute_force_hull_vertices, prices_with_devex, random_hull, random_stable_system
+from reference import scaled
 
 
 def unit_box_constraints(n):
@@ -113,7 +115,7 @@ class TestVerifyOutputInclusion:
     def test_inflated_set_fails(self, plant, pentagon):
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         W = BoxHullSet([[0.0, 0.0]], [[0.05, 0.05]])
-        assert verify_output_inclusion(plant, pentagon, params, W.scaled(1000.0)).passed is False
+        assert verify_output_inclusion(plant, pentagon, params, scaled(W, 1000.0)).passed is False
 
     def test_synthesized_set_passes(self, plant, pentagon):
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
@@ -449,6 +451,90 @@ class TestVerifyCoverage:
         assert cert.passed
 
 
+# one slot driven through the identity and a D slot that drives nothing:
+# the reach of horizon 1 is the slot-0 point itself
+PASS_THROUGH = LtiSystem(np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)))
+
+
+class TestCoverageWitness:
+    def test_equality_compares_both_arrays_by_value(self):
+        witness = verifier.CoverageWitness(np.ones((1, 2, 1)), np.zeros((1, 2, 2)))
+        assert witness == verifier.CoverageWitness([[[1.0], [1.0]]], [[[0.0, 0.0], [0.0, 0.0]]])
+        assert witness != verifier.CoverageWitness(np.ones((1, 2, 1)), np.full((1, 2, 2), 1e-12))
+        assert witness != verifier.CoverageWitness(np.ones((1, 2, 2)), np.zeros((1, 2, 2)))
+        assert witness != (witness.weights, witness.points)
+
+    @pytest.mark.parametrize(
+        "weights, points",
+        [(np.ones((2, 1)), np.zeros((2, 2))), (np.ones((1, 2, 1)), np.zeros((1, 3, 2)))],
+        ids=["2-D", "groups-differ"],
+    )
+    def test_rejects(self, weights, points):
+        with pytest.raises(ValueError):
+            verifier.CoverageWitness(weights, points)
+
+    def check(self, W, y, weights, points):
+        witness = verifier.CoverageWitness([weights], [points])
+        return verify_coverage(PASS_THROUGH, np.array([y]), W, 1, h_preset("box", 2), np.zeros(4), witness).checks[0]
+
+    def test_point_moved_out_of_its_box_is_clipped_back_and_fails(self):
+        W = BoxHullSet([[0.0, 0.0]], [[1.0, 1.0]])
+        assert self.check(W, [1.0, 1.0], [[1.0], [1.0]], [[1.0, 1.0], [0.0, 0.0]]).margin == 0.0
+        # clipped to (1, -1), so the deviation is (0, 2)
+        moved = self.check(W, [1.0, 1.0], [[1.0], [1.0]], [[1.0, -5.0], [0.0, 0.0]])
+        assert not moved.passed and moved.margin == -2.0
+
+    def test_negative_weight_is_clipped_and_the_rest_renormalized(self):
+        W = BoxHullSet([[1.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
+        points = [[0.0, 0.0], [1.0, 0.0]]
+        assert self.check(W, [0.0, 0.0], [[0.5, 0.5], [1.0, 0.0]], points).passed
+        # the weights (-0.5, 0.5) count as (0, 1): the point is box 1's, (-1, 0)
+        negative = self.check(W, [0.0, 0.0], [[-0.5, 0.5], [1.0, 0.0]], points)
+        assert not negative.passed and negative.margin == -1.0
+        no_weight = self.check(W, [0.0, 0.0], [[-0.5, 0.0], [1.0, 0.0]], points)
+        assert not no_weight.passed and no_weight.margin == -np.inf
+
+    @pytest.mark.parametrize("case", ["certified-pentagon", "random-69", "random-70"])
+    def test_distance_witness_passes_and_lowered_widths_fail(self, plant, pentagon, case):
+        if case == "certified-pentagon":
+            sys, V, W, horizon, H = plant, vertices_hpoly(pentagon), CERTIFIED_W, 59, h_preset("uniform:6", 2)
+        else:
+            rng = np.random.default_rng(int(case.split("-")[1]))
+            sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
+            V, W, horizon, H = vertices_hpoly(unit_box_constraints(2)), random_hull(rng, 2, 2, 0.2), 3, h_preset("box", 2)
+        eps, obj, witness = verifier.distance_witness(sys, V, W, horizon, H)
+        eps_dY, obj_dY = distance_dY(sys, V, W, horizon, H)
+        assert np.array_equal(eps, eps_dY) and obj == obj_dY
+        assert witness.weights.shape == (len(V), horizon + 1, W.n_boxes)
+        assert witness.points.shape == (len(V), horizon + 1, W.dim)
+        cert = verify_coverage(sys, V, W, horizon, H, eps, witness)
+        assert cert.passed and cert.worst().margin <= 1e-12
+        for k in np.flatnonzero(eps > 1e-6):
+            lowered = eps.copy()
+            lowered[k] -= 1e-5
+            assert not verify_coverage(sys, V, W, horizon, H, lowered, witness).passed, k
+
+    def test_checks_a_witness_without_solving(self, plant, pentagon, monkeypatch):
+        V, H = vertices_hpoly(pentagon), h_preset("uniform:6", 2)
+        eps, _, witness = verifier.distance_witness(plant, V, CERTIFIED_W, 59, H)
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("a witness is checked without an LP")
+
+        monkeypatch.setattr(verifier, "solve_lp", no_lp)
+        assert verifier.certify(
+            plant, pentagon, select_params(plant, pentagon, gamma=0.2, mu=1e-3), CERTIFIED_W, V, 59, H, eps,
+            float(eps.sum()), witness,
+        ).passed
+
+    def test_witness_that_does_not_fit_is_rejected(self, plant, pentagon):
+        V, H = vertices_hpoly(pentagon), h_preset("uniform:6", 2)
+        eps, _, witness = verifier.distance_witness(plant, V, CERTIFIED_W, 12, H)
+        for args in ((V[:-1], 12), (V, 11)):
+            with pytest.raises(GeometryError):
+                verify_coverage(plant, args[0], CERTIFIED_W, args[1], H, eps, witness)
+
+
 def per_run_monte_carlo(sys, W, Y, T, runs, rng, tol=1e-8):
     """Reference for monte_carlo: one run after another, one step at a time."""
     violations, worst = 0, 0.0
@@ -464,7 +550,7 @@ def per_run_monte_carlo(sys, W, Y, T, runs, rng, tol=1e-8):
 
 class TestMonteCarlo:
     def test_matches_per_run_reference(self, plant, pentagon):
-        for W in (CERTIFIED_W, CERTIFIED_W.scaled(10.0)):
+        for W in (CERTIFIED_W, scaled(CERTIFIED_W, 10.0)):
             rep = monte_carlo(plant, W, pentagon, T=2000, runs=4, rng=np.random.default_rng(3))
             violations, worst = per_run_monte_carlo(plant, W, pentagon, 2000, 4, np.random.default_rng(3))
             assert rep.violations == violations
@@ -496,7 +582,7 @@ class TestMonteCarlo:
         problem = assemble(plant, pentagon, V, params, 2, 12, h_preset("box", 2))
         res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
         rep = monte_carlo(
-            plant, res.W.scaled(10.0), pentagon, T=2000, runs=3, rng=np.random.default_rng(2)
+            plant, scaled(res.W, 10.0), pentagon, T=2000, runs=3, rng=np.random.default_rng(2)
         )
         # reported, not asserted as a guarantee; record that the counter moves
         assert rep.violations >= 0
