@@ -3,9 +3,10 @@
 usage: python .github/scripts/check_result.py <result.json>
 
 The objective is the exact distance at l, which is sum(epsilon), and the
-alternation's last value at l0 <= l bounds it from above.  The witness holds
-box weights (vertices, l + 1, N), each group's summing to 1, and blended
-points (vertices, l + 1, n_w); the vertices are those with a certificate.
+alternation's last value at l0 <= l bounds it from above.  The budget tail
+starts at 1 <= t0 <= s.  The witness holds box weights (vertices, l + 1, N),
+each group's summing to 1, and blended points (vertices, l + 1, n_w); the
+vertices are those with a certificate.
 """
 
 import json
@@ -17,6 +18,7 @@ with open(sys.argv[1]) as fh:
     d = json.load(fh)
 o = d["objective"]
 assert d["l0"] <= d["l"], "l0 > l"
+assert 1 <= d["t0"] <= d["params"]["s"], "t0 outside 1..s"
 assert abs(o - sum(d["epsilon"])) <= 1e-9 * max(1.0, o), "objective != sum(epsilon)"
 assert d["history"][-1] >= o - 1e-9, "history below objective"
 n_v = sum(name.startswith("vertex-") for name in d["certificates"])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import numbers
+import re
 import sys as _sys
 import time
 from dataclasses import dataclass, field
@@ -230,11 +231,14 @@ class ResultDoc:
     timing: dict = field(default_factory=dict)
     p_nit: list = field(default_factory=list)  # simplex iterations per P-step
     l0: int | None = None  # coverage horizon of the alternation (and history); None means l
+    t0: int | None = None  # first output-inclusion term of the shared tail bound; None means s, no tail
     witness: verifier.CoverageWitness | None = None  # None in documents written before results stored it
 
     def __post_init__(self):
         if self.l0 is None:
             self.l0 = self.horizon
+        if self.t0 is None:
+            self.t0 = self.params.s
 
     def to_dict(self) -> dict:
         doc = {
@@ -248,6 +252,7 @@ class ResultDoc:
             "objective": self.objective,
             "l": self.horizon,
             "l0": self.l0,
+            "t0": self.t0,
             "H": self.H.tolist(),
             "certificates": self.certificates,
             "history": list(self.history),
@@ -264,10 +269,11 @@ class ResultDoc:
     def from_dict(cls, doc: dict) -> "ResultDoc":
         """The stored result; SpecError on a missing or malformed entry or on a
         non-finite number in params, the boxes, epsilon, objective, H or the
-        witness, on a non-integer s, l, l0, iterations or p_nit entry, or on
-        witness arrays that are ragged or not 3-D over the same (vertex, slot)
-        pairs.  A document without l0 (written before it existed) alternated
-        at l; one without a witness is verified by vertex LPs."""
+        witness, on a non-integer s, l, l0, t0, iterations or p_nit entry, or
+        on witness arrays that are ragged or not 3-D over the same (vertex,
+        slot) pairs.  A document without l0 (written before it existed)
+        alternated at l, one without t0 kept every output-inclusion term, and
+        one without a witness is verified by vertex LPs."""
         try:
             p = doc["params"]
             params = RpiParams(
@@ -300,6 +306,7 @@ class ResultDoc:
                 timing=dict(doc.get("timing", {})),
                 p_nit=[_integer(n, "p_nit entry") for n in doc.get("p_nit", [])],
                 l0=_integer(doc.get("l0", doc["l"]), "l0"),
+                t0=_integer(doc.get("t0", params.s), "t0"),
                 witness=witness,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -311,11 +318,11 @@ class ResultDoc:
 
 
 def cmd_params(spec: ProblemSpec) -> dict:
-    t0 = time.perf_counter()
+    start = time.perf_counter()
     params = select_params(
         spec.sys, spec.Y, gamma=spec.options.gamma, mu=spec.options.mu, s_max=spec.options.s_max
     )
-    elapsed = time.perf_counter() - t0
+    elapsed = time.perf_counter() - start
     cert = verifier.verify_params(spec.sys, spec.Y, params)
     return {
         "params": _params_dict(params),
@@ -325,22 +332,24 @@ def cmd_params(spec: ProblemSpec) -> dict:
 
 
 def cmd_synth(spec: ProblemSpec) -> ResultDoc:
-    """Alternate at the short horizon ``encoder.short_horizon`` gives, then
-    state the exact distance of the emitted W at the coverage horizon l and
-    certify it there, coverage on the distance program's optimal point, which
-    the result stores as its witness; W stays certified at l because it holds
-    the origin."""
-    t0 = time.perf_counter()
+    """Alternate at the short horizon ``encoder.short_horizon`` gives, with
+    the output-inclusion tail ``encoder.budget_tail`` gives, then state the
+    exact distance of the emitted W at the coverage horizon l and certify it
+    there, coverage on the distance program's optimal point, which the result
+    stores as its witness; W stays certified at l because it holds the
+    origin."""
+    start = time.perf_counter()
     params = select_params(
         spec.sys, spec.Y, gamma=spec.options.gamma, mu=spec.options.mu, s_max=spec.options.s_max
     )
-    t_params = time.perf_counter() - t0
+    t_params = time.perf_counter() - start
     vertices = spec.resolve_vertices()
     horizon = spec.options.horizon if spec.options.horizon is not None else params.s
     H = spec.resolve_h()
     l0 = encoder.short_horizon(spec.sys, horizon)
-    problem = encoder.assemble(spec.sys, spec.Y, vertices, params, spec.options.n_boxes, l0, H)
-    t0 = time.perf_counter()
+    t0 = encoder.budget_tail(spec.sys, spec.Y, params)
+    problem = encoder.assemble(spec.sys, spec.Y, vertices, params, spec.options.n_boxes, l0, H, t0)
+    start = time.perf_counter()
     result = synthesizer.alternate(
         problem,
         synthesizer.spread_beta(problem.layout),
@@ -356,13 +365,13 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
         zeta=spec.options.zeta,
         max_iters=spec.options.max_iters,
     )
-    t_synth = time.perf_counter() - t0
-    t0 = time.perf_counter()
+    t_synth = time.perf_counter() - start
+    start = time.perf_counter()
     epsilon, objective, witness = verifier.distance_witness(spec.sys, vertices, result.W, horizon, H)
-    t_distance = time.perf_counter() - t0
-    t0 = time.perf_counter()
+    t_distance = time.perf_counter() - start
+    start = time.perf_counter()
     cert = verifier.certify(spec.sys, spec.Y, params, result.W, vertices, horizon, H, epsilon, objective, witness)
-    t_verify = time.perf_counter() - t0
+    t_verify = time.perf_counter() - start
     return ResultDoc(
         params=params,
         W=result.W,
@@ -377,18 +386,21 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
         timing={"params_s": t_params, "synth_s": t_synth, "distance_s": t_distance, "verify_s": t_verify},
         p_nit=result.p_nit,
         l0=l0,
+        t0=t0,
         witness=witness,
     )
 
 
 def _check_fit(spec: ProblemSpec, doc: ResultDoc, vertices: np.ndarray) -> None:
-    """Raise SpecError unless the result's horizons, H, epsilon, boxes and
-    witness fit the spec and the vertices of its Y."""
+    """Raise SpecError unless the result's horizons, tail start, H, epsilon,
+    boxes and witness fit the spec and the vertices of its Y."""
     n_y, n_w = spec.sys.n_y, spec.sys.n_w
     if doc.horizon < 1:
         raise SpecError(f"coverage horizon l must be at least 1, not {doc.horizon}")
     if not 1 <= doc.l0 <= doc.horizon:
         raise SpecError(f"alternation horizon l0 must lie in 1..l = {doc.horizon}, not {doc.l0}")
+    if not 1 <= doc.t0 <= doc.params.s:
+        raise SpecError(f"budget tail start t0 must lie in 1..s = {doc.params.s}, not {doc.t0}")
     if doc.H.ndim != 2 or doc.H.shape[1] != n_y:
         raise SpecError(f"H must be a matrix with {n_y} columns, one per output")
     if doc.epsilon.shape != (doc.H.shape[0],):
@@ -532,6 +544,9 @@ def _to_jsonable(obj):
 
 def _dump_json(doc: dict, path: str | None) -> None:
     text = json.dumps(_to_jsonable(doc), indent=2)
+    # each list of numbers (a vector, or one row of a matrix) on one line; no
+    # string holds a raw newline, so "[\n" opens a list
+    text = re.sub(r'\[\n\s*([^\[\]{}"]*?)\n\s*\]', lambda m: "[" + re.sub(r",\n\s*", ", ", m[1]) + "]", text)
     if path is None:
         print(text)
     else:

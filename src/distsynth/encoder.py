@@ -2,7 +2,8 @@
 
 The decision variables split into five groups:
 
-    x    : box centers/halfwidths plus the per-term output budgets (Q, r)
+    x    : box centers/halfwidths, the per-term output budgets (Q, r) and the
+           tail bound rho
     w    : one driving disturbance point per constraint vertex and step
     wbar : per-(vertex, step, box) points constrained to their boxes
     beta : convex weights tying each w to its wbar block
@@ -11,9 +12,7 @@ The decision variables split into five groups:
 All blocks are linear except the coupling w = sum_j beta_j wbar_j, which the
 synthesizer linearizes step by step.  The P step never sees the per-box
 points: with the weights fixed it keeps each w in its blended box
-sum_j beta_j box_j.  The membership rows ``d_x``/``d_wbar`` serve the
-tests: their residual of a program point, the dimension audit of acceptance
-criterion 5 and the literal P-step oracle.
+sum_j beta_j box_j.
 
 A group is one (vertex, slot) pair.  Every block is a Kronecker expression
 over a group-major layout, so row and column orders are fixed functions of
@@ -64,10 +63,19 @@ class VariableLayout:
     n_x: int
     m_y: int
     n_b: int
+    t0: int | None = None  # terms t >= t0 share the tail bound rho; None means s, no tail
+
+    def __post_init__(self):
+        if self.t0 is None:
+            object.__setattr__(self, "t0", self.s)
+
+    @property
+    def n_rho(self) -> int:
+        return self.n_w if self.t0 < self.s else 0
 
     @property
     def dim_x(self) -> int:
-        return 2 * self.n_boxes * self.n_w + (self.s + 1) * self.m_y
+        return 2 * self.n_boxes * self.n_w + (self.t0 + 1) * self.m_y + self.n_rho
 
     @property
     def dim_w(self) -> int:
@@ -107,7 +115,7 @@ class VariableLayout:
         return slice(base, base + self.m_y)
 
     def x_r(self) -> slice:
-        base = 2 * self.n_boxes * self.n_w + self.s * self.m_y
+        base = 2 * self.n_boxes * self.n_w + self.t0 * self.m_y
         return slice(base, base + self.m_y)
 
     def w_slot(self, i: int, slot: int) -> slice:
@@ -171,9 +179,11 @@ def encode_output_inclusion(
 ):
     """Rows bounding the reachable-output support by the budget variables.
 
-    Per box j and term t:  Gbar_t B c_j + |Gbar_t B| e_j <= Q_t, and the
-    feedthrough rows G D c_j + |G D| e_j <= r; finally the budget sums
-    sum_t Q_t + r <= g - lambda sum_t |Gbar_t| 1.
+    Per box j and term t < t0:  Gbar_t B c_j + |Gbar_t B| e_j <= Q_t, and the
+    feedthrough rows G D c_j + |G D| e_j <= r.  When t0 < s, the terms t >= t0
+    share rho >= |c_j| + e_j (every box j, entrywise), since the support of
+    box j in direction v is at most |v| rho; finally the budget sums
+    sum_{t<t0} Q_t + r + (sum_{t>=t0} |Gbar_t B|) rho <= g - lambda sum_t |Gbar_t| 1.
     """
     rhs = output_rhs(gbar, Y, params)
     if np.min(rhs) < -1e-12 * max(1.0, float(np.max(np.abs(Y.g)))):
@@ -182,18 +192,25 @@ def encode_output_inclusion(
             "the synthesis problem is infeasible for these parameters",
             RuntimeWarning,
         )
-    N, m_y, n_q = layout.n_boxes, layout.m_y, layout.s * layout.m_y
-    terms = np.vstack([G @ sys.B for G in gbar])  # row t * m_y + i
+    N, m_y, t0 = layout.n_boxes, layout.m_y, layout.t0
+    n_q = t0 * m_y
+    terms = np.vstack([G @ sys.B for G in gbar[:t0]])  # row t * m_y + i
     per_box = np.ones((N, 1))  # every box's row block charges the same budgets
-    a = sp.bmat(
-        [
-            [_box_rows(terms, N), -sp.kron(per_box, sp.eye(n_q), "coo"), None],
-            [_box_rows(Y.G @ sys.D, N), None, -sp.kron(per_box, sp.eye(m_y), "coo")],
-            [None, sp.kron(np.ones((1, layout.s)), sp.eye(m_y), "coo"), sp.eye(m_y, format="coo")],
-        ],
-        format="csr",
-    )
-    return a, np.concatenate([np.zeros(N * (n_q + m_y)), rhs])
+    blocks = [
+        [_box_rows(terms, N), -sp.kron(per_box, sp.eye(n_q), "coo"), None],
+        [_box_rows(Y.G @ sys.D, N), None, -sp.kron(per_box, sp.eye(m_y), "coo")],
+        [None, sp.kron(np.ones((1, t0)), sp.eye(m_y), "coo"), sp.eye(m_y, format="coo")],
+    ]
+    if layout.n_rho:
+        S = stacked_identity(layout.n_w)
+        tail = sp.coo_matrix(sum(np.abs(G @ sys.B) for G in gbar[t0:]))
+        blocks = [
+            *(row + [None] for row in blocks[:2]),
+            [_box_rows(S, N), None, None, -sp.kron(per_box, np.abs(S), "coo")],
+            blocks[2] + [tail],
+        ]
+    n_zero = N * (n_q + m_y) + 2 * N * layout.n_rho
+    return sp.bmat(blocks, format="csr"), np.concatenate([np.zeros(n_zero), rhs])
 
 
 def encode_gamma_bound(sys: LtiSystem, gamma: float, layout: VariableLayout):
@@ -220,13 +237,12 @@ def reach_terms(sys: LtiSystem, horizon: int) -> np.ndarray:
 def encode_vertex_reach(
     vertices: np.ndarray, sys: LtiSystem, layout: VariableLayout, H: np.ndarray
 ):
-    """Vertex-coverage blocks: reach equalities, box membership of the
-    per-group points, deviation rows H b_i <= eps, and the simplex rows.
+    """Vertex-coverage blocks: reach equalities, deviation rows
+    H b_i <= eps, and the simplex rows.
 
     A group is one (vertex, slot) pair, and every group-indexed block is
     group-major: w by (group, coordinate), beta by (group, box) and wbar by
-    (group, box, coordinate).  Returns (c_w, c_z, h, d_x, d_wbar, e_z,
-    t_beta).
+    (group, box, coordinate).  Returns (c_w, c_z, h, e_z, t_beta).
     """
     l = layout.horizon
     if l < 1:
@@ -234,20 +250,16 @@ def encode_vertex_reach(
     # reach coefficients: slot t carries C A^(l-1-t) B, slot l carries D
     coeff = [*reach_terms(sys, l)[::-1], sys.D]
 
-    v, N, n_w = layout.n_vertices, layout.n_boxes, layout.n_w
+    v, N = layout.n_vertices, layout.n_boxes
     groups, n_out = layout.n_groups, v * layout.n_y
     # row (i, k): sum_t coeff_t[k] w_(i, t) + b_i[k] = vertex_i[k]
     c_w = sp.kron(sp.eye(v), np.hstack(coeff), "csr")
     c_z = sp.hstack([sp.coo_matrix((n_out, layout.n_b)), sp.eye(n_out, format="coo")], format="csr")
     h = np.asarray(vertices, dtype=float).ravel()
-    # wbar_gj in box j:  S wbar_gj <= S c_j + |S| e_j, by (group, box, sign, coordinate)
-    S = stacked_identity(n_w)
-    d_x = -_pad_x(sp.kron(np.ones((groups, 1)), _box_rows(S, N), "coo"), layout)
-    d_wbar = sp.kron(sp.eye(groups * N), S, "csr")
     # row (i, k): H[k] b_i - eps[k] <= 0
     e_z = sp.hstack([-sp.kron(np.ones((v, 1)), sp.eye(layout.n_b), "coo"), sp.kron(sp.eye(v), H, "coo")], format="csr")
     t_beta = sp.kron(sp.eye(groups), np.ones((1, N)), "csr")
-    return c_w, c_z, h, d_x, d_wbar, e_z, t_beta
+    return c_w, c_z, h, e_z, t_beta
 
 
 @dataclass(frozen=True)
@@ -262,13 +274,19 @@ class SynthProblem:
     cost_z: np.ndarray
     a_x: sp.csr_matrix
     b: np.ndarray
-    d_x: sp.csr_matrix
-    d_wbar: sp.csr_matrix
     c_w: sp.csr_matrix
     c_z: sp.csr_matrix
     h: np.ndarray
     e_z: sp.csr_matrix
     t_beta: sp.csr_matrix
+
+
+def tail_start(mass: np.ndarray, frac: float) -> int:
+    """The smallest t in 1..len(mass)-1 whose tail sum(mass[t:]) is at most
+    ``frac`` of sum(mass), or len(mass) when no t is."""
+    tail = np.cumsum(mass[::-1])[::-1]  # tail[t] = sum over k >= t
+    short = np.flatnonzero(tail[1:] <= frac * tail[0])
+    return int(short[0]) + 1 if short.size else mass.size
 
 
 # the alternation's coverage horizon leaves out the reach terms whose
@@ -277,18 +295,25 @@ SHORT_HORIZON_TAIL = 0.03
 
 
 def short_horizon(sys: LtiSystem, horizon: int) -> int:
-    """The smallest t in 1..horizon-1 whose tail sum_{t <= k < horizon}
-    |C A^k B| (entrywise sum) is at most SHORT_HORIZON_TAIL of the sum over
-    every k < horizon, or ``horizon`` when no t is.
+    """``tail_start`` of the entrywise sums |C A^k B|, k < horizon, at
+    SHORT_HORIZON_TAIL.
 
     The origin lies in every synthesized W (``encode_origin``), so a W whose
     outputs reach within the widths at horizon t reaches within them at any
     longer horizon: the missing terms can take the disturbance 0.
     """
-    mass = np.abs(reach_terms(sys, horizon)).sum(axis=(1, 2))
-    tail = np.cumsum(mass[::-1])[::-1]  # tail[t] = sum over k >= t
-    short = np.flatnonzero(tail[1:] <= SHORT_HORIZON_TAIL * tail[0])
-    return int(short[0]) + 1 if short.size else horizon
+    return tail_start(np.abs(reach_terms(sys, horizon)).sum(axis=(1, 2)), SHORT_HORIZON_TAIL)
+
+
+# the output-inclusion terms whose maps sum to at most this fraction of the
+# sum over all s terms share one tail bound rho in the budget rows
+BUDGET_TAIL = 0.001
+
+
+def budget_tail(sys: LtiSystem, Y: HPolytope, params: RpiParams) -> int:
+    """``tail_start`` of the entrywise sums |Gbar_t B|, t < s, at BUDGET_TAIL:
+    the t0 of the output-inclusion rows (``encode_output_inclusion``)."""
+    return tail_start(np.array([np.abs(G @ sys.B).sum() for G in build_gbar(sys, Y, params)]), BUDGET_TAIL)
 
 
 def assemble(
@@ -299,10 +324,15 @@ def assemble(
     n_boxes: int,
     horizon: int,
     H: np.ndarray,
+    t0: int | None = None,
 ) -> SynthProblem:
-    """Build the full problem for a vertex list of Y, repeats merged (``merge_vertices``)."""
+    """Build the problem for a vertex list of Y, repeats merged
+    (``merge_vertices``); the output-inclusion terms t >= t0 share one tail
+    bound, and t0 = s (the default) keeps every term's own rows."""
     if n_boxes < 1:
         raise EncodingError("need at least one box")
+    if t0 is not None and not 1 <= t0 <= params.s:
+        raise EncodingError(f"t0 must lie in 1..s = {params.s}")
     vertices = merge_vertices(Y_vertices)
     if vertices.shape[1] != sys.n_y:
         raise EncodingError("vertex dimension mismatch")
@@ -319,11 +349,12 @@ def assemble(
         n_x=sys.n_x,
         m_y=Y.n_rows,
         n_b=H.shape[0],
+        t0=t0,
     )
     a1, b1 = encode_output_inclusion(build_gbar(sys, Y, params), sys, Y, params, layout)
     a2, b2 = encode_gamma_bound(sys, params.gamma, layout)
     a3, b3 = encode_origin(layout)
-    c_w, c_z, h, d_x, d_wbar, e_z, t_beta = encode_vertex_reach(vertices, sys, layout, H)
+    c_w, c_z, h, e_z, t_beta = encode_vertex_reach(vertices, sys, layout, H)
     cost_z = np.zeros(layout.dim_z)
     cost_z[layout.z_eps()] = 1.0
     return SynthProblem(
@@ -335,8 +366,6 @@ def assemble(
         cost_z=cost_z,
         a_x=sp.vstack([a1, a2, a3], format="csr"),
         b=np.concatenate([b1, b2, b3]),
-        d_x=d_x,
-        d_wbar=d_wbar,
         c_w=c_w,
         c_z=c_z,
         h=h,

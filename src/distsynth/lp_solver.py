@@ -72,7 +72,7 @@ class LpFailure(RuntimeError):
         self.lp = lp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: the blocks are sparse
 class LpProblem:
     """min c@x  s.t.  a_ub@x <= b_ub,  a_eq@x = b_eq,  lb <= x <= ub; an absent
     block is stored as an empty 0 x n matrix with an empty right-hand side."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setgeom import HPolytope, LtiSystem
+from .setgeom import HPolytope, LtiSystem, fields_equal
 
 
 class ParamSearchError(RuntimeError):
@@ -37,13 +37,14 @@ class ParamSearchError(RuntimeError):
         self.trail = trail
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RpiConstants:
     s: int
     L_s: np.ndarray
     theta_s: float
     M_s: float
     zeta_s: float
+    __eq__ = fields_equal
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,21 @@ the verifier's coverage checks with the reach coefficients of a system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, product
 
 import numpy as np
 
 from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LpFailure, LpProblem, solve_lp
 import scipy.sparse as sp
+
+
+def fields_equal(a, b):
+    """Value equality of dataclasses whose fields are arrays or scalars: the
+    same type and every field ``np.array_equal``."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
 def _freeze(a, dtype=float) -> np.ndarray:
@@ -66,18 +74,16 @@ class BoxHullSet:
         signs = np.array(list(product((-1.0, 1.0), repeat=self.dim)))
         return (self.centers[:, None] + signs * self.halfwidths[:, None]).reshape(-1, self.dim)
 
-    def __eq__(self, other):
-        if not isinstance(other, BoxHullSet):
-            return NotImplemented
-        return np.array_equal(self.centers, other.centers) and np.array_equal(self.halfwidths, other.halfwidths)
+    __eq__ = fields_equal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HPolytope:
     """Halfspace set {y : G y <= g}."""
 
     G: np.ndarray
     g: np.ndarray
+    __eq__ = fields_equal
 
     def __post_init__(self):
         G = _freeze(np.atleast_2d(self.G))
@@ -96,7 +102,7 @@ class HPolytope:
         return self.G.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiSystem:
     """x+ = A x + B w,  y = C x + D w with a strictly stable A."""
 
@@ -104,6 +110,7 @@ class LtiSystem:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
+    __eq__ = fields_equal
 
     def __post_init__(self):
         A = _freeze(np.atleast_2d(self.A))
@@ -193,7 +200,7 @@ def support_argmax_hull(T, p, W: BoxHullSet) -> np.ndarray:
 # membership
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Membership:
     """Result of a hull membership test with the decomposition witness."""
 
@@ -201,6 +208,7 @@ class Membership:
     residual: float
     weights: np.ndarray | None = None
     points: np.ndarray | None = None
+    __eq__ = fields_equal
 
     def __bool__(self) -> bool:
         return self.inside

@@ -36,7 +36,7 @@ class SynthesisError(LpFailure):
     pass
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: the witness is a dict of arrays
 class SynthResult:
     W: BoxHullSet
     epsilon: np.ndarray

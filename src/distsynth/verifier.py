@@ -34,6 +34,7 @@ from .setgeom import (
     HPolytope,
     LtiSystem,
     box_points,
+    fields_equal,
     hull_reach_lp,
     rollout,
     sample_batch,
@@ -176,10 +177,7 @@ class CoverageWitness:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "points", points)
 
-    def __eq__(self, other):
-        if not isinstance(other, CoverageWitness):
-            return NotImplemented
-        return np.array_equal(self.weights, other.weights) and np.array_equal(self.points, other.points)
+    __eq__ = fields_equal
 
 
 def _witness_of(x: np.ndarray, n: int, slots: int, W: BoxHullSet) -> CoverageWitness:

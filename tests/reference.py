@@ -1,11 +1,12 @@
 """Reference computations that tests compare the package against."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from distsynth import BoxHullSet
-from distsynth.encoder import SynthProblem
+from distsynth.encoder import SynthProblem, VariableLayout
 from distsynth.lp_solver import solve_lp
-from distsynth.setgeom import hull_reach_lp
+from distsynth.setgeom import hull_reach_lp, stacked_identity
 from distsynth.verifier import _reach_coefficients
 
 
@@ -14,13 +15,25 @@ def scaled(W: BoxHullSet, factor: float) -> BoxHullSet:
     return BoxHullSet(factor * W.centers, abs(factor) * W.halfwidths)
 
 
+def membership_blocks(layout: VariableLayout):
+    """(d_x, d_wbar): rows S wbar_gj - S c_j - |S| e_j <= 0 with S = [I; -I],
+    keeping every per-group point in its own box, by (group, box, sign,
+    coordinate) over the columns of x and of wbar."""
+    S = stacked_identity(layout.n_w)
+    box = sp.kron(sp.eye(layout.n_boxes), np.hstack([S, np.abs(S)]), "coo")
+    d_x = -sp.kron(np.ones((layout.n_groups, 1)), box, "csr")
+    d_x.resize(d_x.shape[0], layout.dim_x)  # the budget columns of x stay empty
+    return d_x, sp.kron(sp.eye(layout.n_groups * layout.n_boxes), S, "csr")
+
+
 def program_residual(problem: SynthProblem, point: dict) -> float:
     """Largest violation of any block of the synthesis program by an
     (x, w, wbar, beta, z) point, such as ``SynthResult.witness``."""
     x, w, wbar = point["x"], point["w"], point["wbar"]
     beta, z = point["beta"], point["z"]
     worst = float(np.max(problem.a_x @ x - problem.b, initial=-np.inf))
-    worst = max(worst, float(np.max(problem.d_x @ x + problem.d_wbar @ wbar, initial=-np.inf)))
+    d_x, d_wbar = membership_blocks(problem.layout)
+    worst = max(worst, float(np.max(d_x @ x + d_wbar @ wbar, initial=-np.inf)))
     worst = max(worst, float(np.max(np.abs(problem.c_w @ w + problem.c_z @ z - problem.h), initial=-np.inf)))
     worst = max(worst, float(np.max(problem.e_z @ z, initial=-np.inf)))
     worst = max(worst, float(np.max(np.abs(problem.t_beta @ beta - 1.0), initial=-np.inf)))

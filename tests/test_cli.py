@@ -12,6 +12,8 @@ from distsynth.cli import (
     Options,
     ProblemSpec,
     ResultDoc,
+    _dump_json,
+    _to_jsonable,
     cmd_gen,
     cmd_params,
     cmd_reduce,
@@ -340,6 +342,25 @@ class TestSynthVerifyRoundtrip:
         assert older.l0 == older.horizon == doc.horizon
         assert older.to_dict()["l0"] == doc.horizon
 
+    def test_result_records_the_budget_tail(self, small_spec_doc):
+        doc = cmd_synth(parse_spec(small_spec_doc))
+        dumped = json.loads(json.dumps(doc.to_dict()))
+        assert dumped["t0"] == doc.t0 and 1 <= doc.t0 <= dumped["params"]["s"]
+        assert ResultDoc.from_dict(dumped).to_dict() == dumped
+        # documents written before the field existed kept every term
+        del dumped["t0"]
+        older = ResultDoc.from_dict(dumped)
+        assert older.t0 == older.params.s == doc.params.s
+
+    def test_written_result_has_a_row_per_line_and_round_trips(self, tmp_path, small_spec_doc):
+        doc = cmd_synth(parse_spec(small_spec_doc))
+        path = tmp_path / "result.json"
+        _dump_json(doc.to_dict(), str(path))
+        text = path.read_text()
+        # no number stands alone on its line: every vector or matrix row is one line
+        assert not any(line.strip().rstrip(",").lstrip("-")[:1].isdigit() for line in text.splitlines())
+        assert ResultDoc.from_dict(json.loads(text)).to_dict() == _to_jsonable(doc.to_dict())
+
     def test_objective_is_the_exact_distance_at_l(self, long_spec_doc):
         from distsynth import verifier
 
@@ -409,6 +430,8 @@ MISFITS = {
     "zero-horizon": lambda d: d.update(l=0),
     "l0-above-l": lambda d: d.update(l0=d["l"] + 1),
     "zero-l0": lambda d: d.update(l0=0),
+    "t0-above-s": lambda d: d.update(t0=d["params"]["s"] + 1),
+    "zero-t0": lambda d: d.update(t0=0),
     "box-dimension": lambda d: [
         b.update(center=b["center"] + [0.0], halfwidth=b["halfwidth"] + [0.0]) for b in d["W"]["boxes"]
     ],
@@ -460,6 +483,7 @@ NON_INTEGER = {
     "iterations-fraction": lambda d: d.update(iterations=10.5),
     "p_nit-fraction": lambda d: d.update(p_nit=[3.5]),
     "l0-fraction": lambda d: d.update(l0=12.5),
+    "t0-fraction": lambda d: d.update(t0=26.5),
 }
 
 
@@ -907,3 +931,38 @@ class TestEveryOverrideFlag:
         args = _build_parser().parse_args(["params", "spec.json", "--mu", "0.02"])
         opts = _apply_overrides(parse_spec(PENTAGON_SPEC), args).options
         assert opts == Options.from_dict({**PENTAGON_SPEC["options"], "mu": 0.02})
+
+
+def _workload_specs():
+    """The problems of the benchmark workloads: the two bundled specs and
+    four generated ones with two restarts each."""
+    generated = []
+    for n_x in (3, 6):
+        for seed in (0, 1):
+            spec = cmd_gen(n_x, 2, 2, 0.7, seed)
+            spec.options.restarts = 2
+            generated.append(spec)
+    return {
+        "illustrative": [parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))],
+        "long-horizon": [cmd_reduce(json.loads((ROOT / "specs" / "reduced_order_plant.json").read_text()))],
+        "gen-batch": generated,
+    }
+
+
+class TestBudgetTail:
+    @pytest.fixture(scope="class")
+    def synthesized(self):
+        return {name: [(spec, cmd_synth(spec)) for spec in specs] for name, specs in _workload_specs().items()}
+
+    def test_every_emitted_w_passes_output_inclusion(self, synthesized):
+        for runs in synthesized.values():
+            for spec, doc in runs:
+                assert doc.t0 < doc.params.s  # the tail is in use
+                assert verifier.verify_output_inclusion(spec.sys, spec.Y, doc.params, doc.W).passed
+                assert all(c["passed"] for c in doc.certificates.values())
+
+    def test_workload_objectives(self, synthesized):
+        objectives = {name: sum(doc.objective for _, doc in runs) for name, runs in synthesized.items()}
+        expected = {"illustrative": 1.0394, "long-horizon": 0.9176, "gen-batch": 7.2863}
+        assert objectives == pytest.approx(expected, abs=1e-4)
+        assert [doc.t0 for _, doc in synthesized["illustrative"] + synthesized["long-horizon"]] == [26, 67]

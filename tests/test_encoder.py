@@ -15,20 +15,24 @@ from distsynth import (
     vertices_hpoly,
 )
 from distsynth.encoder import (
+    BUDGET_TAIL,
     SHORT_HORIZON_TAIL,
     EncodingError,
     VariableLayout,
+    budget_tail,
     build_gbar,
     encode_gamma_bound,
     encode_origin,
     encode_output_inclusion,
     encode_vertex_reach,
     output_rhs,
+    tail_start,
 )
+from distsynth.lp_solver import LpProblem, solve_lp
 from distsynth.setgeom import stacked_identity
 
 from conftest import hull_of, random_stable_system
-from reference import program_residual
+from reference import membership_blocks, program_residual
 
 
 def small_layout(n_boxes=2, n_vertices=3, horizon=2, s=3, n_w=2, n_y=2, n_x=2, m_y=4, n_b=4):
@@ -99,6 +103,18 @@ class TestLayout:
             covered += list(range(*lay.x_q(t).indices(lay.dim_x)))
         covered += list(range(*lay.x_r().indices(lay.dim_x)))
         assert sorted(covered) == list(range(lay.dim_x))
+
+    def test_slices_partition_x_with_a_budget_tail(self):
+        lay = VariableLayout(2, 3, 2, 5, 2, 2, 2, 4, 4, t0=2)
+        covered = []
+        for j in range(lay.n_boxes):
+            covered += list(range(*lay.x_center(j).indices(lay.dim_x)))
+            covered += list(range(*lay.x_halfwidth(j).indices(lay.dim_x)))
+        for t in range(lay.t0):
+            covered += list(range(*lay.x_q(t).indices(lay.dim_x)))
+        covered += list(range(*lay.x_r().indices(lay.dim_x)))
+        assert covered == list(range(lay.dim_x - lay.n_rho))  # [c_0, e_0, ..., Q_0 .. Q_(t0-1), r], then rho
+        assert lay.dim_x == 2 * 2 * 2 + 3 * 4 + 2
 
     def test_slices_partition_wbar_and_beta(self):
         lay = small_layout()
@@ -292,7 +308,7 @@ class TestVertexReach:
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         lay = small_layout(horizon=1)
         vertices = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        c_w, _, _, _, _, _, _ = encode_vertex_reach(vertices, sys, lay, h_preset("box", 2))
+        c_w, *_ = encode_vertex_reach(vertices, sys, lay, h_preset("box", 2))
         block = c_w[:2, :2].toarray()
         assert np.allclose(block, sys.C @ sys.B)
 
@@ -301,9 +317,8 @@ class TestVertexReach:
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         lay = small_layout(n_vertices=1, horizon=2)
         vertices = np.zeros((1, 2))
-        c_w, c_z, h, d_x, d_wbar, e_z, t_beta = encode_vertex_reach(
-            vertices, sys, lay, h_preset("box", 2)
-        )
+        c_w, c_z, h, e_z, t_beta = encode_vertex_reach(vertices, sys, lay, h_preset("box", 2))
+        d_x, d_wbar = membership_blocks(lay)
         w = np.zeros(lay.dim_w)
         z = np.zeros(lay.dim_z)
         wbar = np.zeros(lay.dim_wbar)
@@ -324,7 +339,7 @@ class TestVertexReach:
             lay.n_b,
         )
         assert problem.c_w.shape == (v * n_y, lay.dim_w)
-        assert problem.d_x.shape[0] == v * 2 * N * (l + 1) * n_w
+        assert membership_blocks(lay)[0].shape[0] == v * 2 * N * (l + 1) * n_w
         assert problem.e_z.shape == (v * n_b, lay.dim_z)
         assert problem.t_beta.shape == (v * (l + 1), lay.dim_beta)
         assert lay.n_groups == v * (l + 1)
@@ -347,7 +362,7 @@ class TestAssemble:
         sys, Y, params, vertices, H, _ = small_problem
         p1 = assemble(sys, Y, vertices, params, 2, 3, H)
         p2 = assemble(sys, Y, vertices, params, 2, 3, H)
-        for name in ("a_x", "d_x", "d_wbar", "c_w", "c_z", "e_z", "t_beta"):
+        for name in BLOCKS:
             m1, m2 = getattr(p1, name), getattr(p2, name)
             assert np.array_equal(m1.data, m2.data)
             assert np.array_equal(m1.indices, m2.indices)
@@ -394,7 +409,7 @@ def illustrative_problem(plant, pentagon):
     return assemble(plant, pentagon, vertices_hpoly(pentagon), params, 4, 59, h_preset("uniform:6", 2))
 
 
-BLOCKS = ("a_x", "d_x", "d_wbar", "c_w", "c_z", "e_z", "t_beta")
+BLOCKS = ("a_x", "c_w", "c_z", "e_z", "t_beta")
 
 
 class TestSparseBlocks:
@@ -402,22 +417,20 @@ class TestSparseBlocks:
     def test_no_stored_zeros_and_closed_form_nnz(self, which, small_problem, illustrative_problem):
         problem = small_problem[-1] if which == "small" else illustrative_problem
         lay = problem.layout
-        for name in BLOCKS:
-            assert np.all(getattr(problem, name).data != 0.0), name
+        d_x, d_wbar = membership_blocks(lay)
+        for name, block in [*((name, getattr(problem, name)) for name in BLOCKS), ("d_x", d_x), ("d_wbar", d_wbar)]:
+            assert np.all(block.data != 0.0), name
         groups = lay.n_vertices * lay.n_slots
         rows = groups * lay.n_boxes * 2 * lay.n_w  # one per (group, box, sign, coordinate)
-        assert problem.d_x.nnz == 2 * rows  # a center and a halfwidth entry
-        assert problem.d_wbar.nnz == rows
+        assert d_x.nnz == 2 * rows  # a center and a halfwidth entry
+        assert d_wbar.nnz == rows
         assert problem.t_beta.nnz == groups * lay.n_boxes
         assert problem.c_z.nnz == lay.n_vertices * lay.n_y
 
     def test_membership_rows_hold_exactly_when_every_point_is_in_its_box(self):
         rng = np.random.default_rng(49)
-        sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         lay = small_layout(n_boxes=3, n_vertices=2, horizon=2)
-        _, _, _, d_x, d_wbar, _, _ = encode_vertex_reach(
-            rng.uniform(-1, 1, (2, 2)), sys, lay, h_preset("box", 2)
-        )
+        d_x, d_wbar = membership_blocks(lay)
         outcomes = set()
         for _ in range(200):
             x = np.zeros(lay.dim_x)
@@ -476,3 +489,73 @@ class TestShortHorizon:
     def test_bundled_specs(self, plant):
         # the illustrative spec's plant at its coverage horizon l = 59
         assert short_horizon(plant, 59) == 13
+
+
+class TestBudgetTail:
+    def test_tail_start_on_a_known_vector(self):
+        # tails 8, 4, 2, 1: the first at most a quarter of 8 starts at t = 2
+        assert tail_start(np.array([4.0, 2.0, 1.0, 1.0]), 0.25) == 2
+        assert tail_start(np.array([4.0, 2.0, 1.0, 1.0]), 0.1) == 4
+
+    @pytest.mark.parametrize("rho, s", [(0.5, 30), (0.8, 40), (-0.8, 40), (0.95, 200), (0.99, 40), (0.9, 3)])
+    def test_scalar_system_matches_the_closed_form(self, rho, s):
+        # |Gbar_t B| sums to a constant times |rho|^t, so the rule asks
+        # |rho|^t <= |rho|^s + f (1 - |rho|^s), as short_horizon's does
+        sys = LtiSystem([[rho]], [[-0.5]], [[2.0]], [[0.3]])
+        params = RpiParams(s=s, alpha=0.3, lam=0.1, gamma=1.0, mu=1e-3)
+        r, f = abs(rho), BUDGET_TAIL
+        t = max(1, int(np.ceil(np.log(r**s + f * (1.0 - r**s)) / np.log(r))))
+        assert budget_tail(sys, HPolytope([[1.0], [-1.0]], [1.0, 2.0]), params) == (t if t < s else s)
+
+    def test_t0_equal_to_s_builds_the_untailed_program(self, small_problem):
+        sys, Y, params, vertices, H, problem = small_problem
+        tailed = assemble(sys, Y, vertices, params, 2, 3, H, t0=params.s)
+        assert tailed.layout == problem.layout and tailed.layout.n_rho == 0
+        assert tailed.layout.dim_x == 2 * 2 * 2 + (params.s + 1) * 4
+        for name in BLOCKS:
+            m1, m2 = getattr(tailed, name), getattr(problem, name)
+            assert m1.shape == m2.shape, name
+            assert np.array_equal(m1.data, m2.data) and np.array_equal(m1.indices, m2.indices), name
+            assert np.array_equal(m1.indptr, m2.indptr), name
+        assert np.array_equal(tailed.b, problem.b)
+
+    def test_rejects_a_t0_outside_one_to_s(self, small_problem):
+        sys, Y, params, vertices, H, _ = small_problem
+        for t0 in (0, params.s + 1):
+            with pytest.raises(EncodingError):
+                assemble(sys, Y, vertices, params, 2, 3, H, t0=t0)
+
+    def test_restricted_points_satisfy_the_full_budget_rows(self, plant, pentagon, illustrative_problem):
+        """Points of the tailed program, with every far Q_t set to its boxes'
+        largest support, satisfy every row of the program without the tail."""
+        full = illustrative_problem
+        params = full.params
+        t0 = budget_tail(plant, pentagon, params)
+        assert (t0, params.s) == (26, 60)
+        tailed = assemble(plant, pentagon, full.vertices, params, 4, 59, full.H, t0=t0)
+        lay, full_lay = tailed.layout, full.layout
+        assert tailed.a_x.shape == (full.a_x.shape[0] - 4 * (60 - t0) * 5 + 2 * 4 * 2, full_lay.dim_x - (60 - t0) * 5 + 2)
+        gbar = build_gbar(plant, pentagon, params)
+        lb = np.full(lay.dim_x, -np.inf)
+        for j in range(lay.n_boxes):
+            lb[lay.x_halfwidth(j)] = 0.0
+        rng = np.random.default_rng(52)
+        for _ in range(6):
+            # grow the boxes in a random direction until a budget row binds
+            cost = np.zeros(lay.dim_x)
+            cost[: 2 * lay.n_boxes * lay.n_w] = -rng.uniform(0.0, 1.0, 2 * lay.n_boxes * lay.n_w)
+            out = solve_lp(LpProblem(cost, tailed.a_x, tailed.b, lb=lb))
+            assert out.optimal
+            x = out.x
+            W = BoxHullSet(
+                np.array([x[lay.x_center(j)] for j in range(lay.n_boxes)]),
+                np.clip([x[lay.x_halfwidth(j)] for j in range(lay.n_boxes)], 0.0, None),
+            )
+            x_full = np.zeros(full_lay.dim_x)
+            x_full[: 2 * lay.n_boxes * lay.n_w] = x[: 2 * lay.n_boxes * lay.n_w]
+            for t in range(params.s):
+                GB = gbar[t] @ plant.B
+                far = np.max(GB @ W.centers.T + np.abs(GB) @ W.halfwidths.T, axis=1)
+                x_full[full_lay.x_q(t)] = x[lay.x_q(t)] if t < t0 else far
+            x_full[full_lay.x_r()] = x[lay.x_r()]
+            assert np.all(full.a_x @ x_full <= full.b + 1e-9)

@@ -507,3 +507,35 @@ class TestSupportProperties:
             outside = p * (h + 0.1)  # along p, beyond the support plane
             if p @ outside > h + 1e-9:
                 assert not contains_point(W, outside, tol=1e-9)
+
+
+def _equal_pairs():
+    """Builders of two equal, separately made instances of each array dataclass."""
+    from distsynth.lp_solver import LpProblem
+    from distsynth.rpi_params import RpiConstants
+    from distsynth.setgeom import Membership
+    from distsynth.synthesizer import SynthResult
+    from distsynth.verifier import CoverageWitness
+
+    return {
+        "HPolytope": lambda: HPolytope(np.eye(2), np.ones(2)),
+        "LtiSystem": lambda: LtiSystem([[0.5]], [[1.0]], [[2.0]], [[0.3]]),
+        "BoxHullSet": lambda: BoxHullSet([[0.0, 1.0]], [[0.5, 0.5]]),
+        "Membership": lambda: Membership(True, 0.0, np.ones(2), np.zeros((2, 2))),
+        "RpiConstants": lambda: RpiConstants(3, np.ones(3), 0.5, 2.0, 0.1),
+        "CoverageWitness": lambda: CoverageWitness(np.ones((1, 2, 1)), np.zeros((1, 2, 2))),
+        "LpProblem": lambda: LpProblem(np.ones(2), np.eye(2), np.ones(2)),
+        "SynthResult": lambda: SynthResult(
+            BoxHullSet([[0.0]], [[1.0]]), np.ones(2), 2.0, [2.0], "converged", 1, {"x": np.ones(3)}, [4]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_equal_pairs()))
+def test_array_dataclasses_compare_without_raising(name):
+    make = _equal_pairs()[name]
+    a, b = make(), make()
+    assert a == a
+    # value equality where the fields are arrays and scalars, identity otherwise
+    assert (a == b) is (name not in ("LpProblem", "SynthResult"))
+    assert a != object()

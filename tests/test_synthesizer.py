@@ -24,7 +24,7 @@ from distsynth.setgeom import stacked_identity
 from distsynth.synthesizer import _jittered_beta, boxes_from_x, pad_beta
 
 from conftest import random_stable_system
-from reference import program_residual
+from reference import membership_blocks, program_residual
 
 
 def unit_box_constraints(n):
@@ -64,10 +64,11 @@ def illustrative_problem(plant, pentagon):
 
 
 def wbar_p_step_optimum(problem, beta):
-    """Optimum of the P step stated over (x, w, wbar, z): the audited
-    membership blocks d_x/d_wbar plus the coupling w = sum_j beta_j wbar_j
+    """Optimum of the P step stated over (x, w, wbar, z): the membership
+    blocks of ``membership_blocks`` plus the coupling w = sum_j beta_j wbar_j
     written out from the layout's accessors."""
     lay = problem.layout
+    d_x, d_wbar = membership_blocks(lay)
     nx, nw, nwb, nz = lay.dim_x, lay.dim_w, lay.dim_wbar, lay.dim_z
     width = nx + nw + nwb + nz
     w_off, wbar_off, z_off = nx, nx + nw, nx + nw + nwb
@@ -88,11 +89,11 @@ def wbar_p_step_optimum(problem, beta):
     a_ub = sp.vstack(
         [
             blocks(problem.a_x.shape[0], problem.a_x, nw + nwb + nz),
-            blocks(problem.d_x.shape[0], problem.d_x, nw, problem.d_wbar, nz),
+            blocks(d_x.shape[0], d_x, nw, d_wbar, nz),
             blocks(problem.e_z.shape[0], nx + nw + nwb, problem.e_z),
         ]
     )
-    b_ub = np.concatenate([problem.b, np.zeros(problem.d_x.shape[0] + problem.e_z.shape[0])])
+    b_ub = np.concatenate([problem.b, np.zeros(d_x.shape[0] + problem.e_z.shape[0])])
     a_eq = sp.vstack(
         [blocks(problem.c_w.shape[0], nx, problem.c_w, nwb, problem.c_z), coupling.tocsr()]
     )
