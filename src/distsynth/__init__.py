@@ -24,7 +24,6 @@ from .setgeom import (
     LtiSystem,
     contains_point,
     hull_outline,
-    sample,
     simulate,
     support_hull,
     support_rows,
@@ -84,7 +83,6 @@ __all__ = [
     "p_step",
     "q_step",
     "refine",
-    "sample",
     "select_params",
     "short_horizon",
     "simulate",

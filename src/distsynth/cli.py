@@ -5,10 +5,10 @@ Problem and result documents are JSON files; the worked examples live in
 specs/ and the schema is described in the README.  Exit codes: 0 on success
 (all certificates pass for ``verify``), 2 for malformed documents (and for
 ``verify`` and ``plot``, a result that does not fit its spec), 3 for assumption
-violations or infeasibility, 4 for solver failures; a failing LP (vertex
-enumeration, synthesis, exact distance or coverage check) is written to
-``failed_lp.lp`` beside the ``--out`` target, or to the current directory
-without one.
+violations, infeasibility or an unbounded or empty constraint set, 4 for
+solver failures; a failing LP (synthesis, exact distance or coverage check)
+is written to ``failed_lp.lp`` beside the ``--out`` target, or to the current
+directory without one.
 """
 
 from __future__ import annotations
@@ -169,17 +169,26 @@ def _stable_matrix(d: dict, key: str, ctx: str, what: str) -> np.ndarray:
     return A
 
 
-def parse_spec(doc: dict) -> ProblemSpec:
-    """Validate and build a problem from its JSON document."""
+def _sections(doc) -> tuple[dict, dict, dict]:
+    """The system, constraints and options sections of a problem document;
+    SpecError unless the document and each of them is a JSON object."""
     if not isinstance(doc, dict) or "system" not in doc or "constraints" not in doc:
         raise SpecError("document needs 'system' and 'constraints' sections")
-    sd = doc["system"]
+    sections = (doc["system"], doc["constraints"], doc.get("options", {}))
+    for name, section in zip(("system", "constraints", "options"), sections):
+        if not isinstance(section, dict):
+            raise SpecError(f"section {name!r} must be a JSON object, not {section!r}")
+    return sections
+
+
+def parse_spec(doc: dict) -> ProblemSpec:
+    """Validate and build a problem from its JSON document."""
+    sd, cd, od = _sections(doc)
     A = _stable_matrix(sd, "A", "system", "system matrix A")
     try:
         sys_ = LtiSystem(A, _matrix(sd, "B", "system"), _matrix(sd, "C", "system"), _matrix(sd, "D", "system"))
     except GeometryError as exc:
         raise SpecError(str(exc)) from exc
-    cd = doc["constraints"]
     try:
         Y = HPolytope(_matrix(cd, "G", "constraint"), _matrix(cd, "g", "constraint", ndmin=1))
     except GeometryError as exc:
@@ -193,7 +202,7 @@ def parse_spec(doc: dict) -> ProblemSpec:
         vertices = _matrix(cd, "vertices", "constraint")
         if vertices.shape[1] != sys_.n_y:
             raise SpecError("vertex dimension does not match the output dimension")
-    spec = ProblemSpec(sys_, Y, vertices, Options.from_dict(doc.get("options", {})))
+    spec = ProblemSpec(sys_, Y, vertices, Options.from_dict(od))
     spec.resolve_h()
     return spec
 
@@ -431,9 +440,7 @@ def cmd_reduce(doc: dict) -> ProblemSpec:
     hidden block A22 becomes the dynamics, the coupling A21 the input map,
     and the output mixes the hidden state (via C2) with the direct term C1.
     """
-    if "system" not in doc or "constraints" not in doc:
-        raise SpecError("document needs 'system' and 'constraints' sections")
-    sd = doc["system"]
+    sd, cd, od = _sections(doc)
     for key in ("A11", "A12", "A21", "A22", "B1", "C1", "C2"):
         _matrix(sd, key, "partitioned system")
     A22 = _stable_matrix(sd, "A22", "partitioned system", "hidden block A22")
@@ -444,8 +451,8 @@ def cmd_reduce(doc: dict) -> ProblemSpec:
             "C": _matrix(sd, "C2", "partitioned system").tolist(),
             "D": _matrix(sd, "C1", "partitioned system").tolist(),
         },
-        "constraints": doc["constraints"],
-        "options": doc.get("options", {}),
+        "constraints": cd,
+        "options": od,
     }
     return parse_spec(mapped)
 

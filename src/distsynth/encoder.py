@@ -1,18 +1,19 @@
 """Assembly of the bilinear synthesis program over hull-of-box disturbance sets.
 
-The decision variables split into five groups:
+The columns split into four groups:
 
-    x    : box centers/halfwidths, the per-term output budgets (Q, r) and the
-           tail bound rho
+    x    : box centers/halfwidths [c_0, e_0, c_1, e_1, ...], the per-term
+           output budgets (Q_t by term, then r) and the tail bound rho
     w    : one driving disturbance point per constraint vertex and step
-    wbar : per-(vertex, step, box) points constrained to their boxes
-    beta : convex weights tying each w to its wbar block
+    beta : convex box weights per constraint vertex and step
     z    : the coverage slack widths (eps) and per-vertex deviations b
 
-All blocks are linear except the coupling w = sum_j beta_j wbar_j, which the
-synthesizer linearizes step by step.  The P step never sees the per-box
-points: with the weights fixed it keeps each w in its blended box
-sum_j beta_j box_j.
+The blocks built here are linear and no block joins w to beta: the one
+bilinear condition, each w in its blended box sum_j beta_j box_j, is left to
+the synthesizer, which fixes one factor per step.  The P step fixes the
+weights; the Q step fixes per-box points wbar, recovered from the P step's
+optimum, and reweights them, w = sum_j beta_j wbar_j.  wbar is that step's
+data, not a column group.
 
 A group is one (vertex, slot) pair.  Every block is a Kronecker expression
 over a group-major layout, so row and column orders are fixed functions of
@@ -52,7 +53,7 @@ def h_preset(name: str, n_y: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VariableLayout:
-    """Offsets of the flattened variable groups."""
+    """Sizes of the flattened variable groups, each stored group-major."""
 
     n_boxes: int
     n_vertices: int
@@ -60,7 +61,6 @@ class VariableLayout:
     s: int
     n_w: int
     n_y: int
-    n_x: int
     m_y: int
     n_b: int
     t0: int | None = None  # terms t >= t0 share the tail bound rho; None means s, no tail
@@ -82,10 +82,6 @@ class VariableLayout:
         return self.n_vertices * (self.horizon + 1) * self.n_w
 
     @property
-    def dim_wbar(self) -> int:
-        return self.n_vertices * self.n_boxes * (self.horizon + 1) * self.n_w
-
-    @property
     def dim_beta(self) -> int:
         return self.n_vertices * self.n_boxes * (self.horizon + 1)
 
@@ -102,43 +98,8 @@ class VariableLayout:
     def n_groups(self) -> int:
         return self.n_vertices * self.n_slots
 
-    def x_center(self, j: int) -> slice:
-        base = 2 * j * self.n_w
-        return slice(base, base + self.n_w)
-
-    def x_halfwidth(self, j: int) -> slice:
-        base = 2 * j * self.n_w + self.n_w
-        return slice(base, base + self.n_w)
-
-    def x_q(self, t: int) -> slice:
-        base = 2 * self.n_boxes * self.n_w + t * self.m_y
-        return slice(base, base + self.m_y)
-
-    def x_r(self) -> slice:
-        base = 2 * self.n_boxes * self.n_w + self.t0 * self.m_y
-        return slice(base, base + self.m_y)
-
-    def w_slot(self, i: int, slot: int) -> slice:
-        base = (i * self.n_slots + slot) * self.n_w
-        return slice(base, base + self.n_w)
-
-    def wbar_slot(self, i: int, slot: int, j: int) -> slice:
-        base = ((i * self.n_slots + slot) * self.n_boxes + j) * self.n_w
-        return slice(base, base + self.n_w)
-
-    def beta_entry(self, i: int, slot: int, j: int) -> int:
-        return (i * self.n_slots + slot) * self.n_boxes + j
-
-    def beta_group(self, i: int, slot: int) -> slice:
-        base = (i * self.n_slots + slot) * self.n_boxes
-        return slice(base, base + self.n_boxes)
-
     def z_eps(self) -> slice:
         return slice(0, self.n_b)
-
-    def z_b(self, i: int) -> slice:
-        base = self.n_b + i * self.n_y
-        return slice(base, base + self.n_y)
 
 
 def build_gbar(sys: LtiSystem, Y: HPolytope, params: RpiParams) -> list[np.ndarray]:
@@ -241,8 +202,8 @@ def encode_vertex_reach(
     H b_i <= eps, and the simplex rows.
 
     A group is one (vertex, slot) pair, and every group-indexed block is
-    group-major: w by (group, coordinate), beta by (group, box) and wbar by
-    (group, box, coordinate).  Returns (c_w, c_z, h, e_z, t_beta).
+    group-major: w by (group, coordinate) and beta by (group, box).  Returns
+    (c_w, c_z, h, e_z, t_beta).
     """
     l = layout.horizon
     if l < 1:
@@ -346,7 +307,6 @@ def assemble(
         s=params.s,
         n_w=sys.n_w,
         n_y=sys.n_y,
-        n_x=sys.n_x,
         m_y=Y.n_rows,
         n_b=H.shape[0],
         t0=t0,

@@ -18,9 +18,10 @@ from dataclasses import dataclass, fields
 from itertools import combinations, product
 
 import numpy as np
-
-from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LpFailure, LpProblem, solve_lp
 import scipy.sparse as sp
+from scipy.linalg import null_space
+
+from .lp_solver import LpFailure, LpProblem, solve_lp
 
 
 def fields_equal(a, b):
@@ -190,12 +191,6 @@ def support_hull(T, p, W: BoxHullSet) -> float:
     return float(support_rows(T, np.ravel(p), W)[0])
 
 
-def support_argmax_hull(T, p, W: BoxHullSet) -> np.ndarray:
-    """A point of W attaining support_hull(T, p, W): the one-row case of
-    ``support_argmax_rows``."""
-    return support_argmax_rows(T, np.ravel(p), W)[0]
-
-
 # ---------------------------------------------------------------------------
 # membership
 
@@ -300,11 +295,6 @@ def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
 # sampling and simulation
 
 
-def sample(W: BoxHullSet, rng: np.random.Generator) -> np.ndarray:
-    """Draw a point of W: the one-point case of ``sample_batch``."""
-    return sample_batch(W, 1, rng)[0]
-
-
 def sample_batch(W: BoxHullSet, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` points of W at once: simplex-uniform box weights and
     uniform points of the boxes, per point."""
@@ -362,17 +352,6 @@ _VERTEX_TOL = 1e-9  # slack a candidate intersection may have on G y <= g
 _VERTEX_MERGE_TOL = 1e-7  # points closer than this are one vertex
 
 
-def _extent_lp(P: HPolytope, direction: np.ndarray) -> None:
-    lp = LpProblem(-direction, a_ub=sp.csr_matrix(P.G), b_ub=P.g)
-    out = solve_lp(lp)
-    if out.status == UNBOUNDED:
-        raise GeometryError("polytope is unbounded")
-    if out.status == INFEASIBLE:
-        raise GeometryError("polytope is empty")
-    if out.status != OPTIMAL:
-        raise LpFailure(f"extent LP failed with status {out.status}", lp)
-
-
 def merge_vertices(points) -> np.ndarray:
     """The rows of ``points`` in order, less each row within _VERTEX_MERGE_TOL
     of a row kept before it: the one rule for when two vertices are one."""
@@ -390,6 +369,12 @@ def vertices_hpoly(P: HPolytope) -> np.ndarray:
     larger instances should supply their vertex lists directly.  Candidate
     intersections are kept when they satisfy G y <= g + _VERTEX_TOL, and merged
     by ``merge_vertices``.  Rows are returned in lexicographic order.
+
+    A set with no vertex (empty, or containing a line) is rejected.  One with
+    a vertex is unbounded iff its recession cone {d : G d <= 0} has an
+    extreme ray, and every extreme ray is tight on n - 1 independent rows: so
+    each subset of n - 1 rows of rank n - 1 spans one direction d, and the set
+    is rejected as unbounded when G d <= _VERTEX_TOL or G (-d) <= _VERTEX_TOL.
     """
     m, n = P.G.shape
     if m > _MAX_ROWS or n > _MAX_DIM:
@@ -398,11 +383,6 @@ def vertices_hpoly(P: HPolytope) -> np.ndarray:
         )
     if m < n + 1:
         raise GeometryError("a bounded nonempty polytope needs at least n+1 rows")
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        _extent_lp(P, e)
-        _extent_lp(P, -e)
     found: list[np.ndarray] = []
     for idx in combinations(range(m), n):
         sub = P.G[list(idx)]
@@ -413,6 +393,10 @@ def vertices_hpoly(P: HPolytope) -> np.ndarray:
             found.append(y)
     if not found:
         raise GeometryError("no vertices found; polytope may be empty or degenerate")
+    for idx in combinations(range(m), n - 1):
+        d = null_space(P.G[list(idx)])
+        if d.shape[1] == 1 and (np.all(P.G @ d <= _VERTEX_TOL) or np.all(P.G @ d >= -_VERTEX_TOL)):
+            raise GeometryError("polytope is unbounded")
     V = merge_vertices(found)
     return V[np.lexsort(V.T[::-1])]
 

@@ -60,17 +60,6 @@ def spread_beta(layout: VariableLayout) -> np.ndarray:
     return beta.ravel()
 
 
-def pad_beta(old: VariableLayout, new: VariableLayout, beta: np.ndarray) -> np.ndarray:
-    """Re-embed weights into a layout with more boxes (zero on the new ones)."""
-    if (old.n_vertices, old.horizon) != (new.n_vertices, new.horizon):
-        raise ValueError("layouts must share vertices and horizon")
-    if new.n_boxes < old.n_boxes:
-        raise ValueError("target layout must not have fewer boxes")
-    out = np.zeros((new.n_vertices * new.n_slots, new.n_boxes))
-    out[:, : old.n_boxes] = beta.reshape(-1, old.n_boxes)
-    return out.ravel()
-
-
 def _boxes(layout: VariableLayout, x: np.ndarray) -> np.ndarray:
     """(N, 2, n_w) view of the box centers and halfwidths that lead x."""
     return x[: 2 * layout.n_boxes * layout.n_w].reshape(layout.n_boxes, 2, layout.n_w)

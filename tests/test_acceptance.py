@@ -19,9 +19,9 @@ from distsynth import (
     h_preset,
     monte_carlo,
     hull_outline,
-    sample,
     select_params,
     solve_Hs,
+    spread_beta,
     support_hull,
     uniform_beta,
     verify_gamma,
@@ -30,7 +30,7 @@ from distsynth import (
     vertices_hpoly,
 )
 from distsynth.cli import cmd_gen, cmd_params, cmd_reduce, main
-from distsynth.synthesizer import pad_beta
+from distsynth.setgeom import sample_batch
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
 from reference import membership_blocks
@@ -176,15 +176,16 @@ def test_criterion_4_certification_soundness(plant, pentagon, illustrative, illu
 
 
 def test_criterion_5_dimension_audit(illustrative_synthesis):
-    problem, _, _ = illustrative_synthesis
+    problem, result, _ = illustrative_synthesis
     lay = problem.layout
     membership_rows = membership_blocks(lay)[0].shape[0]
+    dim_wbar = result.witness["wbar"].size
     v, N, l, s = lay.n_vertices, lay.n_boxes, lay.horizon, lay.s
-    n_w, n_y, n_b, m_y, n_x = lay.n_w, lay.n_y, lay.n_b, lay.m_y, lay.n_x
+    n_w, n_y, n_b, m_y, n_x = lay.n_w, lay.n_y, lay.n_b, lay.m_y, problem.sys.n_x
     audits = {
         "dim_x": (lay.dim_x, 2 * N * n_w + (s + 1) * m_y),
         "dim_w": (lay.dim_w, v * (l + 1) * n_w),
-        "dim_wbar": (lay.dim_wbar, v * N * (l + 1) * n_w),
+        "dim_wbar": (dim_wbar, v * N * (l + 1) * n_w),
         "dim_beta": (lay.dim_beta, v * N * (l + 1)),
         "dim_z": (lay.dim_z, n_b + v * n_y),
         "rows_output_gamma_origin": (
@@ -198,13 +199,13 @@ def test_criterion_5_dimension_audit(illustrative_synthesis):
         "rows_deviation": (problem.e_z.shape[0], v * n_b),
     }
     bad = {k: pair for k, pair in audits.items() if pair[0] != pair[1]}
-    anchors_ok = lay.dim_wbar == 2400 and lay.dim_beta == 1200 and v == 5
+    anchors_ok = dim_wbar == 2400 and lay.dim_beta == 1200 and v == 5
     ok = not bad and anchors_ok
     report(
         "criterion-5 dimension-audit",
         ok,
         f"closed-form match for {len(audits)} counts "
-        f"(dim_wbar={lay.dim_wbar}, membership rows={membership_rows})"
+        f"(dim_wbar={dim_wbar}, membership rows={membership_rows})"
         + (f", mismatches: {bad}" if bad else ""),
     )
     assert not bad
@@ -228,7 +229,7 @@ def test_criterion_6_oracle_equivalences(plant):
     for k in range(200):
         W = random_hull(rng, n_boxes=2)
         if k % 2 == 0:
-            w = sample(W, rng)
+            w = sample_batch(W, 1, rng)[0]
         else:
             w = rng.uniform(-2.5, 2.5, 2)
         outline = hull_outline(W)
@@ -294,17 +295,10 @@ def test_criterion_7_box_count_sweep(plant, pentagon, illustrative):
     vertices = vertices_hpoly(pentagon)
     H = h_preset("uniform:6", 2)
     results = {}
-    prev_problem = None
-    prev_result = None
     for n_boxes in (1, 2, 4, 8):
         problem = assemble(plant, pentagon, vertices, params, n_boxes, 59, H)
-        if prev_problem is None:
-            beta0 = uniform_beta(problem.layout)
-        else:
-            beta0 = pad_beta(prev_problem.layout, problem.layout, prev_result.witness["beta"])
-        res = alternate(problem, beta0, zeta=1e-4, max_iters=100)
+        res = alternate(problem, spread_beta(problem.layout), zeta=1e-4, max_iters=100)
         results[n_boxes] = res.objective
-        prev_problem, prev_result = problem, res
     counts = sorted(results)
     pairwise_ok = all(
         results[b] <= results[a] + 1e-6 for i, a in enumerate(counts) for b in counts[i + 1 :]

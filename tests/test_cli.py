@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsynth import BoxHullSet, RpiParams, lp_solver, sample, verifier, vertices_hpoly
+from distsynth import BoxHullSet, RpiParams, lp_solver, verifier, vertices_hpoly
 from distsynth.cli import (
     Options,
     ProblemSpec,
@@ -23,7 +23,7 @@ from distsynth.cli import (
     parse_spec,
     reachable_outline,
 )
-from distsynth.setgeom import support_argmax_hull
+from distsynth.setgeom import sample_batch, support_argmax_rows
 
 from conftest import hull_of
 from reference import inflation_margins
@@ -168,6 +168,16 @@ MALFORMED = {
 }
 
 
+@pytest.mark.parametrize("command", ["params", "synth", "reduce"])
+@pytest.mark.parametrize("section", ["system", "constraints", "options"])
+@pytest.mark.parametrize("value", [5, [1, 2], None, "box"], ids=["number", "list", "null", "string"])
+def test_section_that_is_not_an_object_is_2(tmp_path, capsys, command, section, value):
+    doc = json.loads(json.dumps(PARTITIONED_SPEC if command == "reduce" else PENTAGON_SPEC))
+    doc[section] = value
+    assert main([command, write_json(tmp_path / "s.json", doc), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: section {section!r} must be a JSON object")
+
+
 class TestMalformedSpec:
     @pytest.mark.parametrize("field", sorted(MALFORMED))
     def test_synth_exits_2(self, tmp_path, field, capsys):
@@ -223,26 +233,14 @@ class TestExitCodes:
         assert str(dump) in capsys.readouterr().err
         assert not (out_dir / "result.json").exists()
 
-    def test_failed_vertex_enumeration_lp_is_written_and_exit_is_4(
-        self, tmp_path, monkeypatch, capsys, small_spec_doc
-    ):
-        from distsynth import setgeom
-        from distsynth.lp_solver import FAILED, LpOutcome
-
-        def failing(lp, **kwargs):
-            return LpOutcome(FAILED, message="forced failure")
-
-        # the spec lists no vertices, so synth enumerates those of Y, and its first extent LP fails
-        assert "vertices" not in small_spec_doc["constraints"]
-        monkeypatch.setattr(setgeom, "solve_lp", failing)
-        spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+    def test_unbounded_constraint_set_is_3(self, tmp_path, capsys):
+        # y1 <= 1, y2 <= 1, y1 + y2 <= 1.5 has two vertices and the ray -(1, 1)
+        doc = json.loads(json.dumps(PENTAGON_SPEC))
+        doc["constraints"] = {"G": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "g": [1.0, 1.0, 1.5]}
         out_dir = tmp_path / "out"
-        assert main(["synth", spec_path, "--out", str(out_dir)]) == 4
-        dump = out_dir / "failed_lp.lp"
-        assert dump.read_text().startswith("Minimize")
-        err = capsys.readouterr().err
-        assert "error: extent LP failed with status failed" in err and str(dump) in err
-        assert not (out_dir / "result.json").exists()
+        assert main(["synth", write_json(tmp_path / "s.json", doc), "--out", str(out_dir)]) == 3
+        assert "unbounded" in capsys.readouterr().err
+        assert not (out_dir / "failed_lp.lp").exists() and not (out_dir / "result.json").exists()
 
     def test_params_takes_no_seed_flag(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", PENTAGON_SPEC)
@@ -587,9 +585,9 @@ class TestWitness:
         monkeypatch.setattr(lp_solver, "_run", spy)
         assert cmd_verify(listed, doc).as_dict() == doc.certificates
         assert runs == []
-        # a spec that lists no vertices has those of Y enumerated, by extent LPs only
-        monkeypatch.setattr(verifier, "solve_lp", None)
+        # a spec that lists no vertices has those of Y enumerated, without an LP
         assert cmd_verify(spec, doc).as_dict() == doc.certificates
+        assert runs == []
 
     def test_lowered_epsilon_entry_fails(self, small_spec_doc, small_result_doc):
         spec = parse_spec(small_spec_doc)
@@ -722,7 +720,7 @@ class TestCmdReduce:
         rng = np.random.default_rng(3)
         x2 = np.zeros(4)
         for _ in range(20_000):
-            x1 = sample(result.W, rng)
+            x1 = sample_batch(result.W, 1, rng)[0]
             y = C1 @ x1 + C2 @ x2
             assert np.all(G @ y <= g + 1e-8)
             x2 = A22 @ x2 + A21 @ x1
@@ -823,11 +821,11 @@ class TestCmdPlot:
         for _ in range(params.s):
             Q = P @ CA
             for d in range(n_dirs):
-                w_star = support_argmax_hull(I, Q[d] @ sys.B, W)
+                w_star = support_argmax_rows(I, Q[d] @ sys.B, W)[0]
                 ref[d] += CA @ (sys.B @ w_star + params.lam * np.sign(Q[d])) / (1.0 - params.alpha)
             CA = CA @ sys.A
         for d in range(n_dirs):
-            ref[d] += sys.D @ support_argmax_hull(I, P[d] @ sys.D, W)
+            ref[d] += sys.D @ support_argmax_rows(I, P[d] @ sys.D, W)[0]
         assert np.max(np.abs(reachable_outline(sys, params, W, n_dirs) - ref)) <= 1e-12
 
     def test_cli_plot_roundtrip(self, tmp_path, small_spec_doc):

@@ -30,12 +30,13 @@ from distsynth.encoder import (
 )
 from distsynth.lp_solver import LpProblem, solve_lp
 from distsynth.setgeom import stacked_identity
+from distsynth.synthesizer import _boxes, boxes_from_x, p_step, spread_beta
 
 from conftest import hull_of, random_stable_system
 from reference import membership_blocks, program_residual
 
 
-def small_layout(n_boxes=2, n_vertices=3, horizon=2, s=3, n_w=2, n_y=2, n_x=2, m_y=4, n_b=4):
+def small_layout(n_boxes=2, n_vertices=3, horizon=2, s=3, n_w=2, n_y=2, m_y=4, n_b=4):
     return VariableLayout(
         n_boxes=n_boxes,
         n_vertices=n_vertices,
@@ -43,7 +44,6 @@ def small_layout(n_boxes=2, n_vertices=3, horizon=2, s=3, n_w=2, n_y=2, n_x=2, m
         s=s,
         n_w=n_w,
         n_y=n_y,
-        n_x=n_x,
         m_y=m_y,
         n_b=n_b,
     )
@@ -89,43 +89,38 @@ class TestLayout:
         lay = small_layout(n_boxes=4, n_vertices=5, horizon=59, s=60, n_w=2, n_y=2, m_y=5, n_b=6)
         assert lay.dim_x == 2 * 4 * 2 + 61 * 5
         assert lay.dim_w == 5 * 60 * 2
-        assert lay.dim_wbar == 5 * 4 * 60 * 2
         assert lay.dim_beta == 5 * 4 * 60
         assert lay.dim_z == 6 + 5 * 2
 
     def test_slices_partition_x(self):
+        # x is the boxes by (box, center or halfwidth, coordinate), then the
+        # budgets Q_0 .. Q_(s-1), r by (term, row of G)
         lay = small_layout()
-        covered = []
-        for j in range(lay.n_boxes):
-            covered += list(range(*lay.x_center(j).indices(lay.dim_x)))
-            covered += list(range(*lay.x_halfwidth(j).indices(lay.dim_x)))
-        for t in range(lay.s):
-            covered += list(range(*lay.x_q(t).indices(lay.dim_x)))
-        covered += list(range(*lay.x_r().indices(lay.dim_x)))
-        assert sorted(covered) == list(range(lay.dim_x))
+        x = np.arange(lay.dim_x)
+        boxes = _boxes(lay, x)
+        budgets = x[boxes.size :].reshape(lay.s + 1, lay.m_y)
+        assert boxes.shape == (lay.n_boxes, 2, lay.n_w) and budgets.size == lay.dim_x - boxes.size
+        # the origin rows |c_0| <= e_0 hold the columns of box 0 alone
+        A, _ = encode_origin(lay)
+        np.testing.assert_array_equal(np.unique(A.indices), boxes[0].ravel())
 
     def test_slices_partition_x_with_a_budget_tail(self):
-        lay = VariableLayout(2, 3, 2, 5, 2, 2, 2, 4, 4, t0=2)
-        covered = []
-        for j in range(lay.n_boxes):
-            covered += list(range(*lay.x_center(j).indices(lay.dim_x)))
-            covered += list(range(*lay.x_halfwidth(j).indices(lay.dim_x)))
-        for t in range(lay.t0):
-            covered += list(range(*lay.x_q(t).indices(lay.dim_x)))
-        covered += list(range(*lay.x_r().indices(lay.dim_x)))
-        assert covered == list(range(lay.dim_x - lay.n_rho))  # [c_0, e_0, ..., Q_0 .. Q_(t0-1), r], then rho
+        lay = VariableLayout(2, 3, 2, 5, 2, 2, 4, 4, t0=2)
+        x = np.arange(lay.dim_x)
+        boxes = _boxes(lay, x)
+        budgets = x[boxes.size : boxes.size + (lay.t0 + 1) * lay.m_y]  # Q_0 .. Q_(t0-1), r, then rho
+        assert x.size - boxes.size - budgets.size == lay.n_rho == lay.n_w
         assert lay.dim_x == 2 * 2 * 2 + 3 * 4 + 2
 
-    def test_slices_partition_wbar_and_beta(self):
-        lay = small_layout()
-        wbar, beta = [], []
-        for i in range(lay.n_vertices):
-            for slot in range(lay.n_slots):
-                for j in range(lay.n_boxes):
-                    wbar += list(range(*lay.wbar_slot(i, slot, j).indices(lay.dim_wbar)))
-                    beta.append(lay.beta_entry(i, slot, j))
-        assert sorted(wbar) == list(range(lay.dim_wbar))
-        assert sorted(beta) == list(range(lay.dim_beta))
+    def test_slices_partition_wbar_and_beta(self, small_problem):
+        # beta by (group, box) and the P step's points wbar by (group, box, coordinate)
+        problem = small_problem[-1]
+        lay = problem.layout
+        groups = np.arange(lay.dim_beta).reshape(lay.n_groups, lay.n_boxes)
+        # simplex row g sums the weights of group g
+        np.testing.assert_array_equal(problem.t_beta.indices.reshape(groups.shape), groups)
+        _, _, wbar, _, _, _ = p_step(problem, spread_beta(lay))
+        assert wbar.size == lay.dim_beta * lay.n_w
 
 
 class TestBuildGbar:
@@ -155,7 +150,7 @@ class TestBuildGbar:
 class TestOutputInclusion:
     def test_singleton_origin_reduces_to_budget_rows(self, plant, pentagon):
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
-        lay = VariableLayout(1, 1, 1, params.s, 2, 2, 3, 5, 4)
+        lay = VariableLayout(1, 1, 1, params.s, 2, 2, 5, 4)
         gbar = build_gbar(plant, pentagon, params)
         A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
         x = np.zeros(lay.dim_x)  # origin singleton box, zero budgets
@@ -168,7 +163,7 @@ class TestOutputInclusion:
     def test_zero_feedthrough_rows_have_no_box_coefficients(self, plant, pentagon):
         sys = LtiSystem(plant.A, plant.B, plant.C, np.zeros((2, 2)))
         params = select_params(sys, pentagon, gamma=0.2, mu=1e-3)
-        lay = VariableLayout(2, 1, 1, params.s, 2, 2, 3, 5, 4)
+        lay = VariableLayout(2, 1, 1, params.s, 2, 2, 5, 4)
         gbar = build_gbar(sys, pentagon, params)
         A, _ = encode_output_inclusion(gbar, sys, pentagon, params, lay)
         r_rows = A[lay.n_boxes * lay.s * lay.m_y : lay.n_boxes * (lay.s + 1) * lay.m_y]
@@ -177,14 +172,14 @@ class TestOutputInclusion:
 
     def test_row_count(self, plant, pentagon):
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
-        lay = VariableLayout(3, 1, 1, params.s, 2, 2, 3, 5, 4)
+        lay = VariableLayout(3, 1, 1, params.s, 2, 2, 5, 4)
         gbar = build_gbar(plant, pentagon, params)
         A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
         assert A.shape[0] == lay.n_boxes * (lay.s + 1) * lay.m_y + lay.m_y == b.size
 
     def test_warns_on_nonpositive_budget(self, plant, pentagon):
         params = RpiParams(s=3, alpha=0.1, lam=0.99, gamma=0.2, mu=1e-3)
-        lay = VariableLayout(1, 1, 1, 3, 2, 2, 3, 5, 4)
+        lay = VariableLayout(1, 1, 1, 3, 2, 2, 5, 4)
         gbar = build_gbar(plant, pentagon, params)
         with pytest.warns(RuntimeWarning):
             encode_output_inclusion(gbar, plant, pentagon, params, lay)
@@ -196,7 +191,7 @@ class TestOutputInclusion:
 
         rng = np.random.default_rng(48)
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
-        lay = VariableLayout(2, 1, 1, params.s, 2, 2, 3, 5, 4)
+        lay = VariableLayout(2, 1, 1, params.s, 2, 2, 5, 4)
         gbar = build_gbar(plant, pentagon, params)
         A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
         checked = 0
@@ -205,14 +200,14 @@ class TestOutputInclusion:
             if not verify_output_inclusion(plant, pentagon, params, W).passed:
                 continue
             x = np.zeros(lay.dim_x)
-            for j in range(W.n_boxes):
-                x[lay.x_center(j)] = W.centers[j]
-                x[lay.x_halfwidth(j)] = W.halfwidths[j]
+            boxes = _boxes(lay, x)
+            boxes[:, 0], boxes[:, 1] = W.centers, W.halfwidths
+            budgets = x[boxes.size :].reshape(lay.s + 1, lay.m_y)
             for t in range(lay.s):
                 GB = gbar[t] @ plant.B
-                x[lay.x_q(t)] = np.max(GB @ W.centers.T + np.abs(GB) @ W.halfwidths.T, axis=1)
+                budgets[t] = np.max(GB @ W.centers.T + np.abs(GB) @ W.halfwidths.T, axis=1)
             GD = pentagon.G @ plant.D
-            x[lay.x_r()] = np.max(GD @ W.centers.T + np.abs(GD) @ W.halfwidths.T, axis=1)
+            budgets[lay.s] = np.max(GD @ W.centers.T + np.abs(GD) @ W.halfwidths.T, axis=1)
             assert np.all(A @ x <= b + 1e-10)
             checked += 1
 
@@ -239,21 +234,20 @@ class TestOutputInclusion:
 
 class TestGammaBound:
     def test_origin_singleton_always_feasible(self, plant):
-        lay = VariableLayout(1, 1, 1, 2, 2, 2, 3, 5, 4)
+        lay = VariableLayout(1, 1, 1, 2, 2, 2, 5, 4)
         A, b = encode_gamma_bound(plant, 0.25, lay)
         assert A.shape[0] == 2 * plant.n_x
         assert np.all(A @ np.zeros(lay.dim_x) <= b)
 
     def test_violation_matches_corner_enumeration(self, plant):
         rng = np.random.default_rng(42)
-        lay = VariableLayout(1, 1, 1, 2, 2, 2, 3, 5, 4)
+        lay = VariableLayout(1, 1, 1, 2, 2, 2, 5, 4)
         gamma = 0.3
         A, b = encode_gamma_bound(plant, gamma, lay)
         for _ in range(100):
             box = BoxHullSet([rng.uniform(-0.3, 0.3, 2)], [rng.uniform(0, 0.3, 2)])
             x = np.zeros(lay.dim_x)
-            x[lay.x_center(0)] = box.centers[0]
-            x[lay.x_halfwidth(0)] = box.halfwidths[0]
+            _boxes(lay, x)[0] = box.centers[0], box.halfwidths[0]
             rows_ok = np.all(A @ x <= b + 1e-12)
             corners_ok = all(
                 np.linalg.norm(plant.B @ v, np.inf) <= gamma + 1e-12 for v in box.corners()
@@ -262,12 +256,12 @@ class TestGammaBound:
 
     def test_huge_gamma_never_active(self, plant):
         rng = np.random.default_rng(43)
-        lay = VariableLayout(2, 1, 1, 2, 2, 2, 3, 5, 4)
+        lay = VariableLayout(2, 1, 1, 2, 2, 2, 5, 4)
         A, b = encode_gamma_bound(plant, 1e9, lay)
         for _ in range(20):
             x = rng.uniform(-1, 1, lay.dim_x)
-            x[lay.x_halfwidth(0)] = np.abs(x[lay.x_halfwidth(0)])
-            x[lay.x_halfwidth(1)] = np.abs(x[lay.x_halfwidth(1)])
+            boxes = _boxes(lay, x)
+            boxes[:, 1] = np.abs(boxes[:, 1])
             assert np.all(A @ x <= b)
 
 
@@ -276,15 +270,14 @@ class TestOriginRows:
         lay = small_layout()
         A, b = encode_origin(lay)
         x = np.zeros(lay.dim_x)
-        x[lay.x_halfwidth(0)] = [0.5, 0.1]
+        _boxes(lay, x)[0, 1] = [0.5, 0.1]
         assert np.all(A @ x <= b)
 
     def test_offcenter_with_small_halfwidth_violates(self):
         lay = small_layout()
         A, b = encode_origin(lay)
         x = np.zeros(lay.dim_x)
-        x[lay.x_center(0)] = [1.0, 0.0]
-        x[lay.x_halfwidth(0)] = [0.5, 0.0]
+        _boxes(lay, x)[0] = [1.0, 0.0], [0.5, 0.0]
         assert np.any(A @ x > b)
 
     def test_satisfied_rows_imply_membership_of_origin(self):
@@ -295,8 +288,7 @@ class TestOriginRows:
             x = np.zeros(lay.dim_x)
             center = rng.uniform(-1, 1, 2)
             halfwidth = rng.uniform(0, 1, 2)
-            x[lay.x_center(0)] = center
-            x[lay.x_halfwidth(0)] = halfwidth
+            _boxes(lay, x)[0] = center, halfwidth
             if np.all(A @ x <= b + 1e-12):
                 W = BoxHullSet([center, [5.0, 5.0]], [halfwidth, [0.1, 0.1]])
                 assert contains_point(W, np.zeros(2), tol=1e-9)
@@ -321,7 +313,7 @@ class TestVertexReach:
         d_x, d_wbar = membership_blocks(lay)
         w = np.zeros(lay.dim_w)
         z = np.zeros(lay.dim_z)
-        wbar = np.zeros(lay.dim_wbar)
+        wbar = np.zeros(d_wbar.shape[1])
         x = np.zeros(lay.dim_x)
         assert np.allclose(c_w @ w + c_z @ z, h)
         assert np.all(d_x @ x + d_wbar @ wbar <= 1e-12)
@@ -383,13 +375,12 @@ class TestAssemble:
         lay = problem.layout
         x = np.zeros(lay.dim_x)
         w = np.zeros(lay.dim_w)
-        wbar = np.zeros(lay.dim_wbar)
+        wbar = np.zeros(lay.dim_beta * lay.n_w)
         beta = np.full(lay.dim_beta, 1.0 / lay.n_boxes)
         z = np.zeros(lay.dim_z)
         eps = np.max(np.clip(vertices @ H.T, 0.0, None), axis=0)
         z[lay.z_eps()] = eps
-        for i in range(lay.n_vertices):
-            z[lay.z_b(i)] = vertices[i]
+        z[lay.n_b :] = vertices.ravel()  # b by vertex
         residual = program_residual(problem, {"x": x, "w": w, "wbar": wbar, "beta": beta, "z": z})
         assert residual <= 1e-9
 
@@ -434,25 +425,26 @@ class TestSparseBlocks:
         outcomes = set()
         for _ in range(200):
             x = np.zeros(lay.dim_x)
-            wbar = np.zeros(lay.dim_wbar)
+            boxes = _boxes(lay, x)
+            points = np.zeros((lay.n_groups, lay.n_boxes, lay.n_w))  # wbar by (group, box, coordinate)
             inside = True
             for j in range(lay.n_boxes):
-                x[lay.x_center(j)] = rng.uniform(-1, 1, lay.n_w)
-                x[lay.x_halfwidth(j)] = rng.uniform(0.1, 1, lay.n_w)
-            for i in range(lay.n_vertices):
-                for slot in range(lay.n_slots):
-                    for j in range(lay.n_boxes):
-                        c, e = x[lay.x_center(j)], x[lay.x_halfwidth(j)]
-                        kind = rng.choice(["in", "upper", "lower", "out"], size=lay.n_w, p=[0.8, 0.07, 0.07, 0.06])
-                        u = rng.uniform(-1, 1, lay.n_w)
-                        point = c + e * u
-                        point[kind == "upper"] = (c + e)[kind == "upper"]
-                        point[kind == "lower"] = (c - e)[kind == "lower"]
-                        out = kind == "out"
-                        side = np.where(u[out] < 0.0, -1.0, 1.0)
-                        point[out] = c[out] + e[out] * side * rng.uniform(1.01, 3.0, out.sum())
-                        inside &= not out.any()
-                        wbar[lay.wbar_slot(i, slot, j)] = point
+                boxes[j, 0] = rng.uniform(-1, 1, lay.n_w)
+                boxes[j, 1] = rng.uniform(0.1, 1, lay.n_w)
+            for g in range(lay.n_groups):
+                for j in range(lay.n_boxes):
+                    c, e = boxes[j]
+                    kind = rng.choice(["in", "upper", "lower", "out"], size=lay.n_w, p=[0.8, 0.07, 0.07, 0.06])
+                    u = rng.uniform(-1, 1, lay.n_w)
+                    point = c + e * u
+                    point[kind == "upper"] = (c + e)[kind == "upper"]
+                    point[kind == "lower"] = (c - e)[kind == "lower"]
+                    out = kind == "out"
+                    side = np.where(u[out] < 0.0, -1.0, 1.0)
+                    point[out] = c[out] + e[out] * side * rng.uniform(1.01, 3.0, out.sum())
+                    inside &= not out.any()
+                    points[g, j] = point
+            wbar = points.ravel()
             rows_hold = bool(np.all(d_x @ x + d_wbar @ wbar <= 0.0))
             assert rows_hold == inside
             outcomes.add(inside)
@@ -537,8 +529,7 @@ class TestBudgetTail:
         assert tailed.a_x.shape == (full.a_x.shape[0] - 4 * (60 - t0) * 5 + 2 * 4 * 2, full_lay.dim_x - (60 - t0) * 5 + 2)
         gbar = build_gbar(plant, pentagon, params)
         lb = np.full(lay.dim_x, -np.inf)
-        for j in range(lay.n_boxes):
-            lb[lay.x_halfwidth(j)] = 0.0
+        _boxes(lay, lb)[:, 1] = 0.0
         rng = np.random.default_rng(52)
         for _ in range(6):
             # grow the boxes in a random direction until a budget row binds
@@ -547,15 +538,15 @@ class TestBudgetTail:
             out = solve_lp(LpProblem(cost, tailed.a_x, tailed.b, lb=lb))
             assert out.optimal
             x = out.x
-            W = BoxHullSet(
-                np.array([x[lay.x_center(j)] for j in range(lay.n_boxes)]),
-                np.clip([x[lay.x_halfwidth(j)] for j in range(lay.n_boxes)], 0.0, None),
-            )
+            W = boxes_from_x(tailed, x)
+            n_box = 2 * lay.n_boxes * lay.n_w
+            budgets = x[n_box : n_box + (t0 + 1) * lay.m_y].reshape(t0 + 1, lay.m_y)  # Q_0 .. Q_(t0-1), r
             x_full = np.zeros(full_lay.dim_x)
-            x_full[: 2 * lay.n_boxes * lay.n_w] = x[: 2 * lay.n_boxes * lay.n_w]
+            x_full[:n_box] = x[:n_box]
+            full_budgets = x_full[n_box:].reshape(params.s + 1, lay.m_y)
             for t in range(params.s):
                 GB = gbar[t] @ plant.B
                 far = np.max(GB @ W.centers.T + np.abs(GB) @ W.halfwidths.T, axis=1)
-                x_full[full_lay.x_q(t)] = x[lay.x_q(t)] if t < t0 else far
-            x_full[full_lay.x_r()] = x[lay.x_r()]
+                full_budgets[t] = budgets[t] if t < t0 else far
+            full_budgets[params.s] = budgets[t0]
             assert np.all(full.a_x @ x_full <= full.b + 1e-9)

@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 from scipy.spatial import ConvexHull
 
 from distsynth import (
@@ -10,20 +14,18 @@ from distsynth import (
     LpFailure,
     contains_point,
     hull_outline,
-    sample,
     simulate,
     support_hull,
     support_rows,
     vertices_hpoly,
 )
-from distsynth import setgeom
-from distsynth.lp_solver import FAILED, LpOutcome
+from distsynth import cli, lp_solver, setgeom
+from distsynth.lp_solver import FAILED, INFEASIBLE, UNBOUNDED, LpOutcome, LpProblem
 from distsynth.setgeom import (
     LtiSystem,
     merge_vertices,
     rollout,
     sample_batch,
-    support_argmax_hull,
     support_argmax_rows,
 )
 
@@ -129,7 +131,7 @@ class TestSupportHull:
         for _ in range(50):
             W = random_hull(rng)
             p = rng.standard_normal(2)
-            point = support_argmax_hull(np.eye(2), p, W)
+            point = support_argmax_rows(np.eye(2), p, W)[0]
             assert p @ point == pytest.approx(support_hull(np.eye(2), p, W), abs=1e-12)
 
 
@@ -154,14 +156,14 @@ class TestSupportArgmaxRows:
         np.testing.assert_array_equal(support_argmax_rows(np.eye(2), M, W), [[0.0, 1.0], [1.0, 1.0]])
         np.testing.assert_array_equal(support_argmax_rows(np.eye(2), M, swapped), [[1.0, 1.0], [1.0, 1.0]])
 
-    def test_one_row_is_support_argmax_hull(self):
+    def test_each_row_is_its_own_one_row_case(self):
         rng = np.random.default_rng(21)
         W = random_hull(rng, n_boxes=4)
         T = rng.standard_normal((3, 2))
         M = rng.standard_normal((5, 3))
         rows = support_argmax_rows(T, M, W)
         for k in range(5):
-            np.testing.assert_array_equal(rows[k], support_argmax_hull(T, M[k], W))
+            np.testing.assert_array_equal(rows[k], support_argmax_rows(T, M[k], W)[0])
 
     def test_shape_checks_match_support_rows(self):
         W = one_box([0.0, 0.0], [1.0, 1.0])
@@ -270,7 +272,7 @@ class TestSample:
         W = one_box([0.4, -0.7], [0.0, 0.0])
         rng = np.random.default_rng(5)
         for _ in range(10):
-            assert np.allclose(sample(W, rng), [0.4, -0.7])
+            assert np.allclose(sample_batch(W, 1, rng)[0], [0.4, -0.7])
 
     def test_samples_are_members(self):
         rng = np.random.default_rng(6)
@@ -288,8 +290,8 @@ class TestSample:
 
     def test_deterministic_for_fixed_seed(self):
         W = one_box([0.0, 0.0], [1.0, 1.0])
-        a = [sample(W, np.random.default_rng(42)).tolist() for _ in range(5)]
-        b = [sample(W, np.random.default_rng(42)).tolist() for _ in range(5)]
+        a = [sample_batch(W, 1, np.random.default_rng(42))[0].tolist() for _ in range(5)]
+        b = [sample_batch(W, 1, np.random.default_rng(42))[0].tolist() for _ in range(5)]
         assert a == b
 
 
@@ -326,13 +328,6 @@ class TestVerticesHpoly:
         with pytest.raises(GeometryError):
             vertices_hpoly(P)
 
-    def test_failed_extent_lp_carries_its_program(self, monkeypatch):
-        monkeypatch.setattr(setgeom, "solve_lp", lambda lp, **kw: LpOutcome(FAILED, message="forced failure"))
-        P = HPolytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
-        with pytest.raises(LpFailure, match="extent LP failed") as info:
-            vertices_hpoly(P)
-        np.testing.assert_array_equal(info.value.lp.a_ub.toarray(), P.G)
-
     def test_merge_vertices(self):
         # a row within 1e-7 of a kept row is that vertex again; one farther off is its own
         V = np.array([[0.0, 0.0], [5e-8, 0.0], [1.0, 0.0], [1.0, 5e-7]])
@@ -344,6 +339,141 @@ class TestVerticesHpoly:
         V = vertices_hpoly(box)
         expected = {(0.5, 2.0), (0.5, -0.25), (-1.0, 2.0), (-1.0, -0.25)}
         assert {tuple(np.round(v, 9)) for v in V} == expected
+
+
+def _extent_lp_verdict(P: HPolytope) -> str:
+    """'empty', 'unbounded' or 'bounded' by the 2 n coordinate extent LPs: a
+    set with a ray is unbounded along some coordinate."""
+    for k in range(P.dim):
+        for sign in (1.0, -1.0):
+            out = lp_solver.solve_lp(LpProblem(-sign * np.eye(P.dim)[k], a_ub=sp.csr_matrix(P.G), b_ub=P.g))
+            if out.status in (INFEASIBLE, UNBOUNDED):
+                return "empty" if out.status == INFEASIBLE else "unbounded"
+            assert out.optimal, out.status
+    return "bounded"
+
+
+def _lp_support(P: HPolytope, c) -> float:
+    return -lp_solver.solve_lp(LpProblem(-c, a_ub=sp.csr_matrix(P.G), b_ub=P.g)).objective
+
+
+def _random_normals(rng, n, count):
+    U = rng.standard_normal((count, n))
+    return U / np.linalg.norm(U, axis=1, keepdims=True)
+
+
+class TestBoundednessRule:
+    """``vertices_hpoly`` decides boundedness from its own row subsets; extent
+    LPs are the oracle here."""
+
+    def _check_against_oracle(self, P, rng):
+        verdict = _extent_lp_verdict(P)
+        if verdict != "bounded":
+            with pytest.raises(GeometryError):
+                vertices_hpoly(P)
+            return verdict
+        V = vertices_hpoly(P)
+        np.testing.assert_array_equal(V, V[np.lexsort(V.T[::-1])])
+        assert np.all(P.G @ V.T <= P.g[:, None] + 1e-9)
+        # the hull of the vertices is P: equal supports along the axes and random directions
+        for c in np.vstack([np.eye(P.dim), -np.eye(P.dim), _random_normals(rng, P.dim, 4)]):
+            assert np.max(V @ c) == pytest.approx(_lp_support(P, c), abs=1e-7)
+        return verdict
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_sets_match_extent_lps(self, n):
+        rng = np.random.default_rng(100 + n)
+        verdicts = {"bounded": 0, "unbounded": 0, "empty": 0}
+        for k in range(60):
+            kind = ("bounded", "unbounded", "empty")[k % 3]
+            m = int(rng.integers(n + 1, n + 7))
+            if kind == "unbounded":
+                # every normal in one open half-space: -u is a ray, and the
+                # apex-free set still has a vertex
+                u = _random_normals(rng, n, 1)[0]
+                G = _random_normals(rng, n, m)
+                G = G * np.sign(G @ u)[:, None]
+            else:
+                # n normals and minus their sum span R^n positively
+                G = _random_normals(rng, n, m - 1)
+                G = np.vstack([G, -G[:n].sum(axis=0)])
+            g = rng.uniform(0.2, 2.0, m)
+            if kind == "empty":
+                a = _random_normals(rng, n, 1)
+                G, g = np.vstack([G, a, -a]), np.concatenate([g, [-1.0, -1.0]])
+            verdicts[self._check_against_oracle(HPolytope(G, g), rng)] += 1
+        assert all(verdicts.values()), verdicts
+
+    def test_gaussian_draws_match_extent_lps(self):
+        rng = np.random.default_rng(7)
+        for _ in range(120):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(n + 1, n + 7))
+            self._check_against_oracle(HPolytope(rng.standard_normal((m, n)), rng.standard_normal(m)), rng)
+
+    def test_two_vertices_and_a_ray(self):
+        # (0.5, 1) and (1, 0.5) are vertices, and the set runs on toward -(1, 1)
+        P = HPolytope(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([1.0, 1.0, 1.5]))
+        assert _extent_lp_verdict(P) == "unbounded"
+        with pytest.raises(GeometryError, match="unbounded"):
+            vertices_hpoly(P)
+
+    def test_half_line(self):
+        P = HPolytope(np.array([[1.0], [2.0]]), np.array([1.0, 3.0]))
+        assert _extent_lp_verdict(P) == "unbounded"
+        with pytest.raises(GeometryError, match="unbounded"):
+            vertices_hpoly(P)
+        np.testing.assert_array_equal(vertices_hpoly(HPolytope([[1.0], [-2.0]], [1.0, 3.0])), [[-1.5], [1.0]])
+
+    def test_three_dimensional_set_with_one_ray(self):
+        # a square tube over +y3, cut by a slanted floor: four vertices, one ray
+        G = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0], [0.3, 0.2, -1.0]])
+        P = HPolytope(G, np.ones(5))
+        assert _extent_lp_verdict(P) == "unbounded"
+        with pytest.raises(GeometryError, match="unbounded"):
+            vertices_hpoly(P)
+        # a lid on the tube bounds it
+        closed = HPolytope(np.vstack([G, [0, 0, 1.0]]), np.ones(6))
+        assert vertices_hpoly(closed).shape == (8, 3)
+
+    def test_a_set_with_a_line_has_no_vertex(self):
+        P = HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]]), np.ones(3))
+        with pytest.raises(GeometryError, match="no vertices"):
+            vertices_hpoly(P)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("source", ["pentagon", "illustrative", "reduced", "gen"])
+def test_vertices_hpoly_solves_no_lp(source, pentagon, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("vertex enumeration solved an LP")
+
+    square = [[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]
+    expected = {
+        "pentagon": [
+            [-0.6247049140568784, -0.1826821580417587],
+            [-0.24760111398449486, 0.40683442874970716],
+            [0.49404434846585676, 0.5592166367751387],
+            [0.5368034200069838, -0.7286104381342661],
+            [0.7695795433302421, 0.23195938722500234],
+        ],
+        "gen": square,
+        "reduced": square,
+    }
+    expected["illustrative"] = expected["pentagon"]
+    if source == "pentagon":
+        Y = pentagon
+    elif source == "gen":
+        Y = cli.cmd_gen(3, 2, 2, 0.7, 0).Y
+    else:
+        name = "illustrative.json" if source == "illustrative" else "reduced_order_plant.json"
+        doc = json.loads((_ROOT / "specs" / name).read_text())
+        Y = (cli.parse_spec(doc) if source == "illustrative" else cli.cmd_reduce(doc)).Y
+    monkeypatch.setattr(setgeom, "solve_lp", no_lp)
+    monkeypatch.setattr(lp_solver, "_run", no_lp)
+    np.testing.assert_array_equal(vertices_hpoly(Y), expected[source])
 
 
 class TestHullOutline:
@@ -496,7 +626,7 @@ class TestSupportProperties:
         rng = np.random.default_rng(18)
         W = random_hull(rng, n_boxes=3)
         for _ in range(20):
-            assert contains_point(W, sample(W, rng), tol=1e-9)
+            assert contains_point(W, sample_batch(W, 1, rng)[0], tol=1e-9)
         for v in brute_force_hull_vertices(W):
             assert contains_point(W, v, tol=1e-9)
         # any support-violating point must be rejected

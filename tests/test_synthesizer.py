@@ -21,7 +21,7 @@ from distsynth import (
 from distsynth import synthesizer
 from distsynth.lp_solver import RESIDUAL_TOL, LpProblem, solve_lp
 from distsynth.setgeom import stacked_identity
-from distsynth.synthesizer import _jittered_beta, boxes_from_x, pad_beta
+from distsynth.synthesizer import _jittered_beta, boxes_from_x
 
 from conftest import random_stable_system
 from reference import membership_blocks, program_residual
@@ -66,21 +66,15 @@ def illustrative_problem(plant, pentagon):
 def wbar_p_step_optimum(problem, beta):
     """Optimum of the P step stated over (x, w, wbar, z): the membership
     blocks of ``membership_blocks`` plus the coupling w = sum_j beta_j wbar_j
-    written out from the layout's accessors."""
+    written out group by group, wbar by (group, box, coordinate)."""
     lay = problem.layout
     d_x, d_wbar = membership_blocks(lay)
-    nx, nw, nwb, nz = lay.dim_x, lay.dim_w, lay.dim_wbar, lay.dim_z
+    nx, nw, nwb, nz = lay.dim_x, lay.dim_w, d_wbar.shape[1], lay.dim_z
     width = nx + nw + nwb + nz
-    w_off, wbar_off, z_off = nx, nx + nw, nx + nw + nwb
+    z_off = nx + nw + nwb
     n_rows = lay.dim_w
-    coupling = sp.lil_matrix((n_rows, width))
-    for i in range(lay.n_vertices):
-        for slot in range(lay.n_slots):
-            for k in range(lay.n_w):
-                row = lay.w_slot(i, slot).start + k
-                coupling[row, w_off + row] = 1.0
-                for j in range(lay.n_boxes):
-                    coupling[row, wbar_off + lay.wbar_slot(i, slot, j).start + k] = -beta[lay.beta_entry(i, slot, j)]
+    blend = sp.block_diag([np.kron(b, np.eye(lay.n_w)) for b in beta.reshape(lay.n_groups, lay.n_boxes)])
+    coupling = sp.hstack([sp.csr_matrix((n_rows, nx)), sp.eye(n_rows), -blend, sp.csr_matrix((n_rows, nz))])
 
     def blocks(rows, *parts):
         # (matrix or column count of zeros) per column group, left to right
@@ -101,8 +95,7 @@ def wbar_p_step_optimum(problem, beta):
     c = np.zeros(width)
     c[z_off:] = problem.cost_z
     lb = np.full(width, -np.inf)
-    for j in range(lay.n_boxes):
-        lb[lay.x_halfwidth(j)] = 0.0
+    lb[: 2 * lay.n_boxes * lay.n_w].reshape(lay.n_boxes, 2, lay.n_w)[:, 1] = 0.0  # the halfwidths
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
     out = solve_lp(LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb))
     assert out.optimal
@@ -110,11 +103,7 @@ def wbar_p_step_optimum(problem, beta):
 
 
 def dirichlet_beta(layout, rng):
-    beta = np.empty(layout.dim_beta)
-    for i in range(layout.n_vertices):
-        for slot in range(layout.n_slots):
-            beta[layout.beta_group(i, slot)] = rng.dirichlet(np.ones(layout.n_boxes))
-    return beta
+    return rng.dirichlet(np.ones(layout.n_boxes), size=layout.n_groups).ravel()
 
 
 def weight_draws(layout, seed):
@@ -184,8 +173,8 @@ def assert_entries(block, rows):
 
 class TestStepBlocks:
     """Entry by entry, the P-step's membership rows and the Q-step's reach
-    rows with the coupling substituted are the ones written out from the
-    layout's accessors."""
+    rows with the coupling substituted are the ones written out group by
+    group from the group-major layout."""
 
     @pytest.fixture(params=["small", "illustrative"])
     def problem(self, request):
@@ -199,18 +188,18 @@ class TestStepBlocks:
         beta = weight_draws(lay, 63)[weights]
         lp = captured_lp(monkeypatch, p_step, problem, beta)
         # by (group, coordinate, sign): +-(w_g - sum_j beta_gj c_j) - sum_j beta_gj e_j
+        box_cols = np.arange(2 * lay.n_boxes * lay.n_w).reshape(lay.n_boxes, 2, lay.n_w)  # (c_j, e_j)
+        by_group = beta.reshape(lay.n_groups, lay.n_boxes)
         rows = []
-        for i in range(lay.n_vertices):
-            for slot in range(lay.n_slots):
-                for k in range(lay.n_w):
-                    for sign in (1.0, -1.0):
-                        row = {lay.dim_x + lay.w_slot(i, slot).start + k: sign}
-                        for j in range(lay.n_boxes):
-                            b = beta[lay.beta_entry(i, slot, j)]
-                            if b != 0.0:
-                                row[lay.x_center(j).start + k] = -sign * b
-                                row[lay.x_halfwidth(j).start + k] = -b
-                        rows.append(row)
+        for g in range(lay.n_groups):
+            for k in range(lay.n_w):
+                for sign in (1.0, -1.0):
+                    row = {lay.dim_x + g * lay.n_w + k: sign}
+                    for j in range(lay.n_boxes):
+                        if by_group[g, j] != 0.0:
+                            row[int(box_cols[j, 0, k])] = -sign * by_group[g, j]
+                            row[int(box_cols[j, 1, k])] = -by_group[g, j]
+                    rows.append(row)
         start = problem.a_x.shape[0]
         assert lp.a_ub.shape == (start + 2 * lay.dim_w + problem.e_z.shape[0], lay.dim_x + lay.dim_w + lay.dim_z)
         assert_entries(lp.a_ub[start : start + 2 * lay.dim_w], rows)
@@ -221,23 +210,18 @@ class TestStepBlocks:
     def test_coupling_rows(self, problem, monkeypatch):
         lay = problem.layout
         rng = np.random.default_rng(64)
-        wbar = rng.normal(size=lay.dim_wbar)
-        wbar[rng.random(lay.dim_wbar) < 0.3] = 0.0
+        n_wbar = lay.dim_beta * lay.n_w
+        wbar = rng.normal(size=n_wbar)
+        wbar[rng.random(n_wbar) < 0.3] = 0.0
         lp = captured_lp(monkeypatch, q_step, problem, wbar)
         n_reach, nb = problem.c_w.shape[0], lay.dim_beta
         assert lp.a_eq.shape == (n_reach + lay.n_groups, nb + lay.dim_z)
         # by (vertex, output): c_w @ blockdiag(wbar_g^T), i.e. w_g = sum_j beta_gj wbar_gj
         # substituted, so beta_gj carries the reach coefficients of w_g times wbar_gj
-        c_w = problem.c_w.toarray()
-        reach = lp.a_eq[:n_reach, :nb].toarray()
-        for row in range(n_reach):
-            expected = np.zeros(nb)
-            for i in range(lay.n_vertices):
-                for slot in range(lay.n_slots):
-                    for j in range(lay.n_boxes):
-                        point = wbar[lay.wbar_slot(i, slot, j)]
-                        expected[lay.beta_entry(i, slot, j)] = c_w[row, lay.w_slot(i, slot)] @ point
-            np.testing.assert_allclose(reach[row], expected, rtol=1e-13, atol=1e-15)
+        c_w = problem.c_w.toarray().reshape(n_reach, lay.n_groups, lay.n_w)
+        points = wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w)
+        expected = np.einsum("rgk,gjk->rgj", c_w, points).reshape(n_reach, nb)
+        np.testing.assert_allclose(lp.a_eq[:n_reach, :nb].toarray(), expected, rtol=1e-13, atol=1e-15)
         assert (lp.a_eq[:n_reach, nb:] != problem.c_z).nnz == 0
         assert (lp.a_eq[n_reach:, :nb] != problem.t_beta).nnz == 0 and lp.a_eq[n_reach:, nb:].nnz == 0
         np.testing.assert_array_equal(lp.b_eq, np.concatenate([problem.h, np.ones(lay.n_groups)]))
@@ -268,11 +252,10 @@ class TestPStep:
         x, w, wbar, z, obj, _ = p_step(problem, beta)
         # with one-hot weights each driving point equals its own box point
         lay = problem.layout
+        points = wbar.reshape(lay.n_vertices, lay.n_slots, lay.n_boxes, lay.n_w)
+        drive = w.reshape(lay.n_vertices, lay.n_slots, lay.n_w)
         for i in range(lay.n_vertices):
-            for slot in range(lay.n_slots):
-                np.testing.assert_allclose(
-                    w[lay.w_slot(i, slot)], wbar[lay.wbar_slot(i, slot, i)], atol=1e-9
-                )
+            np.testing.assert_allclose(drive[i], points[i, :, i], atol=1e-9)
         assert obj >= 0.0
 
 
@@ -311,11 +294,7 @@ class TestQStep:
         problem = small_setup[4]
         lay = problem.layout
         _, w, _, _, _, _ = p_step(problem, uniform_beta(lay))
-        wbar = np.empty(lay.dim_wbar)
-        for i in range(lay.n_vertices):
-            for slot in range(lay.n_slots):
-                for j in range(lay.n_boxes):
-                    wbar[lay.wbar_slot(i, slot, j)] = w[lay.w_slot(i, slot)]
+        wbar = np.repeat(w.reshape(lay.n_groups, 1, lay.n_w), lay.n_boxes, axis=1).ravel()
         _, _, beta, _, _ = q_step(problem, wbar)
         np.testing.assert_array_equal(beta, spread_beta(lay))
 
@@ -324,8 +303,7 @@ class TestQStep:
         lay = problem.layout
         _, w, wbar, _, _, _ = p_step(problem, spread_beta(lay))
         # one group's points coincide, the others do not: no tie-break
-        for j in range(lay.n_boxes):
-            wbar[lay.wbar_slot(0, 0, j)] = w[lay.w_slot(0, 0)]
+        wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w)[0] = w[: lay.n_w]
         assert np.ptp(wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w), axis=1).max() > 1e-6
         solutions = self.capture_lp_solutions(monkeypatch)
         _, _, beta, _, _ = q_step(problem, wbar)
@@ -345,6 +323,7 @@ class TestQStep:
         lay = problem.layout
         _, _, wbar, _, _, _ = p_step(problem, uniform_beta(lay))
         _, _, _, q_obj, _ = q_step(problem, wbar)
+        points = wbar.reshape(lay.n_vertices, lay.n_slots, lay.n_boxes, lay.n_w)
 
         coeff = [sys.C @ sys.B, sys.D]  # slot maps at horizon 1
         grid = np.linspace(0.0, 1.0, 101)
@@ -356,8 +335,7 @@ class TestQStep:
             for i in range(lay.n_vertices):
                 reach = np.zeros(2)
                 for slot in range(lay.n_slots):
-                    w0 = wbar[lay.wbar_slot(i, slot, 0)]
-                    w1 = wbar[lay.wbar_slot(i, slot, 1)]
+                    w0, w1 = points[i, slot]
                     blended = b_grid[i, slot] * w0 + (1 - b_grid[i, slot]) * w1
                     reach += coeff[slot] @ blended
                 b_points.append(vertices[i] - reach)
@@ -371,7 +349,7 @@ class TestQStep:
                         best = min(best, score(np.array([[b00, b01], [b10, b11]])))
         # Lipschitz slack of the coarse grid in each coordinate
         span = max(
-            np.linalg.norm(coeff[slot] @ (wbar[lay.wbar_slot(i, slot, 0)] - wbar[lay.wbar_slot(i, slot, 1)]), 1)
+            np.linalg.norm(coeff[slot] @ (points[i, slot, 0] - points[i, slot, 1]), 1)
             for i in range(2)
             for slot in range(2)
         )
@@ -552,12 +530,11 @@ class TestAlternate:
 class TestSpreadBeta:
     def test_vertex_i_takes_box_i_mod_n(self, illustrative_problem):
         lay = illustrative_problem.layout
-        beta = spread_beta(lay)
+        beta = spread_beta(lay).reshape(lay.n_vertices, lay.n_slots, lay.n_boxes)
         for i in range(lay.n_vertices):
-            for slot in range(lay.n_slots):
-                expected = np.zeros(lay.n_boxes)
-                expected[i % lay.n_boxes] = 1.0
-                np.testing.assert_array_equal(beta[lay.beta_group(i, slot)], expected)
+            expected = np.zeros((lay.n_slots, lay.n_boxes))
+            expected[:, i % lay.n_boxes] = 1.0
+            np.testing.assert_array_equal(beta[i], expected)
 
 
 class TestHeuristicBeta:
@@ -565,11 +542,9 @@ class TestHeuristicBeta:
 
     def test_one_hot_structure(self, vertex_count_setup):
         lay = vertex_count_setup.layout
-        beta = spread_beta(lay)
+        beta = spread_beta(lay).reshape(lay.n_vertices, lay.n_slots, lay.n_boxes)
         for i in range(lay.n_vertices):
-            for slot in range(lay.n_slots):
-                grp = beta[lay.beta_group(i, slot)]
-                assert grp[i] == 1.0 and grp.sum() == 1.0
+            assert np.all(beta[i, :, i] == 1.0) and np.all(beta[i].sum(axis=1) == 1.0)
 
     def test_simplex_feasibility(self, vertex_count_setup):
         problem = vertex_count_setup
@@ -585,17 +560,6 @@ class TestHeuristicBeta:
         res = alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=50)
         assert obj_heuristic >= res.objective - 1e-8
         assert res.history[0] == pytest.approx(obj_heuristic, abs=1e-9)
-
-
-class TestPadBeta:
-    def test_padded_weights_warm_start_never_worse(self, small_setup):
-        sys, Y, params, vertices, problem = small_setup
-        res2 = alternate(problem, uniform_beta(problem.layout), zeta=1e-6, max_iters=50)
-        bigger = assemble(sys, Y, vertices, params, n_boxes=3, horizon=3, H=h_preset("box", 2))
-        beta0 = pad_beta(problem.layout, bigger.layout, res2.witness["beta"])
-        assert np.allclose(bigger.t_beta @ beta0, 1.0)
-        res3 = alternate(bigger, beta0, zeta=1e-6, max_iters=50)
-        assert res3.objective <= res2.objective + 1e-6
 
 
 class TestRefine:
