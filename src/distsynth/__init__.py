@@ -9,11 +9,9 @@ independently certifies the result.
 from .encoder import SynthProblem, VariableLayout, assemble, h_preset, short_horizon
 from .lp_solver import LpFailure
 from .rpi_params import (
-    ConstantsAccumulator,
     ParamSearchError,
     RpiConstants,
     RpiParams,
-    compute_constants,
     select_params,
     solve_Hs,
 )
@@ -25,7 +23,6 @@ from .setgeom import (
     contains_point,
     hull_outline,
     simulate,
-    support_hull,
     support_rows,
     vertices_hpoly,
 )
@@ -37,7 +34,6 @@ from .synthesizer import (
     q_step,
     refine,
     spread_beta,
-    uniform_beta,
 )
 from .verifier import (
     Certificate,
@@ -57,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxHullSet",
     "Certificate",
-    "ConstantsAccumulator",
     "CoverageWitness",
     "GeometryError",
     "HPolytope",
@@ -73,7 +68,6 @@ __all__ = [
     "alternate",
     "assemble",
     "certify",
-    "compute_constants",
     "contains_point",
     "distance_dY",
     "distance_witness",
@@ -88,9 +82,7 @@ __all__ = [
     "simulate",
     "solve_Hs",
     "spread_beta",
-    "support_hull",
     "support_rows",
-    "uniform_beta",
     "verify_coverage",
     "verify_gamma",
     "verify_output_inclusion",

@@ -202,6 +202,9 @@ def parse_spec(doc: dict) -> ProblemSpec:
         vertices = _matrix(cd, "vertices", "constraint")
         if vertices.shape[1] != sys_.n_y:
             raise SpecError("vertex dimension does not match the output dimension")
+        outside = ~Y.contains(vertices)
+        if outside.any():
+            raise SpecError(f"vertex {vertices[np.argmax(outside)].tolist()} lies outside the constraint set")
     spec = ProblemSpec(sys_, Y, vertices, Options.from_dict(od))
     spec.resolve_h()
     return spec
@@ -463,6 +466,7 @@ def cmd_gen(n_x: int, n_w: int, n_y: int, rho_target: float, seed: int) -> Probl
         raise SpecError("nx, nw and ny must be at least 1")
     if not (0.0 < rho_target < 1.0):
         raise SpecError("rho must lie in (0, 1)")
+    options = Options.from_dict({"mu": 1e-2, "gamma": 1.0, "N": 5, "H": "box", "seed": seed})
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n_x, n_x))
     A = 0.5 * (A + A.T)
@@ -471,7 +475,6 @@ def cmd_gen(n_x: int, n_w: int, n_y: int, rho_target: float, seed: int) -> Probl
     C = rng.standard_normal((n_y, n_x))
     D = rng.standard_normal((n_y, n_w))
     Y = HPolytope(stacked_identity(n_y), np.ones(2 * n_y))
-    options = Options(mu=1e-2, gamma=1.0, n_boxes=5, H="box", seed=seed)
     return ProblemSpec(LtiSystem(A, B, C, D), Y, None, options)
 
 

@@ -1,7 +1,7 @@
 """Deterministic linear-program interface used by the synthesizer and verifier.
 
 Problems are carried as a cost vector, sparse inequality/equality blocks and
-per-variable bounds.  Solving goes straight to the HiGHS bindings that scipy
+per-variable lower bounds.  Solving goes straight to the HiGHS bindings that scipy
 bundles, with the options ``scipy.optimize.linprog(method="highs")`` would
 pass, so an accepted cold answer is what ``linprog`` returns, bit for bit,
 without its front end.  HiGHS is deterministic for a fixed input; outcomes
@@ -74,7 +74,7 @@ class LpFailure(RuntimeError):
 
 @dataclass(frozen=True, eq=False)  # compared by identity: the blocks are sparse
 class LpProblem:
-    """min c@x  s.t.  a_ub@x <= b_ub,  a_eq@x = b_eq,  lb <= x <= ub; an absent
+    """min c@x  s.t.  a_ub@x <= b_ub,  a_eq@x = b_eq,  lb <= x; an absent
     block is stored as an empty 0 x n matrix with an empty right-hand side."""
 
     c: np.ndarray
@@ -83,7 +83,6 @@ class LpProblem:
     a_eq: sp.csr_matrix | None = None
     b_eq: np.ndarray | None = None
     lb: np.ndarray | None = None
-    ub: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -109,13 +108,11 @@ class LpProblem:
             object.__setattr__(self, mname, mat)
             object.__setattr__(self, vname, vec)
         lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
-        ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
-        if lb.size != n or ub.size != n:
+        if lb.size != n:
             raise ValueError("bound length mismatch")
-        if np.isnan(lb).any() or np.isnan(ub).any():
+        if np.isnan(lb).any():
             raise ValueError("bounds must not be NaN")
         object.__setattr__(self, "lb", lb)
-        object.__setattr__(self, "ub", ub)
 
     @property
     def n_vars(self) -> int:
@@ -129,7 +126,6 @@ class LpOutcome:
     objective: float | None = None
     dual_objective: float | None = None
     residual: float | None = None
-    message: str = ""
     # HiGHS's final basis; pass it as ``solve_lp(..., basis=)`` to start a
     # program of the same shape from it
     basis: _highs.HighsBasis | None = None
@@ -147,10 +143,12 @@ def _row_scale(mat: sp.csr_matrix) -> np.ndarray:
 
 def _scaled_residual(p: LpProblem, x: np.ndarray) -> float:
     """Worst bound or row violation, each row scaled by its largest coefficient
-    (at least 1); NaN or inf when ``x`` holds either, so it meets no tolerance."""
+    (at least 1); inf when ``x`` is not finite, so it meets no tolerance."""
+    if not np.isfinite(x).all():
+        return np.inf
     ub = (p.a_ub @ x - p.b_ub) / _row_scale(p.a_ub)
     eq = np.abs(p.a_eq @ x - p.b_eq) / _row_scale(p.a_eq)
-    return float(np.max(np.concatenate((p.lb - x, x - p.ub, ub, eq)), initial=0.0))
+    return float(np.max(np.concatenate((p.lb - x, ub, eq)), initial=0.0))
 
 
 def _highs_lp(p: LpProblem) -> _highs.HighsLp:
@@ -166,7 +164,7 @@ def _highs_lp(p: LpProblem) -> _highs.HighsLp:
     lp.a_matrix_.value_ = a.data
     lp.col_cost_ = p.c
     lp.col_lower_ = p.lb
-    lp.col_upper_ = p.ub
+    lp.col_upper_ = np.full(p.n_vars, np.inf)
     lp.row_lower_ = np.concatenate((np.full(p.b_ub.size, -np.inf), p.b_eq))
     lp.row_upper_ = np.concatenate((p.b_ub, p.b_eq))
     return lp
@@ -190,10 +188,9 @@ def _run(lp: _highs.HighsLp, presolve: bool, basis: _highs.HighsBasis | None = N
 def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     model_status = highs.getModelStatus()
     status = _STATUS_MAP.get(model_status, FAILED)
-    message = highs.modelStatusToString(model_status)
     nit = int(highs.getInfo().simplex_iteration_count)
     if status != OPTIMAL:
-        return LpOutcome(status, message=message, nit=nit)
+        return LpOutcome(status, nit=nit)
     sol = highs.getSolution()
     x = np.array(sol.col_value)
     objective = float(highs.getInfo().objective_function_value)
@@ -202,16 +199,14 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     col_status = np.fromiter(map(int, basis.col_status), np.int8, p.n_vars)
     col_dual = np.array(sol.col_dual)
     lower = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
-    upper = np.where(col_status == int(_highs.HighsBasisStatus.kUpper), col_dual, 0.0)
     row_dual = np.array(sol.row_dual)
     ineq, eq = row_dual[: p.b_ub.size], row_dual[p.b_ub.size :]
     # an infinite right-hand side or bound has a zero dual and adds nothing
-    finite_row, finite_lb, finite_ub = np.isfinite(p.b_ub), np.isfinite(p.lb), np.isfinite(p.ub)
+    finite_row, finite_lb = np.isfinite(p.b_ub), np.isfinite(p.lb)
     dual = (
         float(p.b_ub[finite_row] @ ineq[finite_row])
         + float(p.b_eq @ eq)
         + float(p.lb[finite_lb] @ lower[finite_lb])
-        + float(p.ub[finite_ub] @ upper[finite_ub])
     )
     return LpOutcome(
         status=OPTIMAL,
@@ -219,7 +214,6 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
         objective=objective,
         dual_objective=dual,
         residual=_scaled_residual(p, x),
-        message=message,
         basis=basis,
         nit=nit,
     )
@@ -229,7 +223,7 @@ def _solve(p: LpProblem, lp: _highs.HighsLp, presolve: bool, basis=None) -> LpOu
     """One HiGHS run read into an outcome; the instance is freed on return."""
     highs = _run(lp, presolve, basis)
     if highs is None:
-        return LpOutcome(FAILED, message="basis does not fit the program")
+        return LpOutcome(FAILED)  # the basis does not fit the program
     return _outcome(p, highs)
 
 
@@ -268,7 +262,7 @@ def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None) -> LpOu
         if _accepted(out) or (start is None and out.status in _FINAL):
             return replace(out, nit=spent)
     if out.optimal:
-        out = LpOutcome(FAILED, message="no rung met the residual contract")
+        out = LpOutcome(FAILED)  # no rung met the residual contract
     return replace(out, nit=spent)
 
 
@@ -294,16 +288,8 @@ def write_lp(problem: LpProblem, path) -> None:
     for tag, sense, mat, rhs in (("r", "<=", problem.a_ub, problem.b_ub), ("e", "=", problem.a_eq, problem.b_eq)):
         lines += [f" {tag}{i}: {_row_text(mat, i)}{sense} {float(rhs[i])!r}" for i in range(mat.shape[0])]
     lines.append("Bounds")
-    for j in range(problem.n_vars):
-        lo, hi = float(problem.lb[j]), float(problem.ub[j])
-        if np.isinf(lo) and np.isinf(hi):
-            lines.append(f" x{j} free")
-        elif np.isinf(hi):
-            lines.append(f" x{j} >= {lo!r}")
-        elif np.isinf(lo):
-            lines.append(f" x{j} <= {hi!r}")
-        else:
-            lines.append(f" {lo!r} <= x{j} <= {hi!r}")
+    for j, lo in enumerate(map(float, problem.lb)):
+        lines.append(f" x{j} free" if np.isinf(lo) else f" x{j} >= {lo!r}")
     lines.append("End")
     text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):

@@ -22,6 +22,8 @@ cross; solve_Hs computes it in closed form, ties going to the smallest alpha.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,47 +64,31 @@ class RpiParams:
             raise ValueError("gamma and mu must be positive")
 
 
-class ConstantsAccumulator:
-    """Incremental constants: each step() appends one horizon term."""
-
-    def __init__(self, sys: LtiSystem, Y: HPolytope):
-        if np.any(Y.g <= 0):
-            raise ValueError("constraint offsets must be strictly positive")
-        if Y.dim != sys.n_y:
-            raise ValueError("constraint set dimension mismatch")
-        self._A = sys.A
-        self._g = Y.g
-        self._GC_pow = Y.G @ sys.C  # G C A^t for the next term
-        self._A_pow = np.eye(sys.n_x)  # A^t for the next term
-        self._L = np.zeros(Y.n_rows)
-        self._row_sums = np.zeros(sys.n_x)
-        self._s = 0
-
-    def step(self) -> RpiConstants:
-        self._L = self._L + np.abs(self._GC_pow).sum(axis=1)
-        self._row_sums = self._row_sums + np.abs(self._A_pow).sum(axis=1)
-        self._GC_pow = self._GC_pow @ self._A
-        self._A_pow = self._A_pow @ self._A
-        self._s += 1
-        active = self._L > 0
-        theta = float(np.min(self._g[active] / self._L[active])) if active.any() else np.inf
-        return RpiConstants(
-            s=self._s,
-            L_s=self._L.copy(),
+def horizon_constants(sys: LtiSystem, Y: HPolytope) -> Iterator[RpiConstants]:
+    """The constants at s = 1, 2, ..., each adding one horizon term to the last;
+    the input checks run before the first item."""
+    if np.any(Y.g <= 0):
+        raise ValueError("constraint offsets must be strictly positive")
+    if Y.dim != sys.n_y:
+        raise ValueError("constraint set dimension mismatch")
+    GC_pow = Y.G @ sys.C  # G C A^t for the next term
+    A_pow = np.eye(sys.n_x)  # A^t for the next term
+    L = np.zeros(Y.n_rows)
+    row_sums = np.zeros(sys.n_x)
+    for s in itertools.count(1):
+        L = L + np.abs(GC_pow).sum(axis=1)
+        row_sums = row_sums + np.abs(A_pow).sum(axis=1)
+        GC_pow = GC_pow @ sys.A
+        A_pow = A_pow @ sys.A
+        active = L > 0
+        theta = float(np.min(Y.g[active] / L[active])) if active.any() else np.inf
+        yield RpiConstants(
+            s=s,
+            L_s=L,
             theta_s=theta,
-            M_s=float(self._row_sums.max()),
-            zeta_s=float(np.abs(self._A_pow).sum(axis=1).max()),
+            M_s=float(row_sums.max()),
+            zeta_s=float(np.abs(A_pow).sum(axis=1).max()),
         )
-
-
-def compute_constants(sys: LtiSystem, Y: HPolytope, s: int) -> RpiConstants:
-    """Constants at horizon s from a fresh summation."""
-    if s < 1:
-        raise ValueError("horizon must be at least 1")
-    acc = ConstantsAccumulator(sys, Y)
-    for _ in range(s - 1):
-        acc.step()
-    return acc.step()
 
 
 def solve_Hs(consts: RpiConstants, gamma: float, mu: float):
@@ -171,10 +157,8 @@ def select_params(
     """Smallest horizon with a feasible (alpha, lambda), found incrementally."""
     if s_max < 1:
         raise ValueError("s_max must be at least 1")
-    acc = ConstantsAccumulator(sys, Y)
     trail = []
-    for _ in range(s_max):
-        consts = acc.step()
+    for consts in itertools.islice(horizon_constants(sys, Y), s_max):
         sol = solve_Hs(consts, gamma, mu)
         if sol is not None:
             alpha, lam = sol

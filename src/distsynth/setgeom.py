@@ -102,6 +102,11 @@ class HPolytope:
     def n_rows(self) -> int:
         return self.G.shape[0]
 
+    def contains(self, points) -> np.ndarray:
+        """Per row of ``points`` (or for one point): G v <= g + _VERTEX_TOL,
+        the rule a vertex of the set meets."""
+        return np.all((self.G @ np.transpose(points)).T <= self.g + _VERTEX_TOL, axis=-1)
+
 
 @dataclass(frozen=True, eq=False)
 class LtiSystem:
@@ -184,11 +189,6 @@ def support_argmax_rows(T, M, W: BoxHullSet) -> np.ndarray:
     R, V = _box_supports(T, M, W)
     j = np.argmax(V, axis=1)
     return W.centers[j] + np.sign(R) * W.halfwidths[j]
-
-
-def support_hull(T, p, W: BoxHullSet) -> float:
-    """Support of T*W in direction p: the one-row case of ``support_rows``."""
-    return float(support_rows(T, np.ravel(p), W)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ def vertices_hpoly(P: HPolytope) -> np.ndarray:
 
     Practical for small descriptions only (up to 30 rows in dimension 4);
     larger instances should supply their vertex lists directly.  Candidate
-    intersections are kept when they satisfy G y <= g + _VERTEX_TOL, and merged
+    intersections are kept when ``P.contains`` them, and merged
     by ``merge_vertices``.  Rows are returned in lexicographic order.
 
     A set with no vertex (empty, or containing a line) is rejected.  One with
@@ -389,7 +389,7 @@ def vertices_hpoly(P: HPolytope) -> np.ndarray:
         if np.linalg.matrix_rank(sub, tol=1e-10) < n:
             continue
         y = np.linalg.solve(sub, P.g[list(idx)])
-        if np.all(P.G @ y <= P.g + _VERTEX_TOL):
+        if P.contains(y):
             found.append(y)
     if not found:
         raise GeometryError("no vertices found; polytope may be empty or degenerate")

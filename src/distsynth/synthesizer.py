@@ -48,10 +48,6 @@ class SynthResult:
     p_nit: list[int]  # simplex iterations of each P-step
 
 
-def uniform_beta(layout: VariableLayout) -> np.ndarray:
-    return np.full(layout.dim_beta, 1.0 / layout.n_boxes)
-
-
 def spread_beta(layout: VariableLayout) -> np.ndarray:
     """One-hot weights tying every slot of vertex i to box i mod N."""
     beta = np.zeros((layout.n_vertices, layout.n_slots, layout.n_boxes))

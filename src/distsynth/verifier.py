@@ -87,7 +87,7 @@ class Certificate:
 
 def _horizon_constants(sys: LtiSystem, Y: HPolytope, s: int) -> RpiConstants:
     """The constants of rpi_params at horizon s, by a route that shares no code
-    with its incremental accumulator: every power A^t is taken afresh by
+    with its generator ``horizon_constants``: every power A^t is taken afresh by
     repeated squaring and the horizon sums are formed over the whole stack."""
     powers = np.stack([np.linalg.matrix_power(sys.A, t) for t in range(s)])
     L = np.abs(Y.G @ sys.C @ powers).sum(axis=(0, 2))

@@ -1,13 +1,25 @@
 """Reference computations that tests compare the package against."""
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 
 from distsynth import BoxHullSet
 from distsynth.encoder import SynthProblem, VariableLayout
 from distsynth.lp_solver import solve_lp
+from distsynth.rpi_params import horizon_constants
 from distsynth.setgeom import hull_reach_lp, stacked_identity
 from distsynth.verifier import _reach_coefficients
+
+
+def uniform_beta(layout: VariableLayout) -> np.ndarray:
+    return np.full(layout.dim_beta, 1.0 / layout.n_boxes)
+
+
+def constants_at(sys, Y, s: int):
+    """The item of ``horizon_constants`` at horizon s."""
+    return next(itertools.islice(horizon_constants(sys, Y), s - 1, None))
 
 
 def scaled(W: BoxHullSet, factor: float) -> BoxHullSet:

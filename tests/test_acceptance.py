@@ -3,17 +3,16 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 """
 
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 from distsynth import (
-    ConstantsAccumulator,
     RpiConstants,
     alternate,
     assemble,
-    compute_constants,
     contains_point,
     distance_dY,
     h_preset,
@@ -22,18 +21,18 @@ from distsynth import (
     select_params,
     solve_Hs,
     spread_beta,
-    support_hull,
-    uniform_beta,
+    support_rows,
     verify_gamma,
     verify_output_inclusion,
     verify_params,
     vertices_hpoly,
 )
 from distsynth.cli import cmd_gen, cmd_params, cmd_reduce, main
+from distsynth.rpi_params import horizon_constants
 from distsynth.setgeom import sample_batch
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
-from reference import membership_blocks
+from reference import constants_at, membership_blocks, uniform_beta
 from test_cli import PARTITIONED_SPEC, write_json
 from test_rpi_params import (
     closed_form_margin,
@@ -222,7 +221,7 @@ def test_criterion_6_oracle_equivalences(plant):
         T = rng.standard_normal((2, 2))
         p = rng.standard_normal(2)
         expected = max(p @ T @ v for v in brute_force_hull_vertices(W))
-        assert support_hull(T, p, W) == pytest.approx(expected, abs=1e-8)
+        assert support_rows(T, np.atleast_2d(p), W)[0] == pytest.approx(expected, abs=1e-8)
 
     # (b) membership LP agrees with a support-violation search
     disagreements = 0
@@ -237,7 +236,7 @@ def test_criterion_6_oracle_equivalences(plant):
         normals = np.column_stack([edges[:, 1], -edges[:, 0]])
         directions = np.vstack([normals, rng.standard_normal((100, 2))])
         violated = any(
-            p @ w > support_hull(np.eye(2), p, W) + 1e-9 for p in directions
+            p @ w > support_rows(np.eye(2), np.atleast_2d(p), W)[0] + 1e-9 for p in directions
         )
         if bool(contains_point(W, w, tol=1e-9)) == violated:
             disagreements += 1
@@ -248,7 +247,7 @@ def test_criterion_6_oracle_equivalences(plant):
     while checked < 200:
         sys = random_stable_system(rng, rho=rng.uniform(0.3, 0.8))
         s = int(rng.integers(3, 20))
-        consts = compute_constants(sys, unit_box_constraints(2), s)
+        consts = constants_at(sys, unit_box_constraints(2), s)
         gamma = float(rng.uniform(0.5, 1.2))
         mu = float(10.0 ** rng.uniform(-3, -1))
         sol = solve_Hs(consts, gamma, mu)
@@ -272,13 +271,10 @@ def test_criterion_6_oracle_equivalences(plant):
     # (e) constraint ratio nonincreasing, cube growth nondecreasing in s
     for _ in range(20):
         sys = random_stable_system(rng, rho=rng.uniform(0.2, 0.9))
-        acc = ConstantsAccumulator(sys, unit_box_constraints(2))
-        prev = acc.step()
-        for _ in range(2, 51):
-            cur = acc.step()
+        consts = list(itertools.islice(horizon_constants(sys, unit_box_constraints(2)), 50))
+        for prev, cur in zip(consts, consts[1:]):
             assert cur.theta_s <= prev.theta_s + 1e-12
             assert cur.M_s >= prev.M_s - 1e-12
-            prev = cur
 
     elapsed = time.perf_counter() - t_start
     ok = elapsed <= 60.0

@@ -153,6 +153,7 @@ MALFORMED = {
     "no-inputs": lambda d: d["system"].update(B=[[]] * 3, D=[[]] * 2),
     "g-nan": lambda d: d["constraints"]["g"].__setitem__(0, float("nan")),
     "ragged-vertices": lambda d: d["constraints"].update(vertices=[[0.0, 0.0], [0.1]]),
+    "vertex-outside-Y": lambda d: d["constraints"].update(vertices=[[5.0, 5.0], [-5.0, 5.0], [0.0, -5.0]]),
     "N-zero": _set_option("N", 0),
     "l-zero": _set_option("l", 0),
     "H-unknown-preset": _set_option("H", "hexagon"),
@@ -222,7 +223,7 @@ class TestExitCodes:
         from distsynth.lp_solver import FAILED, LpOutcome
 
         def failing(lp, **kwargs):
-            return LpOutcome(FAILED, message="forced failure")
+            return LpOutcome(FAILED)
 
         monkeypatch.setattr(synthesizer, "solve_lp", failing)
         spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
@@ -254,7 +255,7 @@ class TestExitCodes:
         from distsynth.lp_solver import FAILED, LpOutcome
 
         def failing(lp, **kwargs):
-            return LpOutcome(FAILED, message="forced failure")
+            return LpOutcome(FAILED)
 
         # synthesis solves as usual; the exact distance at l is the first verifier LP
         monkeypatch.setattr(verifier, "solve_lp", failing)
@@ -274,7 +275,7 @@ class TestExitCodes:
         from distsynth.lp_solver import FAILED, LpOutcome
 
         def failing(lp, **kwargs):
-            return LpOutcome(FAILED, message="forced failure")
+            return LpOutcome(FAILED)
 
         # a document without a witness, so verify solves the vertex LPs
         older = {key: val for key, val in small_result_doc.items() if key != "witness"}
@@ -754,6 +755,13 @@ class TestCmdGen:
         out = tmp_path / "spec.json"
         assert main(["gen", "--nx", nx, "--nw", nw, "--ny", ny, "--rho", "0.7", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: nx, nw and ny must be at least 1")
+        assert not out.exists()
+
+    def test_negative_seed_is_2(self, tmp_path, capsys):
+        out = tmp_path / "spec.json"
+        argv = ["gen", "--nx", "2", "--nw", "1", "--ny", "1", "--rho", "0.5", "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: option seed must be an integer >= 0, not -1")
         assert not out.exists()
 
     def test_params_terminate_on_batch(self):

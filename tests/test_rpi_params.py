@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -6,20 +7,21 @@ import pytest
 
 from distsynth import (
     BoxHullSet,
-    ConstantsAccumulator,
     HPolytope,
     LtiSystem,
     ParamSearchError,
     RpiConstants,
-    compute_constants,
     select_params,
     solve_Hs,
     support_rows,
 )
 from distsynth.cli import cmd_gen, cmd_reduce, parse_spec
+from distsynth.rpi_params import horizon_constants
 from distsynth.setgeom import stacked_identity
+from distsynth.verifier import _horizon_constants
 
 from conftest import random_stable_system
+from reference import constants_at
 
 
 def unit_box_constraints(n):
@@ -45,7 +47,7 @@ class TestComputeConstants:
     def test_memoryless_system(self):
         sys = LtiSystem(np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)))
         Y = unit_box_constraints(2)
-        c = compute_constants(sys, Y, 1)
+        c = constants_at(sys, Y, 1)
         assert np.allclose(c.L_s, 1.0)
         assert c.theta_s == pytest.approx(1.0)
         assert c.M_s == pytest.approx(1.0)
@@ -54,14 +56,14 @@ class TestComputeConstants:
     def test_nilpotent_tail_leaves_constants_unchanged(self):
         sys = LtiSystem(np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)))
         Y = unit_box_constraints(2)
-        c1 = compute_constants(sys, Y, 1)
-        c2 = compute_constants(sys, Y, 2)
+        c1 = constants_at(sys, Y, 1)
+        c2 = constants_at(sys, Y, 2)
         assert np.allclose(c1.L_s, c2.L_s)
         assert c1.theta_s == c2.theta_s
         assert c1.M_s == c2.M_s
 
     def test_matches_extended_precision_summation(self, plant, pentagon):
-        c = compute_constants(plant, pentagon, 59)
+        c = constants_at(plant, pentagon, 59)
         L, theta, M, zeta = longdouble_constants(plant, pentagon, 59)
         assert np.allclose(c.L_s, L.astype(float), rtol=1e-12)
         assert c.theta_s == pytest.approx(theta, rel=1e-12)
@@ -69,11 +71,10 @@ class TestComputeConstants:
         assert c.zeta_s == pytest.approx(zeta, rel=1e-10)
 
     def test_incremental_equals_fresh(self, plant, pentagon):
-        acc = ConstantsAccumulator(plant, pentagon)
-        for s in range(1, 40):
-            inc = acc.step()
-            fresh = compute_constants(plant, pentagon, s)
-            assert np.allclose(inc.L_s, fresh.L_s, rtol=1e-12)
+        # fresh: the verifier's repeated squaring, which shares no code with the generator
+        for inc in itertools.islice(horizon_constants(plant, pentagon), 39):
+            fresh = _horizon_constants(plant, pentagon, inc.s)
+            assert np.allclose(inc.L_s, fresh.L_s, rtol=1e-12, atol=0.0)
             assert inc.theta_s == pytest.approx(fresh.theta_s, rel=1e-12)
             assert inc.M_s == pytest.approx(fresh.M_s, rel=1e-12)
             assert inc.zeta_s == pytest.approx(fresh.zeta_s, rel=1e-12)
@@ -81,7 +82,7 @@ class TestComputeConstants:
     def test_rejects_nonpositive_offsets(self, plant):
         Y = HPolytope(stacked_identity(2), np.array([1.0, 0.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
-            compute_constants(plant, Y, 1)
+            constants_at(plant, Y, 1)
 
 
 def grid_maximum(consts, gamma, mu, step=2e-5):
@@ -148,7 +149,7 @@ class TestSolveHs:
             sys = random_stable_system(rng, rho=rng.uniform(0.3, 0.8))
             Y = unit_box_constraints(2)
             s = int(rng.integers(3, 25))
-            consts = compute_constants(sys, Y, s)
+            consts = constants_at(sys, Y, s)
             gamma = float(rng.uniform(0.5, 1.2))
             mu = float(10.0 ** rng.uniform(-3, -1))
             sol = solve_Hs(consts, gamma, mu)
@@ -163,7 +164,7 @@ class TestSolveHs:
             checked += 1
 
     def test_solution_satisfies_inequalities(self, plant, pentagon):
-        consts = compute_constants(plant, pentagon, 60)
+        consts = constants_at(plant, pentagon, 60)
         alpha, lam = solve_Hs(consts, gamma=0.2, mu=1e-3)
         assert 0.0 <= alpha < 1.0 and 0.0 <= lam <= 1.0
         assert lam <= (1 - alpha) * consts.theta_s + 1e-9
@@ -171,7 +172,7 @@ class TestSolveHs:
         assert (alpha * 0.2 + lam) * consts.M_s <= (1 - alpha) * mu_ref() + 1e-9
 
     def test_objective_near_reference_total(self, plant, pentagon):
-        consts = compute_constants(plant, pentagon, 60)
+        consts = constants_at(plant, pentagon, 60)
         alpha, lam = solve_Hs(consts, gamma=0.2, mu=1e-3)
         assert alpha + lam == pytest.approx(7.467e-4, rel=0.01)
 
@@ -247,7 +248,7 @@ class TestClosedForm:
         while checked < 10:
             sys = random_stable_system(rng, rho=rng.uniform(0.3, 0.8))
             sys = LtiSystem(sys.A, sys.B, np.zeros_like(sys.C), np.zeros_like(sys.D))
-            consts = compute_constants(sys, unit_box_constraints(2), int(rng.integers(3, 25)))
+            consts = constants_at(sys, unit_box_constraints(2), int(rng.integers(3, 25)))
             assert consts.theta_s == np.inf
             gamma = float(rng.uniform(0.5, 1.2))
             mu = float(10.0 ** rng.uniform(-3, 0))
@@ -306,7 +307,7 @@ class TestSelectParams:
 
     def test_minimality(self, plant, pentagon):
         p = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
-        consts = compute_constants(plant, pentagon, p.s - 1)
+        consts = constants_at(plant, pentagon, p.s - 1)
         assert solve_Hs(consts, gamma=0.2, mu=1e-3) is None
 
     def test_hidden_block_horizon(self, hidden_block_plant):
@@ -327,7 +328,7 @@ class TestSelectParams:
             sys = random_stable_system(rng, rho=rng.uniform(0.3, 0.8))
             Y = unit_box_constraints(2)
             p = select_params(sys, Y, gamma=1.0, mu=1e-2)
-            consts = compute_constants(sys, Y, p.s)
+            consts = constants_at(sys, Y, p.s)
             assert p.lam - (1 - p.alpha) * consts.theta_s <= 1e-9
             assert (p.gamma + p.lam) * consts.zeta_s - p.alpha * p.lam <= 1e-9
             assert (p.alpha * p.gamma + p.lam) * consts.M_s - (1 - p.alpha) * p.mu <= 1e-9
@@ -337,13 +338,10 @@ class TestSelectParams:
         for _ in range(20):
             sys = random_stable_system(rng, rho=rng.uniform(0.2, 0.9))
             Y = unit_box_constraints(2)
-            acc = ConstantsAccumulator(sys, Y)
-            prev = acc.step()
-            for _ in range(2, 51):
-                cur = acc.step()
+            consts = list(itertools.islice(horizon_constants(sys, Y), 50))
+            for prev, cur in zip(consts, consts[1:]):
                 assert cur.theta_s <= prev.theta_s + 1e-12
                 assert cur.M_s >= prev.M_s - 1e-12
-                prev = cur
 
 
 class TestInclusionCertificate:

@@ -15,7 +15,6 @@ from distsynth import (
     contains_point,
     hull_outline,
     simulate,
-    support_hull,
     support_rows,
     vertices_hpoly,
 )
@@ -80,15 +79,15 @@ class TestBoxHullSet:
 
 
 class TestSupportBox:
-    """The support of a single box, through one-box support_hull."""
+    """The support of a single box, through the one-row case of support_rows."""
 
     def test_unit_box_identity(self):
         W = one_box([0.0, 0.0], [1.0, 1.0])
-        assert support_hull(np.eye(2), [1.0, 0.0], W) == pytest.approx(1.0)
+        assert support_rows(np.eye(2), np.atleast_2d([1.0, 0.0]), W)[0] == pytest.approx(1.0)
 
     def test_singleton(self):
         W = one_box([2.0, 3.0], [0.0, 0.0])
-        assert support_hull(np.eye(2), [1.0, 1.0], W) == pytest.approx(5.0)
+        assert support_rows(np.eye(2), np.atleast_2d([1.0, 1.0]), W)[0] == pytest.approx(5.0)
 
     def test_matches_corner_maximum(self):
         rng = np.random.default_rng(7)
@@ -97,11 +96,11 @@ class TestSupportBox:
             p = rng.standard_normal(2)
             W = one_box(rng.uniform(-1, 1, 2), rng.uniform(0, 1, 2))
             expected = max(p @ T @ v for v in brute_force_hull_vertices(W))
-            assert support_hull(T, p, W) == pytest.approx(expected, abs=1e-12)
+            assert support_rows(T, np.atleast_2d(p), W)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(GeometryError):
-            support_hull(np.eye(3), [1.0, 0.0], one_box([0.0, 0.0], [1.0, 1.0]))
+            support_rows(np.eye(3), np.atleast_2d([1.0, 0.0]), one_box([0.0, 0.0], [1.0, 1.0]))
 
 
 class TestSupportHull:
@@ -109,13 +108,15 @@ class TestSupportHull:
         rng = np.random.default_rng(0)
         c, e = rng.uniform(-1, 1, 2), rng.uniform(0, 1, 2)
         p = rng.standard_normal(2)
-        assert support_hull(np.eye(2), p, one_box(c, e)) == pytest.approx(p @ c + np.abs(p) @ e)
+        assert support_rows(np.eye(2), np.atleast_2d(p), one_box(c, e))[0] == pytest.approx(p @ c + np.abs(p) @ e)
 
     def test_duplicate_boxes_idempotent(self):
         one = one_box([0.5, -0.2], [0.3, 0.1])
         two = BoxHullSet([[0.5, -0.2]] * 2, [[0.3, 0.1]] * 2)
         p = np.array([0.3, -1.2])
-        assert support_hull(np.eye(2), p, two) == pytest.approx(support_hull(np.eye(2), p, one))
+        assert support_rows(np.eye(2), np.atleast_2d(p), two)[0] == pytest.approx(
+            support_rows(np.eye(2), np.atleast_2d(p), one)[0]
+        )
 
     def test_matches_vertex_maximum(self):
         rng = np.random.default_rng(11)
@@ -124,7 +125,7 @@ class TestSupportHull:
             T = rng.standard_normal((2, 2))
             p = rng.standard_normal(2)
             expected = max(p @ T @ v for v in brute_force_hull_vertices(W))
-            assert support_hull(T, p, W) == pytest.approx(expected, abs=1e-8)
+            assert support_rows(T, np.atleast_2d(p), W)[0] == pytest.approx(expected, abs=1e-8)
 
     def test_argmax_point_attains_value(self):
         rng = np.random.default_rng(12)
@@ -132,7 +133,7 @@ class TestSupportHull:
             W = random_hull(rng)
             p = rng.standard_normal(2)
             point = support_argmax_rows(np.eye(2), p, W)[0]
-            assert p @ point == pytest.approx(support_hull(np.eye(2), p, W), abs=1e-12)
+            assert p @ point == pytest.approx(support_rows(np.eye(2), np.atleast_2d(p), W)[0], abs=1e-12)
 
 
 class TestSupportArgmaxRows:
@@ -180,7 +181,7 @@ class TestSupportRows:
         p = rng.standard_normal(2)
         vals = support_rows(np.eye(2), p[None, :], W)
         assert vals.shape == (1,)
-        assert vals[0] == pytest.approx(support_hull(np.eye(2), p, W))
+        assert vals[0] == pytest.approx(max(p @ c + np.abs(p) @ e for c, e in zip(W.centers, W.halfwidths)))
 
     def test_duplicated_row(self):
         rng = np.random.default_rng(2)
@@ -261,7 +262,7 @@ class TestContainsPoint:
             contains_point(W, [0.0], tol=0.0)
 
     def test_failed_lp_carries_its_program(self, monkeypatch):
-        monkeypatch.setattr(setgeom, "solve_lp", lambda lp, **kw: LpOutcome(FAILED, message="forced failure"))
+        monkeypatch.setattr(setgeom, "solve_lp", lambda lp, **kw: LpOutcome(FAILED))
         with pytest.raises(LpFailure, match="membership LP failed") as info:
             contains_point(one_box([0.0, 0.0], [1.0, 1.0]), [0.5, 0.5])
         assert info.value.lp.a_eq.shape[1] == info.value.lp.c.size
@@ -580,8 +581,10 @@ class TestSupportProperties:
             merged = one_box(c1 + c2, e1 + e2)
             p = rng.standard_normal(2)
             T = rng.standard_normal((2, 2))
-            assert support_hull(T, p, merged) == pytest.approx(
-                support_hull(T, p, one_box(c1, e1)) + support_hull(T, p, one_box(c2, e2)), abs=1e-12
+            assert support_rows(T, np.atleast_2d(p), merged)[0] == pytest.approx(
+                support_rows(T, np.atleast_2d(p), one_box(c1, e1))[0]
+                + support_rows(T, np.atleast_2d(p), one_box(c2, e2))[0],
+                abs=1e-12,
             )
 
     def test_positive_homogeneity(self):
@@ -589,8 +592,8 @@ class TestSupportProperties:
         W = random_hull(rng)
         p = rng.standard_normal(2)
         for c in (0.5, 2.0, 17.3):
-            assert support_hull(np.eye(2), c * p, W) == pytest.approx(
-                c * support_hull(np.eye(2), p, W), rel=1e-12
+            assert support_rows(np.eye(2), np.atleast_2d(c * p), W)[0] == pytest.approx(
+                c * support_rows(np.eye(2), np.atleast_2d(p), W)[0], rel=1e-12
             )
 
     def test_hull_dominates_members(self):
@@ -598,9 +601,9 @@ class TestSupportProperties:
         W = random_hull(rng, n_boxes=4)
         for _ in range(50):
             p = rng.standard_normal(2)
-            h = support_hull(np.eye(2), p, W)
+            h = support_rows(np.eye(2), np.atleast_2d(p), W)[0]
             for c, e in zip(W.centers, W.halfwidths):
-                assert h >= support_hull(np.eye(2), p, one_box(c, e)) - 1e-12
+                assert h >= support_rows(np.eye(2), np.atleast_2d(p), one_box(c, e))[0] - 1e-12
 
     def test_inclusion_characterization(self):
         rng = np.random.default_rng(16)
@@ -610,7 +613,8 @@ class TestSupportProperties:
         bounding = one_box((lo + hi) / 2, (hi - lo) / 2)
         for _ in range(100):
             p = rng.standard_normal(2)
-            assert support_hull(np.eye(2), p, W1) <= support_hull(np.eye(2), p, bounding) + 1e-10
+            inner = support_rows(np.eye(2), np.atleast_2d(p), W1)[0]
+            assert inner <= support_rows(np.eye(2), np.atleast_2d(p), bounding)[0] + 1e-10
 
     def test_linear_image(self):
         rng = np.random.default_rng(17)
@@ -618,8 +622,8 @@ class TestSupportProperties:
         for _ in range(50):
             T = rng.standard_normal((3, 2))
             p = rng.standard_normal(3)
-            assert support_hull(T, p, W) == pytest.approx(
-                support_hull(np.eye(2), T.T @ p, W), rel=1e-12, abs=1e-12
+            assert support_rows(T, np.atleast_2d(p), W)[0] == pytest.approx(
+                support_rows(np.eye(2), np.atleast_2d(T.T @ p), W)[0], rel=1e-12, abs=1e-12
             )
 
     def test_membership_soundness(self):
@@ -633,7 +637,7 @@ class TestSupportProperties:
         for _ in range(20):
             p = rng.standard_normal(2)
             p /= np.linalg.norm(p)
-            h = support_hull(np.eye(2), p, W)
+            h = support_rows(np.eye(2), np.atleast_2d(p), W)[0]
             outside = p * (h + 0.1)  # along p, beyond the support plane
             if p @ outside > h + 1e-9:
                 assert not contains_point(W, outside, tol=1e-9)

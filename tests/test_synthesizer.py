@@ -15,7 +15,6 @@ from distsynth import (
     refine,
     select_params,
     spread_beta,
-    uniform_beta,
     vertices_hpoly,
 )
 from distsynth import synthesizer
@@ -24,7 +23,7 @@ from distsynth.setgeom import stacked_identity
 from distsynth.synthesizer import _jittered_beta, boxes_from_x
 
 from conftest import random_stable_system
-from reference import membership_blocks, program_residual
+from reference import membership_blocks, program_residual, uniform_beta
 
 
 def unit_box_constraints(n):
@@ -407,7 +406,7 @@ class TestAlternate:
             def permuted(lp, rng=rng, **kwargs):
                 if lp.n_vars == p_width:
                     perm = rng.permutation(lp.a_ub.shape[0])
-                    lp = LpProblem(lp.c, lp.a_ub[perm], lp.b_ub[perm], lp.a_eq, lp.b_eq, lp.lb, lp.ub)
+                    lp = LpProblem(lp.c, lp.a_ub[perm], lp.b_ub[perm], lp.a_eq, lp.b_eq, lp.lb)
                 return solve_lp(lp, **kwargs)
 
             monkeypatch.setattr(synthesizer, "solve_lp", permuted)

@@ -9,33 +9,30 @@ from scipy.spatial import ConvexHull
 
 from distsynth import (
     BoxHullSet,
-    ConstantsAccumulator,
     GeometryError,
     HPolytope,
     LtiSystem,
     RpiParams,
     alternate,
     assemble,
-    compute_constants,
     distance_dY,
     h_preset,
     monte_carlo,
     select_params,
-    uniform_beta,
     verify_coverage,
     verify_gamma,
     verify_output_inclusion,
     verify_params,
     vertices_hpoly,
 )
-from distsynth import lp_solver, verifier
+from distsynth import lp_solver, rpi_params, verifier
 from distsynth.cli import ResultDoc, parse_spec
 from distsynth.lp_solver import solve_lp
 from distsynth.setgeom import sample_batch, stacked_identity
 from distsynth.verifier import _reach_coefficients
 
 from conftest import brute_force_hull_vertices, prices_with_devex, random_hull, random_stable_system
-from reference import scaled
+from reference import constants_at, scaled, uniform_beta
 
 
 def unit_box_constraints(n):
@@ -79,7 +76,7 @@ class TestVerifyParams:
         cases += [(random_stable_system(rng, rho=0.8), unit_box_constraints(2), 1.0, 1e-2) for _ in range(3)]
         for sys, Y, g, mu in cases:
             p = select_params(sys, Y, gamma=g, mu=mu)
-            k = compute_constants(sys, Y, p.s)
+            k = constants_at(sys, Y, p.s)
             expected = {
                 "constraint-margin": (1.0 - p.alpha) * k.theta_s - p.lam,
                 "contraction": p.alpha * p.lam - (g + p.lam) * k.zeta_s,
@@ -90,15 +87,15 @@ class TestVerifyParams:
                 assert abs(margins[name] - value) <= 1e-12, name
 
     def test_catches_an_off_by_one_in_the_search_constants(self, plant, pentagon, monkeypatch):
-        step = ConstantsAccumulator.step
+        real = rpi_params.horizon_constants
 
-        def zeta_one_power_late(acc):
+        def zeta_one_power_late(sys, Y):
             # zeta on A^{s+1} instead of A^s, which drops the A^s B W term
-            consts = step(acc)
-            late = float(np.abs(acc._A_pow @ acc._A).sum(axis=1).max())
-            return dataclasses.replace(consts, zeta_s=late)
+            for consts in real(sys, Y):
+                late = float(np.abs(np.linalg.matrix_power(sys.A, consts.s + 1)).sum(axis=1).max())
+                yield dataclasses.replace(consts, zeta_s=late)
 
-        monkeypatch.setattr(ConstantsAccumulator, "step", zeta_one_power_late)
+        monkeypatch.setattr(rpi_params, "horizon_constants", zeta_one_power_late)
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         assert params.s == 59
         cert = verify_params(plant, pentagon, params)
