@@ -4,13 +4,15 @@ Problems are carried as a cost vector, sparse inequality/equality blocks and
 per-variable lower bounds.  Solving goes straight to the HiGHS bindings that scipy
 bundles, with the options ``scipy.optimize.linprog(method="highs")`` would
 pass, so an accepted cold answer is what ``linprog`` returns, bit for bit,
-without its front end.  HiGHS is deterministic for a fixed input; outcomes
-carry the status, primal solution, scaled feasibility residual, a dual
-objective for weak-duality checks, the simplex iteration count and the final
-basis, from which a program of the same shape can start warm.  ``solve_lp``
-checks every answer, warm or cold, by one rule and walks one fallback ladder
-until an answer meets it.  A line-oriented textual dump (LP interchange
-format) is provided for cross-checking individual programs with external tools.
+without its front end, unless the caller asks for primal simplex
+(``primal=True``: the verifier's programs over a fixed W, whose optimal value
+is unique; not the synthesis programs, where the degenerate optimum HiGHS
+returns steers the alternation).  HiGHS is deterministic for a fixed input;
+outcomes carry the status, primal solution, scaled feasibility residual, dual
+objective, simplex iteration count and final basis, from which a program of
+the same shape can start warm.  ``solve_lp`` checks every answer by one rule
+(residual and duality gap) and walks one fallback ladder until an answer meets
+it.  ``write_lp`` dumps a program in LP format for cross-checks elsewhere.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ _MAX_ITER = 1_000_000
 PRIMAL_TOL = 1e-9
 # the verifier's residual contract; every accepted answer meets it
 RESIDUAL_TOL = 1e-8
+# the gap contract: |objective - dual objective| <= GAP_TOL * max(1, |objective|)
+GAP_TOL = 1e-7
 # a cold rung ending in one of these ends the ladder; as with linprog, only a
 # failed or rejected answer goes on to the next rung
 _FINAL = (INFEASIBLE, UNBOUNDED, ITERATION_LIMIT)
@@ -61,6 +65,7 @@ _OPTIONS = {
 # edge (HiGHS's choice otherwise) computes exact weights for the given basis,
 # which can cost more than the few iterations that follow
 _DEVEX = _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
+_PRIMAL = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
 
 
 class LpFailure(RuntimeError):
@@ -110,8 +115,8 @@ class LpProblem:
         lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
         if lb.size != n:
             raise ValueError("bound length mismatch")
-        if np.isnan(lb).any():
-            raise ValueError("bounds must not be NaN")
+        if np.isnan(lb).any() or (lb == np.inf).any():
+            raise ValueError("bounds must not be NaN or +inf")
         object.__setattr__(self, "lb", lb)
 
     @property
@@ -170,14 +175,17 @@ def _highs_lp(p: LpProblem) -> _highs.HighsLp:
     return lp
 
 
-def _run(lp: _highs.HighsLp, presolve: bool, basis: _highs.HighsBasis | None = None) -> _highs._Highs | None:
-    """One HiGHS solve, Devex-priced when warm from ``basis``; None if that does not fit."""
+def _run(lp: _highs.HighsLp, presolve: bool, basis=None, primal: bool = False) -> _highs._Highs | None:
+    """One HiGHS solve, Devex-priced when warm from ``basis``, by primal simplex
+    when ``primal``; None if the basis does not fit."""
     highs = _highs._Highs()
     for key, value in _OPTIONS.items():
         highs.setOptionValue(key, value)
     highs.setOptionValue("presolve", "on" if presolve else "off")
     if basis is not None:
         highs.setOptionValue("simplex_dual_edge_weight_strategy", _DEVEX)
+    if primal:
+        highs.setOptionValue("simplex_strategy", _PRIMAL)
     highs.passModel(lp)
     if basis is not None and highs.setBasis(basis) != _highs.HighsStatus.kOk:
         return None
@@ -219,42 +227,47 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     )
 
 
-def _solve(p: LpProblem, lp: _highs.HighsLp, presolve: bool, basis=None) -> LpOutcome:
+def _solve(p: LpProblem, lp: _highs.HighsLp, presolve: bool, basis=None, primal: bool = False) -> LpOutcome:
     """One HiGHS run read into an outcome; the instance is freed on return."""
-    highs = _run(lp, presolve, basis)
+    highs = _run(lp, presolve, basis, primal)
     if highs is None:
         return LpOutcome(FAILED)  # the basis does not fit the program
     return _outcome(p, highs)
 
 
 def _accepted(out: LpOutcome) -> bool:
-    """The one acceptance rule: optimal, finite and within the residual
-    contract (the residual is not finite when ``x`` is not)."""
-    return out.optimal and np.isfinite(out.objective) and out.residual <= RESIDUAL_TOL
+    """The one acceptance rule: optimal, finite and within the residual and gap
+    contracts (a NaN meets neither; the residual is inf when ``x`` is not finite)."""
+    return (
+        out.optimal and np.isfinite(out.objective) and out.residual <= RESIDUAL_TOL
+        and abs(out.objective - out.dual_objective) <= GAP_TOL * max(1.0, abs(out.objective))
+    )
 
 
-def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None) -> LpOutcome:
+def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None, primal: bool = False) -> LpOutcome:
     """Solve an LP; all failure modes are reported via the status field.
 
     The program goes down one ladder of rungs until an answer is accepted:
     from ``basis`` when one is given (an earlier outcome's, for a program of
     the same shape; no presolve, Devex pricing), then cold with presolve,
-    then cold without.  An answer is accepted when HiGHS reports it optimal,
-    every number in it is finite and its scaled residual is at most
-    ``RESIDUAL_TOL``.  An optimal answer that misses that is solved once more
-    from its own final basis in a fresh instance (no presolve, usually no
-    pivot) before the ladder moves on.  A cold rung that ends infeasible,
-    unbounded or at the iteration limit ends the ladder with that status; an
-    answer the last rung cannot accept either is ``FAILED``.  Which rung runs
-    depends on the answers alone, so outcomes stay deterministic, and
-    ``nit`` counts the iterations of every run.
+    then cold without; with ``primal`` the cold rungs run primal simplex, the
+    others dual simplex either way.  An answer is accepted when HiGHS reports
+    it optimal, every number in it is finite, its scaled residual is at most
+    ``RESIDUAL_TOL`` and its duality gap at most ``GAP_TOL`` (relative).  An
+    optimal answer that misses that is solved once more from its own final
+    basis in a fresh instance (no presolve, usually no pivot) before the ladder
+    moves on.  A cold rung that ends infeasible, unbounded or at the iteration
+    limit ends the ladder with that status; an answer the last rung cannot
+    accept either is ``FAILED``.  Which rung runs depends on the answers alone,
+    so outcomes stay deterministic, and ``nit`` counts the iterations of every
+    run.
     """
     lp = _highs_lp(problem)
     rungs = [(False, basis)] if basis is not None else []
     rungs += [(True, None), (False, None)]
     spent = 0
     for presolve, start in rungs:
-        out = _solve(problem, lp, presolve, start)
+        out = _solve(problem, lp, presolve, start, primal and start is None)
         if out.optimal and not _accepted(out):
             spent += out.nit
             out = _solve(problem, lp, False, out.basis)
@@ -262,7 +275,7 @@ def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None) -> LpOu
         if _accepted(out) or (start is None and out.status in _FINAL):
             return replace(out, nit=spent)
     if out.optimal:
-        out = LpOutcome(FAILED)  # no rung met the residual contract
+        out = LpOutcome(FAILED)  # no rung met the residual and gap contracts
     return replace(out, nit=spent)
 
 

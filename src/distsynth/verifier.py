@@ -216,7 +216,9 @@ def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, hori
     One LP drives the output to a deviation-neighborhood of every vertex,
     with each disturbance point encoded exactly as a point of the blended
     box of its convex weights over the member boxes; the widths eps >= 0 are
-    shared by all vertices.  Returns (epsilon, objective, witness); raises
+    shared by all vertices.  The optimal value is unique and the witness is
+    re-checked by arithmetic, so it is solved by primal simplex, the faster
+    here.  Returns (epsilon, objective, witness); raises
     LpFailure, which carries the program, when the LP has no accepted answer.
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
@@ -225,7 +227,7 @@ def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, hori
     slack = -sp.kron(np.ones((len(vertices), 1)), sp.eye(n_b), "coo")
     coeff = _reach_coefficients(sys, horizon)
     lp = hull_reach_lp(coeff, vertices, W, H, slack, 0.0, np.zeros(slack.shape[0]))
-    out = solve_lp(lp)
+    out = solve_lp(lp, primal=True)
     if not out.optimal:
         raise LpFailure(f"coverage LP ended with status {out.status}", lp)
     return out.x[-n_b:].copy(), float(out.objective), _witness_of(out.x, len(vertices), len(coeff), W)
@@ -243,13 +245,13 @@ def _vertex_witness(coeff, vertices, W: BoxHullSet, H: np.ndarray, epsilon) -> C
     right-hand side of the output rows, so the program is built once and each
     vertex's solve starts from the previous vertex's optimal basis.  A vertex
     LP without an accepted answer raises LpFailure, which carries that
-    vertex's program."""
+    vertex's program.  W is fixed, so cold solves run primal simplex."""
     lp = hull_reach_lp(coeff, vertices[:1], W, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon)
     weights, points = [], []
     basis = None
     for i, y in enumerate(vertices):
         vertex_lp = replace(lp, b_eq=np.concatenate((y, lp.b_eq[y.size :])))
-        out = solve_lp(vertex_lp, basis=basis)
+        out = solve_lp(vertex_lp, basis=basis, primal=True)
         if not out.optimal:
             raise LpFailure(f"vertex {i} coverage LP ended with status {out.status}", vertex_lp)
         basis = out.basis

@@ -86,3 +86,9 @@ def prices_with_devex(highs) -> bool:
     """Whether a HiGHS instance prices its dual simplex with Devex."""
     _, strategy = highs.getOptionValue("simplex_dual_edge_weight_strategy")
     return strategy == int(lp_solver._DEVEX)
+
+
+def solves_by_primal(highs) -> bool:
+    """Whether a HiGHS instance runs primal simplex (otherwise dual)."""
+    _, strategy = highs.getOptionValue("simplex_strategy")
+    return strategy == int(lp_solver._PRIMAL)

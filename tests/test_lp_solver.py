@@ -164,6 +164,7 @@ def test_rejects_inconsistent_dimensions():
         {"a_eq": [[1.0]], "b_eq": [nan]},
         {"a_ub": [[1.0]], "b_ub": [nan]},
         {"lb": [nan]},
+        {"lb": [inf]},  # a +inf lower bound crashes scipy's HiGHS bindings
     ):
         with pytest.raises(ValueError):
             LpProblem(c=[-1.0], **bad)
@@ -299,8 +300,8 @@ def _warm_answers_miss_the_contract(monkeypatch):
     """Every answer of a run started from a basis misses the residual contract."""
     real = lp_solver._solve
 
-    def solve(p, lp, presolve, basis=None):
-        out = real(p, lp, presolve, basis)
+    def solve(p, lp, presolve, basis=None, primal=False):
+        out = real(p, lp, presolve, basis, primal)
         return dataclasses.replace(out, residual=1.0) if basis is not None and out.optimal else out
 
     monkeypatch.setattr(lp_solver, "_solve", solve)
@@ -319,8 +320,8 @@ def _recording_runs(monkeypatch):
     runs = []
     real = lp_solver._run
 
-    def spy(lp, presolve, basis=None):
-        highs = real(lp, presolve, basis)
+    def spy(lp, presolve, basis=None, primal=False):
+        highs = real(lp, presolve, basis, primal)
         if highs is None:
             runs.append((presolve, basis, None, None))
         else:
@@ -424,6 +425,33 @@ def test_cold_answer_missing_the_residual_check_is_solved_from_its_basis_then_wi
         assert out.optimal and np.array_equal(out.x, answers[misses].x)
     else:
         assert runs[3][1] is answers[2].basis
+        assert out.status == lp_solver.FAILED and out.x is None
+
+
+@pytest.mark.parametrize("misses", [1, 4])
+def test_answer_missing_the_gap_check_takes_the_residual_rules_path(illustrative_lps, monkeypatch, misses):
+    p = illustrative_lps[0]
+    real = lp_solver._outcome
+    answers = []
+
+    def wrong_dual(p, highs):
+        out = real(p, highs)
+        answers.append(out)
+        if len(answers) > misses:
+            return out
+        # a gap just over the contract; the residual still meets its own
+        gap = 2.0 * lp_solver.GAP_TOL * max(1.0, abs(out.objective))
+        return dataclasses.replace(out, dual_objective=out.objective - gap)
+
+    monkeypatch.setattr(lp_solver, "_outcome", wrong_dual)
+    runs = _recording_runs(monkeypatch)
+    out = solve_lp(p)
+    assert all(a.residual <= lp_solver.RESIDUAL_TOL for a in answers)
+    assert [(presolve, b is not None, d) for presolve, b, d, _ in runs] == COLD_LADDER[: misses + 1]
+    assert runs[1][1] is answers[0].basis
+    if misses < len(COLD_LADDER):
+        assert out.optimal and np.array_equal(out.x, answers[misses].x)
+    else:
         assert out.status == lp_solver.FAILED and out.x is None
 
 

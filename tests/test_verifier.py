@@ -31,7 +31,13 @@ from distsynth.lp_solver import solve_lp
 from distsynth.setgeom import sample_batch, stacked_identity
 from distsynth.verifier import _reach_coefficients
 
-from conftest import brute_force_hull_vertices, prices_with_devex, random_hull, random_stable_system
+from conftest import (
+    brute_force_hull_vertices,
+    prices_with_devex,
+    random_hull,
+    random_stable_system,
+    solves_by_primal,
+)
 from reference import constants_at, scaled, uniform_beta
 
 
@@ -321,6 +327,18 @@ class TestCrossEncoding:
         assert best <= lp_val + 2 * step * lipschitz + 1e-7
 
 
+def _reach_case(case):
+    """(sys, vertices, W, horizon, H, epsilon) of the frozen illustrative result, or of a small random problem."""
+    if case == "illustrative":
+        spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
+        doc = ResultDoc.from_dict(json.loads((ROOT / "perfbench" / "data" / "illustrative_result.json").read_text()))
+        return spec.sys, spec.resolve_vertices(), doc.W, doc.horizon, doc.H, doc.epsilon
+    rng = np.random.default_rng(71)
+    sys = random_stable_system(rng, n_x=3, n_w=3, n_y=2, rho=0.5)
+    V, W, H = vertices_hpoly(unit_box_constraints(2)), random_hull(rng, 3, 2, 0.2), h_preset("box", 2)
+    return sys, V, W, 4, H, np.ones(H.shape[0])
+
+
 class TestReachProgramShape:
     """One point of n_w coordinates and N weights per group (vertex, slot):
     n n_y + g + 2 g n_w + n n_b rows and g (n_w + N) + n n_y + m columns for
@@ -333,20 +351,12 @@ class TestReachProgramShape:
 
     @pytest.mark.parametrize("case", ["illustrative", "random-71"])
     def test_distance_and_vertex_programs(self, case, monkeypatch):
-        if case == "illustrative":
-            spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
-            doc = ResultDoc.from_dict(json.loads((ROOT / "perfbench" / "data" / "illustrative_result.json").read_text()))
-            sys, V, W, horizon, H, eps = spec.sys, spec.resolve_vertices(), doc.W, doc.horizon, doc.H, doc.epsilon
-        else:
-            rng = np.random.default_rng(71)
-            sys = random_stable_system(rng, n_x=3, n_w=3, n_y=2, rho=0.5)
-            V, W, horizon, H = vertices_hpoly(unit_box_constraints(2)), random_hull(rng, 3, 2, 0.2), 4, h_preset("box", 2)
-            eps = np.ones(H.shape[0])
+        sys, V, W, horizon, H, eps = _reach_case(case)
         shapes = []
 
-        def spy(lp, basis=None):
+        def spy(lp, basis=None, **kwargs):
             shapes.append((lp.a_ub.shape[0] + lp.a_eq.shape[0], lp.n_vars))
-            return solve_lp(lp, basis)
+            return solve_lp(lp, basis, **kwargs)
 
         monkeypatch.setattr(verifier, "solve_lp", spy)
         distance_dY(sys, V, W, horizon, H)
@@ -355,6 +365,57 @@ class TestReachProgramShape:
         assert shapes == [self.expected(len(V), *dims, H.shape[0]), self.expected(1, *dims, 1)]
         if case == "illustrative":
             assert shapes[0] == (1540, 1816)
+
+
+class TestSimplexStrategy:
+    """The programs over a fixed W solve cold by primal simplex; warm runs and
+    every synthesis program run dual simplex."""
+
+    def test_fixed_w_programs_solve_cold_by_primal_and_synthesis_by_dual(self, plant, pentagon, monkeypatch):
+        runs = []
+        real = lp_solver._run
+
+        def spy(lp, presolve, basis=None, primal=False):
+            highs = real(lp, presolve, basis, primal)
+            runs.append((basis is not None, solves_by_primal(highs), prices_with_devex(highs)))
+            return highs
+
+        monkeypatch.setattr(lp_solver, "_run", spy)
+        V = vertices_hpoly(pentagon)
+        H = h_preset("uniform:6", 2)
+        problem = assemble(plant, pentagon, V, select_params(plant, pentagon, gamma=0.2, mu=1e-3), 2, 12, H)
+        alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=5)
+        synthesis, runs[:] = list(runs), []
+        eps, _, _ = verifier.distance_witness(plant, V, CERTIFIED_W, 59, H)
+        distance, runs[:] = list(runs), []
+        assert verify_coverage(plant, V, CERTIFIED_W, 59, H, eps).passed
+        vertex = list(runs)
+        # P-steps and Q-steps: dual simplex, Devex-priced when warm
+        assert any(warm for warm, _, _ in synthesis)
+        assert all(not primal and devex is warm for warm, primal, devex in synthesis)
+        # the exact distance: cold by primal simplex
+        assert distance[0] == (False, True, False)
+        assert all(primal is not warm and devex is warm for warm, primal, devex in distance)
+        # the vertex loop: the first vertex cold by primal simplex, the rest warm by dual with Devex
+        assert vertex[0] == (False, True, False)
+        assert sum(warm for warm, _, _ in vertex) >= len(V) - 1
+        assert all(primal is not warm and devex is warm for warm, primal, devex in vertex)
+
+    @pytest.mark.parametrize("case", ["illustrative", "random-71"])
+    def test_distance_is_the_dual_simplex_optimum(self, case, monkeypatch):
+        sys, V, W, horizon, H, _ = _reach_case(case)
+        programs = []
+
+        def spy(lp, **kwargs):
+            programs.append(lp)
+            return solve_lp(lp, **kwargs)
+
+        monkeypatch.setattr(verifier, "solve_lp", spy)
+        _, objective, _ = verifier.distance_witness(sys, V, W, horizon, H)
+        (lp,) = programs
+        dual = solve_lp(lp)
+        assert dual.optimal
+        assert objective == pytest.approx(dual.objective, rel=1e-9, abs=0.0)
 
 
 class TestVerifyCoverage:
@@ -410,8 +471,8 @@ class TestVerifyCoverage:
         runs = []
         real = lp_solver._run
 
-        def spy(lp, presolve, basis=None):
-            highs = real(lp, presolve, basis)
+        def spy(lp, presolve, basis=None, primal=False):
+            highs = real(lp, presolve, basis, primal)
             runs.append((basis is not None, prices_with_devex(highs)))
             return highs
 
