@@ -6,7 +6,7 @@ stay inside the constraints while covering them as closely as possible, and
 independently certifies the result.
 """
 
-from .encoder import SynthProblem, VariableLayout, assemble, h_preset, short_horizon
+from .encoder import assemble, h_preset, short_horizon
 from .lp_solver import LpFailure
 from .rpi_params import (
     ParamSearchError,
@@ -27,7 +27,6 @@ from .setgeom import (
     vertices_hpoly,
 )
 from .synthesizer import (
-    SynthResult,
     SynthesisError,
     alternate,
     p_step,
@@ -36,9 +35,7 @@ from .synthesizer import (
     spread_beta,
 )
 from .verifier import (
-    Certificate,
     CoverageWitness,
-    certify,
     distance_dY,
     distance_witness,
     monte_carlo,
@@ -52,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoxHullSet",
-    "Certificate",
     "CoverageWitness",
     "GeometryError",
     "HPolytope",
@@ -61,13 +57,9 @@ __all__ = [
     "ParamSearchError",
     "RpiConstants",
     "RpiParams",
-    "SynthProblem",
-    "SynthResult",
     "SynthesisError",
-    "VariableLayout",
     "alternate",
     "assemble",
-    "certify",
     "contains_point",
     "distance_dY",
     "distance_witness",

@@ -6,9 +6,9 @@ specs/ and the schema is described in the README.  Exit codes: 0 on success
 (all certificates pass for ``verify``), 2 for malformed documents (and for
 ``verify`` and ``plot``, a result that does not fit its spec), 3 for assumption
 violations, infeasibility or an unbounded or empty constraint set, 4 for
-solver failures; a failing LP (synthesis, exact distance or coverage check)
-is written to ``failed_lp.lp`` beside the ``--out`` target, or to the current
-directory without one.
+solver failures; a failing LP (synthesis, exact distance, or the one coverage
+LP of ``verify`` on a result without a witness) is written to ``failed_lp.lp``
+beside the ``--out`` target, or to the current directory without one.
 """
 
 from __future__ import annotations
@@ -280,12 +280,13 @@ class ResultDoc:
     @classmethod
     def from_dict(cls, doc: dict) -> "ResultDoc":
         """The stored result; SpecError on a missing or malformed entry or on a
-        non-finite number in params, the boxes, epsilon, objective, H or the
-        witness, on a non-integer s, l, l0, t0, iterations or p_nit entry, or
-        on witness arrays that are ragged or not 3-D over the same (vertex,
-        slot) pairs.  A document without l0 (written before it existed)
-        alternated at l, one without t0 kept every output-inclusion term, and
-        one without a witness is verified by vertex LPs."""
+        non-finite number in params, the boxes, epsilon, objective, H, the
+        history or the witness, on a history that is not a list of numbers, on
+        a non-integer s, l, l0, t0, iterations or p_nit entry, or on witness
+        arrays that are ragged or not 3-D over the same (vertex, slot) pairs.
+        A document without l0 (written before it existed) alternated at l, one
+        without t0 kept every output-inclusion term, and one without a witness
+        is verified by one coverage LP."""
         try:
             p = doc["params"]
             params = RpiParams(
@@ -300,6 +301,9 @@ class ResultDoc:
                 witness = verifier.CoverageWitness(
                     *(_finite(np.array(witness[key], dtype=float), f"witness {key}") for key in ("weights", "points"))
                 )
+            history = _finite(np.array(doc.get("history", []), dtype=float), "history")
+            if history.ndim != 1:
+                raise ValueError("history must be a list of numbers")
             boxes = doc["W"]["boxes"]
             centers, halfwidths = (
                 _finite(np.array([b[key] for b in boxes], dtype=float), f"box {key}") for key in ("center", "halfwidth")
@@ -312,7 +316,7 @@ class ResultDoc:
                 horizon=_integer(doc["l"], "l"),
                 H=_finite(np.asarray(doc["H"], dtype=float), "H"),
                 certificates=dict(doc.get("certificates", {})),
-                history=list(doc.get("history", [])),
+                history=history.tolist(),
                 iterations=_integer(doc.get("iterations", 0), "iterations"),
                 termination=str(doc.get("termination", "")),
                 timing=dict(doc.get("timing", {})),

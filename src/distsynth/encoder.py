@@ -228,10 +228,6 @@ class SynthProblem:
     """Assembled constraint blocks of the synthesis program."""
 
     layout: VariableLayout
-    sys: LtiSystem
-    params: RpiParams
-    vertices: np.ndarray
-    H: np.ndarray
     cost_z: np.ndarray
     a_x: sp.csr_matrix
     b: np.ndarray
@@ -319,10 +315,6 @@ def assemble(
     cost_z[layout.z_eps()] = 1.0
     return SynthProblem(
         layout=layout,
-        sys=sys,
-        params=params,
-        vertices=vertices,
-        H=H,
         cost_z=cost_z,
         a_x=sp.vstack([a1, a2, a3], format="csr"),
         b=np.concatenate([b1, b2, b3]),

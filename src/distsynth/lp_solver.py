@@ -6,11 +6,12 @@ bundles, with the options ``scipy.optimize.linprog(method="highs")`` would
 pass, so an accepted cold answer is what ``linprog`` returns, bit for bit,
 without its front end, unless the caller asks for primal simplex
 (``primal=True``: the verifier's programs over a fixed W, whose optimal value
-is unique; not the synthesis programs, where the degenerate optimum HiGHS
-returns steers the alternation).  HiGHS is deterministic for a fixed input;
-outcomes carry the status, primal solution, scaled feasibility residual, dual
-objective, simplex iteration count and final basis, from which a program of
-the same shape can start warm.  ``solve_lp`` checks every answer by one rule
+is unique and which it always solves cold; not the synthesis programs, where
+the degenerate optimum HiGHS returns steers the alternation).  HiGHS is
+deterministic for a fixed input; outcomes carry the status, primal solution,
+scaled feasibility residual, dual objective, simplex iteration count and final
+basis, from which a program of the same shape can start warm (the
+synthesizer's P-steps and Q-steps do).  ``solve_lp`` checks every answer by one rule
 (residual and duality gap) and walks one fallback ladder until an answer meets
 it.  ``write_lp`` dumps a program in LP format for cross-checks elsewhere.
 """

@@ -12,16 +12,18 @@ the vertex passes when min(eps - H b) >= -CHECK_TOL.  ``distance_witness``
 solves the joint program for the exact distance and returns its optimal point
 as the witness, so ``synth`` certifies without a coverage LP and ``verify``
 re-proves a stored witness without any.  A document without a witness gets
-one from a per-vertex program (``setgeom.hull_reach_lp``, the builder
-``contains_point`` uses too), each vertex warm from the last, and each answer
-is checked by the same arithmetic.  Passing vertex checks bound the exact
+one from a single program over all vertices (``setgeom.hull_reach_lp``, the
+builder ``contains_point`` uses too) that minimizes the sum of per-vertex
+inflations of the widths; it is separable by vertex, so each vertex's part is
+its own least inflation, and the answer is checked by the same arithmetic.
+Both programs solve cold by primal simplex.  Passing vertex checks bound the exact
 coverage distance by sum(epsilon), and the objective-bound check carries that
 bound to the stored objective.  ``certify`` runs every check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -180,12 +182,6 @@ class CoverageWitness:
     __eq__ = fields_equal
 
 
-def _witness_of(x: np.ndarray, n: int, slots: int, W: BoxHullSet) -> CoverageWitness:
-    """The points and weights that lead a ``hull_reach_lp`` answer over n vertices."""
-    n_p, n_beta = n * slots * W.dim, n * slots * W.n_boxes
-    return CoverageWitness(x[n_p : n_p + n_beta].reshape(n, slots, W.n_boxes), x[:n_p].reshape(n, slots, W.dim))
-
-
 def _coverage_margins(coeff, vertices, W: BoxHullSet, H: np.ndarray, epsilon, witness: CoverageWitness) -> np.ndarray:
     """min(eps - H b) per vertex, at the points of W the witness names.
 
@@ -209,6 +205,23 @@ def _coverage_margins(coeff, vertices, W: BoxHullSet, H: np.ndarray, epsilon, wi
     return margins
 
 
+def _reach_witness(coeff, vertices, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs):
+    """Solve ``hull_reach_lp`` over every vertex at the cost of ``slack``,
+    cold by primal simplex (W is fixed and the answer is re-checked by
+    arithmetic), and return the outcome with the points and weights that lead
+    its answer.  Raises LpFailure, which carries the program, when the LP has
+    no accepted answer."""
+    lp = hull_reach_lp(coeff, vertices, W, H, slack, slack_lb, h_rhs)
+    out = solve_lp(lp, primal=True)
+    if not out.optimal:
+        raise LpFailure(f"coverage LP ended with status {out.status}", lp)
+    n, slots = len(vertices), len(coeff)
+    n_p, n_beta = n * slots * W.dim, n * slots * W.n_boxes
+    return out, CoverageWitness(
+        out.x[n_p : n_p + n_beta].reshape(n, slots, W.n_boxes), out.x[:n_p].reshape(n, slots, W.dim)
+    )
+
+
 def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray):
     """Exact coverage distance of the horizon-reachable output set for a fixed
     W, with the optimal point that proves it.
@@ -216,9 +229,7 @@ def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, hori
     One LP drives the output to a deviation-neighborhood of every vertex,
     with each disturbance point encoded exactly as a point of the blended
     box of its convex weights over the member boxes; the widths eps >= 0 are
-    shared by all vertices.  The optimal value is unique and the witness is
-    re-checked by arithmetic, so it is solved by primal simplex, the faster
-    here.  Returns (epsilon, objective, witness); raises
+    shared by all vertices.  Returns (epsilon, objective, witness); raises
     LpFailure, which carries the program, when the LP has no accepted answer.
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
@@ -226,39 +237,14 @@ def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, hori
     n_b = H.shape[0]
     slack = -sp.kron(np.ones((len(vertices), 1)), sp.eye(n_b), "coo")
     coeff = _reach_coefficients(sys, horizon)
-    lp = hull_reach_lp(coeff, vertices, W, H, slack, 0.0, np.zeros(slack.shape[0]))
-    out = solve_lp(lp, primal=True)
-    if not out.optimal:
-        raise LpFailure(f"coverage LP ended with status {out.status}", lp)
-    return out.x[-n_b:].copy(), float(out.objective), _witness_of(out.x, len(vertices), len(coeff), W)
+    out, witness = _reach_witness(coeff, vertices, W, H, slack, 0.0, np.zeros(slack.shape[0]))
+    return out.x[-n_b:].copy(), float(out.objective), witness
 
 
 def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray):
     """(epsilon, objective) of ``distance_witness``."""
     epsilon, objective, _ = distance_witness(sys, Y_vertices, W, horizon, H)
     return epsilon, objective
-
-
-def _vertex_witness(coeff, vertices, W: BoxHullSet, H: np.ndarray, epsilon) -> CoverageWitness:
-    """A witness from one LP per vertex that minimizes the uniform inflation t
-    needed on top of the claimed widths.  The vertex LPs differ only in the
-    right-hand side of the output rows, so the program is built once and each
-    vertex's solve starts from the previous vertex's optimal basis.  A vertex
-    LP without an accepted answer raises LpFailure, which carries that
-    vertex's program.  W is fixed, so cold solves run primal simplex."""
-    lp = hull_reach_lp(coeff, vertices[:1], W, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon)
-    weights, points = [], []
-    basis = None
-    for i, y in enumerate(vertices):
-        vertex_lp = replace(lp, b_eq=np.concatenate((y, lp.b_eq[y.size :])))
-        out = solve_lp(vertex_lp, basis=basis, primal=True)
-        if not out.optimal:
-            raise LpFailure(f"vertex {i} coverage LP ended with status {out.status}", vertex_lp)
-        basis = out.basis
-        answer = _witness_of(out.x, 1, len(coeff), W)
-        weights.append(answer.weights[0])
-        points.append(answer.points[0])
-    return CoverageWitness(weights, points)
 
 
 def verify_coverage(
@@ -275,14 +261,18 @@ def verify_coverage(
     least -CHECK_TOL.
 
     With no witness (a document written before results stored one), one is
-    found by a warm-started LP per vertex that minimizes the inflation t of
-    the widths, whose margin is then -t up to the LP's tolerances.
+    found by one LP over all vertices that minimizes the sum of per-vertex
+    inflations t_i of the widths.  Its rows and columns are block-diagonal by
+    vertex, so each t_i is that vertex's least inflation and its margin is
+    -t_i up to the LP's tolerances.
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     coeff = _reach_coefficients(sys, horizon)
     if witness is None:
-        witness = _vertex_witness(coeff, vertices, W, H, epsilon)
+        n = len(vertices)
+        slack = -sp.kron(sp.eye(n), np.ones((H.shape[0], 1)), "coo")
+        _, witness = _reach_witness(coeff, vertices, W, H, slack, -np.inf, np.tile(epsilon, n))
     margins = _coverage_margins(coeff, vertices, W, H, epsilon, witness)
     return Certificate(
         tuple(CheckResult(f"vertex-{i}", bool(m >= -CHECK_TOL), float(m), f"vertex {i}") for i, m in enumerate(margins))
@@ -295,7 +285,7 @@ def certify(
 ) -> Certificate:
     """Every certificate of a synthesized set, as ``synth`` stores them and
     ``verify`` re-proves them; coverage is checked on ``witness``, and only
-    without one does ``verify_coverage`` solve its vertex LPs.
+    without one does ``verify_coverage`` solve its coverage LP.
 
     Passing vertex checks bound the exact coverage distance by sum(epsilon),
     so ``objective-bound`` (objective >= sum(epsilon)) bounds it by the

@@ -174,13 +174,13 @@ def test_criterion_4_certification_soundness(plant, pentagon, illustrative, illu
     assert rep.violations == 0
 
 
-def test_criterion_5_dimension_audit(illustrative_synthesis):
+def test_criterion_5_dimension_audit(plant, illustrative_synthesis):
     problem, result, _ = illustrative_synthesis
     lay = problem.layout
     membership_rows = membership_blocks(lay)[0].shape[0]
     dim_wbar = result.witness["wbar"].size
     v, N, l, s = lay.n_vertices, lay.n_boxes, lay.horizon, lay.s
-    n_w, n_y, n_b, m_y, n_x = lay.n_w, lay.n_y, lay.n_b, lay.m_y, problem.sys.n_x
+    n_w, n_y, n_b, m_y, n_x = lay.n_w, lay.n_y, lay.n_b, lay.m_y, plant.n_x
     audits = {
         "dim_x": (lay.dim_x, 2 * N * n_w + (s + 1) * m_y),
         "dim_w": (lay.dim_w, v * (l + 1) * n_w),

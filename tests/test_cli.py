@@ -277,7 +277,7 @@ class TestExitCodes:
         def failing(lp, **kwargs):
             return LpOutcome(FAILED)
 
-        # a document without a witness, so verify solves the vertex LPs
+        # a document without a witness, so verify solves the coverage LP
         older = {key: val for key, val in small_result_doc.items() if key != "witness"}
         spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
         result_path = write_json(tmp_path / "result.json", older)
@@ -285,7 +285,7 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)  # verify has no --out: the program goes to the current directory
         assert main(["verify", spec_path, result_path]) == 4
         assert (tmp_path / "failed_lp.lp").read_text().startswith("Minimize")
-        assert "vertex 0 coverage LP ended with status failed" in capsys.readouterr().err
+        assert "error: coverage LP ended with status failed" in capsys.readouterr().err
 
 
 class TestRepeatedVertex:
@@ -519,6 +519,27 @@ def test_empty_or_ragged_box_list_is_2(tmp_path, small_spec_doc, small_result_do
     assert not (tmp_path / "p").exists()
 
 
+# result documents whose history is not a list of finite numbers; list() used
+# to load a string as its characters and keep a list's entries as they were
+BAD_HISTORY = {
+    "string": lambda d: d.update(history="abc"),
+    "mixed-entries": lambda d: d.update(history=[1, "x", None]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BAD_HISTORY))
+def test_malformed_history_is_2(tmp_path, small_spec_doc, small_result_doc, edit, capsys):
+    bad = json.loads(json.dumps(small_result_doc))
+    BAD_HISTORY[edit](bad)
+    spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+    result_path = write_json(tmp_path / "result.json", bad)
+    assert main(["verify", spec_path, result_path]) == 2
+    assert main(["plot", spec_path, result_path, "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: bad result document: ") for line in err)
+    assert not (tmp_path / "p").exists()
+
+
 # result documents whose witness does not make two 3-D arrays over the same (vertex, slot) pairs
 BAD_WITNESS = {
     "ragged": lambda d: d["witness"]["points"][0].__setitem__(0, [0.0]),
@@ -629,7 +650,7 @@ class TestWitness:
 
         monkeypatch.setattr(verifier, "solve_lp", spy)
         cert = cmd_verify(spec, doc)
-        assert cert.passed and len(solved) == len(vertices)
+        assert len(vertices) > 1 and cert.passed and len(solved) == 1
         margins = [c.margin for c in cert.checks if c.name.startswith("vertex-")]
         reference = inflation_margins(spec.sys, vertices, doc.W, doc.horizon, doc.H, doc.epsilon)
         np.testing.assert_allclose(margins, reference, rtol=0.0, atol=1e-9)

@@ -521,10 +521,10 @@ class TestBudgetTail:
         """Points of the tailed program, with every far Q_t set to its boxes'
         largest support, satisfy every row of the program without the tail."""
         full = illustrative_problem
-        params = full.params
+        params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         t0 = budget_tail(plant, pentagon, params)
         assert (t0, params.s) == (26, 60)
-        tailed = assemble(plant, pentagon, full.vertices, params, 4, 59, full.H, t0=t0)
+        tailed = assemble(plant, pentagon, vertices_hpoly(pentagon), params, 4, 59, h_preset("uniform:6", 2), t0=t0)
         lay, full_lay = tailed.layout, full.layout
         assert tailed.a_x.shape == (full.a_x.shape[0] - 4 * (60 - t0) * 5 + 2 * 4 * 2, full_lay.dim_x - (60 - t0) * 5 + 2)
         gbar = build_gbar(plant, pentagon, params)

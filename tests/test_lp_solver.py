@@ -228,7 +228,9 @@ def linprog_dual_objective(p, res):
 @pytest.fixture(scope="module")
 def illustrative_lps(plant, pentagon):
     """The first P-step and Q-step LPs of the illustrative problem from spread
-    weights, and the five per-vertex coverage LPs of the boxes they give."""
+    weights, the five single-vertex coverage LPs of the boxes they give (one
+    program up to the vertex's right-hand side), and the coverage LP over all
+    five vertices."""
     params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
     vertices = vertices_hpoly(pentagon)
     H = h_preset("uniform:6", 2)
@@ -245,8 +247,10 @@ def illustrative_lps(plant, pentagon):
         x, _, wbar, z, _, _ = p_step(problem, spread_beta(problem.layout))
         q_step(problem, wbar)
         W = boxes_from_x(problem, x)
+        for vertex in vertices:
+            verify_coverage(plant, vertex, W, 59, H, z[problem.layout.z_eps()])
         verify_coverage(plant, vertices, W, 59, H, z[problem.layout.z_eps()])
-    assert len(lps) == 2 + len(vertices)
+    assert len(lps) == 2 + len(vertices) + 1
     return lps
 
 

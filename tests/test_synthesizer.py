@@ -233,7 +233,7 @@ class TestPStep:
     def test_objective_bounded_by_zero_disturbance_value(self, small_setup):
         _, _, _, vertices, problem = small_setup
         _, _, _, _, obj, _ = p_step(problem, uniform_beta(problem.layout))
-        anchor = float(np.sum(np.max(np.clip(vertices @ problem.H.T, 0.0, None), axis=0)))
+        anchor = float(np.sum(np.max(np.clip(vertices @ h_preset("box", 2).T, 0.0, None), axis=0)))
         assert obj <= anchor + 1e-9
 
     def test_origin_vertex_gives_zero_objective(self):

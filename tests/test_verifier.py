@@ -361,8 +361,9 @@ class TestReachProgramShape:
         monkeypatch.setattr(verifier, "solve_lp", spy)
         distance_dY(sys, V, W, horizon, H)
         verify_coverage(sys, V[:1], W, horizon, H, eps)
-        dims = (sys.n_y, sys.n_w, W.n_boxes, horizon, H.shape[0])
-        assert shapes == [self.expected(len(V), *dims, H.shape[0]), self.expected(1, *dims, 1)]
+        verify_coverage(sys, V, W, horizon, H, eps)
+        n, dims = len(V), (sys.n_y, sys.n_w, W.n_boxes, horizon, H.shape[0])
+        assert shapes == [self.expected(n, *dims, H.shape[0]), self.expected(1, *dims, 1), self.expected(n, *dims, n)]
         if case == "illustrative":
             assert shapes[0] == (1540, 1816)
 
@@ -389,17 +390,15 @@ class TestSimplexStrategy:
         eps, _, _ = verifier.distance_witness(plant, V, CERTIFIED_W, 59, H)
         distance, runs[:] = list(runs), []
         assert verify_coverage(plant, V, CERTIFIED_W, 59, H, eps).passed
-        vertex = list(runs)
+        coverage = list(runs)
         # P-steps and Q-steps: dual simplex, Devex-priced when warm
         assert any(warm for warm, _, _ in synthesis)
         assert all(not primal and devex is warm for warm, primal, devex in synthesis)
         # the exact distance: cold by primal simplex
         assert distance[0] == (False, True, False)
         assert all(primal is not warm and devex is warm for warm, primal, devex in distance)
-        # the vertex loop: the first vertex cold by primal simplex, the rest warm by dual with Devex
-        assert vertex[0] == (False, True, False)
-        assert sum(warm for warm, _, _ in vertex) >= len(V) - 1
-        assert all(primal is not warm and devex is warm for warm, primal, devex in vertex)
+        # the coverage program over all vertices: one run, cold by primal simplex
+        assert coverage == [(False, True, False)]
 
     @pytest.mark.parametrize("case", ["illustrative", "random-71"])
     def test_distance_is_the_dual_simplex_optimum(self, case, monkeypatch):
@@ -455,31 +454,15 @@ class TestVerifyCoverage:
         monkeypatch.setattr(verifier, "solve_lp", counting)
         for order in (slice(None), slice(None, None, -1)):
             warm_starts.clear()
-            warm = verify_coverage(plant, V[order], CERTIFIED_W, 59, H, eps)
-            assert warm_starts == [False] + [True] * (len(V) - 1)
-            cold = [
+            joint = verify_coverage(plant, V[order], CERTIFIED_W, 59, H, eps)
+            # one program over all vertices, solved cold
+            assert warm_starts == [False]
+            single = [
                 verify_coverage(plant, V[order][i : i + 1], CERTIFIED_W, 59, H, eps).checks[0].margin
                 for i in range(len(V))
             ]
-            assert np.allclose([c.margin for c in warm.checks], cold, rtol=0.0, atol=1e-12)
-            assert warm.passed is not halve
-
-    def test_warm_solves_price_with_devex(self, plant, pentagon, monkeypatch):
-        V = vertices_hpoly(pentagon)
-        H = h_preset("uniform:6", 2)
-        eps, _ = distance_dY(plant, V, CERTIFIED_W, 59, H)
-        runs = []
-        real = lp_solver._run
-
-        def spy(lp, presolve, basis=None, primal=False):
-            highs = real(lp, presolve, basis, primal)
-            runs.append((basis is not None, prices_with_devex(highs)))
-            return highs
-
-        monkeypatch.setattr(lp_solver, "_run", spy)
-        assert verify_coverage(plant, V, CERTIFIED_W, 59, H, eps).passed
-        assert sum(warm for warm, _ in runs) >= len(V) - 1
-        assert all(devex is warm for warm, devex in runs)
+            assert np.allclose([c.margin for c in joint.checks], single, rtol=0.0, atol=1e-12)
+            assert joint.passed is not halve
 
     @pytest.mark.parametrize("case", ["certified-pentagon", "random-69", "random-70"])
     def test_joint_optimum_is_tight_for_the_vertex_checks(self, plant, pentagon, case):
