@@ -1,0 +1,74 @@
+#!/usr/bin/env bash
+# End-to-end smoke test of the command line, run from the repository root.
+#
+# usage: bash .github/scripts/smoke.sh distsynth
+#        PYTHONPATH=src bash .github/scripts/smoke.sh "python -m distsynth"
+#
+# The argument is the command that runs distsynth; it is split on spaces.
+# Outputs go to ci-out/.  Every synth is followed by check_result.py and a
+# verify; the illustrative and the mapped plant's results are verified again
+# without their witness (one coverage LP over all vertices), and the frozen
+# result, written before witnesses existed, is verified too.  The mapped
+# plant's l = 151 gives the largest joint distance LP and coverage LP, and the
+# generated problem's 5-box hull the widest blended-box rows; plotting it runs
+# BoxHullSet.corners and the support-point kernel.
+set -euxo pipefail
+
+read -r -a ds <<< "$1"
+out=ci-out
+mkdir -p "$out"
+
+strip_witness() {
+    python -c "import json, sys; d = json.load(open(sys.argv[1])); del d['witness']; json.dump(d, open(sys.argv[2], 'w'))" "$1" "$2"
+}
+
+"${ds[@]}" params specs/illustrative.json --out "$out/params.json"
+"${ds[@]}" synth specs/illustrative.json --out "$out"
+python .github/scripts/check_result.py "$out/result.json"
+"${ds[@]}" verify specs/illustrative.json "$out/result.json"
+strip_witness "$out/result.json" "$out/no-witness.json"
+"${ds[@]}" verify specs/illustrative.json "$out/no-witness.json"
+"${ds[@]}" verify specs/illustrative.json perfbench/data/illustrative_result.json
+python -m distsynth verify specs/illustrative.json "$out/result.json"
+"${ds[@]}" plot specs/illustrative.json "$out/result.json" --out "$out/plots"
+
+"${ds[@]}" reduce specs/reduced_order_plant.json --out "$out/mapped.json"
+"${ds[@]}" params "$out/mapped.json"
+"${ds[@]}" synth "$out/mapped.json" --out "$out/mapped"
+python .github/scripts/check_result.py "$out/mapped/result.json"
+"${ds[@]}" verify "$out/mapped.json" "$out/mapped/result.json"
+strip_witness "$out/mapped/result.json" "$out/mapped/no-witness.json"
+"${ds[@]}" verify "$out/mapped.json" "$out/mapped/no-witness.json"
+
+"${ds[@]}" gen --nx 3 --nw 2 --ny 2 --rho 0.7 --out "$out/gen.json"
+"${ds[@]}" synth "$out/gen.json" --out "$out/gen"
+python .github/scripts/check_result.py "$out/gen/result.json"
+"${ds[@]}" verify "$out/gen.json" "$out/gen/result.json"
+"${ds[@]}" plot "$out/gen.json" "$out/gen/result.json" --out "$out/gen/plots"
+
+# Y = {y1 <= 1, y2 <= 1, y1 + y2 <= 1.5} has two vertices and a ray: vertex
+# enumeration rejects it by its ray rule (scipy.linalg.null_space), exit 3,
+# with no LP to write
+python -c "import json; d = json.load(open('specs/illustrative.json')); d['constraints'] = {'G': [[1, 0], [0, 1], [1, 1]], 'g': [1, 1, 1.5]}; json.dump(d, open('$out/unbounded.json', 'w'))"
+code=0
+"${ds[@]}" synth "$out/unbounded.json" --out "$out/unbounded" 2> "$out/unbounded.err" || code=$?
+cat "$out/unbounded.err"
+test "$code" -eq 3
+grep -q unbounded "$out/unbounded.err"
+test ! -e "$out/unbounded/failed_lp.lp"
+
+# every listed vertex must meet G v <= g + 1e-9, the rule enumerated vertices
+# meet: exit 2
+python -c "import json; d = json.load(open('specs/illustrative.json')); d['constraints']['vertices'] = [[5, 5], [-5, 5], [0, -5]]; json.dump(d, open('$out/outside.json', 'w'))"
+code=0
+"${ds[@]}" synth "$out/outside.json" --out "$out/outside" 2> "$out/outside.err" || code=$?
+cat "$out/outside.err"
+test "$code" -eq 2
+grep -q "outside the constraint set" "$out/outside.err"
+test ! -e "$out/outside/failed_lp.lp"
+
+# a negative seed fails the seed option's "integer >= 0" rule before any draw: exit 2
+code=0
+"${ds[@]}" gen --nx 2 --nw 1 --ny 1 --rho 0.5 --seed -1 --out "$out/negative-seed.json" || code=$?
+test "$code" -eq 2
+test ! -e "$out/negative-seed.json"

@@ -224,6 +224,13 @@ def _integer(value, what: str):
     return value
 
 
+def _typed(value, kind: type, what: str, name: str):
+    """``value`` unchanged; ValueError unless it is a ``kind``, called ``name``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {name}, not {value!r}")
+    return value
+
+
 def _params_dict(params: RpiParams) -> dict:
     return {"s": params.s, "alpha": params.alpha, "lambda": params.lam, "gamma": params.gamma, "mu": params.mu}
 
@@ -240,17 +247,11 @@ class ResultDoc:
     history: list
     iterations: int
     termination: str
+    l0: int  # coverage horizon of the alternation (and history)
+    t0: int  # first output-inclusion term of the shared tail bound; s means no tail
     timing: dict = field(default_factory=dict)
     p_nit: list = field(default_factory=list)  # simplex iterations per P-step
-    l0: int | None = None  # coverage horizon of the alternation (and history); None means l
-    t0: int | None = None  # first output-inclusion term of the shared tail bound; None means s, no tail
     witness: verifier.CoverageWitness | None = None  # None in documents written before results stored it
-
-    def __post_init__(self):
-        if self.l0 is None:
-            self.l0 = self.horizon
-        if self.t0 is None:
-            self.t0 = self.params.s
 
     def to_dict(self) -> dict:
         doc = {
@@ -279,11 +280,12 @@ class ResultDoc:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ResultDoc":
-        """The stored result; SpecError on a missing or malformed entry or on a
+        """The stored result; SpecError on a missing or malformed entry: a
         non-finite number in params, the boxes, epsilon, objective, H, the
-        history or the witness, on a history that is not a list of numbers, on
-        a non-integer s, l, l0, t0, iterations or p_nit entry, or on witness
-        arrays that are ragged or not 3-D over the same (vertex, slot) pairs.
+        history or the witness, a history that is not a list of numbers, a
+        non-integer s, l, l0, t0, iterations or p_nit entry, a termination that
+        is not a string, certificates or timing that are not a JSON object, or
+        witness arrays that are ragged or not 3-D over the same (vertex, slot) pairs.
         A document without l0 (written before it existed) alternated at l, one
         without t0 kept every output-inclusion term, and one without a witness
         is verified by one coverage LP."""
@@ -315,11 +317,11 @@ class ResultDoc:
                 objective=_finite(float(doc["objective"]), "objective"),
                 horizon=_integer(doc["l"], "l"),
                 H=_finite(np.asarray(doc["H"], dtype=float), "H"),
-                certificates=dict(doc.get("certificates", {})),
+                certificates=_typed(doc.get("certificates", {}), dict, "certificates", "JSON object"),
                 history=history.tolist(),
                 iterations=_integer(doc.get("iterations", 0), "iterations"),
-                termination=str(doc.get("termination", "")),
-                timing=dict(doc.get("timing", {})),
+                termination=_typed(doc.get("termination", ""), str, "termination", "string"),
+                timing=_typed(doc.get("timing", {}), dict, "timing", "JSON object"),
                 p_nit=[_integer(n, "p_nit entry") for n in doc.get("p_nit", [])],
                 l0=_integer(doc.get("l0", doc["l"]), "l0"),
                 t0=_integer(doc.get("t0", params.s), "t0"),

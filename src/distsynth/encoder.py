@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .rpi_params import RpiParams
-from .setgeom import HPolytope, LtiSystem, merge_vertices, stacked_identity
+from .setgeom import HPolytope, LtiSystem, merge_vertices, reach_coefficients, stacked_identity
 
 
 class EncodingError(ValueError):
@@ -186,15 +186,6 @@ def encode_origin(layout: VariableLayout):
     return _pad_x(sp.coo_matrix(block), layout), np.zeros(2 * layout.n_w)
 
 
-def reach_terms(sys: LtiSystem, horizon: int) -> np.ndarray:
-    """(horizon, n_y, n_w) stack of C A^k B for k = 0..horizon-1, each formed
-    as (C @ A^k) @ B."""
-    powers = [np.eye(sys.n_x)]
-    for _ in range(horizon - 1):
-        powers.append(powers[-1] @ sys.A)
-    return np.stack([sys.C @ P @ sys.B for P in powers])
-
-
 def encode_vertex_reach(
     vertices: np.ndarray, sys: LtiSystem, layout: VariableLayout, H: np.ndarray
 ):
@@ -208,13 +199,10 @@ def encode_vertex_reach(
     l = layout.horizon
     if l < 1:
         raise EncodingError("horizon must be at least 1")
-    # reach coefficients: slot t carries C A^(l-1-t) B, slot l carries D
-    coeff = [*reach_terms(sys, l)[::-1], sys.D]
-
     v, N = layout.n_vertices, layout.n_boxes
     groups, n_out = layout.n_groups, v * layout.n_y
-    # row (i, k): sum_t coeff_t[k] w_(i, t) + b_i[k] = vertex_i[k]
-    c_w = sp.kron(sp.eye(v), np.hstack(coeff), "csr")
+    # row (i, k): sum_t coeff_t[k] w_(i, t) + b_i[k] = vertex_i[k], coeff_t slot t of reach_coefficients
+    c_w = sp.kron(sp.eye(v), np.hstack(reach_coefficients(sys, l)), "csr")
     c_z = sp.hstack([sp.coo_matrix((n_out, layout.n_b)), sp.eye(n_out, format="coo")], format="csr")
     h = np.asarray(vertices, dtype=float).ravel()
     # row (i, k): H[k] b_i - eps[k] <= 0
@@ -259,7 +247,7 @@ def short_horizon(sys: LtiSystem, horizon: int) -> int:
     outputs reach within the widths at horizon t reaches within them at any
     longer horizon: the missing terms can take the disturbance 0.
     """
-    return tail_start(np.abs(reach_terms(sys, horizon)).sum(axis=(1, 2)), SHORT_HORIZON_TAIL)
+    return tail_start(np.abs(reach_coefficients(sys, horizon)[-2::-1]).sum(axis=(1, 2)), SHORT_HORIZON_TAIL)
 
 
 # the output-inclusion terms whose maps sum to at most this fraction of the

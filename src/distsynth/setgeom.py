@@ -8,14 +8,16 @@ axis-aligned boxes.  Support functions over such hulls have the closed form
 over the member boxes (c_j, e_j), so inclusion certificates never need an
 explicit halfspace description of the hull.  Membership in the hull is an
 exact linear program over one point and the box weights; ``hull_reach_lp``
-is its one builder: ``contains_point`` calls it with the identity map, and
-the verifier's coverage checks with the reach coefficients of a system.
+is its one builder and ``hull_reach_point`` its one reader: ``contains_point``
+calls it with the identity map, and the verifier's coverage checks with the
+slot maps of a system, ``reach_coefficients``, which the encoder's reach rows
+share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import numpy as np
 import scipy.sparse as sp
@@ -209,11 +211,18 @@ class Membership:
         return self.inside
 
 
+def reach_coefficients(sys: LtiSystem, l: int) -> np.ndarray:
+    """(l + 1, n_y, n_w) maps of the slots: C A^(l-1-t) B for slot t < l, then
+    D; each formed as (C @ A^k) @ B, with A^k by repeated products."""
+    powers = list(accumulate([sys.A] * (l - 1), np.matmul, initial=np.eye(sys.n_x)))
+    return np.stack([sys.C @ P @ sys.B for P in powers[::-1]] + [sys.D])
+
+
 def hull_reach_lp(
     coeff: np.ndarray, vertices: np.ndarray, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs
 ) -> LpProblem:
     """Reach program for every row of ``vertices`` at once, at the cost of the
-    caller's slack columns.
+    caller's slack columns, which come last.
 
     ``coeff`` stacks one (n_y, n_w) map per slot.  Each vertex copy has one
     point p per slot, the box weights beta >= 0 (slot, box) and the output
@@ -255,6 +264,13 @@ def hull_reach_lp(
     return LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
 
 
+def hull_reach_point(x: np.ndarray, n: int, slots: int, W: BoxHullSet):
+    """(weights (n, slots, N), points (n, slots, n_w)): the box weights and the
+    blended points of a point ``x`` of ``hull_reach_lp`` for n vertices."""
+    n_p = n * slots * W.dim
+    return x[n_p : n_p + n * slots * W.n_boxes].reshape(n, slots, W.n_boxes), x[:n_p].reshape(n, slots, W.dim)
+
+
 def box_points(centers, halfwidths, weights, w) -> np.ndarray:
     """Points wbar_gj = c_j + e_j t_g, (groups, N, n_w), with sum_j beta_gj
     wbar_gj = w_g for one row beta_g of ``weights`` and w_g of ``w`` per group:
@@ -278,7 +294,7 @@ def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
     if tol <= 0:
         raise ValueError("tol must be positive")
     w = np.asarray(w, dtype=float).ravel()
-    n, N = W.dim, W.n_boxes
+    n = W.dim
     if w.size != n:
         raise GeometryError("point dimension mismatch")
     lp = hull_reach_lp(np.eye(n)[None], w[None], W, stacked_identity(n), -np.ones((2 * n, 1)), 0.0, np.zeros(2 * n))
@@ -286,9 +302,9 @@ def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
     if not out.optimal:
         raise LpFailure(f"membership LP failed with status {out.status}", lp)
     residual = float(out.objective)
-    beta = out.x[n : n + N]
-    points = box_points(W.centers, W.halfwidths, beta[None], out.x[None, :n])[0]
-    return Membership(residual <= tol, residual, beta, points)
+    weights, p = hull_reach_point(out.x, 1, 1, W)
+    points = box_points(W.centers, W.halfwidths, weights[0], p[0])[0]
+    return Membership(residual <= tol, residual, weights[0, 0], points)
 
 
 # ---------------------------------------------------------------------------

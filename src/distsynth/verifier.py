@@ -6,19 +6,21 @@ blended point p of the box sum_j beta_j box_j (``CoverageWitness``).  The
 weights are clipped to >= 0 and normalized, p is split into one point per box
 by ``setgeom.box_points`` (which clips each into its own box), so every slot's
 point w_t = sum_j beta_j p_j lies in W whatever the witness holds; the
-deviation b = y - sum_t coeff_t w_t is then formed with reach coefficients
-taken here, not from the encoder, so a fault there cannot certify itself, and
-the vertex passes when min(eps - H b) >= -CHECK_TOL.  ``distance_witness``
-solves the joint program for the exact distance and returns its optimal point
-as the witness, so ``synth`` certifies without a coverage LP and ``verify``
-re-proves a stored witness without any.  A document without a witness gets
-one from a single program over all vertices (``setgeom.hull_reach_lp``, the
-builder ``contains_point`` uses too) that minimizes the sum of per-vertex
-inflations of the widths; it is separable by vertex, so each vertex's part is
-its own least inflation, and the answer is checked by the same arithmetic.
-Both programs solve cold by primal simplex.  Passing vertex checks bound the exact
-coverage distance by sum(epsilon), and the objective-bound check carries that
-bound to the stored objective.  ``certify`` runs every check.
+deviation b = y - sum_t coeff_t w_t is formed with the slot maps of
+``setgeom.reach_coefficients``, and the vertex passes when
+min(eps - H b) >= -CHECK_TOL.  The horizon constants, the output-inclusion
+terms and this arithmetic are the verifier's own, kept apart from the
+synthesizer's.
+``distance_witness`` solves the joint program for the exact distance and
+returns its optimal point as the witness, so ``synth`` certifies without a
+coverage LP and ``verify`` re-proves a stored witness without any.  A document
+without a witness gets one from a single program over all vertices
+(``setgeom.hull_reach_lp``) that minimizes the sum of per-vertex inflations of
+the widths; it is separable by vertex, so each vertex's part is its own least
+inflation, and the answer is checked by the same arithmetic.  Both programs
+solve cold by primal simplex.  Passing vertex checks bound the exact coverage
+distance by sum(epsilon), and the objective-bound check carries that bound to
+the stored objective.  ``certify`` runs every check.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from .setgeom import (
     box_points,
     fields_equal,
     hull_reach_lp,
+    hull_reach_point,
+    reach_coefficients,
     rollout,
     sample_batch,
     simulate,  # noqa: F401  kept in this namespace; callers look it up as verifier.simulate
@@ -155,19 +159,11 @@ def verify_gamma(sys: LtiSystem, W: BoxHullSet, gamma: float) -> Certificate:
     return Certificate((check,))
 
 
-def _reach_coefficients(sys: LtiSystem, horizon: int) -> np.ndarray:
-    """(horizon + 1, n_y, n_w) maps of the slots: C A^(horizon-1-t) B, then D."""
-    powers = [np.eye(sys.n_x)]
-    for _ in range(horizon - 1):
-        powers.append(powers[-1] @ sys.A)
-    return np.stack([sys.C @ powers[horizon - 1 - t] @ sys.B for t in range(horizon)] + [sys.D])
-
-
 @dataclass(frozen=True, eq=False)
 class CoverageWitness:
     """A point of the coverage program for every vertex of Y and slot: the box
     weights ``weights`` (n_v, l + 1, N) and the blended point ``points``
-    (n_v, l + 1, n_w), slots ordered as ``_reach_coefficients`` orders them."""
+    (n_v, l + 1, n_w), slots ordered as ``reach_coefficients`` orders them."""
 
     weights: np.ndarray
     points: np.ndarray
@@ -215,11 +211,7 @@ def _reach_witness(coeff, vertices, W: BoxHullSet, H: np.ndarray, slack, slack_l
     out = solve_lp(lp, primal=True)
     if not out.optimal:
         raise LpFailure(f"coverage LP ended with status {out.status}", lp)
-    n, slots = len(vertices), len(coeff)
-    n_p, n_beta = n * slots * W.dim, n * slots * W.n_boxes
-    return out, CoverageWitness(
-        out.x[n_p : n_p + n_beta].reshape(n, slots, W.n_boxes), out.x[:n_p].reshape(n, slots, W.dim)
-    )
+    return out, CoverageWitness(*hull_reach_point(out.x, len(vertices), len(coeff), W))
 
 
 def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray):
@@ -236,7 +228,7 @@ def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, hori
     H = np.atleast_2d(np.asarray(H, dtype=float))
     n_b = H.shape[0]
     slack = -sp.kron(np.ones((len(vertices), 1)), sp.eye(n_b), "coo")
-    coeff = _reach_coefficients(sys, horizon)
+    coeff = reach_coefficients(sys, horizon)
     out, witness = _reach_witness(coeff, vertices, W, H, slack, 0.0, np.zeros(slack.shape[0]))
     return out.x[-n_b:].copy(), float(out.objective), witness
 
@@ -268,7 +260,7 @@ def verify_coverage(
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    coeff = _reach_coefficients(sys, horizon)
+    coeff = reach_coefficients(sys, horizon)
     if witness is None:
         n = len(vertices)
         slack = -sp.kron(sp.eye(n), np.ones((H.shape[0], 1)), "coo")

@@ -10,7 +10,12 @@ from distsynth.encoder import SynthProblem, VariableLayout
 from distsynth.lp_solver import solve_lp
 from distsynth.rpi_params import horizon_constants
 from distsynth.setgeom import hull_reach_lp, stacked_identity
-from distsynth.verifier import _reach_coefficients
+
+
+def reach_reference(sys, l: int) -> np.ndarray:
+    """(l + 1, n_y, n_w): C A^(l-1-t) B for slot t < l, then D, each power
+    taken afresh by ``np.linalg.matrix_power``."""
+    return np.stack([sys.C @ np.linalg.matrix_power(sys.A, l - 1 - t) @ sys.B for t in range(l)] + [sys.D])
 
 
 def uniform_beta(layout: VariableLayout) -> np.ndarray:
@@ -60,7 +65,7 @@ def program_residual(problem: SynthProblem, point: dict) -> float:
 def inflation_margins(sys, vertices, W: BoxHullSet, horizon: int, H, epsilon) -> np.ndarray:
     """-t per vertex, t the least uniform inflation of the widths under which
     the horizon-reachable outputs reach the vertex: one cold LP each."""
-    coeff = _reach_coefficients(sys, horizon)
+    coeff = reach_reference(sys, horizon)
     margins = []
     for y in vertices:
         out = solve_lp(hull_reach_lp(coeff, y[None], W, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon))

@@ -520,10 +520,15 @@ def test_empty_or_ragged_box_list_is_2(tmp_path, small_spec_doc, small_result_do
 
 
 # result documents whose history is not a list of finite numbers; list() used
-# to load a string as its characters and keep a list's entries as they were
+# to load a string as its characters and keep a list's entries as they were;
+# and whose termination is not a string or certificates or timing not a JSON
+# object, which str() and dict() used to coerce
 BAD_HISTORY = {
     "string": lambda d: d.update(history="abc"),
     "mixed-entries": lambda d: d.update(history=[1, "x", None]),
+    "termination-list": lambda d: d.update(termination=[1, 2]),
+    "certificates-pairs": lambda d: d.update(certificates=[["x", 1]]),
+    "timing-pairs": lambda d: d.update(timing=[["a", "b"]]),
 }
 
 
@@ -622,8 +627,8 @@ class TestWitness:
             assert failing and all(name.startswith("vertex-") for name in failing), k
 
     def test_perturbed_reach_coefficients_fail(self, small_spec_doc, small_result_doc, monkeypatch):
-        real = verifier._reach_coefficients
-        monkeypatch.setattr(verifier, "_reach_coefficients", lambda sys, horizon: 0.99 * real(sys, horizon))
+        real = verifier.reach_coefficients
+        monkeypatch.setattr(verifier, "reach_coefficients", lambda sys, horizon: 0.99 * real(sys, horizon))
         cert = cmd_verify(parse_spec(small_spec_doc), ResultDoc.from_dict(small_result_doc))
         failing = {c.name for c in cert.checks if not c.passed}
         assert failing and all(name.startswith("vertex-") for name in failing)
@@ -807,6 +812,8 @@ class TestCmdPlot:
             history=doc.history,
             iterations=doc.iterations,
             termination=doc.termination,
+            l0=doc.l0,
+            t0=doc.t0,
         )
         from distsynth.cli import cmd_plot
 
@@ -909,7 +916,7 @@ class TestPlotRejects:
         rng = np.random.default_rng(41)
         W = hull_of((rng.uniform(-0.05, 0.05, 3), rng.uniform(0.0, 0.03, 3)) for _ in range(4))
         H = h_preset("uniform:6", 2)
-        doc = ResultDoc(params, W, np.full(6, 0.2), 1.2, 59, H, {}, [], 0, "converged")
+        doc = ResultDoc(params, W, np.full(6, 0.2), 1.2, 59, H, {}, [], 0, "converged", l0=59, t0=60)
         spec_path = write_json(tmp_path / "spec.json", PENTAGON_SPEC)
         result_path = write_json(tmp_path / "result.json", doc.to_dict())
         assert main(["plot", spec_path, result_path, "--out", str(tmp_path / "p")]) == 2

@@ -29,6 +29,7 @@ from distsynth.setgeom import (
 )
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
+from reference import reach_reference
 
 
 def one_box(center, halfwidth) -> BoxHullSet:
@@ -194,6 +195,20 @@ class TestSupportRows:
         W = one_box([0.0, 0.0], [1.0, 1.0])
         M = np.vstack([np.eye(2), -np.eye(2)])
         assert np.allclose(support_rows(np.eye(2), M, W), 1.0)
+
+
+def test_reach_coefficients_match_matrix_powers():
+    """Slot t < l is C A^(l-1-t) B and slot l is D, against a stack built by
+    ``np.linalg.matrix_power``; each slot within 1e-12 of its largest entry."""
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        n_w, n_y = (int(k) for k in rng.integers(2, 4, size=2))
+        sys = random_stable_system(rng, n_x=int(rng.integers(1, 6)), n_w=n_w, n_y=n_y, rho=rng.uniform(0.3, 0.95))
+        for l in range(1, 61):
+            got, want = setgeom.reach_coefficients(sys, l), reach_reference(sys, l)
+            assert got.shape == want.shape == (l + 1, n_y, n_w)
+            scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), l
 
 
 class TestContainsPoint:

@@ -29,7 +29,6 @@ from distsynth import lp_solver, rpi_params, verifier
 from distsynth.cli import ResultDoc, parse_spec
 from distsynth.lp_solver import solve_lp
 from distsynth.setgeom import sample_batch, stacked_identity
-from distsynth.verifier import _reach_coefficients
 
 from conftest import (
     brute_force_hull_vertices,
@@ -38,7 +37,7 @@ from conftest import (
     random_stable_system,
     solves_by_primal,
 )
-from reference import constants_at, scaled, uniform_beta
+from reference import constants_at, reach_reference, scaled, uniform_beta
 
 
 def unit_box_constraints(n):
@@ -206,7 +205,7 @@ def _minkowski_polygons(polys):
 
 def _geometric_distance(sys, vertices, W, horizon, H):
     """Exact coverage distance via explicit planar Minkowski geometry."""
-    coeff = _reach_coefficients(sys, horizon)
+    coeff = reach_reference(sys, horizon)
     corners = brute_force_hull_vertices(W)
     polys = []
     for Mmap in coeff:
@@ -268,7 +267,7 @@ class TestCrossEncoding:
         horizon = 1
         _, lp_val = distance_dY(sys, vertices, W, horizon, H)
 
-        coeff = _reach_coefficients(sys, horizon)
+        coeff = reach_reference(sys, horizon)
         c0, c1 = W.centers
         h0, h1 = W.halfwidths
         grid = np.linspace(0.0, 1.0, 9)
