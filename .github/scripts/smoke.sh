@@ -11,7 +11,8 @@
 # result, written before witnesses existed, is verified too.  The mapped
 # plant's l = 151 gives the largest joint distance LP and coverage LP, and the
 # generated problem's 5-box hull the widest blended-box rows; plotting it runs
-# BoxHullSet.corners and the support-point kernel.
+# BoxHullSet.corners and the support-point kernel.  Both plots' simulated
+# trajectories must stay in Y.
 set -euxo pipefail
 
 read -r -a ds <<< "$1"
@@ -20,6 +21,13 @@ mkdir -p "$out"
 
 strip_witness() {
     python -c "import json, sys; d = json.load(open(sys.argv[1])); del d['witness']; json.dump(d, open(sys.argv[2], 'w'))" "$1" "$2"
+}
+
+# plot simulates 2000 = 31 * 64 + 16 steps from the origin, so rollout runs its
+# 64-step blocks and a shorter last one: every output row must meet
+# G y <= g + 1e-8 of the spec's constraints
+check_trajectory() {
+    python -c "import json, sys, numpy as np; c = json.load(open(sys.argv[1]))['constraints']; Y = np.loadtxt(sys.argv[2], delimiter=',', ndmin=2); assert Y.shape == (2000, 2), Y.shape; assert np.all(Y @ np.array(c['G']).T <= np.array(c['g']) + 1e-8), 'trajectory leaves Y'" "$1" "$2"
 }
 
 "${ds[@]}" params specs/illustrative.json --out "$out/params.json"
@@ -31,6 +39,7 @@ strip_witness "$out/result.json" "$out/no-witness.json"
 "${ds[@]}" verify specs/illustrative.json perfbench/data/illustrative_result.json
 python -m distsynth verify specs/illustrative.json "$out/result.json"
 "${ds[@]}" plot specs/illustrative.json "$out/result.json" --out "$out/plots"
+check_trajectory specs/illustrative.json "$out/plots/trajectory.csv"
 
 "${ds[@]}" reduce specs/reduced_order_plant.json --out "$out/mapped.json"
 "${ds[@]}" params "$out/mapped.json"
@@ -45,9 +54,10 @@ strip_witness "$out/mapped/result.json" "$out/mapped/no-witness.json"
 python .github/scripts/check_result.py "$out/gen/result.json"
 "${ds[@]}" verify "$out/gen.json" "$out/gen/result.json"
 "${ds[@]}" plot "$out/gen.json" "$out/gen/result.json" --out "$out/gen/plots"
+check_trajectory "$out/gen.json" "$out/gen/plots/trajectory.csv"
 
 # Y = {y1 <= 1, y2 <= 1, y1 + y2 <= 1.5} has two vertices and a ray: vertex
-# enumeration rejects it by its ray rule (scipy.linalg.null_space), exit 3,
+# enumeration rejects it by its ray rule (null_space's rank rule), exit 3,
 # with no LP to write
 python -c "import json; d = json.load(open('specs/illustrative.json')); d['constraints'] = {'G': [[1, 0], [0, 1], [1, 1]], 'g': [1, 1, 1.5]}; json.dump(d, open('$out/unbounded.json', 'w'))"
 code=0

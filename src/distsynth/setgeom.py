@@ -21,7 +21,6 @@ from itertools import accumulate, combinations, product
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import null_space
 
 from .lp_solver import LpFailure, LpProblem, solve_lp
 
@@ -211,11 +210,15 @@ class Membership:
         return self.inside
 
 
+def _powers(A: np.ndarray, count: int) -> list[np.ndarray]:
+    """A^0 .. A^(count-1), count >= 1, by repeated products."""
+    return list(accumulate([A] * (count - 1), np.matmul, initial=np.eye(len(A))))
+
+
 def reach_coefficients(sys: LtiSystem, l: int) -> np.ndarray:
     """(l + 1, n_y, n_w) maps of the slots: C A^(l-1-t) B for slot t < l, then
-    D; each formed as (C @ A^k) @ B, with A^k by repeated products."""
-    powers = list(accumulate([sys.A] * (l - 1), np.matmul, initial=np.eye(sys.n_x)))
-    return np.stack([sys.C @ P @ sys.B for P in powers[::-1]] + [sys.D])
+    D; each formed as (C @ A^k) @ B, with A^k by ``_powers``."""
+    return np.stack([sys.C @ P @ sys.B for P in _powers(sys.A, l)[::-1]] + [sys.D])
 
 
 def hull_reach_lp(
@@ -321,20 +324,43 @@ def sample_batch(W: BoxHullSet, count: int, rng: np.random.Generator) -> np.ndar
     return np.einsum("tn,tnd->td", beta, pts)
 
 
+_ROLLOUT_BLOCK = 64  # steps ``rollout`` advances per matrix product
+
+
+def _block_maps(sys: LtiSystem, K: int):
+    """(Phi, Gamma) of K steps: x(j) = A^j x(0) + sum_(i<j) A^(j-1-i) B w(i)
+    for j < K is the row block j of Phi x(0) + Gamma [w(0); ..; w(K-1)], with
+    Phi (K n_x, n_x) stacking A^j and Gamma (K n_x, K n_w) block lower
+    triangular Toeplitz, A^(j-1-i) B below the diagonal and 0 elsewhere."""
+    powers = np.stack(_powers(sys.A, K))
+    lag = np.subtract.outer(np.arange(K), np.arange(K)) - 1
+    blocks = np.where((lag >= 0)[:, :, None, None], (powers @ sys.B)[np.maximum(lag, 0)], 0.0)
+    return powers.reshape(K * sys.n_x, sys.n_x), blocks.transpose(0, 2, 1, 3).reshape(K * sys.n_x, K * sys.n_w)
+
+
 def rollout(sys: LtiSystem, x0: np.ndarray, w_seq: np.ndarray):
     """Step x+ = A x + B w, y = C x + D w for a batch of runs together.
 
     x0 holds one initial state per run, (runs, n_x); w_seq holds each run's
-    disturbance sequence, (runs, T, n_w).  Yields (x(t), y(t)) as
-    (runs, n_x) and (runs, n_y) arrays for t = 0..T-1, one step at a time,
-    so callers can fold long trajectories without storing them.
+    disturbance sequence, (runs, T, n_w).  Yields (x(t), y(t)) for t = 0..T-1
+    in blocks of up to _ROLLOUT_BLOCK steps, as (runs, k, n_x) and
+    (runs, k, n_y) arrays, so callers can fold long trajectories without
+    storing them.  Each block is one product with the maps of ``_block_maps``
+    (a last, shorter block takes their leading rows and columns), and the
+    state carried to the next block is A x + B w of its last step.
     """
-    At, Bt, Ct, Dt = sys.A.T, sys.B.T, sys.C.T, sys.D.T
+    runs, T, n_w = w_seq.shape
+    n_x = sys.n_x
+    K = max(1, min(_ROLLOUT_BLOCK, T))
+    phi, gamma = _block_maps(sys, K)
     x = np.array(x0, dtype=float)
-    for t in range(w_seq.shape[1]):
-        w = w_seq[:, t]
-        yield x, x @ Ct + w @ Dt
-        x = x @ At + w @ Bt
+    for t in range(0, T, K):
+        w = w_seq[:, t : t + K]
+        k = w.shape[1]
+        X = x @ phi[: k * n_x].T + w.reshape(runs, k * n_w) @ gamma[: k * n_x, : k * n_w].T
+        X = X.reshape(runs, k, n_x)
+        yield X, X @ sys.C.T + w @ sys.D.T
+        x = X[:, -1] @ sys.A.T + w[:, -1] @ sys.B.T
 
 
 def simulate(sys: LtiSystem, W: BoxHullSet, x0, T: int, rng: np.random.Generator):
@@ -342,6 +368,8 @@ def simulate(sys: LtiSystem, W: BoxHullSet, x0, T: int, rng: np.random.Generator
 
     Returns (X, Y, Wseq): state, output and disturbance trajectories with
     rows t = 0..T-1, where x(t+1) = A x(t) + B w(t) and y(t) = C x(t) + D w(t).
+    Wseq is one ``sample_batch`` of T points, and X and Y are written block
+    by block as ``rollout`` yields them.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
@@ -353,9 +381,11 @@ def simulate(sys: LtiSystem, W: BoxHullSet, x0, T: int, rng: np.random.Generator
     w_seq = sample_batch(W, T, rng)
     X = np.empty((T, sys.n_x))
     Y = np.empty((T, sys.n_y))
-    for t, (x, y) in enumerate(rollout(sys, x0[None], w_seq[None])):
-        X[t] = x[0]
-        Y[t] = y[0]
+    t = 0
+    for x, y in rollout(sys, x0[None], w_seq[None]):
+        k = x.shape[1]
+        X[t : t + k], Y[t : t + k] = x[0], y[0]
+        t += k
     return X, Y, w_seq
 
 
@@ -378,19 +408,28 @@ def merge_vertices(points) -> np.ndarray:
     return np.array(keep)
 
 
+def _subsets(m: int, k: int) -> np.ndarray:
+    """Every k-subset of range(m), one per row, in ``combinations`` order."""
+    return np.array(list(combinations(range(m), k)), dtype=int)
+
+
 def vertices_hpoly(P: HPolytope) -> np.ndarray:
     """Enumerate vertices of a bounded polytope by row-subset intersection.
 
     Practical for small descriptions only (up to 30 rows in dimension 4);
-    larger instances should supply their vertex lists directly.  Candidate
-    intersections are kept when ``P.contains`` them, and merged
-    by ``merge_vertices``.  Rows are returned in lexicographic order.
+    larger instances should supply their vertex lists directly.  Every subset
+    of n rows is stacked into one array; those of rank n (all singular values
+    above 1e-10) are solved at once, and their intersections are kept when
+    ``P.contains`` them and merged by ``merge_vertices``.  Rows are returned
+    in lexicographic order.
 
     A set with no vertex (empty, or containing a line) is rejected.  One with
     a vertex is unbounded iff its recession cone {d : G d <= 0} has an
     extreme ray, and every extreme ray is tight on n - 1 independent rows: so
-    each subset of n - 1 rows of rank n - 1 spans one direction d, and the set
-    is rejected as unbounded when G d <= _VERTEX_TOL or G (-d) <= _VERTEX_TOL.
+    each subset of n - 1 rows of rank n - 1 (``scipy.linalg.null_space``'s
+    rule, singular values above eps n s_max) spans one direction d, the last
+    right singular vector, and the set is rejected as unbounded when
+    G d <= _VERTEX_TOL or G (-d) <= _VERTEX_TOL.
     """
     m, n = P.G.shape
     if m > _MAX_ROWS or n > _MAX_DIM:
@@ -399,20 +438,18 @@ def vertices_hpoly(P: HPolytope) -> np.ndarray:
         )
     if m < n + 1:
         raise GeometryError("a bounded nonempty polytope needs at least n+1 rows")
-    found: list[np.ndarray] = []
-    for idx in combinations(range(m), n):
-        sub = P.G[list(idx)]
-        if np.linalg.matrix_rank(sub, tol=1e-10) < n:
-            continue
-        y = np.linalg.solve(sub, P.g[list(idx)])
-        if P.contains(y):
-            found.append(y)
-    if not found:
+    idx = _subsets(m, n)
+    subs = P.G[idx]
+    full = np.all(np.linalg.svd(subs, compute_uv=False) > 1e-10, axis=1)
+    y = np.linalg.solve(subs[full], P.g[idx[full]][:, :, None])[:, :, 0]
+    found = y[P.contains(y)]
+    if not len(found):
         raise GeometryError("no vertices found; polytope may be empty or degenerate")
-    for idx in combinations(range(m), n - 1):
-        d = null_space(P.G[list(idx)])
-        if d.shape[1] == 1 and (np.all(P.G @ d <= _VERTEX_TOL) or np.all(P.G @ d >= -_VERTEX_TOL)):
-            raise GeometryError("polytope is unbounded")
+    _, s, vh = np.linalg.svd(P.G[_subsets(m, n - 1)], full_matrices=True)
+    rank = np.count_nonzero(s > np.finfo(float).eps * n * s.max(axis=1, initial=0.0, keepdims=True), axis=1)
+    Gd = vh[rank == n - 1, -1] @ P.G.T
+    if np.any(np.all(Gd <= _VERTEX_TOL, axis=1) | np.all(Gd >= -_VERTEX_TOL, axis=1)):
+        raise GeometryError("polytope is unbounded")
     V = merge_vertices(found)
     return V[np.lexsort(V.T[::-1])]
 

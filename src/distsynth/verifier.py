@@ -316,8 +316,9 @@ def monte_carlo(
 
     Each run draws its own T-step sequence in turn, so the samples are those
     of ``runs`` successive ``simulate`` calls; all runs then step together
-    and each step's excess is folded into the totals at once, so no
-    trajectory is stored.
+    through ``rollout``, and each block's per-step excess (the largest of
+    G y - g) is folded into the totals at once, so no trajectory longer than
+    one block is stored.  A step violates when its excess exceeds CHECK_TOL.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
@@ -327,7 +328,7 @@ def monte_carlo(
     violations = 0
     worst = 0.0
     for _, y in rollout(sys, np.zeros((runs, sys.n_x)), w_seq):
-        excess = (y @ Y.G.T - Y.g).max(axis=1)
+        excess = (y @ Y.G.T - Y.g).max(axis=2)
         worst = max(worst, float(excess.max()))
         violations += int(np.count_nonzero(excess > CHECK_TOL))
     return MonteCarloReport(violations, max(0.0, worst), T * runs)

@@ -4,12 +4,22 @@ import itertools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import null_space
 
 from distsynth import BoxHullSet
 from distsynth.encoder import SynthProblem, VariableLayout
 from distsynth.lp_solver import solve_lp
 from distsynth.rpi_params import horizon_constants
-from distsynth.setgeom import hull_reach_lp, stacked_identity
+from distsynth.setgeom import (
+    _MAX_DIM,
+    _MAX_ROWS,
+    _VERTEX_TOL,
+    GeometryError,
+    HPolytope,
+    hull_reach_lp,
+    merge_vertices,
+    stacked_identity,
+)
 
 
 def reach_reference(sys, l: int) -> np.ndarray:
@@ -72,3 +82,31 @@ def inflation_margins(sys, vertices, W: BoxHullSet, horizon: int, H, epsilon) ->
         assert out.optimal
         margins.append(-out.objective)
     return np.array(margins)
+
+
+def vertices_hpoly_loop(P: HPolytope) -> np.ndarray:
+    """Reference for ``vertices_hpoly``: one rank test and one solve per
+    subset of n rows, then one ``null_space`` per subset of n - 1 rows."""
+    m, n = P.G.shape
+    if m > _MAX_ROWS or n > _MAX_DIM:
+        raise GeometryError(
+            f"enumeration limited to {_MAX_ROWS} rows and dimension {_MAX_DIM}; supply vertices"
+        )
+    if m < n + 1:
+        raise GeometryError("a bounded nonempty polytope needs at least n+1 rows")
+    found: list[np.ndarray] = []
+    for idx in itertools.combinations(range(m), n):
+        sub = P.G[list(idx)]
+        if np.linalg.matrix_rank(sub, tol=1e-10) < n:
+            continue
+        y = np.linalg.solve(sub, P.g[list(idx)])
+        if P.contains(y):
+            found.append(y)
+    if not found:
+        raise GeometryError("no vertices found; polytope may be empty or degenerate")
+    for idx in itertools.combinations(range(m), n - 1):
+        d = null_space(P.G[list(idx)])
+        if d.shape[1] == 1 and (np.all(P.G @ d <= _VERTEX_TOL) or np.all(P.G @ d >= -_VERTEX_TOL)):
+            raise GeometryError("polytope is unbounded")
+    V = merge_vertices(found)
+    return V[np.lexsort(V.T[::-1])]

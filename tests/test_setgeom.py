@@ -29,7 +29,7 @@ from distsynth.setgeom import (
 )
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
-from reference import reach_reference
+from reference import reach_reference, vertices_hpoly_loop
 
 
 def one_box(center, halfwidth) -> BoxHullSet:
@@ -458,6 +458,57 @@ class TestBoundednessRule:
             vertices_hpoly(P)
 
 
+def _enumeration_outcome(enumerate_vertices, P: HPolytope):
+    """The vertex array's shape and bytes, or the GeometryError message."""
+    try:
+        V = enumerate_vertices(P)
+    except GeometryError as exc:
+        return str(exc)
+    return V.shape, V.tobytes()
+
+
+def _degenerate_set(rng, n, m):
+    """Integer normals and right-hand sides: many subsets are singular or
+    meet in one vertex, and repeated rows give repeated candidates."""
+    G = rng.integers(-2, 3, (m, n)).astype(float)
+    G = np.vstack([G, np.eye(n), -np.eye(n)])[-m:]
+    return HPolytope(G, rng.integers(0, 3, m).astype(float))
+
+
+class TestBatchedVerticesMatchLoop:
+    """``vertices_hpoly`` stacks its subsets; the per-subset loop of
+    ``reference.vertices_hpoly_loop`` must give the same bytes or error."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_sets(self, n):
+        rng = np.random.default_rng(200 + n)
+        outcomes = set()
+        for k in range(24):
+            m = int(rng.integers(n + 1, (12, 16, 20, 14)[n - 1] + 1))
+            if k % 3 == 0:
+                P = _degenerate_set(rng, n, m)
+            elif k % 3 == 1:
+                P = HPolytope(rng.standard_normal((m, n)), rng.standard_normal(m))
+            else:
+                G = _random_normals(rng, n, m - 1)
+                P = HPolytope(np.vstack([G, -G[:n].sum(axis=0)]), rng.uniform(0.2, 2.0, m))
+            batched = _enumeration_outcome(vertices_hpoly, P)
+            assert batched == _enumeration_outcome(vertices_hpoly_loop, P)
+            outcomes.add(batched if isinstance(batched, str) else "vertices")
+        assert "vertices" in outcomes and len(outcomes) > 1, outcomes
+
+    @pytest.mark.parametrize("kind", ["normals", "degenerate"])
+    def test_sets_at_the_size_limit(self, kind):
+        rng = np.random.default_rng(31)
+        if kind == "normals":
+            G = _random_normals(rng, 4, 29)
+            P = HPolytope(np.vstack([G, -G[:4].sum(axis=0)]), rng.uniform(0.2, 2.0, 30))
+        else:
+            P = _degenerate_set(rng, 4, 30)
+        assert (P.n_rows, P.dim) == (setgeom._MAX_ROWS, setgeom._MAX_DIM)
+        assert _enumeration_outcome(vertices_hpoly, P) == _enumeration_outcome(vertices_hpoly_loop, P)
+
+
 _ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -554,20 +605,51 @@ class TestSimulate:
         _, Y, _ = simulate(plant, W, np.zeros(3), 10_000, np.random.default_rng(2))
         assert np.all(Y @ pentagon.G.T <= pentagon.g + 1e-9)
 
+    def test_draws_and_recursion_across_block_edges(self, plant):
+        # 2000 = 31 * 64 + 16 steps: 31 block edges and a shorter last block
+        rng = np.random.default_rng(12)
+        W, x0 = random_hull(rng), rng.standard_normal(3)
+        X, Y, Wseq = simulate(plant, W, x0, 2000, np.random.default_rng(5))
+        np.testing.assert_array_equal(Wseq, sample_batch(W, 2000, np.random.default_rng(5)))
+        assert X.shape == (2000, 3) and Y.shape == (2000, 2)
+        np.testing.assert_array_equal(X[0], x0)
+        assert np.max(np.abs(X[1:] - (X[:-1] @ plant.A.T + Wseq[:-1] @ plant.B.T))) <= 1e-12
+        assert np.max(np.abs(Y - (X @ plant.C.T + Wseq @ plant.D.T))) <= 1e-12
+
+
+def manual_rollout(sys, x0, w_seq):
+    """Reference for rollout: x+ = A x + B w and y = C x + D w, one run after
+    another, one step at a time; (runs, T, n_x) and (runs, T, n_y)."""
+    runs, T, _ = w_seq.shape
+    X, Y = np.empty((runs, T, sys.n_x)), np.empty((runs, T, sys.n_y))
+    for r in range(runs):
+        x = x0[r]
+        for t in range(T):
+            X[r, t], Y[r, t] = x, sys.C @ x + sys.D @ w_seq[r, t]
+            x = sys.A @ x + sys.B @ w_seq[r, t]
+    return X, Y
+
+
+def assert_matches_manual_rollout(sys, x0, w_seq) -> list:
+    """rollout's blocks, joined along the step axis, equal ``manual_rollout``
+    within 1e-12; returns the blocks' lengths."""
+    blocks = list(rollout(sys, x0, w_seq))
+    X = np.concatenate([x for x, _ in blocks], axis=1)
+    Y = np.concatenate([y for _, y in blocks], axis=1)
+    X_ref, Y_ref = manual_rollout(sys, x0, w_seq)
+    assert X.shape == X_ref.shape and Y.shape == Y_ref.shape
+    assert np.max(np.abs(X - X_ref)) <= 1e-12
+    assert np.max(np.abs(Y - Y_ref)) <= 1e-12
+    return [x.shape[1] for x, _ in blocks]
+
 
 class TestRollout:
     def test_recursion_matches_manual_rollout(self):
         rng = np.random.default_rng(71)
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
-        w_seq = rng.uniform(-1, 1, (20, 2))
-        x0 = rng.standard_normal(2)
-        steps = list(rollout(sys, x0[None], w_seq[None]))
-        assert len(steps) == 20
-        x = x0.copy()
-        for t, (xt, yt) in enumerate(steps):
-            assert np.allclose(xt[0], x)
-            assert np.allclose(yt[0], sys.C @ x + sys.D @ w_seq[t])
-            x = sys.A @ x + sys.B @ w_seq[t]
+        w_seq = rng.uniform(-1, 1, (1, 20, 2))
+        x0 = rng.standard_normal((1, 2))
+        assert assert_matches_manual_rollout(sys, x0, w_seq) == [20]
 
     def test_batched_matches_per_run_rollout(self):
         rng = np.random.default_rng(70)
@@ -575,16 +657,20 @@ class TestRollout:
         runs, T = 5, 500
         w_seq = np.stack([sample_batch(random_hull(rng), T, rng) for _ in range(runs)])
         x0 = rng.standard_normal((runs, 3))
-        steps = list(rollout(sys, x0, w_seq))
-        X = np.stack([x for x, _ in steps], axis=1)
-        Y = np.stack([y for _, y in steps], axis=1)
-        assert X.shape == (runs, T, 3) and Y.shape == (runs, T, 2)
-        for r in range(runs):
-            x = x0[r]
-            for t in range(T):
-                assert np.max(np.abs(X[r, t] - x)) <= 1e-12
-                assert np.max(np.abs(Y[r, t] - (sys.C @ x + sys.D @ w_seq[r, t]))) <= 1e-12
-                x = sys.A @ x + sys.B @ w_seq[r, t]
+        assert sum(assert_matches_manual_rollout(sys, x0, w_seq)) == T
+
+    @pytest.mark.parametrize("runs", [1, 5])
+    @pytest.mark.parametrize("T", [1, 63, 64, 65, 200])
+    def test_block_edges_match_manual_rollout(self, T, runs):
+        # n_w != n_x, D != 0 and a slowly decaying A, so A^63 and the carried
+        # B w of each block's last step both reach the next block
+        rng = np.random.default_rng(1000 * runs + T)
+        sys = random_stable_system(rng, n_x=4, n_w=2, n_y=3, rho=0.9)
+        assert np.all(sys.D != 0.0)
+        w_seq = rng.uniform(-1, 1, (runs, T, 2))
+        x0 = rng.standard_normal((runs, 4))
+        lengths = assert_matches_manual_rollout(sys, x0, w_seq)
+        assert lengths == [64] * (T // 64) + [T % 64] * (T % 64 > 0)
 
 
 class TestSupportProperties:

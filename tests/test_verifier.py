@@ -590,12 +590,14 @@ def per_run_monte_carlo(sys, W, Y, T, runs, rng, tol=1e-8):
 
 class TestMonteCarlo:
     def test_matches_per_run_reference(self, plant, pentagon):
-        for W in (CERTIFIED_W, scaled(CERTIFIED_W, 10.0)):
-            rep = monte_carlo(plant, W, pentagon, T=2000, runs=4, rng=np.random.default_rng(3))
-            violations, worst = per_run_monte_carlo(plant, W, pentagon, 2000, 4, np.random.default_rng(3))
-            assert rep.violations == violations
-            assert rep.max_excursion == pytest.approx(worst, rel=0.0, abs=1e-12)
-            assert rep.steps == 8000
+        # one step, and 2000 = 31 * 64 + 16 steps, which end in a shorter block
+        for T in (1, 2000):
+            for W in (CERTIFIED_W, scaled(CERTIFIED_W, 10.0)):
+                rep = monte_carlo(plant, W, pentagon, T=T, runs=4, rng=np.random.default_rng(3))
+                violations, worst = per_run_monte_carlo(plant, W, pentagon, T, 4, np.random.default_rng(3))
+                assert rep.violations == violations
+                assert rep.max_excursion == pytest.approx(worst, rel=0.0, abs=1e-12)
+                assert rep.steps == 4 * T
         # the inflated set exercises the counter, not only 0 == 0
         assert violations > 0
 
