@@ -6,13 +6,12 @@
 #
 # The argument is the command that runs distsynth; it is split on spaces.
 # Outputs go to ci-out/.  Every synth is followed by check_result.py and a
-# verify; the illustrative and the mapped plant's results are verified again
-# without their witness (one coverage LP over all vertices), and the frozen
-# result, written before witnesses existed, is verified too.  The mapped
-# plant's l = 151 gives the largest joint distance LP and coverage LP, and the
-# generated problem's 5-box hull the widest blended-box rows; plotting it runs
-# BoxHullSet.corners and the support-point kernel.  Both plots' simulated
-# trajectories must stay in Y.
+# verify; every result is verified again without its witness (one coverage LP
+# over all vertices), and the frozen result, written before witnesses existed,
+# is verified too.  The mapped plant's l = 151 gives the largest joint distance
+# LP and coverage LP, and the generated problem's 5-box hull the widest
+# blended-box rows of both; plotting it runs BoxHullSet.corners and the
+# support-point kernel.  Both plots' simulated trajectories must stay in Y.
 set -euxo pipefail
 
 read -r -a ds <<< "$1"
@@ -53,6 +52,8 @@ strip_witness "$out/mapped/result.json" "$out/mapped/no-witness.json"
 "${ds[@]}" synth "$out/gen.json" --out "$out/gen"
 python .github/scripts/check_result.py "$out/gen/result.json"
 "${ds[@]}" verify "$out/gen.json" "$out/gen/result.json"
+strip_witness "$out/gen/result.json" "$out/gen/no-witness.json"
+"${ds[@]}" verify "$out/gen.json" "$out/gen/no-witness.json"
 "${ds[@]}" plot "$out/gen.json" "$out/gen/result.json" --out "$out/gen/plots"
 check_trajectory "$out/gen.json" "$out/gen/plots/trajectory.csv"
 

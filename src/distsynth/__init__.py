@@ -20,7 +20,6 @@ from .setgeom import (
     GeometryError,
     HPolytope,
     LtiSystem,
-    contains_point,
     hull_outline,
     simulate,
     support_rows,
@@ -60,7 +59,6 @@ __all__ = [
     "SynthesisError",
     "alternate",
     "assemble",
-    "contains_point",
     "distance_dY",
     "distance_witness",
     "h_preset",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog  # noqa: F401  kept in this namespace; perfbench/tracer.py wraps lp_solver.linprog
+from scipy.optimize import linprog  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item F
 from scipy.optimize._highspy import _core as _highs
 
 OPTIMAL = "optimal"

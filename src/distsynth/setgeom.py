@@ -6,12 +6,12 @@ axis-aligned boxes.  Support functions over such hulls have the closed form
     h(p) = max_j ( p'T c_j + |p'T| e_j )
 
 over the member boxes (c_j, e_j), so inclusion certificates never need an
-explicit halfspace description of the hull.  Membership in the hull is an
-exact linear program over one point and the box weights; ``hull_reach_lp``
-is its one builder and ``hull_reach_point`` its one reader: ``contains_point``
-calls it with the identity map, and the verifier's coverage checks with the
-slot maps of a system, ``reach_coefficients``, which the encoder's reach rows
-share.
+explicit halfspace description of the hull.  Besides the sets and their
+support functions, the module holds the slot maps of a system
+(``reach_coefficients``), which the encoder's reach rows and the verifier's
+coverage checks share, the split of a blended point into one point per box
+(``box_points``), sampling and simulation, and vertex enumeration.  It builds
+no linear program.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from dataclasses import dataclass, fields
 from itertools import accumulate, combinations, product
 
 import numpy as np
-import scipy.sparse as sp
 
-from .lp_solver import LpFailure, LpProblem, solve_lp
+from .lp_solver import solve_lp  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item F
 
 
 def fields_equal(a, b):
@@ -193,21 +192,7 @@ def support_argmax_rows(T, M, W: BoxHullSet) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# membership
-
-
-@dataclass(frozen=True, eq=False)
-class Membership:
-    """Result of a hull membership test with the decomposition witness."""
-
-    inside: bool
-    residual: float
-    weights: np.ndarray | None = None
-    points: np.ndarray | None = None
-    __eq__ = fields_equal
-
-    def __bool__(self) -> bool:
-        return self.inside
+# slot maps and blended boxes
 
 
 def _powers(A: np.ndarray, count: int) -> list[np.ndarray]:
@@ -221,59 +206,6 @@ def reach_coefficients(sys: LtiSystem, l: int) -> np.ndarray:
     return np.stack([sys.C @ P @ sys.B for P in _powers(sys.A, l)[::-1]] + [sys.D])
 
 
-def hull_reach_lp(
-    coeff: np.ndarray, vertices: np.ndarray, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs
-) -> LpProblem:
-    """Reach program for every row of ``vertices`` at once, at the cost of the
-    caller's slack columns, which come last.
-
-    ``coeff`` stacks one (n_y, n_w) map per slot.  Each vertex copy has one
-    point p per slot, the box weights beta >= 0 (slot, box) and the output
-    deviation b.  Its rows are the reach equalities sum_t coeff_t p_t + b = y,
-    one simplex row sum_j beta_j = 1 per slot, the membership rows
-    S p - (S C' + |S| E') beta <= 0 per slot (S = [I; -I], box centers C and
-    halfwidths E by row), and H b + slack <= h_rhs, where ``slack`` has one
-    row per (vertex, row of H) and its columns are bounded below by ``slack_lb``.
-    It is exact: sum_j beta_j box(c_j, e_j) is the box (sum beta c, sum beta e),
-    and W is the union of these blended boxes over the simplex.
-    """
-    n, n_y = vertices.shape
-    N, n_w = W.n_boxes, W.dim
-    groups = n * coeff.shape[0]
-    n_p, n_beta, n_b = groups * n_w, groups * N, n * n_y
-    S = stacked_identity(n_w)
-    blended = -(S @ W.centers.T + np.abs(S) @ W.halfwidths.T)
-    slack = sp.coo_matrix(slack)
-    m = slack.shape[1]
-    # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
-    a_eq = sp.bmat(
-        [
-            [sp.kron(sp.eye(n), np.hstack(coeff), "coo"), None, sp.eye(n_b, format="coo"), sp.coo_matrix((n_b, m))],
-            [None, sp.kron(sp.eye(groups), np.ones((1, N)), "coo"), None, None],
-        ],
-        format="csr",
-    )
-    a_ub = sp.bmat(
-        [
-            [sp.kron(sp.eye(groups), S, "coo"), sp.kron(sp.eye(groups), blended, "coo"), None, None],
-            [None, None, sp.kron(sp.eye(n), H, "coo"), slack],
-        ],
-        format="csr",
-    )
-    c = np.concatenate((np.zeros(n_p + n_beta + n_b), np.ones(m)))
-    lb = np.concatenate((np.full(n_p, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
-    b_ub = np.concatenate((np.zeros(2 * n_p), h_rhs))
-    b_eq = np.concatenate((vertices.ravel(), np.ones(groups)))
-    return LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
-
-
-def hull_reach_point(x: np.ndarray, n: int, slots: int, W: BoxHullSet):
-    """(weights (n, slots, N), points (n, slots, n_w)): the box weights and the
-    blended points of a point ``x`` of ``hull_reach_lp`` for n vertices."""
-    n_p = n * slots * W.dim
-    return x[n_p : n_p + n * slots * W.n_boxes].reshape(n, slots, W.n_boxes), x[:n_p].reshape(n, slots, W.dim)
-
-
 def box_points(centers, halfwidths, weights, w) -> np.ndarray:
     """Points wbar_gj = c_j + e_j t_g, (groups, N, n_w), with sum_j beta_gj
     wbar_gj = w_g for one row beta_g of ``weights`` and w_g of ``w`` per group:
@@ -284,30 +216,6 @@ def box_points(centers, halfwidths, weights, w) -> np.ndarray:
     t = np.divide(offset, half_g, out=np.zeros_like(offset), where=half_g > 0.0)
     t = np.clip(t, -1.0, 1.0)
     return centers + halfwidths * t[:, None, :]
-
-
-def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
-    """Exact hull membership via the reach program with the identity map.
-
-    Minimizes the infinity-norm residual of reconstructing w as a point p of
-    the blended box sum_j beta_j box_j with sum_j beta_j = 1; the point is
-    inside iff the optimal residual is at most tol.  Returns the weights and
-    the per-box points of p by ``box_points``.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    w = np.asarray(w, dtype=float).ravel()
-    n = W.dim
-    if w.size != n:
-        raise GeometryError("point dimension mismatch")
-    lp = hull_reach_lp(np.eye(n)[None], w[None], W, stacked_identity(n), -np.ones((2 * n, 1)), 0.0, np.zeros(2 * n))
-    out = solve_lp(lp)
-    if not out.optimal:
-        raise LpFailure(f"membership LP failed with status {out.status}", lp)
-    residual = float(out.objective)
-    weights, p = hull_reach_point(out.x, 1, 1, W)
-    points = box_points(W.centers, W.halfwidths, weights[0], p[0])[0]
-    return Membership(residual <= tol, residual, weights[0, 0], points)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ class SynthesisError(LpFailure):
 @dataclass(eq=False)  # compared by identity: the witness is a dict of arrays
 class SynthResult:
     W: BoxHullSet
-    epsilon: np.ndarray
     objective: float
     history: list[float]
     termination: str
@@ -204,7 +203,6 @@ def alternate(
     x, w, wbar, beta_fin, z, obj = current
     return SynthResult(
         W=boxes_from_x(problem, x),
-        epsilon=z[problem.layout.z_eps()].copy(),
         objective=obj,
         history=history,
         termination=termination,

@@ -11,16 +11,19 @@ deviation b = y - sum_t coeff_t w_t is formed with the slot maps of
 min(eps - H b) >= -CHECK_TOL.  The horizon constants, the output-inclusion
 terms and this arithmetic are the verifier's own, kept apart from the
 synthesizer's.
-``distance_witness`` solves the joint program for the exact distance and
-returns its optimal point as the witness, so ``synth`` certifies without a
-coverage LP and ``verify`` re-proves a stored witness without any.  A document
-without a witness gets one from a single program over all vertices
-(``setgeom.hull_reach_lp``) that minimizes the sum of per-vertex inflations of
-the widths; it is separable by vertex, so each vertex's part is its own least
-inflation, and the answer is checked by the same arithmetic.  Both programs
-solve cold by primal simplex.  Passing vertex checks bound the exact coverage
-distance by sum(epsilon), and the objective-bound check carries that bound to
-the stored objective.  ``certify`` runs every check.
+Witnesses come from the reach program, an exact LP over the points of a
+fixed W, which this module alone builds (``_reach_lp``), solves and reads
+(``_reach_witness``), so no other module knows its column order.
+``distance_witness`` solves it jointly over every vertex for the exact
+distance and returns its optimal point as the witness, so ``synth`` certifies
+without a coverage LP and ``verify`` re-proves a stored witness without any.
+A document without a witness gets one from a single program over all
+vertices that minimizes the sum of per-vertex inflations of the widths; it is
+separable by vertex, so each vertex's part is its own least inflation, and
+the answer is checked by the same arithmetic.  Both programs solve cold by
+primal simplex.  Passing vertex checks bound the exact coverage distance by
+sum(epsilon), and the objective-bound check carries that bound to the stored
+objective.  ``certify`` runs every check.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .lp_solver import LpFailure, solve_lp
+from .lp_solver import LpFailure, LpProblem, solve_lp
 from .rpi_params import RpiConstants, RpiParams
 from .setgeom import (
     BoxHullSet,
@@ -39,12 +42,10 @@ from .setgeom import (
     LtiSystem,
     box_points,
     fields_equal,
-    hull_reach_lp,
-    hull_reach_point,
     reach_coefficients,
     rollout,
     sample_batch,
-    simulate,  # noqa: F401  kept in this namespace; callers look it up as verifier.simulate
+    simulate,  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item F
     stacked_identity,
     support_rows,
 )
@@ -201,17 +202,66 @@ def _coverage_margins(coeff, vertices, W: BoxHullSet, H: np.ndarray, epsilon, wi
     return margins
 
 
+def _reach_lp(
+    coeff: np.ndarray, vertices: np.ndarray, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs
+) -> LpProblem:
+    """Reach program for every row of ``vertices`` at once, at the cost of the
+    caller's slack columns, which come last.
+
+    ``coeff`` stacks one (n_y, n_w) map per slot.  Each vertex copy has one
+    point p per slot, the box weights beta >= 0 (slot, box) and the output
+    deviation b.  Its rows are the reach equalities sum_t coeff_t p_t + b = y,
+    one simplex row sum_j beta_j = 1 per slot, the membership rows
+    S p - (S C' + |S| E') beta <= 0 per slot (S = [I; -I], box centers C and
+    halfwidths E by row), and H b + slack <= h_rhs, where ``slack`` has one
+    row per (vertex, row of H) and its columns are bounded below by ``slack_lb``.
+    It is exact: sum_j beta_j box(c_j, e_j) is the box (sum beta c, sum beta e),
+    and W is the union of these blended boxes over the simplex.
+    """
+    n, n_y = vertices.shape
+    N, n_w = W.n_boxes, W.dim
+    groups = n * coeff.shape[0]
+    n_p, n_beta, n_b = groups * n_w, groups * N, n * n_y
+    S = stacked_identity(n_w)
+    blended = -(S @ W.centers.T + np.abs(S) @ W.halfwidths.T)
+    slack = sp.coo_matrix(slack)
+    m = slack.shape[1]
+    # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
+    a_eq = sp.bmat(
+        [
+            [sp.kron(sp.eye(n), np.hstack(coeff), "coo"), None, sp.eye(n_b, format="coo"), sp.coo_matrix((n_b, m))],
+            [None, sp.kron(sp.eye(groups), np.ones((1, N)), "coo"), None, None],
+        ],
+        format="csr",
+    )
+    a_ub = sp.bmat(
+        [
+            [sp.kron(sp.eye(groups), S, "coo"), sp.kron(sp.eye(groups), blended, "coo"), None, None],
+            [None, None, sp.kron(sp.eye(n), H, "coo"), slack],
+        ],
+        format="csr",
+    )
+    c = np.concatenate((np.zeros(n_p + n_beta + n_b), np.ones(m)))
+    lb = np.concatenate((np.full(n_p, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
+    b_ub = np.concatenate((np.zeros(2 * n_p), h_rhs))
+    b_eq = np.concatenate((vertices.ravel(), np.ones(groups)))
+    return LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
+
+
 def _reach_witness(coeff, vertices, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs):
-    """Solve ``hull_reach_lp`` over every vertex at the cost of ``slack``,
+    """Solve ``_reach_lp`` over every vertex at the cost of ``slack``,
     cold by primal simplex (W is fixed and the answer is re-checked by
     arithmetic), and return the outcome with the points and weights that lead
     its answer.  Raises LpFailure, which carries the program, when the LP has
     no accepted answer."""
-    lp = hull_reach_lp(coeff, vertices, W, H, slack, slack_lb, h_rhs)
+    lp = _reach_lp(coeff, vertices, W, H, slack, slack_lb, h_rhs)
     out = solve_lp(lp, primal=True)
     if not out.optimal:
         raise LpFailure(f"coverage LP ended with status {out.status}", lp)
-    return out, CoverageWitness(*hull_reach_point(out.x, len(vertices), len(coeff), W))
+    n, slots = len(vertices), len(coeff)
+    n_p = n * slots * W.dim
+    weights = out.x[n_p : n_p + n * slots * W.n_boxes].reshape(n, slots, W.n_boxes)
+    return out, CoverageWitness(weights, out.x[:n_p].reshape(n, slots, W.dim))
 
 
 def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray):
@@ -322,6 +372,8 @@ def monte_carlo(
     """
     if T < 1:
         raise ValueError("T must be at least 1")
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
     if W.dim != sys.n_w:
         raise GeometryError("disturbance dimension mismatch")
     w_seq = np.stack([sample_batch(W, T, rng) for _ in range(runs)])

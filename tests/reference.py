@@ -1,6 +1,7 @@
 """Reference computations that tests compare the package against."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -8,7 +9,7 @@ from scipy.linalg import null_space
 
 from distsynth import BoxHullSet
 from distsynth.encoder import SynthProblem, VariableLayout
-from distsynth.lp_solver import solve_lp
+from distsynth.lp_solver import LpFailure, solve_lp
 from distsynth.rpi_params import horizon_constants
 from distsynth.setgeom import (
     _MAX_DIM,
@@ -16,10 +17,12 @@ from distsynth.setgeom import (
     _VERTEX_TOL,
     GeometryError,
     HPolytope,
-    hull_reach_lp,
+    box_points,
+    fields_equal,
     merge_vertices,
     stacked_identity,
 )
+from distsynth.verifier import _reach_lp
 
 
 def reach_reference(sys, l: int) -> np.ndarray:
@@ -72,13 +75,52 @@ def program_residual(problem: SynthProblem, point: dict) -> float:
     return worst
 
 
+@dataclass(frozen=True, eq=False)
+class Membership:
+    """Result of a hull membership test with the decomposition witness."""
+
+    inside: bool
+    residual: float
+    weights: np.ndarray | None = None
+    points: np.ndarray | None = None
+    __eq__ = fields_equal
+
+    def __bool__(self) -> bool:
+        return self.inside
+
+
+def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
+    """Exact hull membership via the reach program with the identity map.
+
+    Minimizes the infinity-norm residual of reconstructing w as a point p of
+    the blended box sum_j beta_j box_j with sum_j beta_j = 1; the point is
+    inside iff the optimal residual is at most tol.  Returns the weights and
+    the per-box points of p by ``box_points``.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    w = np.asarray(w, dtype=float).ravel()
+    n = W.dim
+    if w.size != n:
+        raise GeometryError("point dimension mismatch")
+    lp = _reach_lp(np.eye(n)[None], w[None], W, stacked_identity(n), -np.ones((2 * n, 1)), 0.0, np.zeros(2 * n))
+    out = solve_lp(lp)
+    if not out.optimal:
+        raise LpFailure(f"membership LP failed with status {out.status}", lp)
+    residual = float(out.objective)
+    # the columns lead with the point p, then the box weights
+    weights = out.x[n : n + W.n_boxes]
+    points = box_points(W.centers, W.halfwidths, weights[None], out.x[None, :n])[0]
+    return Membership(residual <= tol, residual, weights, points)
+
+
 def inflation_margins(sys, vertices, W: BoxHullSet, horizon: int, H, epsilon) -> np.ndarray:
     """-t per vertex, t the least uniform inflation of the widths under which
     the horizon-reachable outputs reach the vertex: one cold LP each."""
     coeff = reach_reference(sys, horizon)
     margins = []
     for y in vertices:
-        out = solve_lp(hull_reach_lp(coeff, y[None], W, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon))
+        out = solve_lp(_reach_lp(coeff, y[None], W, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon))
         assert out.optimal
         margins.append(-out.objective)
     return np.array(margins)

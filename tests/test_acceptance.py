@@ -13,7 +13,6 @@ from distsynth import (
     RpiConstants,
     alternate,
     assemble,
-    contains_point,
     distance_dY,
     h_preset,
     monte_carlo,
@@ -32,7 +31,7 @@ from distsynth.rpi_params import horizon_constants
 from distsynth.setgeom import sample_batch
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
-from reference import constants_at, membership_blocks, uniform_beta
+from reference import constants_at, contains_point, membership_blocks, uniform_beta
 from test_cli import PARTITIONED_SPEC, write_json
 from test_rpi_params import (
     closed_form_margin,

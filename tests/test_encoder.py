@@ -7,7 +7,6 @@ from distsynth import (
     LtiSystem,
     RpiParams,
     assemble,
-    contains_point,
     h_preset,
     select_params,
     short_horizon,
@@ -33,7 +32,7 @@ from distsynth.setgeom import stacked_identity
 from distsynth.synthesizer import _boxes, boxes_from_x, p_step, spread_beta
 
 from conftest import hull_of, random_stable_system
-from reference import membership_blocks, program_residual
+from reference import contains_point, membership_blocks, program_residual
 
 
 def small_layout(n_boxes=2, n_vertices=3, horizon=2, s=3, n_w=2, n_y=2, m_y=4, n_b=4):

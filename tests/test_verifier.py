@@ -601,6 +601,14 @@ class TestMonteCarlo:
         # the inflated set exercises the counter, not only 0 == 0
         assert violations > 0
 
+    @pytest.mark.parametrize(
+        "T, runs, message",
+        [(0, 2, "T must"), (-1, 2, "T must"), (5, 0, "runs must"), (5, -1, "runs must")],
+    )
+    def test_rejects_no_steps_or_no_runs(self, plant, pentagon, T, runs, message):
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(plant, CERTIFIED_W, pentagon, T=T, runs=runs, rng=np.random.default_rng(0))
+
     def test_zero_set_zero_violations(self, plant, pentagon):
         rep = monte_carlo(plant, ORIGIN2, pentagon, T=500, runs=3, rng=np.random.default_rng(0))
         assert rep.violations == 0
