@@ -83,3 +83,26 @@ code=0
 "${ds[@]}" gen --nx 2 --nw 1 --ny 1 --rho 0.5 --seed -1 --out "$out/negative-seed.json" || code=$?
 test "$code" -eq 2
 test ! -e "$out/negative-seed.json"
+
+# the alternation's stopping rule is no option: a spec that lists zeta exits 2
+# before any LP runs
+python -c "import json; d = json.load(open('specs/illustrative.json')); d['options']['zeta'] = 1e-4; json.dump(d, open('$out/zeta.json', 'w'))"
+code=0
+"${ds[@]}" synth "$out/zeta.json" --out "$out/zeta" 2> "$out/zeta.err" || code=$?
+cat "$out/zeta.err"
+test "$code" -eq 2
+grep -q "unknown option 'zeta'" "$out/zeta.err"
+test ! -e "$out/zeta/result.json"
+
+# an input that cannot be read and an --out that cannot be written exit 2 with
+# an error line, not a traceback
+code=0
+"${ds[@]}" synth specs 2> "$out/directory.err" || code=$?
+cat "$out/directory.err"
+test "$code" -eq 2
+grep -q "^error: cannot read specs" "$out/directory.err"
+code=0
+"${ds[@]}" plot specs/illustrative.json "$out/result.json" --out "$out/params.json" 2> "$out/plot-out.err" || code=$?
+cat "$out/plot-out.err"
+test "$code" -eq 2
+grep -q "^error: cannot write" "$out/plot-out.err"

@@ -3,12 +3,13 @@ parameters, synthesize a disturbance set, certify it, and emit plot data.
 
 Problem and result documents are JSON files; the worked examples live in
 specs/ and the schema is described in the README.  Exit codes: 0 on success
-(all certificates pass for ``verify``), 2 for malformed documents (and for
-``verify`` and ``plot``, a result that does not fit its spec), 3 for assumption
-violations, infeasibility or an unbounded or empty constraint set, 4 for
-solver failures; a failing LP (synthesis, exact distance, or the one coverage
-LP of ``verify`` on a result without a witness) is written to ``failed_lp.lp``
-beside the ``--out`` target, or to the current directory without one.
+(all certificates pass for ``verify``), 2 for malformed or unreadable documents
+and an ``--out`` that cannot be written (and for ``verify`` and ``plot``, a
+result that does not fit its spec), 3 for assumption violations,
+infeasibility or an unbounded or empty constraint set, 4 for solver failures;
+a failing LP (synthesis, exact distance, or the one coverage LP of ``verify``
+on a result without a witness) is written to ``failed_lp.lp`` beside the
+``--out`` target, or to the current directory without one.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ _OPTION_TABLE = (
     ("N", "n_boxes", 1, False),
     ("l", "horizon", 1, False),  # or None, the certified s
     ("H", "H", None, False),
-    ("zeta", "zeta", 0.0, False),
-    ("max_iters", "max_iters", 1, False),
     ("restarts", "restarts", 0, False),
 )
 
@@ -75,8 +74,6 @@ class Options:
     n_boxes: int = 4
     horizon: int | None = None  # defaults to the certified s
     H: object = "box"  # preset name or explicit rows
-    zeta: float = 1e-4
-    max_iters: int = 100
     seed: int = 0
     s_max: int = 1000
     restarts: int = 0
@@ -368,21 +365,9 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
     t0 = encoder.budget_tail(spec.sys, spec.Y, params)
     problem = encoder.assemble(spec.sys, spec.Y, vertices, params, spec.options.n_boxes, l0, H, t0)
     start = time.perf_counter()
-    result = synthesizer.alternate(
-        problem,
-        synthesizer.spread_beta(problem.layout),
-        zeta=spec.options.zeta,
-        max_iters=spec.options.max_iters,
-    )
-    rng = np.random.default_rng(spec.options.seed)
-    result = synthesizer.refine(
-        problem,
-        result,
-        spec.options.restarts,
-        rng,
-        zeta=spec.options.zeta,
-        max_iters=spec.options.max_iters,
-    )
+    result = synthesizer.alternate(problem, synthesizer.spread_beta(problem.layout))
+    # restarts by position: perfbench/tracer.py reads it as refine's third argument
+    result = synthesizer.refine(problem, result, spec.options.restarts, np.random.default_rng(spec.options.seed))
     t_synth = time.perf_counter() - start
     start = time.perf_counter()
     epsilon, objective, witness = verifier.distance_witness(spec.sys, vertices, result.W, horizon, H)
@@ -518,15 +503,11 @@ def reachable_outline(
 def cmd_plot(doc: ResultDoc, spec: ProblemSpec, out_dir) -> list:
     vertices = spec.resolve_vertices()
     _check_fit(spec, doc, vertices)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     def emit(name: str, points: np.ndarray):
-        path = out_dir / name
-        with open(path, "w") as fh:
-            for row in np.atleast_2d(points):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        path = Path(out_dir) / name
+        _write_text(path, "".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.atleast_2d(points)))
         written.append(path)
 
     if spec.sys.n_w == 2:
@@ -566,16 +547,28 @@ def _dump_json(doc: dict, path: str | None) -> None:
     if path is None:
         print(text)
     else:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text + "\n")
+        _write_text(Path(path), text + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, making its directory; SpecError if it cannot."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document at ``path``; SpecError if it cannot be read as UTF-8
+    text (missing, a directory, unreadable) or is not JSON."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise SpecError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise SpecError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"malformed JSON in {path}: {exc}") from exc
 
@@ -700,9 +693,12 @@ def main(argv=None) -> int:
         if isinstance(exc, LpFailure) and exc.lp is not None:
             # the failing program, beside where result.json would have gone
             path = Path(_out_path(getattr(args, "out", None), "result.json") or "result.json").parent / "failed_lp.lp"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_lp(exc.lp, path)
-            print(f"failing LP written to {path}", file=_sys.stderr)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write_lp(exc.lp, path)
+                print(f"failing LP written to {path}", file=_sys.stderr)
+            except OSError as err:
+                print(f"error: cannot write the failing LP to {path}: {err}", file=_sys.stderr)
         return 4
     return 0
 

@@ -305,9 +305,5 @@ def write_lp(problem: LpProblem, path) -> None:
     for j, lo in enumerate(map(float, problem.lb)):
         lines.append(f" x{j} free" if np.isinf(lo) else f" x{j} >= {lo!r}")
     lines.append("End")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -160,19 +160,22 @@ def q_step(problem: SynthProblem, wbar: np.ndarray, basis=None):
     return blend @ beta, out.x[nb:], beta, float(out.objective), out
 
 
-def alternate(
-    problem: SynthProblem,
-    beta0: np.ndarray,
-    zeta: float = 1e-4,
-    max_iters: int = 100,
-) -> SynthResult:
+# the stopping rule: an iteration that improves the objective by less than
+# ZETA ends the alternation, and MAX_ITERS iterations end it anyway
+ZETA = 1e-4
+MAX_ITERS = 100
+
+
+def alternate(problem: SynthProblem, beta0: np.ndarray, zeta: float = ZETA, max_iters: int = MAX_ITERS) -> SynthResult:
     """Alternate the two LPs until the objective improves by less than zeta.
 
-    The P-steps of one run differ only in their weight coefficients and the
-    Q-steps only in their point coefficients, so each step starts from the
-    previous same-kind step's final basis.  The first steps are solved cold,
-    and so are both after the spread weights, which a Q-step tie-break
-    returns: the run then continues as a fresh one started from them would.
+    Every command stops by ``ZETA`` and ``MAX_ITERS``; other values only pin
+    single steps and short runs in tests.  The P-steps of one run differ only
+    in their weight coefficients and the Q-steps only in their point
+    coefficients, so each step starts from the previous same-kind step's final
+    basis.  The first steps are solved cold, and so are both after the spread
+    weights, which a Q-step tie-break returns: the run then continues as a
+    fresh one started from them would.
     """
     if zeta <= 0:
         raise ValueError("zeta must be positive")
@@ -221,14 +224,7 @@ def _jittered_beta(layout: VariableLayout, beta, rng):
     return np.concatenate([rng.dirichlet(_JITTER_CONCENTRATION * g + 1e-3) for g in groups])
 
 
-def refine(
-    problem: SynthProblem,
-    result: SynthResult,
-    restarts: int,
-    rng: np.random.Generator,
-    zeta: float = 1e-4,
-    max_iters: int = 100,
-) -> SynthResult:
+def refine(problem: SynthProblem, result: SynthResult, restarts: int, rng: np.random.Generator) -> SynthResult:
     """Multi-start alternation from weight jitter; never worse than the input.
 
     Every restart's weights are drawn up front, one independent spawned
@@ -241,7 +237,7 @@ def refine(
     best = result
     for beta0 in starts:
         try:
-            cand = alternate(problem, beta0, zeta=zeta, max_iters=max_iters)
+            cand = alternate(problem, beta0)
         except SynthesisError:
             continue
         if cand.objective < best.objective:

@@ -82,7 +82,7 @@ def write_json(path, doc):
 def small_spec_doc():
     spec = cmd_gen(2, 2, 2, 0.5, seed=11)
     doc = spec.to_dict()
-    doc["options"].update({"N": 2, "l": 4, "zeta": 1e-4, "max_iters": 40})
+    doc["options"].update({"N": 2, "l": 4})
     return doc
 
 
@@ -162,9 +162,8 @@ MALFORMED = {
     "seed-string": _set_option("seed", "x"),
     "mu-negative": _set_option("mu", -1),
     "gamma-zero": _set_option("gamma", 0),
-    "zeta-zero": _set_option("zeta", 0),
+    "zeta-listed": _set_option("zeta", 1e-4),  # the alternation's stopping rule is no option
     "s_max-zero": _set_option("s_max", 0),
-    "max_iters-zero": _set_option("max_iters", 0),
     "restarts-negative": _set_option("restarts", -1),
 }
 
@@ -188,6 +187,18 @@ class TestMalformedSpec:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "result.json").exists()
 
+    @pytest.mark.parametrize("key, val", [("zeta", 1e-4), ("max_iters", 100)])
+    def test_stopping_rule_is_an_unknown_option(self, tmp_path, key, val, capsys):
+        doc = json.loads(json.dumps(PENTAGON_SPEC))
+        doc["options"][key] = val
+        assert main(["synth", write_json(tmp_path / "spec.json", doc), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: unknown option {key!r}\n"
+        assert not (tmp_path / "result.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", str(tmp_path / "spec.json"), "--" + key.replace("_", "-"), str(val)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_malformed_flag_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "spec.json", PENTAGON_SPEC)
         assert main(["synth", path, "--restarts", "-1", "--out", str(tmp_path)]) == 2
@@ -202,6 +213,49 @@ class TestExitCodes:
 
     def test_missing_file_is_2(self):
         assert main(["params", "/nonexistent/spec.json"]) == 2
+
+    @pytest.mark.parametrize("command", ["params", "synth", "verify", "reduce"])
+    @pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+    def test_unreadable_input_is_2(self, tmp_path, capsys, command, unreadable):
+        bad = tmp_path / "bad.json"
+        if unreadable == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"system": "\xff\xfe"}')
+        if command == "verify":  # a readable spec and the unreadable result
+            argv = [command, write_json(tmp_path / "spec.json", PENTAGON_SPEC), str(bad)]
+        else:
+            argv = [command, str(bad), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["params", "synth", "gen", "plot"])
+    def test_unusable_out_is_2(self, tmp_path, capsys, command, small_spec_doc, small_result_doc):
+        afile = tmp_path / "afile.toml"
+        afile.write_text("")
+        spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
+        argv = {
+            "params": ["params", spec_path, "--out", str(afile / "p.json")],
+            "synth": ["synth", spec_path, "--out", str(afile / "x")],
+            "gen": ["gen", "--nx", "2", "--nw", "1", "--ny", "1", "--rho", "0.5", "--out", str(afile / "s.json")],
+            "plot": ["plot", spec_path, write_json(tmp_path / "result.json", small_result_doc), "--out", str(afile)],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {afile}")
+        assert afile.read_text() == ""
+
+    def test_failed_lp_that_cannot_be_written_still_exits_4(self, tmp_path, monkeypatch, capsys, small_spec_doc):
+        from distsynth import synthesizer
+        from distsynth.lp_solver import FAILED, LpOutcome
+
+        monkeypatch.setattr(synthesizer, "solve_lp", lambda lp, **kwargs: LpOutcome(FAILED))
+        afile = tmp_path / "afile.toml"
+        afile.write_text("")
+        assert main(["synth", write_json(tmp_path / "spec.json", small_spec_doc), "--out", str(afile / "x")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: iteration 1: box-fitting LP ended with status failed")
+        assert f"error: cannot write the failing LP to {afile / 'x' / 'failed_lp.lp'}: " in err
 
     def test_unstable_is_3(self, tmp_path):
         doc = json.loads(json.dumps(PENTAGON_SPEC))
@@ -735,7 +789,7 @@ class TestCmdReduce:
         """Synthesized substate set keeps the partitioned plant's output in
         its constraints when the accessible substate stays in the set."""
         doc = json.loads(json.dumps(PARTITIONED_SPEC))
-        doc["options"].update({"N": 2, "l": 20, "max_iters": 25})
+        doc["options"].update({"N": 2, "l": 20})
         spec = cmd_reduce(doc)
         result = cmd_synth(spec)
         A22 = np.array(PARTITIONED_SPEC["system"]["A22"])
@@ -946,8 +1000,6 @@ class TestEveryOverrideFlag:
             "--N": ("3", "n_boxes", 3),
             "--l": ("11", "horizon", 11),
             "--H": (write_json(tmp_path / "rows.json", rows), "H", rows),
-            "--zeta": ("0.003", "zeta", 0.003),
-            "--max-iters": ("17", "max_iters", 17),
             "--restarts": ("2", "restarts", 2),
         }
         assert {attr for _, attr, _ in flags.values()} == {attr for _, attr, _, _ in _OPTION_TABLE}
@@ -965,6 +1017,25 @@ class TestEveryOverrideFlag:
         args = _build_parser().parse_args(["params", "spec.json", "--mu", "0.02"])
         opts = _apply_overrides(parse_spec(PENTAGON_SPEC), args).options
         assert opts == Options.from_dict({**PENTAGON_SPEC["options"], "mu": 0.02})
+
+    def test_readme_synopsis_lists_exactly_each_commands_flags(self):
+        import argparse
+        import re
+
+        from distsynth.cli import _build_parser
+
+        block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
+        listed = {}
+        for line in block.strip().splitlines():
+            if line.startswith("distsynth "):
+                command = line.split()[1]
+            listed.setdefault(command, set()).update(re.findall(r"--[\w-]+", line))
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        built = {
+            name: {flag for action in p._actions for flag in action.option_strings if flag not in ("-h", "--help")}
+            for name, p in sub.choices.items()
+        }
+        assert listed == built
 
 
 def _workload_specs():

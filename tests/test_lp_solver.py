@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import warnings
 from itertools import combinations
 
@@ -139,13 +138,13 @@ def test_equality_constraints():
     assert out.objective == pytest.approx(2.0)
 
 
-def test_an_absent_block_is_empty():
+def test_an_absent_block_is_empty(tmp_path):
     p = LpProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], lb=[0.0, 0.0])
     assert p.a_ub.shape == (0, 2) and p.a_ub.nnz == 0 and p.b_ub.shape == (0,)
     assert solve_lp(p).objective == pytest.approx(2.0)
-    buf = io.StringIO()
-    write_lp(p, buf)
-    assert " r0:" not in buf.getvalue() and " e0: + 1.0 x0 + 1.0 x1 = 2.0" in buf.getvalue()
+    write_lp(p, tmp_path / "p.lp")
+    text = (tmp_path / "p.lp").read_text()
+    assert " r0:" not in text and " e0: + 1.0 x0 + 1.0 x1 = 2.0" in text
 
 
 def test_rejects_inconsistent_dimensions():
@@ -171,7 +170,7 @@ def test_rejects_inconsistent_dimensions():
     LpProblem(c=[-1.0], a_ub=[[1.0]], b_ub=[inf], lb=[-inf])  # an infinite bound stays allowed
 
 
-def test_lp_dump_is_deterministic_and_readable():
+def test_lp_dump_is_deterministic_and_readable(tmp_path):
     p = LpProblem(
         c=[1.0, 0.0],
         a_ub=sp.csr_matrix(np.array([[1.0, -2.0]])),
@@ -180,11 +179,10 @@ def test_lp_dump_is_deterministic_and_readable():
         b_eq=[0.5],
         lb=[0.0, -np.inf],
     )
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    write_lp(p, buf1)
-    write_lp(p, buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-    text = buf1.getvalue()
+    write_lp(p, tmp_path / "1.lp")
+    write_lp(p, str(tmp_path / "2.lp"))
+    text = (tmp_path / "1.lp").read_text()
+    assert (tmp_path / "2.lp").read_text() == text
     assert text.startswith("Minimize")
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
     assert "<= 3.0" in text and "= 0.5" in text

@@ -442,7 +442,7 @@ class TestAlternate:
         monkeypatch.setattr(synthesizer, "alternate", recording_alternate)
         monkeypatch.setattr(synthesizer, "p_step", recording_p_step)
         synthesizer.alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
-        refine(problem, res, 2, np.random.default_rng(7), zeta=1e-6, max_iters=30)
+        refine(problem, res, 2, np.random.default_rng(7))
         assert len(runs) == 3
         for run in runs:
             assert len(run) >= 2
@@ -470,7 +470,7 @@ class TestAlternate:
         monkeypatch.setattr(synthesizer, "alternate", recording_alternate)
         monkeypatch.setattr(synthesizer, "q_step", recording_q_step)
         synthesizer.alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
-        refine(problem, res, 2, np.random.default_rng(7), zeta=1e-6, max_iters=30)
+        refine(problem, res, 2, np.random.default_rng(7))
         assert len(runs) == 3
         for run in runs:
             assert len(run) >= 2
