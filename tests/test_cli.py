@@ -162,7 +162,9 @@ MALFORMED = {
     "seed-string": _set_option("seed", "x"),
     "mu-negative": _set_option("mu", -1),
     "gamma-zero": _set_option("gamma", 0),
-    "zeta-listed": _set_option("zeta", 1e-4),  # the alternation's stopping rule is no option
+    # the alternation's stopping rule is no option: listing either key is an unknown option
+    "zeta-zero": _set_option("zeta", 0),
+    "max_iters-zero": _set_option("max_iters", 0),
     "s_max-zero": _set_option("s_max", 0),
     "restarts-negative": _set_option("restarts", -1),
 }
