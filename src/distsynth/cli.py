@@ -559,6 +559,18 @@ def _write_text(path: Path, text: str) -> None:
         raise SpecError(f"cannot write {path}: {exc}") from exc
 
 
+def _writable_out(out: str | None, default_name: str) -> str | None:
+    """``_out_path``'s target with its directory made, so that an unusable
+    ``--out`` fails before any work; SpecError if the directory cannot be made."""
+    path = _out_path(out, default_name)
+    if path is not None:
+        try:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SpecError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def _load_json(path: str) -> dict:
     """The JSON document at ``path``; SpecError if it cannot be read as UTF-8
     text (missing, a directory, unreadable) or is not JSON."""
@@ -642,8 +654,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "params":
             spec = _apply_overrides(parse_spec(_load_json(args.spec)), args)
+            out = _writable_out(args.out, "params.json")
             frag = cmd_params(spec)
-            _dump_json(frag, _out_path(args.out, "params.json"))
+            _dump_json(frag, out)
             p = frag["params"]
             print(
                 f"s={p['s']} alpha={p['alpha']:.6e} lambda={p['lambda']:.6e}",
@@ -652,8 +665,9 @@ def main(argv=None) -> int:
             return 0
         if args.command == "synth":
             spec = _apply_overrides(parse_spec(_load_json(args.spec)), args)
+            out = _writable_out(args.out, "result.json")
             doc = cmd_synth(spec)
-            _dump_json(doc.to_dict(), _out_path(args.out, "result.json"))
+            _dump_json(doc.to_dict(), out)
             ok = all(c["passed"] for c in doc.certificates.values())
             print(
                 f"objective={doc.objective:.6g} iterations={doc.iterations} "

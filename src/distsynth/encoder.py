@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .lp_solver import LpProblem
 from .rpi_params import RpiParams
 from .setgeom import HPolytope, LtiSystem, merge_vertices, reach_coefficients, stacked_identity
 
@@ -211,9 +212,137 @@ def encode_vertex_reach(
     return c_w, c_z, h, e_z, t_beta
 
 
+@dataclass(frozen=True, eq=False)  # compared by identity: the blocks are sparse
+class StepProgram:
+    """One alternation step's program with its frozen factor's entries open:
+    min c@x  s.t.  a[:n_ub]@x <= b_ub,  a[n_ub:]@x = b_eq,  lb <= x.
+
+    ``a`` stores every entry the factor can fill, at ``a.data[open]``; the
+    rest are fixed.  For a factor f, open entry e is sum_k coef[e, k] *
+    f[index[e, k]], summed in k order from 0 as the sparse product defining
+    it sums, and it is left out where that is 0, as that product leaves it
+    out (a zero weight adds no entry).
+    """
+
+    c: np.ndarray
+    lb: np.ndarray
+    a: sp.csr_matrix
+    n_ub: int
+    b_ub: np.ndarray
+    b_eq: np.ndarray
+    open: np.ndarray
+    coef: np.ndarray  # (open entries, terms)
+    index: np.ndarray  # (open entries, terms)
+
+    def lp(self, factor: np.ndarray) -> LpProblem:
+        """The program with ``factor`` filled in."""
+        values = np.zeros(self.open.size)
+        for coef, index in zip(self.coef.T, self.index.T):
+            values = values + coef * factor[index]
+        data = self.a.data.copy()
+        data[self.open] = values
+        keep = np.ones(data.size, dtype=bool)
+        keep[self.open] = values != 0.0
+        indptr = np.concatenate(([0], np.cumsum(keep)))[self.a.indptr]
+        data, indices = data[keep], self.a.indices[keep]
+        cut, n, n_ub = indptr[self.n_ub], self.c.size, self.n_ub
+        a_ub = sp.csr_matrix((data[:cut], indices[:cut], indptr[: n_ub + 1]), shape=(n_ub, n))
+        a_eq = sp.csr_matrix((data[cut:], indices[cut:], indptr[n_ub:] - cut), shape=(self.a.shape[0] - n_ub, n))
+        return LpProblem(self.c, a_ub, self.b_ub, a_eq, self.b_eq, lb=self.lb)
+
+
+def _open_rows(cols: np.ndarray, width: int) -> sp.csr_matrix:
+    """Rows of open entries (held as 0) at the ascending columns ``cols[r]``."""
+    rows, per = cols.shape
+    return sp.csr_matrix((np.zeros(cols.size), cols.ravel(), np.arange(0, cols.size + 1, per)), shape=(rows, width))
+
+
+def _zeros(rows: int, cols: int) -> sp.csr_matrix:
+    return sp.csr_matrix((rows, cols))
+
+
+def _step_program(c, lb, blocks, n_ub, b_ub, b_eq, opened, coef, index) -> StepProgram:
+    """Stack the row ``blocks`` (CSR, full width); ``opened`` is (block
+    position, entries per row): the leading entries of that block's rows are
+    the open ones, in row order."""
+    at, per = opened
+    a = sp.vstack(blocks, format="csr")
+    start = sum(block.nnz for block in blocks[:at]) + blocks[at].indptr[:-1]
+    open_ = (start[:, None] + np.arange(per)).ravel()
+    return StepProgram(c, lb, a, n_ub, b_ub, b_eq, open_, coef.reshape(open_.size, -1), index.reshape(open_.size, -1))
+
+
+def _p_program(layout: VariableLayout, cost_z, a_x, b, c_w, c_z, h, e_z) -> StepProgram:
+    """The P-step program over (x, w, z), the weights open.
+
+    Rows: a_x's; the membership rows +-(w_g - sum_j beta_gj c_j) - sum_j
+    beta_gj e_j <= 0 by (group, coordinate, sign), w_g in the blended box,
+    each holding box j's center and halfwidth entries (beta_gj times -+1 and
+    -1) for every j, then w_g's +-1; e_z's; then [0, c_w, c_z] = h.  The
+    halfwidths and the eps slacks are nonnegative.
+    """
+    lay = layout
+    nx, nw, n_boxes = lay.dim_x, lay.n_w, lay.n_boxes
+    z_off = nx + lay.dim_w
+    n_rows = 2 * lay.dim_w
+    # row (group, coordinate, sign), open entry (box, center or halfwidth)
+    g, k, s, j, half = np.indices((lay.n_groups, nw, 2, n_boxes, 2))
+    sign = 1.0 - 2.0 * s[..., 0, 0].ravel()
+    w_block = sp.csr_matrix((sign, (np.arange(n_rows), np.arange(n_rows) // 2)), shape=(n_rows, lay.dim_w))
+    blocks = [
+        sp.hstack([a_x, _zeros(a_x.shape[0], lay.dim_w + lay.dim_z)], format="csr"),
+        sp.hstack(
+            [_open_rows(((2 * j + half) * nw + k).reshape(n_rows, -1), nx), w_block, _zeros(n_rows, lay.dim_z)],
+            format="csr",
+        ),
+        sp.hstack([_zeros(e_z.shape[0], z_off), e_z], format="csr"),
+        sp.hstack([_zeros(c_w.shape[0], nx), c_w, c_z], format="csr"),
+    ]
+    c = np.concatenate([np.zeros(z_off), cost_z])
+    lb = np.full(c.size, -np.inf)
+    lb[: 2 * n_boxes * nw].reshape(n_boxes, 2, nw)[:, 1] = 0.0  # the halfwidths
+    lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
+    n_ub = a_x.shape[0] + n_rows + e_z.shape[0]
+    b_ub = np.concatenate([b, np.zeros(n_rows + e_z.shape[0])])
+    coef = np.where(half == 1, -1.0, 2.0 * s - 1.0)
+    return _step_program(c, lb, blocks, n_ub, b_ub, h, (1, 2 * n_boxes), coef, g * n_boxes + j)
+
+
+def _q_program(layout: VariableLayout, reach, cost_z, c_z, h, e_z, t_beta) -> StepProgram:
+    """The Q-step program over (beta, z), the group points wbar open.
+
+    Rows: [0, e_z] <= 0; the reach rows with w = blockdiag(wbar_g^T) beta
+    substituted, by (vertex, output), each holding the entry sum_k
+    reach[t, y, k] wbar_(i,t),j,k of every slot t and box j of its vertex,
+    then c_z's, = h; then [t_beta, 0] = 1.  The weights and the eps slacks
+    are nonnegative.
+    """
+    lay = layout
+    nb, n_boxes, nw = lay.dim_beta, lay.n_boxes, lay.n_w
+    n_out = lay.n_vertices * lay.n_y
+    # row (vertex, output), open entry (slot, box), term k
+    i, y, t, j, k = np.indices((lay.n_vertices, lay.n_y, lay.n_slots, n_boxes, nw))
+    beta_col = (i * lay.n_slots + t) * n_boxes + j
+    blocks = [
+        sp.hstack([_zeros(e_z.shape[0], nb), e_z], format="csr"),
+        sp.hstack([_open_rows(beta_col[..., 0].reshape(n_out, -1), nb), c_z], format="csr"),
+        sp.hstack([t_beta, _zeros(t_beta.shape[0], lay.dim_z)], format="csr"),
+    ]
+    c = np.concatenate([np.zeros(nb), cost_z])
+    lb = np.full(c.size, -np.inf)
+    lb[:nb] = 0.0
+    lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
+    b_eq = np.concatenate([h, np.ones(t_beta.shape[0])])
+    return _step_program(
+        c, lb, blocks, e_z.shape[0], np.zeros(e_z.shape[0]), b_eq, (1, lay.n_slots * n_boxes),
+        reach[t, y, k], beta_col * nw + k,
+    )
+
+
 @dataclass(frozen=True)
 class SynthProblem:
-    """Assembled constraint blocks of the synthesis program."""
+    """Assembled constraint blocks of the synthesis program, and the P-step
+    and Q-step programs built from them."""
 
     layout: VariableLayout
     cost_z: np.ndarray
@@ -224,6 +353,8 @@ class SynthProblem:
     h: np.ndarray
     e_z: sp.csr_matrix
     t_beta: sp.csr_matrix
+    p_program: StepProgram
+    q_program: StepProgram
 
 
 def tail_start(mass: np.ndarray, frac: float) -> int:
@@ -301,14 +432,17 @@ def assemble(
     c_w, c_z, h, e_z, t_beta = encode_vertex_reach(vertices, sys, layout, H)
     cost_z = np.zeros(layout.dim_z)
     cost_z[layout.z_eps()] = 1.0
+    a_x, b = sp.vstack([a1, a2, a3], format="csr"), np.concatenate([b1, b2, b3])
     return SynthProblem(
         layout=layout,
         cost_z=cost_z,
-        a_x=sp.vstack([a1, a2, a3], format="csr"),
-        b=np.concatenate([b1, b2, b3]),
+        a_x=a_x,
+        b=b,
         c_w=c_w,
         c_z=c_z,
         h=h,
         e_z=e_z,
         t_beta=t_beta,
+        p_program=_p_program(layout, cost_z, a_x, b, c_w, c_z, h, e_z),
+        q_program=_q_program(layout, reach_coefficients(sys, horizon), cost_z, c_z, h, e_z, t_beta),
     )

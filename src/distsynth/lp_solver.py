@@ -1,10 +1,13 @@
 """Deterministic linear-program interface used by the synthesizer and verifier.
 
 Problems are carried as a cost vector, sparse inequality/equality blocks and
-per-variable lower bounds.  Solving goes straight to the HiGHS bindings that scipy
-bundles, with the options ``scipy.optimize.linprog(method="highs")`` would
-pass, so an accepted cold answer is what ``linprog`` returns, bit for bit,
-without its front end, unless the caller asks for primal simplex
+per-variable lower bounds; each ``LpProblem`` also stacks [a_ub; a_eq]
+column-wise once, with its row bounds, as ``linprog`` would stack them.
+Solving goes straight to the HiGHS bindings that scipy bundles: those arrays
+reach HiGHS through the array overload of ``passModel``, with no element-wise
+copy, under the options ``scipy.optimize.linprog(method="highs")`` would
+pass, so an accepted cold dual-simplex answer is what ``linprog`` returns,
+bit for bit, without its front end, unless the caller asks for primal simplex
 (``primal=True``: the verifier's programs over a fixed W, whose optimal value
 is unique and which it always solves cold; not the synthesis programs, where
 the degenerate optimum HiGHS returns steers the alternation).  HiGHS is
@@ -18,7 +21,7 @@ it.  ``write_lp`` dumps a program in LP format for cross-checks elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,6 +70,8 @@ _OPTIONS = {
 # which can cost more than the few iterations that follow
 _DEVEX = _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
 _PRIMAL = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
 class LpFailure(RuntimeError):
@@ -81,7 +86,10 @@ class LpFailure(RuntimeError):
 @dataclass(frozen=True, eq=False)  # compared by identity: the blocks are sparse
 class LpProblem:
     """min c@x  s.t.  a_ub@x <= b_ub,  a_eq@x = b_eq,  lb <= x; an absent
-    block is stored as an empty 0 x n matrix with an empty right-hand side."""
+    block is stored as an empty 0 x n matrix with an empty right-hand side.
+
+    ``a`` is [a_ub; a_eq] column-wise, with ``row_lower <= a@x <= row_upper``:
+    the program as HiGHS takes it, stacked once, as linprog stacks it."""
 
     c: np.ndarray
     a_ub: sp.csr_matrix | None = None
@@ -89,6 +97,9 @@ class LpProblem:
     a_eq: sp.csr_matrix | None = None
     b_eq: np.ndarray | None = None
     lb: np.ndarray | None = None
+    a: sp.csc_array = field(init=False, repr=False)
+    row_lower: np.ndarray = field(init=False, repr=False)
+    row_upper: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
@@ -119,6 +130,9 @@ class LpProblem:
         if np.isnan(lb).any() or (lb == np.inf).any():
             raise ValueError("bounds must not be NaN or +inf")
         object.__setattr__(self, "lb", lb)
+        object.__setattr__(self, "a", sp.csc_array(sp.vstack((self.a_ub, self.a_eq))))
+        object.__setattr__(self, "row_lower", np.concatenate((np.full(self.b_ub.size, -np.inf), self.b_eq)))
+        object.__setattr__(self, "row_upper", np.concatenate((self.b_ub, self.b_eq)))
 
     @property
     def n_vars(self) -> int:
@@ -144,7 +158,14 @@ class LpOutcome:
 
 
 def _row_scale(mat: sp.csr_matrix) -> np.ndarray:
-    return np.maximum(1.0, np.abs(mat).max(axis=1).toarray().ravel())
+    """Each row's largest |coefficient|, at least 1 (1 for an empty row)."""
+    scale = np.ones(mat.shape[0])
+    filled = np.diff(mat.indptr) > 0
+    if filled.any():
+        # the empty rows between two filled ones add nothing to the first's span
+        largest = np.maximum.reduceat(np.abs(mat.data), mat.indptr[:-1][filled])
+        scale[filled] = np.maximum(1.0, largest)
+    return scale
 
 
 def _scaled_residual(p: LpProblem, x: np.ndarray) -> float:
@@ -157,28 +178,9 @@ def _scaled_residual(p: LpProblem, x: np.ndarray) -> float:
     return float(np.max(np.concatenate((p.lb - x, ub, eq)), initial=0.0))
 
 
-def _highs_lp(p: LpProblem) -> _highs.HighsLp:
-    """The program as HiGHS's ``lhs <= A x <= rhs`` with A stacked [a_ub; a_eq]
-    column-wise, exactly as linprog hands it over (HiGHS's infinity is inf)."""
-    a = sp.csc_array(sp.vstack((p.a_ub, p.a_eq)))
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = p.n_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
-    lp.col_cost_ = p.c
-    lp.col_lower_ = p.lb
-    lp.col_upper_ = np.full(p.n_vars, np.inf)
-    lp.row_lower_ = np.concatenate((np.full(p.b_ub.size, -np.inf), p.b_eq))
-    lp.row_upper_ = np.concatenate((p.b_ub, p.b_eq))
-    return lp
-
-
-def _run(lp: _highs.HighsLp, presolve: bool, basis=None, primal: bool = False) -> _highs._Highs | None:
-    """One HiGHS solve, Devex-priced when warm from ``basis``, by primal simplex
-    when ``primal``; None if the basis does not fit."""
+def _run(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> _highs._Highs | None:
+    """One HiGHS solve of ``p``, Devex-priced when warm from ``basis``, by
+    primal simplex when ``primal``; None if the basis does not fit."""
     highs = _highs._Highs()
     for key, value in _OPTIONS.items():
         highs.setOptionValue(key, value)
@@ -187,7 +189,11 @@ def _run(lp: _highs.HighsLp, presolve: bool, basis=None, primal: bool = False) -
         highs.setOptionValue("simplex_dual_edge_weight_strategy", _DEVEX)
     if primal:
         highs.setOptionValue("simplex_strategy", _PRIMAL)
-    highs.passModel(lp)
+    n, a = p.n_vars, p.a
+    highs.passModel(
+        n, a.shape[0], a.nnz, _COLWISE, _MINIMIZE, 0.0, p.c, p.lb, np.full(n, np.inf),
+        p.row_lower, p.row_upper, a.indptr, a.indices, a.data, np.zeros(n, np.int32),
+    )  # every column continuous: an empty integrality array is an error
     if basis is not None and highs.setBasis(basis) != _highs.HighsStatus.kOk:
         return None
     highs.run()
@@ -205,7 +211,7 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     objective = float(highs.getInfo().objective_function_value)
     # bound marginals are the column duals of columns nonbasic at that bound
     basis = highs.getBasis()
-    col_status = np.fromiter(map(int, basis.col_status), np.int8, p.n_vars)
+    col_status = np.array(basis.col_status, dtype=np.int8)
     col_dual = np.array(sol.col_dual)
     lower = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
     row_dual = np.array(sol.row_dual)
@@ -228,9 +234,9 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     )
 
 
-def _solve(p: LpProblem, lp: _highs.HighsLp, presolve: bool, basis=None, primal: bool = False) -> LpOutcome:
+def _solve(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> LpOutcome:
     """One HiGHS run read into an outcome; the instance is freed on return."""
-    highs = _run(lp, presolve, basis, primal)
+    highs = _run(p, presolve, basis, primal)
     if highs is None:
         return LpOutcome(FAILED)  # the basis does not fit the program
     return _outcome(p, highs)
@@ -263,15 +269,14 @@ def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None, primal:
     so outcomes stay deterministic, and ``nit`` counts the iterations of every
     run.
     """
-    lp = _highs_lp(problem)
     rungs = [(False, basis)] if basis is not None else []
     rungs += [(True, None), (False, None)]
     spent = 0
     for presolve, start in rungs:
-        out = _solve(problem, lp, presolve, start, primal and start is None)
+        out = _solve(problem, presolve, start, primal and start is None)
         if out.optimal and not _accepted(out):
             spent += out.nit
-            out = _solve(problem, lp, False, out.basis)
+            out = _solve(problem, False, out.basis)
         spent += out.nit
         if _accepted(out) or (start is None and out.status in _FINAL):
             return replace(out, nit=spent)

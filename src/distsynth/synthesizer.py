@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .encoder import SynthProblem, VariableLayout
-from .lp_solver import PRIMAL_TOL, LpFailure, LpProblem, solve_lp
+from .lp_solver import PRIMAL_TOL, LpFailure, solve_lp
 from .setgeom import BoxHullSet, box_points
 
 
@@ -65,29 +64,6 @@ def boxes_from_x(problem: SynthProblem, x: np.ndarray) -> BoxHullSet:
     return BoxHullSet(boxes[:, 0], np.clip(boxes[:, 1], 0.0, None))
 
 
-_SIGNS = np.array([[1.0], [-1.0]])
-
-
-def _block_diag(blocks: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal matrix of a (count, rows, cols) stack, built as BSR."""
-    count, rows, cols = blocks.shape
-    diag = np.arange(count + 1)
-    return sp.bsr_matrix((blocks, diag[:-1], diag), shape=(count * rows, count * cols)).tocsr()
-
-
-def _membership_rows_fixed_beta(problem: SynthProblem, beta):
-    """Rows +-(w_g - sum_j beta_gj c_j) - sum_j beta_gj e_j <= 0 by (group,
-    coordinate, sign): w_g in the blended box.  Returns the x block
-    -kron(beta, [S, |S|]) with S = kron(I, [1; -1]), where zero weights add no
-    entries, and the w block kron(I, [1; -1])."""
-    lay = problem.layout
-    S = np.kron(np.eye(lay.n_w), _SIGNS)
-    # "coo" keeps kron off its BSR path, which would store the zeros of S
-    blended = sp.kron(-beta.reshape(lay.n_groups, lay.n_boxes), np.hstack([S, np.abs(S)]), "coo")
-    blended.resize(blended.shape[0], lay.dim_x)  # the budget columns of x stay empty
-    return blended, _block_diag(np.tile(_SIGNS, (lay.dim_w, 1, 1)))
-
-
 def _closed_form_wbar(problem: SynthProblem, x, w, beta) -> np.ndarray:
     """Group points wbar_gj in their own boxes with sum_j beta_gj wbar_gj = w_g."""
     lay = problem.layout
@@ -107,19 +83,7 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     """
     lay = problem.layout
     nx, z_off = lay.dim_x, lay.dim_x + lay.dim_w  # columns (x, w, z)
-    member_x, member_w = _membership_rows_fixed_beta(problem, beta)
-    a_ub = sp.bmat(
-        [[problem.a_x, None, None], [member_x, member_w, None], [None, None, problem.e_z]], format="csr"
-    )
-    b_ub = np.concatenate([problem.b, np.zeros(2 * lay.dim_w + problem.e_z.shape[0])])
-    a_eq = sp.hstack([sp.csr_matrix((problem.c_w.shape[0], nx)), problem.c_w, problem.c_z], format="csr")
-
-    c = np.concatenate([np.zeros(z_off), problem.cost_z])
-    lb = np.full(c.size, -np.inf)
-    _boxes(lay, lb)[:, 1] = 0.0  # the halfwidths, written through the view
-    lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
-
-    lp = LpProblem(c, a_ub, b_ub, a_eq, problem.h, lb=lb)
+    lp = problem.p_program.lp(beta)
     out = solve_lp(lp, basis=basis)
     if not out.optimal:
         raise SynthesisError(f"box-fitting LP ended with status {out.status}", lp)
@@ -137,27 +101,21 @@ def q_step(problem: SynthProblem, wbar: np.ndarray, basis=None):
     """
     lay = problem.layout
     nb = lay.dim_beta  # columns (beta, z)
-    points = wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w)
-    blend = _block_diag(points.transpose(0, 2, 1))
-    a_eq = sp.bmat([[problem.c_w @ blend, problem.c_z], [problem.t_beta, None]], format="csr")
-    b_eq = np.concatenate([problem.h, np.ones(problem.t_beta.shape[0])])
-    a_ub = sp.hstack([sp.csr_matrix((problem.e_z.shape[0], nb)), problem.e_z], format="csr")
-    b_ub = np.zeros(problem.e_z.shape[0])
-    c = np.concatenate([np.zeros(nb), problem.cost_z])
-    lb = np.full(c.size, -np.inf)
-    lb[:nb] = 0.0
-    lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
-
-    lp = LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
+    lp = problem.q_program.lp(wbar)
     out = solve_lp(lp, basis=basis)
     if not out.optimal:
         raise SynthesisError(f"reweighting LP ended with status {out.status}", lp)
     beta = out.x[:nb]
+    points = wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w)
     if np.all(np.ptp(points, axis=1) <= PRIMAL_TOL):
         # every group's points coincide, so every weight is optimal: replace
         # the solver's arbitrary pick by a fixed one
         beta = spread_beta(lay)
-    return blend @ beta, out.x[nb:], beta, float(out.objective), out
+    weights = beta.reshape(lay.n_groups, lay.n_boxes, 1)
+    w = np.zeros((lay.n_groups, lay.n_w))
+    for j in range(lay.n_boxes):  # box by box, as blockdiag(wbar_g^T) @ beta sums
+        w = w + weights[:, j] * points[:, j]
+    return w.ravel(), out.x[nb:], beta, float(out.objective), out
 
 
 # the stopping rule: an iteration that improves the objective by less than

@@ -9,7 +9,7 @@ from scipy.linalg import null_space
 
 from distsynth import BoxHullSet
 from distsynth.encoder import SynthProblem, VariableLayout
-from distsynth.lp_solver import LpFailure, solve_lp
+from distsynth.lp_solver import LpFailure, LpProblem, solve_lp
 from distsynth.rpi_params import horizon_constants
 from distsynth.setgeom import (
     _MAX_DIM,
@@ -22,6 +22,7 @@ from distsynth.setgeom import (
     merge_vertices,
     stacked_identity,
 )
+from distsynth.synthesizer import _boxes
 from distsynth.verifier import _reach_lp
 
 
@@ -152,3 +153,60 @@ def vertices_hpoly_loop(P: HPolytope) -> np.ndarray:
             raise GeometryError("polytope is unbounded")
     V = merge_vertices(found)
     return V[np.lexsort(V.T[::-1])]
+
+
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _block_diag(blocks: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal matrix of a (count, rows, cols) stack, built as BSR."""
+    count, rows, cols = blocks.shape
+    diag = np.arange(count + 1)
+    return sp.bsr_matrix((blocks, diag[:-1], diag), shape=(count * rows, count * cols)).tocsr()
+
+
+def p_step_lp(problem: SynthProblem, beta: np.ndarray) -> LpProblem:
+    """Reference for the P-step program over (x, w, z), built block by block
+    with ``sp.bmat``: the membership rows +-(w_g - sum_j beta_gj c_j) - sum_j
+    beta_gj e_j <= 0 by (group, coordinate, sign) are -kron(beta, [S, |S|])
+    with S = kron(I, [1; -1]), where zero weights add no entries."""
+    lay = problem.layout
+    nx, z_off = lay.dim_x, lay.dim_x + lay.dim_w
+    S = np.kron(np.eye(lay.n_w), _SIGNS)
+    # "coo" keeps kron off its BSR path, which would store the zeros of S
+    member_x = sp.kron(-beta.reshape(lay.n_groups, lay.n_boxes), np.hstack([S, np.abs(S)]), "coo")
+    member_x.resize(member_x.shape[0], nx)  # the budget columns of x stay empty
+    member_w = _block_diag(np.tile(_SIGNS, (lay.dim_w, 1, 1)))
+    a_ub = sp.bmat(
+        [[problem.a_x, None, None], [member_x, member_w, None], [None, None, problem.e_z]], format="csr"
+    )
+    b_ub = np.concatenate([problem.b, np.zeros(2 * lay.dim_w + problem.e_z.shape[0])])
+    a_eq = sp.hstack([sp.csr_matrix((problem.c_w.shape[0], nx)), problem.c_w, problem.c_z], format="csr")
+    c = np.concatenate([np.zeros(z_off), problem.cost_z])
+    lb = np.full(c.size, -np.inf)
+    _boxes(lay, lb)[:, 1] = 0.0
+    lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
+    return LpProblem(c, a_ub, b_ub, a_eq, problem.h, lb=lb)
+
+
+def q_step_lp(problem: SynthProblem, wbar: np.ndarray):
+    """Reference for the Q-step program over (beta, z), with w =
+    blockdiag(wbar_g^T) beta substituted into the reach rows by a sparse
+    product; returns the program and blockdiag(wbar_g^T)."""
+    lay = problem.layout
+    nb = lay.dim_beta
+    blend = _block_diag(wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w).transpose(0, 2, 1))
+    a_eq = sp.bmat([[problem.c_w @ blend, problem.c_z], [problem.t_beta, None]], format="csr")
+    b_eq = np.concatenate([problem.h, np.ones(problem.t_beta.shape[0])])
+    a_ub = sp.hstack([sp.csr_matrix((problem.e_z.shape[0], nb)), problem.e_z], format="csr")
+    c = np.concatenate([np.zeros(nb), problem.cost_z])
+    lb = np.full(c.size, -np.inf)
+    lb[:nb] = 0.0
+    lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
+    return LpProblem(c, a_ub, np.zeros(problem.e_z.shape[0]), a_eq, b_eq, lb=lb), blend
+
+
+def stacked_csc(p: LpProblem) -> sp.csc_array:
+    """Reference for the matrix HiGHS receives: [a_ub; a_eq] stacked and
+    converted to CSC as linprog converts it."""
+    return sp.csc_array(sp.vstack((p.a_ub, p.a_eq)))

@@ -247,17 +247,30 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: cannot write {afile}")
         assert afile.read_text() == ""
 
+    @pytest.mark.parametrize("command", ["params", "synth"])
+    def test_unusable_out_fails_before_any_work(self, tmp_path, monkeypatch, capsys, command, small_spec_doc):
+        from distsynth import cli
+
+        def never(spec):
+            raise AssertionError(f"cmd_{command} ran")
+
+        monkeypatch.setattr(cli, f"cmd_{command}", never)
+        afile = tmp_path / "afile.toml"
+        afile.write_text("")
+        assert main([command, write_json(tmp_path / "spec.json", small_spec_doc), "--out", str(afile / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {afile / 'x'}")
+
     def test_failed_lp_that_cannot_be_written_still_exits_4(self, tmp_path, monkeypatch, capsys, small_spec_doc):
         from distsynth import synthesizer
         from distsynth.lp_solver import FAILED, LpOutcome
 
         monkeypatch.setattr(synthesizer, "solve_lp", lambda lp, **kwargs: LpOutcome(FAILED))
-        afile = tmp_path / "afile.toml"
-        afile.write_text("")
-        assert main(["synth", write_json(tmp_path / "spec.json", small_spec_doc), "--out", str(afile / "x")]) == 4
+        blocked = tmp_path / "out" / "failed_lp.lp"
+        blocked.mkdir(parents=True)  # the --out directory is usable, the dump's path is not
+        assert main(["synth", write_json(tmp_path / "spec.json", small_spec_doc), "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: iteration 1: box-fitting LP ended with status failed")
-        assert f"error: cannot write the failing LP to {afile / 'x' / 'failed_lp.lp'}: " in err
+        assert f"error: cannot write the failing LP to {blocked}: " in err
 
     def test_unstable_is_3(self, tmp_path):
         doc = json.loads(json.dumps(PENTAGON_SPEC))

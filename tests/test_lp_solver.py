@@ -262,6 +262,30 @@ def test_cold_solve_is_linprog_bit_for_bit(illustrative_lps):
         assert out.residual == _scaled_residual(p, res.x)
 
 
+def test_highs_takes_a_program_as_arrays():
+    """The installed scipy's HiGHS binding has the array overload of passModel
+    that ``_run`` calls, and a cold solve through it is linprog's, bit for bit."""
+    from scipy.optimize._highspy import _core as highs_core
+
+    c, G, g = _random_bounded_lp(np.random.default_rng(23))
+    p = LpProblem(c, sp.csr_matrix(G), g, sp.csr_matrix(np.ones((1, c.size))), np.array([0.5]))
+    highs = highs_core._Highs()
+    for key, value in {**lp_solver._OPTIONS, "presolve": "on"}.items():
+        highs.setOptionValue(key, value)
+    n, a = p.n_vars, p.a
+    status = highs.passModel(
+        n, a.shape[0], a.nnz, int(highs_core.MatrixFormat.kColwise), int(highs_core.ObjSense.kMinimize), 0.0,
+        p.c, p.lb, np.full(n, np.inf), p.row_lower, p.row_upper, a.indptr, a.indices, a.data,
+        np.zeros(n, np.int32),
+    )
+    assert status == highs_core.HighsStatus.kOk
+    highs.run()
+    res = linprog_reference(p)
+    assert res.status == 0 and highs.getModelStatus() == highs_core.HighsModelStatus.kOptimal
+    assert np.array(highs.getSolution().col_value).tobytes() == res.x.tobytes()
+    assert highs.getInfo().objective_function_value == res.fun
+
+
 def _two_row_lp(c=(-1.0, -1.0), b_ub=(1.0, 1.0)):
     """x0 + x1 <= b0, x0 - x1 <= b1, x >= 0: one matrix, many programs."""
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]]))
@@ -302,8 +326,8 @@ def _warm_answers_miss_the_contract(monkeypatch):
     """Every answer of a run started from a basis misses the residual contract."""
     real = lp_solver._solve
 
-    def solve(p, lp, presolve, basis=None, primal=False):
-        out = real(p, lp, presolve, basis, primal)
+    def solve(p, presolve, basis=None, primal=False):
+        out = real(p, presolve, basis, primal)
         return dataclasses.replace(out, residual=1.0) if basis is not None and out.optimal else out
 
     monkeypatch.setattr(lp_solver, "_solve", solve)
@@ -322,8 +346,8 @@ def _recording_runs(monkeypatch):
     runs = []
     real = lp_solver._run
 
-    def spy(lp, presolve, basis=None, primal=False):
-        highs = real(lp, presolve, basis, primal)
+    def spy(p, presolve, basis=None, primal=False):
+        highs = real(p, presolve, basis, primal)
         if highs is None:
             runs.append((presolve, basis, None, None))
         else:

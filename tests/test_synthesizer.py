@@ -1,4 +1,6 @@
+import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +19,16 @@ from distsynth import (
     spread_beta,
     vertices_hpoly,
 )
-from distsynth import synthesizer
+from distsynth import encoder, synthesizer
+from distsynth.cli import cmd_gen, parse_spec
 from distsynth.lp_solver import RESIDUAL_TOL, LpProblem, solve_lp
 from distsynth.setgeom import stacked_identity
 from distsynth.synthesizer import _jittered_beta, boxes_from_x
 
 from conftest import random_stable_system
-from reference import membership_blocks, program_residual, uniform_beta
+from reference import membership_blocks, p_step_lp, program_residual, q_step_lp, stacked_csc, uniform_beta
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unit_box_constraints(n):
@@ -133,13 +138,15 @@ class TestPStepMatchesWbarOracle:
     def test_illustrative(self, illustrative_problem):
         self.check(illustrative_problem, 62)
 
-    def test_zero_weights_add_no_entries(self, illustrative_problem):
+    def test_zero_weights_add_no_entries(self, illustrative_problem, monkeypatch):
         problem = illustrative_problem
         lay = problem.layout
-        width = lay.dim_x + lay.dim_w
-        dense = sp.hstack(synthesizer._membership_rows_fixed_beta(problem, uniform_beta(lay)))
-        onehot = sp.hstack(synthesizer._membership_rows_fixed_beta(problem, spread_beta(lay)))
-        assert dense.shape == onehot.shape == (2 * lay.dim_w, width)
+        start = problem.a_x.shape[0]
+        dense, onehot = (
+            captured_lp(monkeypatch, p_step, problem, beta).a_ub[start : start + 2 * lay.dim_w]
+            for beta in (uniform_beta(lay), spread_beta(lay))
+        )
+        assert dense.shape == onehot.shape == (2 * lay.dim_w, lay.dim_x + lay.dim_w + lay.dim_z)
         # per row: the w entry plus a center and a halfwidth entry per weighted box
         assert dense.nnz == dense.shape[0] * (1 + 2 * lay.n_boxes)
         assert onehot.nnz == onehot.shape[0] * 3
@@ -629,3 +636,66 @@ class TestRefine:
 
         monkeypatch.setattr(synthesizer, "alternate", failing)
         assert refine(problem, res, 2, np.random.default_rng(7)) is res
+
+
+@pytest.fixture(scope="module", params=["illustrative", "gen-6-2-2", "gen-4-3-2"])
+def spec_problem(request):
+    """The synthesis program cmd_synth assembles for the bundled spec and for
+    two ``gen`` problems at rho 0.7, the second with three disturbance
+    coordinates, so that a reach entry sums three terms in a fixed order."""
+    if request.param == "illustrative":
+        spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
+    else:
+        spec = cmd_gen(*map(int, request.param.split("-")[1:]), 0.7, 1)
+    opts = spec.options
+    params = select_params(spec.sys, spec.Y, gamma=opts.gamma, mu=opts.mu, s_max=opts.s_max)
+    horizon = opts.horizon if opts.horizon is not None else params.s
+    return assemble(
+        spec.sys, spec.Y, spec.resolve_vertices(), params, opts.n_boxes,
+        encoder.short_horizon(spec.sys, horizon), spec.resolve_h(), encoder.budget_tail(spec.sys, spec.Y, params),
+    )
+
+
+def assert_same_program(lp, ref):
+    """``lp`` hands HiGHS the arrays of the reference program ``ref`` stacked
+    as linprog stacks them, bit for bit."""
+    a = stacked_csc(ref)
+    assert lp.a.shape == a.shape
+    for got, want in zip((lp.a.indptr, lp.a.indices, lp.a.data), (a.indptr, a.indices, a.data)):
+        assert got.tobytes() == want.tobytes()
+    for name in ("c", "lb", "b_ub", "b_eq"):
+        assert getattr(lp, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert lp.row_lower.tobytes() == np.concatenate([np.full(ref.b_ub.size, -np.inf), ref.b_eq]).tobytes()
+    assert lp.row_upper.tobytes() == np.concatenate([ref.b_ub, ref.b_eq]).tobytes()
+
+
+class TestStepProgramsMatchReference:
+    """The P-step and Q-step programs filled in from their fixed parts are the
+    ones built block by block with ``sp.bmat``, down to entry order and the
+    entries a zero factor leaves out."""
+
+    @pytest.mark.parametrize("weights", ["spread", "uniform", "jittered"])
+    def test_p_step(self, spec_problem, weights, monkeypatch):
+        lay = spec_problem.layout
+        if weights == "jittered":  # a restart's draw around the spread start
+            beta = _jittered_beta(lay, spread_beta(lay), np.random.default_rng(7).spawn(1)[0])
+        else:
+            beta = spread_beta(lay) if weights == "spread" else uniform_beta(lay)
+        assert_same_program(captured_lp(monkeypatch, p_step, spec_problem, beta), p_step_lp(spec_problem, beta))
+
+    @pytest.mark.parametrize("points", ["p-step", "coincident", "sparse"])
+    def test_q_step(self, spec_problem, points, monkeypatch):
+        lay = spec_problem.layout
+        rng = np.random.default_rng(8)
+        if points == "p-step":
+            wbar = p_step(spec_problem, spread_beta(lay))[2]
+        elif points == "coincident":  # every group's points at one place
+            wbar = np.repeat(rng.normal(size=(lay.n_groups, 1, lay.n_w)), lay.n_boxes, axis=1).ravel()
+        else:
+            wbar = rng.normal(size=lay.dim_beta * lay.n_w)
+            wbar[rng.random(wbar.size) < 0.3] = 0.0
+        ref, blend = q_step_lp(spec_problem, wbar)
+        if points != "sparse":
+            w, _, beta, _, _ = q_step(spec_problem, wbar)
+            assert w.tobytes() == (blend @ beta).tobytes()
+        assert_same_program(captured_lp(monkeypatch, q_step, spec_problem, wbar), ref)
