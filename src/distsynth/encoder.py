@@ -23,7 +23,7 @@ the dimensions and two assemblies of the same input are bit-identical.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -212,24 +212,18 @@ def encode_vertex_reach(
     return c_w, c_z, h, e_z, t_beta
 
 
-@dataclass(frozen=True, eq=False)  # compared by identity: the blocks are sparse
+@dataclass(frozen=True, eq=False)  # compared by identity: the matrix is sparse
 class StepProgram:
-    """One alternation step's program with its frozen factor's entries open:
-    min c@x  s.t.  a[:n_ub]@x <= b_ub,  a[n_ub:]@x = b_eq,  lb <= x.
+    """One alternation step's program with its frozen factor's entries open.
 
-    ``a`` stores every entry the factor can fill, at ``a.data[open]``; the
-    rest are fixed.  For a factor f, open entry e is sum_k coef[e, k] *
-    f[index[e, k]], summed in k order from 0 as the sparse product defining
-    it sums, and it is left out where that is 0, as that product leaves it
-    out (a zero weight adds no entry).
+    ``template`` is the program with every entry the factor can fill stored,
+    as 0, at ``template.a.data[open]``; the rest are fixed.  For a factor f,
+    open entry e is sum_k coef[e, k] * f[index[e, k]], summed in k order from
+    0 as the sparse product defining it sums, and it is left out where that is
+    0, as that product leaves it out (a zero weight adds no entry).
     """
 
-    c: np.ndarray
-    lb: np.ndarray
-    a: sp.csr_matrix
-    n_ub: int
-    b_ub: np.ndarray
-    b_eq: np.ndarray
+    template: LpProblem
     open: np.ndarray
     coef: np.ndarray  # (open entries, terms)
     index: np.ndarray  # (open entries, terms)
@@ -239,16 +233,13 @@ class StepProgram:
         values = np.zeros(self.open.size)
         for coef, index in zip(self.coef.T, self.index.T):
             values = values + coef * factor[index]
-        data = self.a.data.copy()
+        a = self.template.a
+        data = a.data.copy()
         data[self.open] = values
         keep = np.ones(data.size, dtype=bool)
         keep[self.open] = values != 0.0
-        indptr = np.concatenate(([0], np.cumsum(keep)))[self.a.indptr]
-        data, indices = data[keep], self.a.indices[keep]
-        cut, n, n_ub = indptr[self.n_ub], self.c.size, self.n_ub
-        a_ub = sp.csr_matrix((data[:cut], indices[:cut], indptr[: n_ub + 1]), shape=(n_ub, n))
-        a_eq = sp.csr_matrix((data[cut:], indices[cut:], indptr[n_ub:] - cut), shape=(self.a.shape[0] - n_ub, n))
-        return LpProblem(self.c, a_ub, self.b_ub, a_eq, self.b_eq, lb=self.lb)
+        indptr = np.concatenate(([0], np.cumsum(keep)))[a.indptr]
+        return replace(self.template, a=sp.csr_matrix((data[keep], a.indices[keep], indptr), shape=a.shape))
 
 
 def _open_rows(cols: np.ndarray, width: int) -> sp.csr_matrix:
@@ -261,15 +252,15 @@ def _zeros(rows: int, cols: int) -> sp.csr_matrix:
     return sp.csr_matrix((rows, cols))
 
 
-def _step_program(c, lb, blocks, n_ub, b_ub, b_eq, opened, coef, index) -> StepProgram:
-    """Stack the row ``blocks`` (CSR, full width); ``opened`` is (block
-    position, entries per row): the leading entries of that block's rows are
-    the open ones, in row order."""
+def _step_program(c, lb, blocks, b, n_eq, opened, coef, index) -> StepProgram:
+    """Stack the row ``blocks`` (CSR, full width), the last ``n_eq`` rows
+    equalities; ``opened`` is (block position, entries per row): the leading
+    entries of that block's rows are the open ones, in row order."""
     at, per = opened
     a = sp.vstack(blocks, format="csr")
     start = sum(block.nnz for block in blocks[:at]) + blocks[at].indptr[:-1]
     open_ = (start[:, None] + np.arange(per)).ravel()
-    return StepProgram(c, lb, a, n_ub, b_ub, b_eq, open_, coef.reshape(open_.size, -1), index.reshape(open_.size, -1))
+    return StepProgram(LpProblem(c, a, b, n_eq, lb), open_, coef.reshape(open_.size, -1), index.reshape(open_.size, -1))
 
 
 def _p_program(layout: VariableLayout, cost_z, a_x, b, c_w, c_z, h, e_z) -> StepProgram:
@@ -302,10 +293,9 @@ def _p_program(layout: VariableLayout, cost_z, a_x, b, c_w, c_z, h, e_z) -> Step
     lb = np.full(c.size, -np.inf)
     lb[: 2 * n_boxes * nw].reshape(n_boxes, 2, nw)[:, 1] = 0.0  # the halfwidths
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
-    n_ub = a_x.shape[0] + n_rows + e_z.shape[0]
-    b_ub = np.concatenate([b, np.zeros(n_rows + e_z.shape[0])])
+    rhs = np.concatenate([b, np.zeros(n_rows + e_z.shape[0]), h])
     coef = np.where(half == 1, -1.0, 2.0 * s - 1.0)
-    return _step_program(c, lb, blocks, n_ub, b_ub, h, (1, 2 * n_boxes), coef, g * n_boxes + j)
+    return _step_program(c, lb, blocks, rhs, h.size, (1, 2 * n_boxes), coef, g * n_boxes + j)
 
 
 def _q_program(layout: VariableLayout, reach, cost_z, c_z, h, e_z, t_beta) -> StepProgram:
@@ -332,27 +322,17 @@ def _q_program(layout: VariableLayout, reach, cost_z, c_z, h, e_z, t_beta) -> St
     lb = np.full(c.size, -np.inf)
     lb[:nb] = 0.0
     lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
-    b_eq = np.concatenate([h, np.ones(t_beta.shape[0])])
+    rhs = np.concatenate([np.zeros(e_z.shape[0]), h, np.ones(t_beta.shape[0])])
     return _step_program(
-        c, lb, blocks, e_z.shape[0], np.zeros(e_z.shape[0]), b_eq, (1, lay.n_slots * n_boxes),
-        reach[t, y, k], beta_col * nw + k,
+        c, lb, blocks, rhs, h.size + t_beta.shape[0], (1, lay.n_slots * n_boxes), reach[t, y, k], beta_col * nw + k
     )
 
 
 @dataclass(frozen=True)
 class SynthProblem:
-    """Assembled constraint blocks of the synthesis program, and the P-step
-    and Q-step programs built from them."""
+    """The layout of the synthesis program and its P-step and Q-step programs."""
 
     layout: VariableLayout
-    cost_z: np.ndarray
-    a_x: sp.csr_matrix
-    b: np.ndarray
-    c_w: sp.csr_matrix
-    c_z: sp.csr_matrix
-    h: np.ndarray
-    e_z: sp.csr_matrix
-    t_beta: sp.csr_matrix
     p_program: StepProgram
     q_program: StepProgram
 
@@ -435,14 +415,6 @@ def assemble(
     a_x, b = sp.vstack([a1, a2, a3], format="csr"), np.concatenate([b1, b2, b3])
     return SynthProblem(
         layout=layout,
-        cost_z=cost_z,
-        a_x=a_x,
-        b=b,
-        c_w=c_w,
-        c_z=c_z,
-        h=h,
-        e_z=e_z,
-        t_beta=t_beta,
         p_program=_p_program(layout, cost_z, a_x, b, c_w, c_z, h, e_z),
         q_program=_q_program(layout, reach_coefficients(sys, horizon), cost_z, c_z, h, e_z, t_beta),
     )

@@ -1,13 +1,15 @@
 """Deterministic linear-program interface used by the synthesizer and verifier.
 
-Problems are carried as a cost vector, sparse inequality/equality blocks and
-per-variable lower bounds; each ``LpProblem`` also stacks [a_ub; a_eq]
-column-wise once, with its row bounds, as ``linprog`` would stack them.
-Solving goes straight to the HiGHS bindings that scipy bundles: those arrays
-reach HiGHS through the array overload of ``passModel``, with no element-wise
-copy, under the options ``scipy.optimize.linprog(method="highs")`` would
-pass, so an accepted cold dual-simplex answer is what ``linprog`` returns,
-bit for bit, without its front end, unless the caller asks for primal simplex
+A problem is one form: a cost vector, one CSR matrix whose leading rows are
+inequalities and whose last ``n_eq`` rows are equalities, its right-hand side
+and per-variable lower bounds.  Solving goes straight to the HiGHS bindings
+that scipy bundles: the CSR arrays reach HiGHS row-wise, as they are, through
+the array overload of ``passModel``, with no element-wise copy and no
+conversion in Python; HiGHS turns them column-wise itself, into the arrays
+``linprog`` would pass.  The options are those
+``scipy.optimize.linprog(method="highs")`` would pass, so an accepted cold
+dual-simplex answer is what ``linprog`` returns, bit for bit, without its
+front end, unless the caller asks for primal simplex
 (``primal=True``: the verifier's programs over a fixed W, whose optimal value
 is unique and which it always solves cold; not the synthesis programs, where
 the degenerate optimum HiGHS returns steers the alternation).  HiGHS is
@@ -21,7 +23,7 @@ it.  ``write_lp`` dumps a program in LP format for cross-checks elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,7 +72,7 @@ _OPTIONS = {
 # which can cost more than the few iterations that follow
 _DEVEX = _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
 _PRIMAL = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
-_COLWISE = int(_highs.MatrixFormat.kColwise)
+_ROWWISE = int(_highs.MatrixFormat.kRowwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
 
@@ -83,60 +85,65 @@ class LpFailure(RuntimeError):
         self.lp = lp
 
 
-@dataclass(frozen=True, eq=False)  # compared by identity: the blocks are sparse
+@dataclass(frozen=True, eq=False)  # compared by identity: the matrix is sparse
 class LpProblem:
-    """min c@x  s.t.  a_ub@x <= b_ub,  a_eq@x = b_eq,  lb <= x; an absent
-    block is stored as an empty 0 x n matrix with an empty right-hand side.
+    """min c@x  s.t.  a@x <= b on the leading ``n_ub`` rows,  a@x = b on the
+    last ``n_eq`` rows,  lb <= x.
 
-    ``a`` is [a_ub; a_eq] column-wise, with ``row_lower <= a@x <= row_upper``:
-    the program as HiGHS takes it, stacked once, as linprog stacks it."""
+    ``a`` is one CSR matrix, the inequality rows first, and HiGHS takes it
+    row-wise as it is.  An absent ``a`` is an empty 0 x n matrix with an empty
+    ``b``; an absent ``lb`` leaves every column free."""
 
     c: np.ndarray
-    a_ub: sp.csr_matrix | None = None
-    b_ub: np.ndarray | None = None
-    a_eq: sp.csr_matrix | None = None
-    b_eq: np.ndarray | None = None
+    a: sp.csr_matrix | None = None
+    b: np.ndarray | None = None
+    n_eq: int = 0
     lb: np.ndarray | None = None
-    a: sp.csc_array = field(init=False, repr=False)
-    row_lower: np.ndarray = field(init=False, repr=False)
-    row_upper: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
         if not np.all(np.isfinite(c)):
             raise ValueError("cost vector must be finite")
-        object.__setattr__(self, "c", c)
         n = c.size
-        for mname, vname in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
-            mat, vec = getattr(self, mname), getattr(self, vname)
-            if (mat is None) != (vec is None):
-                raise ValueError(f"{mname} and {vname} must be given together")
-            mat = sp.csr_matrix((0, n)) if mat is None else sp.csr_matrix(mat)
-            vec = np.zeros(0) if vec is None else np.asarray(vec, dtype=float)
-            if mat.shape[1] != n:
-                raise ValueError(f"{mname} has {mat.shape[1]} columns, expected {n}")
-            if not np.all(np.isfinite(mat.data)):
-                raise ValueError(f"{mname} must be finite")
-            if vec.size != mat.shape[0]:
-                raise ValueError(f"{vname} length mismatch")
-            # b_ub may be infinite, as bounds may; NaN and an infinite b_eq may not
-            if np.isnan(vec).any() or (vname == "b_eq" and np.isinf(vec).any()):
-                raise ValueError(f"{vname} holds NaN or an infinite equality")
-            object.__setattr__(self, mname, mat)
-            object.__setattr__(self, vname, vec)
+        if (self.a is None) != (self.b is None):
+            raise ValueError("a and b must be given together")
+        a = sp.csr_matrix((0, n)) if self.a is None else sp.csr_matrix(self.a, dtype=float)
+        b = np.zeros(0) if self.b is None else np.asarray(self.b, dtype=float)
+        if a.shape[1] != n:
+            raise ValueError(f"a has {a.shape[1]} columns, expected {n}")
+        if not np.all(np.isfinite(a.data)):
+            raise ValueError("a must be finite")
+        if b.size != a.shape[0]:
+            raise ValueError("b length mismatch")
+        if not 0 <= self.n_eq <= b.size:
+            raise ValueError(f"n_eq must lie in 0..{b.size}")
+        # an inequality's right-hand side may be infinite, as bounds may; NaN
+        # and an infinite equality right-hand side may not
+        if np.isnan(b).any() or np.isinf(b[b.size - self.n_eq :]).any():
+            raise ValueError("b holds NaN or an infinite equality")
         lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
         if lb.size != n:
             raise ValueError("bound length mismatch")
         if np.isnan(lb).any() or (lb == np.inf).any():
             raise ValueError("bounds must not be NaN or +inf")
-        object.__setattr__(self, "lb", lb)
-        object.__setattr__(self, "a", sp.csc_array(sp.vstack((self.a_ub, self.a_eq))))
-        object.__setattr__(self, "row_lower", np.concatenate((np.full(self.b_ub.size, -np.inf), self.b_eq)))
-        object.__setattr__(self, "row_upper", np.concatenate((self.b_ub, self.b_eq)))
+        for name, value in (("c", c), ("a", a), ("b", b), ("lb", lb)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
         return self.c.size
+
+    @property
+    def n_ub(self) -> int:
+        return self.b.size - self.n_eq
+
+    @property
+    def a_ub(self) -> sp.csr_matrix:  # perfbench/tracer.py reads it; drop with ROADMAP item F
+        return self.a[: self.n_ub]
+
+    @property
+    def a_eq(self) -> sp.csr_matrix:  # perfbench/tracer.py reads it; drop with ROADMAP item F
+        return self.a[self.n_ub :]
 
 
 @dataclass(frozen=True)
@@ -173,9 +180,9 @@ def _scaled_residual(p: LpProblem, x: np.ndarray) -> float:
     (at least 1); inf when ``x`` is not finite, so it meets no tolerance."""
     if not np.isfinite(x).all():
         return np.inf
-    ub = (p.a_ub @ x - p.b_ub) / _row_scale(p.a_ub)
-    eq = np.abs(p.a_eq @ x - p.b_eq) / _row_scale(p.a_eq)
-    return float(np.max(np.concatenate((p.lb - x, ub, eq)), initial=0.0))
+    rows = (p.a @ x - p.b) / _row_scale(p.a)
+    rows[p.n_ub :] = np.abs(rows[p.n_ub :])  # an equality is violated either way
+    return float(np.max(np.concatenate((p.lb - x, rows)), initial=0.0))
 
 
 def _run(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> _highs._Highs | None:
@@ -190,9 +197,10 @@ def _run(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> _hig
     if primal:
         highs.setOptionValue("simplex_strategy", _PRIMAL)
     n, a = p.n_vars, p.a
+    row_lower = np.concatenate((np.full(p.n_ub, -np.inf), p.b[p.n_ub :]))
     highs.passModel(
-        n, a.shape[0], a.nnz, _COLWISE, _MINIMIZE, 0.0, p.c, p.lb, np.full(n, np.inf),
-        p.row_lower, p.row_upper, a.indptr, a.indices, a.data, np.zeros(n, np.int32),
+        n, a.shape[0], a.nnz, _ROWWISE, _MINIMIZE, 0.0, p.c, p.lb, np.full(n, np.inf),
+        row_lower, p.b, a.indptr, a.indices, a.data, np.zeros(n, np.int32),
     )  # every column continuous: an empty integrality array is an error
     if basis is not None and highs.setBasis(basis) != _highs.HighsStatus.kOk:
         return None
@@ -215,12 +223,12 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     col_dual = np.array(sol.col_dual)
     lower = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
     row_dual = np.array(sol.row_dual)
-    ineq, eq = row_dual[: p.b_ub.size], row_dual[p.b_ub.size :]
+    b_ub, b_eq, ineq, eq = p.b[: p.n_ub], p.b[p.n_ub :], row_dual[: p.n_ub], row_dual[p.n_ub :]
     # an infinite right-hand side or bound has a zero dual and adds nothing
-    finite_row, finite_lb = np.isfinite(p.b_ub), np.isfinite(p.lb)
+    finite_row, finite_lb = np.isfinite(b_ub), np.isfinite(p.lb)
     dual = (
-        float(p.b_ub[finite_row] @ ineq[finite_row])
-        + float(p.b_eq @ eq)
+        float(b_ub[finite_row] @ ineq[finite_row])
+        + float(b_eq @ eq)
         + float(p.lb[finite_lb] @ lower[finite_lb])
     )
     return LpOutcome(
@@ -304,8 +312,10 @@ def write_lp(problem: LpProblem, path) -> None:
     if lines[1] == " obj: ":
         lines[1] = " obj: + 0 x0 "
     lines.append("Subject To")
-    for tag, sense, mat, rhs in (("r", "<=", problem.a_ub, problem.b_ub), ("e", "=", problem.a_eq, problem.b_eq)):
-        lines += [f" {tag}{i}: {_row_text(mat, i)}{sense} {float(rhs[i])!r}" for i in range(mat.shape[0])]
+    n_ub = problem.n_ub
+    for i, rhs in enumerate(map(float, problem.b)):
+        name, sense = (f"r{i}", "<=") if i < n_ub else (f"e{i - n_ub}", "=")
+        lines.append(f" {name}: {_row_text(problem.a, i)}{sense} {rhs!r}")
     lines.append("Bounds")
     for j, lo in enumerate(map(float, problem.lb)):
         lines.append(f" x{j} free" if np.isinf(lo) else f" x{j} >= {lo!r}")

@@ -210,11 +210,12 @@ def _reach_lp(
 
     ``coeff`` stacks one (n_y, n_w) map per slot.  Each vertex copy has one
     point p per slot, the box weights beta >= 0 (slot, box) and the output
-    deviation b.  Its rows are the reach equalities sum_t coeff_t p_t + b = y,
-    one simplex row sum_j beta_j = 1 per slot, the membership rows
-    S p - (S C' + |S| E') beta <= 0 per slot (S = [I; -I], box centers C and
-    halfwidths E by row), and H b + slack <= h_rhs, where ``slack`` has one
-    row per (vertex, row of H) and its columns are bounded below by ``slack_lb``.
+    deviation b.  Its rows are the membership rows S p - (S C' + |S| E') beta
+    <= 0 per slot (S = [I; -I], box centers C and halfwidths E by row),
+    H b + slack <= h_rhs, where ``slack`` has one row per (vertex, row of H)
+    and its columns are bounded below by ``slack_lb``, then the reach
+    equalities sum_t coeff_t p_t + b = y and one simplex row sum_j beta_j = 1
+    per slot.
     It is exact: sum_j beta_j box(c_j, e_j) is the box (sum beta c, sum beta e),
     and W is the union of these blended boxes over the simplex.
     """
@@ -227,25 +228,19 @@ def _reach_lp(
     slack = sp.coo_matrix(slack)
     m = slack.shape[1]
     # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
-    a_eq = sp.bmat(
-        [
-            [sp.kron(sp.eye(n), np.hstack(coeff), "coo"), None, sp.eye(n_b, format="coo"), sp.coo_matrix((n_b, m))],
-            [None, sp.kron(sp.eye(groups), np.ones((1, N)), "coo"), None, None],
-        ],
-        format="csr",
-    )
-    a_ub = sp.bmat(
+    a = sp.bmat(
         [
             [sp.kron(sp.eye(groups), S, "coo"), sp.kron(sp.eye(groups), blended, "coo"), None, None],
             [None, None, sp.kron(sp.eye(n), H, "coo"), slack],
+            [sp.kron(sp.eye(n), np.hstack(coeff), "coo"), None, sp.eye(n_b, format="coo"), None],
+            [None, sp.kron(sp.eye(groups), np.ones((1, N)), "coo"), None, None],
         ],
         format="csr",
     )
     c = np.concatenate((np.zeros(n_p + n_beta + n_b), np.ones(m)))
     lb = np.concatenate((np.full(n_p, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
-    b_ub = np.concatenate((np.zeros(2 * n_p), h_rhs))
-    b_eq = np.concatenate((vertices.ravel(), np.ones(groups)))
-    return LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb)
+    b = np.concatenate((np.zeros(2 * n_p), h_rhs, vertices.ravel(), np.ones(groups)))
+    return LpProblem(c, a, b, n_b + groups, lb)
 
 
 def _reach_witness(coeff, vertices, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs):

@@ -8,7 +8,14 @@ import scipy.sparse as sp
 from scipy.linalg import null_space
 
 from distsynth import BoxHullSet
-from distsynth.encoder import SynthProblem, VariableLayout
+from distsynth.encoder import (
+    VariableLayout,
+    build_gbar,
+    encode_gamma_bound,
+    encode_origin,
+    encode_output_inclusion,
+    encode_vertex_reach,
+)
 from distsynth.lp_solver import LpFailure, LpProblem, solve_lp
 from distsynth.rpi_params import horizon_constants
 from distsynth.setgeom import (
@@ -46,6 +53,35 @@ def scaled(W: BoxHullSet, factor: float) -> BoxHullSet:
     return BoxHullSet(factor * W.centers, abs(factor) * W.halfwidths)
 
 
+@dataclass(frozen=True, eq=False)  # compared by identity: the blocks are sparse
+class SynthBlocks:
+    """The constraint blocks ``assemble`` builds the P-step and Q-step
+    programs from (see ``encoder``), over one layout."""
+
+    layout: VariableLayout
+    cost_z: np.ndarray
+    a_x: sp.csr_matrix
+    b: np.ndarray
+    c_w: sp.csr_matrix
+    c_z: sp.csr_matrix
+    h: np.ndarray
+    e_z: sp.csr_matrix
+    t_beta: sp.csr_matrix
+
+
+def synth_blocks(sys, Y, Y_vertices, params, H, layout: VariableLayout) -> SynthBlocks:
+    """The blocks of an assembled problem's ``layout``, built by encoder's
+    ``encode_*`` functions as ``assemble`` calls them."""
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    a1, b1 = encode_output_inclusion(build_gbar(sys, Y, params), sys, Y, params, layout)
+    a2, b2 = encode_gamma_bound(sys, params.gamma, layout)
+    a3, b3 = encode_origin(layout)
+    cost_z = np.zeros(layout.dim_z)
+    cost_z[layout.z_eps()] = 1.0
+    a_x, b = sp.vstack([a1, a2, a3], format="csr"), np.concatenate([b1, b2, b3])
+    return SynthBlocks(layout, cost_z, a_x, b, *encode_vertex_reach(merge_vertices(Y_vertices), sys, layout, H))
+
+
 def membership_blocks(layout: VariableLayout):
     """(d_x, d_wbar): rows S wbar_gj - S c_j - |S| e_j <= 0 with S = [I; -I],
     keeping every per-group point in its own box, by (group, box, sign,
@@ -57,19 +93,19 @@ def membership_blocks(layout: VariableLayout):
     return d_x, sp.kron(sp.eye(layout.n_groups * layout.n_boxes), S, "csr")
 
 
-def program_residual(problem: SynthProblem, point: dict) -> float:
+def program_residual(blocks: SynthBlocks, point: dict) -> float:
     """Largest violation of any block of the synthesis program by an
     (x, w, wbar, beta, z) point, such as ``SynthResult.witness``."""
     x, w, wbar = point["x"], point["w"], point["wbar"]
     beta, z = point["beta"], point["z"]
-    worst = float(np.max(problem.a_x @ x - problem.b, initial=-np.inf))
-    d_x, d_wbar = membership_blocks(problem.layout)
+    worst = float(np.max(blocks.a_x @ x - blocks.b, initial=-np.inf))
+    d_x, d_wbar = membership_blocks(blocks.layout)
     worst = max(worst, float(np.max(d_x @ x + d_wbar @ wbar, initial=-np.inf)))
-    worst = max(worst, float(np.max(np.abs(problem.c_w @ w + problem.c_z @ z - problem.h), initial=-np.inf)))
-    worst = max(worst, float(np.max(problem.e_z @ z, initial=-np.inf)))
-    worst = max(worst, float(np.max(np.abs(problem.t_beta @ beta - 1.0), initial=-np.inf)))
+    worst = max(worst, float(np.max(np.abs(blocks.c_w @ w + blocks.c_z @ z - blocks.h), initial=-np.inf)))
+    worst = max(worst, float(np.max(blocks.e_z @ z, initial=-np.inf)))
+    worst = max(worst, float(np.max(np.abs(blocks.t_beta @ beta - 1.0), initial=-np.inf)))
     worst = max(worst, float(np.max(-beta, initial=-np.inf)))
-    lay = problem.layout
+    lay = blocks.layout
     weights = beta.reshape(lay.n_groups, lay.n_boxes)
     recon = np.einsum("gj,gjk->gk", weights, wbar.reshape(*weights.shape, lay.n_w))
     worst = max(worst, float(np.max(np.abs(w.reshape(lay.n_groups, lay.n_w) - recon))))
@@ -165,48 +201,54 @@ def _block_diag(blocks: np.ndarray) -> sp.csr_matrix:
     return sp.bsr_matrix((blocks, diag[:-1], diag), shape=(count * rows, count * cols)).tocsr()
 
 
-def p_step_lp(problem: SynthProblem, beta: np.ndarray) -> LpProblem:
+def p_step_lp(blocks: SynthBlocks, beta: np.ndarray) -> LpProblem:
     """Reference for the P-step program over (x, w, z), built block by block
     with ``sp.bmat``: the membership rows +-(w_g - sum_j beta_gj c_j) - sum_j
     beta_gj e_j <= 0 by (group, coordinate, sign) are -kron(beta, [S, |S|])
     with S = kron(I, [1; -1]), where zero weights add no entries."""
-    lay = problem.layout
+    lay = blocks.layout
     nx, z_off = lay.dim_x, lay.dim_x + lay.dim_w
     S = np.kron(np.eye(lay.n_w), _SIGNS)
     # "coo" keeps kron off its BSR path, which would store the zeros of S
     member_x = sp.kron(-beta.reshape(lay.n_groups, lay.n_boxes), np.hstack([S, np.abs(S)]), "coo")
     member_x.resize(member_x.shape[0], nx)  # the budget columns of x stay empty
     member_w = _block_diag(np.tile(_SIGNS, (lay.dim_w, 1, 1)))
-    a_ub = sp.bmat(
-        [[problem.a_x, None, None], [member_x, member_w, None], [None, None, problem.e_z]], format="csr"
+    a = sp.bmat(
+        [
+            [blocks.a_x, None, None],
+            [member_x, member_w, None],
+            [None, None, blocks.e_z],
+            [sp.csr_matrix((blocks.c_w.shape[0], nx)), blocks.c_w, blocks.c_z],
+        ],
+        format="csr",
     )
-    b_ub = np.concatenate([problem.b, np.zeros(2 * lay.dim_w + problem.e_z.shape[0])])
-    a_eq = sp.hstack([sp.csr_matrix((problem.c_w.shape[0], nx)), problem.c_w, problem.c_z], format="csr")
-    c = np.concatenate([np.zeros(z_off), problem.cost_z])
+    b = np.concatenate([blocks.b, np.zeros(2 * lay.dim_w + blocks.e_z.shape[0]), blocks.h])
+    c = np.concatenate([np.zeros(z_off), blocks.cost_z])
     lb = np.full(c.size, -np.inf)
     _boxes(lay, lb)[:, 1] = 0.0
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
-    return LpProblem(c, a_ub, b_ub, a_eq, problem.h, lb=lb)
+    return LpProblem(c, a, b, blocks.h.size, lb)
 
 
-def q_step_lp(problem: SynthProblem, wbar: np.ndarray):
+def q_step_lp(blocks: SynthBlocks, wbar: np.ndarray):
     """Reference for the Q-step program over (beta, z), with w =
     blockdiag(wbar_g^T) beta substituted into the reach rows by a sparse
     product; returns the program and blockdiag(wbar_g^T)."""
-    lay = problem.layout
+    lay = blocks.layout
     nb = lay.dim_beta
     blend = _block_diag(wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w).transpose(0, 2, 1))
-    a_eq = sp.bmat([[problem.c_w @ blend, problem.c_z], [problem.t_beta, None]], format="csr")
-    b_eq = np.concatenate([problem.h, np.ones(problem.t_beta.shape[0])])
-    a_ub = sp.hstack([sp.csr_matrix((problem.e_z.shape[0], nb)), problem.e_z], format="csr")
-    c = np.concatenate([np.zeros(nb), problem.cost_z])
+    a = sp.bmat(
+        [
+            [sp.csr_matrix((blocks.e_z.shape[0], nb)), blocks.e_z],
+            [blocks.c_w @ blend, blocks.c_z],
+            [blocks.t_beta, None],
+        ],
+        format="csr",
+    )
+    n_eq = blocks.h.size + blocks.t_beta.shape[0]
+    b = np.concatenate([np.zeros(blocks.e_z.shape[0]), blocks.h, np.ones(blocks.t_beta.shape[0])])
+    c = np.concatenate([np.zeros(nb), blocks.cost_z])
     lb = np.full(c.size, -np.inf)
     lb[:nb] = 0.0
     lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
-    return LpProblem(c, a_ub, np.zeros(problem.e_z.shape[0]), a_eq, b_eq, lb=lb), blend
-
-
-def stacked_csc(p: LpProblem) -> sp.csc_array:
-    """Reference for the matrix HiGHS receives: [a_ub; a_eq] stacked and
-    converted to CSC as linprog converts it."""
-    return sp.csc_array(sp.vstack((p.a_ub, p.a_eq)))
+    return LpProblem(c, a, b, n_eq, lb), blend

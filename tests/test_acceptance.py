@@ -31,7 +31,7 @@ from distsynth.rpi_params import horizon_constants
 from distsynth.setgeom import sample_batch
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
-from reference import constants_at, contains_point, membership_blocks, uniform_beta
+from reference import constants_at, contains_point, membership_blocks, synth_blocks, uniform_beta
 from test_cli import PARTITIONED_SPEC, write_json
 from test_rpi_params import (
     closed_form_margin,
@@ -173,9 +173,10 @@ def test_criterion_4_certification_soundness(plant, pentagon, illustrative, illu
     assert rep.violations == 0
 
 
-def test_criterion_5_dimension_audit(plant, illustrative_synthesis):
+def test_criterion_5_dimension_audit(plant, pentagon, illustrative, illustrative_synthesis):
     problem, result, _ = illustrative_synthesis
     lay = problem.layout
+    blocks = synth_blocks(plant, pentagon, vertices_hpoly(pentagon), illustrative[0], h_preset("uniform:6", 2), lay)
     membership_rows = membership_blocks(lay)[0].shape[0]
     dim_wbar = result.witness["wbar"].size
     v, N, l, s = lay.n_vertices, lay.n_boxes, lay.horizon, lay.s
@@ -187,14 +188,14 @@ def test_criterion_5_dimension_audit(plant, illustrative_synthesis):
         "dim_beta": (lay.dim_beta, v * N * (l + 1)),
         "dim_z": (lay.dim_z, n_b + v * n_y),
         "rows_output_gamma_origin": (
-            problem.a_x.shape[0],
+            blocks.a_x.shape[0],
             N * (s + 1) * m_y + m_y + 2 * n_x * N + 2 * n_w,
         ),
-        "rows_reach_eq": (problem.c_w.shape[0], v * n_y),
+        "rows_reach_eq": (blocks.c_w.shape[0], v * n_y),
         "rows_bilinear": (lay.n_groups * n_w, v * (l + 1) * n_w),
         "rows_membership": (membership_rows, v * 2 * N * (l + 1) * n_w),
-        "rows_simplex_eq": (problem.t_beta.shape[0], v * (l + 1)),
-        "rows_deviation": (problem.e_z.shape[0], v * n_b),
+        "rows_simplex_eq": (blocks.t_beta.shape[0], v * (l + 1)),
+        "rows_deviation": (blocks.e_z.shape[0], v * n_b),
     }
     bad = {k: pair for k, pair in audits.items() if pair[0] != pair[1]}
     anchors_ok = dim_wbar == 2400 and lay.dim_beta == 1200 and v == 5

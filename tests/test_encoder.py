@@ -32,7 +32,7 @@ from distsynth.setgeom import stacked_identity
 from distsynth.synthesizer import _boxes, boxes_from_x, p_step, spread_beta
 
 from conftest import hull_of, random_stable_system
-from reference import contains_point, membership_blocks, program_residual
+from reference import contains_point, membership_blocks, program_residual, synth_blocks
 
 
 def small_layout(n_boxes=2, n_vertices=3, horizon=2, s=3, n_w=2, n_y=2, m_y=4, n_b=4):
@@ -62,6 +62,12 @@ def small_problem():
     H = h_preset("box", 2)
     problem = assemble(sys, Y, vertices, params, n_boxes=2, horizon=3, H=H)
     return sys, Y, params, vertices, H, problem
+
+
+@pytest.fixture(scope="module")
+def small_blocks(small_problem):
+    sys, Y, params, vertices, H, problem = small_problem
+    return synth_blocks(sys, Y, vertices, params, H, problem.layout)
 
 
 class TestHPreset:
@@ -111,13 +117,13 @@ class TestLayout:
         assert x.size - boxes.size - budgets.size == lay.n_rho == lay.n_w
         assert lay.dim_x == 2 * 2 * 2 + 3 * 4 + 2
 
-    def test_slices_partition_wbar_and_beta(self, small_problem):
+    def test_slices_partition_wbar_and_beta(self, small_problem, small_blocks):
         # beta by (group, box) and the P step's points wbar by (group, box, coordinate)
         problem = small_problem[-1]
         lay = problem.layout
         groups = np.arange(lay.dim_beta).reshape(lay.n_groups, lay.n_boxes)
         # simplex row g sums the weights of group g
-        np.testing.assert_array_equal(problem.t_beta.indices.reshape(groups.shape), groups)
+        np.testing.assert_array_equal(small_blocks.t_beta.indices.reshape(groups.shape), groups)
         _, _, wbar, _, _, _ = p_step(problem, spread_beta(lay))
         assert wbar.size == lay.dim_beta * lay.n_w
 
@@ -318,9 +324,9 @@ class TestVertexReach:
         assert np.all(d_x @ x + d_wbar @ wbar <= 1e-12)
         assert np.all(e_z @ z <= 1e-12)
 
-    def test_block_shapes_match_closed_forms(self, small_problem):
-        _, _, _, vertices, H, problem = small_problem
-        lay = problem.layout
+    def test_block_shapes_match_closed_forms(self, small_blocks):
+        blocks = small_blocks
+        lay = blocks.layout
         v, N, l, n_w, n_y, n_b = (
             lay.n_vertices,
             lay.n_boxes,
@@ -329,37 +335,31 @@ class TestVertexReach:
             lay.n_y,
             lay.n_b,
         )
-        assert problem.c_w.shape == (v * n_y, lay.dim_w)
+        assert blocks.c_w.shape == (v * n_y, lay.dim_w)
         assert membership_blocks(lay)[0].shape[0] == v * 2 * N * (l + 1) * n_w
-        assert problem.e_z.shape == (v * n_b, lay.dim_z)
-        assert problem.t_beta.shape == (v * (l + 1), lay.dim_beta)
+        assert blocks.e_z.shape == (v * n_b, lay.dim_z)
+        assert blocks.t_beta.shape == (v * (l + 1), lay.dim_beta)
         assert lay.n_groups == v * (l + 1)
 
 
 class TestAssemble:
-    def test_total_counts(self, small_problem):
-        sys, Y, params, vertices, H, problem = small_problem
-        lay = problem.layout
+    def test_total_counts(self, small_problem, small_blocks):
+        sys = small_problem[0]
+        lay = small_blocks.layout
         expected_a_rows = (
             lay.n_boxes * (lay.s + 1) * lay.m_y
             + lay.m_y
             + 2 * sys.n_x * lay.n_boxes
             + 2 * sys.n_w
         )
-        assert problem.a_x.shape == (expected_a_rows, lay.dim_x)
-        assert problem.cost_z.sum() == lay.n_b
+        assert small_blocks.a_x.shape == (expected_a_rows, lay.dim_x)
+        assert small_blocks.cost_z.sum() == lay.n_b
 
     def test_deterministic_assembly(self, small_problem):
         sys, Y, params, vertices, H, _ = small_problem
         p1 = assemble(sys, Y, vertices, params, 2, 3, H)
         p2 = assemble(sys, Y, vertices, params, 2, 3, H)
-        for name in BLOCKS:
-            m1, m2 = getattr(p1, name), getattr(p2, name)
-            assert np.array_equal(m1.data, m2.data)
-            assert np.array_equal(m1.indices, m2.indices)
-            assert np.array_equal(m1.indptr, m2.indptr)
-        assert np.array_equal(p1.b, p2.b)
-        assert np.array_equal(p1.h, p2.h)
+        assert_same_step_programs(p1, p2)
 
     def test_duplicate_vertices_are_dropped(self, small_problem):
         sys, Y, params, vertices, H, problem = small_problem
@@ -367,11 +367,11 @@ class TestAssemble:
         p = assemble(sys, Y, doubled, params, 2, 3, H)
         assert p.layout.n_vertices == problem.layout.n_vertices
 
-    def test_zero_disturbance_feasible_at_max_deviation(self, small_problem):
+    def test_zero_disturbance_feasible_at_max_deviation(self, small_problem, small_blocks):
         """The all-zero set with deviations covering every vertex satisfies
         every block, which is the guaranteed-feasibility anchor."""
-        sys, Y, params, vertices, H, problem = small_problem
-        lay = problem.layout
+        vertices, H = small_problem[3:5]
+        lay = small_blocks.layout
         x = np.zeros(lay.dim_x)
         w = np.zeros(lay.dim_w)
         wbar = np.zeros(lay.dim_beta * lay.n_w)
@@ -380,7 +380,7 @@ class TestAssemble:
         eps = np.max(np.clip(vertices @ H.T, 0.0, None), axis=0)
         z[lay.z_eps()] = eps
         z[lay.n_b :] = vertices.ravel()  # b by vertex
-        residual = program_residual(problem, {"x": x, "w": w, "wbar": wbar, "beta": beta, "z": z})
+        residual = program_residual(small_blocks, {"x": x, "w": w, "wbar": wbar, "beta": beta, "z": z})
         assert residual <= 1e-9
 
     def test_rejects_bad_inputs(self, small_problem):
@@ -393,10 +393,27 @@ class TestAssemble:
             assemble(sys, Y, vertices, params, 2, 3, np.ones((4, 3)))
 
 
-@pytest.fixture(scope="module")
-def illustrative_problem(plant, pentagon):
+def illustrative_blocks(plant, pentagon, t0=None):
+    """The illustrative problem's blocks, over its layout with tail start t0."""
     params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
-    return assemble(plant, pentagon, vertices_hpoly(pentagon), params, 4, 59, h_preset("uniform:6", 2))
+    vertices, H = vertices_hpoly(pentagon), h_preset("uniform:6", 2)
+    layout = assemble(plant, pentagon, vertices, params, 4, 59, H, t0=t0).layout
+    return synth_blocks(plant, pentagon, vertices, params, H, layout)
+
+
+def assert_same_step_programs(p1, p2):
+    """Two assembled problems hold the same P-step and Q-step programs, bit for bit."""
+    assert p1.layout == p2.layout
+    for name in ("p_program", "q_program"):
+        s1, s2 = getattr(p1, name), getattr(p2, name)
+        t1, t2 = s1.template, s2.template
+        assert t1.a.shape == t2.a.shape and t1.n_eq == t2.n_eq, name
+        for m1, m2 in ((t1.a.data, t2.a.data), (t1.a.indices, t2.a.indices), (t1.a.indptr, t2.a.indptr)):
+            assert np.array_equal(m1, m2), name
+        for field in ("c", "b", "lb"):
+            assert np.array_equal(getattr(t1, field), getattr(t2, field)), (name, field)
+        for field in ("open", "coef", "index"):
+            assert np.array_equal(getattr(s1, field), getattr(s2, field)), (name, field)
 
 
 BLOCKS = ("a_x", "c_w", "c_z", "e_z", "t_beta")
@@ -404,8 +421,8 @@ BLOCKS = ("a_x", "c_w", "c_z", "e_z", "t_beta")
 
 class TestSparseBlocks:
     @pytest.mark.parametrize("which", ["small", "illustrative"])
-    def test_no_stored_zeros_and_closed_form_nnz(self, which, small_problem, illustrative_problem):
-        problem = small_problem[-1] if which == "small" else illustrative_problem
+    def test_no_stored_zeros_and_closed_form_nnz(self, which, small_blocks, plant, pentagon):
+        problem = small_blocks if which == "small" else illustrative_blocks(plant, pentagon)
         lay = problem.layout
         d_x, d_wbar = membership_blocks(lay)
         for name, block in [*((name, getattr(problem, name)) for name in BLOCKS), ("d_x", d_x), ("d_wbar", d_wbar)]:
@@ -501,14 +518,9 @@ class TestBudgetTail:
     def test_t0_equal_to_s_builds_the_untailed_program(self, small_problem):
         sys, Y, params, vertices, H, problem = small_problem
         tailed = assemble(sys, Y, vertices, params, 2, 3, H, t0=params.s)
-        assert tailed.layout == problem.layout and tailed.layout.n_rho == 0
+        assert tailed.layout.n_rho == 0
         assert tailed.layout.dim_x == 2 * 2 * 2 + (params.s + 1) * 4
-        for name in BLOCKS:
-            m1, m2 = getattr(tailed, name), getattr(problem, name)
-            assert m1.shape == m2.shape, name
-            assert np.array_equal(m1.data, m2.data) and np.array_equal(m1.indices, m2.indices), name
-            assert np.array_equal(m1.indptr, m2.indptr), name
-        assert np.array_equal(tailed.b, problem.b)
+        assert_same_step_programs(tailed, problem)
 
     def test_rejects_a_t0_outside_one_to_s(self, small_problem):
         sys, Y, params, vertices, H, _ = small_problem
@@ -516,14 +528,14 @@ class TestBudgetTail:
             with pytest.raises(EncodingError):
                 assemble(sys, Y, vertices, params, 2, 3, H, t0=t0)
 
-    def test_restricted_points_satisfy_the_full_budget_rows(self, plant, pentagon, illustrative_problem):
+    def test_restricted_points_satisfy_the_full_budget_rows(self, plant, pentagon):
         """Points of the tailed program, with every far Q_t set to its boxes'
         largest support, satisfy every row of the program without the tail."""
-        full = illustrative_problem
+        full = illustrative_blocks(plant, pentagon)
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         t0 = budget_tail(plant, pentagon, params)
         assert (t0, params.s) == (26, 60)
-        tailed = assemble(plant, pentagon, vertices_hpoly(pentagon), params, 4, 59, h_preset("uniform:6", 2), t0=t0)
+        tailed = illustrative_blocks(plant, pentagon, t0)
         lay, full_lay = tailed.layout, full.layout
         assert tailed.a_x.shape == (full.a_x.shape[0] - 4 * (60 - t0) * 5 + 2 * 4 * 2, full_lay.dim_x - (60 - t0) * 5 + 2)
         gbar = build_gbar(plant, pentagon, params)

@@ -34,8 +34,8 @@ def test_min_with_lower_bound():
 def test_simplex_facet_optimum():
     p = LpProblem(
         c=[-1.0, -1.0],
-        a_ub=sp.csr_matrix(np.array([[1.0, 1.0]])),
-        b_ub=[1.0],
+        a=sp.csr_matrix(np.array([[1.0, 1.0]])),
+        b=[1.0],
         lb=[0.0, 0.0],
     )
     out = solve_lp(p)
@@ -44,7 +44,7 @@ def test_simplex_facet_optimum():
 
 
 def test_infeasible_status():
-    p = LpProblem(c=[1.0], a_ub=sp.csr_matrix(np.array([[1.0]])), b_ub=[-1.0], lb=[0.0])
+    p = LpProblem(c=[1.0], a=sp.csr_matrix(np.array([[1.0]])), b=[-1.0], lb=[0.0])
     assert solve_lp(p).status == INFEASIBLE
 
 
@@ -129,8 +129,9 @@ def test_dual_objective_skips_infinite_right_hand_sides():
 def test_equality_constraints():
     p = LpProblem(
         c=[1.0, 1.0],
-        a_eq=sp.csr_matrix(np.array([[1.0, 1.0]])),
-        b_eq=[2.0],
+        a=sp.csr_matrix(np.array([[1.0, 1.0]])),
+        b=[2.0],
+        n_eq=1,
         lb=[0.0, 0.0],
     )
     out = solve_lp(p)
@@ -139,8 +140,10 @@ def test_equality_constraints():
 
 
 def test_an_absent_block_is_empty(tmp_path):
-    p = LpProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], lb=[0.0, 0.0])
-    assert p.a_ub.shape == (0, 2) and p.a_ub.nnz == 0 and p.b_ub.shape == (0,)
+    empty = LpProblem(c=[1.0, 1.0])
+    assert empty.a.shape == (0, 2) and empty.a.nnz == 0 and empty.b.shape == (0,) and empty.n_ub == 0
+    p = LpProblem(c=[1.0, 1.0], a=[[1.0, 1.0]], b=[2.0], n_eq=1, lb=[0.0, 0.0])
+    assert p.n_ub == 0 and p.a.dtype == np.float64
     assert solve_lp(p).objective == pytest.approx(2.0)
     write_lp(p, tmp_path / "p.lp")
     text = (tmp_path / "p.lp").read_text()
@@ -149,34 +152,37 @@ def test_an_absent_block_is_empty(tmp_path):
 
 def test_rejects_inconsistent_dimensions():
     with pytest.raises(ValueError):
-        LpProblem(c=[1.0, 2.0], a_ub=sp.csr_matrix(np.eye(3)), b_ub=np.ones(3))
+        LpProblem(c=[1.0, 2.0], a=sp.csr_matrix(np.eye(3)), b=np.ones(3))
     with pytest.raises(ValueError):
         LpProblem(c=[np.inf])
-    # a coefficient or bound HiGHS would ignore or misread
     nan, inf = np.nan, np.inf
     for bad in (
-        {"a_ub": [[nan]], "b_ub": [1.0]},
-        {"a_ub": [[inf]], "b_ub": [1.0]},
-        {"a_eq": [[nan]], "b_eq": [1.0]},
-        {"a_eq": [[-inf]], "b_eq": [1.0]},
-        {"a_eq": [[1.0]], "b_eq": [inf]},
-        {"a_eq": [[1.0]], "b_eq": [nan]},
-        {"a_ub": [[1.0]], "b_ub": [nan]},
+        {"a": [[1.0]]},  # a without b
+        {"a": [[1.0]], "b": [1.0, 2.0]},
+        {"a": [[1.0]], "b": [1.0], "n_eq": 2},
+        {"a": [[1.0]], "b": [1.0], "n_eq": -1},
+        # a coefficient or bound HiGHS would ignore or misread
+        {"a": [[nan]], "b": [1.0]},
+        {"a": [[inf]], "b": [1.0]},
+        {"a": [[nan]], "b": [1.0], "n_eq": 1},
+        {"a": [[-inf]], "b": [1.0], "n_eq": 1},
+        {"a": [[1.0]], "b": [inf], "n_eq": 1},
+        {"a": [[1.0]], "b": [nan], "n_eq": 1},
+        {"a": [[1.0]], "b": [nan]},
         {"lb": [nan]},
         {"lb": [inf]},  # a +inf lower bound crashes scipy's HiGHS bindings
     ):
         with pytest.raises(ValueError):
             LpProblem(c=[-1.0], **bad)
-    LpProblem(c=[-1.0], a_ub=[[1.0]], b_ub=[inf], lb=[-inf])  # an infinite bound stays allowed
+    LpProblem(c=[-1.0], a=[[1.0]], b=[inf], lb=[-inf])  # an infinite bound stays allowed
 
 
 def test_lp_dump_is_deterministic_and_readable(tmp_path):
     p = LpProblem(
         c=[1.0, 0.0],
-        a_ub=sp.csr_matrix(np.array([[1.0, -2.0]])),
-        b_ub=[3.0],
-        a_eq=sp.csr_matrix(np.array([[0.0, 1.0]])),
-        b_eq=[0.5],
+        a=sp.csr_matrix(np.array([[1.0, -2.0], [0.0, 1.0]])),
+        b=[3.0, 0.5],
+        n_eq=1,
         lb=[0.0, -np.inf],
     )
     write_lp(p, tmp_path / "1.lp")
@@ -187,6 +193,8 @@ def test_lp_dump_is_deterministic_and_readable(tmp_path):
     assert "Subject To" in text and "Bounds" in text and text.rstrip().endswith("End")
     assert "<= 3.0" in text and "= 0.5" in text
     assert "x0 >= 0.0" in text and "x1 free" in text
+    # each row kind is numbered from 0 in the one matrix's row order
+    assert " r0: + 1.0 x0 - 2.0 x1 <= 3.0\n e0: + 1.0 x1 = 0.5\n" in text
 
 
 # linprog as solve_lp called it before it went to HiGHS directly
@@ -199,10 +207,10 @@ def linprog_reference(p):
     def run(presolve):
         return scipy.optimize.linprog(
             p.c,
-            A_ub=p.a_ub,
-            b_ub=p.b_ub,
-            A_eq=p.a_eq,
-            b_eq=p.b_eq,
+            A_ub=p.a[: p.n_ub],
+            b_ub=p.b[: p.n_ub],
+            A_eq=p.a[p.n_ub :],
+            b_eq=p.b[p.n_ub :],
             bounds=[(lo, None) for lo in p.lb],
             method="highs",
             options={**LINPROG_OPTIONS, "presolve": presolve},
@@ -213,11 +221,8 @@ def linprog_reference(p):
 
 
 def linprog_dual_objective(p, res):
-    total = 0.0
-    if p.b_ub is not None:
-        total += float(p.b_ub @ res.ineqlin.marginals)
-    if p.b_eq is not None:
-        total += float(p.b_eq @ res.eqlin.marginals)
+    total = float(p.b[: p.n_ub] @ res.ineqlin.marginals)
+    total += float(p.b[p.n_ub :] @ res.eqlin.marginals)
     finite_lb = np.isfinite(p.lb)
     total += float(p.lb[finite_lb] @ res.lower.marginals[finite_lb])
     return total
@@ -264,32 +269,46 @@ def test_cold_solve_is_linprog_bit_for_bit(illustrative_lps):
 
 def test_highs_takes_a_program_as_arrays():
     """The installed scipy's HiGHS binding has the array overload of passModel
-    that ``_run`` calls, and a cold solve through it is linprog's, bit for bit."""
+    that ``_run`` calls with the row-wise matrix; a cold solve through it is
+    linprog's, bit for bit, and a column-wise pass of the same program gives
+    the same x, objective, iteration count and final basis."""
     from scipy.optimize._highspy import _core as highs_core
 
     c, G, g = _random_bounded_lp(np.random.default_rng(23))
-    p = LpProblem(c, sp.csr_matrix(G), g, sp.csr_matrix(np.ones((1, c.size))), np.array([0.5]))
-    highs = highs_core._Highs()
-    for key, value in {**lp_solver._OPTIONS, "presolve": "on"}.items():
-        highs.setOptionValue(key, value)
-    n, a = p.n_vars, p.a
-    status = highs.passModel(
-        n, a.shape[0], a.nnz, int(highs_core.MatrixFormat.kColwise), int(highs_core.ObjSense.kMinimize), 0.0,
-        p.c, p.lb, np.full(n, np.inf), p.row_lower, p.row_upper, a.indptr, a.indices, a.data,
-        np.zeros(n, np.int32),
-    )
-    assert status == highs_core.HighsStatus.kOk
-    highs.run()
+    p = LpProblem(c, sp.vstack([sp.csr_matrix(G), np.ones((1, c.size))]), np.append(g, 0.5), n_eq=1)
+    n, row_lower = p.n_vars, np.append(np.full(g.size, -np.inf), 0.5)
+
+    def solve(fmt, a):
+        highs = highs_core._Highs()
+        for key, value in {**lp_solver._OPTIONS, "presolve": "on"}.items():
+            highs.setOptionValue(key, value)
+        status = highs.passModel(
+            n, a.shape[0], a.nnz, int(fmt), int(highs_core.ObjSense.kMinimize), 0.0,
+            p.c, p.lb, np.full(n, np.inf), row_lower, p.b, a.indptr, a.indices, a.data, np.zeros(n, np.int32),
+        )
+        assert status == highs_core.HighsStatus.kOk
+        highs.run()
+        assert highs.getModelStatus() == highs_core.HighsModelStatus.kOptimal
+        info, basis = highs.getInfo(), highs.getBasis()
+        return (
+            np.array(highs.getSolution().col_value).tobytes(),
+            info.objective_function_value,
+            info.simplex_iteration_count,
+            np.array(basis.col_status, dtype=np.int8).tobytes(),
+            np.array(basis.row_status, dtype=np.int8).tobytes(),
+        )
+
+    rowwise = solve(highs_core.MatrixFormat.kRowwise, p.a)
+    assert rowwise == solve(highs_core.MatrixFormat.kColwise, sp.csc_matrix(p.a))
     res = linprog_reference(p)
-    assert res.status == 0 and highs.getModelStatus() == highs_core.HighsModelStatus.kOptimal
-    assert np.array(highs.getSolution().col_value).tobytes() == res.x.tobytes()
-    assert highs.getInfo().objective_function_value == res.fun
+    assert res.status == 0
+    assert rowwise[0] == res.x.tobytes() and rowwise[1] == res.fun
 
 
 def _two_row_lp(c=(-1.0, -1.0), b_ub=(1.0, 1.0)):
     """x0 + x1 <= b0, x0 - x1 <= b1, x >= 0: one matrix, many programs."""
     a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]]))
-    return LpProblem(c=list(c), a_ub=a, b_ub=list(b_ub), lb=[0.0, 0.0])
+    return LpProblem(c=list(c), a=a, b=list(b_ub), lb=[0.0, 0.0])
 
 
 def test_infeasible_and_unbounded_keep_their_status_with_a_basis():

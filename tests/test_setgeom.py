@@ -280,7 +280,7 @@ class TestContainsPoint:
         monkeypatch.setattr(reference, "solve_lp", lambda lp, **kw: LpOutcome(FAILED))
         with pytest.raises(LpFailure, match="membership LP failed") as info:
             contains_point(one_box([0.0, 0.0], [1.0, 1.0]), [0.5, 0.5])
-        assert info.value.lp.a_eq.shape[1] == info.value.lp.c.size
+        assert info.value.lp.a.shape[1] == info.value.lp.c.size
 
 
 class TestSample:
@@ -362,7 +362,7 @@ def _extent_lp_verdict(P: HPolytope) -> str:
     set with a ray is unbounded along some coordinate."""
     for k in range(P.dim):
         for sign in (1.0, -1.0):
-            out = lp_solver.solve_lp(LpProblem(-sign * np.eye(P.dim)[k], a_ub=sp.csr_matrix(P.G), b_ub=P.g))
+            out = lp_solver.solve_lp(LpProblem(-sign * np.eye(P.dim)[k], a=sp.csr_matrix(P.G), b=P.g))
             if out.status in (INFEASIBLE, UNBOUNDED):
                 return "empty" if out.status == INFEASIBLE else "unbounded"
             assert out.optimal, out.status
@@ -370,7 +370,7 @@ def _extent_lp_verdict(P: HPolytope) -> str:
 
 
 def _lp_support(P: HPolytope, c) -> float:
-    return -lp_solver.solve_lp(LpProblem(-c, a_ub=sp.csr_matrix(P.G), b_ub=P.g)).objective
+    return -lp_solver.solve_lp(LpProblem(-c, a=sp.csr_matrix(P.G), b=P.g)).objective
 
 
 def _random_normals(rng, n, count):

@@ -21,12 +21,12 @@ from distsynth import (
 )
 from distsynth import encoder, synthesizer
 from distsynth.cli import cmd_gen, parse_spec
-from distsynth.lp_solver import RESIDUAL_TOL, LpProblem, solve_lp
+from distsynth.lp_solver import RESIDUAL_TOL, LpProblem, solve_lp, write_lp
 from distsynth.setgeom import stacked_identity
 from distsynth.synthesizer import _jittered_beta, boxes_from_x
 
 from conftest import random_stable_system
-from reference import membership_blocks, p_step_lp, program_residual, q_step_lp, stacked_csc, uniform_beta
+from reference import membership_blocks, p_step_lp, program_residual, q_step_lp, synth_blocks, uniform_beta
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,24 +35,35 @@ def unit_box_constraints(n):
     return HPolytope(stacked_identity(n), np.ones(2 * n))
 
 
-@pytest.fixture(scope="module")
-def small_setup():
-    rng = np.random.default_rng(50)
+def unit_box_inputs(seed):
+    """(sys, Y, params, vertices) of a random two-state plant under the unit box."""
+    rng = np.random.default_rng(seed)
     sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
     Y = unit_box_constraints(2)
-    params = select_params(sys, Y, gamma=1.0, mu=1e-2)
-    vertices = vertices_hpoly(Y)
+    return sys, Y, select_params(sys, Y, gamma=1.0, mu=1e-2), vertices_hpoly(Y)
+
+
+@pytest.fixture(scope="module")
+def small_setup():
+    sys, Y, params, vertices = unit_box_inputs(50)
     problem = assemble(sys, Y, vertices, params, n_boxes=2, horizon=3, H=h_preset("box", 2))
     return sys, Y, params, vertices, problem
 
 
 @pytest.fixture(scope="module")
-def vertex_count_setup():
-    rng = np.random.default_rng(51)
-    sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
-    Y = unit_box_constraints(2)
-    params = select_params(sys, Y, gamma=1.0, mu=1e-2)
-    vertices = vertices_hpoly(Y)
+def small_blocks(small_setup):
+    sys, Y, params, vertices, problem = small_setup
+    return synth_blocks(sys, Y, vertices, params, h_preset("box", 2), problem.layout)
+
+
+@pytest.fixture(scope="module")
+def vertex_count_inputs():
+    return unit_box_inputs(51)
+
+
+@pytest.fixture(scope="module")
+def vertex_count_setup(vertex_count_inputs):
+    sys, Y, params, vertices = vertex_count_inputs
     problem = assemble(
         sys, Y, vertices, params, n_boxes=len(vertices), horizon=2, H=h_preset("box", 2)
     )
@@ -60,18 +71,36 @@ def vertex_count_setup():
 
 
 @pytest.fixture(scope="module")
-def illustrative_problem(plant, pentagon):
-    params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
+def vertex_count_blocks(vertex_count_inputs, vertex_count_setup):
+    sys, Y, params, vertices = vertex_count_inputs
+    return synth_blocks(sys, Y, vertices, params, h_preset("box", 2), vertex_count_setup.layout)
+
+
+@pytest.fixture(scope="module")
+def illustrative_params(plant, pentagon):
+    return select_params(plant, pentagon, gamma=0.2, mu=1e-3)
+
+
+@pytest.fixture(scope="module")
+def illustrative_problem(plant, pentagon, illustrative_params):
     return assemble(
-        plant, pentagon, vertices_hpoly(pentagon), params, 4, 59, h_preset("uniform:6", 2)
+        plant, pentagon, vertices_hpoly(pentagon), illustrative_params, 4, 59, h_preset("uniform:6", 2)
     )
 
 
-def wbar_p_step_optimum(problem, beta):
+@pytest.fixture(scope="module")
+def illustrative_blocks(plant, pentagon, illustrative_params, illustrative_problem):
+    return synth_blocks(
+        plant, pentagon, vertices_hpoly(pentagon), illustrative_params, h_preset("uniform:6", 2),
+        illustrative_problem.layout,
+    )
+
+
+def wbar_p_step_optimum(blocks, beta):
     """Optimum of the P step stated over (x, w, wbar, z): the membership
     blocks of ``membership_blocks`` plus the coupling w = sum_j beta_j wbar_j
     written out group by group, wbar by (group, box, coordinate)."""
-    lay = problem.layout
+    lay = blocks.layout
     d_x, d_wbar = membership_blocks(lay)
     nx, nw, nwb, nz = lay.dim_x, lay.dim_w, d_wbar.shape[1], lay.dim_z
     width = nx + nw + nwb + nz
@@ -80,28 +109,26 @@ def wbar_p_step_optimum(problem, beta):
     blend = sp.block_diag([np.kron(b, np.eye(lay.n_w)) for b in beta.reshape(lay.n_groups, lay.n_boxes)])
     coupling = sp.hstack([sp.csr_matrix((n_rows, nx)), sp.eye(n_rows), -blend, sp.csr_matrix((n_rows, nz))])
 
-    def blocks(rows, *parts):
+    def row(rows, *parts):
         # (matrix or column count of zeros) per column group, left to right
         return sp.hstack([sp.csr_matrix((rows, p)) if isinstance(p, int) else p for p in parts])
 
-    a_ub = sp.vstack(
+    a = sp.vstack(
         [
-            blocks(problem.a_x.shape[0], problem.a_x, nw + nwb + nz),
-            blocks(d_x.shape[0], d_x, nw, d_wbar, nz),
-            blocks(problem.e_z.shape[0], nx + nw + nwb, problem.e_z),
+            row(blocks.a_x.shape[0], blocks.a_x, nw + nwb + nz),
+            row(d_x.shape[0], d_x, nw, d_wbar, nz),
+            row(blocks.e_z.shape[0], nx + nw + nwb, blocks.e_z),
+            row(blocks.c_w.shape[0], nx, blocks.c_w, nwb, blocks.c_z),
+            coupling,
         ]
     )
-    b_ub = np.concatenate([problem.b, np.zeros(d_x.shape[0] + problem.e_z.shape[0])])
-    a_eq = sp.vstack(
-        [blocks(problem.c_w.shape[0], nx, problem.c_w, nwb, problem.c_z), coupling.tocsr()]
-    )
-    b_eq = np.concatenate([problem.h, np.zeros(n_rows)])
+    b = np.concatenate([blocks.b, np.zeros(d_x.shape[0] + blocks.e_z.shape[0]), blocks.h, np.zeros(n_rows)])
     c = np.zeros(width)
-    c[z_off:] = problem.cost_z
+    c[z_off:] = blocks.cost_z
     lb = np.full(width, -np.inf)
     lb[: 2 * lay.n_boxes * lay.n_w].reshape(lay.n_boxes, 2, lay.n_w)[:, 1] = 0.0  # the halfwidths
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
-    out = solve_lp(LpProblem(c, a_ub, b_ub, a_eq, b_eq, lb=lb))
+    out = solve_lp(LpProblem(c, a, b, blocks.h.size + n_rows, lb))
     assert out.optimal
     return out.objective
 
@@ -122,28 +149,28 @@ class TestPStepMatchesWbarOracle:
     """The P step over (x, w, z) has the optimum of the P step over
     (x, w, wbar, z), and its closed-form group points satisfy every block."""
 
-    def check(self, problem, seed):
+    def check(self, problem, blocks, seed):
         for name, beta in weight_draws(problem.layout, seed).items():
             x, w, wbar, z, obj, _ = p_step(problem, beta)
-            assert obj == pytest.approx(wbar_p_step_optimum(problem, beta), abs=1e-9), name
+            assert obj == pytest.approx(wbar_p_step_optimum(blocks, beta), abs=1e-9), name
             witness = {"x": x, "w": w, "wbar": wbar, "beta": beta, "z": z}
-            assert program_residual(problem, witness) <= 1e-8, name
+            assert program_residual(blocks, witness) <= 1e-8, name
 
-    def test_small_fixture(self, small_setup):
-        self.check(small_setup[4], 60)
+    def test_small_fixture(self, small_setup, small_blocks):
+        self.check(small_setup[4], small_blocks, 60)
 
-    def test_vertex_count_fixture(self, vertex_count_setup):
-        self.check(vertex_count_setup, 61)
+    def test_vertex_count_fixture(self, vertex_count_setup, vertex_count_blocks):
+        self.check(vertex_count_setup, vertex_count_blocks, 61)
 
-    def test_illustrative(self, illustrative_problem):
-        self.check(illustrative_problem, 62)
+    def test_illustrative(self, illustrative_problem, illustrative_blocks):
+        self.check(illustrative_problem, illustrative_blocks, 62)
 
-    def test_zero_weights_add_no_entries(self, illustrative_problem, monkeypatch):
+    def test_zero_weights_add_no_entries(self, illustrative_problem, illustrative_blocks, monkeypatch):
         problem = illustrative_problem
         lay = problem.layout
-        start = problem.a_x.shape[0]
+        start = illustrative_blocks.a_x.shape[0]
         dense, onehot = (
-            captured_lp(monkeypatch, p_step, problem, beta).a_ub[start : start + 2 * lay.dim_w]
+            captured_lp(monkeypatch, p_step, problem, beta).a[start : start + 2 * lay.dim_w]
             for beta in (uniform_beta(lay), spread_beta(lay))
         )
         assert dense.shape == onehot.shape == (2 * lay.dim_w, lay.dim_x + lay.dim_w + lay.dim_z)
@@ -184,12 +211,14 @@ class TestStepBlocks:
 
     @pytest.fixture(params=["small", "illustrative"])
     def problem(self, request):
+        """The assembled problem and its blocks."""
         if request.param == "small":
-            return request.getfixturevalue("small_setup")[4]
-        return request.getfixturevalue("illustrative_problem")
+            return request.getfixturevalue("small_setup")[4], request.getfixturevalue("small_blocks")
+        return request.getfixturevalue("illustrative_problem"), request.getfixturevalue("illustrative_blocks")
 
     @pytest.mark.parametrize("weights", ["uniform", "spread", "dirichlet-0"])
     def test_membership_rows(self, problem, weights, monkeypatch):
+        problem, blocks = problem
         lay = problem.layout
         beta = weight_draws(lay, 63)[weights]
         lp = captured_lp(monkeypatch, p_step, problem, beta)
@@ -206,34 +235,37 @@ class TestStepBlocks:
                             row[int(box_cols[j, 0, k])] = -sign * by_group[g, j]
                             row[int(box_cols[j, 1, k])] = -by_group[g, j]
                     rows.append(row)
-        start = problem.a_x.shape[0]
-        assert lp.a_ub.shape == (start + 2 * lay.dim_w + problem.e_z.shape[0], lay.dim_x + lay.dim_w + lay.dim_z)
-        assert_entries(lp.a_ub[start : start + 2 * lay.dim_w], rows)
+        start = blocks.a_x.shape[0]
+        assert lp.n_ub == start + 2 * lay.dim_w + blocks.e_z.shape[0]
+        assert lp.a.shape[1] == lay.dim_x + lay.dim_w + lay.dim_z
+        assert_entries(lp.a[start : start + 2 * lay.dim_w], rows)
         if weights == "spread":
             # zero weights add no entries: the w entry, one center, one halfwidth
-            assert lp.a_ub[start : start + 2 * lay.dim_w].nnz == 3 * 2 * lay.dim_w
+            assert lp.a[start : start + 2 * lay.dim_w].nnz == 3 * 2 * lay.dim_w
 
     def test_coupling_rows(self, problem, monkeypatch):
+        problem, blocks = problem
         lay = problem.layout
         rng = np.random.default_rng(64)
         n_wbar = lay.dim_beta * lay.n_w
         wbar = rng.normal(size=n_wbar)
         wbar[rng.random(n_wbar) < 0.3] = 0.0
         lp = captured_lp(monkeypatch, q_step, problem, wbar)
-        n_reach, nb = problem.c_w.shape[0], lay.dim_beta
-        assert lp.a_eq.shape == (n_reach + lay.n_groups, nb + lay.dim_z)
+        n_reach, nb = blocks.c_w.shape[0], lay.dim_beta
+        assert lp.n_eq == n_reach + lay.n_groups and lp.a.shape[1] == nb + lay.dim_z
+        a_ub, a_eq = lp.a[: lp.n_ub], lp.a[lp.n_ub :]
         # by (vertex, output): c_w @ blockdiag(wbar_g^T), i.e. w_g = sum_j beta_gj wbar_gj
         # substituted, so beta_gj carries the reach coefficients of w_g times wbar_gj
-        c_w = problem.c_w.toarray().reshape(n_reach, lay.n_groups, lay.n_w)
+        c_w = blocks.c_w.toarray().reshape(n_reach, lay.n_groups, lay.n_w)
         points = wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w)
         expected = np.einsum("rgk,gjk->rgj", c_w, points).reshape(n_reach, nb)
-        np.testing.assert_allclose(lp.a_eq[:n_reach, :nb].toarray(), expected, rtol=1e-13, atol=1e-15)
-        assert (lp.a_eq[:n_reach, nb:] != problem.c_z).nnz == 0
-        assert (lp.a_eq[n_reach:, :nb] != problem.t_beta).nnz == 0 and lp.a_eq[n_reach:, nb:].nnz == 0
-        np.testing.assert_array_equal(lp.b_eq, np.concatenate([problem.h, np.ones(lay.n_groups)]))
+        np.testing.assert_allclose(a_eq[:n_reach, :nb].toarray(), expected, rtol=1e-13, atol=1e-15)
+        assert (a_eq[:n_reach, nb:] != blocks.c_z).nnz == 0
+        assert (a_eq[n_reach:, :nb] != blocks.t_beta).nnz == 0 and a_eq[n_reach:, nb:].nnz == 0
+        np.testing.assert_array_equal(lp.b[lp.n_ub :], np.concatenate([blocks.h, np.ones(lay.n_groups)]))
         # no w column and no inequality row beyond e_z
-        assert lp.a_ub.shape == (problem.e_z.shape[0], nb + lay.dim_z)
-        assert lp.a_ub[:, :nb].nnz == 0 and (lp.a_ub[:, nb:] != problem.e_z).nnz == 0
+        assert lp.n_ub == blocks.e_z.shape[0]
+        assert a_ub[:, :nb].nnz == 0 and (a_ub[:, nb:] != blocks.e_z).nnz == 0
 
 
 class TestPStep:
@@ -382,10 +414,10 @@ class TestAlternate:
         assert res.objective == pytest.approx(0.0, abs=1e-9)
         assert res.iterations <= 2
 
-    def test_final_witness_is_feasible(self, small_setup):
+    def test_final_witness_is_feasible(self, small_setup, small_blocks):
         _, _, _, _, problem = small_setup
         res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=50)
-        assert program_residual(problem, res.witness) <= 1e-6
+        assert program_residual(small_blocks, res.witness) <= 1e-6
 
     def test_intermediate_sets_are_certified(self, small_setup):
         from distsynth import verify_gamma, verify_output_inclusion
@@ -413,8 +445,8 @@ class TestAlternate:
 
             def permuted(lp, rng=rng, **kwargs):
                 if lp.n_vars == p_width:
-                    perm = rng.permutation(lp.a_ub.shape[0])
-                    lp = LpProblem(lp.c, lp.a_ub[perm], lp.b_ub[perm], lp.a_eq, lp.b_eq, lp.lb)
+                    perm = np.concatenate([rng.permutation(lp.n_ub), np.arange(lp.n_ub, lp.b.size)])
+                    lp = LpProblem(lp.c, lp.a[perm], lp.b[perm], lp.n_eq, lp.lb)
                 return solve_lp(lp, **kwargs)
 
             monkeypatch.setattr(synthesizer, "solve_lp", permuted)
@@ -553,10 +585,9 @@ class TestHeuristicBeta:
         for i in range(lay.n_vertices):
             assert np.all(beta[i, :, i] == 1.0) and np.all(beta[i].sum(axis=1) == 1.0)
 
-    def test_simplex_feasibility(self, vertex_count_setup):
-        problem = vertex_count_setup
-        beta = spread_beta(problem.layout)
-        assert np.allclose(problem.t_beta @ beta, 1.0)
+    def test_simplex_feasibility(self, vertex_count_setup, vertex_count_blocks):
+        beta = spread_beta(vertex_count_setup.layout)
+        assert np.allclose(vertex_count_blocks.t_beta @ beta, 1.0)
         assert np.all(beta >= 0)
 
     def test_alternation_improves_on_heuristic_start(self, vertex_count_setup):
@@ -642,7 +673,8 @@ class TestRefine:
 def spec_problem(request):
     """The synthesis program cmd_synth assembles for the bundled spec and for
     two ``gen`` problems at rho 0.7, the second with three disturbance
-    coordinates, so that a reach entry sums three terms in a fixed order."""
+    coordinates, so that a reach entry sums three terms in a fixed order; and
+    its blocks."""
     if request.param == "illustrative":
         spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
     else:
@@ -650,23 +682,24 @@ def spec_problem(request):
     opts = spec.options
     params = select_params(spec.sys, spec.Y, gamma=opts.gamma, mu=opts.mu, s_max=opts.s_max)
     horizon = opts.horizon if opts.horizon is not None else params.s
-    return assemble(
+    problem = assemble(
         spec.sys, spec.Y, spec.resolve_vertices(), params, opts.n_boxes,
         encoder.short_horizon(spec.sys, horizon), spec.resolve_h(), encoder.budget_tail(spec.sys, spec.Y, params),
     )
+    return problem, synth_blocks(spec.sys, spec.Y, spec.resolve_vertices(), params, spec.resolve_h(), problem.layout)
 
 
-def assert_same_program(lp, ref):
-    """``lp`` hands HiGHS the arrays of the reference program ``ref`` stacked
-    as linprog stacks them, bit for bit."""
-    a = stacked_csc(ref)
-    assert lp.a.shape == a.shape
-    for got, want in zip((lp.a.indptr, lp.a.indices, lp.a.data), (a.indptr, a.indices, a.data)):
-        assert got.tobytes() == want.tobytes()
-    for name in ("c", "lb", "b_ub", "b_eq"):
+def assert_same_program(lp, ref, tmp_path):
+    """``lp`` hands HiGHS the arrays of the reference program ``ref`` bit for
+    bit, and its LP-format dump is the reference's, byte for byte."""
+    assert lp.a.shape == ref.a.shape and lp.n_eq == ref.n_eq
+    for name in ("indptr", "indices", "data"):
+        assert getattr(lp.a, name).tobytes() == getattr(ref.a, name).tobytes(), name
+    for name in ("c", "lb", "b"):
         assert getattr(lp, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert lp.row_lower.tobytes() == np.concatenate([np.full(ref.b_ub.size, -np.inf), ref.b_eq]).tobytes()
-    assert lp.row_upper.tobytes() == np.concatenate([ref.b_ub, ref.b_eq]).tobytes()
+    write_lp(lp, tmp_path / "lp.lp")
+    write_lp(ref, tmp_path / "ref.lp")
+    assert (tmp_path / "lp.lp").read_bytes() == (tmp_path / "ref.lp").read_bytes()
 
 
 class TestStepProgramsMatchReference:
@@ -675,27 +708,29 @@ class TestStepProgramsMatchReference:
     entries a zero factor leaves out."""
 
     @pytest.mark.parametrize("weights", ["spread", "uniform", "jittered"])
-    def test_p_step(self, spec_problem, weights, monkeypatch):
-        lay = spec_problem.layout
+    def test_p_step(self, spec_problem, weights, monkeypatch, tmp_path):
+        problem, blocks = spec_problem
+        lay = problem.layout
         if weights == "jittered":  # a restart's draw around the spread start
             beta = _jittered_beta(lay, spread_beta(lay), np.random.default_rng(7).spawn(1)[0])
         else:
             beta = spread_beta(lay) if weights == "spread" else uniform_beta(lay)
-        assert_same_program(captured_lp(monkeypatch, p_step, spec_problem, beta), p_step_lp(spec_problem, beta))
+        assert_same_program(captured_lp(monkeypatch, p_step, problem, beta), p_step_lp(blocks, beta), tmp_path)
 
     @pytest.mark.parametrize("points", ["p-step", "coincident", "sparse"])
-    def test_q_step(self, spec_problem, points, monkeypatch):
-        lay = spec_problem.layout
+    def test_q_step(self, spec_problem, points, monkeypatch, tmp_path):
+        problem, blocks = spec_problem
+        lay = problem.layout
         rng = np.random.default_rng(8)
         if points == "p-step":
-            wbar = p_step(spec_problem, spread_beta(lay))[2]
+            wbar = p_step(problem, spread_beta(lay))[2]
         elif points == "coincident":  # every group's points at one place
             wbar = np.repeat(rng.normal(size=(lay.n_groups, 1, lay.n_w)), lay.n_boxes, axis=1).ravel()
         else:
             wbar = rng.normal(size=lay.dim_beta * lay.n_w)
             wbar[rng.random(wbar.size) < 0.3] = 0.0
-        ref, blend = q_step_lp(spec_problem, wbar)
+        ref, blend = q_step_lp(blocks, wbar)
         if points != "sparse":
-            w, _, beta, _, _ = q_step(spec_problem, wbar)
+            w, _, beta, _, _ = q_step(problem, wbar)
             assert w.tobytes() == (blend @ beta).tobytes()
-        assert_same_program(captured_lp(monkeypatch, q_step, spec_problem, wbar), ref)
+        assert_same_program(captured_lp(monkeypatch, q_step, problem, wbar), ref, tmp_path)

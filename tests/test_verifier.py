@@ -354,7 +354,7 @@ class TestReachProgramShape:
         shapes = []
 
         def spy(lp, basis=None, **kwargs):
-            shapes.append((lp.a_ub.shape[0] + lp.a_eq.shape[0], lp.n_vars))
+            shapes.append((lp.a.shape[0], lp.n_vars))
             return solve_lp(lp, basis, **kwargs)
 
         monkeypatch.setattr(verifier, "solve_lp", spy)
