@@ -12,6 +12,8 @@
 # LP and coverage LP, and the generated problem's 5-box hull the widest
 # blended-box rows of both; plotting it runs BoxHullSet.corners and the
 # support-point kernel.  Both plots' simulated trajectories must stay in Y.
+# A one-dimensional generated problem gives the smallest blocks the LP
+# builders make: 1 x 1 Kronecker factors and a two-vertex Y.
 set -euxo pipefail
 
 read -r -a ds <<< "$1"
@@ -56,6 +58,13 @@ strip_witness "$out/gen/result.json" "$out/gen/no-witness.json"
 "${ds[@]}" verify "$out/gen.json" "$out/gen/no-witness.json"
 "${ds[@]}" plot "$out/gen.json" "$out/gen/result.json" --out "$out/gen/plots"
 check_trajectory "$out/gen.json" "$out/gen/plots/trajectory.csv"
+
+"${ds[@]}" gen --nx 1 --nw 1 --ny 1 --rho 0.7 --out "$out/gen1.json"
+"${ds[@]}" synth "$out/gen1.json" --out "$out/gen1"
+python .github/scripts/check_result.py "$out/gen1/result.json"
+"${ds[@]}" verify "$out/gen1.json" "$out/gen1/result.json"
+strip_witness "$out/gen1/result.json" "$out/gen1/no-witness.json"
+"${ds[@]}" verify "$out/gen1.json" "$out/gen1/no-witness.json"
 
 # Y = {y1 <= 1, y2 <= 1, y1 + y2 <= 1.5} has two vertices and a ray: vertex
 # enumeration rejects it by its ray rule (null_space's rank rule), exit 3,

@@ -16,8 +16,11 @@ optimum, and reweights them, w = sum_j beta_j wbar_j.  wbar is that step's
 data, not a column group.
 
 A group is one (vertex, slot) pair.  Every block is a Kronecker expression
-over a group-major layout, so row and column orders are fixed functions of
-the dimensions and two assemblies of the same input are bit-identical.
+over a group-major layout, written with ``lp_solver.kron`` as index
+triplets; ``lp_solver.stack`` places the blocks of a program at their row and
+column offsets and ``lp_solver.csr`` sorts them once by (row, column) into
+its matrix.  Row and column orders are fixed functions of the dimensions, so
+two assemblies of the same input are bit-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .lp_solver import LpProblem
+from .lp_solver import Coo, LpProblem, csr, kron, stack
 from .rpi_params import RpiParams
 from .setgeom import HPolytope, LtiSystem, merge_vertices, reach_coefficients, stacked_identity
 
@@ -120,25 +123,14 @@ def output_rhs(gbar: list[np.ndarray], Y: HPolytope, params: RpiParams) -> np.nd
     return Y.g - params.lam * tail
 
 
-def _box_rows(T: np.ndarray, N: int) -> sp.coo_matrix:
+def _box_rows(T: np.ndarray, N: int) -> Coo:
     """kron(I_N, [T, |T|]): row block j is the support T c_j + |T| e_j of box j
-    in the directions T, over the box columns [c_0, e_0, c_1, e_1, ...] of x."""
-    # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
-    return sp.kron(sp.eye(N), np.hstack([T, np.abs(T)]), "coo")
+    in the directions T, over the box columns [c_0, e_0, c_1, e_1, ...] of x;
+    the zeros of T are left out, not stored."""
+    return kron(N, np.hstack([T, np.abs(T)]))
 
 
-def _pad_x(block, layout: VariableLayout) -> sp.csr_matrix:
-    """Extend a block over the box columns of x with the empty budget columns."""
-    return sp.hstack([block, sp.coo_matrix((block.shape[0], layout.dim_x - block.shape[1]))], format="csr")
-
-
-def encode_output_inclusion(
-    gbar: list[np.ndarray],
-    sys: LtiSystem,
-    Y: HPolytope,
-    params: RpiParams,
-    layout: VariableLayout,
-):
+def encode_output_inclusion(gbar: list[np.ndarray], sys: LtiSystem, Y: HPolytope, params: RpiParams, layout: VariableLayout):
     """Rows bounding the reachable-output support by the budget variables.
 
     Per box j and term t < t0:  Gbar_t B c_j + |Gbar_t B| e_j <= Q_t, and the
@@ -157,39 +149,31 @@ def encode_output_inclusion(
     N, m_y, t0 = layout.n_boxes, layout.m_y, layout.t0
     n_q = t0 * m_y
     terms = np.vstack([G @ sys.B for G in gbar[:t0]])  # row t * m_y + i
-    per_box = np.ones((N, 1))  # every box's row block charges the same budgets
+    per_box = -np.ones((N, 1))  # every box's row block charges the same budgets
+    S = stacked_identity(layout.n_rho)  # 0 x 0 without a tail, so its rows are empty
+    tail = sum((np.abs(G @ sys.B) for G in gbar[t0:]), np.zeros((m_y, layout.n_rho)))
     blocks = [
-        [_box_rows(terms, N), -sp.kron(per_box, sp.eye(n_q), "coo"), None],
-        [_box_rows(Y.G @ sys.D, N), None, -sp.kron(per_box, sp.eye(m_y), "coo")],
-        [None, sp.kron(np.ones((1, t0)), sp.eye(m_y), "coo"), sp.eye(m_y, format="coo")],
+        [_box_rows(terms, N), kron(per_box, n_q), None, None],
+        [_box_rows(Y.G @ sys.D, N), None, kron(per_box, m_y), None],
+        [_box_rows(S, N), None, None, kron(per_box, np.abs(S))],
+        [None, kron(np.ones((1, t0)), m_y), kron(1, m_y), tail],
     ]
-    if layout.n_rho:
-        S = stacked_identity(layout.n_w)
-        tail = sp.coo_matrix(sum(np.abs(G @ sys.B) for G in gbar[t0:]))
-        blocks = [
-            *(row + [None] for row in blocks[:2]),
-            [_box_rows(S, N), None, None, -sp.kron(per_box, np.abs(S), "coo")],
-            blocks[2] + [tail],
-        ]
     n_zero = N * (n_q + m_y) + 2 * N * layout.n_rho
-    return sp.bmat(blocks, format="csr"), np.concatenate([np.zeros(n_zero), rhs])
+    return csr(stack(blocks, [2 * N * layout.n_w, n_q, m_y, layout.n_rho])), np.concatenate([np.zeros(n_zero), rhs])
 
 
 def encode_gamma_bound(sys: LtiSystem, gamma: float, layout: VariableLayout):
     """Rows keeping every box image B*box inside the gamma cube."""
     IB = stacked_identity(sys.n_x) @ sys.B
-    return _pad_x(_box_rows(IB, layout.n_boxes), layout), np.full(layout.n_boxes * IB.shape[0], gamma)
+    return csr(stack([[_box_rows(IB, layout.n_boxes)]], [layout.dim_x])), np.full(layout.n_boxes * IB.shape[0], gamma)
 
 
 def encode_origin(layout: VariableLayout):
     """Rows forcing the origin into the first box: |c_1| <= e_1."""
-    block = np.kron([[1.0, -1.0], [-1.0, -1.0]], np.eye(layout.n_w))
-    return _pad_x(sp.coo_matrix(block), layout), np.zeros(2 * layout.n_w)
+    return csr(stack([[kron([[1.0, -1.0], [-1.0, -1.0]], layout.n_w)]], [layout.dim_x])), np.zeros(2 * layout.n_w)
 
 
-def encode_vertex_reach(
-    vertices: np.ndarray, sys: LtiSystem, layout: VariableLayout, H: np.ndarray
-):
+def encode_vertex_reach(vertices: np.ndarray, sys: LtiSystem, layout: VariableLayout, H: np.ndarray):
     """Vertex-coverage blocks: reach equalities, deviation rows
     H b_i <= eps, and the simplex rows.
 
@@ -203,12 +187,12 @@ def encode_vertex_reach(
     v, N = layout.n_vertices, layout.n_boxes
     groups, n_out = layout.n_groups, v * layout.n_y
     # row (i, k): sum_t coeff_t[k] w_(i, t) + b_i[k] = vertex_i[k], coeff_t slot t of reach_coefficients
-    c_w = sp.kron(sp.eye(v), np.hstack(reach_coefficients(sys, l)), "csr")
-    c_z = sp.hstack([sp.coo_matrix((n_out, layout.n_b)), sp.eye(n_out, format="coo")], format="csr")
+    c_w = csr(kron(v, np.hstack(reach_coefficients(sys, l))))
+    c_z = csr(stack([[None, kron(1, n_out)]], [layout.n_b, n_out]))
     h = np.asarray(vertices, dtype=float).ravel()
     # row (i, k): H[k] b_i - eps[k] <= 0
-    e_z = sp.hstack([-sp.kron(np.ones((v, 1)), sp.eye(layout.n_b), "coo"), sp.kron(sp.eye(v), H, "coo")], format="csr")
-    t_beta = sp.kron(sp.eye(groups), np.ones((1, N)), "csr")
+    e_z = csr(stack([[kron(-np.ones((v, 1)), layout.n_b), kron(v, H)]], [layout.n_b, n_out]))
+    t_beta = csr(kron(groups, np.ones((1, N))))
     return c_w, c_z, h, e_z, t_beta
 
 
@@ -242,24 +226,19 @@ class StepProgram:
         return replace(self.template, a=sp.csr_matrix((data[keep], a.indices[keep], indptr), shape=a.shape))
 
 
-def _open_rows(cols: np.ndarray, width: int) -> sp.csr_matrix:
-    """Rows of open entries (held as 0) at the ascending columns ``cols[r]``."""
+def _open_rows(cols: np.ndarray, width: int) -> Coo:
+    """Rows of open entries (held as 0) at the columns ``cols[r]``."""
     rows, per = cols.shape
-    return sp.csr_matrix((np.zeros(cols.size), cols.ravel(), np.arange(0, cols.size + 1, per)), shape=(rows, width))
+    return Coo(np.repeat(np.arange(rows), per), cols.ravel(), np.zeros(cols.size), (rows, width))
 
 
-def _zeros(rows: int, cols: int) -> sp.csr_matrix:
-    return sp.csr_matrix((rows, cols))
-
-
-def _step_program(c, lb, blocks, b, n_eq, opened, coef, index) -> StepProgram:
-    """Stack the row ``blocks`` (CSR, full width), the last ``n_eq`` rows
-    equalities; ``opened`` is (block position, entries per row): the leading
-    entries of that block's rows are the open ones, in row order."""
-    at, per = opened
-    a = sp.vstack(blocks, format="csr")
-    start = sum(block.nnz for block in blocks[:at]) + blocks[at].indptr[:-1]
-    open_ = (start[:, None] + np.arange(per)).ravel()
+def _step_program(c, lb, a: Coo, b, n_eq, opened, coef, index) -> StepProgram:
+    """The program of ``a``, the last ``n_eq`` rows equalities; ``opened`` is (first row, rows,
+    entries per row): the open entries lie left of every fixed entry of their row, so after the
+    sort by (row, column) they lead each of those rows, in row order."""
+    first, rows, per = opened
+    a = csr(a)
+    open_ = (a.indptr[first : first + rows, None] + np.arange(per)).ravel()
     return StepProgram(LpProblem(c, a, b, n_eq, lb), open_, coef.reshape(open_.size, -1), index.reshape(open_.size, -1))
 
 
@@ -274,28 +253,25 @@ def _p_program(layout: VariableLayout, cost_z, a_x, b, c_w, c_z, h, e_z) -> Step
     """
     lay = layout
     nx, nw, n_boxes = lay.dim_x, lay.n_w, lay.n_boxes
-    z_off = nx + lay.dim_w
-    n_rows = 2 * lay.dim_w
+    z_off, n_rows = nx + lay.dim_w, 2 * lay.dim_w
     # row (group, coordinate, sign), open entry (box, center or halfwidth)
     g, k, s, j, half = np.indices((lay.n_groups, nw, 2, n_boxes, 2))
-    sign = 1.0 - 2.0 * s[..., 0, 0].ravel()
-    w_block = sp.csr_matrix((sign, (np.arange(n_rows), np.arange(n_rows) // 2)), shape=(n_rows, lay.dim_w))
-    blocks = [
-        sp.hstack([a_x, _zeros(a_x.shape[0], lay.dim_w + lay.dim_z)], format="csr"),
-        sp.hstack(
-            [_open_rows(((2 * j + half) * nw + k).reshape(n_rows, -1), nx), w_block, _zeros(n_rows, lay.dim_z)],
-            format="csr",
-        ),
-        sp.hstack([_zeros(e_z.shape[0], z_off), e_z], format="csr"),
-        sp.hstack([_zeros(c_w.shape[0], nx), c_w, c_z], format="csr"),
-    ]
+    a = stack(
+        [
+            [a_x, None, None],
+            [_open_rows(((2 * j + half) * nw + k).reshape(n_rows, -1), nx), kron(lay.dim_w, [[1.0], [-1.0]]), None],
+            [None, None, e_z],
+            [None, c_w, c_z],
+        ],
+        [nx, lay.dim_w, lay.dim_z],
+    )
     c = np.concatenate([np.zeros(z_off), cost_z])
     lb = np.full(c.size, -np.inf)
     lb[: 2 * n_boxes * nw].reshape(n_boxes, 2, nw)[:, 1] = 0.0  # the halfwidths
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
     rhs = np.concatenate([b, np.zeros(n_rows + e_z.shape[0]), h])
     coef = np.where(half == 1, -1.0, 2.0 * s - 1.0)
-    return _step_program(c, lb, blocks, rhs, h.size, (1, 2 * n_boxes), coef, g * n_boxes + j)
+    return _step_program(c, lb, a, rhs, h.size, (a_x.shape[0], n_rows, 2 * n_boxes), coef, g * n_boxes + j)
 
 
 def _q_program(layout: VariableLayout, reach, cost_z, c_z, h, e_z, t_beta) -> StepProgram:
@@ -313,19 +289,14 @@ def _q_program(layout: VariableLayout, reach, cost_z, c_z, h, e_z, t_beta) -> St
     # row (vertex, output), open entry (slot, box), term k
     i, y, t, j, k = np.indices((lay.n_vertices, lay.n_y, lay.n_slots, n_boxes, nw))
     beta_col = (i * lay.n_slots + t) * n_boxes + j
-    blocks = [
-        sp.hstack([_zeros(e_z.shape[0], nb), e_z], format="csr"),
-        sp.hstack([_open_rows(beta_col[..., 0].reshape(n_out, -1), nb), c_z], format="csr"),
-        sp.hstack([t_beta, _zeros(t_beta.shape[0], lay.dim_z)], format="csr"),
-    ]
+    a = stack([[None, e_z], [_open_rows(beta_col[..., 0].reshape(n_out, -1), nb), c_z], [t_beta, None]], [nb, lay.dim_z])
     c = np.concatenate([np.zeros(nb), cost_z])
     lb = np.full(c.size, -np.inf)
     lb[:nb] = 0.0
     lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
     rhs = np.concatenate([np.zeros(e_z.shape[0]), h, np.ones(t_beta.shape[0])])
-    return _step_program(
-        c, lb, blocks, rhs, h.size + t_beta.shape[0], (1, lay.n_slots * n_boxes), reach[t, y, k], beta_col * nw + k
-    )
+    opened = (e_z.shape[0], n_out, lay.n_slots * n_boxes)
+    return _step_program(c, lb, a, rhs, h.size + t_beta.shape[0], opened, reach[t, y, k], beta_col * nw + k)
 
 
 @dataclass(frozen=True)
@@ -373,14 +344,8 @@ def budget_tail(sys: LtiSystem, Y: HPolytope, params: RpiParams) -> int:
 
 
 def assemble(
-    sys: LtiSystem,
-    Y: HPolytope,
-    Y_vertices: np.ndarray,
-    params: RpiParams,
-    n_boxes: int,
-    horizon: int,
-    H: np.ndarray,
-    t0: int | None = None,
+    sys: LtiSystem, Y: HPolytope, Y_vertices: np.ndarray, params: RpiParams, n_boxes: int, horizon: int,
+    H: np.ndarray, t0: int | None = None,
 ) -> SynthProblem:
     """Build the problem for a vertex list of Y, repeats merged
     (``merge_vertices``); the output-inclusion terms t >= t0 share one tail
@@ -396,15 +361,8 @@ def assemble(
     if H.shape[1] != sys.n_y:
         raise EncodingError("H column count must match the output dimension")
     layout = VariableLayout(
-        n_boxes=n_boxes,
-        n_vertices=vertices.shape[0],
-        horizon=horizon,
-        s=params.s,
-        n_w=sys.n_w,
-        n_y=sys.n_y,
-        m_y=Y.n_rows,
-        n_b=H.shape[0],
-        t0=t0,
+        n_boxes=n_boxes, n_vertices=vertices.shape[0], horizon=horizon, s=params.s,
+        n_w=sys.n_w, n_y=sys.n_y, m_y=Y.n_rows, n_b=H.shape[0], t0=t0,
     )
     a1, b1 = encode_output_inclusion(build_gbar(sys, Y, params), sys, Y, params, layout)
     a2, b2 = encode_gamma_bound(sys, params.gamma, layout)
@@ -412,7 +370,7 @@ def assemble(
     c_w, c_z, h, e_z, t_beta = encode_vertex_reach(vertices, sys, layout, H)
     cost_z = np.zeros(layout.dim_z)
     cost_z[layout.z_eps()] = 1.0
-    a_x, b = sp.vstack([a1, a2, a3], format="csr"), np.concatenate([b1, b2, b3])
+    a_x, b = stack([[a1], [a2], [a3]], [layout.dim_x]), np.concatenate([b1, b2, b3])
     return SynthProblem(
         layout=layout,
         p_program=_p_program(layout, cost_z, a_x, b, c_w, c_z, h, e_z),

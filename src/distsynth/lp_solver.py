@@ -24,6 +24,7 @@ it.  ``write_lp`` dumps a program in LP format for cross-checks elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -146,6 +147,54 @@ class LpProblem:
         return self.a[self.n_ub :]
 
 
+class Coo(NamedTuple):
+    """A sparse block as triplets: entry k is ``val[k]`` at (``row[k]``, ``col[k]``)."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    shape: tuple[int, int]
+
+
+def _entries(f) -> Coo:
+    """The identity I_f for an int ``f``, the stored entries of a CSR ``f``, else the nonzero
+    entries of the dense ``f``."""
+    if isinstance(f, (int, np.integer)):
+        return Coo(np.arange(f), np.arange(f), np.ones(f), (f, f))
+    if sp.issparse(f):
+        return Coo(np.repeat(np.arange(f.shape[0]), np.diff(f.indptr)), f.indices, f.data, f.shape)
+    row, col = np.nonzero(f := np.asarray(f, dtype=float))
+    return Coo(row, col, f[row, col], f.shape)
+
+
+def kron(a, b) -> Coo:
+    """kron(a, b) as triplets, an int factor standing for the identity of that size; each entry is
+    a_ij * b_kl and, as in scipy's "coo" kron, the exact zeros of a dense (not a CSR) factor are left out."""
+    (ar, ac, av, (p, q)), (br, bc, bv, (m, n)) = _entries(a), _entries(b)
+    return Coo((ar[:, None] * m + br).ravel(), (ac[:, None] * n + bc).ravel(), (av[:, None] * bv).ravel(), (p * m, q * n))
+
+
+def stack(grid, widths) -> Coo:
+    """The block matrix of ``grid``, a list of block rows, each holding one block or None per
+    column group of ``widths``.  A block (triplets, a CSR matrix, or a dense array whose zeros are
+    left out) starts at its group's first column and may be narrower; a block row is as tall as its blocks."""
+    left, parts, top = np.concatenate(([0], np.cumsum(widths))), [], 0
+    for blocks in grid:
+        for block, col in ((block, col) for block, col in zip(blocks, left) if block is not None):
+            block = block if isinstance(block, Coo) else kron(1, block)  # CSR or dense
+            parts.append((block.row + top, block.col + col, block.val))
+        top += block.shape[0]
+    row, col, val = (np.concatenate(part) for part in zip(*parts))
+    return Coo(row, col, val, (top, int(left[-1])))
+
+
+def csr(block: Coo) -> sp.csr_matrix:
+    """``block`` (no position twice) as a CSR matrix with int32 indices, entries sorted by (row, column)."""
+    order = np.argsort(block.row * block.shape[1] + block.col)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(block.row, minlength=block.shape[0])))).astype(np.int32)
+    return sp.csr_matrix((block.val[order], block.col[order].astype(np.int32), indptr), shape=block.shape)
+
+
 @dataclass(frozen=True)
 class LpOutcome:
     status: str
@@ -187,7 +236,8 @@ def _scaled_residual(p: LpProblem, x: np.ndarray) -> float:
 
 def _run(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> _highs._Highs | None:
     """One HiGHS solve of ``p``, Devex-priced when warm from ``basis``, by
-    primal simplex when ``primal``; None if the basis does not fit."""
+    primal simplex when ``primal``; None if HiGHS rejects the program (a
+    warning is no rejection) or the basis does not fit."""
     highs = _highs._Highs()
     for key, value in _OPTIONS.items():
         highs.setOptionValue(key, value)
@@ -198,11 +248,11 @@ def _run(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> _hig
         highs.setOptionValue("simplex_strategy", _PRIMAL)
     n, a = p.n_vars, p.a
     row_lower = np.concatenate((np.full(p.n_ub, -np.inf), p.b[p.n_ub :]))
-    highs.passModel(
+    passed = highs.passModel(
         n, a.shape[0], a.nnz, _ROWWISE, _MINIMIZE, 0.0, p.c, p.lb, np.full(n, np.inf),
         row_lower, p.b, a.indptr, a.indices, a.data, np.zeros(n, np.int32),
     )  # every column continuous: an empty integrality array is an error
-    if basis is not None and highs.setBasis(basis) != _highs.HighsStatus.kOk:
+    if passed == _highs.HighsStatus.kError or (basis is not None and highs.setBasis(basis) != _highs.HighsStatus.kOk):
         return None
     highs.run()
     return highs
@@ -211,15 +261,16 @@ def _run(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> _hig
 def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     model_status = highs.getModelStatus()
     status = _STATUS_MAP.get(model_status, FAILED)
-    nit = int(highs.getInfo().simplex_iteration_count)
+    info = highs.getInfo()
+    nit = int(info.simplex_iteration_count)
     if status != OPTIMAL:
         return LpOutcome(status, nit=nit)
     sol = highs.getSolution()
     x = np.array(sol.col_value)
-    objective = float(highs.getInfo().objective_function_value)
+    objective = float(info.objective_function_value)
     # bound marginals are the column duals of columns nonbasic at that bound
     basis = highs.getBasis()
-    col_status = np.array(basis.col_status, dtype=np.int8)
+    col_status = np.fromiter(map(int, basis.col_status), np.int8, p.n_vars)
     col_dual = np.array(sol.col_dual)
     lower = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
     row_dual = np.array(sol.row_dual)
@@ -246,7 +297,7 @@ def _solve(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> Lp
     """One HiGHS run read into an outcome; the instance is freed on return."""
     highs = _run(p, presolve, basis, primal)
     if highs is None:
-        return LpOutcome(FAILED)  # the basis does not fit the program
+        return LpOutcome(FAILED)  # HiGHS rejects the program or the basis
     return _outcome(p, highs)
 
 

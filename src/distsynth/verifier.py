@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .lp_solver import LpFailure, LpProblem, solve_lp
+from .lp_solver import LpFailure, LpProblem, csr, kron, solve_lp, stack
 from .rpi_params import RpiConstants, RpiParams
 from .setgeom import (
     BoxHullSet,
@@ -212,8 +211,9 @@ def _reach_lp(
     point p per slot, the box weights beta >= 0 (slot, box) and the output
     deviation b.  Its rows are the membership rows S p - (S C' + |S| E') beta
     <= 0 per slot (S = [I; -I], box centers C and halfwidths E by row),
-    H b + slack <= h_rhs, where ``slack`` has one row per (vertex, row of H)
-    and its columns are bounded below by ``slack_lb``, then the reach
+    H b + slack <= h_rhs, where ``slack`` (triplets or a dense array) has one
+    row per (vertex, row of H) and its columns are bounded below by
+    ``slack_lb``, then the reach
     equalities sum_t coeff_t p_t + b = y and one simplex row sum_j beta_j = 1
     per slot.
     It is exact: sum_j beta_j box(c_j, e_j) is the box (sum beta c, sum beta e),
@@ -225,18 +225,15 @@ def _reach_lp(
     n_p, n_beta, n_b = groups * n_w, groups * N, n * n_y
     S = stacked_identity(n_w)
     blended = -(S @ W.centers.T + np.abs(S) @ W.halfwidths.T)
-    slack = sp.coo_matrix(slack)
     m = slack.shape[1]
-    # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
-    a = sp.bmat(
-        [
-            [sp.kron(sp.eye(groups), S, "coo"), sp.kron(sp.eye(groups), blended, "coo"), None, None],
-            [None, None, sp.kron(sp.eye(n), H, "coo"), slack],
-            [sp.kron(sp.eye(n), np.hstack(coeff), "coo"), None, sp.eye(n_b, format="coo"), None],
-            [None, sp.kron(sp.eye(groups), np.ones((1, N)), "coo"), None, None],
-        ],
-        format="csr",
-    )
+    # the zeros of the dense factors, and of a dense slack, are left out, not stored
+    grid = [
+        [kron(groups, S), kron(groups, blended), None, None],
+        [None, None, kron(n, H), slack],
+        [kron(n, np.hstack(coeff)), None, kron(1, n_b), None],
+        [None, kron(groups, np.ones((1, N))), None, None],
+    ]
+    a = csr(stack(grid, [n_p, n_beta, n_b, m]))
     c = np.concatenate((np.zeros(n_p + n_beta + n_b), np.ones(m)))
     lb = np.concatenate((np.full(n_p, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
     b = np.concatenate((np.zeros(2 * n_p), h_rhs, vertices.ravel(), np.ones(groups)))
@@ -272,7 +269,7 @@ def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, hori
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     n_b = H.shape[0]
-    slack = -sp.kron(np.ones((len(vertices), 1)), sp.eye(n_b), "coo")
+    slack = kron(-np.ones((len(vertices), 1)), n_b)
     coeff = reach_coefficients(sys, horizon)
     out, witness = _reach_witness(coeff, vertices, W, H, slack, 0.0, np.zeros(slack.shape[0]))
     return out.x[-n_b:].copy(), float(out.objective), witness
@@ -285,12 +282,7 @@ def distance_dY(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: 
 
 
 def verify_coverage(
-    sys: LtiSystem,
-    Y_vertices: np.ndarray,
-    W: BoxHullSet,
-    horizon: int,
-    H: np.ndarray,
-    epsilon: np.ndarray,
+    sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray, epsilon: np.ndarray,
     witness: CoverageWitness | None = None,
 ) -> Certificate:
     """Per-vertex reachability within the claimed deviation widths, checked by
@@ -307,9 +299,8 @@ def verify_coverage(
     H = np.atleast_2d(np.asarray(H, dtype=float))
     coeff = reach_coefficients(sys, horizon)
     if witness is None:
-        n = len(vertices)
-        slack = -sp.kron(sp.eye(n), np.ones((H.shape[0], 1)), "coo")
-        _, witness = _reach_witness(coeff, vertices, W, H, slack, -np.inf, np.tile(epsilon, n))
+        slack = kron(len(vertices), -np.ones((H.shape[0], 1)))
+        _, witness = _reach_witness(coeff, vertices, W, H, slack, -np.inf, np.tile(epsilon, len(vertices)))
     margins = _coverage_margins(coeff, vertices, W, H, epsilon, witness)
     return Certificate(
         tuple(CheckResult(f"vertex-{i}", bool(m >= -CHECK_TOL), float(m), f"vertex {i}") for i, m in enumerate(margins))

@@ -1,6 +1,7 @@
 """Reference computations that tests compare the package against."""
 
 import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,12 +10,14 @@ from scipy.linalg import null_space
 
 from distsynth import BoxHullSet
 from distsynth.encoder import (
+    EncodingError,
     VariableLayout,
     build_gbar,
     encode_gamma_bound,
     encode_origin,
     encode_output_inclusion,
     encode_vertex_reach,
+    output_rhs,
 )
 from distsynth.lp_solver import LpFailure, LpProblem, solve_lp
 from distsynth.rpi_params import horizon_constants
@@ -27,6 +30,7 @@ from distsynth.setgeom import (
     box_points,
     fields_equal,
     merge_vertices,
+    reach_coefficients,
     stacked_identity,
 )
 from distsynth.synthesizer import _boxes
@@ -252,3 +256,127 @@ def q_step_lp(blocks: SynthBlocks, wbar: np.ndarray):
     lb[:nb] = 0.0
     lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
     return LpProblem(c, a, b, n_eq, lb), blend
+
+
+# The scipy.sparse constructor chains that built the encoder's blocks and the
+# verifier's reach program before both were built from index triplets
+# (lp_solver.kron, stack, csr); the package's matrices must equal them bit for
+# bit, entry order and index dtypes included.
+
+
+def _scipy_box_rows(T: np.ndarray, N: int) -> sp.coo_matrix:
+    """kron(I_N, [T, |T|]): row block j is the support T c_j + |T| e_j of box j
+    in the directions T, over the box columns [c_0, e_0, c_1, e_1, ...] of x."""
+    # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
+    return sp.kron(sp.eye(N), np.hstack([T, np.abs(T)]), "coo")
+
+
+def _scipy_pad_x(block, layout: VariableLayout) -> sp.csr_matrix:
+    """Extend a block over the box columns of x with the empty budget columns."""
+    return sp.hstack([block, sp.coo_matrix((block.shape[0], layout.dim_x - block.shape[1]))], format="csr")
+
+
+def scipy_output_inclusion(gbar, sys, Y, params, layout: VariableLayout):
+    """Reference for ``encoder.encode_output_inclusion``."""
+    rhs = output_rhs(gbar, Y, params)
+    if np.min(rhs) < -1e-12 * max(1.0, float(np.max(np.abs(Y.g)))):
+        warnings.warn(
+            f"negative output budget at row {int(np.argmin(rhs))}; "
+            "the synthesis problem is infeasible for these parameters",
+            RuntimeWarning,
+        )
+    N, m_y, t0 = layout.n_boxes, layout.m_y, layout.t0
+    n_q = t0 * m_y
+    terms = np.vstack([G @ sys.B for G in gbar[:t0]])  # row t * m_y + i
+    per_box = np.ones((N, 1))  # every box's row block charges the same budgets
+    blocks = [
+        [_scipy_box_rows(terms, N), -sp.kron(per_box, sp.eye(n_q), "coo"), None],
+        [_scipy_box_rows(Y.G @ sys.D, N), None, -sp.kron(per_box, sp.eye(m_y), "coo")],
+        [None, sp.kron(np.ones((1, t0)), sp.eye(m_y), "coo"), sp.eye(m_y, format="coo")],
+    ]
+    if layout.n_rho:
+        S = stacked_identity(layout.n_w)
+        tail = sp.coo_matrix(sum(np.abs(G @ sys.B) for G in gbar[t0:]))
+        blocks = [
+            *(row + [None] for row in blocks[:2]),
+            [_scipy_box_rows(S, N), None, None, -sp.kron(per_box, np.abs(S), "coo")],
+            blocks[2] + [tail],
+        ]
+    n_zero = N * (n_q + m_y) + 2 * N * layout.n_rho
+    return sp.bmat(blocks, format="csr"), np.concatenate([np.zeros(n_zero), rhs])
+
+
+def scipy_gamma_bound(sys, gamma: float, layout: VariableLayout):
+    """Reference for ``encoder.encode_gamma_bound``."""
+    IB = stacked_identity(sys.n_x) @ sys.B
+    return _scipy_pad_x(_scipy_box_rows(IB, layout.n_boxes), layout), np.full(layout.n_boxes * IB.shape[0], gamma)
+
+
+def scipy_origin(layout: VariableLayout):
+    """Reference for ``encoder.encode_origin``."""
+    block = np.kron([[1.0, -1.0], [-1.0, -1.0]], np.eye(layout.n_w))
+    return _scipy_pad_x(sp.coo_matrix(block), layout), np.zeros(2 * layout.n_w)
+
+
+def scipy_vertex_reach(vertices: np.ndarray, sys, layout: VariableLayout, H: np.ndarray):
+    """Reference for ``encoder.encode_vertex_reach``."""
+    l = layout.horizon
+    if l < 1:
+        raise EncodingError("horizon must be at least 1")
+    v, N = layout.n_vertices, layout.n_boxes
+    groups, n_out = layout.n_groups, v * layout.n_y
+    # row (i, k): sum_t coeff_t[k] w_(i, t) + b_i[k] = vertex_i[k], coeff_t slot t of reach_coefficients
+    c_w = sp.kron(sp.eye(v), np.hstack(reach_coefficients(sys, l)), "csr")
+    c_z = sp.hstack([sp.coo_matrix((n_out, layout.n_b)), sp.eye(n_out, format="coo")], format="csr")
+    h = np.asarray(vertices, dtype=float).ravel()
+    # row (i, k): H[k] b_i - eps[k] <= 0
+    e_z = sp.hstack([-sp.kron(np.ones((v, 1)), sp.eye(layout.n_b), "coo"), sp.kron(sp.eye(v), H, "coo")], format="csr")
+    t_beta = sp.kron(sp.eye(groups), np.ones((1, N)), "csr")
+    return c_w, c_z, h, e_z, t_beta
+
+
+def scipy_reach_lp(
+    coeff: np.ndarray, vertices: np.ndarray, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs
+) -> LpProblem:
+    """Reference for ``verifier._reach_lp``."""
+    n, n_y = vertices.shape
+    N, n_w = W.n_boxes, W.dim
+    groups = n * coeff.shape[0]
+    n_p, n_beta, n_b = groups * n_w, groups * N, n * n_y
+    S = stacked_identity(n_w)
+    blended = -(S @ W.centers.T + np.abs(S) @ W.halfwidths.T)
+    slack = sp.coo_matrix(slack)
+    m = slack.shape[1]
+    # "coo" keeps kron off its BSR path, which would store the zeros of dense blocks
+    a = sp.bmat(
+        [
+            [sp.kron(sp.eye(groups), S, "coo"), sp.kron(sp.eye(groups), blended, "coo"), None, None],
+            [None, None, sp.kron(sp.eye(n), H, "coo"), slack],
+            [sp.kron(sp.eye(n), np.hstack(coeff), "coo"), None, sp.eye(n_b, format="coo"), None],
+            [None, sp.kron(sp.eye(groups), np.ones((1, N)), "coo"), None, None],
+        ],
+        format="csr",
+    )
+    c = np.concatenate((np.zeros(n_p + n_beta + n_b), np.ones(m)))
+    lb = np.concatenate((np.full(n_p, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
+    b = np.concatenate((np.zeros(2 * n_p), h_rhs, vertices.ravel(), np.ones(groups)))
+    return LpProblem(c, a, b, n_b + groups, lb)
+
+
+def distance_slack(n_vertices: int, n_b: int) -> sp.coo_matrix:
+    """Reference for ``verifier.distance_witness``'s slack: widths shared by every vertex."""
+    return -sp.kron(np.ones((n_vertices, 1)), sp.eye(n_b), "coo")
+
+
+def inflation_slack(n_vertices: int, n_b: int) -> sp.coo_matrix:
+    """Reference for ``verifier.verify_coverage``'s slack: one inflation per vertex."""
+    return -sp.kron(sp.eye(n_vertices), np.ones((n_b, 1)), "coo")
+
+
+def assert_same_matrix(a, ref, name=""):
+    """Two CSR matrices are the same bit for bit: shape, and indptr, indices
+    and data with their dtypes."""
+    assert a.shape == ref.shape, name
+    for field in ("indptr", "indices", "data"):
+        x, y = getattr(a, field), getattr(ref, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, field)

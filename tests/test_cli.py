@@ -384,6 +384,27 @@ class TestCmdParams:
         assert all(m["passed"] for m in frag["margins"].values())
 
 
+class TestNoSparseConstructorChain:
+    """Every LP matrix of synth and verify is built from index triplets:
+    with scipy.sparse's constructors made to raise, ``cmd_synth`` and
+    ``cmd_verify`` (from the witness and, without it, by the coverage LP)
+    still run on the illustrative spec and every certificate passes."""
+
+    def test_synth_and_verify_use_no_sparse_constructor(self, monkeypatch):
+        import scipy.sparse
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a scipy.sparse constructor is on the LP build path")
+
+        for name in ("kron", "bmat", "hstack", "vstack", "eye", "coo_matrix"):
+            monkeypatch.setattr(scipy.sparse, name, forbidden)
+        spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
+        stored = json.loads(json.dumps(cmd_synth(spec).to_dict()))
+        assert cmd_verify(spec, ResultDoc.from_dict(stored)).passed
+        del stored["witness"]
+        assert cmd_verify(spec, ResultDoc.from_dict(stored)).passed
+
+
 class TestSynthVerifyRoundtrip:
     def test_pipeline_and_stored_result(self, tmp_path, small_spec_doc):
         spec_path = write_json(tmp_path / "spec.json", small_spec_doc)

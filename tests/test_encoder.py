@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,11 +31,24 @@ from distsynth.encoder import (
     tail_start,
 )
 from distsynth.lp_solver import LpProblem, solve_lp
-from distsynth.setgeom import stacked_identity
+from distsynth.setgeom import merge_vertices, stacked_identity
 from distsynth.synthesizer import _boxes, boxes_from_x, p_step, spread_beta
 
 from conftest import hull_of, random_stable_system
-from reference import contains_point, membership_blocks, program_residual, synth_blocks
+from distsynth.cli import cmd_gen, cmd_reduce, parse_spec
+from reference import (
+    assert_same_matrix,
+    contains_point,
+    membership_blocks,
+    program_residual,
+    scipy_gamma_bound,
+    scipy_origin,
+    scipy_output_inclusion,
+    scipy_vertex_reach,
+    synth_blocks,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_layout(n_boxes=2, n_vertices=3, horizon=2, s=3, n_w=2, n_y=2, m_y=4, n_b=4):
@@ -561,3 +577,61 @@ class TestBudgetTail:
                 full_budgets[t] = budgets[t] if t < t0 else far
             full_budgets[params.s] = budgets[t0]
             assert np.all(full.a_x @ x_full <= full.b + 1e-9)
+
+
+def _reference_case(case):
+    """The problem of ``case`` as cmd_synth reads it: (sys, Y, vertices, H, options)."""
+    if case in ("illustrative", "N=1"):
+        spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
+        if case == "N=1":
+            spec.options.n_boxes = 1
+    elif case == "mapped":
+        spec = cmd_reduce(json.loads((ROOT / "specs" / "reduced_order_plant.json").read_text()))
+    elif case == "zeros":  # exact zeros in B and D, besides those of the box H and G
+        spec = cmd_gen(3, 2, 2, 0.7, 0)
+        B, D = spec.sys.B.copy(), spec.sys.D.copy()
+        B[0, 1] = B[2, 0] = D[1, 0] = 0.0
+        spec.sys = LtiSystem(spec.sys.A, B, spec.sys.C, D)
+    else:  # gen-<n_x>-<seed>
+        _, n_x, seed = case.split("-")
+        spec = cmd_gen(int(n_x), 2, 2, 0.7, int(seed))
+    return spec.sys, spec.Y, spec.resolve_vertices(), spec.resolve_h(), spec.options
+
+
+class TestMatchesScipyReference:
+    """Every block encoder builds from index triplets is the matrix the
+    scipy.sparse constructor chain in ``reference`` builds, bit for bit:
+    shape, entry order, the zeros left out, and the index dtypes."""
+
+    @pytest.mark.parametrize("tail", ["budget-tail", "no-tail"])
+    @pytest.mark.parametrize(
+        "case", ["illustrative", "mapped", "gen-3-0", "gen-3-1", "gen-6-0", "gen-6-1", "N=1", "zeros"]
+    )
+    def test_blocks(self, case, tail):
+        sys, Y, vertices, H, opts = _reference_case(case)
+        if case in ("illustrative", "zeros"):
+            assert (sys.D == 0.0).any()  # a zero the blocks must leave out
+        params = select_params(sys, Y, gamma=opts.gamma, mu=opts.mu, s_max=opts.s_max)
+        t0 = budget_tail(sys, Y, params) if tail == "budget-tail" else params.s
+        assert (t0 < params.s) == (tail == "budget-tail")  # with and without the rho rows
+        horizon = short_horizon(sys, opts.horizon if opts.horizon is not None else params.s)
+        layout = assemble(sys, Y, vertices, params, opts.n_boxes, horizon, H, t0).layout
+        gbar = build_gbar(sys, Y, params)
+        built = {
+            "output-inclusion": (
+                encode_output_inclusion(gbar, sys, Y, params, layout),
+                scipy_output_inclusion(gbar, sys, Y, params, layout),
+            ),
+            "gamma": (encode_gamma_bound(sys, params.gamma, layout), scipy_gamma_bound(sys, params.gamma, layout)),
+            "origin": (encode_origin(layout), scipy_origin(layout)),
+        }
+        for name, ((a, b), (ref_a, ref_b)) in built.items():
+            assert_same_matrix(a, ref_a, name)
+            assert b.tobytes() == ref_b.tobytes(), name
+        vertices = merge_vertices(vertices)
+        blocks, refs = encode_vertex_reach(vertices, sys, layout, H), scipy_vertex_reach(vertices, sys, layout, H)
+        for name, block, ref in zip(("c_w", "c_z", "h", "e_z", "t_beta"), blocks, refs):
+            if name == "h":
+                assert block.tobytes() == ref.tobytes()
+            else:
+                assert_same_matrix(block, ref, name)

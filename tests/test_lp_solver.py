@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from distsynth import assemble, h_preset, lp_solver, select_params, synthesizer, verifier, vertices_hpoly
 from distsynth.lp_solver import (
+    FAILED,
     INFEASIBLE,
     ITERATION_LIMIT,
     OPTIMAL,
@@ -51,6 +52,18 @@ def test_infeasible_status():
 def test_unbounded_status():
     p = LpProblem(c=[-1.0], lb=[0.0])
     assert solve_lp(p).status == UNBOUNDED
+
+
+def test_a_program_highs_rejects_is_failed():
+    """A CSR matrix holding a column index past the last column passes
+    LpProblem's checks, but HiGHS's passModel rejects it (kError): that is a
+    failed solve, never an infeasible or optimal program.  A program HiGHS
+    takes with a warning (a coefficient below its small-value limit) solves."""
+    a = sp.csr_matrix((np.array([1.0]), np.array([1], np.int32), np.array([0, 1], np.int32)), shape=(1, 1))
+    for b in (1.0, -1.0):
+        assert solve_lp(LpProblem(c=[1.0], a=a, b=[b], lb=[0.0])).status == FAILED
+    tiny = LpProblem(c=[1.0, 1.0], a=sp.csr_matrix(np.array([[1.0, 1e-12]])), b=[1.0], lb=[0.0, 0.0])
+    assert solve_lp(tiny).status == OPTIMAL
 
 
 def _random_bounded_lp(rng, dim=4, extra_rows=10):

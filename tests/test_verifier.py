@@ -28,7 +28,7 @@ from distsynth import (
 from distsynth import lp_solver, rpi_params, verifier
 from distsynth.cli import ResultDoc, parse_spec
 from distsynth.lp_solver import solve_lp
-from distsynth.setgeom import sample_batch, stacked_identity
+from distsynth.setgeom import reach_coefficients, sample_batch, stacked_identity
 
 from conftest import (
     brute_force_hull_vertices,
@@ -37,7 +37,16 @@ from conftest import (
     random_stable_system,
     solves_by_primal,
 )
-from reference import constants_at, reach_reference, scaled, uniform_beta
+from reference import (
+    assert_same_matrix,
+    constants_at,
+    distance_slack,
+    inflation_slack,
+    reach_reference,
+    scaled,
+    scipy_reach_lp,
+    uniform_beta,
+)
 
 
 def unit_box_constraints(n):
@@ -365,6 +374,48 @@ class TestReachProgramShape:
         assert shapes == [self.expected(n, *dims, H.shape[0]), self.expected(1, *dims, 1), self.expected(n, *dims, n)]
         if case == "illustrative":
             assert shapes[0] == (1540, 1816)
+
+
+def assert_same_lp(lp, ref):
+    """Two programs hand HiGHS the same arrays, bit for bit."""
+    assert_same_matrix(lp.a, ref.a)
+    assert lp.n_eq == ref.n_eq
+    for name in ("c", "b", "lb"):
+        assert getattr(lp, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+class TestReachProgramMatchesScipyReference:
+    """``_reach_lp`` and its two slack builders build, from index triplets,
+    the programs of the scipy.sparse constructor chain in ``reference``."""
+
+    @pytest.mark.parametrize("case", ["illustrative", "random-71", "origin-box"])
+    def test_distance_and_coverage_programs(self, case, monkeypatch):
+        sys, V, W, horizon, H, eps = _reach_case("random-71" if case == "origin-box" else case)
+        if case == "origin-box":  # a singleton box at the origin: its blended rows are exact zeros
+            W = BoxHullSet(np.vstack([W.centers, np.zeros(W.dim)]), np.vstack([W.halfwidths, np.zeros(W.dim)]))
+        programs = []
+
+        def spy(lp, **kwargs):
+            programs.append(lp)
+            return solve_lp(lp, **kwargs)
+
+        monkeypatch.setattr(verifier, "solve_lp", spy)
+        verifier.distance_witness(sys, V, W, horizon, H)
+        verify_coverage(sys, V, W, horizon, H, eps)
+        coeff, n, n_b = reach_coefficients(sys, horizon), len(V), H.shape[0]
+        distance, coverage = programs
+        # the widths shared by every vertex, bounded below by 0
+        assert_same_lp(distance, scipy_reach_lp(coeff, V, W, H, distance_slack(n, n_b), 0.0, np.zeros(n * n_b)))
+        # one free inflation per vertex
+        ref = scipy_reach_lp(coeff, V, W, H, inflation_slack(n, n_b), -np.inf, np.tile(eps, n))
+        assert_same_lp(coverage, ref)
+        assert (distance.a.data != 0.0).all() and (coverage.a.data != 0.0).all()
+        # a dense slack, as the tests' per-vertex programs pass one
+        dense = -np.ones((n_b, 1))
+        assert_same_lp(
+            verifier._reach_lp(coeff, V[:1], W, H, dense, -np.inf, eps),
+            scipy_reach_lp(coeff, V[:1], W, H, dense, -np.inf, eps),
+        )
 
 
 class TestSimplexStrategy:
