@@ -16,11 +16,11 @@ optimum, and reweights them, w = sum_j beta_j wbar_j.  wbar is that step's
 data, not a column group.
 
 A group is one (vertex, slot) pair.  Every block is a Kronecker expression
-over a group-major layout, written with ``lp_solver.kron`` as index
-triplets; ``lp_solver.stack`` places the blocks of a program at their row and
-column offsets and ``lp_solver.csr`` sorts them once by (row, column) into
-its matrix.  Row and column orders are fixed functions of the dimensions, so
-two assemblies of the same input are bit-identical.
+over a group-major layout, kept as ``lp_solver.Coo`` triplets (``kron``);
+``lp_solver.stack`` places the blocks of a program at their row and column
+offsets and ``lp_solver.csr`` sorts them once by (row, column) into its
+``Csr`` matrix.  Row and column orders are fixed functions of the dimensions,
+so two assemblies of the same input are bit-identical.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .lp_solver import Coo, LpProblem, csr, kron, stack
+from .lp_solver import Coo, Csr, LpProblem, csr, kron, stack
 from .rpi_params import RpiParams
 from .setgeom import HPolytope, LtiSystem, merge_vertices, reach_coefficients, stacked_identity
 
@@ -159,18 +158,18 @@ def encode_output_inclusion(gbar: list[np.ndarray], sys: LtiSystem, Y: HPolytope
         [None, kron(np.ones((1, t0)), m_y), kron(1, m_y), tail],
     ]
     n_zero = N * (n_q + m_y) + 2 * N * layout.n_rho
-    return csr(stack(blocks, [2 * N * layout.n_w, n_q, m_y, layout.n_rho])), np.concatenate([np.zeros(n_zero), rhs])
+    return stack(blocks, [2 * N * layout.n_w, n_q, m_y, layout.n_rho]), np.concatenate([np.zeros(n_zero), rhs])
 
 
 def encode_gamma_bound(sys: LtiSystem, gamma: float, layout: VariableLayout):
     """Rows keeping every box image B*box inside the gamma cube."""
     IB = stacked_identity(sys.n_x) @ sys.B
-    return csr(stack([[_box_rows(IB, layout.n_boxes)]], [layout.dim_x])), np.full(layout.n_boxes * IB.shape[0], gamma)
+    return stack([[_box_rows(IB, layout.n_boxes)]], [layout.dim_x]), np.full(layout.n_boxes * IB.shape[0], gamma)
 
 
 def encode_origin(layout: VariableLayout):
     """Rows forcing the origin into the first box: |c_1| <= e_1."""
-    return csr(stack([[kron([[1.0, -1.0], [-1.0, -1.0]], layout.n_w)]], [layout.dim_x])), np.zeros(2 * layout.n_w)
+    return stack([[kron([[1.0, -1.0], [-1.0, -1.0]], layout.n_w)]], [layout.dim_x]), np.zeros(2 * layout.n_w)
 
 
 def encode_vertex_reach(vertices: np.ndarray, sys: LtiSystem, layout: VariableLayout, H: np.ndarray):
@@ -187,12 +186,12 @@ def encode_vertex_reach(vertices: np.ndarray, sys: LtiSystem, layout: VariableLa
     v, N = layout.n_vertices, layout.n_boxes
     groups, n_out = layout.n_groups, v * layout.n_y
     # row (i, k): sum_t coeff_t[k] w_(i, t) + b_i[k] = vertex_i[k], coeff_t slot t of reach_coefficients
-    c_w = csr(kron(v, np.hstack(reach_coefficients(sys, l))))
-    c_z = csr(stack([[None, kron(1, n_out)]], [layout.n_b, n_out]))
+    c_w = kron(v, np.hstack(reach_coefficients(sys, l)))
+    c_z = stack([[None, kron(1, n_out)]], [layout.n_b, n_out])
     h = np.asarray(vertices, dtype=float).ravel()
     # row (i, k): H[k] b_i - eps[k] <= 0
-    e_z = csr(stack([[kron(-np.ones((v, 1)), layout.n_b), kron(v, H)]], [layout.n_b, n_out]))
-    t_beta = csr(kron(groups, np.ones((1, N))))
+    e_z = stack([[kron(-np.ones((v, 1)), layout.n_b), kron(v, H)]], [layout.n_b, n_out])
+    t_beta = kron(groups, np.ones((1, N)))
     return c_w, c_z, h, e_z, t_beta
 
 
@@ -204,7 +203,8 @@ class StepProgram:
     as 0, at ``template.a.data[open]``; the rest are fixed.  For a factor f,
     open entry e is sum_k coef[e, k] * f[index[e, k]], summed in k order from
     0 as the sparse product defining it sums, and it is left out where that is
-    0, as that product leaves it out (a zero weight adds no entry).
+    0, as that product leaves it out (a zero weight adds no entry).  ``lp``
+    filters the template's arrays into the filled ``Csr`` without a new sort.
     """
 
     template: LpProblem
@@ -222,8 +222,8 @@ class StepProgram:
         data[self.open] = values
         keep = np.ones(data.size, dtype=bool)
         keep[self.open] = values != 0.0
-        indptr = np.concatenate(([0], np.cumsum(keep)))[a.indptr]
-        return replace(self.template, a=sp.csr_matrix((data[keep], a.indices[keep], indptr), shape=a.shape))
+        indptr = np.concatenate((np.zeros(1, np.int32), np.cumsum(keep, dtype=np.int32)))[a.indptr]
+        return replace(self.template, a=Csr(indptr, a.indices[keep], data[keep], a.shape))
 
 
 def _open_rows(cols: np.ndarray, width: int) -> Coo:

@@ -1,6 +1,6 @@
 """Deterministic linear-program interface used by the synthesizer and verifier.
 
-A problem is one form: a cost vector, one CSR matrix whose leading rows are
+A problem is one form: a cost vector, one ``Csr`` matrix whose leading rows are
 inequalities and whose last ``n_eq`` rows are equalities, its right-hand side
 and per-variable lower bounds.  Solving goes straight to the HiGHS bindings
 that scipy bundles: the CSR arrays reach HiGHS row-wise, as they are, through
@@ -19,6 +19,7 @@ basis, from which a program of the same shape can start warm (the
 synthesizer's P-steps and Q-steps do).  ``solve_lp`` checks every answer by one rule
 (residual and duality gap) and walks one fallback ladder until an answer meets
 it.  ``write_lp`` dumps a program in LP format for cross-checks elsewhere.
+Blocks are ``Coo`` triplets (``kron``, ``stack``) until ``csr`` sorts them once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item F
 from scipy.optimize._highspy import _core as _highs
 
@@ -91,12 +91,12 @@ class LpProblem:
     """min c@x  s.t.  a@x <= b on the leading ``n_ub`` rows,  a@x = b on the
     last ``n_eq`` rows,  lb <= x.
 
-    ``a`` is one CSR matrix, the inequality rows first, and HiGHS takes it
+    ``a`` is one ``Csr`` matrix, the inequality rows first, and HiGHS takes it
     row-wise as it is.  An absent ``a`` is an empty 0 x n matrix with an empty
     ``b``; an absent ``lb`` leaves every column free."""
 
     c: np.ndarray
-    a: sp.csr_matrix | None = None
+    a: Csr | None = None
     b: np.ndarray | None = None
     n_eq: int = 0
     lb: np.ndarray | None = None
@@ -108,10 +108,12 @@ class LpProblem:
         n = c.size
         if (self.a is None) != (self.b is None):
             raise ValueError("a and b must be given together")
-        a = sp.csr_matrix((0, n)) if self.a is None else sp.csr_matrix(self.a, dtype=float)
+        a = Csr(np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0), (0, n)) if self.a is None else self.a
         b = np.zeros(0) if self.b is None else np.asarray(self.b, dtype=float)
         if a.shape[1] != n:
             raise ValueError(f"a has {a.shape[1]} columns, expected {n}")
+        if len(a.indptr) != a.shape[0] + 1 or a.indptr[0] != 0 or not a.indptr[-1] == len(a.indices) == len(a.data):
+            raise ValueError("a must hold rows + 1 row pointers from 0 to its count of column indices and values")
         if not np.all(np.isfinite(a.data)):
             raise ValueError("a must be finite")
         if b.size != a.shape[0]:
@@ -139,12 +141,30 @@ class LpProblem:
         return self.b.size - self.n_eq
 
     @property
-    def a_ub(self) -> sp.csr_matrix:  # perfbench/tracer.py reads it; drop with ROADMAP item F
-        return self.a[: self.n_ub]
+    def a_ub(self) -> Csr:  # perfbench/tracer.py reads it; drop with ROADMAP item F
+        return self.a.rows(0, self.n_ub)
 
     @property
-    def a_eq(self) -> sp.csr_matrix:  # perfbench/tracer.py reads it; drop with ROADMAP item F
-        return self.a[self.n_ub :]
+    def a_eq(self) -> Csr:  # perfbench/tracer.py reads it; drop with ROADMAP item F
+        return self.a.rows(self.n_ub, self.a.shape[0])
+
+
+class Csr(NamedTuple):
+    """A sparse matrix by rows: row i holds ``data[k]`` at column ``indices[k]`` for k in ``indptr[i]:indptr[i + 1]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def rows(self, start: int, stop: int) -> Csr:
+        """Rows ``start`` to ``stop`` (exclusive) as a matrix of their own."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return Csr(self.indptr[start : stop + 1] - lo, self.indices[lo:hi], self.data[lo:hi], (stop - start, self.shape[1]))
 
 
 class Coo(NamedTuple):
@@ -157,42 +177,39 @@ class Coo(NamedTuple):
 
 
 def _entries(f) -> Coo:
-    """The identity I_f for an int ``f``, the stored entries of a CSR ``f``, else the nonzero
-    entries of the dense ``f``."""
+    """The identity I_f for an int ``f``, else the nonzero entries of the dense ``f``."""
     if isinstance(f, (int, np.integer)):
         return Coo(np.arange(f), np.arange(f), np.ones(f), (f, f))
-    if sp.issparse(f):
-        return Coo(np.repeat(np.arange(f.shape[0]), np.diff(f.indptr)), f.indices, f.data, f.shape)
     row, col = np.nonzero(f := np.asarray(f, dtype=float))
     return Coo(row, col, f[row, col], f.shape)
 
 
 def kron(a, b) -> Coo:
     """kron(a, b) as triplets, an int factor standing for the identity of that size; each entry is
-    a_ij * b_kl and, as in scipy's "coo" kron, the exact zeros of a dense (not a CSR) factor are left out."""
+    a_ij * b_kl and, as in scipy's "coo" kron, the exact zeros of a dense factor are left out."""
     (ar, ac, av, (p, q)), (br, bc, bv, (m, n)) = _entries(a), _entries(b)
     return Coo((ar[:, None] * m + br).ravel(), (ac[:, None] * n + bc).ravel(), (av[:, None] * bv).ravel(), (p * m, q * n))
 
 
 def stack(grid, widths) -> Coo:
     """The block matrix of ``grid``, a list of block rows, each holding one block or None per
-    column group of ``widths``.  A block (triplets, a CSR matrix, or a dense array whose zeros are
-    left out) starts at its group's first column and may be narrower; a block row is as tall as its blocks."""
+    column group of ``widths``.  A block (triplets, or a dense array whose zeros are left out)
+    starts at its group's first column and may be narrower; a block row is as tall as its blocks."""
     left, parts, top = np.concatenate(([0], np.cumsum(widths))), [], 0
     for blocks in grid:
         for block, col in ((block, col) for block, col in zip(blocks, left) if block is not None):
-            block = block if isinstance(block, Coo) else kron(1, block)  # CSR or dense
+            block = block if isinstance(block, Coo) else kron(1, block)  # dense
             parts.append((block.row + top, block.col + col, block.val))
         top += block.shape[0]
     row, col, val = (np.concatenate(part) for part in zip(*parts))
     return Coo(row, col, val, (top, int(left[-1])))
 
 
-def csr(block: Coo) -> sp.csr_matrix:
+def csr(block: Coo) -> Csr:
     """``block`` (no position twice) as a CSR matrix with int32 indices, entries sorted by (row, column)."""
     order = np.argsort(block.row * block.shape[1] + block.col)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(block.row, minlength=block.shape[0])))).astype(np.int32)
-    return sp.csr_matrix((block.val[order], block.col[order].astype(np.int32), indptr), shape=block.shape)
+    return Csr(indptr, block.col[order].astype(np.int32), block.val[order], block.shape)
 
 
 @dataclass(frozen=True)
@@ -213,7 +230,7 @@ class LpOutcome:
         return self.status == OPTIMAL
 
 
-def _row_scale(mat: sp.csr_matrix) -> np.ndarray:
+def _row_scale(mat: Csr) -> np.ndarray:
     """Each row's largest |coefficient|, at least 1 (1 for an empty row)."""
     scale = np.ones(mat.shape[0])
     filled = np.diff(mat.indptr) > 0
@@ -229,7 +246,9 @@ def _scaled_residual(p: LpProblem, x: np.ndarray) -> float:
     (at least 1); inf when ``x`` is not finite, so it meets no tolerance."""
     if not np.isfinite(x).all():
         return np.inf
-    rows = (p.a @ x - p.b) / _row_scale(p.a)
+    # a @ x summed row by row in entry order, as scipy's csr_matvec sums it
+    ax = np.bincount(np.repeat(np.arange(p.b.size), np.diff(p.a.indptr)), p.a.data * x[p.a.indices], p.b.size)
+    rows = (ax - p.b) / _row_scale(p.a)
     rows[p.n_ub :] = np.abs(rows[p.n_ub :])  # an equality is violated either way
     return float(np.max(np.concatenate((p.lb - x, rows)), initial=0.0))
 
@@ -349,7 +368,7 @@ def _term(coef: float, j: int) -> str:
     return f"{'+' if coef >= 0 else '-'} {abs(coef)!r} x{j} "
 
 
-def _row_text(mat: sp.csr_matrix, i: int) -> str:
+def _row_text(mat: Csr, i: int) -> str:
     start, end = mat.indptr[i], mat.indptr[i + 1]
     cols, vals = mat.indices[start:end], mat.data[start:end]
     if len(cols) == 0:

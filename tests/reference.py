@@ -19,7 +19,7 @@ from distsynth.encoder import (
     encode_vertex_reach,
     output_rhs,
 )
-from distsynth.lp_solver import LpFailure, LpProblem, solve_lp
+from distsynth.lp_solver import Csr, LpFailure, LpProblem, csr, solve_lp
 from distsynth.rpi_params import horizon_constants
 from distsynth.setgeom import (
     _MAX_DIM,
@@ -35,6 +35,18 @@ from distsynth.setgeom import (
 )
 from distsynth.synthesizer import _boxes
 from distsynth.verifier import _reach_lp
+
+
+def as_csr(a) -> Csr:
+    """A dense array, nested list or scipy matrix as the package's ``Csr``,
+    converted by ``scipy.sparse.csr_matrix`` (which leaves out a dense input's zeros)."""
+    a = sp.csr_matrix(a, dtype=float)
+    return Csr(a.indptr, a.indices, a.data, a.shape)
+
+
+def to_scipy(a: Csr) -> sp.csr_matrix:
+    """The package's ``Csr`` as a scipy CSR matrix over the same arrays."""
+    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
 
 
 def reach_reference(sys, l: int) -> np.ndarray:
@@ -75,15 +87,18 @@ class SynthBlocks:
 
 def synth_blocks(sys, Y, Y_vertices, params, H, layout: VariableLayout) -> SynthBlocks:
     """The blocks of an assembled problem's ``layout``, built by encoder's
-    ``encode_*`` functions as ``assemble`` calls them."""
+    ``encode_*`` functions as ``assemble`` calls them, each read as a scipy
+    CSR matrix."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     a1, b1 = encode_output_inclusion(build_gbar(sys, Y, params), sys, Y, params, layout)
     a2, b2 = encode_gamma_bound(sys, params.gamma, layout)
     a3, b3 = encode_origin(layout)
     cost_z = np.zeros(layout.dim_z)
     cost_z[layout.z_eps()] = 1.0
-    a_x, b = sp.vstack([a1, a2, a3], format="csr"), np.concatenate([b1, b2, b3])
-    return SynthBlocks(layout, cost_z, a_x, b, *encode_vertex_reach(merge_vertices(Y_vertices), sys, layout, H))
+    a_x, b = sp.vstack([to_scipy(csr(a)) for a in (a1, a2, a3)], format="csr"), np.concatenate([b1, b2, b3])
+    c_w, c_z, h, e_z, t_beta = encode_vertex_reach(merge_vertices(Y_vertices), sys, layout, H)
+    c_w, c_z, e_z, t_beta = (to_scipy(csr(m)) for m in (c_w, c_z, e_z, t_beta))
+    return SynthBlocks(layout, cost_z, a_x, b, c_w, c_z, h, e_z, t_beta)
 
 
 def membership_blocks(layout: VariableLayout):
@@ -231,7 +246,7 @@ def p_step_lp(blocks: SynthBlocks, beta: np.ndarray) -> LpProblem:
     lb = np.full(c.size, -np.inf)
     _boxes(lay, lb)[:, 1] = 0.0
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
-    return LpProblem(c, a, b, blocks.h.size, lb)
+    return LpProblem(c, as_csr(a), b, blocks.h.size, lb)
 
 
 def q_step_lp(blocks: SynthBlocks, wbar: np.ndarray):
@@ -255,7 +270,7 @@ def q_step_lp(blocks: SynthBlocks, wbar: np.ndarray):
     lb = np.full(c.size, -np.inf)
     lb[:nb] = 0.0
     lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
-    return LpProblem(c, a, b, n_eq, lb), blend
+    return LpProblem(c, as_csr(a), b, n_eq, lb), blend
 
 
 # The scipy.sparse constructor chains that built the encoder's blocks and the
@@ -360,7 +375,7 @@ def scipy_reach_lp(
     c = np.concatenate((np.zeros(n_p + n_beta + n_b), np.ones(m)))
     lb = np.concatenate((np.full(n_p, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
     b = np.concatenate((np.zeros(2 * n_p), h_rhs, vertices.ravel(), np.ones(groups)))
-    return LpProblem(c, a, b, n_b + groups, lb)
+    return LpProblem(c, as_csr(a), b, n_b + groups, lb)
 
 
 def distance_slack(n_vertices: int, n_b: int) -> sp.coo_matrix:

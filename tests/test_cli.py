@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -385,10 +386,12 @@ class TestCmdParams:
 
 
 class TestNoSparseConstructorChain:
-    """Every LP matrix of synth and verify is built from index triplets:
-    with scipy.sparse's constructors made to raise, ``cmd_synth`` and
-    ``cmd_verify`` (from the witness and, without it, by the coverage LP)
-    still run on the illustrative spec and every certificate passes."""
+    """Every LP matrix of synth and verify is built from index triplets and
+    held as the package's own arrays: with scipy.sparse's constructors and
+    ``issparse`` made to raise, ``cmd_synth`` and ``cmd_verify`` (from the
+    witness and, without it, by the coverage LP) still run on the
+    illustrative spec and every certificate passes, and no module of the
+    package holds scipy.sparse or anything from it."""
 
     def test_synth_and_verify_use_no_sparse_constructor(self, monkeypatch):
         import scipy.sparse
@@ -396,13 +399,22 @@ class TestNoSparseConstructorChain:
         def forbidden(*args, **kwargs):
             raise AssertionError("a scipy.sparse constructor is on the LP build path")
 
-        for name in ("kron", "bmat", "hstack", "vstack", "eye", "coo_matrix"):
+        names = ("kron", "bmat", "hstack", "vstack", "eye", "coo_matrix", "csr_matrix", "csr_array", "issparse")
+        for name in names:
             monkeypatch.setattr(scipy.sparse, name, forbidden)
         spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
         stored = json.loads(json.dumps(cmd_synth(spec).to_dict()))
         assert cmd_verify(spec, ResultDoc.from_dict(stored)).passed
         del stored["witness"]
         assert cmd_verify(spec, ResultDoc.from_dict(stored)).passed
+
+    def test_no_module_holds_scipy_sparse(self):
+        import scipy.sparse
+
+        for module in [m for name, m in sys.modules.items() if name == "distsynth" or name.startswith("distsynth.")]:
+            for name, value in vars(module).items():
+                origin = value.__name__ if isinstance(value, types.ModuleType) else getattr(value, "__module__", None)
+                assert value is not scipy.sparse and not str(origin).startswith("scipy.sparse"), (module.__name__, name)
 
 
 class TestSynthVerifyRoundtrip:

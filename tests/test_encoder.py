@@ -30,13 +30,14 @@ from distsynth.encoder import (
     output_rhs,
     tail_start,
 )
-from distsynth.lp_solver import LpProblem, solve_lp
+from distsynth.lp_solver import LpProblem, csr, solve_lp
 from distsynth.setgeom import merge_vertices, stacked_identity
 from distsynth.synthesizer import _boxes, boxes_from_x, p_step, spread_beta
 
 from conftest import hull_of, random_stable_system
 from distsynth.cli import cmd_gen, cmd_reduce, parse_spec
 from reference import (
+    as_csr,
     assert_same_matrix,
     contains_point,
     membership_blocks,
@@ -46,6 +47,7 @@ from reference import (
     scipy_output_inclusion,
     scipy_vertex_reach,
     synth_blocks,
+    to_scipy,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,6 +125,7 @@ class TestLayout:
         assert boxes.shape == (lay.n_boxes, 2, lay.n_w) and budgets.size == lay.dim_x - boxes.size
         # the origin rows |c_0| <= e_0 hold the columns of box 0 alone
         A, _ = encode_origin(lay)
+        A = to_scipy(csr(A))
         np.testing.assert_array_equal(np.unique(A.indices), boxes[0].ravel())
 
     def test_slices_partition_x_with_a_budget_tail(self):
@@ -174,6 +177,7 @@ class TestOutputInclusion:
         lay = VariableLayout(1, 1, 1, params.s, 2, 2, 5, 4)
         gbar = build_gbar(plant, pentagon, params)
         A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
+        A = to_scipy(csr(A))
         x = np.zeros(lay.dim_x)  # origin singleton box, zero budgets
         resid = A @ x - b
         rhs = output_rhs(gbar, pentagon, params)
@@ -187,6 +191,7 @@ class TestOutputInclusion:
         lay = VariableLayout(2, 1, 1, params.s, 2, 2, 5, 4)
         gbar = build_gbar(sys, pentagon, params)
         A, _ = encode_output_inclusion(gbar, sys, pentagon, params, lay)
+        A = to_scipy(csr(A))
         r_rows = A[lay.n_boxes * lay.s * lay.m_y : lay.n_boxes * (lay.s + 1) * lay.m_y]
         box_cols = r_rows[:, : 2 * lay.n_boxes * lay.n_w]
         assert box_cols.nnz == 0
@@ -215,6 +220,7 @@ class TestOutputInclusion:
         lay = VariableLayout(2, 1, 1, params.s, 2, 2, 5, 4)
         gbar = build_gbar(plant, pentagon, params)
         A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
+        A = to_scipy(csr(A))
         checked = 0
         while checked < 10:
             W = hull_of((rng.uniform(-0.02, 0.02, 2), rng.uniform(0, 0.02, 2)) for _ in range(2))
@@ -257,6 +263,7 @@ class TestGammaBound:
     def test_origin_singleton_always_feasible(self, plant):
         lay = VariableLayout(1, 1, 1, 2, 2, 2, 5, 4)
         A, b = encode_gamma_bound(plant, 0.25, lay)
+        A = to_scipy(csr(A))
         assert A.shape[0] == 2 * plant.n_x
         assert np.all(A @ np.zeros(lay.dim_x) <= b)
 
@@ -265,6 +272,7 @@ class TestGammaBound:
         lay = VariableLayout(1, 1, 1, 2, 2, 2, 5, 4)
         gamma = 0.3
         A, b = encode_gamma_bound(plant, gamma, lay)
+        A = to_scipy(csr(A))
         for _ in range(100):
             box = BoxHullSet([rng.uniform(-0.3, 0.3, 2)], [rng.uniform(0, 0.3, 2)])
             x = np.zeros(lay.dim_x)
@@ -279,6 +287,7 @@ class TestGammaBound:
         rng = np.random.default_rng(43)
         lay = VariableLayout(2, 1, 1, 2, 2, 2, 5, 4)
         A, b = encode_gamma_bound(plant, 1e9, lay)
+        A = to_scipy(csr(A))
         for _ in range(20):
             x = rng.uniform(-1, 1, lay.dim_x)
             boxes = _boxes(lay, x)
@@ -290,6 +299,7 @@ class TestOriginRows:
     def test_zero_center_any_halfwidth(self):
         lay = small_layout()
         A, b = encode_origin(lay)
+        A = to_scipy(csr(A))
         x = np.zeros(lay.dim_x)
         _boxes(lay, x)[0, 1] = [0.5, 0.1]
         assert np.all(A @ x <= b)
@@ -297,6 +307,7 @@ class TestOriginRows:
     def test_offcenter_with_small_halfwidth_violates(self):
         lay = small_layout()
         A, b = encode_origin(lay)
+        A = to_scipy(csr(A))
         x = np.zeros(lay.dim_x)
         _boxes(lay, x)[0] = [1.0, 0.0], [0.5, 0.0]
         assert np.any(A @ x > b)
@@ -305,6 +316,7 @@ class TestOriginRows:
         rng = np.random.default_rng(44)
         lay = small_layout()
         A, b = encode_origin(lay)
+        A = to_scipy(csr(A))
         for _ in range(50):
             x = np.zeros(lay.dim_x)
             center = rng.uniform(-1, 1, 2)
@@ -322,7 +334,7 @@ class TestVertexReach:
         lay = small_layout(horizon=1)
         vertices = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
         c_w, *_ = encode_vertex_reach(vertices, sys, lay, h_preset("box", 2))
-        block = c_w[:2, :2].toarray()
+        block = to_scipy(csr(c_w))[:2, :2].toarray()
         assert np.allclose(block, sys.C @ sys.B)
 
     def test_zero_vertex_feasible_with_zero_witness(self):
@@ -331,6 +343,7 @@ class TestVertexReach:
         lay = small_layout(n_vertices=1, horizon=2)
         vertices = np.zeros((1, 2))
         c_w, c_z, h, e_z, t_beta = encode_vertex_reach(vertices, sys, lay, h_preset("box", 2))
+        c_w, c_z, e_z = (to_scipy(csr(m)) for m in (c_w, c_z, e_z))
         d_x, d_wbar = membership_blocks(lay)
         w = np.zeros(lay.dim_w)
         z = np.zeros(lay.dim_z)
@@ -562,7 +575,7 @@ class TestBudgetTail:
             # grow the boxes in a random direction until a budget row binds
             cost = np.zeros(lay.dim_x)
             cost[: 2 * lay.n_boxes * lay.n_w] = -rng.uniform(0.0, 1.0, 2 * lay.n_boxes * lay.n_w)
-            out = solve_lp(LpProblem(cost, tailed.a_x, tailed.b, lb=lb))
+            out = solve_lp(LpProblem(cost, as_csr(tailed.a_x), tailed.b, lb=lb))
             assert out.optimal
             x = out.x
             W = boxes_from_x(tailed, x)
@@ -599,9 +612,10 @@ def _reference_case(case):
 
 
 class TestMatchesScipyReference:
-    """Every block encoder builds from index triplets is the matrix the
-    scipy.sparse constructor chain in ``reference`` builds, bit for bit:
-    shape, entry order, the zeros left out, and the index dtypes."""
+    """Every block encoder builds from index triplets, sorted by
+    ``lp_solver.csr``, is the matrix the scipy.sparse constructor chain in
+    ``reference`` builds, bit for bit: shape, entry order, the zeros left
+    out, and the index dtypes."""
 
     @pytest.mark.parametrize("tail", ["budget-tail", "no-tail"])
     @pytest.mark.parametrize(
@@ -626,7 +640,7 @@ class TestMatchesScipyReference:
             "origin": (encode_origin(layout), scipy_origin(layout)),
         }
         for name, ((a, b), (ref_a, ref_b)) in built.items():
-            assert_same_matrix(a, ref_a, name)
+            assert_same_matrix(csr(a), ref_a, name)
             assert b.tobytes() == ref_b.tobytes(), name
         vertices = merge_vertices(vertices)
         blocks, refs = encode_vertex_reach(vertices, sys, layout, H), scipy_vertex_reach(vertices, sys, layout, H)
@@ -634,4 +648,4 @@ class TestMatchesScipyReference:
             if name == "h":
                 assert block.tobytes() == ref.tobytes()
             else:
-                assert_same_matrix(block, ref, name)
+                assert_same_matrix(csr(block), ref, name)

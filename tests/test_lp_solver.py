@@ -14,6 +14,7 @@ from distsynth.lp_solver import (
     ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
+    Csr,
     LpProblem,
     _scaled_residual,
     solve_lp,
@@ -23,6 +24,7 @@ from distsynth.synthesizer import boxes_from_x, p_step, q_step, spread_beta
 from distsynth.verifier import verify_coverage
 
 from conftest import prices_with_devex
+from reference import as_csr, to_scipy
 
 
 def test_min_with_lower_bound():
@@ -35,7 +37,7 @@ def test_min_with_lower_bound():
 def test_simplex_facet_optimum():
     p = LpProblem(
         c=[-1.0, -1.0],
-        a=sp.csr_matrix(np.array([[1.0, 1.0]])),
+        a=as_csr(np.array([[1.0, 1.0]])),
         b=[1.0],
         lb=[0.0, 0.0],
     )
@@ -45,7 +47,7 @@ def test_simplex_facet_optimum():
 
 
 def test_infeasible_status():
-    p = LpProblem(c=[1.0], a=sp.csr_matrix(np.array([[1.0]])), b=[-1.0], lb=[0.0])
+    p = LpProblem(c=[1.0], a=as_csr(np.array([[1.0]])), b=[-1.0], lb=[0.0])
     assert solve_lp(p).status == INFEASIBLE
 
 
@@ -59,10 +61,10 @@ def test_a_program_highs_rejects_is_failed():
     LpProblem's checks, but HiGHS's passModel rejects it (kError): that is a
     failed solve, never an infeasible or optimal program.  A program HiGHS
     takes with a warning (a coefficient below its small-value limit) solves."""
-    a = sp.csr_matrix((np.array([1.0]), np.array([1], np.int32), np.array([0, 1], np.int32)), shape=(1, 1))
+    a = Csr(np.array([0, 1], np.int32), np.array([1], np.int32), np.array([1.0]), (1, 1))
     for b in (1.0, -1.0):
         assert solve_lp(LpProblem(c=[1.0], a=a, b=[b], lb=[0.0])).status == FAILED
-    tiny = LpProblem(c=[1.0, 1.0], a=sp.csr_matrix(np.array([[1.0, 1e-12]])), b=[1.0], lb=[0.0, 0.0])
+    tiny = LpProblem(c=[1.0, 1.0], a=as_csr(np.array([[1.0, 1e-12]])), b=[1.0], lb=[0.0, 0.0])
     assert solve_lp(tiny).status == OPTIMAL
 
 
@@ -92,7 +94,7 @@ def test_matches_vertex_enumeration_oracle():
     rng = np.random.default_rng(21)
     for _ in range(25):
         c, G, g = _random_bounded_lp(rng)
-        out = solve_lp(LpProblem(c, sp.csr_matrix(G), g))
+        out = solve_lp(LpProblem(c, as_csr(G), g))
         assert out.status == OPTIMAL
         assert out.objective == pytest.approx(_vertex_enumeration_minimum(c, G, g), abs=1e-7)
 
@@ -100,7 +102,7 @@ def test_matches_vertex_enumeration_oracle():
 def test_bitwise_determinism():
     rng = np.random.default_rng(22)
     c, G, g = _random_bounded_lp(rng)
-    p = LpProblem(c, sp.csr_matrix(G), g)
+    p = LpProblem(c, as_csr(G), g)
     a = solve_lp(p)
     b = solve_lp(p)
     assert np.array_equal(a.x, b.x)
@@ -110,11 +112,11 @@ def test_bitwise_determinism():
 def test_row_scaling_robustness():
     rng = np.random.default_rng(23)
     c, G, g = _random_bounded_lp(rng)
-    base = solve_lp(LpProblem(c, sp.csr_matrix(G), g))
+    base = solve_lp(LpProblem(c, as_csr(G), g))
     G2, g2 = G.copy(), g.copy()
     G2[0] *= 1e3
     g2[0] *= 1e3
-    scaled = solve_lp(LpProblem(c, sp.csr_matrix(G2), g2))
+    scaled = solve_lp(LpProblem(c, as_csr(G2), g2))
     assert np.linalg.norm(base.x - scaled.x, np.inf) <= 1e-6
 
 
@@ -122,7 +124,7 @@ def test_weak_duality_and_residual():
     rng = np.random.default_rng(24)
     for _ in range(10):
         c, G, g = _random_bounded_lp(rng)
-        out = solve_lp(LpProblem(c, sp.csr_matrix(G), g))
+        out = solve_lp(LpProblem(c, as_csr(G), g))
         assert out.status == OPTIMAL
         assert out.objective >= out.dual_objective - 1e-6
         assert abs(out.objective - out.dual_objective) <= 1e-6
@@ -131,7 +133,7 @@ def test_weak_duality_and_residual():
 
 def test_dual_objective_skips_infinite_right_hand_sides():
     # an infinite row bound has a zero dual; inf * 0 must not make the dual objective NaN
-    p = LpProblem([1.0, 1.0], sp.csr_matrix([[1.0, 1.0], [1.0, -1.0]]), [np.inf, 1.0], lb=[0.0, 0.0])
+    p = LpProblem([1.0, 1.0], as_csr([[1.0, 1.0], [1.0, -1.0]]), [np.inf, 1.0], lb=[0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = solve_lp(p)
@@ -142,7 +144,7 @@ def test_dual_objective_skips_infinite_right_hand_sides():
 def test_equality_constraints():
     p = LpProblem(
         c=[1.0, 1.0],
-        a=sp.csr_matrix(np.array([[1.0, 1.0]])),
+        a=as_csr(np.array([[1.0, 1.0]])),
         b=[2.0],
         n_eq=1,
         lb=[0.0, 0.0],
@@ -155,8 +157,8 @@ def test_equality_constraints():
 def test_an_absent_block_is_empty(tmp_path):
     empty = LpProblem(c=[1.0, 1.0])
     assert empty.a.shape == (0, 2) and empty.a.nnz == 0 and empty.b.shape == (0,) and empty.n_ub == 0
-    p = LpProblem(c=[1.0, 1.0], a=[[1.0, 1.0]], b=[2.0], n_eq=1, lb=[0.0, 0.0])
-    assert p.n_ub == 0 and p.a.dtype == np.float64
+    p = LpProblem(c=[1.0, 1.0], a=as_csr([[1.0, 1.0]]), b=[2.0], n_eq=1, lb=[0.0, 0.0])
+    assert p.n_ub == 0 and p.a.data.dtype == np.float64
     assert solve_lp(p).objective == pytest.approx(2.0)
     write_lp(p, tmp_path / "p.lp")
     text = (tmp_path / "p.lp").read_text()
@@ -165,35 +167,54 @@ def test_an_absent_block_is_empty(tmp_path):
 
 def test_rejects_inconsistent_dimensions():
     with pytest.raises(ValueError):
-        LpProblem(c=[1.0, 2.0], a=sp.csr_matrix(np.eye(3)), b=np.ones(3))
+        LpProblem(c=[1.0, 2.0], a=as_csr(np.eye(3)), b=np.ones(3))
     with pytest.raises(ValueError):
         LpProblem(c=[np.inf])
     nan, inf = np.nan, np.inf
     for bad in (
-        {"a": [[1.0]]},  # a without b
-        {"a": [[1.0]], "b": [1.0, 2.0]},
-        {"a": [[1.0]], "b": [1.0], "n_eq": 2},
-        {"a": [[1.0]], "b": [1.0], "n_eq": -1},
+        {"a": as_csr([[1.0]])},  # a without b
+        {"a": as_csr([[1.0]]), "b": [1.0, 2.0]},
+        {"a": as_csr([[1.0]]), "b": [1.0], "n_eq": 2},
+        {"a": as_csr([[1.0]]), "b": [1.0], "n_eq": -1},
         # a coefficient or bound HiGHS would ignore or misread
-        {"a": [[nan]], "b": [1.0]},
-        {"a": [[inf]], "b": [1.0]},
-        {"a": [[nan]], "b": [1.0], "n_eq": 1},
-        {"a": [[-inf]], "b": [1.0], "n_eq": 1},
-        {"a": [[1.0]], "b": [inf], "n_eq": 1},
-        {"a": [[1.0]], "b": [nan], "n_eq": 1},
-        {"a": [[1.0]], "b": [nan]},
+        {"a": as_csr([[nan]]), "b": [1.0]},
+        {"a": as_csr([[inf]]), "b": [1.0]},
+        {"a": as_csr([[nan]]), "b": [1.0], "n_eq": 1},
+        {"a": as_csr([[-inf]]), "b": [1.0], "n_eq": 1},
+        {"a": as_csr([[1.0]]), "b": [inf], "n_eq": 1},
+        {"a": as_csr([[1.0]]), "b": [nan], "n_eq": 1},
+        {"a": as_csr([[1.0]]), "b": [nan]},
         {"lb": [nan]},
         {"lb": [inf]},  # a +inf lower bound crashes scipy's HiGHS bindings
     ):
         with pytest.raises(ValueError):
             LpProblem(c=[-1.0], **bad)
-    LpProblem(c=[-1.0], a=[[1.0]], b=[inf], lb=[-inf])  # an infinite bound stays allowed
+    LpProblem(c=[-1.0], a=as_csr([[1.0]]), b=[inf], lb=[-inf])  # an infinite bound stays allowed
+
+
+def test_rejects_a_malformed_csr():
+    """The row pointers must run from 0 to the number of entries, one more
+    of them than rows, and every entry needs a column index."""
+    i32, one, two = np.int32, np.array([1.0]), np.array([1.0, 2.0])
+    for indptr, indices, data in (
+        (np.array([0, 1, 1], i32), np.array([0], i32), one),  # a pointer too many
+        (np.array([1], i32), np.array([0], i32), one),  # a pointer too few
+        (np.array([1, 1], i32), np.array([0], i32), one),  # not starting at 0
+        (np.array([0, 2], i32), np.array([0], i32), one),  # past the last entry
+        (np.array([0, 1], i32), np.array([0], i32), two),  # more values than column indices
+        (np.array([0, 2], i32), np.array([0], i32), two),  # more values than column indices
+        (np.array([0, 2], i32), np.array([0, 1], i32), one),  # more column indices than values
+    ):
+        with pytest.raises(ValueError):
+            LpProblem(c=[1.0, 1.0], a=Csr(indptr, indices, data, (1, 2)), b=[1.0])
+    well_formed = LpProblem(c=[1.0, 1.0], a=Csr(np.array([0, 2], i32), np.array([0, 1], i32), two, (1, 2)), b=[1.0])
+    assert well_formed.a.nnz == 2
 
 
 def test_lp_dump_is_deterministic_and_readable(tmp_path):
     p = LpProblem(
         c=[1.0, 0.0],
-        a=sp.csr_matrix(np.array([[1.0, -2.0], [0.0, 1.0]])),
+        a=as_csr(np.array([[1.0, -2.0], [0.0, 1.0]])),
         b=[3.0, 0.5],
         n_eq=1,
         lb=[0.0, -np.inf],
@@ -220,9 +241,9 @@ def linprog_reference(p):
     def run(presolve):
         return scipy.optimize.linprog(
             p.c,
-            A_ub=p.a[: p.n_ub],
+            A_ub=to_scipy(p.a)[: p.n_ub],
             b_ub=p.b[: p.n_ub],
-            A_eq=p.a[p.n_ub :],
+            A_eq=to_scipy(p.a)[p.n_ub :],
             b_eq=p.b[p.n_ub :],
             bounds=[(lo, None) for lo in p.lb],
             method="highs",
@@ -270,6 +291,15 @@ def illustrative_lps(plant, pentagon):
     return lps
 
 
+def test_step_and_reach_programs_hold_int32_indices(illustrative_lps):
+    """The filled P-step and Q-step programs and the reach programs reach
+    HiGHS with int32 row pointers and column indices, as ``lp_solver.csr``
+    sorts them, and float64 values: filling a step program keeps the types."""
+    for p in illustrative_lps:
+        assert p.a.indptr.dtype == np.int32 and p.a.indices.dtype == np.int32, p.a.shape
+        assert p.a.data.dtype == np.float64
+
+
 def test_cold_solve_is_linprog_bit_for_bit(illustrative_lps):
     for p in illustrative_lps:
         out, res = solve_lp(p), linprog_reference(p)
@@ -288,7 +318,7 @@ def test_highs_takes_a_program_as_arrays():
     from scipy.optimize._highspy import _core as highs_core
 
     c, G, g = _random_bounded_lp(np.random.default_rng(23))
-    p = LpProblem(c, sp.vstack([sp.csr_matrix(G), np.ones((1, c.size))]), np.append(g, 0.5), n_eq=1)
+    p = LpProblem(c, as_csr(sp.vstack([sp.csr_matrix(G), np.ones((1, c.size))])), np.append(g, 0.5), n_eq=1)
     n, row_lower = p.n_vars, np.append(np.full(g.size, -np.inf), 0.5)
 
     def solve(fmt, a):
@@ -312,7 +342,7 @@ def test_highs_takes_a_program_as_arrays():
         )
 
     rowwise = solve(highs_core.MatrixFormat.kRowwise, p.a)
-    assert rowwise == solve(highs_core.MatrixFormat.kColwise, sp.csc_matrix(p.a))
+    assert rowwise == solve(highs_core.MatrixFormat.kColwise, sp.csc_matrix(to_scipy(p.a)))
     res = linprog_reference(p)
     assert res.status == 0
     assert rowwise[0] == res.x.tobytes() and rowwise[1] == res.fun
@@ -320,7 +350,7 @@ def test_highs_takes_a_program_as_arrays():
 
 def _two_row_lp(c=(-1.0, -1.0), b_ub=(1.0, 1.0)):
     """x0 + x1 <= b0, x0 - x1 <= b1, x >= 0: one matrix, many programs."""
-    a = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, -1.0]]))
+    a = as_csr(np.array([[1.0, 1.0], [1.0, -1.0]]))
     return LpProblem(c=list(c), a=a, b=list(b_ub), lb=[0.0, 0.0])
 
 

@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-import scipy.sparse as sp
 from scipy.spatial import ConvexHull
 
 from distsynth import (
@@ -29,7 +28,7 @@ from distsynth.setgeom import (
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
 import reference
-from reference import Membership, contains_point, reach_reference, vertices_hpoly_loop
+from reference import Membership, as_csr, contains_point, reach_reference, vertices_hpoly_loop
 
 
 def one_box(center, halfwidth) -> BoxHullSet:
@@ -362,7 +361,7 @@ def _extent_lp_verdict(P: HPolytope) -> str:
     set with a ray is unbounded along some coordinate."""
     for k in range(P.dim):
         for sign in (1.0, -1.0):
-            out = lp_solver.solve_lp(LpProblem(-sign * np.eye(P.dim)[k], a=sp.csr_matrix(P.G), b=P.g))
+            out = lp_solver.solve_lp(LpProblem(-sign * np.eye(P.dim)[k], a=as_csr(P.G), b=P.g))
             if out.status in (INFEASIBLE, UNBOUNDED):
                 return "empty" if out.status == INFEASIBLE else "unbounded"
             assert out.optimal, out.status
@@ -370,7 +369,7 @@ def _extent_lp_verdict(P: HPolytope) -> str:
 
 
 def _lp_support(P: HPolytope, c) -> float:
-    return -lp_solver.solve_lp(LpProblem(-c, a=sp.csr_matrix(P.G), b=P.g)).objective
+    return -lp_solver.solve_lp(LpProblem(-c, a=as_csr(P.G), b=P.g)).objective
 
 
 def _random_normals(rng, n, count):
@@ -758,7 +757,7 @@ def _equal_pairs():
         "Membership": lambda: Membership(True, 0.0, np.ones(2), np.zeros((2, 2))),
         "RpiConstants": lambda: RpiConstants(3, np.ones(3), 0.5, 2.0, 0.1),
         "CoverageWitness": lambda: CoverageWitness(np.ones((1, 2, 1)), np.zeros((1, 2, 2))),
-        "LpProblem": lambda: LpProblem(np.ones(2), np.eye(2), np.ones(2)),
+        "LpProblem": lambda: LpProblem(np.ones(2), as_csr(np.eye(2)), np.ones(2)),
         "SynthResult": lambda: SynthResult(
             BoxHullSet([[0.0]], [[1.0]]), 2.0, [2.0], "converged", 1, {"x": np.ones(3)}, [4]
         ),

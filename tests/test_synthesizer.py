@@ -26,7 +26,16 @@ from distsynth.setgeom import stacked_identity
 from distsynth.synthesizer import _jittered_beta, boxes_from_x
 
 from conftest import random_stable_system
-from reference import membership_blocks, p_step_lp, program_residual, q_step_lp, synth_blocks, uniform_beta
+from reference import (
+    as_csr,
+    membership_blocks,
+    p_step_lp,
+    program_residual,
+    q_step_lp,
+    synth_blocks,
+    to_scipy,
+    uniform_beta,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -128,7 +137,7 @@ def wbar_p_step_optimum(blocks, beta):
     lb = np.full(width, -np.inf)
     lb[: 2 * lay.n_boxes * lay.n_w].reshape(lay.n_boxes, 2, lay.n_w)[:, 1] = 0.0  # the halfwidths
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
-    out = solve_lp(LpProblem(c, a, b, blocks.h.size + n_rows, lb))
+    out = solve_lp(LpProblem(c, as_csr(a), b, blocks.h.size + n_rows, lb))
     assert out.optimal
     return out.objective
 
@@ -170,7 +179,7 @@ class TestPStepMatchesWbarOracle:
         lay = problem.layout
         start = illustrative_blocks.a_x.shape[0]
         dense, onehot = (
-            captured_lp(monkeypatch, p_step, problem, beta).a[start : start + 2 * lay.dim_w]
+            to_scipy(captured_lp(monkeypatch, p_step, problem, beta).a)[start : start + 2 * lay.dim_w]
             for beta in (uniform_beta(lay), spread_beta(lay))
         )
         assert dense.shape == onehot.shape == (2 * lay.dim_w, lay.dim_x + lay.dim_w + lay.dim_z)
@@ -238,10 +247,10 @@ class TestStepBlocks:
         start = blocks.a_x.shape[0]
         assert lp.n_ub == start + 2 * lay.dim_w + blocks.e_z.shape[0]
         assert lp.a.shape[1] == lay.dim_x + lay.dim_w + lay.dim_z
-        assert_entries(lp.a[start : start + 2 * lay.dim_w], rows)
+        assert_entries(to_scipy(lp.a)[start : start + 2 * lay.dim_w], rows)
         if weights == "spread":
             # zero weights add no entries: the w entry, one center, one halfwidth
-            assert lp.a[start : start + 2 * lay.dim_w].nnz == 3 * 2 * lay.dim_w
+            assert to_scipy(lp.a)[start : start + 2 * lay.dim_w].nnz == 3 * 2 * lay.dim_w
 
     def test_coupling_rows(self, problem, monkeypatch):
         problem, blocks = problem
@@ -253,7 +262,7 @@ class TestStepBlocks:
         lp = captured_lp(monkeypatch, q_step, problem, wbar)
         n_reach, nb = blocks.c_w.shape[0], lay.dim_beta
         assert lp.n_eq == n_reach + lay.n_groups and lp.a.shape[1] == nb + lay.dim_z
-        a_ub, a_eq = lp.a[: lp.n_ub], lp.a[lp.n_ub :]
+        a_ub, a_eq = to_scipy(lp.a)[: lp.n_ub], to_scipy(lp.a)[lp.n_ub :]
         # by (vertex, output): c_w @ blockdiag(wbar_g^T), i.e. w_g = sum_j beta_gj wbar_gj
         # substituted, so beta_gj carries the reach coefficients of w_g times wbar_gj
         c_w = blocks.c_w.toarray().reshape(n_reach, lay.n_groups, lay.n_w)
@@ -446,7 +455,7 @@ class TestAlternate:
             def permuted(lp, rng=rng, **kwargs):
                 if lp.n_vars == p_width:
                     perm = np.concatenate([rng.permutation(lp.n_ub), np.arange(lp.n_ub, lp.b.size)])
-                    lp = LpProblem(lp.c, lp.a[perm], lp.b[perm], lp.n_eq, lp.lb)
+                    lp = LpProblem(lp.c, as_csr(to_scipy(lp.a)[perm]), lp.b[perm], lp.n_eq, lp.lb)
                 return solve_lp(lp, **kwargs)
 
             monkeypatch.setattr(synthesizer, "solve_lp", permuted)

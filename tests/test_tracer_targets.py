@@ -10,9 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from distsynth.lp_solver import LpProblem
+from distsynth import assemble, h_preset, select_params, verifier, vertices_hpoly
+from distsynth.lp_solver import LpProblem, kron
+from distsynth.setgeom import reach_coefficients
+from distsynth.synthesizer import boxes_from_x, p_step, spread_beta
+
+from reference import as_csr
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -42,7 +46,25 @@ def test_every_traced_name_resolves(module, attr):
 def test_lp_shape_counts_the_one_matrix(n_eq):
     """The tracer counts rows and nonzeros through ``LpProblem.a_ub`` and
     ``a_eq``; together they must be the one matrix ``a``."""
-    a = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 5.0, 6.0], [0.0, 0.0, 7.0]]))
+    a = as_csr(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 5.0, 6.0], [0.0, 0.0, 7.0]]))
     lp = LpProblem(np.ones(3), a, np.ones(4), n_eq)
     assert (lp.a_ub.shape[0], lp.a_eq.shape[0]) == (4 - n_eq, n_eq)
     assert _TRACER._lp_shape(lp) == {"rows": a.shape[0], "cols": lp.n_vars, "nnz": a.nnz}
+
+
+def test_lp_shape_counts_the_illustrative_programs(plant, pentagon):
+    """The row views split the filled P-step and Q-step programs and the
+    reach program of the illustrative problem, each holding both row kinds,
+    into their inequality and equality rows without losing a row or an entry."""
+    params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
+    vertices, H = vertices_hpoly(pentagon), h_preset("uniform:6", 2)
+    problem = assemble(plant, pentagon, vertices, params, 4, 59, H)
+    beta = spread_beta(problem.layout)
+    x, _, wbar, _, _, _ = p_step(problem, beta)
+    slack = kron(-np.ones((len(vertices), 1)), H.shape[0])
+    reach = verifier._reach_lp(
+        reach_coefficients(plant, 59), vertices, boxes_from_x(problem, x), H, slack, 0.0, np.zeros(slack.shape[0])
+    )
+    for lp in (problem.p_program.lp(beta), problem.q_program.lp(wbar), reach):
+        assert 0 < lp.n_eq < lp.b.size
+        assert _TRACER._lp_shape(lp) == {"rows": lp.a.shape[0], "cols": lp.n_vars, "nnz": lp.a.nnz}
