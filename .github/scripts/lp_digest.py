@@ -1,6 +1,6 @@
 """Digest of every HiGHS input and outcome of the bundled pipelines.
 
-usage: python .github/scripts/lp_digest.py CHECKOUT
+usage: python .github/scripts/lp_digest.py CHECKOUT [BASE]
 
 Imports distsynth from CHECKOUT/src and runs, in one process, ``cmd_synth``
 and then ``cmd_verify`` with and without the stored witness on
@@ -18,12 +18,16 @@ and final basis.  The document digest covers every result.json field but
 indptr/indices/data/shape, so two checkouts that hold it in different
 containers print the same three lines exactly when every HiGHS input and
 answer, every result and every report is bit-identical.
+
+With BASE, each checkout is digested in its own interpreter by this script;
+both sets of lines are printed, and the exit status is 1 if any line differs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -93,7 +97,25 @@ def main(checkout: Path) -> None:
     print(f"documents {doc_digest.hexdigest()}")
 
 
+def compare(checkout: Path, base: Path) -> int:
+    """Print the lines of ``checkout`` and of ``base``, each digested in its own
+    interpreter; 0 if they are the same, else 1."""
+    lines = []
+    for path in (checkout, base):
+        run = subprocess.run([sys.executable, __file__, str(path)], capture_output=True, text=True)
+        print(f"{path}\n{run.stdout}{run.stderr}", end="")
+        if run.returncode:
+            return 1
+        lines.append(run.stdout)
+    print("identical" if lines[0] == lines[1] else "different")
+    return int(lines[0] != lines[1])
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3):
         sys.exit(__doc__.split("\n\n")[1])
-    main(Path(sys.argv[1]).resolve())
+    paths = [Path(arg).resolve() for arg in sys.argv[1:]]
+    if len(paths) == 1:
+        main(paths[0])
+    else:
+        sys.exit(compare(*paths))

@@ -20,17 +20,20 @@ over a group-major layout, kept as ``lp_solver.Coo`` triplets (``kron``);
 ``lp_solver.stack`` places the blocks of a program at their row and column
 offsets and ``lp_solver.csr`` sorts them once by (row, column) into its
 ``Csr`` matrix.  Row and column orders are fixed functions of the dimensions,
-so two assemblies of the same input are bit-identical.
+so two assemblies of the same input are bit-identical.  A P-step or Q-step
+program (``StepProgram``) keeps its fixed entries and builds, per step, the
+one block its frozen factor sets, which ``csr`` sorts in with them.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_solver import Coo, Csr, LpProblem, csr, kron, stack
+from .lp_solver import Coo, LpProblem, csr, kron, stack
 from .rpi_params import RpiParams
 from .setgeom import HPolytope, LtiSystem, merge_vertices, reach_coefficients, stacked_identity
 
@@ -195,74 +198,57 @@ def encode_vertex_reach(vertices: np.ndarray, sys: LtiSystem, layout: VariableLa
     return c_w, c_z, h, e_z, t_beta
 
 
-@dataclass(frozen=True, eq=False)  # compared by identity: the matrix is sparse
+@dataclass(frozen=True, eq=False)  # compared by identity: the fields are arrays
 class StepProgram:
-    """One alternation step's program with its frozen factor's entries open.
+    """One alternation step's program, less the block its frozen factor sets.
 
-    ``template`` is the program with every entry the factor can fill stored,
-    as 0, at ``template.a.data[open]``; the rest are fixed.  For a factor f,
-    open entry e is sum_k coef[e, k] * f[index[e, k]], summed in k order from
-    0 as the sparse product defining it sums, and it is left out where that is
-    0, as that product leaves it out (a zero weight adds no entry).  ``lp``
-    filters the template's arrays into the filled ``Csr`` without a new sort.
+    ``fixed`` holds every other entry of the matrix as triplets sorted by
+    (row, column); ``block(factor)`` builds the factor's entries, exact zeros
+    left out, as triplets whose rows count from row ``first``; it reshapes the
+    factor to its exact shape, so a factor of any other size raises
+    ValueError.  ``lp`` joins the two and sorts them once with ``csr``.
     """
 
-    template: LpProblem
-    open: np.ndarray
-    coef: np.ndarray  # (open entries, terms)
-    index: np.ndarray  # (open entries, terms)
+    c: np.ndarray
+    b: np.ndarray
+    n_eq: int
+    lb: np.ndarray
+    fixed: Coo
+    first: int
+    block: Callable[[np.ndarray], Coo]
 
     def lp(self, factor: np.ndarray) -> LpProblem:
         """The program with ``factor`` filled in."""
-        values = np.zeros(self.open.size)
-        for coef, index in zip(self.coef.T, self.index.T):
-            values = values + coef * factor[index]
-        a = self.template.a
-        data = a.data.copy()
-        data[self.open] = values
-        keep = np.ones(data.size, dtype=bool)
-        keep[self.open] = values != 0.0
-        indptr = np.concatenate((np.zeros(1, np.int32), np.cumsum(keep, dtype=np.int32)))[a.indptr]
-        return replace(self.template, a=Csr(indptr, a.indices[keep], data[keep], a.shape))
+        fixed, block = self.fixed, self.block(factor)
+        row, col, val = (np.concatenate(pair) for pair in zip(fixed[:3], (block.row + self.first, block.col, block.val)))
+        return LpProblem(self.c, csr(Coo(row, col, val, fixed.shape)), self.b, self.n_eq, self.lb)
 
 
-def _open_rows(cols: np.ndarray, width: int) -> Coo:
-    """Rows of open entries (held as 0) at the columns ``cols[r]``."""
-    rows, per = cols.shape
-    return Coo(np.repeat(np.arange(rows), per), cols.ravel(), np.zeros(cols.size), (rows, width))
-
-
-def _step_program(c, lb, a: Coo, b, n_eq, opened, coef, index) -> StepProgram:
-    """The program of ``a``, the last ``n_eq`` rows equalities; ``opened`` is (first row, rows,
-    entries per row): the open entries lie left of every fixed entry of their row, so after the
-    sort by (row, column) they lead each of those rows, in row order."""
-    first, rows, per = opened
-    a = csr(a)
-    open_ = (a.indptr[first : first + rows, None] + np.arange(per)).ravel()
-    return StepProgram(LpProblem(c, a, b, n_eq, lb), open_, coef.reshape(open_.size, -1), index.reshape(open_.size, -1))
+def _step_program(c, lb, fixed: Coo, b, n_eq, first, block) -> StepProgram:
+    """The program of ``fixed`` and ``block`` from row ``first``, the last ``n_eq`` rows equalities;
+    ``fixed`` is sorted here once, so each ``csr`` of a step merges it with the block."""
+    order = np.argsort(fixed.row * fixed.shape[1] + fixed.col, kind="stable")
+    return StepProgram(c, b, n_eq, lb, Coo(fixed.row[order], fixed.col[order], fixed.val[order], fixed.shape), first, block)
 
 
 def _p_program(layout: VariableLayout, cost_z, a_x, b, c_w, c_z, h, e_z) -> StepProgram:
-    """The P-step program over (x, w, z), the weights open.
+    """The P-step program over (x, w, z), its block the weights'.
 
     Rows: a_x's; the membership rows +-(w_g - sum_j beta_gj c_j) - sum_j
-    beta_gj e_j <= 0 by (group, coordinate, sign), w_g in the blended box,
-    each holding box j's center and halfwidth entries (beta_gj times -+1 and
-    -1) for every j, then w_g's +-1; e_z's; then [0, c_w, c_z] = h.  The
+    beta_gj e_j <= 0 by (group, coordinate, sign), w_g in the blended box;
+    e_z's; then [0, c_w, c_z] = h.  The block is kron(beta by (group, box), P)
+    in the box columns of the membership rows, P the sign pattern from
+    (coordinate, sign) to (center or halfwidth, coordinate): box j's center
+    entry is beta_gj times -+1 and its halfwidth entry -beta_gj.  The
     halfwidths and the eps slacks are nonnegative.
     """
     lay = layout
     nx, nw, n_boxes = lay.dim_x, lay.n_w, lay.n_boxes
     z_off, n_rows = nx + lay.dim_w, 2 * lay.dim_w
-    # row (group, coordinate, sign), open entry (box, center or halfwidth)
-    g, k, s, j, half = np.indices((lay.n_groups, nw, 2, n_boxes, 2))
-    a = stack(
-        [
-            [a_x, None, None],
-            [_open_rows(((2 * j + half) * nw + k).reshape(n_rows, -1), nx), kron(lay.dim_w, [[1.0], [-1.0]]), None],
-            [None, None, e_z],
-            [None, c_w, c_z],
-        ],
+    eye = np.eye(nw)
+    P = np.hstack([np.kron(eye, [[-1.0], [1.0]]), np.kron(eye, [[-1.0], [-1.0]])])
+    fixed = stack(
+        [[a_x, None, None], [None, kron(lay.dim_w, [[1.0], [-1.0]]), None], [None, None, e_z], [None, c_w, c_z]],
         [nx, lay.dim_w, lay.dim_z],
     )
     c = np.concatenate([np.zeros(z_off), cost_z])
@@ -270,33 +256,42 @@ def _p_program(layout: VariableLayout, cost_z, a_x, b, c_w, c_z, h, e_z) -> Step
     lb[: 2 * n_boxes * nw].reshape(n_boxes, 2, nw)[:, 1] = 0.0  # the halfwidths
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
     rhs = np.concatenate([b, np.zeros(n_rows + e_z.shape[0]), h])
-    coef = np.where(half == 1, -1.0, 2.0 * s - 1.0)
-    return _step_program(c, lb, a, rhs, h.size, (a_x.shape[0], n_rows, 2 * n_boxes), coef, g * n_boxes + j)
+    return _step_program(
+        c, lb, fixed, rhs, h.size, a_x.shape[0], lambda beta: kron(np.reshape(beta, (lay.n_groups, n_boxes)), P)
+    )
 
 
 def _q_program(layout: VariableLayout, reach, cost_z, c_z, h, e_z, t_beta) -> StepProgram:
-    """The Q-step program over (beta, z), the group points wbar open.
+    """The Q-step program over (beta, z), its block the group points wbar's.
 
     Rows: [0, e_z] <= 0; the reach rows with w = blockdiag(wbar_g^T) beta
-    substituted, by (vertex, output), each holding the entry sum_k
-    reach[t, y, k] wbar_(i,t),j,k of every slot t and box j of its vertex,
-    then c_z's, = h; then [t_beta, 0] = 1.  The weights and the eps slacks
-    are nonnegative.
+    substituted, by (vertex, output), then c_z's, = h; then [t_beta, 0] = 1.
+    The block holds, in row (i, y), the entry sum_k reach[t, y, k]
+    wbar_(i,t),j,k of every slot t and box j of vertex i, summed in k order
+    from 0.  The weights and the eps slacks are nonnegative.
     """
     lay = layout
-    nb, n_boxes, nw = lay.dim_beta, lay.n_boxes, lay.n_w
-    n_out = lay.n_vertices * lay.n_y
-    # row (vertex, output), open entry (slot, box), term k
-    i, y, t, j, k = np.indices((lay.n_vertices, lay.n_y, lay.n_slots, n_boxes, nw))
-    beta_col = (i * lay.n_slots + t) * n_boxes + j
-    a = stack([[None, e_z], [_open_rows(beta_col[..., 0].reshape(n_out, -1), nb), c_z], [t_beta, None]], [nb, lay.dim_z])
+    nb, n_y, n_slots, n_boxes = lay.dim_beta, lay.n_y, lay.n_slots, lay.n_boxes
+    shape = (lay.n_vertices, n_slots, n_boxes, lay.n_w)
+    coef = reach.transpose(2, 1, 0)[..., None]  # by (term k, output, slot, box)
+    i, y, t, j = np.indices((lay.n_vertices, n_y, n_slots, n_boxes))
+    rows, cols = i * n_y + y, (i * n_slots + t) * n_boxes + j
+
+    def block(wbar: np.ndarray) -> Coo:
+        points = np.reshape(wbar, shape)
+        vals = np.zeros(rows.shape)
+        for k in range(lay.n_w):
+            vals = vals + coef[k] * points[:, None, :, :, k]
+        keep = vals != 0.0
+        return Coo(rows[keep], cols[keep], vals[keep], (lay.n_vertices * n_y, nb))
+
+    fixed = stack([[None, e_z], [None, c_z], [t_beta, None]], [nb, lay.dim_z])
     c = np.concatenate([np.zeros(nb), cost_z])
     lb = np.full(c.size, -np.inf)
     lb[:nb] = 0.0
     lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
     rhs = np.concatenate([np.zeros(e_z.shape[0]), h, np.ones(t_beta.shape[0])])
-    opened = (e_z.shape[0], n_out, lay.n_slots * n_boxes)
-    return _step_program(c, lb, a, rhs, h.size + t_beta.shape[0], opened, reach[t, y, k], beta_col * nw + k)
+    return _step_program(c, lb, fixed, rhs, h.size + t_beta.shape[0], e_z.shape[0], block)
 
 
 @dataclass(frozen=True)

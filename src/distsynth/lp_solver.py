@@ -206,8 +206,9 @@ def stack(grid, widths) -> Coo:
 
 
 def csr(block: Coo) -> Csr:
-    """``block`` (no position twice) as a CSR matrix with int32 indices, entries sorted by (row, column)."""
-    order = np.argsort(block.row * block.shape[1] + block.col)
+    """``block`` (no position twice) as a CSR matrix with int32 indices, entries sorted by (row, column):
+    the same matrix from any order of the triplets.  The sort is stable, so runs already in order merge."""
+    order = np.argsort(block.row * block.shape[1] + block.col, kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(block.row, minlength=block.shape[0])))).astype(np.int32)
     return Csr(indptr, block.col[order].astype(np.int32), block.val[order], block.shape)
 

@@ -431,18 +431,22 @@ def illustrative_blocks(plant, pentagon, t0=None):
 
 
 def assert_same_step_programs(p1, p2):
-    """Two assembled problems hold the same P-step and Q-step programs, bit for bit."""
+    """Two assembled problems hold the same P-step and Q-step programs, bit for
+    bit, and fill them alike at spread weights and at the first P-step's points."""
     assert p1.layout == p2.layout
     for name in ("p_program", "q_program"):
         s1, s2 = getattr(p1, name), getattr(p2, name)
-        t1, t2 = s1.template, s2.template
-        assert t1.a.shape == t2.a.shape and t1.n_eq == t2.n_eq, name
-        for m1, m2 in ((t1.a.data, t2.a.data), (t1.a.indices, t2.a.indices), (t1.a.indptr, t2.a.indptr)):
-            assert np.array_equal(m1, m2), name
+        assert s1.fixed.shape == s2.fixed.shape and s1.n_eq == s2.n_eq and s1.first == s2.first, name
+        for field in ("row", "col", "val"):
+            assert getattr(s1.fixed, field).tobytes() == getattr(s2.fixed, field).tobytes(), (name, field)
         for field in ("c", "b", "lb"):
-            assert np.array_equal(getattr(t1, field), getattr(t2, field)), (name, field)
-        for field in ("open", "coef", "index"):
             assert np.array_equal(getattr(s1, field), getattr(s2, field)), (name, field)
+    beta = spread_beta(p1.layout)
+    wbar = p_step(p1, beta)[2]
+    for lp1, lp2 in ((p1.p_program.lp(beta), p2.p_program.lp(beta)), (p1.q_program.lp(wbar), p2.q_program.lp(wbar))):
+        assert lp1.a.shape == lp2.a.shape
+        for m1, m2 in zip(lp1.a[:3], lp2.a[:3]):
+            assert m1.tobytes() == m2.tobytes()
 
 
 BLOCKS = ("a_x", "c_w", "c_z", "e_z", "t_beta")

@@ -14,9 +14,11 @@ from distsynth.lp_solver import (
     ITERATION_LIMIT,
     OPTIMAL,
     UNBOUNDED,
+    Coo,
     Csr,
     LpProblem,
     _scaled_residual,
+    csr,
     solve_lp,
     write_lp,
 )
@@ -298,6 +300,29 @@ def test_step_and_reach_programs_hold_int32_indices(illustrative_lps):
     for p in illustrative_lps:
         assert p.a.indptr.dtype == np.int32 and p.a.indices.dtype == np.int32, p.a.shape
         assert p.a.data.dtype == np.float64
+
+
+def _shuffled_csr(a: Csr, rng) -> Csr:
+    """``csr`` of the triplets of ``a`` in a random order."""
+    order = rng.permutation(a.nnz)
+    row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return csr(Coo(row[order], a.indices[order].astype(np.int64), a.data[order], a.shape))
+
+
+def test_csr_is_the_same_whatever_the_order_of_its_triplets(illustrative_lps):
+    """``csr`` sorts unique positions into one matrix, bit for bit and type for
+    type, from any order: a step program joins its fixed entries and its block
+    in either order."""
+    rng = np.random.default_rng(61)
+    flat = rng.choice(40 * 30, size=300, replace=False)
+    block = Coo(flat // 30, flat % 30, rng.normal(size=flat.size), (40, 30))
+    for a in (illustrative_lps[0].a, illustrative_lps[1].a, csr(block)):
+        for _ in range(3):
+            shuffled = _shuffled_csr(a, rng)
+            assert shuffled.shape == a.shape
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(shuffled, name), getattr(a, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def test_cold_solve_is_linprog_bit_for_bit(illustrative_lps):

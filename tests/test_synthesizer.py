@@ -405,6 +405,27 @@ class TestQStep:
         assert best <= q_obj + slack
 
 
+class TestFactorSize:
+    """A frozen factor of any size but its program's raises ValueError before a
+    program is built, so no step solves from a prefix of it."""
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_step_programs_take_only_their_factor_size(self, illustrative_problem, extra):
+        lay = illustrative_problem.layout
+        with pytest.raises(ValueError):
+            illustrative_problem.p_program.lp(np.full(lay.dim_beta + extra, 0.25))
+        with pytest.raises(ValueError):
+            illustrative_problem.q_program.lp(np.zeros(lay.dim_beta * lay.n_w + extra))
+
+    def test_alternate_solves_nothing_from_a_long_start(self, illustrative_problem, monkeypatch):
+        solved = []
+        monkeypatch.setattr(synthesizer, "solve_lp", lambda lp, **kwargs: solved.append(lp))
+        beta0 = np.append(spread_beta(illustrative_problem.layout), 0.25)
+        with pytest.raises(ValueError):
+            alternate(illustrative_problem, beta0)
+        assert solved == []
+
+
 class TestAlternate:
     def test_history_nonincreasing(self, small_setup):
         _, _, _, _, problem = small_setup
