@@ -9,11 +9,14 @@ four generated problems (n_x 3 and 6, generator seeds 0 and 1, two inputs,
 two outputs, rho 0.7, two restarts), then ``cmd_verify`` of the frozen
 perfbench/data/illustrative_result.json.
 
-Every ``lp_solver._run`` call feeds the LP digest with its program (c, lb, b,
-n_eq and the matrix's shape and indptr, indices and data, each array with its
-dtype) and its presolve, primal and warm-start flags; every ``_outcome`` feeds
-it with the status, iteration count, x, objective, dual objective, residual
-and final basis.  The document digest covers every result.json field but
+Every ``lp_solver._run`` call gets a digest of its own, fed with its program
+(c, lb, b, n_eq and the matrix's shape and indptr, indices and data, each
+array with its dtype) and its presolve, primal and warm-start flags; the
+``_outcome`` call that reads that run on the same thread feeds it with the
+status, iteration count, x, objective, dual objective, residual and final
+basis.  The LP line is the sha256 of the sorted per-call digests, so it does
+not depend on the order in which threads (refine's concurrent restarts) make
+their calls.  The document digest covers every result.json field but
 ``timing`` and every verify report.  The matrix is read only through
 indptr/indices/data/shape, so two checkouts that hold it in different
 containers print the same three lines exactly when every HiGHS input and
@@ -29,6 +32,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 
@@ -41,12 +45,14 @@ def main(checkout: Path) -> None:
     sys.path.insert(0, str(checkout / "src"))
     from distsynth import cli, lp_solver
 
-    lp, doc_digest, runs = hashlib.sha256(), hashlib.sha256(), 0
+    doc_digest, calls, current = hashlib.sha256(), [], threading.local()
     run, outcome = lp_solver._run, lp_solver._outcome
 
     def traced_run(p, presolve, basis=None, primal=False):
-        nonlocal runs
-        runs += 1
+        # _solve reads the run with _outcome on the same thread, so the pair
+        # shares this call's digest through ``current``
+        lp = current.digest = hashlib.sha256()
+        calls.append(lp)
         a = p.a
         for arr in (p.c, p.lb, p.b, a.indptr, a.indices, a.data):
             _feed(lp, arr)
@@ -58,6 +64,7 @@ def main(checkout: Path) -> None:
 
     def traced_outcome(p, highs):
         out = outcome(p, highs)
+        lp = current.digest
         lp.update(repr((out.status, out.nit, out.objective, out.dual_objective, out.residual)).encode())
         if out.x is not None:
             _feed(lp, out.x)
@@ -92,8 +99,8 @@ def main(checkout: Path) -> None:
         stored.pop("witness")
         report(spec, cli.ResultDoc.from_dict(stored))
     report(specs[0], cli.ResultDoc.from_dict(load(checkout / "perfbench" / "data" / "illustrative_result.json")))
-    print(f"runs {runs}")
-    print(f"lp {lp.hexdigest()}")
+    print(f"runs {len(calls)}")
+    print(f"lp {hashlib.sha256(b''.join(sorted(d.digest() for d in calls))).hexdigest()}")
     print(f"documents {doc_digest.hexdigest()}")
 
 

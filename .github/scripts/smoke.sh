@@ -12,8 +12,9 @@
 # LP and coverage LP, and the generated problem's 5-box hull the widest
 # blended-box rows of both; plotting it runs BoxHullSet.corners and the
 # support-point kernel.  Both plots' simulated trajectories must stay in Y.
-# A one-dimensional generated problem gives the smallest blocks the LP
-# builders make: 1 x 1 Kronecker factors and a two-vertex Y.
+# A generated problem is synthesized twice with restarts, which run on threads,
+# and both results must agree.  A one-dimensional generated problem gives the
+# smallest blocks the LP builders make: 1 x 1 Kronecker factors and a two-vertex Y.
 set -euxo pipefail
 
 read -r -a ds <<< "$1"
@@ -58,6 +59,15 @@ strip_witness "$out/gen/result.json" "$out/gen/no-witness.json"
 "${ds[@]}" verify "$out/gen.json" "$out/gen/no-witness.json"
 "${ds[@]}" plot "$out/gen.json" "$out/gen/result.json" --out "$out/gen/plots"
 check_trajectory "$out/gen.json" "$out/gen/plots/trajectory.csv"
+
+# refine runs its restarts on threads: two runs with restarts must agree in
+# every field but timing, whichever thread finishes first
+"${ds[@]}" gen --nx 6 --nw 2 --ny 2 --rho 0.7 --seed 1 --out "$out/restarts.json"
+for run in a b; do
+    "${ds[@]}" synth "$out/restarts.json" --restarts 2 --out "$out/restarts-$run"
+done
+python .github/scripts/check_result.py "$out/restarts-a/result.json"
+python -c "import json, sys; a, b = (json.load(open(p)) for p in sys.argv[1:]); [d.pop('timing') for d in (a, b)]; assert a == b, 'two runs with restarts differ'" "$out/restarts-a/result.json" "$out/restarts-b/result.json"
 
 "${ds[@]}" gen --nx 1 --nw 1 --ny 1 --rho 0.7 --out "$out/gen1.json"
 "${ds[@]}" synth "$out/gen1.json" --out "$out/gen1"

@@ -288,11 +288,12 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     sol = highs.getSolution()
     x = np.array(sol.col_value)
     objective = float(info.objective_function_value)
-    # bound marginals are the column duals of columns nonbasic at that bound
-    basis = highs.getBasis()
-    col_status = np.fromiter(map(int, basis.col_status), np.int8, p.n_vars)
-    col_dual = np.array(sol.col_dual)
-    lower = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
+    # bound marginals are the column duals of columns nonbasic at that bound;
+    # every upper bound is +inf, so a nonbasic column with a finite lower
+    # bound sits at it, and only the basic columns' duals are zeroed
+    basic = highs.getBasicVariables()[1]
+    lower = np.array(sol.col_dual)
+    lower[basic[basic >= 0]] = 0.0
     row_dual = np.array(sol.row_dual)
     b_ub, b_eq, ineq, eq = p.b[: p.n_ub], p.b[p.n_ub :], row_dual[: p.n_ub], row_dual[p.n_ub :]
     # an infinite right-hand side or bound has a zero dual and adds nothing
@@ -308,7 +309,7 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
         objective=objective,
         dual_objective=dual,
         residual=_scaled_residual(p, x),
-        basis=basis,
+        basis=highs.getBasis(),
         nit=nit,
     )
 

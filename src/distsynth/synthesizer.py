@@ -16,12 +16,15 @@ later steps.  Each step's optimum is feasible for the next, so the objective
 is nonincreasing and the loop terminates for any positive tolerance.  Each
 step after the first starts from the previous same-kind step's final basis.
 A multi-start refinement around the incumbent weights replaces nonlinear
-polishing; its restarts run one after another on the calling thread, and a
+polishing; its restarts run concurrently, the first on the calling thread and
+the rest on a small thread pool (HiGHS releases the GIL while it solves), and a
 restart whose LP fails is dropped.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,22 +185,33 @@ def _jittered_beta(layout: VariableLayout, beta, rng):
     return np.concatenate([rng.dirichlet(_JITTER_CONCENTRATION * g + 1e-3) for g in groups])
 
 
+def _restart(problem: SynthProblem, beta0: np.ndarray) -> SynthResult | None:
+    """One restart's alternation, or None if one of its LPs fails."""
+    try:
+        return alternate(problem, beta0)
+    except SynthesisError:
+        return None
+
+
 def refine(problem: SynthProblem, result: SynthResult, restarts: int, rng: np.random.Generator) -> SynthResult:
     """Multi-start alternation from weight jitter; never worse than the input.
 
     Every restart's weights are drawn up front, one independent spawned
-    stream each; the restarts then run in order on the calling thread.  A
-    restart whose LP fails is dropped and the best of the rest is kept.
+    stream each.  The calling thread runs the first restart while a pool of
+    max(1, min(restarts, cores) - 1) threads runs the rest (HiGHS releases
+    the GIL while it solves); the pool is closed before this returns.  A
+    restart whose LP fails is dropped, and the rest are compared in start
+    order, an earlier one kept on a tie, so the result is the one a serial
+    loop would give.
     """
     if restarts <= 0:
         return result
     starts = [_jittered_beta(problem.layout, result.witness["beta"], stream) for stream in rng.spawn(restarts)]
+    with ThreadPoolExecutor(max(1, min(restarts, os.cpu_count() or 1) - 1)) as pool:
+        rest = [pool.submit(_restart, problem, beta0) for beta0 in starts[1:]]
+        cands = [_restart(problem, starts[0])] + [future.result() for future in rest]
     best = result
-    for beta0 in starts:
-        try:
-            cand = alternate(problem, beta0)
-        except SynthesisError:
-            continue
-        if cand.objective < best.objective:
+    for cand in cands:
+        if cand is not None and cand.objective < best.objective:
             best = cand
     return best

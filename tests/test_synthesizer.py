@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -496,16 +498,19 @@ class TestAlternate:
     def test_each_p_step_after_the_first_starts_from_the_previous_basis(self, small_setup, monkeypatch):
         problem = small_setup[4]
         res = alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
-        runs = []
+        # refine runs its restarts on several threads, so each run records
+        # its steps in the list of the thread it runs on
+        runs, current = [], threading.local()
         real_alternate, real_p_step = synthesizer.alternate, synthesizer.p_step
 
         def recording_alternate(problem, beta0, **kwargs):
-            runs.append([])
+            current.run = []
+            runs.append(current.run)
             return real_alternate(problem, beta0, **kwargs)
 
         def recording_p_step(problem, beta, basis=None):
             out = real_p_step(problem, beta, basis)
-            runs[-1].append((basis, out[-1].basis, beta))
+            current.run.append((basis, out[-1].basis, beta))
             return out
 
         monkeypatch.setattr(synthesizer, "alternate", recording_alternate)
@@ -524,16 +529,19 @@ class TestAlternate:
     def test_each_q_step_after_the_first_starts_from_the_previous_basis(self, small_setup, monkeypatch):
         problem = small_setup[4]
         res = alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
-        runs = []
+        # refine runs its restarts on several threads, so each run records
+        # its steps in the list of the thread it runs on
+        runs, current = [], threading.local()
         real_alternate, real_q_step = synthesizer.alternate, synthesizer.q_step
 
         def recording_alternate(problem, beta0, **kwargs):
-            runs.append([])
+            current.run = []
+            runs.append(current.run)
             return real_alternate(problem, beta0, **kwargs)
 
         def recording_q_step(problem, wbar, basis=None):
             out = real_q_step(problem, wbar, basis)
-            runs[-1].append((basis, out[-1].basis, out[2]))
+            current.run.append((basis, out[-1].basis, out[2]))
             return out
 
         monkeypatch.setattr(synthesizer, "alternate", recording_alternate)
@@ -667,13 +675,20 @@ class TestRefine:
         rest = [e for k, e in enumerate(ends) if k != failing]
         assert out.objective == min([res.objective, *rest])
 
-    def test_restarts_run_in_order_on_the_calling_thread(self, small_setup, monkeypatch):
+    def test_every_start_runs_once_and_the_result_is_the_serial_fold(self, small_setup, monkeypatch):
         problem = small_setup[4]
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        # one iteration leaves room for the restarts to improve on
+        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=1)
         starts = [
             _jittered_beta(problem.layout, res.witness["beta"], stream)
-            for stream in np.random.default_rng(7).spawn(3)
+            for stream in np.random.default_rng(6).spawn(3)
         ]
+        best = res  # the serial loop: every start in order, an earlier one kept on a tie
+        for beta0 in starts:
+            cand = alternate(problem, beta0)
+            if cand.objective < best.objective:
+                best = cand
+        assert best is not res
         seen = []
         real = synthesizer.alternate
 
@@ -682,11 +697,60 @@ class TestRefine:
             return real(problem, beta0, **kwargs)
 
         monkeypatch.setattr(synthesizer, "alternate", recording)
-        # a worker count in the environment does not start a pool
-        monkeypatch.setenv("DISTSYNTH_THREADS", "2")
-        refine(problem, res, 3, np.random.default_rng(7))
-        assert [ident for ident, _ in seen] == [threading.get_ident()] * 3
-        assert all(np.array_equal(b0, start) for (_, b0), start in zip(seen, starts))
+        # a worker count in the environment is not read
+        monkeypatch.setenv("DISTSYNTH_THREADS", "1")
+        before = set(threading.enumerate())
+        out = refine(problem, res, 3, np.random.default_rng(6))
+        assert set(threading.enumerate()) == before  # the pool is closed
+        assert len(seen) == 3
+        assert [sum(np.array_equal(b0, start) for _, b0 in seen) for start in starts] == [1, 1, 1]
+        # the calling thread runs the first start, and only it
+        assert [np.array_equal(b0, starts[0]) for ident, b0 in seen if ident == threading.get_ident()] == [True]
+        assert out.objective == best.objective
+        assert out.history == best.history and out.p_nit == best.p_nit
+        np.testing.assert_array_equal(out.W.centers, best.W.centers)
+        np.testing.assert_array_equal(out.W.halfwidths, best.W.halfwidths)
+        assert out.witness.keys() == best.witness.keys()
+        for key, value in best.witness.items():
+            np.testing.assert_array_equal(out.witness[key], value)
+
+    def test_the_earliest_of_tied_restarts_wins(self, small_setup, monkeypatch):
+        problem = small_setup[4]
+        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        starts = [
+            _jittered_beta(problem.layout, res.witness["beta"], stream)
+            for stream in np.random.default_rng(7).spawn(3)
+        ]
+        # start 0 ties the incumbent; starts 1 and 2 tie below it, and start 1 ends last
+        objectives = [res.objective, res.objective - 1.0, res.objective - 1.0]
+
+        def tied(problem, beta0, **kwargs):
+            k = next(k for k, start in enumerate(starts) if np.array_equal(beta0, start))
+            if k == 1:
+                time.sleep(0.05)
+            return dataclasses.replace(res, objective=objectives[k], history=[float(k)])
+
+        monkeypatch.setattr(synthesizer, "alternate", tied)
+        # four cores give a pool of two threads, so start 2 can end before start 1
+        monkeypatch.setattr(synthesizer.os, "cpu_count", lambda: 4)
+        out = refine(problem, res, 3, np.random.default_rng(7))
+        assert out.history == [1.0]
+
+    def test_other_errors_of_a_pool_restart_propagate(self, small_setup, monkeypatch):
+        problem = small_setup[4]
+        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        real, caller = synthesizer.alternate, threading.get_ident()
+
+        def failing_off_the_calling_thread(problem, beta0, **kwargs):
+            if threading.get_ident() != caller:
+                raise ValueError("restart broke")
+            return real(problem, beta0, **kwargs)
+
+        monkeypatch.setattr(synthesizer, "alternate", failing_off_the_calling_thread)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="restart broke"):
+            refine(problem, res, 2, np.random.default_rng(7))
+        assert set(threading.enumerate()) == before
 
     def test_all_restarts_failing_keeps_the_incumbent(self, small_setup, monkeypatch):
         problem = small_setup[4]
