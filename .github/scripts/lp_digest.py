@@ -11,19 +11,26 @@ perfbench/data/illustrative_result.json.
 
 Every ``lp_solver._run`` call gets a digest of its own, fed with its program
 (c, lb, b, n_eq and the matrix's shape and indptr, indices and data, each
-array with its dtype) and its presolve, primal and warm-start flags; the
-``_outcome`` call that reads that run on the same thread feeds it with the
-status, iteration count, x, objective, dual objective, residual and final
-basis.  The LP line is the sha256 of the sorted per-call digests, so it does
-not depend on the order in which threads (refine's concurrent restarts) make
-their calls.  The document digest covers every result.json field but
-``timing`` and every verify report.  The matrix is read only through
-indptr/indices/data/shape, so two checkouts that hold it in different
-containers print the same three lines exactly when every HiGHS input and
-answer, every result and every report is bit-identical.
+array with its dtype), its presolve and primal flags and the column and row
+statuses of the basis it starts from, if any; the ``_outcome`` call that
+reads that run on the same thread feeds it with the status, iteration count,
+x, objective, dual objective, residual and final basis.  Runs are split in
+two by their program: a program that is ever run with ``primal`` is a
+fixed-W program (the verifier's exact distance and coverage LP, re-solves
+from an answer's basis included), every other one a synthesis step (P-step
+and Q-step).  Each kind prints its run count and the sha256 of its sorted
+per-call digests, so a line does not depend on the order in which threads
+(refine's concurrent restarts) make their calls.  The document digest covers
+every result.json field but ``timing`` and every verify report.  The matrix
+is read only through indptr/indices/data/shape, so two checkouts that hold
+it in different containers print the same synthesis line exactly when every
+synthesis step's HiGHS input and answer is bit-identical, and the same three
+lines exactly when every HiGHS input and answer, every result and every
+report is.
 
 With BASE, each checkout is digested in its own interpreter by this script;
-both sets of lines are printed, and the exit status is 1 if any line differs.
+both sets of lines are printed with the names of the lines that differ, and
+the exit status is 1 if any line differs.
 """
 
 from __future__ import annotations
@@ -41,22 +48,30 @@ def _feed(digest, arr) -> None:
     digest.update(arr.tobytes())
 
 
+def _statuses(basis) -> bytes:
+    return bytes(map(int, basis.col_status)) + bytes(map(int, basis.row_status))
+
+
 def main(checkout: Path) -> None:
     sys.path.insert(0, str(checkout / "src"))
     from distsynth import cli, lp_solver
 
-    doc_digest, calls, current = hashlib.sha256(), [], threading.local()
+    doc_digest, calls, fixed_w, current = hashlib.sha256(), [], set(), threading.local()
     run, outcome = lp_solver._run, lp_solver._outcome
 
     def traced_run(p, presolve, basis=None, primal=False):
         # _solve reads the run with _outcome on the same thread, so the pair
         # shares this call's digest through ``current``
         lp = current.digest = hashlib.sha256()
-        calls.append(lp)
+        if primal:
+            fixed_w.add(p)  # a program's first run is its warm or cold primal one
+        calls.append((p, lp))
         a = p.a
         for arr in (p.c, p.lb, p.b, a.indptr, a.indices, a.data):
             _feed(lp, arr)
         lp.update(repr((p.n_eq, tuple(map(int, a.shape)), presolve, primal, basis is not None)).encode())
+        if basis is not None:
+            lp.update(_statuses(basis))
         highs = run(p, presolve, basis, primal)
         if highs is None:
             lp.update(b"rejected")
@@ -69,7 +84,7 @@ def main(checkout: Path) -> None:
         if out.x is not None:
             _feed(lp, out.x)
         if out.basis is not None:
-            lp.update(bytes(map(int, out.basis.col_status)) + bytes(map(int, out.basis.row_status)))
+            lp.update(_statuses(out.basis))
         return out
 
     lp_solver._run, lp_solver._outcome = traced_run, traced_outcome
@@ -99,8 +114,9 @@ def main(checkout: Path) -> None:
         stored.pop("witness")
         report(spec, cli.ResultDoc.from_dict(stored))
     report(specs[0], cli.ResultDoc.from_dict(load(checkout / "perfbench" / "data" / "illustrative_result.json")))
-    print(f"runs {len(calls)}")
-    print(f"lp {hashlib.sha256(b''.join(sorted(d.digest() for d in calls))).hexdigest()}")
+    for name, kind in (("synthesis", False), ("fixed-W", True)):
+        digests = sorted(d.digest() for p, d in calls if (p in fixed_w) is kind)
+        print(f"{name} runs {len(digests)} lp {hashlib.sha256(b''.join(digests)).hexdigest()}")
     print(f"documents {doc_digest.hexdigest()}")
 
 
@@ -114,8 +130,9 @@ def compare(checkout: Path, base: Path) -> int:
         if run.returncode:
             return 1
         lines.append(run.stdout)
-    print("identical" if lines[0] == lines[1] else "different")
-    return int(lines[0] != lines[1])
+    differ = [a.split()[0] for a, b in zip(*(out.splitlines() for out in lines)) if a != b]
+    print(f"different: {' '.join(differ)}" if differ else "identical")
+    return int(bool(differ))
 
 
 if __name__ == "__main__":

@@ -527,13 +527,19 @@ def cmd_plot(doc: ResultDoc, spec: ProblemSpec, out_dir) -> list:
 # document IO and entry point
 
 
+_PLAIN = frozenset((float, int, bool, str, type(None)))
+
+
 def _to_jsonable(obj):
+    """``obj`` with fresh dicts and lists, every array a list by one
+    ``tolist`` and every numpy scalar a Python one; a list of plain values
+    (the rows ``tolist`` makes) is copied whole, not walked value by value."""
+    if isinstance(obj, (list, tuple)):
+        return list(obj) if _PLAIN.issuperset(map(type, obj)) else [_to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return _to_jsonable(obj.tolist())
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj

@@ -11,12 +11,15 @@ conversion in Python; HiGHS turns them column-wise itself, into the arrays
 dual-simplex answer is what ``linprog`` returns, bit for bit, without its
 front end, unless the caller asks for primal simplex
 (``primal=True``: the verifier's programs over a fixed W, whose optimal value
-is unique and which it always solves cold; not the synthesis programs, where
-the degenerate optimum HiGHS returns steers the alternation).  HiGHS is
-deterministic for a fixed input; outcomes carry the status, primal solution,
-scaled feasibility residual, dual objective, simplex iteration count and final
-basis, from which a program of the same shape can start warm (the
-synthesizer's P-steps and Q-steps do).  ``solve_lp`` checks every answer by one rule
+is unique and which it starts warm from a primal-feasible basis of its own;
+not the synthesis programs, where the degenerate optimum HiGHS returns
+steers the alternation).  HiGHS is deterministic for a fixed input; outcomes
+carry the status, primal solution, scaled feasibility residual, dual
+objective, simplex iteration count and final basis, from which a program of
+the same shape can start warm (the synthesizer's P-steps and Q-steps do);
+``start_basis`` makes a basis from status codes, so a caller that knows a
+program's structure can start it warm without touching the bindings.
+``solve_lp`` checks every answer by one rule
 (residual and duality gap) and walks one fallback ladder until an answer meets
 it.  ``write_lp`` dumps a program in LP format for cross-checks elsewhere.
 Blocks are ``Coo`` triplets (``kron``, ``stack``) until ``csr`` sorts them once.
@@ -73,6 +76,10 @@ _OPTIONS = {
 # which can cost more than the few iterations that follow
 _DEVEX = _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
 _PRIMAL = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
+# the status codes of ``start_basis``: nonbasic at the lower bound, basic,
+# nonbasic at the upper bound (a row's bounds are those of its activity a@x)
+LOWER, BASIC, UPPER = 0, 1, 2
+_STATUS = [_highs.HighsBasisStatus(code) for code in (LOWER, BASIC, UPPER)]
 _ROWWISE = int(_highs.MatrixFormat.kRowwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
@@ -231,6 +238,18 @@ class LpOutcome:
         return self.status == OPTIMAL
 
 
+def start_basis(col_status: np.ndarray, row_status: np.ndarray) -> _highs.HighsBasis:
+    """The basis whose columns and rows hold the status codes ``col_status``
+    and ``row_status`` (``LOWER``, ``BASIC`` or ``UPPER``), to pass as
+    ``solve_lp(..., basis=)``; one code per column and per row, as many
+    ``BASIC`` as rows, and those columns and rows must form a nonsingular basis."""
+    basis = _highs.HighsBasis()
+    basis.col_status = [_STATUS[code] for code in col_status.tolist()]
+    basis.row_status = [_STATUS[code] for code in row_status.tolist()]
+    basis.valid, basis.alien = True, False
+    return basis
+
+
 def _row_scale(mat: Csr) -> np.ndarray:
     """Each row's largest |coefficient|, at least 1 (1 for an empty row)."""
     scale = np.ones(mat.shape[0])
@@ -336,9 +355,10 @@ def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None, primal:
 
     The program goes down one ladder of rungs until an answer is accepted:
     from ``basis`` when one is given (an earlier outcome's, for a program of
-    the same shape; no presolve, Devex pricing), then cold with presolve,
-    then cold without; with ``primal`` the cold rungs run primal simplex, the
-    others dual simplex either way.  An answer is accepted when HiGHS reports
+    the same shape, or one of ``start_basis``; no presolve, Devex pricing),
+    then cold with presolve, then cold without; every rung runs primal
+    simplex with ``primal`` and dual simplex without, and a re-solve from an
+    answer's own basis runs dual simplex either way.  An answer is accepted when HiGHS reports
     it optimal, every number in it is finite, its scaled residual is at most
     ``RESIDUAL_TOL`` and its duality gap at most ``GAP_TOL`` (relative).  An
     optimal answer that misses that is solved once more from its own final
@@ -353,7 +373,7 @@ def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None, primal:
     rungs += [(True, None), (False, None)]
     spent = 0
     for presolve, start in rungs:
-        out = _solve(problem, presolve, start, primal and start is None)
+        out = _solve(problem, presolve, start, primal)
         if out.optimal and not _accepted(out):
             spent += out.nit
             out = _solve(problem, False, out.basis)

@@ -183,11 +183,17 @@ def support_rows(T, M, W: BoxHullSet) -> np.ndarray:
     return _box_supports(T, M, W)[1].max(axis=1)
 
 
+def support_boxes(T, M, W: BoxHullSet) -> tuple[np.ndarray, np.ndarray]:
+    """(R, j): the directions R = M T and, per row, the first member box
+    whose support along it is support_rows(T, M, W)."""
+    R, V = _box_supports(T, M, W)
+    return R, np.argmax(V, axis=1)
+
+
 def support_argmax_rows(T, M, W: BoxHullSet) -> np.ndarray:
     """Row k: a point of W whose image under T attains support_rows(T, M, W)[k],
     in the first box that attains it."""
-    R, V = _box_supports(T, M, W)
-    j = np.argmax(V, axis=1)
+    R, j = support_boxes(T, M, W)
     return W.centers[j] + np.sign(R) * W.halfwidths[j]
 
 

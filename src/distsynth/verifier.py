@@ -20,8 +20,10 @@ without a coverage LP and ``verify`` re-proves a stored witness without any.
 A document without a witness gets one from a single program over all
 vertices that minimizes the sum of per-vertex inflations of the widths; it is
 separable by vertex, so each vertex's part is its own least inflation, and
-the answer is checked by the same arithmetic.  Both programs solve cold by
-primal simplex.  Passing vertex checks bound the exact coverage distance by
+the answer is checked by the same arithmetic.  Both programs run primal
+simplex from a feasible basis of support points of W (``_reach_start``),
+which leaves tens of pivots where a cold start takes about one per row.
+Passing vertex checks bound the exact coverage distance by
 sum(epsilon), and the objective-bound check carries that bound to the stored
 objective.  ``certify`` runs every check.
 """
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_solver import LpFailure, LpProblem, csr, kron, solve_lp, stack
+from .lp_solver import BASIC, LOWER, UPPER, Coo, LpFailure, LpProblem, csr, kron, solve_lp, stack, start_basis
 from .rpi_params import RpiConstants, RpiParams
 from .setgeom import (
     BoxHullSet,
@@ -46,6 +48,7 @@ from .setgeom import (
     sample_batch,
     simulate,  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item F
     stacked_identity,
+    support_boxes,
     support_rows,
 )
 
@@ -240,14 +243,55 @@ def _reach_lp(
     return LpProblem(c, a, b, n_b + groups, lb)
 
 
-def _reach_witness(coeff, vertices, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs):
-    """Solve ``_reach_lp`` over every vertex at the cost of ``slack``,
-    cold by primal simplex (W is fixed and the answer is re-checked by
-    arithmetic), and return the outcome with the points and weights that lead
-    its answer.  Raises LpFailure, which carries the program, when the LP has
-    no accepted answer."""
+def _reach_start(coeff, vertices, W: BoxHullSet, H: np.ndarray, slack: Coo, slack_lb, h_rhs):
+    """A primal-feasible start basis of ``_reach_lp`` (same arguments, the
+    slack as triplets with negative entries, at most one per row).
+
+    Group (vertex v, slot t) takes the support point of W along
+    coeff_tᵀ (v - ȳ), ȳ the mean vertex: the first maximizing box
+    (``support_boxes``), at its upper corner where the direction is >= 0:
+    that box's weight and the point p are basic, the membership row on the
+    corner's side of each coordinate is tight and the other basic.  b is basic
+    on the reach equalities, every equality row is nonbasic, and each slack
+    column is basic at its largest need over its rows, that row tight, unless
+    no row needs more than its lower bound, where it stays nonbasic.  Fixing
+    the nonbasic columns and rows fixes every basic column, so the basis is
+    nonsingular, and the point is feasible: p is a corner of its box."""
+    n, n_y = vertices.shape
+    slots, N, n_w = len(coeff), W.n_boxes, W.dim
+    groups = n * slots
+    direction = np.einsum("tyk,vy->vtk", coeff, vertices - vertices.mean(axis=0)).reshape(groups, n_w)
+    direction, box = support_boxes(np.eye(n_w), direction, W)
+    upper = direction >= 0.0
+    points = W.centers[box] + np.where(upper, W.halfwidths[box], -W.halfwidths[box])
+    reach = vertices - np.einsum("tyk,vtk->vy", coeff, points.reshape(n, slots, n_w))
+    need = ((reach @ H.T).ravel()[slack.row] - h_rhs[slack.row]) / -slack.val
+    # each slack column's entry of largest need, the first of its rows among ties
+    order = np.lexsort((-need, slack.col))
+    first = order[np.unique(slack.col[order], return_index=True)[1]]
+    first = first[need[first] > slack_lb]
+    weights = np.full((groups, N), LOWER, np.int8)
+    weights[np.arange(groups), box] = BASIC
+    slack_status = np.full(slack.shape[1], LOWER, np.int8)
+    slack_status[slack.col[first]] = BASIC
+    col_status = np.concatenate(
+        (np.full(groups * n_w, BASIC, np.int8), weights.ravel(), np.full(n * n_y, BASIC, np.int8), slack_status)
+    )
+    membership = np.where(np.hstack((upper, ~upper)), UPPER, BASIC).astype(np.int8)
+    h_rows = np.full(slack.shape[0], BASIC, np.int8)
+    h_rows[slack.row[first]] = UPPER
+    row_status = np.concatenate((membership.ravel(), h_rows, np.full(n * n_y + groups, LOWER, np.int8)))
+    return start_basis(col_status, row_status)
+
+
+def _reach_witness(coeff, vertices, W: BoxHullSet, H: np.ndarray, slack: Coo, slack_lb, h_rhs):
+    """Solve ``_reach_lp`` over every vertex at the cost of ``slack``, by
+    primal simplex from ``_reach_start`` (W is fixed and the answer is
+    re-checked by arithmetic), and return the outcome with the points and
+    weights that lead its answer.  Raises LpFailure, which carries the
+    program, when the LP has no accepted answer."""
     lp = _reach_lp(coeff, vertices, W, H, slack, slack_lb, h_rhs)
-    out = solve_lp(lp, primal=True)
+    out = solve_lp(lp, basis=_reach_start(coeff, vertices, W, H, slack, slack_lb, h_rhs), primal=True)
     if not out.optimal:
         raise LpFailure(f"coverage LP ended with status {out.status}", lp)
     n, slots = len(vertices), len(coeff)
@@ -291,7 +335,8 @@ def verify_coverage(
 
     With no witness (a document written before results stored one), one is
     found by one LP over all vertices that minimizes the sum of per-vertex
-    inflations t_i of the widths.  Its rows and columns are block-diagonal by
+    inflations t_i of the widths, started like the distance program from
+    ``_reach_start``.  Its rows and columns are block-diagonal by
     vertex, so each t_i is that vertex's least inflation and its margin is
     -t_i up to the LP's tolerances.
     """

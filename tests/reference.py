@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import null_space
+from scipy.sparse.linalg import spsolve
 
 from distsynth import BoxHullSet
 from distsynth.encoder import (
@@ -19,7 +20,7 @@ from distsynth.encoder import (
     encode_vertex_reach,
     output_rhs,
 )
-from distsynth.lp_solver import Csr, LpFailure, LpProblem, csr, solve_lp
+from distsynth.lp_solver import BASIC, LOWER, UPPER, Csr, LpFailure, LpProblem, csr, solve_lp
 from distsynth.rpi_params import horizon_constants
 from distsynth.setgeom import (
     _MAX_DIM,
@@ -168,6 +169,26 @@ def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
     weights = out.x[n : n + W.n_boxes]
     points = box_points(W.centers, W.halfwidths, weights[None], out.x[None, :n])[0]
     return Membership(residual <= tol, residual, weights, points)
+
+
+def basis_point(lp: LpProblem, basis) -> np.ndarray:
+    """The columns of the basic solution of ``basis``: each nonbasic column at
+    its lower bound and each nonbasic row at its right-hand side, the basic
+    columns and row activities solved from a@x = activity by a sparse LU."""
+    col, row = (np.array([int(s) for s in status]) for status in (basis.col_status, basis.row_status))
+    n, m = lp.n_vars, lp.b.size
+    assert col.size == n and row.size == m and np.count_nonzero(col == BASIC) + np.count_nonzero(row == BASIC) == m
+    assert np.isin(col, (LOWER, BASIC)).all() and np.isin(row, (LOWER, BASIC, UPPER)).all()
+    # a nonbasic inequality sits at its upper bound, its only finite one
+    assert (row[: lp.n_ub] != LOWER).all()
+    fixed = np.concatenate((np.where(col == BASIC, 0.0, lp.lb), np.where(row == BASIC, 0.0, lp.b)))
+    assert np.isfinite(fixed).all()
+    # unknowns (x, activity): [a, -I] (x, activity) = 0
+    system = sp.hstack([to_scipy(lp.a), -sp.identity(m)]).tocsc()
+    basic = np.flatnonzero(np.concatenate((col, row)) == BASIC)
+    z = fixed.copy()
+    z[basic] = spsolve(system[:, basic], -(system @ fixed))
+    return z[:n]
 
 
 def inflation_margins(sys, vertices, W: BoxHullSet, horizon: int, H, epsilon) -> np.ndarray:

@@ -462,6 +462,32 @@ class TestSynthVerifyRoundtrip:
         assert not any(line.strip().rstrip(",").lstrip("-")[:1].isdigit() for line in text.splitlines())
         assert ResultDoc.from_dict(json.loads(text)).to_dict() == _to_jsonable(doc.to_dict())
 
+    def test_written_bytes_are_those_of_a_walk_value_by_value(self, tmp_path, small_spec_doc):
+        def walk(obj):
+            if isinstance(obj, dict):
+                return {k: walk(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple)):
+                return [walk(v) for v in obj]
+            if isinstance(obj, np.ndarray):
+                return walk(obj.tolist())
+            if isinstance(obj, (np.floating, np.integer, np.bool_)):
+                return obj.item()
+            return obj
+
+        stored = cmd_synth(parse_spec(small_spec_doc)).to_dict()
+        # numpy values anywhere, and plain ones that compare equal across types
+        mixed = {
+            "result": stored, "array": np.arange(6.0).reshape(2, 3), "ints": np.arange(3), "scalars":
+            [np.float64(0.1), np.int64(2), np.bool_(True), np.float32(0.5)], "plain": (1, 1.0, True, None, "a"),
+            "nested": [[np.float64(1.5), 2], (3.0, [np.int32(4)])],
+        }
+        for doc in (stored, mixed):
+            written, expected = tmp_path / "written.json", tmp_path / "expected.json"
+            _dump_json(doc, str(written))
+            _dump_json(walk(doc), str(expected))
+            assert written.read_bytes() == expected.read_bytes()
+            assert json.dumps(_to_jsonable(doc)) == json.dumps(walk(doc))
+
     def test_objective_is_the_exact_distance_at_l(self, long_spec_doc):
         from distsynth import verifier
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -26,8 +27,8 @@ from distsynth import (
     vertices_hpoly,
 )
 from distsynth import lp_solver, rpi_params, verifier
-from distsynth.cli import ResultDoc, parse_spec
-from distsynth.lp_solver import solve_lp
+from distsynth.cli import ResultDoc, cmd_gen, cmd_reduce, cmd_synth, parse_spec
+from distsynth.lp_solver import BASIC, RESIDUAL_TOL, _scaled_residual, solve_lp
 from distsynth.setgeom import reach_coefficients, sample_batch, stacked_identity
 
 from conftest import (
@@ -39,6 +40,7 @@ from conftest import (
 )
 from reference import (
     assert_same_matrix,
+    basis_point,
     constants_at,
     distance_slack,
     inflation_slack,
@@ -335,16 +337,43 @@ class TestCrossEncoding:
         assert best <= lp_val + 2 * step * lipschitz + 1e-7
 
 
+# zero-width box appended to the random-71 hull, the support point of some groups
+ZERO_WIDTH_BOX = 0.25 * np.ones(3)
+
+
+@functools.lru_cache(maxsize=None)
+def _synthesized(case):
+    """The spec and result of ``synth`` on a bundled spec ("spec-illustrative",
+    "spec-long-horizon") or a ``gen`` problem ("gen-n_x-n_w-n_y-seed", rho 0.7,
+    two restarts)."""
+    if case == "spec-illustrative":
+        spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
+    elif case == "spec-long-horizon":
+        spec = cmd_reduce(json.loads((ROOT / "specs" / "reduced_order_plant.json").read_text()))
+    else:
+        n_x, n_w, n_y, seed = map(int, case.split("-")[1:])
+        spec = cmd_gen(n_x, n_w, n_y, 0.7, seed)
+        spec.options.restarts = 2
+    return spec, cmd_synth(spec)
+
+
 def _reach_case(case):
-    """(sys, vertices, W, horizon, H, epsilon) of the frozen illustrative result, or of a small random problem."""
+    """(sys, vertices, W, horizon, H, epsilon) of the frozen illustrative
+    result, of a small random problem (with a zero-width box added to W for
+    "zero-width") or of a result ``_synthesized`` makes."""
     if case == "illustrative":
         spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
         doc = ResultDoc.from_dict(json.loads((ROOT / "perfbench" / "data" / "illustrative_result.json").read_text()))
-        return spec.sys, spec.resolve_vertices(), doc.W, doc.horizon, doc.H, doc.epsilon
-    rng = np.random.default_rng(71)
-    sys = random_stable_system(rng, n_x=3, n_w=3, n_y=2, rho=0.5)
-    V, W, H = vertices_hpoly(unit_box_constraints(2)), random_hull(rng, 3, 2, 0.2), h_preset("box", 2)
-    return sys, V, W, 4, H, np.ones(H.shape[0])
+    elif case in ("random-71", "zero-width"):
+        rng = np.random.default_rng(71)
+        sys = random_stable_system(rng, n_x=3, n_w=3, n_y=2, rho=0.5)
+        V, W, H = vertices_hpoly(unit_box_constraints(2)), random_hull(rng, 3, 2, 0.2), h_preset("box", 2)
+        if case == "zero-width":
+            W = BoxHullSet(np.vstack([W.centers, ZERO_WIDTH_BOX]), np.vstack([W.halfwidths, np.zeros(3)]))
+        return sys, V, W, 4, H, np.ones(H.shape[0])
+    else:
+        spec, doc = _synthesized(case)
+    return spec.sys, spec.resolve_vertices(), doc.W, doc.horizon, doc.H, doc.epsilon
 
 
 class TestReachProgramShape:
@@ -419,10 +448,11 @@ class TestReachProgramMatchesScipyReference:
 
 
 class TestSimplexStrategy:
-    """The programs over a fixed W solve cold by primal simplex; warm runs and
-    every synthesis program run dual simplex."""
+    """The programs over a fixed W start warm by primal simplex, from
+    ``_reach_start``; re-solves from an answer's own basis and every synthesis
+    program run dual simplex."""
 
-    def test_fixed_w_programs_solve_cold_by_primal_and_synthesis_by_dual(self, plant, pentagon, monkeypatch):
+    def test_fixed_w_programs_start_warm_by_primal_and_synthesis_by_dual(self, plant, pentagon, monkeypatch):
         runs = []
         real = lp_solver._run
 
@@ -444,11 +474,11 @@ class TestSimplexStrategy:
         # P-steps and Q-steps: dual simplex, Devex-priced when warm
         assert any(warm for warm, _, _ in synthesis)
         assert all(not primal and devex is warm for warm, primal, devex in synthesis)
-        # the exact distance: cold by primal simplex
-        assert distance[0] == (False, True, False)
-        assert all(primal is not warm and devex is warm for warm, primal, devex in distance)
-        # the coverage program over all vertices: one run, cold by primal simplex
-        assert coverage == [(False, True, False)]
+        # the exact distance: warm from its start basis by primal simplex
+        assert distance[0] == (True, True, True)
+        assert all(devex is warm for warm, _, devex in distance)
+        # the coverage program over all vertices: one run, warm by primal simplex
+        assert coverage == [(True, True, True)]
 
     @pytest.mark.parametrize("case", ["illustrative", "random-71"])
     def test_distance_is_the_dual_simplex_optimum(self, case, monkeypatch):
@@ -465,6 +495,74 @@ class TestSimplexStrategy:
         dual = solve_lp(lp)
         assert dual.optimal
         assert objective == pytest.approx(dual.objective, rel=1e-9, abs=0.0)
+
+
+FIXED_W_CASES = [
+    "illustrative", "spec-illustrative", "spec-long-horizon",
+    "gen-3-2-2-0", "gen-3-2-2-1", "gen-6-2-2-0", "gen-6-2-2-1",
+]
+START_CASES = ["illustrative", "random-71", "zero-width", "gen-1-1-1-0"]
+
+
+def _fixed_w_programs(case, monkeypatch):
+    """Solve the exact distance and the coverage program of ``case`` as the
+    verifier does; returns the case and, per program, (lp, solve_lp keywords, outcome)."""
+    sys, V, W, horizon, H, eps = case = _reach_case(case)
+    solves = []
+
+    def spy(lp, **kwargs):
+        solves.append((lp, kwargs, out := solve_lp(lp, **kwargs)))
+        return out
+
+    monkeypatch.setattr(verifier, "solve_lp", spy)
+    distance_eps, _, witness = verifier.distance_witness(sys, V, W, horizon, H)
+    assert verify_coverage(sys, V, W, horizon, H, distance_eps, witness).passed
+    assert verify_coverage(sys, V, W, horizon, H, eps).passed
+    monkeypatch.undo()
+    return case, solves
+
+
+class TestReachStart:
+    """``_reach_start``: the support-point basis the programs over a fixed W start from."""
+
+    @pytest.mark.parametrize("case", START_CASES)
+    def test_start_is_a_primal_feasible_basis_highs_accepts(self, case, monkeypatch):
+        _, solves = _fixed_w_programs(case, monkeypatch)
+        assert len(solves) == 2
+        for lp, kwargs, _ in solves:
+            start = kwargs["basis"]
+            assert _scaled_residual(lp, basis_point(lp, start)) <= RESIDUAL_TOL
+            # setBasis accepts it: _run turns a rejected basis into None
+            assert lp_solver._run(lp, False, start, True) is not None
+
+    def test_zero_width_box_is_a_support_point(self, monkeypatch):
+        (_, V, W, horizon, _, _), solves = _fixed_w_programs("zero-width", monkeypatch)
+        groups = len(V) * (horizon + 1)
+        for lp, kwargs, _ in solves:
+            status = np.array([int(s) for s in kwargs["basis"].col_status])
+            weights = status[groups * W.dim : groups * (W.dim + W.n_boxes)].reshape(groups, W.n_boxes)
+            # one basic weight per group, the zero-width box's in some of them
+            assert (np.count_nonzero(weights == BASIC, axis=1) == 1).all()
+            assert (weights[:, -1] == BASIC).any()
+
+    def test_warm_rung_takes_a_quarter_of_the_cold_iterations(self, monkeypatch):
+        _, solves = _fixed_w_programs("illustrative", monkeypatch)
+        lp, kwargs, _ = solves[0]
+        warm = lp_solver._solve(lp, False, kwargs["basis"], True)
+        cold = lp_solver._solve(lp, True, None, True)
+        assert lp_solver._accepted(warm) and lp_solver._accepted(cold)
+        assert 4 * warm.nit <= cold.nit
+
+    @pytest.mark.parametrize("case", FIXED_W_CASES + START_CASES[1:])
+    def test_objective_is_the_cold_primal_optimum(self, case, monkeypatch):
+        """Both programs' objectives equal the cold primal solve's within
+        1e-9 relative (to at least 1), and every witness certifies."""
+        _, solves = _fixed_w_programs(case, monkeypatch)
+        for lp, kwargs, out in solves:
+            assert kwargs["primal"] and kwargs["basis"] is not None
+            cold = solve_lp(lp, primal=True)
+            assert cold.optimal and out.optimal
+            assert abs(out.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
 
 
 class TestVerifyCoverage:
@@ -505,8 +603,8 @@ class TestVerifyCoverage:
         for order in (slice(None), slice(None, None, -1)):
             warm_starts.clear()
             joint = verify_coverage(plant, V[order], CERTIFIED_W, 59, H, eps)
-            # one program over all vertices, solved cold
-            assert warm_starts == [False]
+            # one program over all vertices, started from its support-point basis
+            assert warm_starts == [True]
             single = [
                 verify_coverage(plant, V[order][i : i + 1], CERTIFIED_W, 59, H, eps).checks[0].margin
                 for i in range(len(V))
