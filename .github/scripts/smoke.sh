@@ -15,6 +15,7 @@
 # A generated problem is synthesized twice with restarts, which run on threads,
 # and both results must agree.  A one-dimensional generated problem gives the
 # smallest blocks the LP builders make: 1 x 1 Kronecker factors and a two-vertex Y.
+# The illustrative spec with one box runs the tie-break at every Q-step.
 set -euxo pipefail
 
 read -r -a ds <<< "$1"
@@ -42,6 +43,12 @@ strip_witness "$out/result.json" "$out/no-witness.json"
 python -m distsynth verify specs/illustrative.json "$out/result.json"
 "${ds[@]}" plot specs/illustrative.json "$out/result.json" --out "$out/plots"
 check_trajectory specs/illustrative.json "$out/plots/trajectory.csv"
+
+# one box: unit weights, so every Q-step ties and the alternation repeats its
+# first P-step from that step's own basis
+"${ds[@]}" synth specs/illustrative.json --N 1 --out "$out/one-box"
+python .github/scripts/check_result.py "$out/one-box/result.json"
+"${ds[@]}" verify specs/illustrative.json "$out/one-box/result.json"
 
 "${ds[@]}" reduce specs/reduced_order_plant.json --out "$out/mapped.json"
 "${ds[@]}" params "$out/mapped.json"

@@ -38,14 +38,14 @@ class SynthesisError(LpFailure):
     pass
 
 
-@dataclass(eq=False)  # compared by identity: the witness is a dict of arrays
+@dataclass(eq=False)  # compared by identity: beta is an array
 class SynthResult:
     W: BoxHullSet
     objective: float
     history: list[float]
     termination: str
     iterations: int
-    witness: dict
+    beta: np.ndarray  # the last Q-step's weights
     p_nit: list[int]  # simplex iterations of each P-step
 
 
@@ -100,25 +100,19 @@ def q_step(problem: SynthProblem, wbar: np.ndarray, basis=None):
 
     w = blockdiag(wbar_g^T) beta is substituted into the reach rows, so the LP
     runs over (beta, z); ``basis`` is an earlier Q-step's, as in ``p_step``.
-    Returns (w, z, beta, objective, outcome).
+    Returns (beta, objective, outcome).
     """
     lay = problem.layout
-    nb = lay.dim_beta  # columns (beta, z)
     lp = problem.q_program.lp(wbar)
     out = solve_lp(lp, basis=basis)
     if not out.optimal:
         raise SynthesisError(f"reweighting LP ended with status {out.status}", lp)
-    beta = out.x[:nb]
-    points = wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w)
-    if np.all(np.ptp(points, axis=1) <= PRIMAL_TOL):
+    beta = out.x[: lay.dim_beta]  # columns (beta, z)
+    if np.all(np.ptp(wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w), axis=1) <= PRIMAL_TOL):
         # every group's points coincide, so every weight is optimal: replace
         # the solver's arbitrary pick by a fixed one
         beta = spread_beta(lay)
-    weights = beta.reshape(lay.n_groups, lay.n_boxes, 1)
-    w = np.zeros((lay.n_groups, lay.n_w))
-    for j in range(lay.n_boxes):  # box by box, as blockdiag(wbar_g^T) @ beta sums
-        w = w + weights[:, j] * points[:, j]
-    return w.ravel(), out.x[nb:], beta, float(out.objective), out
+    return beta, float(out.objective), out
 
 
 # the stopping rule: an iteration that improves the objective by less than
@@ -127,51 +121,39 @@ ZETA = 1e-4
 MAX_ITERS = 100
 
 
-def alternate(problem: SynthProblem, beta0: np.ndarray, zeta: float = ZETA, max_iters: int = MAX_ITERS) -> SynthResult:
-    """Alternate the two LPs until the objective improves by less than zeta.
+def alternate(problem: SynthProblem, beta0: np.ndarray) -> SynthResult:
+    """Alternate the two LPs until the objective improves by less than ZETA.
 
-    Every command stops by ``ZETA`` and ``MAX_ITERS``; other values only pin
-    single steps and short runs in tests.  The P-steps of one run differ only
-    in their weight coefficients and the Q-steps only in their point
-    coefficients, so each step starts from the previous same-kind step's final
-    basis.  The first steps are solved cold, and so are both after the spread
-    weights, which a Q-step tie-break returns: the run then continues as a
-    fresh one started from them would.
+    ``ZETA`` and ``MAX_ITERS`` are read at call time.  The P-steps of one run
+    differ only in their weight coefficients and the Q-steps only in their
+    point coefficients, so each step after the run's first starts from the
+    previous same-kind step's final basis.
     """
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     beta = np.asarray(beta0, dtype=float)
-    spread = spread_beta(problem.layout)
     history: list[float] = []
     p_nit: list[int] = []
     p_basis = q_basis = None
     prev_obj = None
     termination = "max-iterations"
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         try:
-            x, w_p, wbar, z_p, p_obj, p_out = p_step(problem, beta, p_basis)
-            w, z, beta_new, q_obj, q_out = q_step(problem, wbar, q_basis)
+            x, _, wbar, _, p_obj, p_out = p_step(problem, beta, p_basis)
+            beta, q_obj, q_out = q_step(problem, wbar, q_basis)
         except SynthesisError as exc:
             raise SynthesisError(f"iteration {it}: {exc}", exc.lp) from exc
         history += [p_obj, q_obj]
         p_nit.append(p_out.nit)
-        current = (x, w, wbar, beta_new, z, q_obj)
-        if prev_obj is not None and q_obj >= prev_obj - zeta:
+        if prev_obj is not None and q_obj >= prev_obj - ZETA:
             termination = "converged"
             break
-        prev_obj = q_obj
-        beta = beta_new
-        p_basis, q_basis = (None, None) if np.array_equal(beta, spread) else (p_out.basis, q_out.basis)
-    x, w, wbar, beta_fin, z, obj = current
+        prev_obj, p_basis, q_basis = q_obj, p_out.basis, q_out.basis
     return SynthResult(
         W=boxes_from_x(problem, x),
-        objective=obj,
+        objective=q_obj,
         history=history,
         termination=termination,
         iterations=it,
-        witness={"x": x, "w": w, "wbar": wbar, "beta": beta_fin, "z": z},
+        beta=beta,
         p_nit=p_nit,
     )
 
@@ -206,7 +188,7 @@ def refine(problem: SynthProblem, result: SynthResult, restarts: int, rng: np.ra
     """
     if restarts <= 0:
         return result
-    starts = [_jittered_beta(problem.layout, result.witness["beta"], stream) for stream in rng.spawn(restarts)]
+    starts = [_jittered_beta(problem.layout, result.beta, stream) for stream in rng.spawn(restarts)]
     with ThreadPoolExecutor(max(1, min(restarts, os.cpu_count() or 1) - 1)) as pool:
         rest = [pool.submit(_restart, problem, beta0) for beta0 in starts[1:]]
         cands = [_restart(problem, starts[0])] + [future.result() for future in rest]

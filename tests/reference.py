@@ -115,7 +115,7 @@ def membership_blocks(layout: VariableLayout):
 
 def program_residual(blocks: SynthBlocks, point: dict) -> float:
     """Largest violation of any block of the synthesis program by an
-    (x, w, wbar, beta, z) point, such as ``SynthResult.witness``."""
+    (x, w, wbar, beta, z) point, a dict of those five arrays."""
     x, w, wbar = point["x"], point["w"], point["wbar"]
     beta, z = point["beta"], point["z"]
     worst = float(np.max(blocks.a_x @ x - blocks.b, initial=-np.inf))
@@ -273,7 +273,7 @@ def p_step_lp(blocks: SynthBlocks, beta: np.ndarray) -> LpProblem:
 def q_step_lp(blocks: SynthBlocks, wbar: np.ndarray):
     """Reference for the Q-step program over (beta, z), with w =
     blockdiag(wbar_g^T) beta substituted into the reach rows by a sparse
-    product; returns the program and blockdiag(wbar_g^T)."""
+    product."""
     lay = blocks.layout
     nb = lay.dim_beta
     blend = _block_diag(wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w).transpose(0, 2, 1))
@@ -291,7 +291,7 @@ def q_step_lp(blocks: SynthBlocks, wbar: np.ndarray):
     lb = np.full(c.size, -np.inf)
     lb[:nb] = 0.0
     lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
-    return LpProblem(c, as_csr(a), b, n_eq, lb), blend
+    return LpProblem(c, as_csr(a), b, n_eq, lb)
 
 
 # The scipy.sparse constructor chains that built the encoder's blocks and the

@@ -68,7 +68,7 @@ def illustrative_synthesis(plant, pentagon, illustrative):
     H = h_preset("uniform:6", 2)
     problem = assemble(plant, pentagon, vertices, params, n_boxes=4, horizon=59, H=H)
     t0 = time.perf_counter()
-    result = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=100)
+    result = alternate(problem, uniform_beta(problem.layout))
     elapsed = time.perf_counter() - t0
     return problem, result, elapsed
 
@@ -178,7 +178,7 @@ def test_criterion_5_dimension_audit(plant, pentagon, illustrative, illustrative
     lay = problem.layout
     blocks = synth_blocks(plant, pentagon, vertices_hpoly(pentagon), illustrative[0], h_preset("uniform:6", 2), lay)
     membership_rows = membership_blocks(lay)[0].shape[0]
-    dim_wbar = result.witness["wbar"].size
+    dim_wbar = lay.dim_beta * lay.n_w  # the group points, N per (vertex, slot)
     v, N, l, s = lay.n_vertices, lay.n_boxes, lay.horizon, lay.s
     n_w, n_y, n_b, m_y, n_x = lay.n_w, lay.n_y, lay.n_b, lay.m_y, plant.n_x
     audits = {
@@ -293,7 +293,7 @@ def test_criterion_7_box_count_sweep(plant, pentagon, illustrative):
     results = {}
     for n_boxes in (1, 2, 4, 8):
         problem = assemble(plant, pentagon, vertices, params, n_boxes, 59, H)
-        res = alternate(problem, spread_beta(problem.layout), zeta=1e-4, max_iters=100)
+        res = alternate(problem, spread_beta(problem.layout))
         results[n_boxes] = res.objective
     counts = sorted(results)
     pairwise_ok = all(

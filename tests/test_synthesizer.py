@@ -22,10 +22,10 @@ from distsynth import (
     vertices_hpoly,
 )
 from distsynth import encoder, synthesizer
-from distsynth.cli import cmd_gen, parse_spec
+from distsynth.cli import cmd_gen, cmd_synth, parse_spec
 from distsynth.lp_solver import RESIDUAL_TOL, LpProblem, solve_lp, write_lp
 from distsynth.setgeom import stacked_identity
-from distsynth.synthesizer import _jittered_beta, boxes_from_x
+from distsynth.synthesizer import _jittered_beta
 
 from conftest import random_stable_system
 from reference import (
@@ -164,8 +164,8 @@ class TestPStepMatchesWbarOracle:
         for name, beta in weight_draws(problem.layout, seed).items():
             x, w, wbar, z, obj, _ = p_step(problem, beta)
             assert obj == pytest.approx(wbar_p_step_optimum(blocks, beta), abs=1e-9), name
-            witness = {"x": x, "w": w, "wbar": wbar, "beta": beta, "z": z}
-            assert program_residual(blocks, witness) <= 1e-8, name
+            point = {"x": x, "w": w, "wbar": wbar, "beta": beta, "z": z}
+            assert program_residual(blocks, point) <= 1e-8, name
 
     def test_small_fixture(self, small_setup, small_blocks):
         self.check(small_setup[4], small_blocks, 60)
@@ -313,7 +313,7 @@ class TestQStep:
         _, _, _, _, problem = small_setup
         beta = uniform_beta(problem.layout)
         _, _, wbar, _, p_obj, _ = p_step(problem, beta)
-        _, _, _, q_obj, _ = q_step(problem, wbar)
+        _, q_obj, _ = q_step(problem, wbar)
         assert q_obj <= p_obj + 1e-8
 
     def test_single_box_forces_unit_weights(self):
@@ -324,7 +324,7 @@ class TestQStep:
         problem = assemble(sys, Y, vertices_hpoly(Y), params, 1, 2, h_preset("box", 2))
         beta = uniform_beta(problem.layout)
         _, _, wbar, _, p_obj, _ = p_step(problem, beta)
-        _, _, beta_out, q_obj, _ = q_step(problem, wbar)
+        beta_out, q_obj, _ = q_step(problem, wbar)
         assert np.allclose(beta_out, 1.0)
         assert q_obj == pytest.approx(p_obj, abs=1e-8)
 
@@ -344,7 +344,7 @@ class TestQStep:
         lay = problem.layout
         _, w, _, _, _, _ = p_step(problem, uniform_beta(lay))
         wbar = np.repeat(w.reshape(lay.n_groups, 1, lay.n_w), lay.n_boxes, axis=1).ravel()
-        _, _, beta, _, _ = q_step(problem, wbar)
+        beta, _, _ = q_step(problem, wbar)
         np.testing.assert_array_equal(beta, spread_beta(lay))
 
     def test_distinct_points_keep_the_solver_weights(self, small_setup, monkeypatch):
@@ -355,7 +355,7 @@ class TestQStep:
         wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w)[0] = w[: lay.n_w]
         assert np.ptp(wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w), axis=1).max() > 1e-6
         solutions = self.capture_lp_solutions(monkeypatch)
-        _, _, beta, _, _ = q_step(problem, wbar)
+        beta, _, _ = q_step(problem, wbar)
         np.testing.assert_array_equal(beta, solutions[-1][: lay.dim_beta])
 
     def test_matches_simplex_grid_oracle(self):
@@ -371,7 +371,7 @@ class TestQStep:
         problem = assemble(sys, Y, vertices, params, n_boxes=2, horizon=1, H=H)
         lay = problem.layout
         _, _, wbar, _, _, _ = p_step(problem, uniform_beta(lay))
-        _, _, _, q_obj, _ = q_step(problem, wbar)
+        _, q_obj, _ = q_step(problem, wbar)
         points = wbar.reshape(lay.n_vertices, lay.n_slots, lay.n_boxes, lay.n_w)
 
         coeff = [sys.C @ sys.B, sys.D]  # slot maps at horizon 1
@@ -428,10 +428,52 @@ class TestFactorSize:
         assert solved == []
 
 
+def alternate_under(monkeypatch, problem, beta0, zeta=synthesizer.ZETA, max_iters=synthesizer.MAX_ITERS):
+    """One alternation under another stopping rule than the commands'."""
+    with monkeypatch.context() as m:
+        m.setattr(synthesizer, "ZETA", zeta)
+        m.setattr(synthesizer, "MAX_ITERS", max_iters)
+        return alternate(problem, beta0)
+
+
+def assert_every_step_after_the_first_is_warm(problem, monkeypatch, step_name):
+    """Each call of ``step_name`` after a run's first is passed the basis the
+    previous call returned: in a run from spread weights, in one from uniform
+    weights, whose first Q-step ties to the spread weights, and in refine's
+    two restarts.  refine runs its restarts on several threads, so each run
+    records its steps in the list of the thread it runs on."""
+    res = alternate(problem, spread_beta(problem.layout))
+    runs, current = [], threading.local()
+    real_alternate, real_step = synthesizer.alternate, getattr(synthesizer, step_name)
+
+    def recording_alternate(problem, beta0):
+        current.run = []
+        runs.append(current.run)
+        return real_alternate(problem, beta0)
+
+    def recording_step(problem, frozen, basis=None):
+        out = real_step(problem, frozen, basis)
+        current.run.append((basis, out[-1].basis))
+        return out
+
+    monkeypatch.setattr(synthesizer, "alternate", recording_alternate)
+    monkeypatch.setattr(synthesizer, step_name, recording_step)
+    monkeypatch.setattr(synthesizer, "ZETA", 1e-6)
+    for beta0 in (spread_beta(problem.layout), uniform_beta(problem.layout)):
+        synthesizer.alternate(problem, beta0)
+    refine(problem, res, 2, np.random.default_rng(7))
+    assert len(runs) == 4
+    for run in runs:
+        assert len(run) >= 2
+        assert run[0][0] is None  # the first step of each run is cold
+        for (basis, _), (_, previous) in zip(run[1:], run[:-1]):
+            assert basis is previous is not None
+
+
 class TestAlternate:
-    def test_history_nonincreasing(self, small_setup):
+    def test_history_nonincreasing(self, small_setup, monkeypatch):
         _, _, _, _, problem = small_setup
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-6, max_iters=50)
+        res = alternate_under(monkeypatch, problem, uniform_beta(problem.layout), zeta=1e-6, max_iters=50)
         hist = np.array(res.history)
         assert np.all(np.diff(hist) <= 1e-7)
         assert res.termination in ("converged", "max-iterations")
@@ -442,22 +484,33 @@ class TestAlternate:
         Y = unit_box_constraints(2)
         params = select_params(sys, Y, gamma=1.0, mu=1e-2)
         problem = assemble(sys, Y, np.zeros((1, 2)), params, 2, 2, h_preset("box", 2))
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=20)
+        res = alternate(problem, uniform_beta(problem.layout))
         assert res.objective == pytest.approx(0.0, abs=1e-9)
         assert res.iterations <= 2
 
-    def test_final_witness_is_feasible(self, small_setup, small_blocks):
-        _, _, _, _, problem = small_setup
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=50)
-        assert program_residual(small_blocks, res.witness) <= 1e-6
+    def test_final_witness_is_feasible(self, small_setup, small_blocks, monkeypatch):
+        # the last P-step's boxes and group points, blended by the last
+        # Q-step's weights, with its slacks
+        problem = small_setup[4]
+        lay = problem.layout
+        steps = []
+        for name in ("p_step", "q_step"):
+            real = getattr(synthesizer, name)
+            monkeypatch.setattr(synthesizer, name, lambda *args, real=real: steps.append(real(*args)) or steps[-1])
+        res = alternate(problem, uniform_beta(lay))
+        (x, _, wbar, _, _, _), (beta, _, out) = steps[-2:]
+        assert beta is res.beta
+        w = (wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w) * beta.reshape(lay.n_groups, lay.n_boxes, 1)).sum(axis=1)
+        point = {"x": x, "w": w.ravel(), "wbar": wbar, "beta": beta, "z": out.x[lay.dim_beta :]}
+        assert program_residual(small_blocks, point) <= 1e-6
 
-    def test_intermediate_sets_are_certified(self, small_setup):
+    def test_intermediate_sets_are_certified(self, small_setup, monkeypatch):
         from distsynth import verify_gamma, verify_output_inclusion
         from reference import contains_point
 
         sys, Y, params, _, problem = small_setup
         for iters in (1, 2, 3):
-            res = alternate(problem, uniform_beta(problem.layout), zeta=1e-12, max_iters=iters)
+            res = alternate_under(monkeypatch, problem, uniform_beta(problem.layout), zeta=1e-12, max_iters=iters)
             assert verify_gamma(sys, res.W, params.gamma).passed
             assert verify_output_inclusion(sys, Y, params, res.W).passed
             assert contains_point(res.W, np.zeros(sys.n_w), tol=1e-7)
@@ -482,81 +535,33 @@ class TestAlternate:
                 return solve_lp(lp, **kwargs)
 
             monkeypatch.setattr(synthesizer, "solve_lp", permuted)
-            res = alternate(problem, uniform_beta(lay), zeta=1e-4, max_iters=1)
-            np.testing.assert_array_equal(res.witness["beta"], spread_beta(lay))
+            res = alternate_under(monkeypatch, problem, uniform_beta(lay), max_iters=1)
+            np.testing.assert_array_equal(res.beta, spread_beta(lay))
             ends.append(res.objective)
         assert ends[1] == pytest.approx(ends[0], abs=1e-9)
 
-    def test_uniform_start_continues_as_the_spread_start(self, illustrative_problem):
-        problem = illustrative_problem
-        lay = problem.layout
-        from_uniform = alternate(problem, uniform_beta(lay), zeta=1e-4, max_iters=3)
-        from_spread = alternate(problem, spread_beta(lay), zeta=1e-4, max_iters=2)
-        np.testing.assert_allclose(from_uniform.history[2:], from_spread.history, atol=1e-9)
-        np.testing.assert_array_equal(from_uniform.witness["beta"], from_spread.witness["beta"])
-
     def test_each_p_step_after_the_first_starts_from_the_previous_basis(self, small_setup, monkeypatch):
-        problem = small_setup[4]
-        res = alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
-        # refine runs its restarts on several threads, so each run records
-        # its steps in the list of the thread it runs on
-        runs, current = [], threading.local()
-        real_alternate, real_p_step = synthesizer.alternate, synthesizer.p_step
-
-        def recording_alternate(problem, beta0, **kwargs):
-            current.run = []
-            runs.append(current.run)
-            return real_alternate(problem, beta0, **kwargs)
-
-        def recording_p_step(problem, beta, basis=None):
-            out = real_p_step(problem, beta, basis)
-            current.run.append((basis, out[-1].basis, beta))
-            return out
-
-        monkeypatch.setattr(synthesizer, "alternate", recording_alternate)
-        monkeypatch.setattr(synthesizer, "p_step", recording_p_step)
-        synthesizer.alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
-        refine(problem, res, 2, np.random.default_rng(7))
-        assert len(runs) == 3
-        for run in runs:
-            assert len(run) >= 2
-            # the first P-step of the run and of each restart is cold
-            assert run[0][0] is None
-            for (basis, _, beta), (_, previous, _) in zip(run[1:], run[:-1]):
-                assert not np.array_equal(beta, spread_beta(problem.layout))
-                assert basis is previous is not None
+        assert_every_step_after_the_first_is_warm(small_setup[4], monkeypatch, "p_step")
 
     def test_each_q_step_after_the_first_starts_from_the_previous_basis(self, small_setup, monkeypatch):
-        problem = small_setup[4]
-        res = alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
-        # refine runs its restarts on several threads, so each run records
-        # its steps in the list of the thread it runs on
-        runs, current = [], threading.local()
-        real_alternate, real_q_step = synthesizer.alternate, synthesizer.q_step
+        assert_every_step_after_the_first_is_warm(small_setup[4], monkeypatch, "q_step")
 
-        def recording_alternate(problem, beta0, **kwargs):
-            current.run = []
-            runs.append(current.run)
-            return real_alternate(problem, beta0, **kwargs)
-
-        def recording_q_step(problem, wbar, basis=None):
-            out = real_q_step(problem, wbar, basis)
-            current.run.append((basis, out[-1].basis, out[2]))
-            return out
-
-        monkeypatch.setattr(synthesizer, "alternate", recording_alternate)
-        monkeypatch.setattr(synthesizer, "q_step", recording_q_step)
-        synthesizer.alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=30)
-        refine(problem, res, 2, np.random.default_rng(7))
-        assert len(runs) == 3
-        for run in runs:
-            assert len(run) >= 2
-            # the first Q-step of the run and of each restart is cold
-            assert run[0][0] is None
-            for (basis, _, _), (_, previous, beta) in zip(run[1:], run[:-1]):
-                # the previous Q-step returned no spread tie-break
-                assert not np.array_equal(beta, spread_beta(problem.layout))
-                assert basis is previous is not None
+    @pytest.mark.parametrize("case, n_boxes, nit", [("gen-3-2-2", 2, 227), ("illustrative", 1, 164)])
+    def test_a_tie_break_repeat_of_the_first_p_step_takes_no_iteration(self, case, n_boxes, nit):
+        # the spread start ties to itself in the first Q-step, so the second
+        # P-step is the first one again and starts from its optimal basis
+        if case == "illustrative":
+            spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
+            objective = 1.363028964
+        else:
+            spec = cmd_gen(3, 2, 2, 0.7, 1)
+            objective = 2.447403554
+        options = dataclasses.replace(spec.options, n_boxes=n_boxes, restarts=0)
+        doc = cmd_synth(dataclasses.replace(spec, options=options))
+        assert doc.p_nit == [nit, 0]
+        assert doc.history[2] == pytest.approx(doc.history[0], abs=1e-9) and doc.termination == "converged"
+        assert doc.objective == pytest.approx(objective, abs=1e-9)
+        assert all(margin["passed"] for margin in doc.certificates.values())
 
     def test_p_step_answers_meet_the_residual_contract(self, illustrative_problem, monkeypatch):
         # and so do the Q-step answers
@@ -571,18 +576,13 @@ class TestAlternate:
             return out
 
         monkeypatch.setattr(synthesizer, "solve_lp", recording)
-        res = alternate(problem, spread_beta(lay), zeta=1e-4, max_iters=100)
+        res = alternate(problem, spread_beta(lay))
         for steps in answers.values():
             assert len(steps) == res.iterations >= 2
             warm = [kwargs.get("basis") is not None for kwargs, _ in steps]
             assert warm == [False] + [True] * (res.iterations - 1)
             assert all(out.optimal and out.residual <= RESIDUAL_TOL for _, out in steps)
         assert res.p_nit == [out.nit for _, out in answers[p_width]]
-
-    def test_rejects_an_empty_iteration_budget(self, small_setup):
-        problem = small_setup[4]
-        with pytest.raises(ValueError, match="max_iters"):
-            alternate(problem, uniform_beta(problem.layout), max_iters=0)
 
     def test_failing_q_step_names_its_iteration_and_keeps_the_lp(self, small_setup, monkeypatch):
         problem = small_setup[4]
@@ -595,13 +595,6 @@ class TestAlternate:
         with pytest.raises(SynthesisError, match="^iteration 1: reweighting LP") as info:
             alternate(problem, uniform_beta(problem.layout))
         assert info.value.lp is lp
-
-    def test_extracted_boxes_match_witness(self, small_setup):
-        _, _, _, _, problem = small_setup
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=20)
-        W2 = boxes_from_x(problem, res.witness["x"])
-        assert np.allclose(W2.centers, res.W.centers)
-        assert np.allclose(W2.halfwidths, res.W.halfwidths)
 
 
 class TestSpreadBeta:
@@ -628,12 +621,12 @@ class TestHeuristicBeta:
         assert np.allclose(vertex_count_blocks.t_beta @ beta, 1.0)
         assert np.all(beta >= 0)
 
-    def test_alternation_improves_on_heuristic_start(self, vertex_count_setup):
+    def test_alternation_improves_on_heuristic_start(self, vertex_count_setup, monkeypatch):
         # the first half-step of the alternation from one-hot weights is the
         # per-vertex-box LP itself, so the loop can only improve on it
         problem = vertex_count_setup
         _, _, _, _, obj_heuristic, _ = p_step(problem, spread_beta(problem.layout))
-        res = alternate(problem, spread_beta(problem.layout), zeta=1e-6, max_iters=50)
+        res = alternate_under(monkeypatch, problem, spread_beta(problem.layout), zeta=1e-6, max_iters=50)
         assert obj_heuristic >= res.objective - 1e-8
         assert res.history[0] == pytest.approx(obj_heuristic, abs=1e-9)
 
@@ -641,13 +634,13 @@ class TestHeuristicBeta:
 class TestRefine:
     def test_zero_restarts_is_identity(self, small_setup):
         _, _, _, _, problem = small_setup
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        res = alternate(problem, uniform_beta(problem.layout))
         out = refine(problem, res, 0, np.random.default_rng(0))
         assert out is res
 
     def test_never_worse_and_reproducible(self, small_setup):
         _, _, _, _, problem = small_setup
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        res = alternate(problem, uniform_beta(problem.layout))
         out1 = refine(problem, res, 3, np.random.default_rng(7))
         out2 = refine(problem, res, 3, np.random.default_rng(7))
         assert out1.objective <= res.objective
@@ -655,20 +648,20 @@ class TestRefine:
 
     def test_failing_restart_is_dropped(self, small_setup, monkeypatch):
         problem = small_setup[4]
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        res = alternate(problem, uniform_beta(problem.layout))
         # the restart weights refine draws, and each restart's own result
         starts = [
-            _jittered_beta(problem.layout, res.witness["beta"], stream)
+            _jittered_beta(problem.layout, res.beta, stream)
             for stream in np.random.default_rng(7).spawn(3)
         ]
-        ends = [alternate(problem, b0, zeta=1e-4, max_iters=30).objective for b0 in starts]
+        ends = [alternate(problem, b0).objective for b0 in starts]
         failing = int(np.argmin(ends))
         real = synthesizer.alternate
 
-        def alternate_failing_one(problem, beta0, **kwargs):
+        def alternate_failing_one(problem, beta0):
             if np.array_equal(beta0, starts[failing]):
                 raise SynthesisError("iteration 1: box-fitting LP ended with status failed")
-            return real(problem, beta0, **kwargs)
+            return real(problem, beta0)
 
         monkeypatch.setattr(synthesizer, "alternate", alternate_failing_one)
         out = refine(problem, res, 3, np.random.default_rng(7))
@@ -678,9 +671,9 @@ class TestRefine:
     def test_every_start_runs_once_and_the_result_is_the_serial_fold(self, small_setup, monkeypatch):
         problem = small_setup[4]
         # one iteration leaves room for the restarts to improve on
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=1)
+        res = alternate_under(monkeypatch, problem, uniform_beta(problem.layout), max_iters=1)
         starts = [
-            _jittered_beta(problem.layout, res.witness["beta"], stream)
+            _jittered_beta(problem.layout, res.beta, stream)
             for stream in np.random.default_rng(6).spawn(3)
         ]
         best = res  # the serial loop: every start in order, an earlier one kept on a tie
@@ -692,9 +685,9 @@ class TestRefine:
         seen = []
         real = synthesizer.alternate
 
-        def recording(problem, beta0, **kwargs):
+        def recording(problem, beta0):
             seen.append((threading.get_ident(), beta0))
-            return real(problem, beta0, **kwargs)
+            return real(problem, beta0)
 
         monkeypatch.setattr(synthesizer, "alternate", recording)
         # a worker count in the environment is not read
@@ -710,21 +703,19 @@ class TestRefine:
         assert out.history == best.history and out.p_nit == best.p_nit
         np.testing.assert_array_equal(out.W.centers, best.W.centers)
         np.testing.assert_array_equal(out.W.halfwidths, best.W.halfwidths)
-        assert out.witness.keys() == best.witness.keys()
-        for key, value in best.witness.items():
-            np.testing.assert_array_equal(out.witness[key], value)
+        np.testing.assert_array_equal(out.beta, best.beta)
 
     def test_the_earliest_of_tied_restarts_wins(self, small_setup, monkeypatch):
         problem = small_setup[4]
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        res = alternate(problem, uniform_beta(problem.layout))
         starts = [
-            _jittered_beta(problem.layout, res.witness["beta"], stream)
+            _jittered_beta(problem.layout, res.beta, stream)
             for stream in np.random.default_rng(7).spawn(3)
         ]
         # start 0 ties the incumbent; starts 1 and 2 tie below it, and start 1 ends last
         objectives = [res.objective, res.objective - 1.0, res.objective - 1.0]
 
-        def tied(problem, beta0, **kwargs):
+        def tied(problem, beta0):
             k = next(k for k, start in enumerate(starts) if np.array_equal(beta0, start))
             if k == 1:
                 time.sleep(0.05)
@@ -738,13 +729,13 @@ class TestRefine:
 
     def test_other_errors_of_a_pool_restart_propagate(self, small_setup, monkeypatch):
         problem = small_setup[4]
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        res = alternate(problem, uniform_beta(problem.layout))
         real, caller = synthesizer.alternate, threading.get_ident()
 
-        def failing_off_the_calling_thread(problem, beta0, **kwargs):
+        def failing_off_the_calling_thread(problem, beta0):
             if threading.get_ident() != caller:
                 raise ValueError("restart broke")
-            return real(problem, beta0, **kwargs)
+            return real(problem, beta0)
 
         monkeypatch.setattr(synthesizer, "alternate", failing_off_the_calling_thread)
         before = set(threading.enumerate())
@@ -754,7 +745,7 @@ class TestRefine:
 
     def test_all_restarts_failing_keeps_the_incumbent(self, small_setup, monkeypatch):
         problem = small_setup[4]
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        res = alternate(problem, uniform_beta(problem.layout))
 
         def failing(*args, **kwargs):
             raise SynthesisError("iteration 1: box-fitting LP ended with status failed")
@@ -823,8 +814,4 @@ class TestStepProgramsMatchReference:
         else:
             wbar = rng.normal(size=lay.dim_beta * lay.n_w)
             wbar[rng.random(wbar.size) < 0.3] = 0.0
-        ref, blend = q_step_lp(blocks, wbar)
-        if points != "sparse":
-            w, _, beta, _, _ = q_step(problem, wbar)
-            assert w.tobytes() == (blend @ beta).tobytes()
-        assert_same_program(captured_lp(monkeypatch, q_step, problem, wbar), ref, tmp_path)
+        assert_same_program(captured_lp(monkeypatch, q_step, problem, wbar), q_step_lp(blocks, wbar), tmp_path)

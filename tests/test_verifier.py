@@ -26,7 +26,7 @@ from distsynth import (
     verify_params,
     vertices_hpoly,
 )
-from distsynth import lp_solver, rpi_params, verifier
+from distsynth import lp_solver, rpi_params, synthesizer, verifier
 from distsynth.cli import ResultDoc, cmd_gen, cmd_reduce, cmd_synth, parse_spec
 from distsynth.lp_solver import BASIC, RESIDUAL_TOL, _scaled_residual, solve_lp
 from distsynth.setgeom import reach_coefficients, sample_batch, stacked_identity
@@ -134,7 +134,7 @@ class TestVerifyOutputInclusion:
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         V = vertices_hpoly(pentagon)
         problem = assemble(plant, pentagon, V, params, 2, 10, h_preset("box", 2))
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        res = alternate(problem, uniform_beta(problem.layout))
         assert verify_output_inclusion(plant, pentagon, params, res.W).passed
 
 
@@ -184,7 +184,7 @@ class TestDistanceDY:
         V = vertices_hpoly(pentagon)
         H = h_preset("uniform:6", 2)
         problem = assemble(plant, pentagon, V, params, 2, 12, H)
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        res = alternate(problem, uniform_beta(problem.layout))
         _, exact = distance_dY(plant, V, res.W, 12, H)
         assert exact <= res.objective + 1e-6
 
@@ -465,7 +465,8 @@ class TestSimplexStrategy:
         V = vertices_hpoly(pentagon)
         H = h_preset("uniform:6", 2)
         problem = assemble(plant, pentagon, V, select_params(plant, pentagon, gamma=0.2, mu=1e-3), 2, 12, H)
-        alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=5)
+        monkeypatch.setattr(synthesizer, "MAX_ITERS", 5)
+        alternate(problem, uniform_beta(problem.layout))
         synthesis, runs[:] = list(runs), []
         eps, _, _ = verifier.distance_witness(plant, V, CERTIFIED_W, 59, H)
         distance, runs[:] = list(runs), []
@@ -768,7 +769,7 @@ class TestMonteCarlo:
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         V = vertices_hpoly(pentagon)
         problem = assemble(plant, pentagon, V, params, 2, 12, h_preset("box", 2))
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        res = alternate(problem, uniform_beta(problem.layout))
         assert verify_params(plant, pentagon, params).passed
         assert verify_gamma(plant, res.W, params.gamma).passed
         assert verify_output_inclusion(plant, pentagon, params, res.W).passed
@@ -779,7 +780,7 @@ class TestMonteCarlo:
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         V = vertices_hpoly(pentagon)
         problem = assemble(plant, pentagon, V, params, 2, 12, h_preset("box", 2))
-        res = alternate(problem, uniform_beta(problem.layout), zeta=1e-4, max_iters=30)
+        res = alternate(problem, uniform_beta(problem.layout))
         rep = monte_carlo(
             plant, scaled(res.W, 10.0), pentagon, T=2000, runs=3, rng=np.random.default_rng(2)
         )
