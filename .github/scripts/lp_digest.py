@@ -7,7 +7,9 @@ and then ``cmd_verify`` with and without the stored witness on
 specs/illustrative.json, on the reduced specs/reduced_order_plant.json and on
 four generated problems (n_x 3 and 6, generator seeds 0 and 1, two inputs,
 two outputs, rho 0.7, two restarts), then ``cmd_verify`` of the frozen
-perfbench/data/illustrative_result.json.
+perfbench/data/illustrative_result.json and ``verifier.monte_carlo`` of that
+result at its W and at W scaled by 3 (seed 0, 4 runs of 2,000 steps), so the
+Monte-Carlo fold is under the same bit-identity check.
 
 Every ``lp_solver._run`` call gets a digest of its own, fed with its program
 (c, lb, b, n_eq and the matrix's shape and indptr, indices and data, each
@@ -21,12 +23,13 @@ from an answer's basis included), every other one a synthesis step (P-step
 and Q-step).  Each kind prints its run count and the sha256 of its sorted
 per-call digests, so a line does not depend on the order in which threads
 (refine's concurrent restarts) make their calls.  The document digest covers
-every result.json field but ``timing`` and every verify report.  The matrix
+every result.json field but ``timing``, every verify report and both
+Monte-Carlo reports.  The matrix
 is read only through indptr/indices/data/shape, so two checkouts that hold
 it in different containers print the same synthesis line exactly when every
 synthesis step's HiGHS input and answer is bit-identical, and the same three
 lines exactly when every HiGHS input and answer, every result and every
-report is.
+report, Monte-Carlo's included, is.
 
 With BASE, each checkout is digested in its own interpreter by this script;
 both sets of lines are printed with the names of the lines that differ, and
@@ -42,6 +45,8 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
+
 
 def _feed(digest, arr) -> None:
     digest.update(f"{arr.dtype.str}{arr.shape}".encode())
@@ -54,7 +59,7 @@ def _statuses(basis) -> bytes:
 
 def main(checkout: Path) -> None:
     sys.path.insert(0, str(checkout / "src"))
-    from distsynth import cli, lp_solver
+    from distsynth import BoxHullSet, cli, lp_solver, verifier
 
     doc_digest, calls, fixed_w, current = hashlib.sha256(), [], set(), threading.local()
     run, outcome = lp_solver._run, lp_solver._outcome
@@ -113,7 +118,12 @@ def main(checkout: Path) -> None:
         report(spec, doc)
         stored.pop("witness")
         report(spec, cli.ResultDoc.from_dict(stored))
-    report(specs[0], cli.ResultDoc.from_dict(load(checkout / "perfbench" / "data" / "illustrative_result.json")))
+    frozen = cli.ResultDoc.from_dict(load(checkout / "perfbench" / "data" / "illustrative_result.json"))
+    report(specs[0], frozen)
+    for factor in (1.0, 3.0):
+        W = BoxHullSet(factor * frozen.W.centers, factor * frozen.W.halfwidths)
+        mc = verifier.monte_carlo(specs[0].sys, W, specs[0].Y, 2000, 4, np.random.default_rng(0))
+        doc_digest.update(repr(mc).encode())
     for name, kind in (("synthesis", False), ("fixed-W", True)):
         digests = sorted(d.digest() for p, d in calls if (p in fixed_w) is kind)
         print(f"{name} runs {len(digests)} lp {hashlib.sha256(b''.join(digests)).hexdigest()}")

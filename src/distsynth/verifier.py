@@ -94,16 +94,42 @@ class Certificate:
         return "\n".join(lines)
 
 
+def _binary_powers(A: np.ndarray, s: int) -> np.ndarray:
+    """(s + 1, n, n): A^0 .. A^s, each the product ``np.linalg.matrix_power``
+    forms.  A^(2^k) is squared once per bit of s and multiplied, in one stacked
+    matmul, into every power that has bit k set above its lowest; a power
+    starts as the A^(2^k) of its lowest bit, and A^3 is (A A) A."""
+    n = len(A)
+    powers = np.empty((s + 1, n, n))
+    powers[0] = np.eye(n)
+    t = np.arange(s + 1)
+    started = np.zeros(s + 1, dtype=bool)
+    z = A
+    for k in range(s.bit_length()):
+        if k:
+            z = z @ z
+        bit = (t >> k) & 1 == 1
+        grow = bit & started
+        powers[grow] = powers[grow] @ z
+        powers[bit & ~started] = z
+        started |= bit
+    if s >= 3:
+        powers[3] = powers[2] @ A
+    return powers
+
+
 def _horizon_constants(sys: LtiSystem, Y: HPolytope, s: int) -> RpiConstants:
     """The constants of rpi_params at horizon s, by a route that shares no code
     with its generator ``horizon_constants``: every power A^t is taken afresh by
-    repeated squaring and the horizon sums are formed over the whole stack."""
-    powers = np.stack([np.linalg.matrix_power(sys.A, t) for t in range(s)])
+    binary powering (``_binary_powers``) and the horizon sums are formed over the
+    whole stack."""
+    stack = _binary_powers(sys.A, s)
+    powers = stack[:s]
     L = np.abs(Y.G @ sys.C @ powers).sum(axis=(0, 2))
     active = L > 0
     theta = float(np.min(Y.g[active] / L[active])) if active.any() else np.inf
     M = float(np.abs(powers).sum(axis=(0, 2)).max())
-    zeta = float(np.abs(np.linalg.matrix_power(sys.A, s)).sum(axis=1).max())
+    zeta = float(np.abs(stack[s]).sum(axis=1).max())
     return RpiConstants(s=s, L_s=L, theta_s=theta, M_s=M, zeta_s=zeta)
 
 
@@ -137,16 +163,21 @@ def verify_params(sys: LtiSystem, Y: HPolytope, params: RpiParams) -> Certificat
 
 
 def verify_output_inclusion(sys: LtiSystem, Y: HPolytope, params: RpiParams, W: BoxHullSet) -> Certificate:
-    """Row-wise support check that the reachable-output bound stays in Y."""
-    scale = 1.0 / (1.0 - params.alpha)
-    lhs = np.zeros(Y.n_rows)
-    tail = np.zeros(Y.n_rows)
-    M = scale * (Y.G @ sys.C)
-    for _ in range(params.s):
-        lhs += support_rows(sys.B, M, W)
-        tail += np.abs(M).sum(axis=1)
-        M = M @ sys.A
-    lhs += support_rows(sys.D, Y.G, W)
+    """Row-wise support check that the reachable-output bound stays in Y.
+
+    The maps M_t = G C A^t / (1 - alpha), t < s, each formed as M_(t-1) A,
+    are stacked into one array and take their supports over B W in one
+    ``support_rows`` call; the terms are summed in t order."""
+    if Y.dim != sys.n_y:
+        raise GeometryError("output dimension mismatch")
+    s = params.s
+    maps = np.empty((s, Y.n_rows, sys.n_x))
+    maps[0] = (1.0 / (1.0 - params.alpha)) * (Y.G @ sys.C)
+    for t in range(1, s):
+        maps[t] = maps[t - 1] @ sys.A
+    terms = support_rows(sys.B, maps.reshape(-1, sys.n_x), W).reshape(s, Y.n_rows)
+    lhs = terms.sum(axis=0) + support_rows(sys.D, Y.G, W)
+    tail = np.abs(maps).sum(axis=2).sum(axis=0)
     slack = Y.g - params.lam * tail - lhs
     i = int(np.argmin(slack))
     check = CheckResult("output-inclusion", bool(slack[i] >= -CHECK_TOL), float(slack[i]), f"row {i}")
@@ -399,7 +430,9 @@ def monte_carlo(
     of ``runs`` successive ``simulate`` calls; all runs then step together
     through ``rollout``, and each block's per-step excess (the largest of
     G y - g) is folded into the totals at once, so no trajectory longer than
-    one block is stored.  A step violates when its excess exceeds CHECK_TOL.
+    one block is stored.  The excess is reduced over the rows of one product
+    of G with each run's block of outputs, not over a short last axis.  A
+    step violates when its excess exceeds CHECK_TOL.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
@@ -407,11 +440,15 @@ def monte_carlo(
         raise ValueError("runs must be at least 1")
     if W.dim != sys.n_w:
         raise GeometryError("disturbance dimension mismatch")
+    if Y.dim != sys.n_y:
+        raise GeometryError("output dimension mismatch")
     w_seq = np.stack([sample_batch(W, T, rng) for _ in range(runs)])
     violations = 0
     worst = 0.0
     for _, y in rollout(sys, np.zeros((runs, sys.n_x)), w_seq):
-        excess = (y @ Y.G.T - Y.g).max(axis=2)
+        # one product per run, not one over all runs: a one-step block is then a
+        # matrix-vector product, as in a fold over the last axis, and rounds alike
+        excess = (Y.G @ y.transpose(0, 2, 1) - Y.g[:, None]).max(axis=1)
         worst = max(worst, float(excess.max()))
         violations += int(np.count_nonzero(excess > CHECK_TOL))
     return MonteCarloReport(violations, max(0.0, worst), T * runs)

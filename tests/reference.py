@@ -21,7 +21,7 @@ from distsynth.encoder import (
     output_rhs,
 )
 from distsynth.lp_solver import BASIC, LOWER, UPPER, Csr, LpFailure, LpProblem, csr, solve_lp
-from distsynth.rpi_params import horizon_constants
+from distsynth.rpi_params import RpiConstants, horizon_constants
 from distsynth.setgeom import (
     _MAX_DIM,
     _MAX_ROWS,
@@ -32,10 +32,13 @@ from distsynth.setgeom import (
     fields_equal,
     merge_vertices,
     reach_coefficients,
+    rollout,
+    sample_batch,
     stacked_identity,
+    support_rows,
 )
 from distsynth.synthesizer import _boxes
-from distsynth.verifier import _reach_lp
+from distsynth.verifier import CHECK_TOL, Certificate, CheckResult, MonteCarloReport, _reach_lp
 
 
 def as_csr(a) -> Csr:
@@ -68,6 +71,48 @@ def constants_at(sys, Y, s: int):
 def scaled(W: BoxHullSet, factor: float) -> BoxHullSet:
     """The image of W under w -> factor * w."""
     return BoxHullSet(factor * W.centers, abs(factor) * W.halfwidths)
+
+
+def matrix_power_constants(sys, Y, s: int) -> RpiConstants:
+    """The verifier's horizon constants at horizon s from one
+    ``np.linalg.matrix_power`` call per power A^0 .. A^s."""
+    powers = np.stack([np.linalg.matrix_power(sys.A, t) for t in range(s)])
+    L = np.abs(Y.G @ sys.C @ powers).sum(axis=(0, 2))
+    active = L > 0
+    theta = float(np.min(Y.g[active] / L[active])) if active.any() else np.inf
+    M = float(np.abs(powers).sum(axis=(0, 2)).max())
+    zeta = float(np.abs(np.linalg.matrix_power(sys.A, s)).sum(axis=1).max())
+    return RpiConstants(s=s, L_s=L, theta_s=theta, M_s=M, zeta_s=zeta)
+
+
+def output_inclusion_loop(sys, Y, params, W: BoxHullSet) -> Certificate:
+    """The output-inclusion check term by term: one ``support_rows`` call per
+    map M_t = M_(t-1) A, each added into the running sums."""
+    scale = 1.0 / (1.0 - params.alpha)
+    lhs = np.zeros(Y.n_rows)
+    tail = np.zeros(Y.n_rows)
+    M = scale * (Y.G @ sys.C)
+    for _ in range(params.s):
+        lhs += support_rows(sys.B, M, W)
+        tail += np.abs(M).sum(axis=1)
+        M = M @ sys.A
+    lhs += support_rows(sys.D, Y.G, W)
+    slack = Y.g - params.lam * tail - lhs
+    i = int(np.argmin(slack))
+    check = CheckResult("output-inclusion", bool(slack[i] >= -CHECK_TOL), float(slack[i]), f"row {i}")
+    return Certificate((check,))
+
+
+def monte_carlo_last_axis(sys, W: BoxHullSet, Y, T: int, runs: int, rng) -> MonteCarloReport:
+    """Monte-Carlo with the same draws and ``rollout`` blocks, each block's
+    excess folded over the rows of G as a short last axis."""
+    w_seq = np.stack([sample_batch(W, T, rng) for _ in range(runs)])
+    violations, worst = 0, 0.0
+    for _, y in rollout(sys, np.zeros((runs, sys.n_x)), w_seq):
+        excess = (y @ Y.G.T - Y.g).max(axis=2)
+        worst = max(worst, float(excess.max()))
+        violations += int(np.count_nonzero(excess > CHECK_TOL))
+    return MonteCarloReport(violations, max(0.0, worst), T * runs)
 
 
 @dataclass(frozen=True, eq=False)  # compared by identity: the blocks are sparse

@@ -44,6 +44,9 @@ from reference import (
     constants_at,
     distance_slack,
     inflation_slack,
+    matrix_power_constants,
+    monte_carlo_last_axis,
+    output_inclusion_loop,
     reach_reference,
     scaled,
     scipy_reach_lp,
@@ -119,7 +122,31 @@ class TestVerifyParams:
         assert "contraction" in failing
 
 
+class TestHorizonSums:
+    """The verifier's stacked horizon sums equal the per-term forms bit for bit."""
+
+    @pytest.mark.parametrize("n_x", [1, 2, 4, 6])
+    def test_constants_and_margins_equal_the_per_term_forms(self, n_x):
+        rng = np.random.default_rng(360 + n_x)
+        sys = random_stable_system(rng, n_x=n_x, rho=0.9, symmetric=False)
+        Y = HPolytope(rng.standard_normal((5, 2)), np.ones(5))
+        W = random_hull(rng, scale=0.1)
+        # 63, 64 and 65 straddle a power of two; 151 is the long-horizon workload's s
+        for s in (1, 2, 3, 4, 5, 63, 64, 65, 151):
+            powers = verifier._binary_powers(sys.A, s)
+            for t in range(s + 1):
+                assert np.array_equal(powers[t], np.linalg.matrix_power(sys.A, t)), (s, t)
+            assert verifier._horizon_constants(sys, Y, s) == matrix_power_constants(sys, Y, s)
+            for params in (RpiParams(s, 0.5, 0.01, 1.0, 0.1), RpiParams(s, 0.9, 0.3, 1.0, 0.1)):
+                assert verify_output_inclusion(sys, Y, params, W) == output_inclusion_loop(sys, Y, params, W)
+
+
 class TestVerifyOutputInclusion:
+    def test_rejects_an_output_set_of_another_dimension(self, plant):
+        params = RpiParams(5, 0.5, 0.01, 1.0, 0.1)
+        with pytest.raises(GeometryError, match="output dimension"):
+            verify_output_inclusion(plant, unit_box_constraints(3), params, CERTIFIED_W)
+
     def test_zero_disturbance_passes(self, plant, pentagon):
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         cert = verify_output_inclusion(plant, pentagon, params, ORIGIN2)
@@ -750,6 +777,32 @@ class TestMonteCarlo:
                 assert rep.steps == 4 * T
         # the inflated set exercises the counter, not only 0 == 0
         assert violations > 0
+
+    @staticmethod
+    def three_output_case():
+        """A 3-output system, a rotated box Y of 6 rows (so G y rounds) and a W
+        whose runs leave Y, more often at 3 W."""
+        rng = np.random.default_rng(3)
+        sys = random_stable_system(rng, n_x=4, n_w=2, n_y=3, rho=0.8, symmetric=False)
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        return sys, HPolytope(np.vstack([Q, -Q]), np.ones(6)), random_hull(rng, scale=0.5)
+
+    # 64-step blocks: T = 1 and 65 end in a one-step block, 2000 in a 16-step one
+    @pytest.mark.parametrize("T", [1, 63, 64, 65, 2000])
+    @pytest.mark.parametrize("runs", [1, 5])
+    def test_equals_the_last_axis_fold(self, T, runs):
+        sys, Y, W = self.three_output_case()
+        for factor in (1.0, 3.0):
+            rep = monte_carlo(sys, scaled(W, factor), Y, T, runs, np.random.default_rng(T))
+            assert rep == monte_carlo_last_axis(sys, scaled(W, factor), Y, T, runs, np.random.default_rng(T))
+        assert rep.violations > 0
+
+    def test_rejects_an_output_set_of_another_dimension_before_drawing(self, plant):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(GeometryError, match="output dimension"):
+            monte_carlo(plant, CERTIFIED_W, unit_box_constraints(3), T=1000, runs=4, rng=rng)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize(
         "T, runs, message",
