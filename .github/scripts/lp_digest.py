@@ -8,8 +8,7 @@ specs/illustrative.json, on the reduced specs/reduced_order_plant.json and on
 four generated problems (n_x 3 and 6, generator seeds 0 and 1, two inputs,
 two outputs, rho 0.7, two restarts), then ``cmd_verify`` of the frozen
 perfbench/data/illustrative_result.json and ``verifier.monte_carlo`` of that
-result at its W and at W scaled by 3 (seed 0, 4 runs of 2,000 steps), so the
-Monte-Carlo fold is under the same bit-identity check.
+result at its W and at W scaled by 3 (seed 0, 4 runs of 2,000 steps).
 
 Every ``lp_solver._run`` call gets a digest of its own, fed with its program
 (c, lb, b, n_eq and the matrix's shape and indptr, indices and data, each
@@ -24,12 +23,17 @@ and Q-step).  Each kind prints its run count and the sha256 of its sorted
 per-call digests, so a line does not depend on the order in which threads
 (refine's concurrent restarts) make their calls.  The document digest covers
 every result.json field but ``timing``, every verify report and both
-Monte-Carlo reports.  The matrix
+Monte-Carlo reports, and both Monte-Carlo reports are then printed in full,
+one line each.  A simulation kernel that sums in another order may move a
+report's ``max_excursion`` in its last bits and so the documents line; the
+printed reports show whether a documents difference is theirs (compare the
+violation counts and the excursions) or can be ruled out (the reports are
+equal).  The matrix
 is read only through indptr/indices/data/shape, so two checkouts that hold
 it in different containers print the same synthesis line exactly when every
-synthesis step's HiGHS input and answer is bit-identical, and the same three
-lines exactly when every HiGHS input and answer, every result and every
-report, Monte-Carlo's included, is.
+synthesis step's HiGHS input and answer is bit-identical, and the same lines
+exactly when every HiGHS input and answer, every result and every report,
+Monte-Carlo's included, is.
 
 With BASE, each checkout is digested in its own interpreter by this script;
 both sets of lines are printed with the names of the lines that differ, and
@@ -120,14 +124,17 @@ def main(checkout: Path) -> None:
         report(spec, cli.ResultDoc.from_dict(stored))
     frozen = cli.ResultDoc.from_dict(load(checkout / "perfbench" / "data" / "illustrative_result.json"))
     report(specs[0], frozen)
+    reports = []
     for factor in (1.0, 3.0):
         W = BoxHullSet(factor * frozen.W.centers, factor * frozen.W.halfwidths)
         mc = verifier.monte_carlo(specs[0].sys, W, specs[0].Y, 2000, 4, np.random.default_rng(0))
         doc_digest.update(repr(mc).encode())
+        reports.append(f"monte-carlo-{factor:g}W {mc!r}")
     for name, kind in (("synthesis", False), ("fixed-W", True)):
         digests = sorted(d.digest() for p, d in calls if (p in fixed_w) is kind)
         print(f"{name} runs {len(digests)} lp {hashlib.sha256(b''.join(digests)).hexdigest()}")
     print(f"documents {doc_digest.hexdigest()}")
+    print("\n".join(reports))
 
 
 def compare(checkout: Path, base: Path) -> int:

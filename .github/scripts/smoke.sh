@@ -26,8 +26,8 @@ strip_witness() {
     python -c "import json, sys; d = json.load(open(sys.argv[1])); del d['witness']; json.dump(d, open(sys.argv[2], 'w'))" "$1" "$2"
 }
 
-# plot simulates 2000 = 31 * 64 + 16 steps from the origin, so rollout runs its
-# 64-step blocks and a shorter last one: every output row must meet
+# plot simulates 2000 = 62 * 32 + 16 steps from the origin, so rollout runs its
+# 32-step blocks and a shorter last one: every output row must meet
 # G y <= g + 1e-8 of the spec's constraints
 check_trajectory() {
     python -c "import json, sys, numpy as np; c = json.load(open(sys.argv[1]))['constraints']; Y = np.loadtxt(sys.argv[2], delimiter=',', ndmin=2); assert Y.shape == (2000, 2), Y.shape; assert np.all(Y @ np.array(c['G']).T <= np.array(c['g']) + 1e-8), 'trajectory leaves Y'" "$1" "$2"

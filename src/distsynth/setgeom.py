@@ -16,7 +16,8 @@ no linear program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass, fields, replace
 from itertools import accumulate, combinations, product
 
 import numpy as np
@@ -230,51 +231,87 @@ def box_points(centers, halfwidths, weights, w) -> np.ndarray:
 
 def sample_batch(W: BoxHullSet, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` points of W at once: simplex-uniform box weights and
-    uniform points of the boxes, per point."""
+    uniform points of the boxes, per point.  The box points are blended in
+    place on the uniform draws."""
     e = rng.exponential(size=(count, W.n_boxes))
     beta = e / e.sum(axis=1, keepdims=True)
     u = rng.uniform(-1.0, 1.0, size=(count, W.n_boxes, W.dim))
-    pts = W.centers[None, :, :] + u * W.halfwidths[None, :, :]
-    return np.einsum("tn,tnd->td", beta, pts)
+    u *= W.halfwidths
+    u += W.centers
+    return np.einsum("tn,tnd->td", beta, u)
 
 
-_ROLLOUT_BLOCK = 64  # steps ``rollout`` advances per matrix product
+def step_count(value, name: str) -> int:
+    """``value`` as a Python int of at least 1, or ValueError: a bool, a
+    float or anything else without ``__index__`` is no count."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return n
+
+
+_ROLLOUT_BLOCK = 32  # steps per block of ``rollout``'s state recursion
 
 
 def _block_maps(sys: LtiSystem, K: int):
-    """(Phi, Gamma) of K steps: x(j) = A^j x(0) + sum_(i<j) A^(j-1-i) B w(i)
-    for j < K is the row block j of Phi x(0) + Gamma [w(0); ..; w(K-1)], with
-    Phi (K n_x, n_x) stacking A^j and Gamma (K n_x, K n_w) block lower
-    triangular Toeplitz, A^(j-1-i) B below the diagonal and 0 elsewhere."""
-    powers = np.stack(_powers(sys.A, K))
+    """(A^K, E, Psi, Omega) of K steps.  x(K) = A^K x(0) + E w with
+    w = [w(0); ..; w(K-1)] and E = [A^(K-1) B .. B]; y(j) for j < K is the
+    row block j of Psi x(0) + Omega w, with Psi (K n_y, n_x) stacking C A^j
+    and Omega (K n_y, K n_w) block lower triangular Toeplitz: D on the
+    diagonal, C A^(j-1-i) B below it and 0 above."""
+    n_x, n_w, n_y = sys.n_x, sys.n_w, sys.n_y
+    powers = np.stack(_powers(sys.A, K + 1))
+    drive = powers[:K] @ sys.B
+    psi = sys.C @ powers[:K]
     lag = np.subtract.outer(np.arange(K), np.arange(K)) - 1
-    blocks = np.where((lag >= 0)[:, :, None, None], (powers @ sys.B)[np.maximum(lag, 0)], 0.0)
-    return powers.reshape(K * sys.n_x, sys.n_x), blocks.transpose(0, 2, 1, 3).reshape(K * sys.n_x, K * sys.n_w)
+    blocks = np.where((lag >= 0)[:, :, None, None], (psi @ sys.B)[np.maximum(lag, 0)], 0.0)
+    blocks[np.arange(K), np.arange(K)] = sys.D
+    return (
+        powers[K],
+        drive[::-1].transpose(1, 0, 2).reshape(n_x, K * n_w),
+        psi.reshape(K * n_y, n_x),
+        blocks.transpose(0, 2, 1, 3).reshape(K * n_y, K * n_w),
+    )
 
 
 def rollout(sys: LtiSystem, x0: np.ndarray, w_seq: np.ndarray):
-    """Step x+ = A x + B w, y = C x + D w for a batch of runs together.
+    """Outputs y = C x + D w of x+ = A x + B w for a batch of runs.
 
     x0 holds one initial state per run, (runs, n_x); w_seq holds each run's
-    disturbance sequence, (runs, T, n_w).  Yields (x(t), y(t)) for t = 0..T-1
-    in blocks of up to _ROLLOUT_BLOCK steps, as (runs, k, n_x) and
-    (runs, k, n_y) arrays, so callers can fold long trajectories without
-    storing them.  Each block is one product with the maps of ``_block_maps``
-    (a last, shorter block takes their leading rows and columns), and the
-    state carried to the next block is A x + B w of its last step.
+    disturbance sequence, (runs, T, n_w).  Yields each run's outputs
+    y(0..T-1) in turn as a (T, n_y) array, so a caller holds one run's
+    outputs at a time.  Only the states at the start of each block of
+    _ROLLOUT_BLOCK steps are stepped, for all runs together:
+    x_(b+1) = A^K x_b + E w_b, each block's drive E w_b taken for every run
+    in one product beforehand.  A run's outputs are then one product
+    x_b Psi' + w_b Omega' over its blocks (the maps of ``_block_maps``); a
+    shorter last block takes their leading rows and columns.
     """
     runs, T, n_w = w_seq.shape
-    n_x = sys.n_x
+    n_y = sys.n_y
     K = max(1, min(_ROLLOUT_BLOCK, T))
-    phi, gamma = _block_maps(sys, K)
-    x = np.array(x0, dtype=float)
-    for t in range(0, T, K):
-        w = w_seq[:, t : t + K]
-        k = w.shape[1]
-        X = x @ phi[: k * n_x].T + w.reshape(runs, k * n_w) @ gamma[: k * n_x, : k * n_w].T
-        X = X.reshape(runs, k, n_x)
-        yield X, X @ sys.C.T + w @ sys.D.T
-        x = X[:, -1] @ sys.A.T + w[:, -1] @ sys.B.T
+    full, k = divmod(T, K)
+    power, drive_map, psi, omega = _block_maps(sys, K)
+    blocked = w_seq[:, : full * K].reshape(runs, full, K * n_w)
+    drive = blocked @ drive_map.T
+    starts = np.empty((runs, full + (k > 0), sys.n_x))
+    starts[:, 0] = x0
+    for b in range(1, starts.shape[1]):
+        starts[:, b] = starts[:, b - 1] @ power.T + drive[:, b - 1]
+    if k:
+        tail_w = w_seq[:, full * K :].reshape(runs, k * n_w)
+        tail = starts[:, full] @ psi[: k * n_y].T + tail_w @ omega[: k * n_y, : k * n_w].T
+    for r in range(runs):
+        y = np.empty((T, n_y))
+        y[: full * K] = (starts[r, :full] @ psi.T + blocked[r] @ omega.T).reshape(full * K, n_y)
+        if k:
+            y[full * K :] = tail[r].reshape(k, n_y)
+        yield y
 
 
 def simulate(sys: LtiSystem, W: BoxHullSet, x0, T: int, rng: np.random.Generator):
@@ -282,25 +319,21 @@ def simulate(sys: LtiSystem, W: BoxHullSet, x0, T: int, rng: np.random.Generator
 
     Returns (X, Y, Wseq): state, output and disturbance trajectories with
     rows t = 0..T-1, where x(t+1) = A x(t) + B w(t) and y(t) = C x(t) + D w(t).
-    Wseq is one ``sample_batch`` of T points, and X and Y are written block
-    by block as ``rollout`` yields them.
+    Wseq is one ``sample_batch`` of T points.  X and Y are the outputs of one
+    ``rollout`` of the stacked map [I; C], [0; D], so X[0] is x0 exactly.
     """
-    if T < 1:
-        raise ValueError("T must be at least 1")
+    T = step_count(T, "T")
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != sys.n_x:
         raise GeometryError("x0 dimension mismatch")
     if W.dim != sys.n_w:
         raise GeometryError("disturbance dimension mismatch")
     w_seq = sample_batch(W, T, rng)
-    X = np.empty((T, sys.n_x))
-    Y = np.empty((T, sys.n_y))
-    t = 0
-    for x, y in rollout(sys, x0[None], w_seq[None]):
-        k = x.shape[1]
-        X[t : t + k], Y[t : t + k] = x[0], y[0]
-        t += k
-    return X, Y, w_seq
+    stacked = replace(
+        sys, C=np.vstack([np.eye(sys.n_x), sys.C]), D=np.vstack([np.zeros((sys.n_x, sys.n_w)), sys.D])
+    )
+    (XY,) = rollout(stacked, x0[None], w_seq[None])
+    return XY[:, : sys.n_x], XY[:, sys.n_x :], w_seq
 
 
 # ---------------------------------------------------------------------------

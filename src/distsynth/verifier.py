@@ -47,6 +47,7 @@ from .setgeom import (
     rollout,
     sample_batch,
     simulate,  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item F
+    step_count,
     stacked_identity,
     support_boxes,
     support_rows,
@@ -426,29 +427,27 @@ def monte_carlo(
 ) -> MonteCarloReport:
     """Count constraint violations along simulated trajectories from the origin.
 
-    Each run draws its own T-step sequence in turn, so the samples are those
-    of ``runs`` successive ``simulate`` calls; all runs then step together
-    through ``rollout``, and each block's per-step excess (the largest of
-    G y - g) is folded into the totals at once, so no trajectory longer than
-    one block is stored.  The excess is reduced over the rows of one product
-    of G with each run's block of outputs, not over a short last axis.  A
+    T and runs are counts (``setgeom.step_count``), checked with the set
+    dimensions before any draw.  Each run draws its own T-step sequence in
+    turn, so the samples are those of ``runs`` successive ``simulate`` calls,
+    written into one (runs, T, n_w) array.  ``rollout`` then yields one run's
+    outputs at a time, and each run's per-step excess (the largest of
+    G y - g) is reduced over the rows of one product of G with its outputs
+    and folded into the totals, so at most one run's outputs are held.  A
     step violates when its excess exceeds CHECK_TOL.
     """
-    if T < 1:
-        raise ValueError("T must be at least 1")
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
+    T, runs = step_count(T, "T"), step_count(runs, "runs")
     if W.dim != sys.n_w:
         raise GeometryError("disturbance dimension mismatch")
     if Y.dim != sys.n_y:
         raise GeometryError("output dimension mismatch")
-    w_seq = np.stack([sample_batch(W, T, rng) for _ in range(runs)])
+    w_seq = np.empty((runs, T, sys.n_w))
+    for r in range(runs):
+        w_seq[r] = sample_batch(W, T, rng)
     violations = 0
     worst = 0.0
-    for _, y in rollout(sys, np.zeros((runs, sys.n_x)), w_seq):
-        # one product per run, not one over all runs: a one-step block is then a
-        # matrix-vector product, as in a fold over the last axis, and rounds alike
-        excess = (Y.G @ y.transpose(0, 2, 1) - Y.g[:, None]).max(axis=1)
+    for y in rollout(sys, np.zeros((runs, sys.n_x)), w_seq):
+        excess = (Y.G @ y.T - Y.g[:, None]).max(axis=0)
         worst = max(worst, float(excess.max()))
         violations += int(np.count_nonzero(excess > CHECK_TOL))
     return MonteCarloReport(violations, max(0.0, worst), T * runs)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,16 @@ class TestSample:
         b = [sample_batch(W, 1, np.random.default_rng(42))[0].tolist() for _ in range(5)]
         assert a == b
 
+    @pytest.mark.parametrize("n_w, n_boxes", [(1, 1), (2, 4), (3, 2)])
+    def test_in_place_blend_equals_a_blend_into_a_new_array(self, n_w, n_boxes):
+        rng = np.random.default_rng(10 * n_w + n_boxes)
+        W = random_hull(rng, n_w=n_w, n_boxes=n_boxes)
+        W = BoxHullSet(W.centers, np.where(rng.uniform(size=W.halfwidths.shape) < 0.2, 0.0, W.halfwidths))
+        a = np.random.default_rng(n_boxes)
+        b = np.random.default_rng(n_boxes)
+        assert np.array_equal(sample_batch(W, 2000, a), reference.sample_batch_blend(W, 2000, b))
+        assert a.bit_generator.state == b.bit_generator.state
+
 
 class TestVerticesHpoly:
     def test_unit_box(self):
@@ -605,7 +616,7 @@ class TestSimulate:
         assert np.all(Y @ pentagon.G.T <= pentagon.g + 1e-9)
 
     def test_draws_and_recursion_across_block_edges(self, plant):
-        # 2000 = 31 * 64 + 16 steps: 31 block edges and a shorter last block
+        # 2000 = 62 * 32 + 16 steps: 62 block edges and a shorter last block
         rng = np.random.default_rng(12)
         W, x0 = random_hull(rng), rng.standard_normal(3)
         X, Y, Wseq = simulate(plant, W, x0, 2000, np.random.default_rng(5))
@@ -614,6 +625,14 @@ class TestSimulate:
         np.testing.assert_array_equal(X[0], x0)
         assert np.max(np.abs(X[1:] - (X[:-1] @ plant.A.T + Wseq[:-1] @ plant.B.T))) <= 1e-12
         assert np.max(np.abs(Y - (X @ plant.C.T + Wseq @ plant.D.T))) <= 1e-12
+
+    @pytest.mark.parametrize("T", [0, -1, True, np.True_, 2.0, "5", None])
+    def test_rejects_a_step_count_before_drawing(self, plant, T):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="T must"):
+            simulate(plant, one_box([0.0, 0.0], [1.0, 1.0]), np.zeros(3), T, rng)
+        assert rng.bit_generator.state == state
 
 
 def manual_rollout(sys, x0, w_seq):
@@ -629,17 +648,21 @@ def manual_rollout(sys, x0, w_seq):
     return X, Y
 
 
-def assert_matches_manual_rollout(sys, x0, w_seq) -> list:
-    """rollout's blocks, joined along the step axis, equal ``manual_rollout``
-    within 1e-12; returns the blocks' lengths."""
-    blocks = list(rollout(sys, x0, w_seq))
-    X = np.concatenate([x for x, _ in blocks], axis=1)
-    Y = np.concatenate([y for _, y in blocks], axis=1)
+def assert_matches_manual_rollout(sys, x0, w_seq) -> None:
+    """rollout yields one (T, n_y) array per run, and its outputs, and those
+    of the stacked map [I; C], [0; D] (the states beside them), equal
+    ``manual_rollout`` within 1e-12."""
     X_ref, Y_ref = manual_rollout(sys, x0, w_seq)
-    assert X.shape == X_ref.shape and Y.shape == Y_ref.shape
-    assert np.max(np.abs(X - X_ref)) <= 1e-12
-    assert np.max(np.abs(Y - Y_ref)) <= 1e-12
-    return [x.shape[1] for x, _ in blocks]
+    stacked = replace(
+        sys, C=np.vstack([np.eye(sys.n_x), sys.C]), D=np.vstack([np.zeros((sys.n_x, sys.n_w)), sys.D])
+    )
+    for s, ref in ((sys, Y_ref), (stacked, np.concatenate([X_ref, Y_ref], axis=2))):
+        runs = list(rollout(s, x0, w_seq))
+        assert len(runs) == len(ref) and all(y.shape == ref.shape[1:] for y in runs)
+        assert np.max(np.abs(np.stack(runs) - ref)) <= 1e-12
+
+
+K = setgeom._ROLLOUT_BLOCK
 
 
 class TestRollout:
@@ -648,7 +671,7 @@ class TestRollout:
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         w_seq = rng.uniform(-1, 1, (1, 20, 2))
         x0 = rng.standard_normal((1, 2))
-        assert assert_matches_manual_rollout(sys, x0, w_seq) == [20]
+        assert_matches_manual_rollout(sys, x0, w_seq)
 
     def test_batched_matches_per_run_rollout(self):
         rng = np.random.default_rng(70)
@@ -656,20 +679,20 @@ class TestRollout:
         runs, T = 5, 500
         w_seq = np.stack([sample_batch(random_hull(rng), T, rng) for _ in range(runs)])
         x0 = rng.standard_normal((runs, 3))
-        assert sum(assert_matches_manual_rollout(sys, x0, w_seq)) == T
+        assert_matches_manual_rollout(sys, x0, w_seq)
 
     @pytest.mark.parametrize("runs", [1, 5])
-    @pytest.mark.parametrize("T", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("T", sorted({1, K - 1, K, K + 1, 2 * K + 1, 63, 64, 200, 2000}))
     def test_block_edges_match_manual_rollout(self, T, runs):
-        # n_w != n_x, D != 0 and a slowly decaying A, so A^63 and the carried
-        # B w of each block's last step both reach the next block
+        # n_w != n_x, D != 0 and a slowly decaying A, so A^K carries each block's
+        # start to the next and the drive E w_b of every step of a block reaches it;
+        # T = 1, K + 1 and 2K + 1 end in a one-step block, K in one full block
         rng = np.random.default_rng(1000 * runs + T)
         sys = random_stable_system(rng, n_x=4, n_w=2, n_y=3, rho=0.9)
         assert np.all(sys.D != 0.0)
         w_seq = rng.uniform(-1, 1, (runs, T, 2))
         x0 = rng.standard_normal((runs, 4))
-        lengths = assert_matches_manual_rollout(sys, x0, w_seq)
-        assert lengths == [64] * (T // 64) + [T % 64] * (T % 64 > 0)
+        assert_matches_manual_rollout(sys, x0, w_seq)
 
 
 class TestSupportProperties:

@@ -767,7 +767,7 @@ def per_run_monte_carlo(sys, W, Y, T, runs, rng, tol=1e-8):
 
 class TestMonteCarlo:
     def test_matches_per_run_reference(self, plant, pentagon):
-        # one step, and 2000 = 31 * 64 + 16 steps, which end in a shorter block
+        # one step, and 2000 = 62 * 32 + 16 steps, which end in a shorter block
         for T in (1, 2000):
             for W in (CERTIFIED_W, scaled(CERTIFIED_W, 10.0)):
                 rep = monte_carlo(plant, W, pentagon, T=T, runs=4, rng=np.random.default_rng(3))
@@ -787,8 +787,8 @@ class TestMonteCarlo:
         Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         return sys, HPolytope(np.vstack([Q, -Q]), np.ones(6)), random_hull(rng, scale=0.5)
 
-    # 64-step blocks: T = 1 and 65 end in a one-step block, 2000 in a 16-step one
-    @pytest.mark.parametrize("T", [1, 63, 64, 65, 2000])
+    # 32-step blocks: T = 1, 33 and 65 end in a one-step block, 2000 in a 16-step one
+    @pytest.mark.parametrize("T", [1, 31, 32, 33, 63, 64, 65, 2000])
     @pytest.mark.parametrize("runs", [1, 5])
     def test_equals_the_last_axis_fold(self, T, runs):
         sys, Y, W = self.three_output_case()
@@ -804,13 +804,33 @@ class TestMonteCarlo:
             monte_carlo(plant, CERTIFIED_W, unit_box_constraints(3), T=1000, runs=4, rng=rng)
         assert rng.bit_generator.state == state
 
+    def test_draws_as_many_points_as_successive_sample_batches(self, plant, pentagon):
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        monte_carlo(plant, CERTIFIED_W, pentagon, T=700, runs=3, rng=rng)
+        for _ in range(3):
+            sample_batch(CERTIFIED_W, 700, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_numpy_integer_counts_give_the_report_of_python_ones(self, plant, pentagon):
+        rep = monte_carlo(plant, CERTIFIED_W, pentagon, T=np.int64(5), runs=np.int32(2), rng=np.random.default_rng(0))
+        assert type(rep.steps) is int
+        assert repr(rep) == repr(monte_carlo(plant, CERTIFIED_W, pentagon, T=5, runs=2, rng=np.random.default_rng(0)))
+
     @pytest.mark.parametrize(
         "T, runs, message",
-        [(0, 2, "T must"), (-1, 2, "T must"), (5, 0, "runs must"), (5, -1, "runs must")],
+        [
+            (0, 2, "T must"), (-1, 2, "T must"), (5, 0, "runs must"), (5, -1, "runs must"),
+            (True, 2, "T must"), (np.True_, 2, "T must"), (10.0, 2, "T must"), ("5", 2, "T must"),
+            (5, True, "runs must"), (5, 2.0, "runs must"), (5, None, "runs must"),
+        ],
     )
     def test_rejects_no_steps_or_no_runs(self, plant, pentagon, T, runs, message):
+        # counts that are no integer (a bool, a float, a string) too, all before any draw
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
-            monte_carlo(plant, CERTIFIED_W, pentagon, T=T, runs=runs, rng=np.random.default_rng(0))
+            monte_carlo(plant, CERTIFIED_W, pentagon, T=T, runs=runs, rng=rng)
+        assert rng.bit_generator.state == state
 
     def test_zero_set_zero_violations(self, plant, pentagon):
         rep = monte_carlo(plant, ORIGIN2, pentagon, T=500, runs=3, rng=np.random.default_rng(0))
