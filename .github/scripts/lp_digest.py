@@ -7,8 +7,10 @@ and then ``cmd_verify`` with and without the stored witness on
 specs/illustrative.json, on the reduced specs/reduced_order_plant.json and on
 four generated problems (n_x 3 and 6, generator seeds 0 and 1, two inputs,
 two outputs, rho 0.7, two restarts), then ``cmd_verify`` of the frozen
-perfbench/data/illustrative_result.json and ``verifier.monte_carlo`` of that
-result at its W and at W scaled by 3 (seed 0, 4 runs of 2,000 steps).
+perfbench/data/illustrative_result.json, ``verifier.monte_carlo`` of that
+result at its W and at W scaled by 3 (seed 0, 4 runs of 2,000 steps), and
+``setgeom.simulate`` of it: the 2,000-step run from the origin at the seed of
+specs/illustrative.json that ``plot`` writes as trajectory.csv.
 
 Every ``lp_solver._run`` call gets a digest of its own, fed with its program
 (c, lb, b, n_eq and the matrix's shape and indptr, indices and data, each
@@ -22,18 +24,20 @@ from an answer's basis included), every other one a synthesis step (P-step
 and Q-step).  Each kind prints its run count and the sha256 of its sorted
 per-call digests, so a line does not depend on the order in which threads
 (refine's concurrent restarts) make their calls.  The document digest covers
-every result.json field but ``timing``, every verify report and both
-Monte-Carlo reports, and both Monte-Carlo reports are then printed in full,
-one line each.  A simulation kernel that sums in another order may move a
-report's ``max_excursion`` in its last bits and so the documents line; the
-printed reports show whether a documents difference is theirs (compare the
-violation counts and the excursions) or can be ruled out (the reports are
-equal).  The matrix
-is read only through indptr/indices/data/shape, so two checkouts that hold
-it in different containers print the same synthesis line exactly when every
-synthesis step's HiGHS input and answer is bit-identical, and the same lines
-exactly when every HiGHS input and answer, every result and every report,
-Monte-Carlo's included, is.
+every result.json field but ``timing``, every verify report, both
+Monte-Carlo reports and the simulated run's (X, Y, Wseq).  Both Monte-Carlo
+reports are then printed in full, one line each, and the simulated run gets
+a ``simulate`` line: the sha256 of X, Y and Wseq, each fed as an LP array
+is.  A simulation kernel that sums in another order may move a report's
+``max_excursion`` or the run in their last bits and so the documents line;
+the printed lines show whether a documents difference is theirs (compare
+the violation counts and the excursions, or the simulate hashes) or can be
+ruled out (they are equal).  The matrix is read only through
+indptr/indices/data/shape, so two checkouts that hold it in different
+containers print the same synthesis line exactly when every synthesis
+step's HiGHS input and answer is bit-identical, and the same lines exactly
+when every HiGHS input and answer, every result and every report,
+Monte-Carlo's included, and ``plot``'s trajectory is.
 
 With BASE, each checkout is digested in its own interpreter by this script;
 both sets of lines are printed with the names of the lines that differ, and
@@ -63,7 +67,7 @@ def _statuses(basis) -> bytes:
 
 def main(checkout: Path) -> None:
     sys.path.insert(0, str(checkout / "src"))
-    from distsynth import BoxHullSet, cli, lp_solver, verifier
+    from distsynth import BoxHullSet, cli, lp_solver, setgeom, verifier
 
     doc_digest, calls, fixed_w, current = hashlib.sha256(), [], set(), threading.local()
     run, outcome = lp_solver._run, lp_solver._outcome
@@ -130,6 +134,12 @@ def main(checkout: Path) -> None:
         mc = verifier.monte_carlo(specs[0].sys, W, specs[0].Y, 2000, 4, np.random.default_rng(0))
         doc_digest.update(repr(mc).encode())
         reports.append(f"monte-carlo-{factor:g}W {mc!r}")
+    trajectory = hashlib.sha256()
+    origin, rng = np.zeros(specs[0].sys.n_x), np.random.default_rng(specs[0].options.seed)
+    for arr in setgeom.simulate(specs[0].sys, frozen.W, origin, 2000, rng):
+        _feed(trajectory, arr)
+        _feed(doc_digest, arr)
+    reports.append(f"simulate {trajectory.hexdigest()}")
     for name, kind in (("synthesis", False), ("fixed-W", True)):
         digests = sorted(d.digest() for p, d in calls if (p in fixed_w) is kind)
         print(f"{name} runs {len(digests)} lp {hashlib.sha256(b''.join(digests)).hexdigest()}")

@@ -230,15 +230,39 @@ def box_points(centers, halfwidths, weights, w) -> np.ndarray:
 
 
 def sample_batch(W: BoxHullSet, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` points of W at once: simplex-uniform box weights and
-    uniform points of the boxes, per point.  The box points are blended in
-    place on the uniform draws."""
-    e = rng.exponential(size=(count, W.n_boxes))
-    beta = e / e.sum(axis=1, keepdims=True)
-    u = rng.uniform(-1.0, 1.0, size=(count, W.n_boxes, W.dim))
-    u *= W.halfwidths
-    u += W.centers
-    return np.einsum("tn,tnd->td", beta, u)
+    """Draw ``count`` points of W at once, (count, dim): per point,
+    simplex-uniform box weights and one uniform point of each box, blended.
+
+    ``count`` is a count (``step_count``), checked before any draw.  The
+    weights are N standard exponentials per point over their sum, the box
+    columns added in box order; the box points are c_j + e_j (2 r - 1) for
+    N dim uniforms r per point, over the flat (count, N dim) draws; each
+    coordinate is blended box by box, in box order.  These are the draws of
+    ``exponential()`` and ``uniform(-1, 1)`` in the same order, and the
+    points of their ``einsum`` blend wherever numpy adds in box order: hulls
+    of at most 7 boxes of dimension 2 or more, or 2 boxes of dimension 1.
+    Elsewhere (numpy's row sum is pairwise from 8 boxes, its ``einsum``
+    reorders from 3 boxes in dimension 1) both round one sum of N terms, in
+    two orders, so they differ by at most 2 N eps (max|c| + max e); the
+    most seen is 2.1 eps (max|c| + max e).
+    """
+    count = step_count(count, "count")
+    N, dim = W.centers.shape
+    e = rng.standard_exponential((count, N))
+    total = e[:, 0].copy()
+    for j in range(1, N):
+        total += e[:, j]
+    u = rng.random((count, N * dim))
+    u *= 2.0  # uniform(-1, 1) forms -1 + 2 r, the same double as 2 r - 1
+    u -= 1.0
+    u *= W.halfwidths.ravel()
+    u += W.centers.ravel()
+    out = np.zeros((count, dim))
+    for j in range(N):
+        beta = e[:, j] / total
+        for k in range(dim):
+            out[:, k] += beta * u[:, j * dim + k]
+    return out
 
 
 def step_count(value, name: str) -> int:

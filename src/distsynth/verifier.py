@@ -430,7 +430,10 @@ def monte_carlo(
     T and runs are counts (``setgeom.step_count``), checked with the set
     dimensions before any draw.  Each run draws its own T-step sequence in
     turn, so the samples are those of ``runs`` successive ``simulate`` calls,
-    written into one (runs, T, n_w) array.  ``rollout`` then yields one run's
+    written into one (runs, T, n_w) array.  ``sample_batch`` blends them box
+    by box in box order: the points of earlier releases bit for bit on
+    hulls of at most 7 boxes of dimension 2 or more, and of at most 2 in
+    dimension 1 (see there).  ``rollout`` then yields one run's
     outputs at a time, and each run's per-step excess (the largest of
     G y - g) is reduced over the rows of one product of G with its outputs
     and folded into the totals, so at most one run's outputs are held.  A

@@ -104,8 +104,9 @@ def output_inclusion_loop(sys, Y, params, W: BoxHullSet) -> Certificate:
 
 
 def sample_batch_blend(W: BoxHullSet, count: int, rng) -> np.ndarray:
-    """``sample_batch`` with the box points blended into a new array,
-    c + u e, rather than in place on the uniform draws."""
+    """The draws of ``sample_batch`` as ``exponential()`` and
+    ``uniform(-1, 1)`` calls, the weights normalized by a row sum, the box
+    points formed into a new array, c + u e, and blended by one ``einsum``."""
     e = rng.exponential(size=(count, W.n_boxes))
     beta = e / e.sum(axis=1, keepdims=True)
     u = rng.uniform(-1.0, 1.0, size=(count, W.n_boxes, W.dim))

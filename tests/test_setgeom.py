@@ -320,6 +320,36 @@ class TestSample:
         assert np.array_equal(sample_batch(W, 2000, a), reference.sample_batch_blend(W, 2000, b))
         assert a.bit_generator.state == b.bit_generator.state
 
+    @pytest.mark.parametrize("n_boxes", range(1, 10))
+    @pytest.mark.parametrize("n_w", [1, 2, 3, 4])
+    def test_box_order_blend_equals_the_einsum_blend_of_the_same_draws(self, n_w, n_boxes):
+        # numpy adds in box order up to 7 boxes (2 in dimension 1); beyond, both
+        # are one sum of N terms rounded in two orders
+        rng = np.random.default_rng(10 * n_w + n_boxes)
+        W = random_hull(rng, n_w=n_w, n_boxes=n_boxes)
+        W = BoxHullSet(W.centers, np.where(rng.uniform(size=W.halfwidths.shape) < 0.2, 0.0, W.halfwidths))
+        exact = n_boxes <= (7 if n_w >= 2 else 2)
+        bound = 2 * n_boxes * np.finfo(float).eps * (np.abs(W.centers).max() + W.halfwidths.max())
+        for count in (1, 7, 2000):
+            a, b = np.random.default_rng(count), np.random.default_rng(count)
+            pts, ref = sample_batch(W, count, a), reference.sample_batch_blend(W, count, b)
+            assert a.bit_generator.state == b.bit_generator.state
+            assert pts.shape == (count, n_w)
+            if exact:
+                assert np.array_equal(pts, ref)
+            else:
+                assert np.max(np.abs(pts - ref)) <= bound
+        for w in pts[:10]:
+            assert contains_point(W, w, tol=1e-9)
+
+    @pytest.mark.parametrize("count", [True, 2.0, "5", 0, -1])
+    def test_rejects_a_count_before_drawing(self, count):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="count must"):
+            sample_batch(one_box([0.0, 0.0], [1.0, 1.0]), count, rng)
+        assert rng.bit_generator.state == state
+
 
 class TestVerticesHpoly:
     def test_unit_box(self):

@@ -26,7 +26,7 @@ from distsynth import (
     verify_params,
     vertices_hpoly,
 )
-from distsynth import lp_solver, rpi_params, synthesizer, verifier
+from distsynth import lp_solver, rpi_params, setgeom, synthesizer, verifier
 from distsynth.cli import ResultDoc, cmd_gen, cmd_reduce, cmd_synth, parse_spec
 from distsynth.lp_solver import BASIC, RESIDUAL_TOL, _scaled_residual, solve_lp
 from distsynth.setgeom import reach_coefficients, sample_batch, stacked_identity
@@ -48,6 +48,7 @@ from reference import (
     monte_carlo_last_axis,
     output_inclusion_loop,
     reach_reference,
+    sample_batch_blend,
     scaled,
     scipy_reach_lp,
     uniform_beta,
@@ -831,6 +832,24 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=message):
             monte_carlo(plant, CERTIFIED_W, pentagon, T=T, runs=runs, rng=rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("factor, violations", [(1.0, 0), (3.0, 7038)])
+    def test_frozen_result_reports_equal_those_of_the_einsum_blend(self, factor, violations, monkeypatch):
+        spec = parse_spec(json.loads((ROOT / "specs" / "illustrative.json").read_text()))
+        doc = ResultDoc.from_dict(json.loads((ROOT / "perfbench" / "data" / "illustrative_result.json").read_text()))
+        W = scaled(doc.W, factor)
+
+        def runs():
+            mc = monte_carlo(spec.sys, W, spec.Y, T=2000, runs=4, rng=np.random.default_rng(0))
+            run = setgeom.simulate(spec.sys, W, np.zeros(spec.sys.n_x), 2000, np.random.default_rng(spec.options.seed))
+            return mc, (repr(mc), *(a.tobytes() for a in run))
+
+        mc, bits = runs()
+        assert (mc.violations, mc.steps) == (violations, 8000)
+        # the same reports and run, bit for bit, from the einsum blend of the same draws
+        monkeypatch.setattr(verifier, "sample_batch", sample_batch_blend)
+        monkeypatch.setattr(setgeom, "sample_batch", sample_batch_blend)
+        assert runs()[1] == bits
 
     def test_zero_set_zero_violations(self, plant, pentagon):
         rep = monte_carlo(plant, ORIGIN2, pentagon, T=500, runs=3, rng=np.random.default_rng(0))
