@@ -21,9 +21,10 @@ x, objective, dual objective, residual and final basis.  Runs are split in
 two by their program: a program that is ever run with ``primal`` is a
 fixed-W program (the verifier's exact distance and coverage LP, re-solves
 from an answer's basis included), every other one a synthesis step (P-step
-and Q-step).  Each kind prints its run count and the sha256 of its sorted
-per-call digests, so a line does not depend on the order in which threads
-(refine's concurrent restarts) make their calls.  The document digest covers
+and Q-step).  Each kind prints its run count, the sum of its runs' simplex
+iterations (so a change of start basis shows as a count) and the sha256 of
+its sorted per-call digests, so a line does not depend on the order in which
+threads (refine's concurrent restarts) make their calls.  The document digest covers
 every result.json field but ``timing``, every verify report, both
 Monte-Carlo reports and the simulated run's (X, Y, Wseq).  Both Monte-Carlo
 reports are then printed in full, one line each, and the simulated run gets
@@ -74,11 +75,12 @@ def main(checkout: Path) -> None:
 
     def traced_run(p, presolve, basis=None, primal=False):
         # _solve reads the run with _outcome on the same thread, so the pair
-        # shares this call's digest through ``current``
-        lp = current.digest = hashlib.sha256()
+        # shares this call's digest and iteration count through ``current``
+        lp = hashlib.sha256()
         if primal:
             fixed_w.add(p)  # a program's first run is its warm or cold primal one
-        calls.append((p, lp))
+        current.call = [p, lp, 0]
+        calls.append(current.call)
         a = p.a
         for arr in (p.c, p.lb, p.b, a.indptr, a.indices, a.data):
             _feed(lp, arr)
@@ -92,7 +94,8 @@ def main(checkout: Path) -> None:
 
     def traced_outcome(p, highs):
         out = outcome(p, highs)
-        lp = current.digest
+        lp = current.call[1]
+        current.call[2] = out.nit
         lp.update(repr((out.status, out.nit, out.objective, out.dual_objective, out.residual)).encode())
         if out.x is not None:
             _feed(lp, out.x)
@@ -141,8 +144,10 @@ def main(checkout: Path) -> None:
         _feed(doc_digest, arr)
     reports.append(f"simulate {trajectory.hexdigest()}")
     for name, kind in (("synthesis", False), ("fixed-W", True)):
-        digests = sorted(d.digest() for p, d in calls if (p in fixed_w) is kind)
-        print(f"{name} runs {len(digests)} lp {hashlib.sha256(b''.join(digests)).hexdigest()}")
+        runs = [(d.digest(), nit) for p, d, nit in calls if (p in fixed_w) is kind]
+        digests = sorted(digest for digest, _ in runs)
+        nit = sum(nit for _, nit in runs)
+        print(f"{name} runs {len(digests)} nit {nit} lp {hashlib.sha256(b''.join(digests)).hexdigest()}")
     print(f"documents {doc_digest.hexdigest()}")
     print("\n".join(reports))
 

@@ -7,11 +7,12 @@
 # The argument is the command that runs distsynth; it is split on spaces.
 # Outputs go to ci-out/.  Every synth is followed by check_result.py and a
 # verify; every result is verified again without its witness (one coverage LP
-# over all vertices), and the frozen result, written before witnesses existed,
-# is verified too.  The mapped plant's l = 151 gives the largest joint distance
-# LP and coverage LP, and the generated problem's 5-box hull the widest
-# blended-box rows of both; plotting it runs BoxHullSet.corners and the
-# support-point kernel.  Both plots' simulated trajectories must stay in Y.
+# over all vertices), whose margins must not fall below the witnessed ones,
+# and the frozen result, written before witnesses existed, is verified too.
+# The mapped plant's l = 151 gives the largest joint distance LP and coverage
+# LP, and the generated problem's 5-box hull the widest blended-box rows of
+# both; plotting it runs BoxHullSet.corners and the support-point kernel.
+# Both plots' simulated trajectories must stay in Y.
 # A generated problem is synthesized twice with restarts, which run on threads,
 # and both results must agree.  A one-dimensional generated problem gives the
 # smallest blocks the LP builders make: 1 x 1 Kronecker factors and a two-vertex Y.
@@ -24,6 +25,14 @@ mkdir -p "$out"
 
 strip_witness() {
     python -c "import json, sys; d = json.load(open(sys.argv[1])); del d['witness']; json.dump(d, open(sys.argv[2], 'w'))" "$1" "$2"
+}
+
+# the stripped result's coverage LP finds each vertex's least inflation of the
+# widths, the best any point achieves, so every vertex-i margin of its verify
+# must be at least the witnessed verify's minus 1e-9; a smaller one is a solver
+# fault.  Arguments: spec, result with witness, the same result stripped.
+check_margins() {
+    python -c "import json, sys; from distsynth import cli; spec = cli.parse_spec(json.load(open(sys.argv[1]))); witnessed, stripped = ({c.name: c.margin for c in cli.cmd_verify(spec, cli.ResultDoc.from_dict(json.load(open(p)))).checks if c.name.startswith('vertex-')} for p in sys.argv[2:]); assert witnessed and witnessed.keys() == stripped.keys(), 'vertex checks differ'; low = {k: stripped[k] - witnessed[k] for k in witnessed if stripped[k] < witnessed[k] - 1e-9}; assert not low, f'stripped margins below the witnessed ones: {low}'" "$1" "$2" "$3"
 }
 
 # plot simulates 2000 = 62 * 32 + 16 steps from the origin, so rollout runs its
@@ -39,6 +48,7 @@ python .github/scripts/check_result.py "$out/result.json"
 "${ds[@]}" verify specs/illustrative.json "$out/result.json"
 strip_witness "$out/result.json" "$out/no-witness.json"
 "${ds[@]}" verify specs/illustrative.json "$out/no-witness.json"
+check_margins specs/illustrative.json "$out/result.json" "$out/no-witness.json"
 "${ds[@]}" verify specs/illustrative.json perfbench/data/illustrative_result.json
 python -m distsynth verify specs/illustrative.json "$out/result.json"
 "${ds[@]}" plot specs/illustrative.json "$out/result.json" --out "$out/plots"
@@ -57,6 +67,7 @@ python .github/scripts/check_result.py "$out/mapped/result.json"
 "${ds[@]}" verify "$out/mapped.json" "$out/mapped/result.json"
 strip_witness "$out/mapped/result.json" "$out/mapped/no-witness.json"
 "${ds[@]}" verify "$out/mapped.json" "$out/mapped/no-witness.json"
+check_margins "$out/mapped.json" "$out/mapped/result.json" "$out/mapped/no-witness.json"
 
 "${ds[@]}" gen --nx 3 --nw 2 --ny 2 --rho 0.7 --out "$out/gen.json"
 "${ds[@]}" synth "$out/gen.json" --out "$out/gen"
@@ -64,6 +75,7 @@ python .github/scripts/check_result.py "$out/gen/result.json"
 "${ds[@]}" verify "$out/gen.json" "$out/gen/result.json"
 strip_witness "$out/gen/result.json" "$out/gen/no-witness.json"
 "${ds[@]}" verify "$out/gen.json" "$out/gen/no-witness.json"
+check_margins "$out/gen.json" "$out/gen/result.json" "$out/gen/no-witness.json"
 "${ds[@]}" plot "$out/gen.json" "$out/gen/result.json" --out "$out/gen/plots"
 check_trajectory "$out/gen.json" "$out/gen/plots/trajectory.csv"
 
@@ -82,6 +94,7 @@ python .github/scripts/check_result.py "$out/gen1/result.json"
 "${ds[@]}" verify "$out/gen1.json" "$out/gen1/result.json"
 strip_witness "$out/gen1/result.json" "$out/gen1/no-witness.json"
 "${ds[@]}" verify "$out/gen1.json" "$out/gen1/no-witness.json"
+check_margins "$out/gen1.json" "$out/gen1/result.json" "$out/gen1/no-witness.json"
 
 # Y = {y1 <= 1, y2 <= 1, y1 + y2 <= 1.5} has two vertices and a ray: vertex
 # enumeration rejects it by its ray rule (null_space's rank rule), exit 3,

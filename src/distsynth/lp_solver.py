@@ -79,7 +79,8 @@ _PRIMAL = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
 # the status codes of ``start_basis``: nonbasic at the lower bound, basic,
 # nonbasic at the upper bound (a row's bounds are those of its activity a@x)
 LOWER, BASIC, UPPER = 0, 1, 2
-_STATUS = [_highs.HighsBasisStatus(code) for code in (LOWER, BASIC, UPPER)]
+# indexed by code, so one lookup maps a whole status array
+_STATUS = np.array([_highs.HighsBasisStatus(code) for code in (LOWER, BASIC, UPPER)], dtype=object)
 _ROWWISE = int(_highs.MatrixFormat.kRowwise)
 _MINIMIZE = int(_highs.ObjSense.kMinimize)
 
@@ -244,8 +245,8 @@ def start_basis(col_status: np.ndarray, row_status: np.ndarray) -> _highs.HighsB
     ``solve_lp(..., basis=)``; one code per column and per row, as many
     ``BASIC`` as rows, and those columns and rows must form a nonsingular basis."""
     basis = _highs.HighsBasis()
-    basis.col_status = [_STATUS[code] for code in col_status.tolist()]
-    basis.row_status = [_STATUS[code] for code in row_status.tolist()]
+    basis.col_status = _STATUS[col_status].tolist()
+    basis.row_status = _STATUS[row_status].tolist()
     basis.valid, basis.alien = True, False
     return basis
 

@@ -21,8 +21,11 @@ A document without a witness gets one from a single program over all
 vertices that minimizes the sum of per-vertex inflations of the widths; it is
 separable by vertex, so each vertex's part is its own least inflation, and
 the answer is checked by the same arithmetic.  Both programs run primal
-simplex from a feasible basis of support points of W (``_reach_start``),
-which leaves tens of pivots where a cold start takes about one per row.
+simplex from a feasible basis of support points of W (``_reach_start``)
+along one output direction per vertex: v - ȳ for the distance, and for
+coverage whichever of v - ȳ and the rows of H leaves the least inflation at
+the stored widths (``_least_inflation_directions``).  That leaves tens of
+pivots where a cold start takes about one per row.
 Passing vertex checks bound the exact coverage distance by
 sum(epsilon), and the objective-bound check carries that bound to the stored
 objective.  ``certify`` runs every check.
@@ -275,28 +278,54 @@ def _reach_lp(
     return LpProblem(c, a, b, n_b + groups, lb)
 
 
-def _reach_start(coeff, vertices, W: BoxHullSet, H: np.ndarray, slack: Coo, slack_lb, h_rhs):
-    """A primal-feasible start basis of ``_reach_lp`` (same arguments, the
-    slack as triplets with negative entries, at most one per row).
-
-    Group (vertex v, slot t) takes the support point of W along
-    coeff_tᵀ (v - ȳ), ȳ the mean vertex: the first maximizing box
-    (``support_boxes``), at its upper corner where the direction is >= 0:
-    that box's weight and the point p are basic, the membership row on the
-    corner's side of each coordinate is tight and the other basic.  b is basic
-    on the reach equalities, every equality row is nonbasic, and each slack
-    column is basic at its largest need over its rows, that row tight, unless
-    no row needs more than its lower bound, where it stays nonbasic.  Fixing
-    the nonbasic columns and rows fixes every basic column, so the basis is
-    nonsingular, and the point is feasible: p is a corner of its box."""
-    n, n_y = vertices.shape
-    slots, N, n_w = len(coeff), W.n_boxes, W.dim
-    groups = n * slots
-    direction = np.einsum("tyk,vy->vtk", coeff, vertices - vertices.mean(axis=0)).reshape(groups, n_w)
+def _support_points(coeff, directions, W: BoxHullSet):
+    """Per row d of ``directions`` (m, n_y) and slot t, the support point of W
+    along coeff_tᵀ d: the first maximizing box (``support_boxes``), at its
+    upper corner where the direction is >= 0.  Returns that side (m, l + 1,
+    n_w), the boxes (m, l + 1) and the points (m, l + 1, n_w)."""
+    m, slots, n_w = len(directions), len(coeff), W.dim
+    direction = np.einsum("tyk,vy->vtk", coeff, directions).reshape(m * slots, n_w)
     direction, box = support_boxes(np.eye(n_w), direction, W)
     upper = direction >= 0.0
     points = W.centers[box] + np.where(upper, W.halfwidths[box], -W.halfwidths[box])
-    reach = vertices - np.einsum("tyk,vtk->vy", coeff, points.reshape(n, slots, n_w))
+    return upper.reshape(m, slots, n_w), box.reshape(m, slots), points.reshape(m, slots, n_w)
+
+
+def _least_inflation_directions(coeff, vertices, W: BoxHullSet, H: np.ndarray, epsilon) -> np.ndarray:
+    """Per vertex v, the one of v - ȳ (ȳ the mean vertex) and the rows of H
+    whose support points (``_support_points``) leave the smallest inflation
+    max_k(H_k b - eps_k) of the widths, b = v - sum_t coeff_t p_t; the first
+    among ties."""
+    n, n_y = vertices.shape
+    candidates = np.concatenate(
+        ((vertices - vertices.mean(axis=0))[:, None], np.broadcast_to(H, (n,) + H.shape)), axis=1
+    )
+    _, _, points = _support_points(coeff, candidates.reshape(-1, n_y), W)
+    reach = np.einsum("tyk,vtk->vy", coeff, points).reshape(candidates.shape)
+    inflation = ((vertices[:, None] - reach) @ H.T - epsilon).max(axis=2)
+    return candidates[np.arange(n), inflation.argmin(axis=1)]
+
+
+def _reach_start(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, slack: Coo, slack_lb, h_rhs):
+    """A primal-feasible start basis of ``_reach_lp`` (same arguments, the
+    slack as triplets with negative entries, at most one per row), from one
+    output-space direction per vertex, ``directions`` (n, n_y).
+
+    Group (vertex v, slot t) takes the support point of W along
+    coeff_tᵀ d_v (``_support_points``): that box's weight and the point p
+    are basic, the membership row on the corner's side of each coordinate is
+    tight and the other basic.  b is basic on the reach equalities, every
+    equality row is nonbasic, and each slack column is basic at its largest
+    need over its rows, that row tight, unless no row needs more than its
+    lower bound, where it stays nonbasic.  Fixing the nonbasic columns and
+    rows fixes every basic column, so the basis is nonsingular, and the point
+    is feasible for any directions: p is a corner of its box."""
+    n, n_y = vertices.shape
+    slots, N, n_w = len(coeff), W.n_boxes, W.dim
+    groups = n * slots
+    upper, box, points = _support_points(coeff, directions, W)
+    upper, box = upper.reshape(groups, n_w), box.ravel()
+    reach = vertices - np.einsum("tyk,vtk->vy", coeff, points)
     need = ((reach @ H.T).ravel()[slack.row] - h_rhs[slack.row]) / -slack.val
     # each slack column's entry of largest need, the first of its rows among ties
     order = np.lexsort((-need, slack.col))
@@ -316,14 +345,14 @@ def _reach_start(coeff, vertices, W: BoxHullSet, H: np.ndarray, slack: Coo, slac
     return start_basis(col_status, row_status)
 
 
-def _reach_witness(coeff, vertices, W: BoxHullSet, H: np.ndarray, slack: Coo, slack_lb, h_rhs):
+def _reach_witness(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, slack: Coo, slack_lb, h_rhs):
     """Solve ``_reach_lp`` over every vertex at the cost of ``slack``, by
-    primal simplex from ``_reach_start`` (W is fixed and the answer is
-    re-checked by arithmetic), and return the outcome with the points and
-    weights that lead its answer.  Raises LpFailure, which carries the
+    primal simplex from ``_reach_start`` along ``directions`` (W is fixed and
+    the answer is re-checked by arithmetic), and return the outcome with the
+    points and weights that lead its answer.  Raises LpFailure, which carries the
     program, when the LP has no accepted answer."""
     lp = _reach_lp(coeff, vertices, W, H, slack, slack_lb, h_rhs)
-    out = solve_lp(lp, basis=_reach_start(coeff, vertices, W, H, slack, slack_lb, h_rhs), primal=True)
+    out = solve_lp(lp, basis=_reach_start(coeff, vertices, directions, W, H, slack, slack_lb, h_rhs), primal=True)
     if not out.optimal:
         raise LpFailure(f"coverage LP ended with status {out.status}", lp)
     n, slots = len(vertices), len(coeff)
@@ -347,7 +376,8 @@ def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, hori
     n_b = H.shape[0]
     slack = kron(-np.ones((len(vertices), 1)), n_b)
     coeff = reach_coefficients(sys, horizon)
-    out, witness = _reach_witness(coeff, vertices, W, H, slack, 0.0, np.zeros(slack.shape[0]))
+    directions = vertices - vertices.mean(axis=0)
+    out, witness = _reach_witness(coeff, vertices, directions, W, H, slack, 0.0, np.zeros(slack.shape[0]))
     return out.x[-n_b:].copy(), float(out.objective), witness
 
 
@@ -367,17 +397,18 @@ def verify_coverage(
 
     With no witness (a document written before results stored one), one is
     found by one LP over all vertices that minimizes the sum of per-vertex
-    inflations t_i of the widths, started like the distance program from
-    ``_reach_start``.  Its rows and columns are block-diagonal by
-    vertex, so each t_i is that vertex's least inflation and its margin is
-    -t_i up to the LP's tolerances.
+    inflations t_i of the widths, started from ``_reach_start`` along each
+    vertex's ``_least_inflation_directions``.  Its rows and columns are
+    block-diagonal by vertex, so each t_i is that vertex's least inflation and
+    its margin is -t_i up to the LP's tolerances.
     """
     vertices = np.atleast_2d(np.asarray(Y_vertices, dtype=float))
     H = np.atleast_2d(np.asarray(H, dtype=float))
     coeff = reach_coefficients(sys, horizon)
     if witness is None:
         slack = kron(len(vertices), -np.ones((H.shape[0], 1)))
-        _, witness = _reach_witness(coeff, vertices, W, H, slack, -np.inf, np.tile(epsilon, len(vertices)))
+        directions = _least_inflation_directions(coeff, vertices, W, H, epsilon)
+        _, witness = _reach_witness(coeff, vertices, directions, W, H, slack, -np.inf, np.tile(epsilon, len(vertices)))
     margins = _coverage_margins(coeff, vertices, W, H, epsilon, witness)
     return Certificate(
         tuple(CheckResult(f"vertex-{i}", bool(m >= -CHECK_TOL), float(m), f"vertex {i}") for i, m in enumerate(margins))

@@ -9,17 +9,22 @@ import scipy.sparse as sp
 
 from distsynth import assemble, h_preset, lp_solver, select_params, synthesizer, verifier, vertices_hpoly
 from distsynth.lp_solver import (
+    BASIC,
     FAILED,
     INFEASIBLE,
     ITERATION_LIMIT,
+    LOWER,
     OPTIMAL,
     UNBOUNDED,
+    UPPER,
     Coo,
     Csr,
     LpProblem,
+    _highs,
     _scaled_residual,
     csr,
     solve_lp,
+    start_basis,
     write_lp,
 )
 from distsynth.synthesizer import boxes_from_x, p_step, q_step, spread_beta
@@ -397,6 +402,23 @@ def test_warm_solve_from_a_related_basis_is_optimal():
     assert out.status == OPTIMAL
     assert out.objective == pytest.approx(-3.0)
     assert out.residual <= 1e-8 and out.basis is not None
+
+
+def test_start_basis_holds_each_code_and_a_misfit_falls_through_to_the_cold_rungs():
+    col, row = np.array([UPPER, BASIC, LOWER], np.int8), np.array([LOWER, UPPER, BASIC], np.int8)
+    basis = start_basis(col, row)
+    assert list(basis.col_status) == [_highs.HighsBasisStatus(code) for code in col.tolist()]
+    assert list(basis.row_status) == [_highs.HighsBasisStatus(code) for code in row.tolist()]
+    assert basis.valid and not basis.alien
+    # the slack basis of the two-row program: x = 0, both rows basic
+    p = _two_row_lp()
+    fits = start_basis(np.array([LOWER, LOWER], np.int8), np.array([BASIC, BASIC], np.int8))
+    assert lp_solver._run(p, False, fits, True) is not None
+    # one column too many: setBasis rejects it, and the cold rungs answer alone
+    misfit = start_basis(np.array([LOWER, LOWER, LOWER], np.int8), np.array([BASIC, BASIC], np.int8))
+    assert lp_solver._run(p, False, misfit, True) is None
+    out, cold = solve_lp(p, basis=misfit, primal=True), solve_lp(p, primal=True)
+    assert out.status == OPTIMAL and _same_outcome(out, cold) and out.nit == cold.nit
 
 
 def _same_outcome(a, b):

@@ -593,6 +593,45 @@ class TestReachStart:
             assert cold.optimal and out.optimal
             assert abs(out.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
 
+    @pytest.mark.parametrize("directions", ["random", "zero", "one-vertex"])
+    @pytest.mark.parametrize("case", START_CASES)
+    def test_any_directions_give_a_primal_feasible_basis_highs_accepts(self, case, directions):
+        sys, V, W, horizon, H, eps = _reach_case(case)
+        n, n_b = len(V), H.shape[0]
+        if directions == "random":
+            d = np.random.default_rng(72).standard_normal(V.shape)
+        elif directions == "zero":
+            d = np.zeros(V.shape)
+        else:  # every vertex takes the first vertex's direction
+            d = np.tile(V[0] - V.mean(axis=0), (n, 1))
+        coeff = reach_coefficients(sys, horizon)
+        # the distance program's and the coverage program's slack
+        for slack, slack_lb, h_rhs in (
+            (lp_solver.kron(-np.ones((n, 1)), n_b), 0.0, np.zeros(n * n_b)),
+            (lp_solver.kron(n, -np.ones((n_b, 1))), -np.inf, np.tile(eps, n)),
+        ):
+            lp = verifier._reach_lp(coeff, V, W, H, slack, slack_lb, h_rhs)
+            start = verifier._reach_start(coeff, V, d, W, H, slack, slack_lb, h_rhs)
+            assert _scaled_residual(lp, basis_point(lp, start)) <= RESIDUAL_TOL
+            assert lp_solver._run(lp, False, start, True) is not None
+
+    @pytest.mark.parametrize("case", START_CASES)
+    def test_least_inflation_start_keeps_the_mean_vertex_starts_margins(self, case, monkeypatch):
+        """Witnessless margins from the per-vertex least-inflation directions
+        equal those from v - ȳ for every vertex within 1e-9."""
+        sys, V, W, horizon, H, eps = _reach_case(case)
+        chosen = [c.margin for c in verify_coverage(sys, V, W, horizon, H, eps).checks]
+        monkeypatch.setattr(verifier, "_least_inflation_directions", lambda coeff, V, *_: V - V.mean(axis=0))
+        mean_vertex = [c.margin for c in verify_coverage(sys, V, W, horizon, H, eps).checks]
+        assert np.allclose(chosen, mean_vertex, rtol=0.0, atol=1e-9)
+
+    def test_frozen_coverage_program_takes_at_most_60_iterations(self, monkeypatch):
+        """201 from the v - ȳ start, 54 from the least-inflation one."""
+        (_, V, _, _, _, _), solves = _fixed_w_programs("illustrative", monkeypatch)
+        lp, _, out = solves[1]
+        assert np.isneginf(lp.lb[-len(V) :]).all()  # one free inflation per vertex: the coverage program
+        assert out.nit <= 60
+
 
 class TestVerifyCoverage:
     def test_exact_epsilon_passes(self):
