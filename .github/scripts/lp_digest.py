@@ -8,9 +8,10 @@ specs/illustrative.json, on the reduced specs/reduced_order_plant.json and on
 four generated problems (n_x 3 and 6, generator seeds 0 and 1, two inputs,
 two outputs, rho 0.7, two restarts), then ``cmd_verify`` of the frozen
 perfbench/data/illustrative_result.json, ``verifier.monte_carlo`` of that
-result at its W and at W scaled by 3 (seed 0, 4 runs of 2,000 steps), and
+result at its W and at W scaled by 3 (seed 0, 4 runs of 2,000 steps),
 ``setgeom.simulate`` of it: the 2,000-step run from the origin at the seed of
-specs/illustrative.json that ``plot`` writes as trajectory.csv.
+specs/illustrative.json that ``plot`` writes as trajectory.csv, and
+``cli.reachable_outline`` of it, which ``plot`` writes as reach_set.csv.
 
 Every ``lp_solver._run`` call gets a digest of its own, fed with its program
 (c, lb, b, n_eq and the matrix's shape and indptr, indices and data, each
@@ -29,7 +30,9 @@ every result.json field but ``timing``, every verify report, both
 Monte-Carlo reports and the simulated run's (X, Y, Wseq).  Both Monte-Carlo
 reports are then printed in full, one line each, and the simulated run gets
 a ``simulate`` line: the sha256 of X, Y and Wseq, each fed as an LP array
-is.  A simulation kernel that sums in another order may move a report's
+is.  The outline gets an ``outline`` line of its own, the sha256 of its
+points fed the same way, and stays out of the documents digest, so a change
+of support point shows there alone.  A simulation kernel that sums in another order may move a report's
 ``max_excursion`` or the run in their last bits and so the documents line;
 the printed lines show whether a documents difference is theirs (compare
 the violation counts and the excursions, or the simulate hashes) or can be
@@ -38,7 +41,7 @@ indptr/indices/data/shape, so two checkouts that hold it in different
 containers print the same synthesis line exactly when every synthesis
 step's HiGHS input and answer is bit-identical, and the same lines exactly
 when every HiGHS input and answer, every result and every report,
-Monte-Carlo's included, and ``plot``'s trajectory is.
+Monte-Carlo's included, and ``plot``'s trajectory and outline are.
 
 With BASE, each checkout is digested in its own interpreter by this script;
 both sets of lines are printed with the names of the lines that differ, and
@@ -143,6 +146,9 @@ def main(checkout: Path) -> None:
         _feed(trajectory, arr)
         _feed(doc_digest, arr)
     reports.append(f"simulate {trajectory.hexdigest()}")
+    outline = hashlib.sha256()
+    _feed(outline, cli.reachable_outline(specs[0].sys, frozen.params, frozen.W))
+    reports.append(f"outline {outline.hexdigest()}")
     for name, kind in (("synthesis", False), ("fixed-W", True)):
         runs = [(d.digest(), nit) for p, d, nit in calls if (p in fixed_w) is kind]
         digests = sorted(digest for digest, _ in runs)

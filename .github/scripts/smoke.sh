@@ -133,6 +133,15 @@ test "$code" -eq 2
 grep -q "unknown option 'zeta'" "$out/zeta.err"
 test ! -e "$out/zeta/result.json"
 
+# nor is the parameter search's horizon budget: a spec that lists s_max exits 2
+python -c "import json; d = json.load(open('specs/illustrative.json')); d['options']['s_max'] = 1000; json.dump(d, open('$out/s_max.json', 'w'))"
+code=0
+"${ds[@]}" synth "$out/s_max.json" --out "$out/s_max" 2> "$out/s_max.err" || code=$?
+cat "$out/s_max.err"
+test "$code" -eq 2
+grep -q "unknown option 's_max'" "$out/s_max.err"
+test ! -e "$out/s_max/result.json"
+
 # an input that cannot be read and an --out that cannot be written exit 2 with
 # an error line, not a traceback
 code=0

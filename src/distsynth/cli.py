@@ -38,7 +38,7 @@ from .setgeom import (
     simulate,
     spectral_radius,
     stacked_identity,
-    support_argmax_rows,
+    support_corners,
     vertices_hpoly,
 )
 
@@ -59,7 +59,6 @@ _OPTION_TABLE = (
     ("mu", "mu", 0.0, True),
     ("gamma", "gamma", 0.0, True),
     ("seed", "seed", 0, False),
-    ("s_max", "s_max", 1, True),
     ("N", "n_boxes", 1, False),
     ("l", "horizon", 1, False),  # or None, the certified s
     ("H", "H", None, False),
@@ -75,7 +74,6 @@ class Options:
     horizon: int | None = None  # defaults to the certified s
     H: object = "box"  # preset name or explicit rows
     seed: int = 0
-    s_max: int = 1000
     restarts: int = 0
 
     @classmethod
@@ -334,9 +332,7 @@ class ResultDoc:
 
 def cmd_params(spec: ProblemSpec) -> dict:
     start = time.perf_counter()
-    params = select_params(
-        spec.sys, spec.Y, gamma=spec.options.gamma, mu=spec.options.mu, s_max=spec.options.s_max
-    )
+    params = select_params(spec.sys, spec.Y, gamma=spec.options.gamma, mu=spec.options.mu)
     elapsed = time.perf_counter() - start
     cert = verifier.verify_params(spec.sys, spec.Y, params)
     return {
@@ -354,9 +350,7 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
     stores as its witness; W stays certified at l because it holds the
     origin."""
     start = time.perf_counter()
-    params = select_params(
-        spec.sys, spec.Y, gamma=spec.options.gamma, mu=spec.options.mu, s_max=spec.options.s_max
-    )
+    params = select_params(spec.sys, spec.Y, gamma=spec.options.gamma, mu=spec.options.mu)
     t_params = time.perf_counter() - start
     vertices = spec.resolve_vertices()
     horizon = spec.options.horizon if spec.options.horizon is not None else params.s
@@ -493,10 +487,10 @@ def reachable_outline(
     CA = sys.C.copy()
     for _ in range(params.s):
         Q = P @ CA  # state-space directions
-        drive = support_argmax_rows(sys.B, Q, W) @ sys.B.T + params.lam * np.sign(Q)
+        drive = support_corners(sys.B, Q, W)[2] @ sys.B.T + params.lam * np.sign(Q)
         pts += scale * (drive @ CA.T)
         CA = CA @ sys.A
-    pts += support_argmax_rows(sys.D, P, W) @ sys.D.T
+    pts += support_corners(sys.D, P, W)[2] @ sys.D.T
     return pts
 
 

@@ -53,7 +53,12 @@ def h_preset(name: str, n_y: int) -> np.ndarray:
         if k < 3:
             raise EncodingError("uniform preset needs at least 3 sides")
         ang = 2.0 * np.pi * np.arange(k) / k
-        return np.column_stack([np.cos(ang), np.sin(ang)])
+        H = np.column_stack([np.cos(ang), np.sin(ang)])
+        # cos(pi/2), sin(pi) and the like round to about 1e-16, not 0; HiGHS
+        # drops entries that small, the residual check and the witness
+        # arithmetic would not
+        H[np.abs(H) < 1e-15] = 0.0
+        return H
     raise EncodingError(f"unknown H preset {name!r}")
 
 
@@ -69,11 +74,7 @@ class VariableLayout:
     n_y: int
     m_y: int
     n_b: int
-    t0: int | None = None  # terms t >= t0 share the tail bound rho; None means s, no tail
-
-    def __post_init__(self):
-        if self.t0 is None:
-            object.__setattr__(self, "t0", self.s)
+    t0: int  # terms t >= t0 share the tail bound rho; s means no tail
 
     @property
     def n_rho(self) -> int:
@@ -340,14 +341,14 @@ def budget_tail(sys: LtiSystem, Y: HPolytope, params: RpiParams) -> int:
 
 def assemble(
     sys: LtiSystem, Y: HPolytope, Y_vertices: np.ndarray, params: RpiParams, n_boxes: int, horizon: int,
-    H: np.ndarray, t0: int | None = None,
+    H: np.ndarray, t0: int,
 ) -> SynthProblem:
     """Build the problem for a vertex list of Y, repeats merged
     (``merge_vertices``); the output-inclusion terms t >= t0 share one tail
-    bound, and t0 = s (the default) keeps every term's own rows."""
+    bound, and t0 = s keeps every term's own rows."""
     if n_boxes < 1:
         raise EncodingError("need at least one box")
-    if t0 is not None and not 1 <= t0 <= params.s:
+    if not 1 <= t0 <= params.s:
         raise EncodingError(f"t0 must lie in 1..s = {params.s}")
     vertices = merge_vertices(Y_vertices)
     if vertices.shape[1] != sys.n_y:

@@ -100,24 +100,20 @@ class LpProblem:
     last ``n_eq`` rows,  lb <= x.
 
     ``a`` is one ``Csr`` matrix, the inequality rows first, and HiGHS takes it
-    row-wise as it is.  An absent ``a`` is an empty 0 x n matrix with an empty
-    ``b``; an absent ``lb`` leaves every column free."""
+    row-wise as it is; a bound of -inf leaves its column free."""
 
     c: np.ndarray
-    a: Csr | None = None
-    b: np.ndarray | None = None
-    n_eq: int = 0
-    lb: np.ndarray | None = None
+    a: Csr
+    b: np.ndarray
+    n_eq: int
+    lb: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
+        a = self.a
+        c, b, lb = (np.asarray(v, dtype=float) for v in (self.c, self.b, self.lb))
         if not np.all(np.isfinite(c)):
             raise ValueError("cost vector must be finite")
         n = c.size
-        if (self.a is None) != (self.b is None):
-            raise ValueError("a and b must be given together")
-        a = Csr(np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0), (0, n)) if self.a is None else self.a
-        b = np.zeros(0) if self.b is None else np.asarray(self.b, dtype=float)
         if a.shape[1] != n:
             raise ValueError(f"a has {a.shape[1]} columns, expected {n}")
         if len(a.indptr) != a.shape[0] + 1 or a.indptr[0] != 0 or not a.indptr[-1] == len(a.indices) == len(a.data):
@@ -132,12 +128,11 @@ class LpProblem:
         # and an infinite equality right-hand side may not
         if np.isnan(b).any() or np.isinf(b[b.size - self.n_eq :]).any():
             raise ValueError("b holds NaN or an infinite equality")
-        lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float)
         if lb.size != n:
             raise ValueError("bound length mismatch")
         if np.isnan(lb).any() or (lb == np.inf).any():
             raise ValueError("bounds must not be NaN or +inf")
-        for name, value in (("c", c), ("a", a), ("b", b), ("lb", lb)):
+        for name, value in (("c", c), ("b", b), ("lb", lb)):
             object.__setattr__(self, name, value)
 
     @property
@@ -308,12 +303,10 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     sol = highs.getSolution()
     x = np.array(sol.col_value)
     objective = float(info.objective_function_value)
-    # bound marginals are the column duals of columns nonbasic at that bound;
-    # every upper bound is +inf, so a nonbasic column with a finite lower
-    # bound sits at it, and only the basic columns' duals are zeroed
-    basic = highs.getBasicVariables()[1]
+    # bound marginals are the column duals: every upper bound is +inf, so a
+    # nonbasic column with a finite lower bound sits at it, and HiGHS gives a
+    # basic column a dual of exactly 0
     lower = np.array(sol.col_dual)
-    lower[basic[basic >= 0]] = 0.0
     row_dual = np.array(sol.row_dual)
     b_ub, b_eq, ineq, eq = p.b[: p.n_ub], p.b[p.n_ub :], row_dual[: p.n_ub], row_dual[p.n_ub :]
     # an infinite right-hand side or bound has a zero dual and adds nothing

@@ -147,18 +147,15 @@ def solve_Hs(consts: RpiConstants, gamma: float, mu: float):
     return float(a_min), float(max(lam_hi(a_min), lam_lo))
 
 
-def select_params(
-    sys: LtiSystem,
-    Y: HPolytope,
-    gamma: float,
-    mu: float,
-    s_max: int = 1000,
-) -> RpiParams:
-    """Smallest horizon with a feasible (alpha, lambda), found incrementally."""
-    if s_max < 1:
-        raise ValueError("s_max must be at least 1")
+# the search's horizon budget: it tries s = 1 .. S_MAX
+S_MAX = 1000
+
+
+def select_params(sys: LtiSystem, Y: HPolytope, gamma: float, mu: float) -> RpiParams:
+    """Smallest horizon s <= S_MAX with a feasible (alpha, lambda), found
+    incrementally; ``S_MAX`` is read at call time."""
     trail = []
-    for consts in itertools.islice(horizon_constants(sys, Y), s_max):
+    for consts in itertools.islice(horizon_constants(sys, Y), S_MAX):
         sol = solve_Hs(consts, gamma, mu)
         if sol is not None:
             alpha, lam = sol
@@ -168,5 +165,5 @@ def select_params(
         f"(s={s}, zeta={z:.3e}, theta={t:.3e}, M={m:.4g})" for s, z, t, m in trail[-5:]
     )
     raise ParamSearchError(
-        f"no feasible (alpha, lambda) up to s_max={s_max}; last horizons: {tail}", trail
+        f"no feasible (alpha, lambda) up to S_MAX={S_MAX}; last horizons: {tail}", trail
     )

@@ -184,18 +184,14 @@ def support_rows(T, M, W: BoxHullSet) -> np.ndarray:
     return _box_supports(T, M, W)[1].max(axis=1)
 
 
-def support_boxes(T, M, W: BoxHullSet) -> tuple[np.ndarray, np.ndarray]:
-    """(R, j): the directions R = M T and, per row, the first member box
-    whose support along it is support_rows(T, M, W)."""
+def support_corners(T, M, W: BoxHullSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(upper, j, points): per row k of the directions R = M T, the first
+    member box j[k] whose support along it is support_rows(T, M, W)[k] and
+    its corner c + e where R >= 0 (``upper``), c - e elsewhere: a point of W
+    whose image under T attains that support."""
     R, V = _box_supports(T, M, W)
-    return R, np.argmax(V, axis=1)
-
-
-def support_argmax_rows(T, M, W: BoxHullSet) -> np.ndarray:
-    """Row k: a point of W whose image under T attains support_rows(T, M, W)[k],
-    in the first box that attains it."""
-    R, j = support_boxes(T, M, W)
-    return W.centers[j] + np.sign(R) * W.halfwidths[j]
+    j, upper = np.argmax(V, axis=1), R >= 0.0
+    return upper, j, W.centers[j] + np.where(upper, W.halfwidths[j], -W.halfwidths[j])
 
 
 # ---------------------------------------------------------------------------

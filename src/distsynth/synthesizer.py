@@ -67,19 +67,11 @@ def boxes_from_x(problem: SynthProblem, x: np.ndarray) -> BoxHullSet:
     return BoxHullSet(boxes[:, 0], np.clip(boxes[:, 1], 0.0, None))
 
 
-def _closed_form_wbar(problem: SynthProblem, x, w, beta) -> np.ndarray:
-    """Group points wbar_gj in their own boxes with sum_j beta_gj wbar_gj = w_g."""
-    lay = problem.layout
-    boxes = _boxes(lay, x)
-    weights = beta.reshape(lay.n_groups, lay.n_boxes)
-    points = box_points(boxes[:, 0], np.clip(boxes[:, 1], 0.0, None), weights, w.reshape(lay.n_groups, lay.n_w))
-    return points.ravel()
-
-
 def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     """Fix the weights; solve for boxes, budgets, driving points and slacks.
 
-    The group points are recovered in closed form from the optimum.  With
+    The group points wbar_gj are recovered in closed form from the optimum,
+    each in its own box with sum_j beta_gj wbar_gj = w_g (``box_points``).  With
     ``basis`` (an earlier P-step's, whose program differs only in the weight
     coefficients) the solve starts from it.  Returns (x, w, wbar, z,
     objective, outcome); the outcome carries the basis for the next P-step.
@@ -92,7 +84,10 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
         raise SynthesisError(f"box-fitting LP ended with status {out.status}", lp)
     sol = out.x
     x, w = sol[:nx], sol[nx:z_off]
-    return x, w, _closed_form_wbar(problem, x, w, beta), sol[z_off:], float(out.objective), out
+    W = boxes_from_x(problem, x)
+    weights = beta.reshape(lay.n_groups, lay.n_boxes)
+    wbar = box_points(W.centers, W.halfwidths, weights, w.reshape(lay.n_groups, lay.n_w))
+    return x, w, wbar.ravel(), sol[z_off:], float(out.objective), out
 
 
 def q_step(problem: SynthProblem, wbar: np.ndarray, basis=None):

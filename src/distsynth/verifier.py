@@ -52,7 +52,7 @@ from .setgeom import (
     simulate,  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item F
     step_count,
     stacked_identity,
-    support_boxes,
+    support_corners,
     support_rows,
 )
 
@@ -280,14 +280,11 @@ def _reach_lp(
 
 def _support_points(coeff, directions, W: BoxHullSet):
     """Per row d of ``directions`` (m, n_y) and slot t, the support point of W
-    along coeff_tᵀ d: the first maximizing box (``support_boxes``), at its
-    upper corner where the direction is >= 0.  Returns that side (m, l + 1,
+    along coeff_tᵀ d (``support_corners``).  Returns its side (m, l + 1,
     n_w), the boxes (m, l + 1) and the points (m, l + 1, n_w)."""
     m, slots, n_w = len(directions), len(coeff), W.dim
     direction = np.einsum("tyk,vy->vtk", coeff, directions).reshape(m * slots, n_w)
-    direction, box = support_boxes(np.eye(n_w), direction, W)
-    upper = direction >= 0.0
-    points = W.centers[box] + np.where(upper, W.halfwidths[box], -W.halfwidths[box])
+    upper, box, points = support_corners(np.eye(n_w), direction, W)
     return upper.reshape(m, slots, n_w), box.reshape(m, slots), points.reshape(m, slots, n_w)
 
 

@@ -48,6 +48,11 @@ def as_csr(a) -> Csr:
     return Csr(a.indptr, a.indices, a.data, a.shape)
 
 
+def no_rows(n: int) -> Csr:
+    """The empty 0 x n matrix of a program without constraint rows."""
+    return Csr(np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0), (0, n))
+
+
 def to_scipy(a: Csr) -> sp.csr_matrix:
     """The package's ``Csr`` as a scipy CSR matrix over the same arrays."""
     return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
@@ -245,6 +250,25 @@ def basis_point(lp: LpProblem, basis) -> np.ndarray:
     z = fixed.copy()
     z[basic] = spsolve(system[:, basic], -(system @ fixed))
     return z[:n]
+
+
+def zeroed_dual_objective(p: LpProblem, highs) -> float:
+    """The dual objective of an optimal HiGHS run of ``p`` with the duals of
+    the basic columns set to 0 before they are summed (``getBasicVariables``
+    names them), as ``lp_solver._outcome`` formed it before it relied on
+    HiGHS's own zeros."""
+    sol = highs.getSolution()
+    basic = highs.getBasicVariables()[1]
+    lower = np.array(sol.col_dual)
+    lower[basic[basic >= 0]] = 0.0
+    row_dual = np.array(sol.row_dual)
+    b_ub, b_eq, ineq, eq = p.b[: p.n_ub], p.b[p.n_ub :], row_dual[: p.n_ub], row_dual[p.n_ub :]
+    finite_row, finite_lb = np.isfinite(b_ub), np.isfinite(p.lb)
+    return (
+        float(b_ub[finite_row] @ ineq[finite_row])
+        + float(b_eq @ eq)
+        + float(p.lb[finite_lb] @ lower[finite_lb])
+    )
 
 
 def inflation_margins(sys, vertices, W: BoxHullSet, horizon: int, H, epsilon) -> np.ndarray:

@@ -66,7 +66,7 @@ def illustrative_synthesis(plant, pentagon, illustrative):
     params, _ = illustrative
     vertices = vertices_hpoly(pentagon)
     H = h_preset("uniform:6", 2)
-    problem = assemble(plant, pentagon, vertices, params, n_boxes=4, horizon=59, H=H)
+    problem = assemble(plant, pentagon, vertices, params, n_boxes=4, horizon=59, H=H, t0=params.s)
     t0 = time.perf_counter()
     result = alternate(problem, uniform_beta(problem.layout))
     elapsed = time.perf_counter() - t0
@@ -292,7 +292,7 @@ def test_criterion_7_box_count_sweep(plant, pentagon, illustrative):
     H = h_preset("uniform:6", 2)
     results = {}
     for n_boxes in (1, 2, 4, 8):
-        problem = assemble(plant, pentagon, vertices, params, n_boxes, 59, H)
+        problem = assemble(plant, pentagon, vertices, params, n_boxes, 59, H, params.s)
         res = alternate(problem, spread_beta(problem.layout))
         results[n_boxes] = res.objective
     counts = sorted(results)

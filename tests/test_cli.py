@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsynth import BoxHullSet, RpiParams, lp_solver, verifier, vertices_hpoly
+from distsynth import BoxHullSet, RpiParams, lp_solver, rpi_params, verifier, vertices_hpoly
 from distsynth.cli import (
     Options,
     ProblemSpec,
@@ -24,7 +24,7 @@ from distsynth.cli import (
     parse_spec,
     reachable_outline,
 )
-from distsynth.setgeom import sample_batch, support_argmax_rows
+from distsynth.setgeom import sample_batch, support_corners
 
 from conftest import hull_of
 from reference import inflation_margins
@@ -163,7 +163,8 @@ MALFORMED = {
     "seed-string": _set_option("seed", "x"),
     "mu-negative": _set_option("mu", -1),
     "gamma-zero": _set_option("gamma", 0),
-    # the alternation's stopping rule is no option: listing either key is an unknown option
+    # the alternation's stopping rule and the search's horizon budget are no
+    # options: listing any of these keys is an unknown option
     "zeta-zero": _set_option("zeta", 0),
     "max_iters-zero": _set_option("max_iters", 0),
     "s_max-zero": _set_option("s_max", 0),
@@ -278,9 +279,11 @@ class TestExitCodes:
         doc["system"]["A"] = [[1.2, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         assert main(["params", write_json(tmp_path / "s.json", doc)]) == 3
 
-    def test_budget_exhaustion_is_3(self, tmp_path):
+    def test_budget_exhaustion_is_3(self, tmp_path, monkeypatch):
+        # the pentagon's search needs s = 60; a budget of 5 horizons runs out
+        monkeypatch.setattr(rpi_params, "S_MAX", 5)
         path = write_json(tmp_path / "s.json", PENTAGON_SPEC)
-        assert main(["params", path, "--s-max", "5"]) == 3
+        assert main(["params", path]) == 3
 
     def test_params_success_is_0(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", PENTAGON_SPEC)
@@ -985,11 +988,11 @@ class TestCmdPlot:
         for _ in range(params.s):
             Q = P @ CA
             for d in range(n_dirs):
-                w_star = support_argmax_rows(I, Q[d] @ sys.B, W)[0]
+                w_star = support_corners(I, Q[d] @ sys.B, W)[2][0]
                 ref[d] += CA @ (sys.B @ w_star + params.lam * np.sign(Q[d])) / (1.0 - params.alpha)
             CA = CA @ sys.A
         for d in range(n_dirs):
-            ref[d] += sys.D @ support_argmax_rows(I, P[d] @ sys.D, W)[0]
+            ref[d] += sys.D @ support_corners(I, P[d] @ sys.D, W)[2][0]
         assert np.max(np.abs(reachable_outline(sys, params, W, n_dirs) - ref)) <= 1e-12
 
     def test_cli_plot_roundtrip(self, tmp_path, small_spec_doc):
@@ -1070,7 +1073,6 @@ class TestEveryOverrideFlag:
             "--mu": ("0.02", "mu", 0.02),
             "--gamma": ("0.5", "gamma", 0.5),
             "--seed": ("7", "seed", 7),
-            "--s-max": ("321", "s_max", 321),
             "--N": ("3", "n_boxes", 3),
             "--l": ("11", "horizon", 11),
             "--H": (write_json(tmp_path / "rows.json", rows), "H", rows),

@@ -63,6 +63,7 @@ def small_layout(n_boxes=2, n_vertices=3, horizon=2, s=3, n_w=2, n_y=2, m_y=4, n
         n_y=n_y,
         m_y=m_y,
         n_b=n_b,
+        t0=s,
     )
 
 
@@ -78,7 +79,7 @@ def small_problem():
     params = select_params(sys, Y, gamma=1.0, mu=1e-2)
     vertices = vertices_hpoly(Y)
     H = h_preset("box", 2)
-    problem = assemble(sys, Y, vertices, params, n_boxes=2, horizon=3, H=H)
+    problem = assemble(sys, Y, vertices, params, n_boxes=2, horizon=3, H=H, t0=params.s)
     return sys, Y, params, vertices, H, problem
 
 
@@ -97,6 +98,11 @@ class TestHPreset:
         assert H.shape == (6, 2)
         assert np.allclose(np.linalg.norm(H, axis=1), 1.0)
         assert np.allclose(H[0], [1.0, 0.0])
+
+    def test_uniform_axis_rows_are_exact(self):
+        # cos(pi/2) and sin(pi) round to about 1e-16; the preset stores them as 0
+        np.testing.assert_array_equal(h_preset("uniform:4", 2), [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        np.testing.assert_array_equal(h_preset("uniform:6", 2)[3], [-1.0, 0.0])
 
     def test_uniform_requires_planar(self):
         with pytest.raises(EncodingError):
@@ -174,7 +180,7 @@ class TestBuildGbar:
 class TestOutputInclusion:
     def test_singleton_origin_reduces_to_budget_rows(self, plant, pentagon):
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
-        lay = VariableLayout(1, 1, 1, params.s, 2, 2, 5, 4)
+        lay = VariableLayout(1, 1, 1, params.s, 2, 2, 5, 4, params.s)
         gbar = build_gbar(plant, pentagon, params)
         A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
         A = to_scipy(csr(A))
@@ -188,7 +194,7 @@ class TestOutputInclusion:
     def test_zero_feedthrough_rows_have_no_box_coefficients(self, plant, pentagon):
         sys = LtiSystem(plant.A, plant.B, plant.C, np.zeros((2, 2)))
         params = select_params(sys, pentagon, gamma=0.2, mu=1e-3)
-        lay = VariableLayout(2, 1, 1, params.s, 2, 2, 5, 4)
+        lay = VariableLayout(2, 1, 1, params.s, 2, 2, 5, 4, params.s)
         gbar = build_gbar(sys, pentagon, params)
         A, _ = encode_output_inclusion(gbar, sys, pentagon, params, lay)
         A = to_scipy(csr(A))
@@ -198,14 +204,14 @@ class TestOutputInclusion:
 
     def test_row_count(self, plant, pentagon):
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
-        lay = VariableLayout(3, 1, 1, params.s, 2, 2, 5, 4)
+        lay = VariableLayout(3, 1, 1, params.s, 2, 2, 5, 4, params.s)
         gbar = build_gbar(plant, pentagon, params)
         A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
         assert A.shape[0] == lay.n_boxes * (lay.s + 1) * lay.m_y + lay.m_y == b.size
 
     def test_warns_on_nonpositive_budget(self, plant, pentagon):
         params = RpiParams(s=3, alpha=0.1, lam=0.99, gamma=0.2, mu=1e-3)
-        lay = VariableLayout(1, 1, 1, 3, 2, 2, 5, 4)
+        lay = VariableLayout(1, 1, 1, 3, 2, 2, 5, 4, 3)
         gbar = build_gbar(plant, pentagon, params)
         with pytest.warns(RuntimeWarning):
             encode_output_inclusion(gbar, plant, pentagon, params, lay)
@@ -217,7 +223,7 @@ class TestOutputInclusion:
 
         rng = np.random.default_rng(48)
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
-        lay = VariableLayout(2, 1, 1, params.s, 2, 2, 5, 4)
+        lay = VariableLayout(2, 1, 1, params.s, 2, 2, 5, 4, params.s)
         gbar = build_gbar(plant, pentagon, params)
         A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
         A = to_scipy(csr(A))
@@ -261,7 +267,7 @@ class TestOutputInclusion:
 
 class TestGammaBound:
     def test_origin_singleton_always_feasible(self, plant):
-        lay = VariableLayout(1, 1, 1, 2, 2, 2, 5, 4)
+        lay = VariableLayout(1, 1, 1, 2, 2, 2, 5, 4, 2)
         A, b = encode_gamma_bound(plant, 0.25, lay)
         A = to_scipy(csr(A))
         assert A.shape[0] == 2 * plant.n_x
@@ -269,7 +275,7 @@ class TestGammaBound:
 
     def test_violation_matches_corner_enumeration(self, plant):
         rng = np.random.default_rng(42)
-        lay = VariableLayout(1, 1, 1, 2, 2, 2, 5, 4)
+        lay = VariableLayout(1, 1, 1, 2, 2, 2, 5, 4, 2)
         gamma = 0.3
         A, b = encode_gamma_bound(plant, gamma, lay)
         A = to_scipy(csr(A))
@@ -285,7 +291,7 @@ class TestGammaBound:
 
     def test_huge_gamma_never_active(self, plant):
         rng = np.random.default_rng(43)
-        lay = VariableLayout(2, 1, 1, 2, 2, 2, 5, 4)
+        lay = VariableLayout(2, 1, 1, 2, 2, 2, 5, 4, 2)
         A, b = encode_gamma_bound(plant, 1e9, lay)
         A = to_scipy(csr(A))
         for _ in range(20):
@@ -386,14 +392,14 @@ class TestAssemble:
 
     def test_deterministic_assembly(self, small_problem):
         sys, Y, params, vertices, H, _ = small_problem
-        p1 = assemble(sys, Y, vertices, params, 2, 3, H)
-        p2 = assemble(sys, Y, vertices, params, 2, 3, H)
+        p1 = assemble(sys, Y, vertices, params, 2, 3, H, params.s)
+        p2 = assemble(sys, Y, vertices, params, 2, 3, H, params.s)
         assert_same_step_programs(p1, p2)
 
     def test_duplicate_vertices_are_dropped(self, small_problem):
         sys, Y, params, vertices, H, problem = small_problem
         doubled = np.vstack([vertices, vertices])
-        p = assemble(sys, Y, doubled, params, 2, 3, H)
+        p = assemble(sys, Y, doubled, params, 2, 3, H, params.s)
         assert p.layout.n_vertices == problem.layout.n_vertices
 
     def test_zero_disturbance_feasible_at_max_deviation(self, small_problem, small_blocks):
@@ -415,18 +421,19 @@ class TestAssemble:
     def test_rejects_bad_inputs(self, small_problem):
         sys, Y, params, vertices, H, _ = small_problem
         with pytest.raises(EncodingError):
-            assemble(sys, Y, vertices, params, 0, 3, H)
+            assemble(sys, Y, vertices, params, 0, 3, H, params.s)
         with pytest.raises(EncodingError):
-            assemble(sys, Y, vertices[:, :1], params, 2, 3, H)
+            assemble(sys, Y, vertices[:, :1], params, 2, 3, H, params.s)
         with pytest.raises(EncodingError):
-            assemble(sys, Y, vertices, params, 2, 3, np.ones((4, 3)))
+            assemble(sys, Y, vertices, params, 2, 3, np.ones((4, 3)), params.s)
 
 
 def illustrative_blocks(plant, pentagon, t0=None):
-    """The illustrative problem's blocks, over its layout with tail start t0."""
+    """The illustrative problem's blocks, over its layout with tail start t0
+    (s, no tail, without one)."""
     params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
     vertices, H = vertices_hpoly(pentagon), h_preset("uniform:6", 2)
-    layout = assemble(plant, pentagon, vertices, params, 4, 59, H, t0=t0).layout
+    layout = assemble(plant, pentagon, vertices, params, 4, 59, H, params.s if t0 is None else t0).layout
     return synth_blocks(plant, pentagon, vertices, params, H, layout)
 
 
@@ -579,7 +586,7 @@ class TestBudgetTail:
             # grow the boxes in a random direction until a budget row binds
             cost = np.zeros(lay.dim_x)
             cost[: 2 * lay.n_boxes * lay.n_w] = -rng.uniform(0.0, 1.0, 2 * lay.n_boxes * lay.n_w)
-            out = solve_lp(LpProblem(cost, as_csr(tailed.a_x), tailed.b, lb=lb))
+            out = solve_lp(LpProblem(cost, as_csr(tailed.a_x), tailed.b, 0, lb))
             assert out.optimal
             x = out.x
             W = boxes_from_x(tailed, x)
@@ -629,7 +636,7 @@ class TestMatchesScipyReference:
         sys, Y, vertices, H, opts = _reference_case(case)
         if case in ("illustrative", "zeros"):
             assert (sys.D == 0.0).any()  # a zero the blocks must leave out
-        params = select_params(sys, Y, gamma=opts.gamma, mu=opts.mu, s_max=opts.s_max)
+        params = select_params(sys, Y, gamma=opts.gamma, mu=opts.mu)
         t0 = budget_tail(sys, Y, params) if tail == "budget-tail" else params.s
         assert (t0 < params.s) == (tail == "budget-tail")  # with and without the rho rows
         horizon = short_horizon(sys, opts.horizon if opts.horizon is not None else params.s)

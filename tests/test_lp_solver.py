@@ -1,13 +1,15 @@
 import dataclasses
+import json
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
 
-from distsynth import assemble, h_preset, lp_solver, select_params, synthesizer, verifier, vertices_hpoly
+from distsynth import assemble, cli, h_preset, lp_solver, select_params, synthesizer, verifier, vertices_hpoly
 from distsynth.lp_solver import (
     BASIC,
     FAILED,
@@ -31,11 +33,11 @@ from distsynth.synthesizer import boxes_from_x, p_step, q_step, spread_beta
 from distsynth.verifier import verify_coverage
 
 from conftest import prices_with_devex
-from reference import as_csr, to_scipy
+from reference import as_csr, no_rows, to_scipy, zeroed_dual_objective
 
 
 def test_min_with_lower_bound():
-    out = solve_lp(LpProblem(c=[1.0], lb=[1.0]))
+    out = solve_lp(LpProblem([1.0], no_rows(1), [], 0, [1.0]))
     assert out.status == OPTIMAL
     assert out.objective == pytest.approx(1.0)
     assert out.x[0] == pytest.approx(1.0)
@@ -46,6 +48,7 @@ def test_simplex_facet_optimum():
         c=[-1.0, -1.0],
         a=as_csr(np.array([[1.0, 1.0]])),
         b=[1.0],
+        n_eq=0,
         lb=[0.0, 0.0],
     )
     out = solve_lp(p)
@@ -54,12 +57,12 @@ def test_simplex_facet_optimum():
 
 
 def test_infeasible_status():
-    p = LpProblem(c=[1.0], a=as_csr(np.array([[1.0]])), b=[-1.0], lb=[0.0])
+    p = LpProblem(c=[1.0], a=as_csr(np.array([[1.0]])), b=[-1.0], n_eq=0, lb=[0.0])
     assert solve_lp(p).status == INFEASIBLE
 
 
 def test_unbounded_status():
-    p = LpProblem(c=[-1.0], lb=[0.0])
+    p = LpProblem([-1.0], no_rows(1), [], 0, [0.0])
     assert solve_lp(p).status == UNBOUNDED
 
 
@@ -70,8 +73,8 @@ def test_a_program_highs_rejects_is_failed():
     takes with a warning (a coefficient below its small-value limit) solves."""
     a = Csr(np.array([0, 1], np.int32), np.array([1], np.int32), np.array([1.0]), (1, 1))
     for b in (1.0, -1.0):
-        assert solve_lp(LpProblem(c=[1.0], a=a, b=[b], lb=[0.0])).status == FAILED
-    tiny = LpProblem(c=[1.0, 1.0], a=as_csr(np.array([[1.0, 1e-12]])), b=[1.0], lb=[0.0, 0.0])
+        assert solve_lp(LpProblem(c=[1.0], a=a, b=[b], n_eq=0, lb=[0.0])).status == FAILED
+    tiny = LpProblem(c=[1.0, 1.0], a=as_csr(np.array([[1.0, 1e-12]])), b=[1.0], n_eq=0, lb=[0.0, 0.0])
     assert solve_lp(tiny).status == OPTIMAL
 
 
@@ -82,6 +85,11 @@ def _random_bounded_lp(rng, dim=4, extra_rows=10):
     g = np.concatenate([offs, np.full(2 * dim, 3.0)])
     c = rng.standard_normal(dim)
     return c, G, g
+
+
+def _free_lp(c, G, g) -> LpProblem:
+    """min c@x over G x <= g, every column free."""
+    return LpProblem(c, as_csr(G), g, 0, np.full(len(c), -np.inf))
 
 
 def _vertex_enumeration_minimum(c, G, g):
@@ -101,7 +109,7 @@ def test_matches_vertex_enumeration_oracle():
     rng = np.random.default_rng(21)
     for _ in range(25):
         c, G, g = _random_bounded_lp(rng)
-        out = solve_lp(LpProblem(c, as_csr(G), g))
+        out = solve_lp(_free_lp(c, G, g))
         assert out.status == OPTIMAL
         assert out.objective == pytest.approx(_vertex_enumeration_minimum(c, G, g), abs=1e-7)
 
@@ -109,7 +117,7 @@ def test_matches_vertex_enumeration_oracle():
 def test_bitwise_determinism():
     rng = np.random.default_rng(22)
     c, G, g = _random_bounded_lp(rng)
-    p = LpProblem(c, as_csr(G), g)
+    p = _free_lp(c, G, g)
     a = solve_lp(p)
     b = solve_lp(p)
     assert np.array_equal(a.x, b.x)
@@ -119,11 +127,11 @@ def test_bitwise_determinism():
 def test_row_scaling_robustness():
     rng = np.random.default_rng(23)
     c, G, g = _random_bounded_lp(rng)
-    base = solve_lp(LpProblem(c, as_csr(G), g))
+    base = solve_lp(_free_lp(c, G, g))
     G2, g2 = G.copy(), g.copy()
     G2[0] *= 1e3
     g2[0] *= 1e3
-    scaled = solve_lp(LpProblem(c, as_csr(G2), g2))
+    scaled = solve_lp(_free_lp(c, G2, g2))
     assert np.linalg.norm(base.x - scaled.x, np.inf) <= 1e-6
 
 
@@ -131,7 +139,7 @@ def test_weak_duality_and_residual():
     rng = np.random.default_rng(24)
     for _ in range(10):
         c, G, g = _random_bounded_lp(rng)
-        out = solve_lp(LpProblem(c, as_csr(G), g))
+        out = solve_lp(_free_lp(c, G, g))
         assert out.status == OPTIMAL
         assert out.objective >= out.dual_objective - 1e-6
         assert abs(out.objective - out.dual_objective) <= 1e-6
@@ -140,7 +148,7 @@ def test_weak_duality_and_residual():
 
 def test_dual_objective_skips_infinite_right_hand_sides():
     # an infinite row bound has a zero dual; inf * 0 must not make the dual objective NaN
-    p = LpProblem([1.0, 1.0], as_csr([[1.0, 1.0], [1.0, -1.0]]), [np.inf, 1.0], lb=[0.0, 0.0])
+    p = LpProblem([1.0, 1.0], as_csr([[1.0, 1.0], [1.0, -1.0]]), [np.inf, 1.0], 0, [0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = solve_lp(p)
@@ -162,8 +170,8 @@ def test_equality_constraints():
 
 
 def test_an_absent_block_is_empty(tmp_path):
-    empty = LpProblem(c=[1.0, 1.0])
-    assert empty.a.shape == (0, 2) and empty.a.nnz == 0 and empty.b.shape == (0,) and empty.n_ub == 0
+    empty = LpProblem([1.0, 1.0], no_rows(2), [], 0, [0.0, 0.0])
+    assert empty.b.shape == (0,) and empty.n_ub == 0 and solve_lp(empty).objective == 0.0
     p = LpProblem(c=[1.0, 1.0], a=as_csr([[1.0, 1.0]]), b=[2.0], n_eq=1, lb=[0.0, 0.0])
     assert p.n_ub == 0 and p.a.data.dtype == np.float64
     assert solve_lp(p).objective == pytest.approx(2.0)
@@ -174,29 +182,29 @@ def test_an_absent_block_is_empty(tmp_path):
 
 def test_rejects_inconsistent_dimensions():
     with pytest.raises(ValueError):
-        LpProblem(c=[1.0, 2.0], a=as_csr(np.eye(3)), b=np.ones(3))
+        LpProblem(c=[1.0, 2.0], a=as_csr(np.eye(3)), b=np.ones(3), n_eq=0, lb=[0.0, 0.0])
     with pytest.raises(ValueError):
-        LpProblem(c=[np.inf])
+        LpProblem([np.inf], no_rows(1), [], 0, [0.0])
     nan, inf = np.nan, np.inf
+    # each case changes the well-formed program min -x s.t. x <= 1, x >= 0
     for bad in (
-        {"a": as_csr([[1.0]])},  # a without b
-        {"a": as_csr([[1.0]]), "b": [1.0, 2.0]},
-        {"a": as_csr([[1.0]]), "b": [1.0], "n_eq": 2},
-        {"a": as_csr([[1.0]]), "b": [1.0], "n_eq": -1},
+        {"b": [1.0, 2.0]},
+        {"n_eq": 2},
+        {"n_eq": -1},
         # a coefficient or bound HiGHS would ignore or misread
-        {"a": as_csr([[nan]]), "b": [1.0]},
-        {"a": as_csr([[inf]]), "b": [1.0]},
-        {"a": as_csr([[nan]]), "b": [1.0], "n_eq": 1},
-        {"a": as_csr([[-inf]]), "b": [1.0], "n_eq": 1},
-        {"a": as_csr([[1.0]]), "b": [inf], "n_eq": 1},
-        {"a": as_csr([[1.0]]), "b": [nan], "n_eq": 1},
-        {"a": as_csr([[1.0]]), "b": [nan]},
+        {"a": as_csr([[nan]])},
+        {"a": as_csr([[inf]])},
+        {"a": as_csr([[nan]]), "n_eq": 1},
+        {"a": as_csr([[-inf]]), "n_eq": 1},
+        {"b": [inf], "n_eq": 1},
+        {"b": [nan], "n_eq": 1},
+        {"b": [nan]},
         {"lb": [nan]},
         {"lb": [inf]},  # a +inf lower bound crashes scipy's HiGHS bindings
     ):
         with pytest.raises(ValueError):
-            LpProblem(c=[-1.0], **bad)
-    LpProblem(c=[-1.0], a=as_csr([[1.0]]), b=[inf], lb=[-inf])  # an infinite bound stays allowed
+            LpProblem(**{"c": [-1.0], "a": as_csr([[1.0]]), "b": [1.0], "n_eq": 0, "lb": [0.0], **bad})
+    LpProblem(c=[-1.0], a=as_csr([[1.0]]), b=[inf], n_eq=0, lb=[-inf])  # an infinite bound stays allowed
 
 
 def test_rejects_a_malformed_csr():
@@ -213,9 +221,9 @@ def test_rejects_a_malformed_csr():
         (np.array([0, 2], i32), np.array([0, 1], i32), one),  # more column indices than values
     ):
         with pytest.raises(ValueError):
-            LpProblem(c=[1.0, 1.0], a=Csr(indptr, indices, data, (1, 2)), b=[1.0])
-    well_formed = LpProblem(c=[1.0, 1.0], a=Csr(np.array([0, 2], i32), np.array([0, 1], i32), two, (1, 2)), b=[1.0])
-    assert well_formed.a.nnz == 2
+            LpProblem([1.0, 1.0], Csr(indptr, indices, data, (1, 2)), [1.0], 0, [0.0, 0.0])
+    well_formed = Csr(np.array([0, 2], i32), np.array([0, 1], i32), two, (1, 2))
+    assert LpProblem([1.0, 1.0], well_formed, [1.0], 0, [0.0, 0.0]).a.nnz == 2
 
 
 def test_lp_dump_is_deterministic_and_readable(tmp_path):
@@ -278,7 +286,7 @@ def illustrative_lps(plant, pentagon):
     params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
     vertices = vertices_hpoly(pentagon)
     H = h_preset("uniform:6", 2)
-    problem = assemble(plant, pentagon, vertices, params, 4, 59, H)
+    problem = assemble(plant, pentagon, vertices, params, 4, 59, H, params.s)
     lps = []
 
     def recording(lp, **kwargs):
@@ -340,6 +348,32 @@ def test_cold_solve_is_linprog_bit_for_bit(illustrative_lps):
         assert out.residual == _scaled_residual(p, res.x)
 
 
+def test_basic_columns_have_an_exact_zero_dual(monkeypatch):
+    """``_outcome`` sums HiGHS's column duals as they come: every optimal
+    answer of ``synth`` and ``verify`` (with and without the stored witness)
+    on the illustrative spec and on a generated problem with two restarts has
+    the dual objective it has with the basic columns' duals zeroed first."""
+    outcome, seen = lp_solver._outcome, []
+
+    def checked(p, highs):
+        out = outcome(p, highs)
+        if out.optimal:
+            seen.append(out.dual_objective == zeroed_dual_objective(p, highs))
+        return out
+
+    monkeypatch.setattr(lp_solver, "_outcome", checked)
+    gen = cli.cmd_gen(3, 2, 2, 0.7, 0)
+    gen.options.restarts = 2
+    with open(Path(__file__).resolve().parents[1] / "specs" / "illustrative.json") as fh:
+        illustrative = cli.parse_spec(json.load(fh))
+    for spec in (illustrative, gen):
+        doc = cli.cmd_synth(spec)
+        cli.cmd_verify(spec, doc)
+        doc.witness = None
+        cli.cmd_verify(spec, doc)
+    assert len(seen) > 20 and all(seen), seen.count(False)
+
+
 def test_highs_takes_a_program_as_arrays():
     """The installed scipy's HiGHS binding has the array overload of passModel
     that ``_run`` calls with the row-wise matrix; a cold solve through it is
@@ -348,7 +382,8 @@ def test_highs_takes_a_program_as_arrays():
     from scipy.optimize._highspy import _core as highs_core
 
     c, G, g = _random_bounded_lp(np.random.default_rng(23))
-    p = LpProblem(c, as_csr(sp.vstack([sp.csr_matrix(G), np.ones((1, c.size))])), np.append(g, 0.5), n_eq=1)
+    a = as_csr(sp.vstack([sp.csr_matrix(G), np.ones((1, c.size))]))
+    p = LpProblem(c, a, np.append(g, 0.5), 1, np.full(c.size, -np.inf))
     n, row_lower = p.n_vars, np.append(np.full(g.size, -np.inf), 0.5)
 
     def solve(fmt, a):
@@ -381,13 +416,13 @@ def test_highs_takes_a_program_as_arrays():
 def _two_row_lp(c=(-1.0, -1.0), b_ub=(1.0, 1.0)):
     """x0 + x1 <= b0, x0 - x1 <= b1, x >= 0: one matrix, many programs."""
     a = as_csr(np.array([[1.0, 1.0], [1.0, -1.0]]))
-    return LpProblem(c=list(c), a=a, b=list(b_ub), lb=[0.0, 0.0])
+    return LpProblem(c=list(c), a=a, b=list(b_ub), n_eq=0, lb=[0.0, 0.0])
 
 
 def test_infeasible_and_unbounded_keep_their_status_with_a_basis():
     basis = solve_lp(_two_row_lp()).basis
     assert basis is not None
-    alien = solve_lp(LpProblem(c=[1.0, 1.0, 1.0], lb=[0.0, 0.0, 0.0])).basis
+    alien = solve_lp(LpProblem([1.0, 1.0, 1.0], no_rows(3), [], 0, [0.0, 0.0, 0.0])).basis
     infeasible = _two_row_lp(b_ub=(-1.0, 1.0))
     unbounded = _two_row_lp(b_ub=(np.inf, 1.0))
     for p, status in ((infeasible, INFEASIBLE), (unbounded, UNBOUNDED)):

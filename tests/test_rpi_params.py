@@ -11,6 +11,7 @@ from distsynth import (
     LtiSystem,
     ParamSearchError,
     RpiConstants,
+    rpi_params,
     select_params,
     solve_Hs,
     support_rows,
@@ -317,9 +318,10 @@ class TestSelectParams:
         assert p.alpha == pytest.approx(5.195e-4, rel=5e-3)
         assert p.lam == pytest.approx(2.931e-5, rel=5e-3)
 
-    def test_search_budget_exhaustion(self, plant, pentagon):
-        with pytest.raises(ParamSearchError) as err:
-            select_params(plant, pentagon, gamma=0.2, mu=1e-3, s_max=10)
+    def test_search_budget_exhaustion(self, plant, pentagon, monkeypatch):
+        monkeypatch.setattr(rpi_params, "S_MAX", 10)  # read at call time
+        with pytest.raises(ParamSearchError, match="up to S_MAX=10") as err:
+            select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         assert len(err.value.trail) == 10
 
     def test_returned_params_satisfy_inequalities(self):

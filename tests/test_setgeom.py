@@ -24,7 +24,7 @@ from distsynth.setgeom import (
     merge_vertices,
     rollout,
     sample_batch,
-    support_argmax_rows,
+    support_corners,
 )
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
@@ -133,44 +133,55 @@ class TestSupportHull:
         for _ in range(50):
             W = random_hull(rng)
             p = rng.standard_normal(2)
-            point = support_argmax_rows(np.eye(2), p, W)[0]
+            point = support_corners(np.eye(2), p, W)[2][0]
             assert p @ point == pytest.approx(support_rows(np.eye(2), np.atleast_2d(p), W)[0], abs=1e-12)
 
 
 class TestSupportArgmaxRows:
+    """``support_corners``: per row, a point of W attaining its support."""
+
     def test_rows_attain_support_rows_in_their_box(self):
         rng = np.random.default_rng(20)
         for _ in range(50):
             W = random_hull(rng, n_w=3, n_boxes=4)
             T = rng.standard_normal((2, 3))
             M = rng.standard_normal((6, 2))
-            points = support_argmax_rows(T, M, W)
-            assert points.shape == (6, 3)
+            upper, j, points = support_corners(T, M, W)
+            assert points.shape == upper.shape == (6, 3) and j.shape == (6,)
             np.testing.assert_allclose(np.sum((M @ T) * points, axis=1), support_rows(T, M, W), atol=1e-12)
-            inside = np.all(np.abs(points[:, None] - W.centers) <= W.halfwidths + 1e-15, axis=2)
-            assert np.all(inside.any(axis=1))
+            np.testing.assert_array_equal(upper, M @ T >= 0.0)
+            np.testing.assert_array_equal(points, W.centers[j] + np.where(upper, 1.0, -1.0) * W.halfwidths[j])
 
     def test_ties_take_the_first_box(self):
         # both singletons attain the support 1 along (0, 1); along (1, 1) only the second does
         W = BoxHullSet([[0.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]])
         swapped = BoxHullSet(W.centers[::-1], W.halfwidths)
         M = np.array([[0.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(support_argmax_rows(np.eye(2), M, W), [[0.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(support_argmax_rows(np.eye(2), M, swapped), [[1.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(support_corners(np.eye(2), M, W)[2], [[0.0, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(support_corners(np.eye(2), M, swapped)[2], [[1.0, 1.0], [1.0, 1.0]])
+
+    def test_a_zero_direction_takes_the_upper_side(self):
+        # along (1, 0) the whole right edge attains the support; the rule picks its corner c + e
+        W = one_box([0.5, -1.0], [1.0, 2.0])
+        upper, j, points = support_corners(np.eye(2), np.array([[1.0, 0.0], [-1.0, -0.0]]), W)
+        np.testing.assert_array_equal(upper, [[True, True], [False, True]])
+        np.testing.assert_array_equal(points, [[1.5, 1.0], [-0.5, 1.0]])
+        np.testing.assert_array_equal(j, [0, 0])
 
     def test_each_row_is_its_own_one_row_case(self):
         rng = np.random.default_rng(21)
         W = random_hull(rng, n_boxes=4)
         T = rng.standard_normal((3, 2))
         M = rng.standard_normal((5, 3))
-        rows = support_argmax_rows(T, M, W)
+        rows = support_corners(T, M, W)
         for k in range(5):
-            np.testing.assert_array_equal(rows[k], support_argmax_rows(T, M[k], W)[0])
+            for got, want in zip(support_corners(T, M[k], W), rows):
+                np.testing.assert_array_equal(got[0], want[k])
 
     def test_shape_checks_match_support_rows(self):
         W = one_box([0.0, 0.0], [1.0, 1.0])
         for T, M in ((np.eye(2), np.ones((1, 3))), (np.eye(3), np.ones((1, 3)))):
-            for kernel in (support_rows, support_argmax_rows):
+            for kernel in (support_rows, support_corners):
                 with pytest.raises(GeometryError):
                     kernel(T, M, W)
 
@@ -402,7 +413,7 @@ def _extent_lp_verdict(P: HPolytope) -> str:
     set with a ray is unbounded along some coordinate."""
     for k in range(P.dim):
         for sign in (1.0, -1.0):
-            out = lp_solver.solve_lp(LpProblem(-sign * np.eye(P.dim)[k], a=as_csr(P.G), b=P.g))
+            out = lp_solver.solve_lp(LpProblem(-sign * np.eye(P.dim)[k], as_csr(P.G), P.g, 0, np.full(P.dim, -np.inf)))
             if out.status in (INFEASIBLE, UNBOUNDED):
                 return "empty" if out.status == INFEASIBLE else "unbounded"
             assert out.optimal, out.status
@@ -410,7 +421,7 @@ def _extent_lp_verdict(P: HPolytope) -> str:
 
 
 def _lp_support(P: HPolytope, c) -> float:
-    return -lp_solver.solve_lp(LpProblem(-c, a=as_csr(P.G), b=P.g)).objective
+    return -lp_solver.solve_lp(LpProblem(-c, as_csr(P.G), P.g, 0, np.full(P.dim, -np.inf))).objective
 
 
 def _random_normals(rng, n, count):
@@ -810,7 +821,7 @@ def _equal_pairs():
         "Membership": lambda: Membership(True, 0.0, np.ones(2), np.zeros((2, 2))),
         "RpiConstants": lambda: RpiConstants(3, np.ones(3), 0.5, 2.0, 0.1),
         "CoverageWitness": lambda: CoverageWitness(np.ones((1, 2, 1)), np.zeros((1, 2, 2))),
-        "LpProblem": lambda: LpProblem(np.ones(2), as_csr(np.eye(2)), np.ones(2)),
+        "LpProblem": lambda: LpProblem(np.ones(2), as_csr(np.eye(2)), np.ones(2), 0, np.zeros(2)),
         "SynthResult": lambda: SynthResult(
             BoxHullSet([[0.0]], [[1.0]]), 2.0, [2.0], "converged", 1, {"x": np.ones(3)}, [4]
         ),

@@ -31,6 +31,7 @@ from conftest import random_stable_system
 from reference import (
     as_csr,
     membership_blocks,
+    no_rows,
     p_step_lp,
     program_residual,
     q_step_lp,
@@ -57,7 +58,7 @@ def unit_box_inputs(seed):
 @pytest.fixture(scope="module")
 def small_setup():
     sys, Y, params, vertices = unit_box_inputs(50)
-    problem = assemble(sys, Y, vertices, params, n_boxes=2, horizon=3, H=h_preset("box", 2))
+    problem = assemble(sys, Y, vertices, params, n_boxes=2, horizon=3, H=h_preset("box", 2), t0=params.s)
     return sys, Y, params, vertices, problem
 
 
@@ -76,7 +77,7 @@ def vertex_count_inputs():
 def vertex_count_setup(vertex_count_inputs):
     sys, Y, params, vertices = vertex_count_inputs
     problem = assemble(
-        sys, Y, vertices, params, n_boxes=len(vertices), horizon=2, H=h_preset("box", 2)
+        sys, Y, vertices, params, n_boxes=len(vertices), horizon=2, H=h_preset("box", 2), t0=params.s
     )
     return problem
 
@@ -95,7 +96,7 @@ def illustrative_params(plant, pentagon):
 @pytest.fixture(scope="module")
 def illustrative_problem(plant, pentagon, illustrative_params):
     return assemble(
-        plant, pentagon, vertices_hpoly(pentagon), illustrative_params, 4, 59, h_preset("uniform:6", 2)
+        plant, pentagon, vertices_hpoly(pentagon), illustrative_params, 4, 59, h_preset("uniform:6", 2), illustrative_params.s
     )
 
 
@@ -291,7 +292,7 @@ class TestPStep:
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         Y = unit_box_constraints(2)
         params = select_params(sys, Y, gamma=1.0, mu=1e-2)
-        problem = assemble(sys, Y, np.zeros((1, 2)), params, 2, 2, h_preset("box", 2))
+        problem = assemble(sys, Y, np.zeros((1, 2)), params, 2, 2, h_preset("box", 2), params.s)
         _, _, _, _, obj, _ = p_step(problem, uniform_beta(problem.layout))
         assert obj == pytest.approx(0.0, abs=1e-10)
 
@@ -321,7 +322,7 @@ class TestQStep:
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         Y = unit_box_constraints(2)
         params = select_params(sys, Y, gamma=1.0, mu=1e-2)
-        problem = assemble(sys, Y, vertices_hpoly(Y), params, 1, 2, h_preset("box", 2))
+        problem = assemble(sys, Y, vertices_hpoly(Y), params, 1, 2, h_preset("box", 2), params.s)
         beta = uniform_beta(problem.layout)
         _, _, wbar, _, p_obj, _ = p_step(problem, beta)
         beta_out, q_obj, _ = q_step(problem, wbar)
@@ -368,7 +369,7 @@ class TestQStep:
         params = select_params(sys, Y, gamma=1.0, mu=1e-2)
         vertices = np.array([[0.3, 0.2], [-0.25, 0.1]])
         H = h_preset("box", 2)
-        problem = assemble(sys, Y, vertices, params, n_boxes=2, horizon=1, H=H)
+        problem = assemble(sys, Y, vertices, params, n_boxes=2, horizon=1, H=H, t0=params.s)
         lay = problem.layout
         _, _, wbar, _, _, _ = p_step(problem, uniform_beta(lay))
         _, q_obj, _ = q_step(problem, wbar)
@@ -483,7 +484,7 @@ class TestAlternate:
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         Y = unit_box_constraints(2)
         params = select_params(sys, Y, gamma=1.0, mu=1e-2)
-        problem = assemble(sys, Y, np.zeros((1, 2)), params, 2, 2, h_preset("box", 2))
+        problem = assemble(sys, Y, np.zeros((1, 2)), params, 2, 2, h_preset("box", 2), params.s)
         res = alternate(problem, uniform_beta(problem.layout))
         assert res.objective == pytest.approx(0.0, abs=1e-9)
         assert res.iterations <= 2
@@ -586,7 +587,7 @@ class TestAlternate:
 
     def test_failing_q_step_names_its_iteration_and_keeps_the_lp(self, small_setup, monkeypatch):
         problem = small_setup[4]
-        lp = LpProblem(np.zeros(1))
+        lp = LpProblem(np.zeros(1), no_rows(1), [], 0, [0.0])
 
         def failing(problem, wbar, basis=None):
             raise SynthesisError("reweighting LP ended with status failed", lp)
@@ -765,7 +766,7 @@ def spec_problem(request):
     else:
         spec = cmd_gen(*map(int, request.param.split("-")[1:]), 0.7, 1)
     opts = spec.options
-    params = select_params(spec.sys, spec.Y, gamma=opts.gamma, mu=opts.mu, s_max=opts.s_max)
+    params = select_params(spec.sys, spec.Y, gamma=opts.gamma, mu=opts.mu)
     horizon = opts.horizon if opts.horizon is not None else params.s
     problem = assemble(
         spec.sys, spec.Y, spec.resolve_vertices(), params, opts.n_boxes,

@@ -47,7 +47,7 @@ def test_lp_shape_counts_the_one_matrix(n_eq):
     """The tracer counts rows and nonzeros through ``LpProblem.a_ub`` and
     ``a_eq``; together they must be the one matrix ``a``."""
     a = as_csr(np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 5.0, 6.0], [0.0, 0.0, 7.0]]))
-    lp = LpProblem(np.ones(3), a, np.ones(4), n_eq)
+    lp = LpProblem(np.ones(3), a, np.ones(4), n_eq, np.full(3, -np.inf))
     assert (lp.a_ub.shape[0], lp.a_eq.shape[0]) == (4 - n_eq, n_eq)
     assert _TRACER._lp_shape(lp) == {"rows": a.shape[0], "cols": lp.n_vars, "nnz": a.nnz}
 
@@ -58,7 +58,7 @@ def test_lp_shape_counts_the_illustrative_programs(plant, pentagon):
     into their inequality and equality rows without losing a row or an entry."""
     params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
     vertices, H = vertices_hpoly(pentagon), h_preset("uniform:6", 2)
-    problem = assemble(plant, pentagon, vertices, params, 4, 59, H)
+    problem = assemble(plant, pentagon, vertices, params, 4, 59, H, params.s)
     beta = spread_beta(problem.layout)
     x, _, wbar, _, _, _ = p_step(problem, beta)
     slack = kron(-np.ones((len(vertices), 1)), H.shape[0])

@@ -161,7 +161,7 @@ class TestVerifyOutputInclusion:
     def test_synthesized_set_passes(self, plant, pentagon):
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         V = vertices_hpoly(pentagon)
-        problem = assemble(plant, pentagon, V, params, 2, 10, h_preset("box", 2))
+        problem = assemble(plant, pentagon, V, params, 2, 10, h_preset("box", 2), params.s)
         res = alternate(problem, uniform_beta(problem.layout))
         assert verify_output_inclusion(plant, pentagon, params, res.W).passed
 
@@ -211,7 +211,7 @@ class TestDistanceDY:
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         V = vertices_hpoly(pentagon)
         H = h_preset("uniform:6", 2)
-        problem = assemble(plant, pentagon, V, params, 2, 12, H)
+        problem = assemble(plant, pentagon, V, params, 2, 12, H, params.s)
         res = alternate(problem, uniform_beta(problem.layout))
         _, exact = distance_dY(plant, V, res.W, 12, H)
         assert exact <= res.objective + 1e-6
@@ -492,7 +492,8 @@ class TestSimplexStrategy:
         monkeypatch.setattr(lp_solver, "_run", spy)
         V = vertices_hpoly(pentagon)
         H = h_preset("uniform:6", 2)
-        problem = assemble(plant, pentagon, V, select_params(plant, pentagon, gamma=0.2, mu=1e-3), 2, 12, H)
+        params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
+        problem = assemble(plant, pentagon, V, params, 2, 12, H, params.s)
         monkeypatch.setattr(synthesizer, "MAX_ITERS", 5)
         alternate(problem, uniform_beta(problem.layout))
         synthesis, runs[:] = list(runs), []
@@ -899,7 +900,7 @@ class TestMonteCarlo:
     def test_soundness_chain(self, plant, pentagon):
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         V = vertices_hpoly(pentagon)
-        problem = assemble(plant, pentagon, V, params, 2, 12, h_preset("box", 2))
+        problem = assemble(plant, pentagon, V, params, 2, 12, h_preset("box", 2), params.s)
         res = alternate(problem, uniform_beta(problem.layout))
         assert verify_params(plant, pentagon, params).passed
         assert verify_gamma(plant, res.W, params.gamma).passed
@@ -910,7 +911,7 @@ class TestMonteCarlo:
     def test_inflated_set_reports_violations(self, plant, pentagon):
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         V = vertices_hpoly(pentagon)
-        problem = assemble(plant, pentagon, V, params, 2, 12, h_preset("box", 2))
+        problem = assemble(plant, pentagon, V, params, 2, 12, h_preset("box", 2), params.s)
         res = alternate(problem, uniform_beta(problem.layout))
         rep = monte_carlo(
             plant, scaled(res.W, 10.0), pentagon, T=2000, runs=3, rng=np.random.default_rng(2)
