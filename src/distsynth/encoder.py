@@ -22,7 +22,10 @@ offsets and ``lp_solver.csr`` sorts them once by (row, column) into its
 ``Csr`` matrix.  Row and column orders are fixed functions of the dimensions,
 so two assemblies of the same input are bit-identical.  A P-step or Q-step
 program (``StepProgram``) keeps its fixed entries and builds, per step, the
-one block its frozen factor sets, which ``csr`` sorts in with them.
+one block its frozen factor sets, which ``csr`` sorts in with them.  A column
+that an exactly zero input map leaves dead (``dead_columns``) can bind no row,
+so the P-step program is built without it and the rows it enters, once; the
+synthesizer gives it back a value that keeps those rows.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_solver import Coo, LpProblem, csr, kron, stack
+from .lp_solver import Coo, LpProblem, csr, delete_columns, kron, stack
 from .rpi_params import RpiParams
-from .setgeom import HPolytope, LtiSystem, merge_vertices, reach_coefficients, stacked_identity
+from .setgeom import HPolytope, LtiSystem, dead_points, merge_vertices, reach_coefficients, stacked_identity
 
 
 class EncodingError(ValueError):
@@ -133,6 +136,11 @@ def _box_rows(T: np.ndarray, N: int) -> Coo:
     return kron(N, np.hstack([T, np.abs(T)]))
 
 
+def tail_charge(gbar: list[np.ndarray], sys: LtiSystem, layout: VariableLayout) -> np.ndarray:
+    """sum_{t>=t0} |Gbar_t B|, (m_y, n_rho): the budget rows' charge on rho."""
+    return sum((np.abs(G @ sys.B) for G in gbar[layout.t0 :]), np.zeros((layout.m_y, layout.n_rho)))
+
+
 def encode_output_inclusion(gbar: list[np.ndarray], sys: LtiSystem, Y: HPolytope, params: RpiParams, layout: VariableLayout):
     """Rows bounding the reachable-output support by the budget variables.
 
@@ -154,7 +162,7 @@ def encode_output_inclusion(gbar: list[np.ndarray], sys: LtiSystem, Y: HPolytope
     terms = np.vstack([G @ sys.B for G in gbar[:t0]])  # row t * m_y + i
     per_box = -np.ones((N, 1))  # every box's row block charges the same budgets
     S = stacked_identity(layout.n_rho)  # 0 x 0 without a tail, so its rows are empty
-    tail = sum((np.abs(G @ sys.B) for G in gbar[t0:]), np.zeros((m_y, layout.n_rho)))
+    tail = tail_charge(gbar, sys, layout)
     blocks = [
         [_box_rows(terms, N), kron(per_box, n_q), None, None],
         [_box_rows(Y.G @ sys.D, N), None, kron(per_box, m_y), None],
@@ -208,6 +216,12 @@ class StepProgram:
     left out, as triplets whose rows count from row ``first``; it reshapes the
     factor to its exact shape, so a factor of any other size raises
     ValueError.  ``lp`` joins the two and sorts them once with ``csr``.
+
+    ``rows`` maps each row of the full layout to its row in the program, -1
+    for one ``_step_program`` deleted, and ``kept`` marks the full layout's
+    columns that the program keeps; ``lp`` renumbers the block's rows and
+    drops its entries in deleted rows.  The block's columns precede every
+    deleted one.
     """
 
     c: np.ndarray
@@ -217,23 +231,35 @@ class StepProgram:
     fixed: Coo
     first: int
     block: Callable[[np.ndarray], Coo]
+    rows: np.ndarray
+    kept: np.ndarray
 
     def lp(self, factor: np.ndarray) -> LpProblem:
         """The program with ``factor`` filled in."""
         fixed, block = self.fixed, self.block(factor)
-        row, col, val = (np.concatenate(pair) for pair in zip(fixed[:3], (block.row + self.first, block.col, block.val)))
+        row = self.rows[block.row + self.first]
+        live = row >= 0
+        row, col, val = (np.concatenate(pair) for pair in zip(fixed[:3], (row[live], block.col[live], block.val[live])))
         return LpProblem(self.c, csr(Coo(row, col, val, fixed.shape)), self.b, self.n_eq, self.lb)
 
 
-def _step_program(c, lb, fixed: Coo, b, n_eq, first, block) -> StepProgram:
-    """The program of ``fixed`` and ``block`` from row ``first``, the last ``n_eq`` rows equalities;
-    ``fixed`` is sorted here once, so each ``csr`` of a step merges it with the block."""
+def _step_program(c, lb, fixed: Coo, b, n_eq, first, block, dead) -> StepProgram:
+    """The program of ``fixed`` and ``block`` from row ``first``, the last ``n_eq`` rows equalities,
+    less the columns the mask ``dead`` marks and every row with an entry in one
+    (``delete_columns``); ``fixed`` is cut and sorted here once, so each ``csr`` of a step merges it
+    with the block."""
+    fixed, rows = delete_columns(fixed, dead)
+    kept, live = ~dead, rows >= 0
+    n_eq = int(np.count_nonzero(live[b.size - n_eq :]))
+    c, lb, b = c[kept], lb[kept], b[live]
     order = np.argsort(fixed.row * fixed.shape[1] + fixed.col, kind="stable")
-    return StepProgram(c, b, n_eq, lb, Coo(fixed.row[order], fixed.col[order], fixed.val[order], fixed.shape), first, block)
+    fixed = Coo(fixed.row[order], fixed.col[order], fixed.val[order], fixed.shape)
+    return StepProgram(c, b, n_eq, lb, fixed, first, block, rows, kept)
 
 
-def _p_program(layout: VariableLayout, cost_z, a_x, b, c_w, c_z, h, e_z) -> StepProgram:
-    """The P-step program over (x, w, z), its block the weights'.
+def _p_program(layout: VariableLayout, cost_z, a_x, b, c_w, c_z, h, e_z, dead) -> StepProgram:
+    """The P-step program over (x, w, z), its block the weights', less the
+    columns ``dead`` marks and the rows they enter.
 
     Rows: a_x's; the membership rows +-(w_g - sum_j beta_gj c_j) - sum_j
     beta_gj e_j <= 0 by (group, coordinate, sign), w_g in the blended box;
@@ -258,7 +284,7 @@ def _p_program(layout: VariableLayout, cost_z, a_x, b, c_w, c_z, h, e_z) -> Step
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
     rhs = np.concatenate([b, np.zeros(n_rows + e_z.shape[0]), h])
     return _step_program(
-        c, lb, fixed, rhs, h.size, a_x.shape[0], lambda beta: kron(np.reshape(beta, (lay.n_groups, n_boxes)), P)
+        c, lb, fixed, rhs, h.size, a_x.shape[0], lambda beta: kron(np.reshape(beta, (lay.n_groups, n_boxes)), P), dead
     )
 
 
@@ -292,12 +318,29 @@ def _q_program(layout: VariableLayout, reach, cost_z, c_z, h, e_z, t_beta) -> St
     lb[:nb] = 0.0
     lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
     rhs = np.concatenate([np.zeros(e_z.shape[0]), h, np.ones(t_beta.shape[0])])
-    return _step_program(c, lb, fixed, rhs, h.size + t_beta.shape[0], e_z.shape[0], block)
+    return _step_program(c, lb, fixed, rhs, h.size + t_beta.shape[0], e_z.shape[0], block, np.zeros(c.size, bool))
+
+
+def dead_columns(reach: np.ndarray, tail: np.ndarray, layout: VariableLayout) -> np.ndarray:
+    """The P-step columns (x, w, z) that an exactly zero input map leaves dead,
+    as a mask: coordinate k of w in every group (vertex, slot t) whose slot
+    map ``reach[t][:, k]`` is exactly zero (``dead_points``), and the tail
+    bound rho_k whose charge ``tail[:, k]`` (``tail_charge``) is exactly zero.
+    Such a column enters no row but its own: w_gk its two membership rows,
+    which w_gk = sum_j beta_gj c_jk keeps for any boxes, and rho_k its 2N rows
+    +-c_jk + e_jk <= rho_k, which rho_k = max_j |c_jk| + e_jk keeps.  Only
+    exact zeros count."""
+    lay = layout
+    dead = np.zeros(lay.dim_x + lay.dim_w + lay.dim_z, dtype=bool)
+    dead[lay.dim_x - lay.n_rho : lay.dim_x] = ~tail.any(axis=0)
+    dead[lay.dim_x : lay.dim_x + lay.dim_w] = dead_points(reach, lay.n_vertices).ravel()
+    return dead
 
 
 @dataclass(frozen=True)
 class SynthProblem:
-    """The layout of the synthesis program and its P-step and Q-step programs."""
+    """The layout of the synthesis program and its P-step and Q-step programs;
+    the P-step program leaves out its ``dead_columns`` and the rows they enter."""
 
     layout: VariableLayout
     p_program: StepProgram
@@ -360,15 +403,17 @@ def assemble(
         n_boxes=n_boxes, n_vertices=vertices.shape[0], horizon=horizon, s=params.s,
         n_w=sys.n_w, n_y=sys.n_y, m_y=Y.n_rows, n_b=H.shape[0], t0=t0,
     )
-    a1, b1 = encode_output_inclusion(build_gbar(sys, Y, params), sys, Y, params, layout)
+    gbar, reach = build_gbar(sys, Y, params), reach_coefficients(sys, horizon)
+    a1, b1 = encode_output_inclusion(gbar, sys, Y, params, layout)
     a2, b2 = encode_gamma_bound(sys, params.gamma, layout)
     a3, b3 = encode_origin(layout)
     c_w, c_z, h, e_z, t_beta = encode_vertex_reach(vertices, sys, layout, H)
     cost_z = np.zeros(layout.dim_z)
     cost_z[layout.z_eps()] = 1.0
     a_x, b = stack([[a1], [a2], [a3]], [layout.dim_x]), np.concatenate([b1, b2, b3])
+    dead = dead_columns(reach, tail_charge(gbar, sys, layout), layout)
     return SynthProblem(
         layout=layout,
-        p_program=_p_program(layout, cost_z, a_x, b, c_w, c_z, h, e_z),
-        q_program=_q_program(layout, reach_coefficients(sys, horizon), cost_z, c_z, h, e_z, t_beta),
+        p_program=_p_program(layout, cost_z, a_x, b, c_w, c_z, h, e_z, dead),
+        q_program=_q_program(layout, reach, cost_z, c_z, h, e_z, t_beta),
     )

@@ -6,7 +6,10 @@ and per-variable lower bounds.  Solving goes straight to the HiGHS bindings
 that scipy bundles: the CSR arrays reach HiGHS row-wise, as they are, through
 the array overload of ``passModel``, with no element-wise copy and no
 conversion in Python; HiGHS turns them column-wise itself, into the arrays
-``linprog`` would pass.  The options are those
+``linprog`` would pass.  Inside ``one_instance`` a thread solves every
+program on one HiGHS instance of its own, which ``passModel`` clears for each
+and which is freed when the block ends; outside it each run makes and frees
+its own.  The options are those
 ``scipy.optimize.linprog(method="highs")`` would pass, so an accepted cold
 dual-simplex answer is what ``linprog`` returns, bit for bit, without its
 front end, unless the caller asks for primal simplex
@@ -22,16 +25,19 @@ program's structure can start it warm without touching the bindings.
 ``solve_lp`` checks every answer by one rule
 (residual and duality gap) and walks one fallback ladder until an answer meets
 it.  ``write_lp`` dumps a program in LP format for cross-checks elsewhere.
-Blocks are ``Coo`` triplets (``kron``, ``stack``) until ``csr`` sorts them once.
+Blocks are ``Coo`` triplets (``kron``, ``stack``) until ``csr`` sorts them once;
+``delete_columns`` drops columns, and the rows they enter, from a block.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item F
+from scipy.optimize import linprog  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item Y
 from scipy.optimize._highspy import _core as _highs
 
 OPTIMAL = "optimal"
@@ -75,7 +81,11 @@ _OPTIONS = {
 # edge (HiGHS's choice otherwise) computes exact weights for the given basis,
 # which can cost more than the few iterations that follow
 _DEVEX = _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex
+_CHOOSE = _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyChoose
+_DUAL = _OPTIONS["simplex_strategy"]
 _PRIMAL = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
+# the HiGHS instance of this thread's ``one_instance`` block, if any (``_run``)
+_THREAD = threading.local()
 # the status codes of ``start_basis``: nonbasic at the lower bound, basic,
 # nonbasic at the upper bound (a row's bounds are those of its activity a@x)
 LOWER, BASIC, UPPER = 0, 1, 2
@@ -144,11 +154,11 @@ class LpProblem:
         return self.b.size - self.n_eq
 
     @property
-    def a_ub(self) -> Csr:  # perfbench/tracer.py reads it; drop with ROADMAP item F
+    def a_ub(self) -> Csr:  # perfbench/tracer.py reads it; drop with ROADMAP item Y
         return self.a.rows(0, self.n_ub)
 
     @property
-    def a_eq(self) -> Csr:  # perfbench/tracer.py reads it; drop with ROADMAP item F
+    def a_eq(self) -> Csr:  # perfbench/tracer.py reads it; drop with ROADMAP item Y
         return self.a.rows(self.n_ub, self.a.shape[0])
 
 
@@ -216,6 +226,21 @@ def csr(block: Coo) -> Csr:
     return Csr(indptr, block.col[order].astype(np.int32), block.val[order], block.shape)
 
 
+def delete_columns(block: Coo, dead: np.ndarray) -> tuple[Coo, np.ndarray]:
+    """``block`` less the columns the mask ``dead`` marks and every row with an
+    entry in one, the rest renumbered in their order; with each row's new
+    index, -1 for a deleted row.  With no column marked, ``block`` itself."""
+    if not dead.any():  # the usual case: its gathers would add a third to a reach program's build
+        return block, np.arange(block.shape[0])
+    alive = np.ones(block.shape[0], bool)
+    alive[block.row[dead[block.col]]] = False
+    row_at = np.where(alive, np.cumsum(alive) - 1, -1)
+    col_at = np.cumsum(~dead) - 1
+    keep = alive[block.row]  # an entry of a deleted column lies in a deleted row
+    shape = (int(np.count_nonzero(alive)), int(np.count_nonzero(~dead)))
+    return Coo(row_at[block.row[keep]], col_at[block.col[keep]], block.val[keep], shape), row_at
+
+
 @dataclass(frozen=True)
 class LpOutcome:
     status: str
@@ -269,18 +294,42 @@ def _scaled_residual(p: LpProblem, x: np.ndarray) -> float:
     return float(np.max(np.concatenate((p.lb - x, rows)), initial=0.0))
 
 
-def _run(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> _highs._Highs | None:
-    """One HiGHS solve of ``p``, Devex-priced when warm from ``basis``, by
-    primal simplex when ``primal``; None if HiGHS rejects the program (a
-    warning is no rejection) or the basis does not fit."""
+def _new_instance() -> _highs._Highs:
+    """A HiGHS instance with the fixed options."""
     highs = _highs._Highs()
     for key, value in _OPTIONS.items():
         highs.setOptionValue(key, value)
+    return highs
+
+
+@contextmanager
+def one_instance():
+    """Run every solve this thread makes inside the block on one HiGHS
+    instance, freed when the block ends; a block inside another shares the
+    outer one.  A sequence of programs (an alternation's steps) then pays for
+    HiGHS's set-up and its arrays once, and no instance outlives the block."""
+    outer = getattr(_THREAD, "highs", None)
+    _THREAD.highs = _new_instance() if outer is None else outer
+    try:
+        yield
+    finally:
+        _THREAD.highs = outer
+
+
+def _run(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> _highs._Highs | None:
+    """One HiGHS solve of ``p``, on this thread's ``one_instance`` instance
+    if it is in such a block and on a new one otherwise, Devex-priced when
+    warm from ``basis``, by primal simplex when ``primal``; None if HiGHS
+    rejects the program (a warning is no rejection) or the basis does not fit.
+    ``passModel`` replaces the instance's previous program, answer and basis,
+    and the three options that vary are set on every call, so no run reads
+    another's state; the instance holds this answer until the thread's next run."""
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _new_instance()
     highs.setOptionValue("presolve", "on" if presolve else "off")
-    if basis is not None:
-        highs.setOptionValue("simplex_dual_edge_weight_strategy", _DEVEX)
-    if primal:
-        highs.setOptionValue("simplex_strategy", _PRIMAL)
+    highs.setOptionValue("simplex_dual_edge_weight_strategy", _DEVEX if basis is not None else _CHOOSE)
+    highs.setOptionValue("simplex_strategy", _PRIMAL if primal else _DUAL)
     n, a = p.n_vars, p.a
     row_lower = np.concatenate((np.full(p.n_ub, -np.inf), p.b[p.n_ub :]))
     passed = highs.passModel(
@@ -328,7 +377,7 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
 
 
 def _solve(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> LpOutcome:
-    """One HiGHS run read into an outcome; the instance is freed on return."""
+    """One HiGHS run read into an outcome."""
     highs = _run(p, presolve, basis, primal)
     if highs is None:
         return LpOutcome(FAILED)  # HiGHS rejects the program or the basis
@@ -356,7 +405,7 @@ def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None, primal:
     it optimal, every number in it is finite, its scaled residual is at most
     ``RESIDUAL_TOL`` and its duality gap at most ``GAP_TOL`` (relative).  An
     optimal answer that misses that is solved once more from its own final
-    basis in a fresh instance (no presolve, usually no pivot) before the ladder
+    basis in a new run (no presolve, usually no pivot) before the ladder
     moves on.  A cold rung that ends infeasible, unbounded or at the iteration
     limit ends the ladder with that status; an answer the last rung cannot
     accept either is ``FAILED``.  Which rung runs depends on the answers alone,

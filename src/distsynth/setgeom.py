@@ -9,8 +9,9 @@ over the member boxes (c_j, e_j), so inclusion certificates never need an
 explicit halfspace description of the hull.  Besides the sets and their
 support functions, the module holds the slot maps of a system
 (``reach_coefficients``), which the encoder's reach rows and the verifier's
-coverage checks share, the split of a blended point into one point per box
-(``box_points``), sampling and simulation, and vertex enumeration.  It builds
+coverage checks share, with the point coordinates an exactly zero slot map
+leaves dead (``dead_points``, ``blend_dead_points``), the split of a blended
+point into one point per box (``box_points``), sampling and simulation, and vertex enumeration.  It builds
 no linear program.
 """
 
@@ -22,7 +23,7 @@ from itertools import accumulate, combinations, product
 
 import numpy as np
 
-from .lp_solver import solve_lp  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item F
+from .lp_solver import solve_lp  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item Y
 
 
 def fields_equal(a, b):
@@ -207,6 +208,20 @@ def reach_coefficients(sys: LtiSystem, l: int) -> np.ndarray:
     """(l + 1, n_y, n_w) maps of the slots: C A^(l-1-t) B for slot t < l, then
     D; each formed as (C @ A^k) @ B, with A^k by ``_powers``."""
     return np.stack([sys.C @ P @ sys.B for P in _powers(sys.A, l)[::-1]] + [sys.D])
+
+
+def dead_points(coeff: np.ndarray, n: int) -> np.ndarray:
+    """(n (l + 1), n_w) mask, by group (vertex, slot t) of n vertices: the
+    point coordinates k that enter no reach row, those whose slot map column
+    ``coeff[t][:, k]`` is exactly zero."""
+    return np.tile(~coeff.any(axis=1), (n, 1))
+
+
+def blend_dead_points(points, weights, centers, dead) -> None:
+    """Set each coordinate of ``points`` (groups, n_w) that the mask ``dead``
+    marks to its group's blended center sum_j beta_gj c_j, in place: a point
+    there keeps its two membership rows for any boxes."""
+    np.copyto(points, weights @ centers, where=dead)
 
 
 def box_points(centers, halfwidths, weights, w) -> np.ndarray:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import SynthProblem, VariableLayout
-from .lp_solver import PRIMAL_TOL, LpFailure, solve_lp
-from .setgeom import BoxHullSet, box_points
+from .lp_solver import PRIMAL_TOL, LpFailure, one_instance, solve_lp
+from .setgeom import BoxHullSet, blend_dead_points, box_points
 
 
 class SynthesisError(LpFailure):
@@ -67,6 +67,23 @@ def boxes_from_x(problem: SynthProblem, x: np.ndarray) -> BoxHullSet:
     return BoxHullSet(boxes[:, 0], np.clip(boxes[:, 1], 0.0, None))
 
 
+def _full_point(problem: SynthProblem, weights: np.ndarray, sol: np.ndarray) -> np.ndarray:
+    """The P-step answer ``sol`` in the full layout (x, w, z): a column the
+    program leaves out takes the value that keeps its deleted rows
+    (``encoder.dead_columns``), a driving point coordinate its group's blended
+    center sum_j beta_gj c_j and a tail bound rho_k max_j |c_jk| + e_jk."""
+    lay, kept = problem.layout, problem.p_program.kept
+    nx, z_off = lay.dim_x, lay.dim_x + lay.dim_w
+    full = np.zeros(kept.size)
+    full[kept] = sol
+    boxes = _boxes(lay, full)
+    w, rho = full[nx:z_off].reshape(lay.n_groups, lay.n_w), full[nx - lay.n_rho : nx]
+    blend_dead_points(w, weights, boxes[:, 0], ~kept[nx:z_off].reshape(w.shape))
+    bound = (np.abs(boxes[:, 0]) + boxes[:, 1]).max(axis=0)[: lay.n_rho]  # no rho without a tail
+    np.copyto(rho, bound, where=~kept[nx - lay.n_rho : nx])
+    return full
+
+
 def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     """Fix the weights; solve for boxes, budgets, driving points and slacks.
 
@@ -74,7 +91,9 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     each in its own box with sum_j beta_gj wbar_gj = w_g (``box_points``).  With
     ``basis`` (an earlier P-step's, whose program differs only in the weight
     coefficients) the solve starts from it.  Returns (x, w, wbar, z,
-    objective, outcome); the outcome carries the basis for the next P-step.
+    objective, outcome) in the full layout, the columns the program leaves out
+    filled in (``_full_point``); the outcome carries the basis for the next
+    P-step.
     """
     lay = problem.layout
     nx, z_off = lay.dim_x, lay.dim_x + lay.dim_w  # columns (x, w, z)
@@ -82,10 +101,10 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     out = solve_lp(lp, basis=basis)
     if not out.optimal:
         raise SynthesisError(f"box-fitting LP ended with status {out.status}", lp)
-    sol = out.x
+    weights = beta.reshape(lay.n_groups, lay.n_boxes)
+    sol = _full_point(problem, weights, out.x)
     x, w = sol[:nx], sol[nx:z_off]
     W = boxes_from_x(problem, x)
-    weights = beta.reshape(lay.n_groups, lay.n_boxes)
     wbar = box_points(W.centers, W.halfwidths, weights, w.reshape(lay.n_groups, lay.n_w))
     return x, w, wbar.ravel(), sol[z_off:], float(out.objective), out
 
@@ -116,13 +135,15 @@ ZETA = 1e-4
 MAX_ITERS = 100
 
 
+@one_instance()
 def alternate(problem: SynthProblem, beta0: np.ndarray) -> SynthResult:
     """Alternate the two LPs until the objective improves by less than ZETA.
 
     ``ZETA`` and ``MAX_ITERS`` are read at call time.  The P-steps of one run
     differ only in their weight coefficients and the Q-steps only in their
     point coefficients, so each step after the run's first starts from the
-    previous same-kind step's final basis.
+    previous same-kind step's final basis; all of them run on one HiGHS
+    instance (``one_instance``: a restart's thread makes its own).
     """
     beta = np.asarray(beta0, dtype=float)
     history: list[float] = []

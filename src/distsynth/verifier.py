@@ -37,19 +37,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_solver import BASIC, LOWER, UPPER, Coo, LpFailure, LpProblem, csr, kron, solve_lp, stack, start_basis
+from .lp_solver import (
+    BASIC, LOWER, UPPER, Coo, LpFailure, LpProblem, csr, delete_columns, kron, solve_lp, stack, start_basis,
+)
 from .rpi_params import RpiConstants, RpiParams
 from .setgeom import (
     BoxHullSet,
     GeometryError,
     HPolytope,
     LtiSystem,
+    blend_dead_points,
     box_points,
+    dead_points,
     fields_equal,
     reach_coefficients,
     rollout,
     sample_batch,
-    simulate,  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item F
+    simulate,  # noqa: F401  perfbench/tracer.py wraps it; drop with ROADMAP item Y
     step_count,
     stacked_identity,
     support_corners,
@@ -255,7 +259,10 @@ def _reach_lp(
     equalities sum_t coeff_t p_t + b = y and one simplex row sum_j beta_j = 1
     per slot.
     It is exact: sum_j beta_j box(c_j, e_j) is the box (sum beta c, sum beta e),
-    and W is the union of these blended boxes over the simplex.
+    and W is the union of these blended boxes over the simplex.  A point
+    coordinate that enters no reach row (``dead_points``) is left out with
+    its two membership rows, which its blended center sum_j beta_j c_j keeps
+    for any weights; the rest keep their order.
     """
     n, n_y = vertices.shape
     N, n_w = W.n_boxes, W.dim
@@ -271,11 +278,14 @@ def _reach_lp(
         [kron(n, np.hstack(coeff)), None, kron(1, n_b), None],
         [None, kron(groups, np.ones((1, N))), None, None],
     ]
-    a = csr(stack(grid, [n_p, n_beta, n_b, m]))
+    a = stack(grid, [n_p, n_beta, n_b, m])
     c = np.concatenate((np.zeros(n_p + n_beta + n_b), np.ones(m)))
     lb = np.concatenate((np.full(n_p, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
     b = np.concatenate((np.zeros(2 * n_p), h_rhs, vertices.ravel(), np.ones(groups)))
-    return LpProblem(c, a, b, n_b + groups, lb)
+    dead = np.concatenate((dead_points(coeff, n).ravel(), np.zeros(n_beta + n_b + m, dtype=bool)))
+    a, rows = delete_columns(a, dead)  # the equality rows hold no dead column, so all of them stay
+    c, lb, b = c[~dead], lb[~dead], b[rows >= 0]
+    return LpProblem(c, csr(a), b, n_b + groups, lb)
 
 
 def _support_points(coeff, directions, W: BoxHullSet):
@@ -316,7 +326,8 @@ def _reach_start(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, slac
     need over its rows, that row tight, unless no row needs more than its
     lower bound, where it stays nonbasic.  Fixing the nonbasic columns and
     rows fixes every basic column, so the basis is nonsingular, and the point
-    is feasible for any directions: p is a corner of its box."""
+    is feasible for any directions: p is a corner of its box.  The statuses
+    of the coordinates and rows ``_reach_lp`` leaves out are left out."""
     n, n_y = vertices.shape
     slots, N, n_w = len(coeff), W.n_boxes, W.dim
     groups = n * slots
@@ -332,13 +343,13 @@ def _reach_start(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, slac
     weights[np.arange(groups), box] = BASIC
     slack_status = np.full(slack.shape[1], LOWER, np.int8)
     slack_status[slack.col[first]] = BASIC
-    col_status = np.concatenate(
-        (np.full(groups * n_w, BASIC, np.int8), weights.ravel(), np.full(n * n_y, BASIC, np.int8), slack_status)
-    )
-    membership = np.where(np.hstack((upper, ~upper)), UPPER, BASIC).astype(np.int8)
+    live = ~dead_points(coeff, n)
+    point_status = np.full(np.count_nonzero(live), BASIC, np.int8)
+    col_status = np.concatenate((point_status, weights.ravel(), np.full(n * n_y, BASIC, np.int8), slack_status))
+    membership = np.where(np.hstack((upper, ~upper)), UPPER, BASIC).astype(np.int8)[np.hstack((live, live))]
     h_rows = np.full(slack.shape[0], BASIC, np.int8)
     h_rows[slack.row[first]] = UPPER
-    row_status = np.concatenate((membership.ravel(), h_rows, np.full(n * n_y + groups, LOWER, np.int8)))
+    row_status = np.concatenate((membership, h_rows, np.full(n * n_y + groups, LOWER, np.int8)))
     return start_basis(col_status, row_status)
 
 
@@ -346,16 +357,21 @@ def _reach_witness(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, sl
     """Solve ``_reach_lp`` over every vertex at the cost of ``slack``, by
     primal simplex from ``_reach_start`` along ``directions`` (W is fixed and
     the answer is re-checked by arithmetic), and return the outcome with the
-    points and weights that lead its answer.  Raises LpFailure, which carries the
-    program, when the LP has no accepted answer."""
+    points and weights that lead its answer; a point coordinate the program
+    leaves out takes its group's blended center sum_j beta_j c_j.  Raises
+    LpFailure, which carries the program, when the LP has no accepted answer."""
     lp = _reach_lp(coeff, vertices, W, H, slack, slack_lb, h_rhs)
     out = solve_lp(lp, basis=_reach_start(coeff, vertices, directions, W, H, slack, slack_lb, h_rhs), primal=True)
     if not out.optimal:
         raise LpFailure(f"coverage LP ended with status {out.status}", lp)
     n, slots = len(vertices), len(coeff)
-    n_p = n * slots * W.dim
-    weights = out.x[n_p : n_p + n * slots * W.n_boxes].reshape(n, slots, W.n_boxes)
-    return out, CoverageWitness(weights, out.x[:n_p].reshape(n, slots, W.dim))
+    dead = dead_points(coeff, n)
+    n_p = np.count_nonzero(~dead)
+    weights = out.x[n_p : n_p + n * slots * W.n_boxes].reshape(n * slots, W.n_boxes)
+    points = np.empty(dead.shape)
+    points[~dead] = out.x[:n_p]
+    blend_dead_points(points, weights, W.centers, dead)
+    return out, CoverageWitness(weights.reshape(n, slots, W.n_boxes), points.reshape(n, slots, W.dim))
 
 
 def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, horizon: int, H: np.ndarray):

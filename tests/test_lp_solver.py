@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+import threading
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -464,6 +466,128 @@ def _same_outcome(a, b):
         and a.dual_objective == b.dual_objective
         and a.residual == b.residual
     )
+
+
+def _outcome_bytes(out):
+    """Every field of an outcome, arrays and basis statuses as bytes."""
+    basis = None if out.basis is None else bytes(map(int, [*out.basis.col_status, *out.basis.row_status]))
+    x = None if out.x is None else out.x.tobytes()
+    return out.status, x, out.objective, out.dual_objective, out.residual, out.nit, basis
+
+
+def test_a_reused_instance_answers_as_fresh_instances(illustrative_lps, monkeypatch):
+    """Inside ``one_instance`` a thread runs every solve on one HiGHS
+    instance; over a sequence that holds a program HiGHS rejects and a basis
+    that does not fit, its outcomes are those of a fresh instance per run, bit
+    for bit, and the instance is gone when the block ends."""
+    p_lp, q_lp, *_, joint = illustrative_lps
+    # a column index past the last column: passModel rejects it
+    past = Csr(np.array([0, 1], np.int32), np.array([1], np.int32), np.array([1.0]), (1, 1))
+    rejected = LpProblem([1.0], past, [1.0], 0, [0.0])
+    misfit = start_basis(np.array([LOWER, LOWER, LOWER], np.int8), np.array([BASIC, BASIC], np.int8))
+    p_basis = solve_lp(p_lp).basis
+    sequence = [
+        (p_lp, {}),
+        (rejected, {}),
+        (q_lp, {}),
+        (_two_row_lp(), {"basis": misfit, "primal": True}),
+        (p_lp, {"basis": p_basis}),
+        (_two_row_lp(b_ub=(-1.0, 1.0)), {}),
+        (joint, {"primal": True}),
+        (rejected, {"basis": p_basis}),
+        (p_lp, {}),
+        (_two_row_lp(b_ub=(np.inf, 1.0)), {"basis": misfit}),
+        (q_lp, {}),
+    ]
+    made = []
+    new_instance = lp_solver._new_instance
+    monkeypatch.setattr(lp_solver, "_new_instance", lambda: made.append(new_instance()) or made[-1])
+    fresh = [_outcome_bytes(solve_lp(lp, **kwargs)) for lp, kwargs in sequence]
+    runs = len(made)
+    assert runs >= len(sequence)
+    with lp_solver.one_instance():
+        held = lp_solver._THREAD.highs
+        reused = [_outcome_bytes(solve_lp(lp, **kwargs)) for lp, kwargs in sequence]
+        with lp_solver.one_instance():  # an inner block shares the outer instance
+            assert lp_solver._THREAD.highs is held
+        # another thread outside a block of its own holds no instance
+        other = []
+        thread = threading.Thread(target=lambda: other.append(getattr(lp_solver._THREAD, "highs", None)))
+        thread.start()
+        thread.join()
+        assert other == [None]
+    assert made[runs:] == [held] and lp_solver._THREAD.highs is None
+    assert reused == fresh
+    assert {out[0] for out in reused} == {OPTIMAL, FAILED, INFEASIBLE, UNBOUNDED}
+
+
+def test_threads_solving_at_once_answer_as_one_thread(illustrative_lps):
+    """Four threads (more than the cores here) each solve the step and
+    coverage programs in their own order at once, each on its own
+    ``one_instance``, under a short switch interval; every answer is the one
+    a single thread gives, bit for bit."""
+    lps = illustrative_lps[:3] + illustrative_lps[-1:]
+    serial = [_outcome_bytes(solve_lp(lp)) for lp in lps]
+    answers = [[None] * len(lps) for _ in range(4)]
+
+    def work(k):
+        with lp_solver.one_instance():
+            for i in np.roll(np.arange(len(lps)), k).tolist() * 3:
+                answers[k][i] = _outcome_bytes(solve_lp(lps[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [serial] * 4
+
+
+def test_each_alternation_solves_on_one_instance_and_frees_it(monkeypatch):
+    """``alternate`` runs all its steps on one HiGHS instance, a restart on
+    the pool's thread on one of its own, and frees it on return; every other
+    run makes its own, so no instance outlives ``cmd_synth``."""
+    spec = cli.cmd_gen(3, 2, 2, 0.7, 0)
+    spec.options.restarts = 2
+    made, runs, alternations = [], [], []
+    new_instance, run, alternate = lp_solver._new_instance, lp_solver._run, synthesizer.alternate
+
+    def spy_new():
+        made.append(threading.get_ident())
+        return new_instance()
+
+    def spy_run(*args, **kwargs):
+        runs.append(getattr(lp_solver._THREAD, "highs", None) is not None)
+        return run(*args, **kwargs)
+
+    def spy_alternate(*args):
+        alternations.append(threading.get_ident())
+        return alternate(*args)
+
+    monkeypatch.setattr(lp_solver, "_new_instance", spy_new)
+    monkeypatch.setattr(lp_solver, "_run", spy_run)
+    monkeypatch.setattr(synthesizer, "alternate", spy_alternate)
+    doc = cli.cmd_synth(spec)
+    assert all(check["passed"] for check in doc.certificates.values())
+    assert len(alternations) == 3 and len(set(alternations)) == 2  # the first run and two restarts
+    assert len(made) == len(alternations) + runs.count(False)
+    assert runs.count(True) > 2 * len(alternations)
+    assert getattr(lp_solver._THREAD, "highs", None) is None
+
+
+def test_delete_columns_drops_the_rows_a_dead_column_enters():
+    a = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 0.0, 0.0], [4.0, 0.0, 0.0, 5.0], [0.0, 0.0, 6.0, 7.0]])
+    cut, row_at = lp_solver.delete_columns(lp_solver.kron(1, a), np.array([False, False, True, False]))
+    assert row_at.tolist() == [-1, 0, 1, -1]
+    dense = np.zeros(cut.shape)
+    dense[cut.row, cut.col] = cut.val
+    assert np.array_equal(dense, a[[1, 2]][:, [0, 1, 3]])
 
 
 def _warm_answers_miss_the_contract(monkeypatch):
