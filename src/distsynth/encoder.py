@@ -38,7 +38,9 @@ import numpy as np
 
 from .lp_solver import Coo, LpProblem, csr, delete_columns, kron, stack
 from .rpi_params import RpiParams
-from .setgeom import HPolytope, LtiSystem, dead_points, merge_vertices, reach_coefficients, stacked_identity
+from .setgeom import (
+    HPolytope, LtiSystem, dead_points, merge_vertices, power_chain, reach_coefficients, stacked_identity,
+)
 
 
 class EncodingError(ValueError):
@@ -112,21 +114,16 @@ class VariableLayout:
         return slice(0, self.n_b)
 
 
-def build_gbar(sys: LtiSystem, Y: HPolytope, params: RpiParams) -> list[np.ndarray]:
-    """Per-term output maps (1-alpha)^-1 G C A^t for t = 0..s-1."""
-    scale = 1.0 / (1.0 - params.alpha)
-    out = []
-    M = scale * (Y.G @ sys.C)
-    for _ in range(params.s):
-        out.append(M.copy())
-        M = M @ sys.A
-    return out
+def build_gbar(sys: LtiSystem, Y: HPolytope, params: RpiParams) -> np.ndarray:
+    """(s, m_y, n_x): the per-term output maps Gbar_t = (1-alpha)^-1 G C A^t
+    for t = 0..s-1, each Gbar_(t-1) A (``power_chain``)."""
+    return power_chain((1.0 / (1.0 - params.alpha)) * (Y.G @ sys.C), sys.A, params.s)
 
 
-def output_rhs(gbar: list[np.ndarray], Y: HPolytope, params: RpiParams) -> np.ndarray:
-    """Right-hand side g - lambda * sum_t |Gbar_t| 1 of the budget rows."""
-    tail = sum(np.abs(G).sum(axis=1) for G in gbar)
-    return Y.g - params.lam * tail
+def output_rhs(gbar: np.ndarray, Y: HPolytope, params: RpiParams) -> np.ndarray:
+    """Right-hand side g - lambda * sum_t |Gbar_t| 1 of the budget rows, the
+    terms summed in t order."""
+    return Y.g - params.lam * np.abs(gbar).sum(axis=2).sum(axis=0)
 
 
 def _box_rows(T: np.ndarray, N: int) -> Coo:
@@ -136,12 +133,13 @@ def _box_rows(T: np.ndarray, N: int) -> Coo:
     return kron(N, np.hstack([T, np.abs(T)]))
 
 
-def tail_charge(gbar: list[np.ndarray], sys: LtiSystem, layout: VariableLayout) -> np.ndarray:
-    """sum_{t>=t0} |Gbar_t B|, (m_y, n_rho): the budget rows' charge on rho."""
-    return sum((np.abs(G @ sys.B) for G in gbar[layout.t0 :]), np.zeros((layout.m_y, layout.n_rho)))
+def tail_charge(gbar: np.ndarray, sys: LtiSystem, layout: VariableLayout) -> np.ndarray:
+    """sum_{t>=t0} |Gbar_t B|, (m_y, n_rho), summed in t order: the budget
+    rows' charge on rho, no column without a tail."""
+    return np.abs(gbar[layout.t0 :] @ sys.B).sum(axis=0)[:, : layout.n_rho]
 
 
-def encode_output_inclusion(gbar: list[np.ndarray], sys: LtiSystem, Y: HPolytope, params: RpiParams, layout: VariableLayout):
+def encode_output_inclusion(gbar: np.ndarray, sys: LtiSystem, Y: HPolytope, params: RpiParams, layout: VariableLayout):
     """Rows bounding the reachable-output support by the budget variables.
 
     Per box j and term t < t0:  Gbar_t B c_j + |Gbar_t B| e_j <= Q_t, and the
@@ -159,7 +157,7 @@ def encode_output_inclusion(gbar: list[np.ndarray], sys: LtiSystem, Y: HPolytope
         )
     N, m_y, t0 = layout.n_boxes, layout.m_y, layout.t0
     n_q = t0 * m_y
-    terms = np.vstack([G @ sys.B for G in gbar[:t0]])  # row t * m_y + i
+    terms = (gbar[:t0] @ sys.B).reshape(n_q, layout.n_w)  # row t * m_y + i
     per_box = -np.ones((N, 1))  # every box's row block charges the same budgets
     S = stacked_identity(layout.n_rho)  # 0 x 0 without a tail, so its rows are empty
     tail = tail_charge(gbar, sys, layout)
@@ -184,21 +182,19 @@ def encode_origin(layout: VariableLayout):
     return stack([[kron([[1.0, -1.0], [-1.0, -1.0]], layout.n_w)]], [layout.dim_x]), np.zeros(2 * layout.n_w)
 
 
-def encode_vertex_reach(vertices: np.ndarray, sys: LtiSystem, layout: VariableLayout, H: np.ndarray):
-    """Vertex-coverage blocks: reach equalities, deviation rows
+def encode_vertex_reach(vertices: np.ndarray, reach: np.ndarray, layout: VariableLayout, H: np.ndarray):
+    """Vertex-coverage blocks: reach equalities over the slot maps ``reach``
+    (``reach_coefficients`` at the layout's horizon), deviation rows
     H b_i <= eps, and the simplex rows.
 
     A group is one (vertex, slot) pair, and every group-indexed block is
     group-major: w by (group, coordinate) and beta by (group, box).  Returns
     (c_w, c_z, h, e_z, t_beta).
     """
-    l = layout.horizon
-    if l < 1:
-        raise EncodingError("horizon must be at least 1")
     v, N = layout.n_vertices, layout.n_boxes
     groups, n_out = layout.n_groups, v * layout.n_y
-    # row (i, k): sum_t coeff_t[k] w_(i, t) + b_i[k] = vertex_i[k], coeff_t slot t of reach_coefficients
-    c_w = kron(v, np.hstack(reach_coefficients(sys, l)))
+    # row (i, k): sum_t reach_t[k] w_(i, t) + b_i[k] = vertex_i[k]
+    c_w = kron(v, np.hstack(reach))
     c_z = stack([[None, kron(1, n_out)]], [layout.n_b, n_out])
     h = np.asarray(vertices, dtype=float).ravel()
     # row (i, k): H[k] b_i - eps[k] <= 0
@@ -379,7 +375,7 @@ BUDGET_TAIL = 0.001
 def budget_tail(sys: LtiSystem, Y: HPolytope, params: RpiParams) -> int:
     """``tail_start`` of the entrywise sums |Gbar_t B|, t < s, at BUDGET_TAIL:
     the t0 of the output-inclusion rows (``encode_output_inclusion``)."""
-    return tail_start(np.array([np.abs(G @ sys.B).sum() for G in build_gbar(sys, Y, params)]), BUDGET_TAIL)
+    return tail_start(np.abs(build_gbar(sys, Y, params) @ sys.B).sum(axis=(1, 2)), BUDGET_TAIL)
 
 
 def assemble(
@@ -407,7 +403,7 @@ def assemble(
     a1, b1 = encode_output_inclusion(gbar, sys, Y, params, layout)
     a2, b2 = encode_gamma_bound(sys, params.gamma, layout)
     a3, b3 = encode_origin(layout)
-    c_w, c_z, h, e_z, t_beta = encode_vertex_reach(vertices, sys, layout, H)
+    c_w, c_z, h, e_z, t_beta = encode_vertex_reach(vertices, reach, layout, H)
     cost_z = np.zeros(layout.dim_z)
     cost_z[layout.z_eps()] = 1.0
     a_x, b = stack([[a1], [a2], [a3]], [layout.dim_x]), np.concatenate([b1, b2, b3])

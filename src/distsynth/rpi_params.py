@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .setgeom import HPolytope, LtiSystem, fields_equal
+from .setgeom import HPolytope, LtiSystem, fields_equal, power_chain
 
 
 class ParamSearchError(RuntimeError):
@@ -64,31 +64,35 @@ class RpiParams:
             raise ValueError("gamma and mu must be positive")
 
 
+# horizons per block of ``horizon_constants``
+_BLOCK = 32
+
+
 def horizon_constants(sys: LtiSystem, Y: HPolytope) -> Iterator[RpiConstants]:
     """The constants at s = 1, 2, ..., each adding one horizon term to the last;
-    the input checks run before the first item."""
+    the input checks run before the first item.
+
+    The terms come in blocks of _BLOCK horizons: the maps G C A^t and the
+    powers A^t of a block are two ``power_chain`` stacks that go on from the
+    last block's final terms, their absolute row sums are added onto the last
+    block's sums by one ``cumsum`` each, in t order, and theta, M and zeta are
+    taken for the whole block at once; items are yielded one at a time."""
     if np.any(Y.g <= 0):
         raise ValueError("constraint offsets must be strictly positive")
     if Y.dim != sys.n_y:
         raise ValueError("constraint set dimension mismatch")
-    GC_pow = Y.G @ sys.C  # G C A^t for the next term
-    A_pow = np.eye(sys.n_x)  # A^t for the next term
-    L = np.zeros(Y.n_rows)
-    row_sums = np.zeros(sys.n_x)
-    for s in itertools.count(1):
-        L = L + np.abs(GC_pow).sum(axis=1)
-        row_sums = row_sums + np.abs(A_pow).sum(axis=1)
-        GC_pow = GC_pow @ sys.A
-        A_pow = A_pow @ sys.A
-        active = L > 0
-        theta = float(np.min(Y.g[active] / L[active])) if active.any() else np.inf
-        yield RpiConstants(
-            s=s,
-            L_s=L,
-            theta_s=theta,
-            M_s=float(row_sums.max()),
-            zeta_s=float(np.abs(A_pow).sum(axis=1).max()),
-        )
+    maps, powers = Y.G @ sys.C, np.eye(sys.n_x)  # the next block's first terms
+    L, row_sums = np.zeros((1, Y.n_rows)), np.zeros((1, sys.n_x))  # the sums before it
+    for first in itertools.count(1, _BLOCK):
+        maps, powers = power_chain(maps, sys.A, _BLOCK + 1), power_chain(powers, sys.A, _BLOCK + 1)
+        power_sums = np.abs(powers).sum(axis=2)  # row sums of |A^t|, t = first - 1 .. first - 1 + _BLOCK
+        L = np.cumsum(np.concatenate([L[-1:], np.abs(maps[:-1]).sum(axis=2)]), axis=0)[1:]
+        row_sums = np.cumsum(np.concatenate([row_sums[-1:], power_sums[:-1]]), axis=0)[1:]
+        theta = np.divide(Y.g, L, out=np.full(L.shape, np.inf), where=L > 0).min(axis=1)
+        M, zeta = row_sums.max(axis=1), power_sums[1:].max(axis=1)
+        for item in zip(range(first, first + _BLOCK), L, theta.tolist(), M.tolist(), zeta.tolist()):
+            yield RpiConstants(*item)
+        maps, powers = maps[-1], powers[-1]
 
 
 def solve_Hs(consts: RpiConstants, gamma: float, mu: float):

@@ -7,19 +7,20 @@ axis-aligned boxes.  Support functions over such hulls have the closed form
 
 over the member boxes (c_j, e_j), so inclusion certificates never need an
 explicit halfspace description of the hull.  Besides the sets and their
-support functions, the module holds the slot maps of a system
-(``reach_coefficients``), which the encoder's reach rows and the verifier's
-coverage checks share, with the point coordinates an exactly zero slot map
-leaves dead (``dead_points``, ``blend_dead_points``), the split of a blended
-point into one point per box (``box_points``), sampling and simulation, and vertex enumeration.  It builds
-no linear program.
+support functions, the module holds the chain of products M_(t-1) A that
+every horizon stack of the synthesizer is formed by (``power_chain``), the
+slot maps of a system (``reach_coefficients``), which the encoder's reach
+rows and the verifier's coverage checks share, with the point coordinates an
+exactly zero slot map leaves dead (``dead_points``, ``blend_dead_points``),
+the split of a blended point into one point per box (``box_points``),
+sampling and simulation, and vertex enumeration.  It builds no linear program.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate, combinations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -199,15 +200,29 @@ def support_corners(T, M, W: BoxHullSet) -> tuple[np.ndarray, np.ndarray, np.nda
 # slot maps and blended boxes
 
 
-def _powers(A: np.ndarray, count: int) -> list[np.ndarray]:
-    """A^0 .. A^(count-1), count >= 1, by repeated products."""
-    return list(accumulate([A] * (count - 1), np.matmul, initial=np.eye(len(A))))
+def power_chain(first: np.ndarray, A: np.ndarray, count: int) -> np.ndarray:
+    """(count, *first.shape): M_0 = first and M_t = M_(t-1) @ A, one product
+    per term in t order, each written into its place in the stack; count >= 1."""
+    out = np.empty((step_count(count, "count"),) + np.shape(first))
+    out[0] = first
+    for prev, term in zip(out, out[1:]):
+        np.matmul(prev, A, out=term)
+    return out
+
+
+def _powers(A: np.ndarray, count: int) -> np.ndarray:
+    """(count, n, n): A^0 .. A^(count-1), count >= 1, by repeated products."""
+    return power_chain(np.eye(len(A)), A, count)
 
 
 def reach_coefficients(sys: LtiSystem, l: int) -> np.ndarray:
     """(l + 1, n_y, n_w) maps of the slots: C A^(l-1-t) B for slot t < l, then
-    D; each formed as (C @ A^k) @ B, with A^k by ``_powers``."""
-    return np.stack([sys.C @ P @ sys.B for P in _powers(sys.A, l)[::-1]] + [sys.D])
+    D, l >= 1.  The slots t < l are one stacked product C @ A^k @ B over the
+    powers of ``_powers``, each slot (C @ A^k) @ B."""
+    out = np.empty((step_count(l, "horizon l") + 1, sys.n_y, sys.n_w))
+    out[:l] = sys.C @ _powers(sys.A, l)[::-1] @ sys.B
+    out[l] = sys.D
+    return out
 
 
 def dead_points(coeff: np.ndarray, n: int) -> np.ndarray:
@@ -300,7 +315,7 @@ def _block_maps(sys: LtiSystem, K: int):
     and Omega (K n_y, K n_w) block lower triangular Toeplitz: D on the
     diagonal, C A^(j-1-i) B below it and 0 above."""
     n_x, n_w, n_y = sys.n_x, sys.n_w, sys.n_y
-    powers = np.stack(_powers(sys.A, K + 1))
+    powers = _powers(sys.A, K + 1)
     drive = powers[:K] @ sys.B
     psi = sys.C @ powers[:K]
     lag = np.subtract.outer(np.arange(K), np.arange(K)) - 1

@@ -244,7 +244,7 @@ def _coverage_margins(coeff, vertices, W: BoxHullSet, H: np.ndarray, epsilon, wi
 
 
 def _reach_lp(
-    coeff: np.ndarray, vertices: np.ndarray, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs
+    coeff: np.ndarray, vertices: np.ndarray, W: BoxHullSet, H: np.ndarray, slack, slack_lb, h_rhs, dead
 ) -> LpProblem:
     """Reach program for every row of ``vertices`` at once, at the cost of the
     caller's slack columns, which come last.
@@ -260,14 +260,15 @@ def _reach_lp(
     per slot.
     It is exact: sum_j beta_j box(c_j, e_j) is the box (sum beta c, sum beta e),
     and W is the union of these blended boxes over the simplex.  A point
-    coordinate that enters no reach row (``dead_points``) is left out with
-    its two membership rows, which its blended center sum_j beta_j c_j keeps
-    for any weights; the rest keep their order.
+    coordinate that enters no reach row, as the mask ``dead`` marks
+    (``dead_points``), is left out with its two membership rows, which its
+    blended center sum_j beta_j c_j keeps for any weights; the rest keep their
+    order.
     """
     n, n_y = vertices.shape
     N, n_w = W.n_boxes, W.dim
     groups = n * coeff.shape[0]
-    n_p, n_beta, n_b = groups * n_w, groups * N, n * n_y
+    n_p, n_beta, n_b, n_live = groups * n_w, groups * N, n * n_y, np.count_nonzero(~dead)
     S = stacked_identity(n_w)
     blended = -(S @ W.centers.T + np.abs(S) @ W.halfwidths.T)
     m = slack.shape[1]
@@ -278,13 +279,12 @@ def _reach_lp(
         [kron(n, np.hstack(coeff)), None, kron(1, n_b), None],
         [None, kron(groups, np.ones((1, N))), None, None],
     ]
-    a = stack(grid, [n_p, n_beta, n_b, m])
-    c = np.concatenate((np.zeros(n_p + n_beta + n_b), np.ones(m)))
-    lb = np.concatenate((np.full(n_p, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
-    b = np.concatenate((np.zeros(2 * n_p), h_rhs, vertices.ravel(), np.ones(groups)))
-    dead = np.concatenate((dead_points(coeff, n).ravel(), np.zeros(n_beta + n_b + m, dtype=bool)))
-    a, rows = delete_columns(a, dead)  # the equality rows hold no dead column, so all of them stay
-    c, lb, b = c[~dead], lb[~dead], b[rows >= 0]
+    # a dead coordinate's column enters only its two membership rows, so only they go with it
+    cols = np.concatenate((dead.ravel(), np.zeros(n_beta + n_b + m, bool)))
+    a, _ = delete_columns(stack(grid, [n_p, n_beta, n_b, m]), cols)
+    c = np.concatenate((np.zeros(n_live + n_beta + n_b), np.ones(m)))
+    lb = np.concatenate((np.full(n_live, -np.inf), np.zeros(n_beta), np.full(n_b, -np.inf), np.full(m, slack_lb)))
+    b = np.concatenate((np.zeros(2 * n_live), h_rhs, vertices.ravel(), np.ones(groups)))
     return LpProblem(c, csr(a), b, n_b + groups, lb)
 
 
@@ -313,7 +313,7 @@ def _least_inflation_directions(coeff, vertices, W: BoxHullSet, H: np.ndarray, e
     return candidates[np.arange(n), inflation.argmin(axis=1)]
 
 
-def _reach_start(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, slack: Coo, slack_lb, h_rhs):
+def _reach_start(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, slack: Coo, slack_lb, h_rhs, dead):
     """A primal-feasible start basis of ``_reach_lp`` (same arguments, the
     slack as triplets with negative entries, at most one per row), from one
     output-space direction per vertex, ``directions`` (n, n_y).
@@ -343,7 +343,7 @@ def _reach_start(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, slac
     weights[np.arange(groups), box] = BASIC
     slack_status = np.full(slack.shape[1], LOWER, np.int8)
     slack_status[slack.col[first]] = BASIC
-    live = ~dead_points(coeff, n)
+    live = ~dead
     point_status = np.full(np.count_nonzero(live), BASIC, np.int8)
     col_status = np.concatenate((point_status, weights.ravel(), np.full(n * n_y, BASIC, np.int8), slack_status))
     membership = np.where(np.hstack((upper, ~upper)), UPPER, BASIC).astype(np.int8)[np.hstack((live, live))]
@@ -360,12 +360,12 @@ def _reach_witness(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, sl
     points and weights that lead its answer; a point coordinate the program
     leaves out takes its group's blended center sum_j beta_j c_j.  Raises
     LpFailure, which carries the program, when the LP has no accepted answer."""
-    lp = _reach_lp(coeff, vertices, W, H, slack, slack_lb, h_rhs)
-    out = solve_lp(lp, basis=_reach_start(coeff, vertices, directions, W, H, slack, slack_lb, h_rhs), primal=True)
-    if not out.optimal:
-        raise LpFailure(f"coverage LP ended with status {out.status}", lp)
     n, slots = len(vertices), len(coeff)
     dead = dead_points(coeff, n)
+    lp = _reach_lp(coeff, vertices, W, H, slack, slack_lb, h_rhs, dead)
+    out = solve_lp(lp, basis=_reach_start(coeff, vertices, directions, W, H, slack, slack_lb, h_rhs, dead), primal=True)
+    if not out.optimal:
+        raise LpFailure(f"coverage LP ended with status {out.status}", lp)
     n_p = np.count_nonzero(~dead)
     weights = out.x[n_p : n_p + n * slots * W.n_boxes].reshape(n * slots, W.n_boxes)
     points = np.empty(dead.shape)

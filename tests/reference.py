@@ -18,7 +18,6 @@ from distsynth.encoder import (
     encode_origin,
     encode_output_inclusion,
     encode_vertex_reach,
-    output_rhs,
 )
 from distsynth.lp_solver import BASIC, LOWER, UPPER, Csr, LpFailure, LpProblem, csr, solve_lp
 from distsynth.rpi_params import RpiConstants, horizon_constants
@@ -29,6 +28,7 @@ from distsynth.setgeom import (
     GeometryError,
     HPolytope,
     box_points,
+    dead_points,
     fields_equal,
     merge_vertices,
     reach_coefficients,
@@ -62,6 +62,63 @@ def reach_reference(sys, l: int) -> np.ndarray:
     """(l + 1, n_y, n_w): C A^(l-1-t) B for slot t < l, then D, each power
     taken afresh by ``np.linalg.matrix_power``."""
     return np.stack([sys.C @ np.linalg.matrix_power(sys.A, l - 1 - t) @ sys.B for t in range(l)] + [sys.D])
+
+
+# The per-term forms of the horizon stacks: one product per term in a Python
+# loop, summed term by term.  The package takes each stack in one batched
+# product and its sums over axis 0, which equal these bit for bit.
+
+
+def reach_loop(sys, l: int) -> np.ndarray:
+    """``reach_coefficients`` slot by slot: (C @ A^k) @ B for each power of a
+    list A^0 .. A^(l-1) of repeated products, then D."""
+    powers = list(itertools.accumulate([sys.A] * (l - 1), np.matmul, initial=np.eye(sys.n_x)))
+    return np.stack([sys.C @ P @ sys.B for P in powers[::-1]] + [sys.D])
+
+
+def gbar_loop(sys, Y, params) -> list:
+    """``build_gbar`` as a list of maps M_t = M_(t-1) A, each its own array."""
+    out, M = [], (1.0 / (1.0 - params.alpha)) * (Y.G @ sys.C)
+    for _ in range(params.s):
+        out.append(M.copy())
+        M = M @ sys.A
+    return out
+
+
+def output_rhs_loop(gbar, Y, params) -> np.ndarray:
+    """``output_rhs`` with the row sums of |Gbar_t| added term by term."""
+    return Y.g - params.lam * sum(np.abs(G).sum(axis=1) for G in gbar)
+
+
+def tail_charge_loop(gbar, sys, layout: VariableLayout) -> np.ndarray:
+    """``tail_charge`` with the terms |Gbar_t B|, t >= t0, added one by one."""
+    return sum((np.abs(G @ sys.B) for G in gbar[layout.t0 :]), np.zeros((layout.m_y, layout.n_rho)))
+
+
+def budget_sums_loop(gbar, sys) -> np.ndarray:
+    """The entrywise sums |Gbar_t B| that ``budget_tail`` reads, one per term."""
+    return np.array([np.abs(G @ sys.B).sum() for G in gbar])
+
+
+def term_rows_loop(gbar, sys, t0: int) -> np.ndarray:
+    """The term rows Gbar_t B, t < t0, of ``encode_output_inclusion``, row t * m_y + i."""
+    return np.vstack([G @ sys.B for G in gbar[:t0]])
+
+
+def horizon_constants_loop(sys, Y):
+    """``horizon_constants`` one horizon at a time: each item adds the term
+    |G C A^t| 1 to L and |A^t| 1 to the row sums, with G C A^t and A^t the
+    chains of one product per term."""
+    GC_pow, A_pow = Y.G @ sys.C, np.eye(sys.n_x)
+    L, row_sums = np.zeros(Y.n_rows), np.zeros(sys.n_x)
+    for s in itertools.count(1):
+        L = L + np.abs(GC_pow).sum(axis=1)
+        row_sums = row_sums + np.abs(A_pow).sum(axis=1)
+        GC_pow, A_pow = GC_pow @ sys.A, A_pow @ sys.A
+        active = L > 0
+        theta = float(np.min(Y.g[active] / L[active])) if active.any() else np.inf
+        zeta = float(np.abs(A_pow).sum(axis=1).max())
+        yield RpiConstants(s=s, L_s=L, theta_s=theta, M_s=float(row_sums.max()), zeta_s=zeta)
 
 
 def uniform_beta(layout: VariableLayout) -> np.ndarray:
@@ -158,7 +215,8 @@ def synth_blocks(sys, Y, Y_vertices, params, H, layout: VariableLayout) -> Synth
     cost_z = np.zeros(layout.dim_z)
     cost_z[layout.z_eps()] = 1.0
     a_x, b = sp.vstack([to_scipy(csr(a)) for a in (a1, a2, a3)], format="csr"), np.concatenate([b1, b2, b3])
-    c_w, c_z, h, e_z, t_beta = encode_vertex_reach(merge_vertices(Y_vertices), sys, layout, H)
+    reach = reach_coefficients(sys, layout.horizon)
+    c_w, c_z, h, e_z, t_beta = encode_vertex_reach(merge_vertices(Y_vertices), reach, layout, H)
     c_w, c_z, e_z, t_beta = (to_scipy(csr(m)) for m in (c_w, c_z, e_z, t_beta))
     return SynthBlocks(layout, cost_z, a_x, b, c_w, c_z, h, e_z, t_beta)
 
@@ -221,7 +279,8 @@ def contains_point(W: BoxHullSet, w, tol: float = 1e-9) -> Membership:
     n = W.dim
     if w.size != n:
         raise GeometryError("point dimension mismatch")
-    lp = _reach_lp(np.eye(n)[None], w[None], W, stacked_identity(n), -np.ones((2 * n, 1)), 0.0, np.zeros(2 * n))
+    coeff, slack = np.eye(n)[None], -np.ones((2 * n, 1))
+    lp = _reach_lp(coeff, w[None], W, stacked_identity(n), slack, 0.0, np.zeros(2 * n), dead_points(coeff, 1))
     out = solve_lp(lp)
     if not out.optimal:
         raise LpFailure(f"membership LP failed with status {out.status}", lp)
@@ -275,9 +334,10 @@ def inflation_margins(sys, vertices, W: BoxHullSet, horizon: int, H, epsilon) ->
     """-t per vertex, t the least uniform inflation of the widths under which
     the horizon-reachable outputs reach the vertex: one cold LP each."""
     coeff = reach_reference(sys, horizon)
+    slack, dead = -np.ones((H.shape[0], 1)), dead_points(coeff, 1)
     margins = []
     for y in vertices:
-        out = solve_lp(_reach_lp(coeff, y[None], W, H, -np.ones((H.shape[0], 1)), -np.inf, epsilon))
+        out = solve_lp(_reach_lp(coeff, y[None], W, H, slack, -np.inf, epsilon, dead))
         assert out.optimal
         margins.append(-out.objective)
     return np.array(margins)
@@ -393,8 +453,9 @@ def _scipy_pad_x(block, layout: VariableLayout) -> sp.csr_matrix:
 
 
 def scipy_output_inclusion(gbar, sys, Y, params, layout: VariableLayout):
-    """Reference for ``encoder.encode_output_inclusion``."""
-    rhs = output_rhs(gbar, Y, params)
+    """Reference for ``encoder.encode_output_inclusion``, from the per-term
+    forms of its right-hand side, term rows and tail charge."""
+    rhs = output_rhs_loop(gbar, Y, params)
     if np.min(rhs) < -1e-12 * max(1.0, float(np.max(np.abs(Y.g)))):
         warnings.warn(
             f"negative output budget at row {int(np.argmin(rhs))}; "
@@ -403,7 +464,7 @@ def scipy_output_inclusion(gbar, sys, Y, params, layout: VariableLayout):
         )
     N, m_y, t0 = layout.n_boxes, layout.m_y, layout.t0
     n_q = t0 * m_y
-    terms = np.vstack([G @ sys.B for G in gbar[:t0]])  # row t * m_y + i
+    terms = term_rows_loop(gbar, sys, t0)
     per_box = np.ones((N, 1))  # every box's row block charges the same budgets
     blocks = [
         [_scipy_box_rows(terms, N), -sp.kron(per_box, sp.eye(n_q), "coo"), None],
@@ -412,7 +473,7 @@ def scipy_output_inclusion(gbar, sys, Y, params, layout: VariableLayout):
     ]
     if layout.n_rho:
         S = stacked_identity(layout.n_w)
-        tail = sp.coo_matrix(sum(np.abs(G @ sys.B) for G in gbar[t0:]))
+        tail = sp.coo_matrix(tail_charge_loop(gbar, sys, layout))
         blocks = [
             *(row + [None] for row in blocks[:2]),
             [_scipy_box_rows(S, N), None, None, -sp.kron(per_box, np.abs(S), "coo")],

@@ -17,7 +17,7 @@ import pytest
 from distsynth import encoder, lp_solver, verifier
 from distsynth.cli import cmd_gen, cmd_reduce, cmd_synth, cmd_verify, parse_spec
 from distsynth.lp_solver import RESIDUAL_TOL, _scaled_residual, solve_lp
-from distsynth.setgeom import LtiSystem, reach_coefficients
+from distsynth.setgeom import LtiSystem, dead_points, reach_coefficients
 from distsynth.synthesizer import _boxes, p_step
 
 from conftest import random_stable_system
@@ -272,8 +272,8 @@ def test_start_less_the_dead_parts_is_a_primal_feasible_basis(case, directions, 
         (lp_solver.kron(-np.ones((n, 1)), n_b), 0.0, np.zeros(n * n_b)),
         (lp_solver.kron(n, -np.ones((n_b, 1))), -np.inf, np.tile(doc.epsilon, n)),
     ):
-        lp = verifier._reach_lp(coeff, V, doc.W, H, slack, slack_lb, h_rhs)
-        start = verifier._reach_start(coeff, V, d, doc.W, H, slack, slack_lb, h_rhs)
+        lp = verifier._reach_lp(coeff, V, doc.W, H, slack, slack_lb, h_rhs, dead_points(coeff, n))
+        start = verifier._reach_start(coeff, V, d, doc.W, H, slack, slack_lb, h_rhs, dead_points(coeff, n))
         assert len(start.col_status) == lp.n_vars and len(start.row_status) == lp.b.size
         assert _scaled_residual(lp, basis_point(lp, start)) <= RESIDUAL_TOL
         assert lp_solver._run(lp, False, start, True) is not None

@@ -31,7 +31,7 @@ from distsynth.encoder import (
     tail_start,
 )
 from distsynth.lp_solver import LpProblem, csr, solve_lp
-from distsynth.setgeom import merge_vertices, stacked_identity
+from distsynth.setgeom import merge_vertices, reach_coefficients, stacked_identity
 from distsynth.synthesizer import _boxes, boxes_from_x, p_step, spread_beta
 
 from conftest import hull_of, random_stable_system
@@ -339,7 +339,7 @@ class TestVertexReach:
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         lay = small_layout(horizon=1)
         vertices = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        c_w, *_ = encode_vertex_reach(vertices, sys, lay, h_preset("box", 2))
+        c_w, *_ = encode_vertex_reach(vertices, reach_coefficients(sys, 1), lay, h_preset("box", 2))
         block = to_scipy(csr(c_w))[:2, :2].toarray()
         assert np.allclose(block, sys.C @ sys.B)
 
@@ -348,7 +348,7 @@ class TestVertexReach:
         sys = random_stable_system(rng, n_x=2, n_w=2, n_y=2, rho=0.5)
         lay = small_layout(n_vertices=1, horizon=2)
         vertices = np.zeros((1, 2))
-        c_w, c_z, h, e_z, t_beta = encode_vertex_reach(vertices, sys, lay, h_preset("box", 2))
+        c_w, c_z, h, e_z, t_beta = encode_vertex_reach(vertices, reach_coefficients(sys, 2), lay, h_preset("box", 2))
         c_w, c_z, e_z = (to_scipy(csr(m)) for m in (c_w, c_z, e_z))
         d_x, d_wbar = membership_blocks(lay)
         w = np.zeros(lay.dim_w)
@@ -654,7 +654,8 @@ class TestMatchesScipyReference:
             assert_same_matrix(csr(a), ref_a, name)
             assert b.tobytes() == ref_b.tobytes(), name
         vertices = merge_vertices(vertices)
-        blocks, refs = encode_vertex_reach(vertices, sys, layout, H), scipy_vertex_reach(vertices, sys, layout, H)
+        blocks = encode_vertex_reach(vertices, reach_coefficients(sys, layout.horizon), layout, H)
+        refs = scipy_vertex_reach(vertices, sys, layout, H)
         for name, block, ref in zip(("c_w", "c_z", "h", "e_z", "t_beta"), blocks, refs):
             if name == "h":
                 assert block.tobytes() == ref.tobytes()

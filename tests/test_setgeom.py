@@ -222,6 +222,19 @@ def test_reach_coefficients_match_matrix_powers():
             assert np.all(np.abs(got - want) <= 1e-12 * scale), l
 
 
+def test_reach_coefficients_reject_a_horizon_below_one(plant):
+    """A horizon of 0 has no slot of the state, so no (l + 1, n_y, n_w) stack."""
+    for l in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            setgeom.reach_coefficients(plant, l)
+
+
+def test_powers_reject_a_count_below_one(plant):
+    with pytest.raises(ValueError, match="at least 1"):
+        setgeom._powers(plant.A, 0)
+    assert np.array_equal(setgeom._powers(plant.A, 1), np.eye(3)[None])
+
+
 class TestContainsPoint:
     def test_box_center_inside(self):
         rng = np.random.default_rng(3)

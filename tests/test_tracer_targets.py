@@ -13,7 +13,7 @@ import pytest
 
 from distsynth import assemble, h_preset, select_params, verifier, vertices_hpoly
 from distsynth.lp_solver import LpProblem, kron
-from distsynth.setgeom import reach_coefficients
+from distsynth.setgeom import dead_points, reach_coefficients
 from distsynth.synthesizer import boxes_from_x, p_step, spread_beta
 
 from reference import as_csr
@@ -62,9 +62,9 @@ def test_lp_shape_counts_the_illustrative_programs(plant, pentagon):
     beta = spread_beta(problem.layout)
     x, _, wbar, _, _, _ = p_step(problem, beta)
     slack = kron(-np.ones((len(vertices), 1)), H.shape[0])
-    reach = verifier._reach_lp(
-        reach_coefficients(plant, 59), vertices, boxes_from_x(problem, x), H, slack, 0.0, np.zeros(slack.shape[0])
-    )
+    coeff = reach_coefficients(plant, 59)
+    dead = dead_points(coeff, len(vertices))
+    reach = verifier._reach_lp(coeff, vertices, boxes_from_x(problem, x), H, slack, 0.0, np.zeros(slack.shape[0]), dead)
     for lp in (problem.p_program.lp(beta), problem.q_program.lp(wbar), reach):
         assert 0 < lp.n_eq < lp.b.size
         assert _TRACER._lp_shape(lp) == {"rows": lp.a.shape[0], "cols": lp.n_vars, "nnz": lp.a.nnz}

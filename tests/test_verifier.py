@@ -29,7 +29,7 @@ from distsynth import (
 from distsynth import lp_solver, rpi_params, setgeom, synthesizer, verifier
 from distsynth.cli import ResultDoc, cmd_gen, cmd_reduce, cmd_synth, parse_spec
 from distsynth.lp_solver import BASIC, RESIDUAL_TOL, _scaled_residual, solve_lp
-from distsynth.setgeom import reach_coefficients, sample_batch, stacked_identity
+from distsynth.setgeom import dead_points, reach_coefficients, sample_batch, stacked_identity
 
 from conftest import (
     brute_force_hull_vertices,
@@ -470,7 +470,7 @@ class TestReachProgramMatchesScipyReference:
         # a dense slack, as the tests' per-vertex programs pass one
         dense = -np.ones((n_b, 1))
         assert_same_lp(
-            verifier._reach_lp(coeff, V[:1], W, H, dense, -np.inf, eps),
+            verifier._reach_lp(coeff, V[:1], W, H, dense, -np.inf, eps, dead_points(coeff, 1)),
             scipy_reach_lp(coeff, V[:1], W, H, dense, -np.inf, eps),
         )
 
@@ -611,8 +611,8 @@ class TestReachStart:
             (lp_solver.kron(-np.ones((n, 1)), n_b), 0.0, np.zeros(n * n_b)),
             (lp_solver.kron(n, -np.ones((n_b, 1))), -np.inf, np.tile(eps, n)),
         ):
-            lp = verifier._reach_lp(coeff, V, W, H, slack, slack_lb, h_rhs)
-            start = verifier._reach_start(coeff, V, d, W, H, slack, slack_lb, h_rhs)
+            lp = verifier._reach_lp(coeff, V, W, H, slack, slack_lb, h_rhs, dead_points(coeff, n))
+            start = verifier._reach_start(coeff, V, d, W, H, slack, slack_lb, h_rhs, dead_points(coeff, n))
             assert _scaled_residual(lp, basis_point(lp, start)) <= RESIDUAL_TOL
             assert lp_solver._run(lp, False, start, True) is not None
 
