@@ -71,7 +71,8 @@ def _statuses(basis) -> bytes:
 
 def main(checkout: Path) -> None:
     sys.path.insert(0, str(checkout / "src"))
-    from distsynth import BoxHullSet, cli, lp_solver, setgeom, verifier
+    from distsynth import cli, lp_solver, setgeom, verifier
+    from distsynth.setgeom import BoxHullSet
 
     doc_digest, calls, fixed_w, current = hashlib.sha256(), [], set(), threading.local()
     run, outcome = lp_solver._run, lp_solver._outcome

@@ -35,6 +35,7 @@ from .setgeom import (
     LtiSystem,
     hull_outline,
     merge_vertices,
+    power_chain,
     simulate,
     spectral_radius,
     stacked_identity,
@@ -484,12 +485,10 @@ def reachable_outline(
 
     scale = 1.0 / (1.0 - params.alpha)
     pts = np.zeros((n_dirs, 2))
-    CA = sys.C.copy()
-    for _ in range(params.s):
+    for CA in power_chain(sys.C, sys.A, params.s):  # C A^t, t = 0..s-1
         Q = P @ CA  # state-space directions
         drive = support_corners(sys.B, Q, W)[2] @ sys.B.T + params.lam * np.sign(Q)
         pts += scale * (drive @ CA.T)
-        CA = CA @ sys.A
     pts += support_corners(sys.D, P, W)[2] @ sys.D.T
     return pts
 

@@ -139,14 +139,17 @@ def tail_charge(gbar: np.ndarray, sys: LtiSystem, layout: VariableLayout) -> np.
     return np.abs(gbar[layout.t0 :] @ sys.B).sum(axis=0)[:, : layout.n_rho]
 
 
-def encode_output_inclusion(gbar: np.ndarray, sys: LtiSystem, Y: HPolytope, params: RpiParams, layout: VariableLayout):
+def encode_output_inclusion(
+    gbar: np.ndarray, tail: np.ndarray, sys: LtiSystem, Y: HPolytope, params: RpiParams, layout: VariableLayout
+):
     """Rows bounding the reachable-output support by the budget variables.
 
     Per box j and term t < t0:  Gbar_t B c_j + |Gbar_t B| e_j <= Q_t, and the
     feedthrough rows G D c_j + |G D| e_j <= r.  When t0 < s, the terms t >= t0
     share rho >= |c_j| + e_j (every box j, entrywise), since the support of
     box j in direction v is at most |v| rho; finally the budget sums
-    sum_{t<t0} Q_t + r + (sum_{t>=t0} |Gbar_t B|) rho <= g - lambda sum_t |Gbar_t| 1.
+    sum_{t<t0} Q_t + r + (sum_{t>=t0} |Gbar_t B|) rho <= g - lambda sum_t |Gbar_t| 1,
+    that rho charge being ``tail`` (``tail_charge``).
     """
     rhs = output_rhs(gbar, Y, params)
     if np.min(rhs) < -1e-12 * max(1.0, float(np.max(np.abs(Y.g)))):
@@ -160,7 +163,6 @@ def encode_output_inclusion(gbar: np.ndarray, sys: LtiSystem, Y: HPolytope, para
     terms = (gbar[:t0] @ sys.B).reshape(n_q, layout.n_w)  # row t * m_y + i
     per_box = -np.ones((N, 1))  # every box's row block charges the same budgets
     S = stacked_identity(layout.n_rho)  # 0 x 0 without a tail, so its rows are empty
-    tail = tail_charge(gbar, sys, layout)
     blocks = [
         [_box_rows(terms, N), kron(per_box, n_q), None, None],
         [_box_rows(Y.G @ sys.D, N), None, kron(per_box, m_y), None],
@@ -400,14 +402,15 @@ def assemble(
         n_w=sys.n_w, n_y=sys.n_y, m_y=Y.n_rows, n_b=H.shape[0], t0=t0,
     )
     gbar, reach = build_gbar(sys, Y, params), reach_coefficients(sys, horizon)
-    a1, b1 = encode_output_inclusion(gbar, sys, Y, params, layout)
+    tail = tail_charge(gbar, sys, layout)
+    a1, b1 = encode_output_inclusion(gbar, tail, sys, Y, params, layout)
     a2, b2 = encode_gamma_bound(sys, params.gamma, layout)
     a3, b3 = encode_origin(layout)
     c_w, c_z, h, e_z, t_beta = encode_vertex_reach(vertices, reach, layout, H)
     cost_z = np.zeros(layout.dim_z)
     cost_z[layout.z_eps()] = 1.0
     a_x, b = stack([[a1], [a2], [a3]], [layout.dim_x]), np.concatenate([b1, b2, b3])
-    dead = dead_columns(reach, tail_charge(gbar, sys, layout), layout)
+    dead = dead_columns(reach, tail, layout)
     return SynthProblem(
         layout=layout,
         p_program=_p_program(layout, cost_z, a_x, b, c_w, c_z, h, e_z, dead),

@@ -16,9 +16,8 @@ later steps.  Each step's optimum is feasible for the next, so the objective
 is nonincreasing and the loop terminates for any positive tolerance.  Each
 step after the first starts from the previous same-kind step's final basis.
 A multi-start refinement around the incumbent weights replaces nonlinear
-polishing; its restarts run concurrently, the first on the calling thread and
-the rest on a small thread pool (HiGHS releases the GIL while it solves), and a
-restart whose LP fails is dropped.
+polishing; its restarts run concurrently on a small thread pool (HiGHS
+releases the GIL while it solves), and a restart whose LP fails is dropped.
 """
 
 from __future__ import annotations
@@ -195,21 +194,15 @@ def refine(problem: SynthProblem, result: SynthResult, restarts: int, rng: np.ra
     """Multi-start alternation from weight jitter; never worse than the input.
 
     Every restart's weights are drawn up front, one independent spawned
-    stream each.  The calling thread runs the first restart while a pool of
-    max(1, min(restarts, cores) - 1) threads runs the rest (HiGHS releases
-    the GIL while it solves); the pool is closed before this returns.  A
-    restart whose LP fails is dropped, and the rest are compared in start
-    order, an earlier one kept on a tie, so the result is the one a serial
-    loop would give.
+    stream each, and a pool of min(restarts, cores) threads runs them (HiGHS
+    releases the GIL while it solves); the pool is closed before this
+    returns.  A restart whose LP fails is dropped, and the first least
+    objective in start order wins, the input ahead of every restart, so the
+    result is the one a serial loop would give.
     """
     if restarts <= 0:
         return result
     starts = [_jittered_beta(problem.layout, result.beta, stream) for stream in rng.spawn(restarts)]
-    with ThreadPoolExecutor(max(1, min(restarts, os.cpu_count() or 1) - 1)) as pool:
-        rest = [pool.submit(_restart, problem, beta0) for beta0 in starts[1:]]
-        cands = [_restart(problem, starts[0])] + [future.result() for future in rest]
-    best = result
-    for cand in cands:
-        if cand is not None and cand.objective < best.objective:
-            best = cand
-    return best
+    with ThreadPoolExecutor(min(restarts, os.cpu_count() or 1)) as pool:
+        cands = [cand for cand in pool.map(_restart, [problem] * restarts, starts) if cand is not None]
+    return min([result, *cands], key=lambda r: r.objective)

@@ -3,7 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from distsynth import BoxHullSet, HPolytope, LtiSystem, lp_solver
+from distsynth import lp_solver
+from distsynth.setgeom import BoxHullSet, HPolytope, LtiSystem
 
 
 @pytest.fixture(scope="session")

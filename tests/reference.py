@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from scipy.linalg import null_space
 from scipy.sparse.linalg import spsolve
 
-from distsynth import BoxHullSet
 from distsynth.encoder import (
     EncodingError,
     VariableLayout,
@@ -18,6 +17,7 @@ from distsynth.encoder import (
     encode_origin,
     encode_output_inclusion,
     encode_vertex_reach,
+    tail_charge,
 )
 from distsynth.lp_solver import BASIC, LOWER, UPPER, Csr, LpFailure, LpProblem, csr, solve_lp
 from distsynth.rpi_params import RpiConstants, horizon_constants
@@ -25,6 +25,7 @@ from distsynth.setgeom import (
     _MAX_DIM,
     _MAX_ROWS,
     _VERTEX_TOL,
+    BoxHullSet,
     GeometryError,
     HPolytope,
     box_points,
@@ -209,7 +210,8 @@ def synth_blocks(sys, Y, Y_vertices, params, H, layout: VariableLayout) -> Synth
     ``encode_*`` functions as ``assemble`` calls them, each read as a scipy
     CSR matrix."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
-    a1, b1 = encode_output_inclusion(build_gbar(sys, Y, params), sys, Y, params, layout)
+    gbar = build_gbar(sys, Y, params)
+    a1, b1 = encode_output_inclusion(gbar, tail_charge(gbar, sys, layout), sys, Y, params, layout)
     a2, b2 = encode_gamma_bound(sys, params.gamma, layout)
     a3, b3 = encode_origin(layout)
     cost_z = np.zeros(layout.dim_z)

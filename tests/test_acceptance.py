@@ -9,26 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from distsynth import (
-    RpiConstants,
-    alternate,
-    assemble,
-    distance_dY,
-    h_preset,
-    monte_carlo,
-    hull_outline,
-    select_params,
-    solve_Hs,
-    spread_beta,
-    support_rows,
-    verify_gamma,
-    verify_output_inclusion,
-    verify_params,
-    vertices_hpoly,
-)
 from distsynth.cli import cmd_gen, cmd_params, cmd_reduce, main
-from distsynth.rpi_params import horizon_constants
-from distsynth.setgeom import sample_batch
+from distsynth.encoder import assemble, h_preset
+from distsynth.rpi_params import RpiConstants, horizon_constants, select_params, solve_Hs
+from distsynth.setgeom import hull_outline, sample_batch, support_rows, vertices_hpoly
+from distsynth.synthesizer import alternate, spread_beta
+from distsynth.verifier import distance_dY, monte_carlo, verify_gamma, verify_output_inclusion, verify_params
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
 from reference import constants_at, contains_point, membership_blocks, synth_blocks, uniform_beta

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsynth import BoxHullSet, RpiParams, lp_solver, rpi_params, verifier, vertices_hpoly
+from distsynth import lp_solver, rpi_params, verifier
 from distsynth.cli import (
     Options,
     ProblemSpec,
@@ -24,7 +24,8 @@ from distsynth.cli import (
     parse_spec,
     reachable_outline,
 )
-from distsynth.setgeom import sample_batch, support_corners
+from distsynth.rpi_params import RpiParams
+from distsynth.setgeom import BoxHullSet, sample_batch, support_corners, vertices_hpoly
 
 from conftest import hull_of
 from reference import inflation_margins
@@ -1041,7 +1042,7 @@ class TestOptionOverrides:
 
 class TestPlotRejects:
     def test_illustrative_result_with_a_third_box_coordinate_is_2(self, tmp_path, capsys):
-        from distsynth import h_preset
+        from distsynth.encoder import h_preset
 
         params = RpiParams(s=60, alpha=6.781843723995092e-4, lam=6.796195472333852e-5, gamma=0.2, mu=1e-3)
         rng = np.random.default_rng(41)
@@ -1112,6 +1113,16 @@ class TestEveryOverrideFlag:
             for name, p in sub.choices.items()
         }
         assert listed == built
+
+
+def test_readme_library_example_runs():
+    """README's "Library surface" block runs as written, its imports and
+    asserts included, on the plant and constraints of the bundled spec."""
+    block = (ROOT / "README.md").read_text().split("## Library surface", 1)[1].split("```python", 1)[1].split("```")[0]
+    doc = json.loads((ROOT / "specs" / "illustrative.json").read_text())
+    names = {key: np.array(value, dtype=float) for part in ("system", "constraints") for key, value in doc[part].items()}
+    assert sorted(names) == ["A", "B", "C", "D", "G", "g"]
+    exec(compile(block, "README.md", "exec"), names)
 
 
 def _workload_specs():

@@ -4,34 +4,36 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsynth import (
-    BoxHullSet,
-    HPolytope,
-    LtiSystem,
-    RpiParams,
-    assemble,
-    h_preset,
-    select_params,
-    short_horizon,
-    support_rows,
-    vertices_hpoly,
-)
 from distsynth.encoder import (
     BUDGET_TAIL,
     SHORT_HORIZON_TAIL,
     EncodingError,
     VariableLayout,
+    assemble,
     budget_tail,
     build_gbar,
     encode_gamma_bound,
     encode_origin,
     encode_output_inclusion,
     encode_vertex_reach,
+    h_preset,
     output_rhs,
+    short_horizon,
+    tail_charge,
     tail_start,
 )
 from distsynth.lp_solver import LpProblem, csr, solve_lp
-from distsynth.setgeom import merge_vertices, reach_coefficients, stacked_identity
+from distsynth.rpi_params import RpiParams, select_params
+from distsynth.setgeom import (
+    BoxHullSet,
+    HPolytope,
+    LtiSystem,
+    merge_vertices,
+    reach_coefficients,
+    stacked_identity,
+    support_rows,
+    vertices_hpoly,
+)
 from distsynth.synthesizer import _boxes, boxes_from_x, p_step, spread_beta
 
 from conftest import hull_of, random_stable_system
@@ -182,7 +184,7 @@ class TestOutputInclusion:
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         lay = VariableLayout(1, 1, 1, params.s, 2, 2, 5, 4, params.s)
         gbar = build_gbar(plant, pentagon, params)
-        A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
+        A, b = encode_output_inclusion(gbar, tail_charge(gbar, plant, lay), plant, pentagon, params, lay)
         A = to_scipy(csr(A))
         x = np.zeros(lay.dim_x)  # origin singleton box, zero budgets
         resid = A @ x - b
@@ -196,7 +198,7 @@ class TestOutputInclusion:
         params = select_params(sys, pentagon, gamma=0.2, mu=1e-3)
         lay = VariableLayout(2, 1, 1, params.s, 2, 2, 5, 4, params.s)
         gbar = build_gbar(sys, pentagon, params)
-        A, _ = encode_output_inclusion(gbar, sys, pentagon, params, lay)
+        A, _ = encode_output_inclusion(gbar, tail_charge(gbar, sys, lay), sys, pentagon, params, lay)
         A = to_scipy(csr(A))
         r_rows = A[lay.n_boxes * lay.s * lay.m_y : lay.n_boxes * (lay.s + 1) * lay.m_y]
         box_cols = r_rows[:, : 2 * lay.n_boxes * lay.n_w]
@@ -206,7 +208,7 @@ class TestOutputInclusion:
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         lay = VariableLayout(3, 1, 1, params.s, 2, 2, 5, 4, params.s)
         gbar = build_gbar(plant, pentagon, params)
-        A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
+        A, b = encode_output_inclusion(gbar, tail_charge(gbar, plant, lay), plant, pentagon, params, lay)
         assert A.shape[0] == lay.n_boxes * (lay.s + 1) * lay.m_y + lay.m_y == b.size
 
     def test_warns_on_nonpositive_budget(self, plant, pentagon):
@@ -214,18 +216,18 @@ class TestOutputInclusion:
         lay = VariableLayout(1, 1, 1, 3, 2, 2, 5, 4, 3)
         gbar = build_gbar(plant, pentagon, params)
         with pytest.warns(RuntimeWarning):
-            encode_output_inclusion(gbar, plant, pentagon, params, lay)
+            encode_output_inclusion(gbar, tail_charge(gbar, plant, lay), plant, pentagon, params, lay)
 
     def test_certified_set_admits_feasible_budgets(self, plant, pentagon):
         """Necessity direction: whenever the row-wise support certificate
         holds, setting each budget to the box maxima satisfies the rows."""
-        from distsynth import verify_output_inclusion
+        from distsynth.verifier import verify_output_inclusion
 
         rng = np.random.default_rng(48)
         params = select_params(plant, pentagon, gamma=0.2, mu=1e-3)
         lay = VariableLayout(2, 1, 1, params.s, 2, 2, 5, 4, params.s)
         gbar = build_gbar(plant, pentagon, params)
-        A, b = encode_output_inclusion(gbar, plant, pentagon, params, lay)
+        A, b = encode_output_inclusion(gbar, tail_charge(gbar, plant, lay), plant, pentagon, params, lay)
         A = to_scipy(csr(A))
         checked = 0
         while checked < 10:
@@ -644,7 +646,7 @@ class TestMatchesScipyReference:
         gbar = build_gbar(sys, Y, params)
         built = {
             "output-inclusion": (
-                encode_output_inclusion(gbar, sys, Y, params, layout),
+                encode_output_inclusion(gbar, tail_charge(gbar, sys, layout), sys, Y, params, layout),
                 scipy_output_inclusion(gbar, sys, Y, params, layout),
             ),
             "gamma": (encode_gamma_bound(sys, params.gamma, layout), scipy_gamma_bound(sys, params.gamma, layout)),

@@ -92,7 +92,7 @@ def test_output_maps_and_their_sums_equal_the_per_term_forms(case, monkeypatch):
             assert charge.shape == (Y.n_rows, layout.n_rho), (s, t0)
             assert np.array_equal(charge, tail_charge_loop(loop, sys, layout)), (s, t0)
             (a, b), (ref_a, ref_b) = (
-                encode_output_inclusion(gbar, sys, Y, params, layout),
+                encode_output_inclusion(gbar, charge, sys, Y, params, layout),
                 scipy_output_inclusion(loop, sys, Y, params, layout),
             )
             assert_same_matrix(csr(a), ref_a, (s, t0))

@@ -11,7 +11,8 @@ import pytest
 import scipy.optimize
 import scipy.sparse as sp
 
-from distsynth import assemble, cli, h_preset, lp_solver, select_params, synthesizer, verifier, vertices_hpoly
+from distsynth import cli, lp_solver, synthesizer, verifier
+from distsynth.encoder import assemble, h_preset
 from distsynth.lp_solver import (
     BASIC,
     FAILED,
@@ -31,6 +32,8 @@ from distsynth.lp_solver import (
     start_basis,
     write_lp,
 )
+from distsynth.rpi_params import select_params
+from distsynth.setgeom import vertices_hpoly
 from distsynth.synthesizer import boxes_from_x, p_step, q_step, spread_beta
 from distsynth.verifier import verify_coverage
 
@@ -575,7 +578,8 @@ def test_each_alternation_solves_on_one_instance_and_frees_it(monkeypatch):
     monkeypatch.setattr(synthesizer, "alternate", spy_alternate)
     doc = cli.cmd_synth(spec)
     assert all(check["passed"] for check in doc.certificates.values())
-    assert len(alternations) == 3 and len(set(alternations)) == 2  # the first run and two restarts
+    # the first run on the calling thread, the two restarts on the pool's
+    assert len(alternations) == 3 and threading.get_ident() == alternations[0] not in alternations[1:]
     assert len(made) == len(alternations) + runs.count(False)
     assert runs.count(True) > 2 * len(alternations)
     assert getattr(lp_solver._THREAD, "highs", None) is None

@@ -5,20 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsynth import (
-    BoxHullSet,
-    HPolytope,
-    LtiSystem,
-    ParamSearchError,
-    RpiConstants,
-    rpi_params,
-    select_params,
-    solve_Hs,
-    support_rows,
-)
+from distsynth import rpi_params
 from distsynth.cli import cmd_gen, cmd_reduce, parse_spec
-from distsynth.rpi_params import horizon_constants
-from distsynth.setgeom import stacked_identity
+from distsynth.rpi_params import ParamSearchError, RpiConstants, horizon_constants, select_params, solve_Hs
+from distsynth.setgeom import BoxHullSet, HPolytope, LtiSystem, stacked_identity, support_rows
 from distsynth.verifier import _horizon_constants
 
 from conftest import random_stable_system

@@ -7,24 +7,21 @@ import pytest
 import scipy.optimize
 from scipy.spatial import ConvexHull
 
-from distsynth import (
+from distsynth import cli, lp_solver, setgeom
+from distsynth.lp_solver import FAILED, INFEASIBLE, UNBOUNDED, LpFailure, LpOutcome, LpProblem
+from distsynth.setgeom import (
     BoxHullSet,
     GeometryError,
     HPolytope,
-    LpFailure,
-    hull_outline,
-    simulate,
-    support_rows,
-    vertices_hpoly,
-)
-from distsynth import cli, lp_solver, setgeom
-from distsynth.lp_solver import FAILED, INFEASIBLE, UNBOUNDED, LpOutcome, LpProblem
-from distsynth.setgeom import (
     LtiSystem,
+    hull_outline,
     merge_vertices,
     rollout,
     sample_batch,
+    simulate,
     support_corners,
+    support_rows,
+    vertices_hpoly,
 )
 
 from conftest import brute_force_hull_vertices, random_hull, random_stable_system
@@ -661,7 +658,8 @@ class TestSimulate:
 
     def test_certified_set_keeps_output_in_constraints(self, plant, pentagon):
         # frozen from a certified synthesis run; re-certified here before use
-        from distsynth import RpiParams, verify_output_inclusion
+        from distsynth.rpi_params import RpiParams
+        from distsynth.verifier import verify_output_inclusion
 
         params = RpiParams(s=60, alpha=6.781843723995092e-4, lam=6.796195472333852e-5, gamma=0.2, mu=1e-3)
         W = BoxHullSet([[-0.0429, -0.032], [0.0451, -0.0525]], [[0.0457, 0.032], [0.0, 0.0135]])

@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsynth import assemble, h_preset, select_params, verifier, vertices_hpoly
+from distsynth import verifier
+from distsynth.encoder import assemble, h_preset
 from distsynth.lp_solver import LpProblem, kron
-from distsynth.setgeom import dead_points, reach_coefficients
+from distsynth.rpi_params import select_params
+from distsynth.setgeom import dead_points, reach_coefficients, vertices_hpoly
 from distsynth.synthesizer import boxes_from_x, p_step, spread_beta
 
 from reference import as_csr

@@ -8,28 +8,31 @@ import pytest
 import scipy.optimize
 from scipy.spatial import ConvexHull
 
-from distsynth import (
+from distsynth import lp_solver, rpi_params, setgeom, synthesizer, verifier
+from distsynth.cli import ResultDoc, cmd_gen, cmd_reduce, cmd_synth, parse_spec
+from distsynth.encoder import assemble, h_preset
+from distsynth.lp_solver import BASIC, RESIDUAL_TOL, _scaled_residual, solve_lp
+from distsynth.rpi_params import RpiParams, select_params
+from distsynth.setgeom import (
     BoxHullSet,
     GeometryError,
     HPolytope,
     LtiSystem,
-    RpiParams,
-    alternate,
-    assemble,
+    dead_points,
+    reach_coefficients,
+    sample_batch,
+    stacked_identity,
+    vertices_hpoly,
+)
+from distsynth.synthesizer import alternate
+from distsynth.verifier import (
     distance_dY,
-    h_preset,
     monte_carlo,
-    select_params,
     verify_coverage,
     verify_gamma,
     verify_output_inclusion,
     verify_params,
-    vertices_hpoly,
 )
-from distsynth import lp_solver, rpi_params, setgeom, synthesizer, verifier
-from distsynth.cli import ResultDoc, cmd_gen, cmd_reduce, cmd_synth, parse_spec
-from distsynth.lp_solver import BASIC, RESIDUAL_TOL, _scaled_residual, solve_lp
-from distsynth.setgeom import dead_points, reach_coefficients, sample_batch, stacked_identity
 
 from conftest import (
     brute_force_hull_vertices,
