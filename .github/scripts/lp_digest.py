@@ -77,9 +77,10 @@ def main(checkout: Path) -> None:
     doc_digest, calls, fixed_w, current = hashlib.sha256(), [], set(), threading.local()
     run, outcome = lp_solver._run, lp_solver._outcome
 
-    def traced_run(p, presolve, basis=None, primal=False):
-        # _solve reads the run with _outcome on the same thread, so the pair
-        # shares this call's digest and iteration count through ``current``
+    def traced_run(p, presolve, basis=None, primal=False, *instance):
+        # ``instance`` is the HiGHS instance, in a checkout whose _solve passes
+        # one; _solve reads the run with _outcome on the same thread, so the
+        # pair shares this call's digest and iteration count through ``current``
         lp = hashlib.sha256()
         if primal:
             fixed_w.add(p)  # a program's first run is its warm or cold primal one
@@ -91,7 +92,7 @@ def main(checkout: Path) -> None:
         lp.update(repr((p.n_eq, tuple(map(int, a.shape)), presolve, primal, basis is not None)).encode())
         if basis is not None:
             lp.update(_statuses(basis))
-        highs = run(p, presolve, basis, primal)
+        highs = run(p, presolve, basis, primal, *instance)
         if highs is None:
             lp.update(b"rejected")
         return highs

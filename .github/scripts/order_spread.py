@@ -77,7 +77,8 @@ def table(checkout: Path) -> dict[str, list[float]]:
     for name, spec in problems(checkout, cli):
         spread[name] = []
         for order in range(ORDERS):
-            synthesizer.solve_lp = lambda lp, basis=None, order=order: solve(permuted(lp, order, lp_solver), basis=basis)
+            # any further argument (the HiGHS instance, where the checkout passes one) goes through
+            synthesizer.solve_lp = lambda lp, order=order, **kwargs: solve(permuted(lp, order, lp_solver), **kwargs)
             try:
                 spread[name].append(float(cli.cmd_synth(spec).objective))
             finally:

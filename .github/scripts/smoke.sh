@@ -17,6 +17,7 @@
 # and both results must agree.  A one-dimensional generated problem gives the
 # smallest blocks the LP builders make: 1 x 1 Kronecker factors and a two-vertex Y.
 # The illustrative spec with one box runs the tie-break at every Q-step.
+# A result synthesized at a larger gamma than the spec asks must not verify against it.
 set -euxo pipefail
 
 read -r -a ds <<< "$1"
@@ -53,6 +54,15 @@ check_margins specs/illustrative.json "$out/result.json" "$out/no-witness.json"
 python -m distsynth verify specs/illustrative.json "$out/result.json"
 "${ds[@]}" plot specs/illustrative.json "$out/result.json" --out "$out/plots"
 check_trajectory specs/illustrative.json "$out/plots/trajectory.csv"
+
+# a result synthesized at a larger gamma than the spec asks claims less than
+# the spec asks: verify against the shipped spec exits 2 before any check
+"${ds[@]}" synth specs/illustrative.json --gamma 1.0 --out "$out/gamma"
+code=0
+"${ds[@]}" verify specs/illustrative.json "$out/gamma/result.json" 2> "$out/gamma.err" || code=$?
+cat "$out/gamma.err"
+test "$code" -eq 2
+grep -q "^error: result claims gamma 1.0" "$out/gamma.err"
 
 # one box: unit weights, so every Q-step ties and the alternation repeats its
 # first P-step from that step's own basis

@@ -5,7 +5,7 @@ Problem and result documents are JSON files; the worked examples live in
 specs/ and the schema is described in the README.  Exit codes: 0 on success
 (all certificates pass for ``verify``), 2 for malformed or unreadable documents
 and an ``--out`` that cannot be written (and for ``verify`` and ``plot``, a
-result that does not fit its spec), 3 for assumption violations,
+result that does not fit its spec or claims less than it asks), 3 for assumption violations,
 infeasibility or an unbounded or empty constraint set, 4 for solver failures;
 a failing LP (synthesis, exact distance, or the one coverage LP of ``verify``
 on a result without a witness) is written to ``failed_lp.lp`` beside the
@@ -391,8 +391,17 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
 
 def _check_fit(spec: ProblemSpec, doc: ResultDoc, vertices: np.ndarray) -> None:
     """Raise SpecError unless the result's horizons, tail start, H, epsilon,
-    boxes and witness fit the spec and the vertices of its Y."""
-    n_y, n_w = spec.sys.n_y, spec.sys.n_w
+    boxes and witness fit the spec and the vertices of its Y, and it claims
+    what the spec asks: gamma and mu at most the spec's, and l at most the
+    spec's l when the spec sets one."""
+    n_y, n_w, opts = spec.sys.n_y, spec.sys.n_w, spec.options
+    if doc.params.gamma > opts.gamma or doc.params.mu > opts.mu:
+        raise SpecError(
+            f"result claims gamma {doc.params.gamma!r} and mu {doc.params.mu!r}; "
+            f"the spec asks for at most {opts.gamma!r} and {opts.mu!r}"
+        )
+    if opts.horizon is not None and doc.horizon > opts.horizon:
+        raise SpecError(f"result claims coverage at l = {doc.horizon}; the spec asks for l = {opts.horizon}")
     if doc.horizon < 1:
         raise SpecError(f"coverage horizon l must be at least 1, not {doc.horizon}")
     if not 1 <= doc.l0 <= doc.horizon:

@@ -6,10 +6,11 @@ and per-variable lower bounds.  Solving goes straight to the HiGHS bindings
 that scipy bundles: the CSR arrays reach HiGHS row-wise, as they are, through
 the array overload of ``passModel``, with no element-wise copy and no
 conversion in Python; HiGHS turns them column-wise itself, into the arrays
-``linprog`` would pass.  Inside ``one_instance`` a thread solves every
-program on one HiGHS instance of its own, which ``passModel`` clears for each
-and which is freed when the block ends; outside it each run makes and frees
-its own.  The options are those
+``linprog`` would pass.  The caller owns each HiGHS instance: one that
+``new_instance`` makes serves every ``solve_lp`` call it is passed to (an
+alternation passes one to all its steps), ``passModel`` clearing the last
+program; a call without one makes one for all of its rungs.  No module state
+holds an instance, so none outlives its owner.  The options are those
 ``scipy.optimize.linprog(method="highs")`` would pass, so an accepted cold
 dual-simplex answer is what ``linprog`` returns, bit for bit, without its
 front end, unless the caller asks for primal simplex
@@ -31,8 +32,6 @@ Blocks are ``Coo`` triplets (``kron``, ``stack``) until ``csr`` sorts them once;
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -84,8 +83,6 @@ _DEVEX = _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightSt
 _CHOOSE = _highs.simplex_constants.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyChoose
 _DUAL = _OPTIONS["simplex_strategy"]
 _PRIMAL = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
-# the HiGHS instance of this thread's ``one_instance`` block, if any (``_run``)
-_THREAD = threading.local()
 # the status codes of ``start_basis``: nonbasic at the lower bound, basic,
 # nonbasic at the upper bound (a row's bounds are those of its activity a@x)
 LOWER, BASIC, UPPER = 0, 1, 2
@@ -294,39 +291,21 @@ def _scaled_residual(p: LpProblem, x: np.ndarray) -> float:
     return float(np.max(np.concatenate((p.lb - x, rows)), initial=0.0))
 
 
-def _new_instance() -> _highs._Highs:
-    """A HiGHS instance with the fixed options."""
+def new_instance() -> _highs._Highs:
+    """A HiGHS instance with the fixed options, to pass as ``solve_lp(..., highs=)``."""
     highs = _highs._Highs()
     for key, value in _OPTIONS.items():
         highs.setOptionValue(key, value)
     return highs
 
 
-@contextmanager
-def one_instance():
-    """Run every solve this thread makes inside the block on one HiGHS
-    instance, freed when the block ends; a block inside another shares the
-    outer one.  A sequence of programs (an alternation's steps) then pays for
-    HiGHS's set-up and its arrays once, and no instance outlives the block."""
-    outer = getattr(_THREAD, "highs", None)
-    _THREAD.highs = _new_instance() if outer is None else outer
-    try:
-        yield
-    finally:
-        _THREAD.highs = outer
-
-
-def _run(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> _highs._Highs | None:
-    """One HiGHS solve of ``p``, on this thread's ``one_instance`` instance
-    if it is in such a block and on a new one otherwise, Devex-priced when
-    warm from ``basis``, by primal simplex when ``primal``; None if HiGHS
-    rejects the program (a warning is no rejection) or the basis does not fit.
+def _run(p: LpProblem, presolve: bool, basis, primal: bool, highs: _highs._Highs) -> _highs._Highs | None:
+    """One HiGHS solve of ``p`` on ``highs``, Devex-priced when warm from
+    ``basis``, by primal simplex when ``primal``; None if HiGHS rejects the
+    program (a warning is no rejection) or the basis does not fit.
     ``passModel`` replaces the instance's previous program, answer and basis,
     and the three options that vary are set on every call, so no run reads
-    another's state; the instance holds this answer until the thread's next run."""
-    highs = getattr(_THREAD, "highs", None)
-    if highs is None:
-        highs = _new_instance()
+    another's state; the instance holds this answer until its next run."""
     highs.setOptionValue("presolve", "on" if presolve else "off")
     highs.setOptionValue("simplex_dual_edge_weight_strategy", _DEVEX if basis is not None else _CHOOSE)
     highs.setOptionValue("simplex_strategy", _PRIMAL if primal else _DUAL)
@@ -376,9 +355,9 @@ def _outcome(p: LpProblem, highs: _highs._Highs) -> LpOutcome:
     )
 
 
-def _solve(p: LpProblem, presolve: bool, basis=None, primal: bool = False) -> LpOutcome:
-    """One HiGHS run read into an outcome."""
-    highs = _run(p, presolve, basis, primal)
+def _solve(p: LpProblem, presolve: bool, basis, primal: bool, highs: _highs._Highs) -> LpOutcome:
+    """One HiGHS run on ``highs`` read into an outcome."""
+    highs = _run(p, presolve, basis, primal, highs)
     if highs is None:
         return LpOutcome(FAILED)  # HiGHS rejects the program or the basis
     return _outcome(p, highs)
@@ -393,7 +372,7 @@ def _accepted(out: LpOutcome) -> bool:
     )
 
 
-def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None, primal: bool = False) -> LpOutcome:
+def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None, primal: bool = False, highs=None) -> LpOutcome:
     """Solve an LP; all failure modes are reported via the status field.
 
     The program goes down one ladder of rungs until an answer is accepted:
@@ -410,16 +389,18 @@ def solve_lp(problem: LpProblem, basis: _highs.HighsBasis | None = None, primal:
     limit ends the ladder with that status; an answer the last rung cannot
     accept either is ``FAILED``.  Which rung runs depends on the answers alone,
     so outcomes stay deterministic, and ``nit`` counts the iterations of every
-    run.
+    run.  Every run is on ``highs`` (``new_instance``), or without one on one
+    instance made for this call; the answer is the same either way.
     """
+    highs = new_instance() if highs is None else highs
     rungs = [(False, basis)] if basis is not None else []
     rungs += [(True, None), (False, None)]
     spent = 0
     for presolve, start in rungs:
-        out = _solve(problem, presolve, start, primal)
+        out = _solve(problem, presolve, start, primal, highs)
         if out.optimal and not _accepted(out):
             spent += out.nit
-            out = _solve(problem, False, out.basis)
+            out = _solve(problem, False, out.basis, False, highs)
         spent += out.nit
         if _accepted(out) or (start is None and out.status in _FINAL):
             return replace(out, nit=spent)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import SynthProblem, VariableLayout
-from .lp_solver import PRIMAL_TOL, LpFailure, one_instance, solve_lp
+from .lp_solver import PRIMAL_TOL, LpFailure, new_instance, solve_lp
 from .setgeom import BoxHullSet, blend_dead_points, box_points
 
 
@@ -83,13 +83,14 @@ def _full_point(problem: SynthProblem, weights: np.ndarray, sol: np.ndarray) -> 
     return full
 
 
-def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
+def p_step(problem: SynthProblem, beta: np.ndarray, basis=None, highs=None):
     """Fix the weights; solve for boxes, budgets, driving points and slacks.
 
     The group points wbar_gj are recovered in closed form from the optimum,
     each in its own box with sum_j beta_gj wbar_gj = w_g (``box_points``).  With
     ``basis`` (an earlier P-step's, whose program differs only in the weight
-    coefficients) the solve starts from it.  Returns (x, w, wbar, z,
+    coefficients) the solve starts from it; ``highs`` is the HiGHS instance
+    to solve on (``solve_lp``).  Returns (x, w, wbar, z,
     objective, outcome) in the full layout, the columns the program leaves out
     filled in (``_full_point``); the outcome carries the basis for the next
     P-step.
@@ -97,7 +98,7 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     lay = problem.layout
     nx, z_off = lay.dim_x, lay.dim_x + lay.dim_w  # columns (x, w, z)
     lp = problem.p_program.lp(beta)
-    out = solve_lp(lp, basis=basis)
+    out = solve_lp(lp, basis=basis, highs=highs)
     if not out.optimal:
         raise SynthesisError(f"box-fitting LP ended with status {out.status}", lp)
     weights = beta.reshape(lay.n_groups, lay.n_boxes)
@@ -108,16 +109,17 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None):
     return x, w, wbar.ravel(), sol[z_off:], float(out.objective), out
 
 
-def q_step(problem: SynthProblem, wbar: np.ndarray, basis=None):
+def q_step(problem: SynthProblem, wbar: np.ndarray, basis=None, highs=None):
     """Fix the group points; reweight them and refit the slacks.
 
     w = blockdiag(wbar_g^T) beta is substituted into the reach rows, so the LP
-    runs over (beta, z); ``basis`` is an earlier Q-step's, as in ``p_step``.
+    runs over (beta, z); ``basis`` is an earlier Q-step's and ``highs`` the
+    instance to solve on, as in ``p_step``.
     Returns (beta, objective, outcome).
     """
     lay = problem.layout
     lp = problem.q_program.lp(wbar)
-    out = solve_lp(lp, basis=basis)
+    out = solve_lp(lp, basis=basis, highs=highs)
     if not out.optimal:
         raise SynthesisError(f"reweighting LP ended with status {out.status}", lp)
     beta = out.x[: lay.dim_beta]  # columns (beta, z)
@@ -134,16 +136,18 @@ ZETA = 1e-4
 MAX_ITERS = 100
 
 
-@one_instance()
 def alternate(problem: SynthProblem, beta0: np.ndarray) -> SynthResult:
     """Alternate the two LPs until the objective improves by less than ZETA.
 
     ``ZETA`` and ``MAX_ITERS`` are read at call time.  The P-steps of one run
     differ only in their weight coefficients and the Q-steps only in their
     point coefficients, so each step after the run's first starts from the
-    previous same-kind step's final basis; all of them run on one HiGHS
-    instance (``one_instance``: a restart's thread makes its own).
+    previous same-kind step's final basis.  The run makes one HiGHS instance
+    (``lp_solver.new_instance``) and passes it to every step, so the steps pay
+    for HiGHS's set-up and arrays once; each call, a restart's on its pool
+    thread included, has its own, and none outlives the call.
     """
+    highs = new_instance()
     beta = np.asarray(beta0, dtype=float)
     history: list[float] = []
     p_nit: list[int] = []
@@ -152,8 +156,8 @@ def alternate(problem: SynthProblem, beta0: np.ndarray) -> SynthResult:
     termination = "max-iterations"
     for it in range(1, MAX_ITERS + 1):
         try:
-            x, _, wbar, _, p_obj, p_out = p_step(problem, beta, p_basis)
-            beta, q_obj, q_out = q_step(problem, wbar, q_basis)
+            x, _, wbar, _, p_obj, p_out = p_step(problem, beta, p_basis, highs)
+            beta, q_obj, q_out = q_step(problem, wbar, q_basis, highs)
         except SynthesisError as exc:
             raise SynthesisError(f"iteration {it}: {exc}", exc.lp) from exc
         history += [p_obj, q_obj]

@@ -353,19 +353,20 @@ def _reach_start(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, slac
     return start_basis(col_status, row_status)
 
 
-def _reach_witness(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, slack: Coo, slack_lb, h_rhs):
+def _reach_witness(coeff, vertices, directions, W: BoxHullSet, H: np.ndarray, slack: Coo, slack_lb, h_rhs, name: str):
     """Solve ``_reach_lp`` over every vertex at the cost of ``slack``, by
     primal simplex from ``_reach_start`` along ``directions`` (W is fixed and
     the answer is re-checked by arithmetic), and return the outcome with the
     points and weights that lead its answer; a point coordinate the program
     leaves out takes its group's blended center sum_j beta_j c_j.  Raises
-    LpFailure, which carries the program, when the LP has no accepted answer."""
+    LpFailure, which names the program ``name`` and carries it, when the LP
+    has no accepted answer."""
     n, slots = len(vertices), len(coeff)
     dead = dead_points(coeff, n)
     lp = _reach_lp(coeff, vertices, W, H, slack, slack_lb, h_rhs, dead)
     out = solve_lp(lp, basis=_reach_start(coeff, vertices, directions, W, H, slack, slack_lb, h_rhs, dead), primal=True)
     if not out.optimal:
-        raise LpFailure(f"coverage LP ended with status {out.status}", lp)
+        raise LpFailure(f"{name} LP ended with status {out.status}", lp)
     n_p = np.count_nonzero(~dead)
     weights = out.x[n_p : n_p + n * slots * W.n_boxes].reshape(n * slots, W.n_boxes)
     points = np.empty(dead.shape)
@@ -390,7 +391,7 @@ def distance_witness(sys: LtiSystem, Y_vertices: np.ndarray, W: BoxHullSet, hori
     slack = kron(-np.ones((len(vertices), 1)), n_b)
     coeff = reach_coefficients(sys, horizon)
     directions = vertices - vertices.mean(axis=0)
-    out, witness = _reach_witness(coeff, vertices, directions, W, H, slack, 0.0, np.zeros(slack.shape[0]))
+    out, witness = _reach_witness(coeff, vertices, directions, W, H, slack, 0.0, np.zeros(slack.shape[0]), "distance")
     return out.x[-n_b:].copy(), float(out.objective), witness
 
 
@@ -421,7 +422,8 @@ def verify_coverage(
     if witness is None:
         slack = kron(len(vertices), -np.ones((H.shape[0], 1)))
         directions = _least_inflation_directions(coeff, vertices, W, H, epsilon)
-        _, witness = _reach_witness(coeff, vertices, directions, W, H, slack, -np.inf, np.tile(epsilon, len(vertices)))
+        rhs = np.tile(epsilon, len(vertices))
+        _, witness = _reach_witness(coeff, vertices, directions, W, H, slack, -np.inf, rhs, "coverage")
     margins = _coverage_margins(coeff, vertices, W, H, epsilon, witness)
     return Certificate(
         tuple(CheckResult(f"vertex-{i}", bool(m >= -CHECK_TOL), float(m), f"vertex {i}") for i, m in enumerate(margins))

@@ -339,7 +339,7 @@ class TestExitCodes:
         dump = out_dir / "failed_lp.lp"
         assert dump.read_text().startswith("Minimize")
         err = capsys.readouterr().err
-        assert "error: coverage LP ended with status failed" in err and str(dump) in err
+        assert "error: distance LP ended with status failed" in err and str(dump) in err
         assert not (out_dir / "result.json").exists()
 
     def test_failed_coverage_lp_of_verify_is_written_and_exit_is_4(
@@ -574,6 +574,10 @@ MISFITS = {
     ),
     "witness-boxes": lambda d: d["witness"].update(weights=[[g + [0.0] for g in v] for v in d["witness"]["weights"]]),
     "witness-inputs": lambda d: d["witness"].update(points=[[g + [0.0] for g in v] for v in d["witness"]["points"]]),
+    # claims less than the spec asks: a larger gamma, mu or coverage horizon
+    "gamma-above-spec": lambda d: d["params"].update(gamma=2 * d["params"]["gamma"]),
+    "mu-above-spec": lambda d: d["params"].update(mu=2 * d["params"]["mu"]),
+    "l-above-spec": lambda d: d.update(l=d["l"] + 1),
 }
 
 
@@ -817,6 +821,29 @@ class TestVerifyRejects:
         spec_path = write_json(tmp_path / "spec.json", small_spec_doc)
         assert main(["verify", spec_path, write_json(tmp_path / "result.json", bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "flags, asks, message",
+        [
+            (["--gamma", "1.0"], {"gamma": 0.05, "mu": 1e-6}, "result claims gamma 1.0 and mu 0.001; "),
+            (["--l", "120"], {}, "result claims coverage at l = 120; the spec asks for l = 59"),
+        ],
+        ids=["gamma", "l"],
+    )
+    def test_result_that_claims_less_than_the_spec_asks_is_2(self, tmp_path, capsys, flags, asks, message):
+        """A result synthesized with a larger gamma or l than a spec asks does
+        not verify against it, though it verifies against the spec it was made for."""
+        shipped = ROOT / "specs" / "illustrative.json"
+        assert main(["synth", str(shipped), *flags, "--out", str(tmp_path)]) == 0
+        result = str(tmp_path / "result.json")
+        made_for = json.loads(shipped.read_text())
+        made_for["options"].update({flag[2:]: json.loads(value) for flag, value in zip(flags[::2], flags[1::2])})
+        assert main(["verify", write_json(tmp_path / "made_for.json", made_for), result]) == 0
+        capsys.readouterr()
+        asked = json.loads(shipped.read_text())
+        asked["options"].update(asks)
+        assert main(["verify", write_json(tmp_path / "asked.json", asked), result]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_lowered_objective_fails_objective_bound(self, tmp_path, small_spec_doc, small_result_doc):
         bad = json.loads(json.dumps(small_result_doc))

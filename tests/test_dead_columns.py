@@ -276,4 +276,4 @@ def test_start_less_the_dead_parts_is_a_primal_feasible_basis(case, directions, 
         start = verifier._reach_start(coeff, V, d, doc.W, H, slack, slack_lb, h_rhs, dead_points(coeff, n))
         assert len(start.col_status) == lp.n_vars and len(start.row_status) == lp.b.size
         assert _scaled_residual(lp, basis_point(lp, start)) <= RESIDUAL_TOL
-        assert lp_solver._run(lp, False, start, True) is not None
+        assert lp_solver._run(lp, False, start, True, lp_solver.new_instance()) is not None

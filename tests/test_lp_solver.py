@@ -3,6 +3,7 @@ import json
 import sys
 import threading
 import warnings
+import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -453,10 +454,10 @@ def test_start_basis_holds_each_code_and_a_misfit_falls_through_to_the_cold_rung
     # the slack basis of the two-row program: x = 0, both rows basic
     p = _two_row_lp()
     fits = start_basis(np.array([LOWER, LOWER], np.int8), np.array([BASIC, BASIC], np.int8))
-    assert lp_solver._run(p, False, fits, True) is not None
+    assert lp_solver._run(p, False, fits, True, lp_solver.new_instance()) is not None
     # one column too many: setBasis rejects it, and the cold rungs answer alone
     misfit = start_basis(np.array([LOWER, LOWER, LOWER], np.int8), np.array([BASIC, BASIC], np.int8))
-    assert lp_solver._run(p, False, misfit, True) is None
+    assert lp_solver._run(p, False, misfit, True, lp_solver.new_instance()) is None
     out, cold = solve_lp(p, basis=misfit, primal=True), solve_lp(p, primal=True)
     assert out.status == OPTIMAL and _same_outcome(out, cold) and out.nit == cold.nit
 
@@ -478,11 +479,10 @@ def _outcome_bytes(out):
     return out.status, x, out.objective, out.dual_objective, out.residual, out.nit, basis
 
 
-def test_a_reused_instance_answers_as_fresh_instances(illustrative_lps, monkeypatch):
-    """Inside ``one_instance`` a thread runs every solve on one HiGHS
-    instance; over a sequence that holds a program HiGHS rejects and a basis
-    that does not fit, its outcomes are those of a fresh instance per run, bit
-    for bit, and the instance is gone when the block ends."""
+def test_a_reused_instance_answers_as_fresh_instances(illustrative_lps):
+    """One HiGHS instance passed through a sequence that holds a program
+    HiGHS rejects and a basis that does not fit answers as a fresh instance
+    per call does, bit for bit."""
     p_lp, q_lp, *_, joint = illustrative_lps
     # a column index past the last column: passModel rejects it
     past = Csr(np.array([0, 1], np.int32), np.array([1], np.int32), np.array([1.0]), (1, 1))
@@ -502,41 +502,26 @@ def test_a_reused_instance_answers_as_fresh_instances(illustrative_lps, monkeypa
         (_two_row_lp(b_ub=(np.inf, 1.0)), {"basis": misfit}),
         (q_lp, {}),
     ]
-    made = []
-    new_instance = lp_solver._new_instance
-    monkeypatch.setattr(lp_solver, "_new_instance", lambda: made.append(new_instance()) or made[-1])
     fresh = [_outcome_bytes(solve_lp(lp, **kwargs)) for lp, kwargs in sequence]
-    runs = len(made)
-    assert runs >= len(sequence)
-    with lp_solver.one_instance():
-        held = lp_solver._THREAD.highs
-        reused = [_outcome_bytes(solve_lp(lp, **kwargs)) for lp, kwargs in sequence]
-        with lp_solver.one_instance():  # an inner block shares the outer instance
-            assert lp_solver._THREAD.highs is held
-        # another thread outside a block of its own holds no instance
-        other = []
-        thread = threading.Thread(target=lambda: other.append(getattr(lp_solver._THREAD, "highs", None)))
-        thread.start()
-        thread.join()
-        assert other == [None]
-    assert made[runs:] == [held] and lp_solver._THREAD.highs is None
+    highs = lp_solver.new_instance()
+    reused = [_outcome_bytes(solve_lp(lp, **kwargs, highs=highs)) for lp, kwargs in sequence]
     assert reused == fresh
     assert {out[0] for out in reused} == {OPTIMAL, FAILED, INFEASIBLE, UNBOUNDED}
 
 
 def test_threads_solving_at_once_answer_as_one_thread(illustrative_lps):
     """Four threads (more than the cores here) each solve the step and
-    coverage programs in their own order at once, each on its own
-    ``one_instance``, under a short switch interval; every answer is the one
-    a single thread gives, bit for bit."""
+    coverage programs in their own order at once, each on an instance it
+    makes, under a short switch interval; every answer is the one a single
+    thread gives, bit for bit."""
     lps = illustrative_lps[:3] + illustrative_lps[-1:]
     serial = [_outcome_bytes(solve_lp(lp)) for lp in lps]
     answers = [[None] * len(lps) for _ in range(4)]
 
     def work(k):
-        with lp_solver.one_instance():
-            for i in np.roll(np.arange(len(lps)), k).tolist() * 3:
-                answers[k][i] = _outcome_bytes(solve_lp(lps[i]))
+        highs = lp_solver.new_instance()
+        for i in np.roll(np.arange(len(lps)), k).tolist() * 3:
+            answers[k][i] = _outcome_bytes(solve_lp(lps[i], highs=highs))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -553,36 +538,57 @@ def test_threads_solving_at_once_answer_as_one_thread(illustrative_lps):
 
 
 def test_each_alternation_solves_on_one_instance_and_frees_it(monkeypatch):
-    """``alternate`` runs all its steps on one HiGHS instance, a restart on
-    the pool's thread on one of its own, and frees it on return; every other
-    run makes its own, so no instance outlives ``cmd_synth``."""
+    """``alternate`` makes one HiGHS instance and runs all its steps on it, a
+    restart on the pool's thread on one of its own, and no instance outlives
+    ``cmd_synth``; a ``solve_lp`` call without an instance makes one for all
+    of its rungs and frees it on return."""
     spec = cli.cmd_gen(3, 2, 2, 0.7, 0)
     spec.options.restarts = 2
-    made, runs, alternations = [], [], []
-    new_instance, run, alternate = lp_solver._new_instance, lp_solver._run, synthesizer.alternate
+    new_instance, run, alternate = lp_solver.new_instance, lp_solver._run, synthesizer.alternate
+    made = []  # (thread, id, weak reference) of every instance made
+    used = {}  # thread -> the id of the instance of each of its runs
+    alternations = []
 
     def spy_new():
-        made.append(threading.get_ident())
-        return new_instance()
+        highs = new_instance()
+        made.append((threading.get_ident(), id(highs), weakref.ref(highs)))
+        return highs
 
-    def spy_run(*args, **kwargs):
-        runs.append(getattr(lp_solver._THREAD, "highs", None) is not None)
-        return run(*args, **kwargs)
+    def spy_run(p, presolve, basis, primal, highs):
+        used.setdefault(threading.get_ident(), []).append(id(highs))
+        return run(p, presolve, basis, primal, highs)
+
+    def own(thread):
+        return [instance for instance in made if instance[0] == thread]
 
     def spy_alternate(*args):
-        alternations.append(threading.get_ident())
-        return alternate(*args)
+        thread = threading.get_ident()
+        alternations.append(thread)
+        before, used[thread] = len(own(thread)), []
+        result = alternate(*args)
+        mine = own(thread)[before:]
+        assert len(mine) == 1 and len(used[thread]) > 2 and set(used[thread]) == {mine[0][1]}
+        assert mine[0][2]() is None  # freed on return
+        return result
 
-    monkeypatch.setattr(lp_solver, "_new_instance", spy_new)
+    monkeypatch.setattr(lp_solver, "new_instance", spy_new)
+    monkeypatch.setattr(synthesizer, "new_instance", spy_new)
     monkeypatch.setattr(lp_solver, "_run", spy_run)
     monkeypatch.setattr(synthesizer, "alternate", spy_alternate)
     doc = cli.cmd_synth(spec)
     assert all(check["passed"] for check in doc.certificates.values())
     # the first run on the calling thread, the two restarts on the pool's
     assert len(alternations) == 3 and threading.get_ident() == alternations[0] not in alternations[1:]
-    assert len(made) == len(alternations) + runs.count(False)
-    assert runs.count(True) > 2 * len(alternations)
-    assert getattr(lp_solver._THREAD, "highs", None) is None
+    assert len(made) > len(alternations) and all(ref() is None for *_, ref in made)
+
+    # every answer misses the residual contract, so the call runs the whole ladder
+    made.clear()
+    used.clear()
+    real = lp_solver._outcome
+    monkeypatch.setattr(lp_solver, "_outcome", lambda p, highs: dataclasses.replace(real(p, highs), residual=1.0))
+    assert solve_lp(_two_row_lp()).status == FAILED
+    runs = used[threading.get_ident()]
+    assert len(made) == 1 and runs == [made[0][1]] * len(COLD_LADDER) and made[0][2]() is None
 
 
 def test_delete_columns_drops_the_rows_a_dead_column_enters():
@@ -598,8 +604,8 @@ def _warm_answers_miss_the_contract(monkeypatch):
     """Every answer of a run started from a basis misses the residual contract."""
     real = lp_solver._solve
 
-    def solve(p, presolve, basis=None, primal=False):
-        out = real(p, presolve, basis, primal)
+    def solve(p, presolve, basis, primal, highs):
+        out = real(p, presolve, basis, primal, highs)
         return dataclasses.replace(out, residual=1.0) if basis is not None and out.optimal else out
 
     monkeypatch.setattr(lp_solver, "_solve", solve)
@@ -618,8 +624,8 @@ def _recording_runs(monkeypatch):
     runs = []
     real = lp_solver._run
 
-    def spy(p, presolve, basis=None, primal=False):
-        highs = real(p, presolve, basis, primal)
+    def spy(p, presolve, basis, primal, highs):
+        highs = real(p, presolve, basis, primal, highs)
         if highs is None:
             runs.append((presolve, basis, None, None))
         else:

@@ -449,8 +449,8 @@ def assert_every_step_after_the_first_is_warm(problem, monkeypatch, step_name):
         runs.append(current.run)
         return real_alternate(problem, beta0)
 
-    def recording_step(problem, frozen, basis=None):
-        out = real_step(problem, frozen, basis)
+    def recording_step(problem, frozen, basis=None, highs=None):
+        out = real_step(problem, frozen, basis, highs)
         current.run.append((basis, out[-1].basis))
         return out
 
@@ -586,7 +586,7 @@ class TestAlternate:
         problem = small_setup[4]
         lp = LpProblem(np.zeros(1), no_rows(1), [], 0, [0.0])
 
-        def failing(problem, wbar, basis=None):
+        def failing(problem, wbar, basis=None, highs=None):
             raise SynthesisError("reweighting LP ended with status failed", lp)
 
         monkeypatch.setattr(synthesizer, "q_step", failing)

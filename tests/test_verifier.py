@@ -487,8 +487,8 @@ class TestSimplexStrategy:
         runs = []
         real = lp_solver._run
 
-        def spy(lp, presolve, basis=None, primal=False):
-            highs = real(lp, presolve, basis, primal)
+        def spy(lp, presolve, basis, primal, highs):
+            highs = real(lp, presolve, basis, primal, highs)
             runs.append((basis is not None, solves_by_primal(highs), prices_with_devex(highs)))
             return highs
 
@@ -566,7 +566,7 @@ class TestReachStart:
             start = kwargs["basis"]
             assert _scaled_residual(lp, basis_point(lp, start)) <= RESIDUAL_TOL
             # setBasis accepts it: _run turns a rejected basis into None
-            assert lp_solver._run(lp, False, start, True) is not None
+            assert lp_solver._run(lp, False, start, True, lp_solver.new_instance()) is not None
 
     def test_zero_width_box_is_a_support_point(self, monkeypatch):
         (_, V, W, horizon, _, _), solves = _fixed_w_programs("zero-width", monkeypatch)
@@ -581,8 +581,8 @@ class TestReachStart:
     def test_warm_rung_takes_a_quarter_of_the_cold_iterations(self, monkeypatch):
         _, solves = _fixed_w_programs("illustrative", monkeypatch)
         lp, kwargs, _ = solves[0]
-        warm = lp_solver._solve(lp, False, kwargs["basis"], True)
-        cold = lp_solver._solve(lp, True, None, True)
+        warm = lp_solver._solve(lp, False, kwargs["basis"], True, lp_solver.new_instance())
+        cold = lp_solver._solve(lp, True, None, True, lp_solver.new_instance())
         assert lp_solver._accepted(warm) and lp_solver._accepted(cold)
         assert 4 * warm.nit <= cold.nit
 
@@ -617,7 +617,7 @@ class TestReachStart:
             lp = verifier._reach_lp(coeff, V, W, H, slack, slack_lb, h_rhs, dead_points(coeff, n))
             start = verifier._reach_start(coeff, V, d, W, H, slack, slack_lb, h_rhs, dead_points(coeff, n))
             assert _scaled_residual(lp, basis_point(lp, start)) <= RESIDUAL_TOL
-            assert lp_solver._run(lp, False, start, True) is not None
+            assert lp_solver._run(lp, False, start, True, lp_solver.new_instance()) is not None
 
     @pytest.mark.parametrize("case", START_CASES)
     def test_least_inflation_start_keeps_the_mean_vertex_starts_margins(self, case, monkeypatch):
