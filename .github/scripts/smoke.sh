@@ -17,7 +17,8 @@
 # and both results must agree.  A one-dimensional generated problem gives the
 # smallest blocks the LP builders make: 1 x 1 Kronecker factors and a two-vertex Y.
 # The illustrative spec with one box runs the tie-break at every Q-step.
-# A result synthesized at a larger gamma than the spec asks must not verify against it.
+# A result synthesized at a larger gamma, or with another H, than the spec asks
+# must not verify against it.
 set -euxo pipefail
 
 read -r -a ds <<< "$1"
@@ -63,6 +64,15 @@ code=0
 cat "$out/gamma.err"
 test "$code" -eq 2
 grep -q "^error: result claims gamma 1.0" "$out/gamma.err"
+
+# a result synthesized with the box H measures its widths along other
+# directions than the spec's uniform:6: verify against the shipped spec exits 2
+"${ds[@]}" synth specs/illustrative.json --H box --out "$out/box-h"
+code=0
+"${ds[@]}" verify specs/illustrative.json "$out/box-h/result.json" 2> "$out/box-h.err" || code=$?
+cat "$out/box-h.err"
+test "$code" -eq 2
+grep -q "^error: result's H is not the spec's H option" "$out/box-h.err"
 
 # one box: unit weights, so every Q-step ties and the alternation repeats its
 # first P-step from that step's own basis

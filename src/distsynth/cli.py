@@ -392,8 +392,8 @@ def cmd_synth(spec: ProblemSpec) -> ResultDoc:
 def _check_fit(spec: ProblemSpec, doc: ResultDoc, vertices: np.ndarray) -> None:
     """Raise SpecError unless the result's horizons, tail start, H, epsilon,
     boxes and witness fit the spec and the vertices of its Y, and it claims
-    what the spec asks: gamma and mu at most the spec's, and l at most the
-    spec's l when the spec sets one."""
+    what the spec asks: gamma and mu at most the spec's, l at most the spec's
+    l when the spec sets one, and the spec's H to within H_TOL entrywise."""
     n_y, n_w, opts = spec.sys.n_y, spec.sys.n_w, spec.options
     if doc.params.gamma > opts.gamma or doc.params.mu > opts.mu:
         raise SpecError(
@@ -410,6 +410,9 @@ def _check_fit(spec: ProblemSpec, doc: ResultDoc, vertices: np.ndarray) -> None:
         raise SpecError(f"budget tail start t0 must lie in 1..s = {doc.params.s}, not {doc.t0}")
     if doc.H.ndim != 2 or doc.H.shape[1] != n_y:
         raise SpecError(f"H must be a matrix with {n_y} columns, one per output")
+    H = spec.resolve_h()
+    if doc.H.shape != H.shape or not np.all(np.abs(doc.H - H) <= encoder.H_TOL):
+        raise SpecError(f"result's H is not the spec's H option {opts.H!r}: its widths run along other directions")
     if doc.epsilon.shape != (doc.H.shape[0],):
         raise SpecError(f"epsilon must have one entry per row of H ({doc.H.shape[0]})")
     if doc.W.dim != n_w:
@@ -479,21 +482,23 @@ def _ring_sort(points: np.ndarray) -> np.ndarray:
     return points[np.argsort(ang)]
 
 
-def reachable_outline(
-    sys: LtiSystem, params: RpiParams, W: BoxHullSet, n_dirs: int = 360
-) -> np.ndarray:
+# reachable_outline samples the bound in this many evenly spaced directions
+OUTLINE_DIRS = 360
+
+
+def reachable_outline(sys: LtiSystem, params: RpiParams, W: BoxHullSet) -> np.ndarray:
     """Boundary sample of the certified reachable-output bound (planar only).
 
-    Each row is the exact support point of the bound in one of n_dirs
+    Each row is the exact support point of the bound in one of OUTLINE_DIRS
     directions, so the polygon they trace is inscribed in the bound.
     """
     if sys.n_y != 2:
         raise GeometryError("outline is defined for two outputs only")
-    ang = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
+    ang = 2.0 * np.pi * np.arange(OUTLINE_DIRS) / OUTLINE_DIRS
     P = np.column_stack([np.cos(ang), np.sin(ang)])
 
     scale = 1.0 / (1.0 - params.alpha)
-    pts = np.zeros((n_dirs, 2))
+    pts = np.zeros((OUTLINE_DIRS, 2))
     for CA in power_chain(sys.C, sys.A, params.s):  # C A^t, t = 0..s-1
         Q = P @ CA  # state-space directions
         drive = support_corners(sys.B, Q, W)[2] @ sys.B.T + params.lam * np.sign(Q)

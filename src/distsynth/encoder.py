@@ -16,27 +16,26 @@ optimum, and reweights them, w = sum_j beta_j wbar_j.  wbar is that step's
 data, not a column group.
 
 A group is one (vertex, slot) pair.  Every block is a Kronecker expression
-over a group-major layout, kept as ``lp_solver.Coo`` triplets (``kron``);
-``lp_solver.stack`` places the blocks of a program at their row and column
-offsets and ``lp_solver.csr`` sorts them once by (row, column) into its
-``Csr`` matrix.  Row and column orders are fixed functions of the dimensions,
-so two assemblies of the same input are bit-identical.  A P-step or Q-step
-program (``StepProgram``) keeps its fixed entries and builds, per step, the
-one block its frozen factor sets, which ``csr`` sorts in with them.  A column
-that an exactly zero input map leaves dead (``dead_columns``) can bind no row,
-so the P-step program is built without it and the rows it enters, once; the
-synthesizer gives it back a value that keeps those rows.
+over a group-major layout, kept as ``lp_solver.Coo`` triplets (``kron``) that
+``lp_solver.stack`` places at their row and column offsets.  Row and column
+orders are fixed functions of the dimensions, so two assemblies of the same
+input are bit-identical.  A P-step or Q-step program (``StepProgram``) is
+sorted by (row, column) once: a pattern holding every fixed entry and every
+position its frozen factor sets, and a linear map from that factor to those
+positions.  A column that an exactly zero input map leaves dead
+(``dead_columns``) can bind no row, so the P-step program is built without it
+and the rows it enters, once; the synthesizer gives it back a value that
+keeps those rows.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lp_solver import Coo, LpProblem, csr, delete_columns, kron, stack
+from .lp_solver import Coo, Csr, LpProblem, delete_columns, kron, stack
 from .rpi_params import RpiParams
 from .setgeom import (
     HPolytope, LtiSystem, dead_points, merge_vertices, power_chain, reach_coefficients, stacked_identity,
@@ -45,6 +44,11 @@ from .setgeom import (
 
 class EncodingError(ValueError):
     pass
+
+
+# h_preset snaps entries below this to 0, and a result's H may differ from its
+# spec's by this much (results written before the snap hold the ~1e-16s)
+H_TOL = 1e-15
 
 
 def h_preset(name: str, n_y: int) -> np.ndarray:
@@ -62,7 +66,7 @@ def h_preset(name: str, n_y: int) -> np.ndarray:
         # cos(pi/2), sin(pi) and the like round to about 1e-16, not 0; HiGHS
         # drops entries that small, the residual check and the witness
         # arithmetic would not
-        H[np.abs(H) < 1e-15] = 0.0
+        H[np.abs(H) < H_TOL] = 0.0
         return H
     raise EncodingError(f"unknown H preset {name!r}")
 
@@ -207,64 +211,59 @@ def encode_vertex_reach(vertices: np.ndarray, reach: np.ndarray, layout: Variabl
 
 @dataclass(frozen=True, eq=False)  # compared by identity: the fields are arrays
 class StepProgram:
-    """One alternation step's program, less the block its frozen factor sets.
+    """One alternation step's program, filled in from its frozen factor.
 
-    ``fixed`` holds every other entry of the matrix as triplets sorted by
-    (row, column); ``block(factor)`` builds the factor's entries, exact zeros
-    left out, as triplets whose rows count from row ``first``; it reshapes the
-    factor to its exact shape, so a factor of any other size raises
-    ValueError.  ``lp`` joins the two and sorts them once with ``csr``.
-
-    ``rows`` maps each row of the full layout to its row in the program, -1
-    for one ``_step_program`` deleted, and ``kept`` marks the full layout's
-    columns that the program keeps; ``lp`` renumbers the block's rows and
-    drops its entries in deleted rows.  The block's columns precede every
-    deleted one.
+    ``pattern`` is the program with 0 at every matrix position the factor
+    sets, the entries sorted by (row, column); ``fill`` is the linear map from
+    the factor to those positions: entry ``fill.row[k]`` of the matrix gains
+    ``fill.val[k] * factor[fill.col[k]]``, an entry's terms summed in their
+    order.  ``lp`` adds the map's image and drops the positions it leaves
+    exactly zero (every fixed entry is nonzero), so both steps share one path
+    and nothing is sorted per step; a factor of any size but ``fill.shape[1]``
+    raises ValueError.  ``kept`` marks the full layout's columns the program
+    keeps (``dead_columns``).
     """
 
-    c: np.ndarray
-    b: np.ndarray
-    n_eq: int
-    lb: np.ndarray
-    fixed: Coo
-    first: int
-    block: Callable[[np.ndarray], Coo]
-    rows: np.ndarray
+    pattern: LpProblem
+    fill: Coo
     kept: np.ndarray
 
     def lp(self, factor: np.ndarray) -> LpProblem:
         """The program with ``factor`` filled in."""
-        fixed, block = self.fixed, self.block(factor)
-        row = self.rows[block.row + self.first]
-        live = row >= 0
-        row, col, val = (np.concatenate(pair) for pair in zip(fixed[:3], (row[live], block.col[live], block.val[live])))
-        return LpProblem(self.c, csr(Coo(row, col, val, fixed.shape)), self.b, self.n_eq, self.lb)
+        (indptr, indices, data, shape), fill = self.pattern.a, self.fill
+        data = data + np.bincount(fill.row, np.reshape(factor, fill.shape[1])[fill.col] * fill.val, data.size)
+        keep = data != 0.0
+        indptr = (indptr - np.searchsorted(np.flatnonzero(~keep), indptr)).astype(np.int32)
+        return replace(self.pattern, a=Csr(indptr, indices[keep], data[keep], shape))
 
 
-def _step_program(c, lb, fixed: Coo, b, n_eq, first, block, dead) -> StepProgram:
-    """The program of ``fixed`` and ``block`` from row ``first``, the last ``n_eq`` rows equalities,
-    less the columns the mask ``dead`` marks and every row with an entry in one
-    (``delete_columns``); ``fixed`` is cut and sorted here once, so each ``csr`` of a step merges it
-    with the block."""
-    fixed, rows = delete_columns(fixed, dead)
-    kept, live = ~dead, rows >= 0
-    n_eq = int(np.count_nonzero(live[b.size - n_eq :]))
-    c, lb, b = c[kept], lb[kept], b[live]
-    order = np.argsort(fixed.row * fixed.shape[1] + fixed.col, kind="stable")
-    fixed = Coo(fixed.row[order], fixed.col[order], fixed.val[order], fixed.shape)
-    return StepProgram(c, b, n_eq, lb, fixed, first, block, rows, kept)
+def _step_program(c, lb, fixed: Coo, b, n_eq, terms: Coo, src, n_factor, dead) -> StepProgram:
+    """The program of the entries ``fixed`` and of the block a factor of size
+    ``n_factor`` sets, the last ``n_eq`` rows equalities, less the columns the
+    mask ``dead`` marks and every row with an entry in one (``delete_columns``).
+    Term k of the block adds ``terms.val[k] * factor[src[k]]`` at
+    (``terms.row[k]``, ``terms.col[k]``), a position's terms in summing order."""
+    block = (terms.row, terms.col, np.zeros(terms.row.size))  # after the fixed entries, so its live terms end `a`
+    a, rows = delete_columns(Coo(*(np.concatenate(p) for p in zip(fixed[:3], block)), fixed.shape), dead)
+    live = rows[terms.row] >= 0
+    keys, first, entry = np.unique(a.row * a.shape[1] + a.col, return_index=True, return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(a.shape[0] + 1) * a.shape[1]).astype(np.int32)
+    a = Csr(indptr, a.col[first].astype(np.int32), a.val[first], a.shape)
+    fill = Coo(entry[entry.size - np.count_nonzero(live) :], src[live], terms.val[live], (keys.size, n_factor))
+    n_eq = int(np.count_nonzero(rows[b.size - n_eq :] >= 0))
+    return StepProgram(LpProblem(c[~dead], a, b[rows >= 0], n_eq, lb[~dead]), fill, ~dead)
 
 
 def _p_program(layout: VariableLayout, cost_z, a_x, b, c_w, c_z, h, e_z, dead) -> StepProgram:
-    """The P-step program over (x, w, z), its block the weights', less the
+    """The P-step program over (x, w, z), its factor the weights, less the
     columns ``dead`` marks and the rows they enter.
 
     Rows: a_x's; the membership rows +-(w_g - sum_j beta_gj c_j) - sum_j
     beta_gj e_j <= 0 by (group, coordinate, sign), w_g in the blended box;
-    e_z's; then [0, c_w, c_z] = h.  The block is kron(beta by (group, box), P)
-    in the box columns of the membership rows, P the sign pattern from
-    (coordinate, sign) to (center or halfwidth, coordinate): box j's center
-    entry is beta_gj times -+1 and its halfwidth entry -beta_gj.  The
+    e_z's; then [0, c_w, c_z] = h.  The weights fill kron(beta by (group,
+    box), P) in the box columns of the membership rows, P the sign pattern
+    from (coordinate, sign) to (center or halfwidth, coordinate): box j's
+    center entry is beta_gj times -+1 and its halfwidth entry -beta_gj.  The
     halfwidths and the eps slacks are nonnegative.
     """
     lay = layout
@@ -281,42 +280,34 @@ def _p_program(layout: VariableLayout, cost_z, a_x, b, c_w, c_z, h, e_z, dead) -
     lb[: 2 * n_boxes * nw].reshape(n_boxes, 2, nw)[:, 1] = 0.0  # the halfwidths
     lb[z_off + lay.z_eps().start : z_off + lay.z_eps().stop] = 0.0
     rhs = np.concatenate([b, np.zeros(n_rows + e_z.shape[0]), h])
-    return _step_program(
-        c, lb, fixed, rhs, h.size, a_x.shape[0], lambda beta: kron(np.reshape(beta, (lay.n_groups, n_boxes)), P), dead
-    )
+    block = kron(np.ones((lay.n_groups, n_boxes)), P)  # every position, at its sign
+    src = block.row // P.shape[0] * n_boxes + block.col // P.shape[1]  # its weight
+    terms = Coo(block.row + a_x.shape[0], block.col, block.val, fixed.shape)
+    return _step_program(c, lb, fixed, rhs, h.size, terms, src, lay.dim_beta, dead)
 
 
 def _q_program(layout: VariableLayout, reach, cost_z, c_z, h, e_z, t_beta) -> StepProgram:
-    """The Q-step program over (beta, z), its block the group points wbar's.
+    """The Q-step program over (beta, z), its factor the group points wbar.
 
     Rows: [0, e_z] <= 0; the reach rows with w = blockdiag(wbar_g^T) beta
     substituted, by (vertex, output), then c_z's, = h; then [t_beta, 0] = 1.
-    The block holds, in row (i, y), the entry sum_k reach[t, y, k]
+    The points fill, in row (i, y), the entry sum_k reach[t, y, k]
     wbar_(i,t),j,k of every slot t and box j of vertex i, summed in k order
     from 0.  The weights and the eps slacks are nonnegative.
     """
     lay = layout
     nb, n_y, n_slots, n_boxes = lay.dim_beta, lay.n_y, lay.n_slots, lay.n_boxes
-    shape = (lay.n_vertices, n_slots, n_boxes, lay.n_w)
-    coef = reach.transpose(2, 1, 0)[..., None]  # by (term k, output, slot, box)
-    i, y, t, j = np.indices((lay.n_vertices, n_y, n_slots, n_boxes))
-    rows, cols = i * n_y + y, (i * n_slots + t) * n_boxes + j
-
-    def block(wbar: np.ndarray) -> Coo:
-        points = np.reshape(wbar, shape)
-        vals = np.zeros(rows.shape)
-        for k in range(lay.n_w):
-            vals = vals + coef[k] * points[:, None, :, :, k]
-        keep = vals != 0.0
-        return Coo(rows[keep], cols[keep], vals[keep], (lay.n_vertices * n_y, nb))
-
     fixed = stack([[None, e_z], [None, c_z], [t_beta, None]], [nb, lay.dim_z])
     c = np.concatenate([np.zeros(nb), cost_z])
     lb = np.full(c.size, -np.inf)
     lb[:nb] = 0.0
     lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
     rhs = np.concatenate([np.zeros(e_z.shape[0]), h, np.ones(t_beta.shape[0])])
-    return _step_program(c, lb, fixed, rhs, h.size + t_beta.shape[0], e_z.shape[0], block, np.zeros(c.size, bool))
+    i, y, t, j, k = np.indices((lay.n_vertices, n_y, n_slots, n_boxes, lay.n_w)).reshape(5, -1)
+    col = (i * n_slots + t) * n_boxes + j  # the weight beta_(i,t),j, whose points start at col * n_w
+    terms = Coo(e_z.shape[0] + i * n_y + y, col, reach[t, y, k], fixed.shape)
+    n_eq = h.size + t_beta.shape[0]
+    return _step_program(c, lb, fixed, rhs, n_eq, terms, col * lay.n_w + k, nb * lay.n_w, np.zeros(c.size, bool))
 
 
 def dead_columns(reach: np.ndarray, tail: np.ndarray, layout: VariableLayout) -> np.ndarray:

@@ -26,8 +26,8 @@ program's structure can start it warm without touching the bindings.
 ``solve_lp`` checks every answer by one rule
 (residual and duality gap) and walks one fallback ladder until an answer meets
 it.  ``write_lp`` dumps a program in LP format for cross-checks elsewhere.
-Blocks are ``Coo`` triplets (``kron``, ``stack``) until ``csr`` sorts them once;
-``delete_columns`` drops columns, and the rows they enter, from a block.
+Blocks are ``Coo`` triplets (``kron``, ``stack``) until sorted once (``csr``, or an
+``encoder`` step pattern); ``delete_columns`` drops columns, and the rows they enter, from a block.
 """
 
 from __future__ import annotations

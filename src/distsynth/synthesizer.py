@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import SynthProblem, VariableLayout
+from .encoder import StepProgram, SynthProblem, VariableLayout
 from .lp_solver import PRIMAL_TOL, LpFailure, new_instance, solve_lp
 from .setgeom import BoxHullSet, blend_dead_points, box_points
 
@@ -83,6 +83,15 @@ def _full_point(problem: SynthProblem, weights: np.ndarray, sol: np.ndarray) -> 
     return full
 
 
+def _solve_step(program: StepProgram, factor: np.ndarray, name: str, basis, highs):
+    """Fill ``program`` in from ``factor`` and solve it; SynthesisError names the ``name`` LP."""
+    lp = program.lp(factor)
+    out = solve_lp(lp, basis=basis, highs=highs)
+    if not out.optimal:
+        raise SynthesisError(f"{name} LP ended with status {out.status}", lp)
+    return out
+
+
 def p_step(problem: SynthProblem, beta: np.ndarray, basis=None, highs=None):
     """Fix the weights; solve for boxes, budgets, driving points and slacks.
 
@@ -97,10 +106,7 @@ def p_step(problem: SynthProblem, beta: np.ndarray, basis=None, highs=None):
     """
     lay = problem.layout
     nx, z_off = lay.dim_x, lay.dim_x + lay.dim_w  # columns (x, w, z)
-    lp = problem.p_program.lp(beta)
-    out = solve_lp(lp, basis=basis, highs=highs)
-    if not out.optimal:
-        raise SynthesisError(f"box-fitting LP ended with status {out.status}", lp)
+    out = _solve_step(problem.p_program, beta, "box-fitting", basis, highs)
     weights = beta.reshape(lay.n_groups, lay.n_boxes)
     sol = _full_point(problem, weights, out.x)
     x, w = sol[:nx], sol[nx:z_off]
@@ -118,10 +124,7 @@ def q_step(problem: SynthProblem, wbar: np.ndarray, basis=None, highs=None):
     Returns (beta, objective, outcome).
     """
     lay = problem.layout
-    lp = problem.q_program.lp(wbar)
-    out = solve_lp(lp, basis=basis, highs=highs)
-    if not out.optimal:
-        raise SynthesisError(f"reweighting LP ended with status {out.status}", lp)
+    out = _solve_step(problem.q_program, wbar, "reweighting", basis, highs)
     beta = out.x[: lay.dim_beta]  # columns (beta, z)
     if np.all(np.ptp(wbar.reshape(lay.n_groups, lay.n_boxes, lay.n_w), axis=1) <= PRIMAL_TOL):
         # every group's points coincide, so every weight is optimal: replace

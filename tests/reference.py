@@ -19,7 +19,9 @@ from distsynth.encoder import (
     encode_vertex_reach,
     tail_charge,
 )
-from distsynth.lp_solver import BASIC, LOWER, UPPER, Csr, LpFailure, LpProblem, csr, solve_lp
+from distsynth.lp_solver import (
+    BASIC, LOWER, UPPER, Coo, Csr, LpFailure, LpProblem, csr, delete_columns, kron, solve_lp, stack,
+)
 from distsynth.rpi_params import RpiConstants, horizon_constants
 from distsynth.setgeom import (
     _MAX_DIM,
@@ -434,6 +436,58 @@ def q_step_lp(blocks: SynthBlocks, wbar: np.ndarray):
     lb[:nb] = 0.0
     lb[nb + lay.z_eps().start : nb + lay.z_eps().stop] = 0.0
     return LpProblem(c, as_csr(a), b, n_eq, lb)
+
+
+def former_p_block(layout: VariableLayout, beta: np.ndarray) -> Coo:
+    """The P-step's weight block as the per-step builder made it before the
+    step programs were patterns: kron(beta by (group, box), P), P the sign
+    pattern from (coordinate, sign) to (center or halfwidth, coordinate);
+    zero weights add no entries."""
+    eye = np.eye(layout.n_w)
+    P = np.hstack([np.kron(eye, [[-1.0], [1.0]]), np.kron(eye, [[-1.0], [-1.0]])])
+    return kron(np.reshape(beta, (layout.n_groups, layout.n_boxes)), P)
+
+
+def former_q_block(layout: VariableLayout, reach: np.ndarray, wbar: np.ndarray) -> Coo:
+    """The Q-step's point block as the per-step builder made it: in row
+    (i, y), sum_k reach[t, y, k] wbar_(i,t),j,k of every slot t and box j of
+    vertex i, summed in k order from 0, its exact zeros left out."""
+    lay = layout
+    n_y, n_slots, n_boxes = lay.n_y, lay.n_slots, lay.n_boxes
+    coef = reach.transpose(2, 1, 0)[..., None]  # by (term k, output, slot, box)
+    i, y, t, j = np.indices((lay.n_vertices, n_y, n_slots, n_boxes))
+    rows, cols = i * n_y + y, (i * n_slots + t) * n_boxes + j
+    points = np.reshape(wbar, (lay.n_vertices, n_slots, n_boxes, lay.n_w))
+    vals = np.zeros(rows.shape)
+    for k in range(lay.n_w):
+        vals = vals + coef[k] * points[:, None, :, :, k]
+    keep = vals != 0.0
+    return Coo(rows[keep], cols[keep], vals[keep], (lay.n_vertices * n_y, lay.dim_beta))
+
+
+def former_step_matrices(sys, Y, Y_vertices, params, H, layout: VariableLayout, dead: np.ndarray):
+    """(p_matrix, q_matrix): the P-step matrix of a weight vector and the
+    Q-step matrix of a point vector as the per-step builders made them: the
+    encoder's fixed blocks and the factor's block (``former_p_block``,
+    ``former_q_block``) stacked as ``encoder.assemble`` lays them out, the
+    P-step's columns ``dead`` marks and the rows they enter deleted, sorted
+    by ``csr``."""
+    gbar = build_gbar(sys, Y, params)
+    a1 = encode_output_inclusion(gbar, tail_charge(gbar, sys, layout), sys, Y, params, layout)[0]
+    a_x = stack([[a1], [encode_gamma_bound(sys, params.gamma, layout)[0]], [encode_origin(layout)[0]]], [layout.dim_x])
+    reach = reach_coefficients(sys, layout.horizon)
+    c_w, c_z, _, e_z, t_beta = encode_vertex_reach(merge_vertices(Y_vertices), reach, layout, H)
+    member_w = kron(layout.dim_w, [[1.0], [-1.0]])
+
+    def p_matrix(beta):
+        grid = [[a_x, None, None], [former_p_block(layout, beta), member_w, None], [None, None, e_z], [None, c_w, c_z]]
+        return csr(delete_columns(stack(grid, [layout.dim_x, layout.dim_w, layout.dim_z]), dead)[0])
+
+    def q_matrix(wbar):
+        grid = [[None, e_z], [former_q_block(layout, reach, wbar), c_z], [t_beta, None]]
+        return csr(stack(grid, [layout.dim_beta, layout.dim_z]))
+
+    return p_matrix, q_matrix
 
 
 # The scipy.sparse constructor chains that built the encoder's blocks and the

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distsynth import lp_solver, rpi_params, verifier
+from distsynth import cli, lp_solver, rpi_params, verifier
 from distsynth.cli import (
     Options,
     ProblemSpec,
@@ -578,6 +578,9 @@ MISFITS = {
     "gamma-above-spec": lambda d: d["params"].update(gamma=2 * d["params"]["gamma"]),
     "mu-above-spec": lambda d: d["params"].update(mu=2 * d["params"]["mu"]),
     "l-above-spec": lambda d: d.update(l=d["l"] + 1),
+    # widths along other directions than the spec's H: other entries, or more rows
+    "H-entries-not-the-spec's": lambda d: d["H"][0].__setitem__(0, d["H"][0][0] + 1e-14),
+    "H-rows-not-the-spec's": lambda d: d.update(H=d["H"] + [d["H"][0]], epsilon=d["epsilon"] + [d["epsilon"][0]]),
 }
 
 
@@ -1001,13 +1004,14 @@ class TestCmdPlot:
             cross = edge[0] * (traj[:, 1] - a[1]) - edge[1] * (traj[:, 0] - a[0])
             assert np.all(cross >= -1e-3 * scale)
 
-    def test_outline_matches_per_direction_support_points(self):
+    def test_outline_matches_per_direction_support_points(self, monkeypatch):
         spec = parse_spec(PENTAGON_SPEC)
         sys = spec.sys
         params = RpiParams(s=60, alpha=6.781843723995092e-4, lam=6.796195472333852e-5, gamma=0.2, mu=1e-3)
         rng = np.random.default_rng(40)
         W = hull_of((rng.uniform(-0.05, 0.05, 2), rng.uniform(0.0, 0.03, 2)) for _ in range(4))
         n_dirs = 48
+        monkeypatch.setattr(cli, "OUTLINE_DIRS", n_dirs)
         ang = 2.0 * np.pi * np.arange(n_dirs) / n_dirs
         P = np.column_stack([np.cos(ang), np.sin(ang)])
         I = np.eye(sys.n_w)
@@ -1021,7 +1025,7 @@ class TestCmdPlot:
             CA = CA @ sys.A
         for d in range(n_dirs):
             ref[d] += sys.D @ support_corners(I, P[d] @ sys.D, W)[2][0]
-        assert np.max(np.abs(reachable_outline(sys, params, W, n_dirs) - ref)) <= 1e-12
+        assert np.max(np.abs(reachable_outline(sys, params, W) - ref)) <= 1e-12
 
     def test_cli_plot_roundtrip(self, tmp_path, small_spec_doc):
         spec_path = write_json(tmp_path / "spec.json", small_spec_doc)

@@ -18,7 +18,7 @@ from distsynth import encoder, lp_solver, verifier
 from distsynth.cli import cmd_gen, cmd_reduce, cmd_synth, cmd_verify, parse_spec
 from distsynth.lp_solver import RESIDUAL_TOL, _scaled_residual, solve_lp
 from distsynth.setgeom import LtiSystem, dead_points, reach_coefficients
-from distsynth.synthesizer import _boxes, p_step
+from distsynth.synthesizer import _boxes, p_step, spread_beta
 
 from conftest import random_stable_system
 from reference import (
@@ -163,8 +163,9 @@ def same_optimum(a: float, b: float) -> bool:
 @pytest.mark.parametrize("case", ["illustrative", "gen-3-0", "zeros", "random-71"])
 def test_a_problem_without_a_zero_column_passes_the_full_programs(case, monkeypatch):
     spec, doc, problem, filled, fixed_w = run_pipeline(case, monkeypatch)
-    assert problem.p_program.kept.all() and (problem.p_program.rows >= 0).all()
     blocks, distance, coverage = full_programs(spec, doc, problem)
+    full = p_step_lp(blocks, spread_beta(problem.layout))
+    assert problem.p_program.kept.all() and problem.p_program.pattern.a.shape == full.a.shape  # no row deleted
     kinds = set()
     for program, factor, lp in filled:
         is_p = program is problem.p_program

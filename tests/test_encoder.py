@@ -42,6 +42,7 @@ from reference import (
     as_csr,
     assert_same_matrix,
     contains_point,
+    former_step_matrices,
     membership_blocks,
     program_residual,
     scipy_gamma_bound,
@@ -50,6 +51,7 @@ from reference import (
     scipy_vertex_reach,
     synth_blocks,
     to_scipy,
+    uniform_beta,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -445,11 +447,13 @@ def assert_same_step_programs(p1, p2):
     assert p1.layout == p2.layout
     for name in ("p_program", "q_program"):
         s1, s2 = getattr(p1, name), getattr(p2, name)
-        assert s1.fixed.shape == s2.fixed.shape and s1.n_eq == s2.n_eq and s1.first == s2.first, name
-        for field in ("row", "col", "val"):
-            assert getattr(s1.fixed, field).tobytes() == getattr(s2.fixed, field).tobytes(), (name, field)
+        assert s1.pattern.n_eq == s2.pattern.n_eq and np.array_equal(s1.kept, s2.kept), name
+        assert_same_matrix(s1.pattern.a, s2.pattern.a, name)
         for field in ("c", "b", "lb"):
-            assert np.array_equal(getattr(s1, field), getattr(s2, field)), (name, field)
+            assert getattr(s1.pattern, field).tobytes() == getattr(s2.pattern, field).tobytes(), (name, field)
+        assert s1.fill.shape == s2.fill.shape, name
+        for field in ("row", "col", "val"):
+            assert getattr(s1.fill, field).tobytes() == getattr(s2.fill, field).tobytes(), (name, field)
     beta = spread_beta(p1.layout)
     wbar = p_step(p1, beta)[2]
     for lp1, lp2 in ((p1.p_program.lp(beta), p2.p_program.lp(beta)), (p1.q_program.lp(wbar), p2.q_program.lp(wbar))):
@@ -618,9 +622,9 @@ def _reference_case(case):
         B, D = spec.sys.B.copy(), spec.sys.D.copy()
         B[0, 1] = B[2, 0] = D[1, 0] = 0.0
         spec.sys = LtiSystem(spec.sys.A, B, spec.sys.C, D)
-    else:  # gen-<n_x>-<seed>
-        _, n_x, seed = case.split("-")
-        spec = cmd_gen(int(n_x), 2, 2, 0.7, int(seed))
+    else:  # gen-<n_x>-<seed>, or gen-<n_x>-<seed>-<n_w> with n_w disturbances (2 without)
+        _, n_x, seed, *n_w = case.split("-")
+        spec = cmd_gen(int(n_x), int(n_w[0]) if n_w else 2, 2, 0.7, int(seed))
     return spec.sys, spec.Y, spec.resolve_vertices(), spec.resolve_h(), spec.options
 
 
@@ -663,3 +667,61 @@ class TestMatchesScipyReference:
                 assert block.tobytes() == ref.tobytes()
             else:
                 assert_same_matrix(csr(block), ref, name)
+
+
+@pytest.fixture(scope="module", params=["illustrative", "mapped", "gen-6-1", "gen-4-1-3"])
+def pattern_case(request):
+    """The problem cmd_synth assembles for ``_reference_case`` (the mapped
+    plant's P-step deletes rows; with three disturbances, a Q-step entry sums
+    three terms, so their order shows), the former per-step builders'
+    matrices of it, and its slot maps."""
+    sys, Y, vertices, H, opts = _reference_case(request.param)
+    params = select_params(sys, Y, gamma=opts.gamma, mu=opts.mu)
+    horizon = short_horizon(sys, opts.horizon if opts.horizon is not None else params.s)
+    problem = assemble(sys, Y, vertices, params, opts.n_boxes, horizon, H, budget_tail(sys, Y, params))
+    dead = ~problem.p_program.kept
+    assert dead.any() == (request.param == "mapped")
+    former = former_step_matrices(sys, Y, vertices, params, H, problem.layout, dead)
+    return problem, former, reach_coefficients(sys, problem.layout.horizon)
+
+
+class TestStepPattern:
+    """A step program filled in from its pattern and linear map is the matrix
+    the former per-step builders made, bit for bit: entry order, the exact
+    zeros a factor leaves out and the subnormals it keeps."""
+
+    @pytest.mark.parametrize("weights", ["spread", "uniform", "dirichlet"])
+    def test_p_step(self, pattern_case, weights):
+        problem, (p_matrix, _), _ = pattern_case
+        lay = problem.layout
+        if weights == "dirichlet":
+            beta = np.random.default_rng(5).dirichlet(np.full(lay.n_boxes, 0.5), size=lay.n_groups)
+            beta[::3, 0], beta[1::3, -1] = 0.0, 5e-324
+            beta = beta.ravel()
+        else:
+            beta = spread_beta(lay) if weights == "spread" else uniform_beta(lay)
+        lp = problem.p_program.lp(beta)
+        assert_same_matrix(lp.a, p_matrix(beta), weights)
+        if weights == "dirichlet":
+            assert (np.abs(lp.a.data) == 5e-324).any()
+
+    def test_q_step_at_the_first_p_step_points(self, pattern_case):
+        problem, (_, q_matrix), _ = pattern_case
+        wbar = p_step(problem, spread_beta(problem.layout))[2]
+        assert_same_matrix(problem.q_program.lp(wbar).a, q_matrix(wbar))
+
+    def test_q_entry_that_sums_to_zero_is_left_out(self, pattern_case):
+        """Points (r1, -r0) of vertex 0, slot t and box 0, where (r0, r1) =
+        reach[t, y, :2], cancel to exactly 0 in row (0, y): the entry is left
+        out, and points (r1, r0) keep it."""
+        problem, (_, q_matrix), reach = pattern_case
+        lay = problem.layout
+        t, y = np.argwhere((reach[:, :, 0] != 0.0) & (reach[:, :, 1] != 0.0))[0]
+        row, col = lay.n_vertices * lay.n_b + y, t * lay.n_boxes  # after the deviation rows
+        wbar = p_step(problem, spread_beta(lay))[2].reshape(lay.n_vertices, lay.n_slots, lay.n_boxes, lay.n_w)
+        for sign in (1.0, -1.0):
+            wbar[0, t, 0] = 0.0
+            wbar[0, t, 0, :2] = reach[t, y, 1], sign * reach[t, y, 0]
+            a = problem.q_program.lp(wbar).a
+            assert_same_matrix(a, q_matrix(wbar), sign)
+            assert (col in a.indices[a.indptr[row] : a.indptr[row + 1]]) == (sign > 0)
